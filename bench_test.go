@@ -18,13 +18,35 @@ import (
 	"wsndse/internal/ecg"
 	"wsndse/internal/experiments"
 	ieee "wsndse/internal/ieee802154"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
+// benchProblem is the case study: the ecg-ward scenario at the shipped
+// calibration.
+func benchProblem(b *testing.B) *scenario.Problem {
+	b.Helper()
+	problem, err := scenario.NewProblem(scenario.ECGWard(), casestudy.DefaultCalibration())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return problem
+}
+
+// benchCompiled is the case study's compiled evaluator.
+func benchCompiled(b *testing.B, problem *scenario.Problem) dse.Evaluator {
+	b.Helper()
+	compiled, err := problem.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return compiled.Evaluator()
+}
+
 // benchFeasibleConfig finds one feasible case-study configuration,
 // deterministically.
-func benchFeasibleConfig(b *testing.B, problem *casestudy.Problem) dse.Config {
+func benchFeasibleConfig(b *testing.B, problem *scenario.Problem) dse.Config {
 	b.Helper()
 	eval := problem.Evaluator()
 	rng := rand.New(rand.NewSource(1))
@@ -41,7 +63,7 @@ func benchFeasibleConfig(b *testing.B, problem *casestudy.Problem) dse.Config {
 // "approximately 4800 evaluations per second" (§5.2). The inverse of ns/op
 // is the evaluations-per-second figure.
 func BenchmarkModelEvaluation(b *testing.B) {
-	problem := casestudy.NewProblem(casestudy.DefaultCalibration())
+	problem := benchProblem(b)
 	eval := problem.Evaluator()
 	cfg := benchFeasibleConfig(b, problem)
 	b.ReportAllocs()
@@ -60,12 +82,8 @@ func BenchmarkModelEvaluation(b *testing.B) {
 // numbers are bit-identical to the reference evaluator's; this benchmark
 // shows the speedup and the zero allocs/op.
 func BenchmarkModelEvaluationCompiled(b *testing.B) {
-	problem := casestudy.NewProblem(casestudy.DefaultCalibration())
-	compiled, err := problem.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
+	problem := benchProblem(b)
+	eval := benchCompiled(b, problem).(dse.Forkable).Fork().(dse.IntoEvaluator)
 	cfg := benchFeasibleConfig(b, problem)
 	objs := make(dse.Objectives, 3)
 	b.ReportAllocs()
@@ -82,8 +100,8 @@ func BenchmarkModelEvaluationCompiled(b *testing.B) {
 // packet-level simulation of the six-node case-study network (the paper's
 // Castalia runs took 5–10 minutes each).
 func BenchmarkNetworkSimulation(b *testing.B) {
-	params := defaultBenchParams()
-	cfg, err := params.SimConfig(casestudy.DefaultCalibration(), 60, 1)
+	problem := benchProblem(b)
+	cfg, err := problem.SimConfig(defaultBenchParams(), 60, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,35 +286,10 @@ func BenchmarkAssignInto(b *testing.B) {
 	}
 }
 
-// BenchmarkEventEngine times raw scheduler throughput on the closure
-// compatibility path (At/After): schedule-and-run chains of dependent
-// events. The engine itself no longer boxes events — the remaining
-// allocations are the caller's closures.
-func BenchmarkEventEngine(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		count := 0
-		var tick func()
-		tick = func() {
-			count++
-			if count < 1000 {
-				e.After(0.001, tick)
-			}
-		}
-		e.After(0.001, tick)
-		e.Run(10)
-		if count != 1000 {
-			b.Fatal("engine lost events")
-		}
-	}
-	b.ReportMetric(float64(b.N)*1000/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkEventEngineTyped is the same dependent-event chain on the typed
-// path the simulator now runs on: slab slots off a free list, an
-// index-addressed heap, dispatch by (kind, node, arg) — zero allocations
-// per event in steady state.
+// BenchmarkEventEngineTyped times raw scheduler throughput: schedule-and-run
+// chains of dependent events on the engine's typed path — slab slots off a
+// free list, an index-addressed heap, dispatch by (kind, node, arg) — with
+// zero allocations per event in steady state.
 func BenchmarkEventEngineTyped(b *testing.B) {
 	e := sim.NewEngine()
 	count := 0
@@ -321,7 +314,7 @@ func BenchmarkEventEngineTyped(b *testing.B) {
 
 // benchBatchConfigs draws one fixed batch of case-study configurations for
 // the EvaluateBatch benchmarks.
-func benchBatchConfigs(problem *casestudy.Problem, n int) []dse.Config {
+func benchBatchConfigs(problem *scenario.Problem, n int) []dse.Config {
 	rng := rand.New(rand.NewSource(7))
 	configs := make([]dse.Config, n)
 	for i := range configs {
@@ -337,14 +330,10 @@ func benchBatchConfigs(problem *casestudy.Problem, n int) []dse.Config {
 // compiled pipeline. evals/s is directly comparable to
 // BenchmarkModelEvaluation.
 func benchEvaluateBatch(b *testing.B, workers int, compiled bool) {
-	problem := casestudy.NewProblem(casestudy.DefaultCalibration())
+	problem := benchProblem(b)
 	eval := problem.Evaluator()
 	if compiled {
-		c, err := problem.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		eval = c.Evaluator()
+		eval = benchCompiled(b, problem)
 	}
 	configs := benchBatchConfigs(problem, 256)
 	b.ReportAllocs()
@@ -367,7 +356,7 @@ func BenchmarkEvaluateBatchCompiledParallel(b *testing.B)   { benchEvaluateBatch
 // multi-core hardware; the dse equivalence tests guarantee both variants
 // return identical fronts.
 func benchExplore(b *testing.B, workers int) {
-	problem := casestudy.NewProblem(casestudy.DefaultCalibration())
+	problem := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
@@ -391,7 +380,7 @@ func BenchmarkExploreParallel(b *testing.B)   { benchExplore(b, 0) }
 // BenchmarkNSGA2Generation times the genetic algorithm on the case study
 // at one-generation granularity (population 32).
 func BenchmarkNSGA2Generation(b *testing.B) {
-	problem := casestudy.NewProblem(casestudy.DefaultCalibration())
+	problem := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
@@ -404,9 +393,9 @@ func BenchmarkNSGA2Generation(b *testing.B) {
 	}
 }
 
-func defaultBenchParams() casestudy.Params {
+func defaultBenchParams() scenario.Params {
 	n := casestudy.DefaultNodes
-	p := casestudy.Params{
+	p := scenario.Params{
 		BeaconOrder:     3,
 		SuperframeOrder: 2,
 		PayloadBytes:    48,

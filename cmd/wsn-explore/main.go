@@ -104,10 +104,8 @@ func main() {
 	case "full":
 		eval = compiled.Evaluator()
 	case "baseline":
-		// The application-blind (energy, delay) view. For the case-study
-		// scenario this is numerically identical to the Fig. 5 baseline
-		// (baseline.New): both evaluate the same network and drop the
-		// quality objective.
+		// The application-blind (energy, delay) view: the same
+		// projection the Fig. 5 experiment uses as its baseline.
 		eval = baseline.Project(compiled.Evaluator(), 0, 2)
 	default:
 		fail(fmt.Errorf("unknown objectives %q", *objectives))

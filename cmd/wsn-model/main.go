@@ -17,6 +17,7 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/cliutil"
 	"wsndse/internal/core"
+	"wsndse/internal/scenario"
 )
 
 func main() {
@@ -36,7 +37,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	net, err := params.Network(casestudy.DefaultCalibration(), *theta)
+	ward := scenario.ECGWardN(*nodes)
+	ward.Theta = *theta
+	problem, err := scenario.NewProblem(ward, casestudy.DefaultCalibration())
+	if err != nil {
+		fail(err)
+	}
+	net, err := problem.Network(params)
 	if err != nil {
 		fail(err)
 	}

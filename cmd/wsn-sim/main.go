@@ -65,43 +65,45 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	var cfg sim.Config
+	// An explicit configuration is one point of the N-node case-study
+	// ward; a named scenario is simulated at its deterministic feasible
+	// configuration. Both then take the same SimConfig path.
+	var (
+		sc     scenario.Scenario
+		params scenario.Params
+		err    error
+	)
 	if *scenarioName != "" {
-		sc, err := cliutil.LookupScenario(*scenarioName)
-		if err != nil {
-			fail(err)
-		}
-		problem, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
-		if err != nil {
-			fail(err)
-		}
-		params, err := problem.FeasibleParams()
-		if err != nil {
-			fail(err)
-		}
-		dur := sc.SimDuration
-		if explicit["duration"] {
-			dur = units.Seconds(*duration)
-		}
-		runSeed := sc.SimSeed
-		if explicit["seed"] {
-			runSeed = *seed
-		}
-		cfg, err = problem.SimConfig(params, dur, runSeed)
-		if err != nil {
+		sc, err = cliutil.LookupScenario(*scenarioName)
+	} else {
+		params, err = cliutil.BuildParams(*bo, *so, *payload, *nodes, *cr, *fuc)
+		sc = scenario.ECGWardN(*nodes)
+	}
+	if err != nil {
+		fail(err)
+	}
+	problem, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
+	if err != nil {
+		fail(err)
+	}
+	if *scenarioName != "" {
+		if params, err = problem.FeasibleParams(); err != nil {
 			fail(err)
 		}
 		fmt.Printf("scenario %s at BO=%d SO=%d L=%d CR=%v\n",
 			sc.Name, params.BeaconOrder, params.SuperframeOrder, params.PayloadBytes, params.CR)
-	} else {
-		params, err := cliutil.BuildParams(*bo, *so, *payload, *nodes, *cr, *fuc)
-		if err != nil {
-			fail(err)
-		}
-		cfg, err = params.SimConfig(casestudy.DefaultCalibration(), units.Seconds(*duration), *seed)
-		if err != nil {
-			fail(err)
-		}
+	}
+	dur := sc.SimDuration
+	if explicit["duration"] {
+		dur = units.Seconds(*duration)
+	}
+	runSeed := sc.SimSeed
+	if explicit["seed"] {
+		runSeed = *seed
+	}
+	cfg, err := problem.SimConfig(params, dur, runSeed)
+	if err != nil {
+		fail(err)
 	}
 	if explicit["per"] || *scenarioName == "" {
 		cfg.PacketErrorRate = *per

@@ -25,10 +25,12 @@
 //     device-level energy accounting (the measurement/Castalia stand-in);
 //   - internal/dse, internal/baseline, internal/casestudy,
 //     internal/experiments — the exploration framework, the energy/delay
-//     comparator, the §4 case study, and one harness per figure/table;
+//     comparator, what only the §4 case study owns (codec calibration and
+//     the application kinds), and one harness per figure/table;
 //   - internal/scenario — the scenario engine: declarative heterogeneous
-//     workloads plus the process-wide registry the CLIs, experiments and
-//     examples select workloads from;
+//     workloads, their design-space formulation and evaluators, plus the
+//     process-wide registry the CLIs, experiments and examples select
+//     workloads from (the §4 case study is the ecg-ward scenario);
 //   - internal/service — the DSE-as-a-service layer: a job-oriented
 //     exploration runtime (bounded-worker manager, SSE progress streams,
 //     checkpoint/resume, versioned result store) behind a JSON HTTP API
@@ -70,8 +72,8 @@
 //
 // The analytical model's reason to exist is being orders of magnitude
 // faster than simulation, so the evaluation hot path is engineered to be
-// allocation-free. Compile() on casestudy.Problem and scenario.Problem
-// pre-builds lookup tables over the whole design space — the full
+// allocation-free. scenario.Problem.Compile() pre-builds lookup tables
+// over the whole design space — the full
 // (BO × SFO gap × payload) MAC grid, per-node application instances per
 // CR grid index, per-node MAC views for payload-override nodes, and the
 // per (application, sample-rate) output rates and quality values — so
@@ -108,8 +110,8 @@
 // higher dimensions; MOSA chains reuse a single neighbour buffer. The sim
 // engine's event core is typed: value-slot events in a slab recycled
 // through a free list, ordered by an index-addressed min-heap and
-// dispatched by (kind, node, arg) with no closure or interface boxing —
-// At/After remain as closure-compatibility wrappers. Property tests prove
+// dispatched by (kind, node, arg) with no closure or interface boxing.
+// Property tests prove
 // the fast sort produces exactly the naive reference's ranks and
 // bit-identical crowding on randomized populations, seeded NSGA-II runs
 // are bit-identical with either sort wired in, and the incremental archive

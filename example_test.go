@@ -6,20 +6,24 @@ import (
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
 // Example_evaluate builds the paper's six-node case-study network at one
 // operating point and reads the Eq. 8 network metrics.
 func Example_evaluate() {
-	params := casestudy.Params{
+	problem, err := scenario.NewProblem(scenario.ECGWard(), casestudy.DefaultCalibration())
+	if err != nil {
+		log.Fatal(err)
+	}
+	net, err := problem.Network(scenario.Params{
 		BeaconOrder:     3,
 		SuperframeOrder: 2,
 		PayloadBytes:    48,
 		CR:              []float64{0.23, 0.23, 0.23, 0.23, 0.23, 0.23},
 		MicroFreq:       []units.Hertz{8e6, 8e6, 8e6, 8e6, 8e6, 8e6},
-	}
-	net, err := params.Network(casestudy.DefaultCalibration(), 0.5)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,14 +42,17 @@ func Example_evaluate() {
 // wavelet compressor cannot complete at 1 MHz (duty cycle 226 %), which
 // the model reports as a typed infeasibility rather than a number.
 func Example_infeasible() {
-	params := casestudy.Params{
+	problem, err := scenario.NewProblem(scenario.ECGWardN(2), casestudy.DefaultCalibration())
+	if err != nil {
+		log.Fatal(err)
+	}
+	net, err := problem.Network(scenario.Params{
 		BeaconOrder:     3,
 		SuperframeOrder: 2,
 		PayloadBytes:    48,
 		CR:              []float64{0.23, 0.23},
 		MicroFreq:       []units.Hertz{1e6, 1e6}, // DWT node cannot run here
-	}
-	net, err := params.Network(casestudy.DefaultCalibration(), 0)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

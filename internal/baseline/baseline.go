@@ -15,45 +15,12 @@ package baseline
 import (
 	"fmt"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 )
 
-// Evaluator is the 2-objective (energy, delay) evaluator over the case
-// study's design space.
-type Evaluator struct {
-	p *casestudy.Problem
-}
-
-// New wraps a case-study problem with the energy/delay-only view.
-func New(p *casestudy.Problem) *Evaluator {
-	return &Evaluator{p: p}
-}
-
-// NumObjectives returns 2.
-func (e *Evaluator) NumObjectives() int { return 2 }
-
-// Evaluate computes (E_net, delay_net), discarding application quality.
-func (e *Evaluator) Evaluate(c dse.Config) (dse.Objectives, error) {
-	params, err := e.p.Decode(c)
-	if err != nil {
-		return nil, err
-	}
-	net, err := params.Network(e.p.Cal, e.p.Theta)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := net.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	return dse.Objectives{float64(ev.Energy), float64(ev.Delay)}, nil
-}
-
-// Projection exposes a subset of a full evaluator's objectives — the
-// application-blind energy/delay silhouette generalized beyond the case
-// study, so any scenario's three-objective evaluator can be compared
-// against its own baseline view.
+// Projection exposes a subset of a full evaluator's objectives. The
+// energy/delay baseline of any scenario is Project(full, 0, 2): the same
+// network evaluated by the same model, with the quality objective dropped.
 type Projection struct {
 	Full dse.Evaluator
 	Idx  []int
@@ -84,11 +51,10 @@ func (p *Projection) Evaluate(c dse.Config) (dse.Objectives, error) {
 	return out, nil
 }
 
-// Lift re-evaluates a 2-objective front under the full 3-metric model so
-// it can be compared against the proposed model's front in the common
+// Lift re-evaluates a 2-objective front under the full 3-metric evaluator
+// so it can be compared against the proposed model's front in the common
 // objective space (this is how Fig. 5 plots both sets on the same axes).
-func Lift(p *casestudy.Problem, front []dse.Point) ([]dse.Point, error) {
-	full := p.Evaluator()
+func Lift(full dse.Evaluator, front []dse.Point) ([]dse.Point, error) {
 	out := make([]dse.Point, 0, len(front))
 	for _, pt := range front {
 		objs, err := full.Evaluate(pt.Config)

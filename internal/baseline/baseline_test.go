@@ -7,15 +7,25 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 )
 
+// wardEvaluator is the case study's full three-objective model evaluator.
+func wardEvaluator(t *testing.T) (*scenario.Problem, dse.Evaluator) {
+	t.Helper()
+	p, err := scenario.NewProblem(scenario.ECGWard(), casestudy.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, p.Evaluator()
+}
+
 func TestBaselineEvaluates(t *testing.T) {
-	p := casestudy.NewProblem(casestudy.DefaultCalibration())
-	b := New(p)
+	p, full := wardEvaluator(t)
+	b := Project(full, 0, 2)
 	if b.NumObjectives() != 2 {
 		t.Error("objective count")
 	}
-	full := p.Evaluator()
 	rng := rand.New(rand.NewSource(2))
 	checked := 0
 	for i := 0; i < 200 && checked < 30; i++ {
@@ -42,19 +52,25 @@ func TestBaselineEvaluates(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("only %d feasible comparisons", checked)
 	}
+	c, err := p.FeasibleConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Project(full, 3).Evaluate(c); err == nil {
+		t.Error("out-of-range projection index accepted")
+	}
 }
 
 func TestLift(t *testing.T) {
-	p := casestudy.NewProblem(casestudy.DefaultCalibration())
-	b := New(p)
-	res, err := dse.RandomSearch(p.Space(), b, 300, 5)
+	p, full := wardEvaluator(t)
+	res, err := dse.RandomSearch(p.Space(), Project(full, 0, 2), 300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Front) == 0 {
 		t.Fatal("empty baseline front")
 	}
-	lifted, err := Lift(p, res.Front)
+	lifted, err := Lift(full, res.Front)
 	if err != nil {
 		t.Fatal(err)
 	}

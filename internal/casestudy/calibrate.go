@@ -1,4 +1,4 @@
-// Package casestudy wires the library into the paper's §4 case study: a
+// Package casestudy holds what only the paper's §4 case study owns: a
 // hospital WBSN of six ECG nodes — three compressing with the discrete
 // wavelet transform, three with compressed sensing — on Shimmer-class
 // hardware under the beacon-enabled IEEE 802.15.4 MAC.
@@ -7,7 +7,12 @@
 // data (§4.3): running the actual codecs over an ECG corpus to obtain the
 // per-application PRD-vs-CR points, then fitting the fifth-order
 // polynomials P₅(CR) the analytical model uses as its quality estimator
-// e(φ_in, χ_node).
+// e(φ_in, χ_node). It also owns the application kinds (Kind, DefaultKinds,
+// AppFor), the network size and sample rate, and the CR grid.
+//
+// The case study's design space, evaluators and simulator configuration
+// are not here: the network is the ecg-ward scenario (scenario.ECGWard),
+// and internal/scenario formulates it like any other workload.
 package casestudy
 
 import (

@@ -2,12 +2,7 @@ package casestudy
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"wsndse/internal/core"
-	"wsndse/internal/dse"
-	"wsndse/internal/units"
 )
 
 func TestCalibrateProducesSaneCurves(t *testing.T) {
@@ -74,173 +69,6 @@ func TestDefaultCalibrationMatchesFreshRun(t *testing.T) {
 func TestCalibrateValidation(t *testing.T) {
 	if _, err := Calibrate(CalibrationConfig{CRs: []float64{0.2, 0.3}, PolyDegree: 5}); err == nil {
 		t.Error("too few CR points for degree: want error")
-	}
-}
-
-func defaultParams() Params {
-	n := DefaultNodes
-	p := Params{
-		BeaconOrder:     3,
-		SuperframeOrder: 2,
-		PayloadBytes:    48,
-		CR:              make([]float64, n),
-		MicroFreq:       make([]units.Hertz, n),
-	}
-	for i := 0; i < n; i++ {
-		p.CR[i] = 0.23
-		p.MicroFreq[i] = 8e6
-	}
-	return p
-}
-
-func TestParamsNetworkEvaluates(t *testing.T) {
-	cal := DefaultCalibration()
-	net, err := defaultParams().Network(cal, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(net.Nodes) != DefaultNodes {
-		t.Fatalf("%d nodes", len(net.Nodes))
-	}
-	// Half DWT, half CS.
-	if net.Nodes[0].App.Name() != "dwt" || net.Nodes[5].App.Name() != "cs" {
-		t.Error("kind split wrong")
-	}
-	ev, err := net.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Energy <= 0 || ev.Quality <= 0 || ev.Delay <= 0 {
-		t.Errorf("metrics: %+v", ev)
-	}
-	// Node powers in the Figure 3 range (single-digit mJ/s).
-	for i, eb := range ev.PerNode {
-		if eb.Total < 1e-3 || eb.Total > 15e-3 {
-			t.Errorf("node %d power %v outside plausible range", i, eb.Total)
-		}
-	}
-}
-
-func TestParamsValidation(t *testing.T) {
-	p := defaultParams()
-	p.CR = p.CR[:3]
-	if err := p.Validate(); err == nil {
-		t.Error("mismatched vectors accepted")
-	}
-	p = defaultParams()
-	p.SuperframeOrder = 9
-	if err := p.Validate(); err == nil {
-		t.Error("SO > BO accepted")
-	}
-	cal := DefaultCalibration()
-	p = defaultParams()
-	p.PayloadBytes = 0
-	if _, err := p.Network(cal, 0); err == nil {
-		t.Error("payload 0 accepted")
-	}
-}
-
-func TestSimConfigMirrorsModelAssignment(t *testing.T) {
-	cal := DefaultCalibration()
-	params := defaultParams()
-	cfg, err := params.SimConfig(cal, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("sim config invalid: %v", err)
-	}
-	// The simulator's slot allocation must equal the model's Eq. 1
-	// assignment — both sides of the Fig. 3 comparison describe the
-	// same network.
-	net, err := params.Network(cal, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phi := make([]units.BytesPerSecond, len(net.Nodes))
-	for i, n := range net.Nodes {
-		phi[i] = n.OutputRate()
-	}
-	a, err := core.Assign(net.MAC, phi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfg.Nodes {
-		if cfg.Nodes[i].Slots != a.K[i] {
-			t.Errorf("node %d: sim slots %d vs model k %d", i, cfg.Nodes[i].Slots, a.K[i])
-		}
-	}
-}
-
-func TestProblemSpace(t *testing.T) {
-	p := NewProblem(DefaultCalibration())
-	s := p.Space()
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The paper: "the number of possible network configurations of this
-	// case study exceeds the tens of millions".
-	if s.Size() < 1e7 {
-		t.Errorf("space size %.3g, want > 10⁷", s.Size())
-	}
-	if len(s.Params) != 3+2*DefaultNodes {
-		t.Errorf("%d genes", len(s.Params))
-	}
-}
-
-func TestProblemDecode(t *testing.T) {
-	p := NewProblem(DefaultCalibration())
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 100; i++ {
-		c := p.Space().Random(rng)
-		params, err := p.Decode(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := params.Validate(); err != nil {
-			t.Errorf("decoded params invalid: %v", err)
-		}
-		if params.SuperframeOrder > params.BeaconOrder || params.SuperframeOrder < 0 {
-			t.Errorf("SFO %d out of range for BO %d", params.SuperframeOrder, params.BeaconOrder)
-		}
-	}
-	if _, err := p.Decode(dse.Config{0}); err == nil {
-		t.Error("short config accepted")
-	}
-}
-
-func TestProblemEvaluator(t *testing.T) {
-	p := NewProblem(DefaultCalibration())
-	e := p.Evaluator()
-	if e.NumObjectives() != 3 {
-		t.Error("objective count")
-	}
-	rng := rand.New(rand.NewSource(9))
-	feasible, infeasible := 0, 0
-	for i := 0; i < 300; i++ {
-		objs, err := e.Evaluate(p.Space().Random(rng))
-		if err != nil {
-			if !core.IsInfeasible(err) {
-				t.Fatalf("non-constraint error: %v", err)
-			}
-			infeasible++
-			continue
-		}
-		feasible++
-		if len(objs) != 3 {
-			t.Fatal("objective vector length")
-		}
-		for j, o := range objs {
-			if o <= 0 || math.IsNaN(o) {
-				t.Errorf("objective %d = %g", j, o)
-			}
-		}
-	}
-	if feasible == 0 {
-		t.Error("no feasible configurations in 300 draws")
-	}
-	if infeasible == 0 {
-		t.Error("no infeasible configurations in 300 draws (constraints too loose)")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 	"strconv"
 	"strings"
 
-	"wsndse/internal/casestudy"
+	ieee "wsndse/internal/ieee802154"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
@@ -94,10 +95,19 @@ func ParseHertz(s string) ([]units.Hertz, error) {
 	return out, nil
 }
 
-// BuildParams assembles case-study parameters from the common command-line
-// flags, replicating single values across all nodes.
-func BuildParams(bo, so, payload, nodes int, crList, fucList string) (casestudy.Params, error) {
-	var p casestudy.Params
+// BuildParams assembles the parameters of an N-node case-study ward
+// (scenario.ECGWardN) from the common command-line flags, replicating
+// single values across all nodes. It rejects fewer than one node and a
+// superframe the standard forbids (SO > BO).
+func BuildParams(bo, so, payload, nodes int, crList, fucList string) (scenario.Params, error) {
+	var p scenario.Params
+	if nodes < 1 {
+		return p, fmt.Errorf("-nodes: need at least 1 node, got %d", nodes)
+	}
+	sf := ieee.SuperframeConfig{BeaconOrder: bo, SuperframeOrder: so}
+	if err := sf.Validate(); err != nil {
+		return p, err
+	}
 	crs, err := ParseFloats(crList)
 	if err != nil {
 		return p, fmt.Errorf("-cr: %w", err)
@@ -116,14 +126,13 @@ func BuildParams(bo, so, payload, nodes int, crList, fucList string) (casestudy.
 		return p, fmt.Errorf("need 1 or %d values per node (got %d CRs, %d frequencies)",
 			nodes, len(crs), len(fucs))
 	}
-	p = casestudy.Params{
+	return scenario.Params{
 		BeaconOrder:     bo,
 		SuperframeOrder: so,
 		PayloadBytes:    payload,
 		CR:              crs,
 		MicroFreq:       fucs,
-	}
-	return p, p.Validate()
+	}, nil
 }
 
 func repeatF(v float64, n int) []float64 {

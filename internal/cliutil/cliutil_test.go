@@ -84,6 +84,12 @@ func TestBuildParamsErrors(t *testing.T) {
 	if _, err := BuildParams(1, 3, 48, 6, "0.2", "8M"); err == nil {
 		t.Error("invalid superframe accepted")
 	}
+	// A non-positive node count must fail, not panic.
+	for _, nodes := range []int{0, -1, -2} {
+		if _, err := BuildParams(3, 2, 48, nodes, "0.2", "8M"); err == nil {
+			t.Errorf("%d nodes accepted", nodes)
+		}
+	}
 }
 
 func TestStartProfiles(t *testing.T) {

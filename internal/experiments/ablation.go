@@ -7,6 +7,7 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/numeric"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
@@ -65,9 +66,13 @@ func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ThetaAblationResult{}
 	for _, theta := range cfg.Thetas {
-		problem := casestudy.NewProblem(cfg.Cal)
-		problem.Theta = theta
-		search, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
+		sc := scenario.ECGWard()
+		sc.Theta = theta
+		problem, eval, err := wardProblem(sc, cfg.Cal)
+		if err != nil {
+			return nil, err
+		}
+		search, err := dse.NSGA2(problem.Space(), eval, dse.NSGA2Config{
 			PopulationSize: cfg.PopulationSize,
 			Generations:    cfg.Generations,
 			Seed:           cfg.Seed,
@@ -82,7 +87,7 @@ func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			net, err := params.Network(cfg.Cal, theta)
+			net, err := problem.Network(params)
 			if err != nil {
 				return nil, err
 			}
@@ -174,26 +179,19 @@ type ArrivalAblationResult struct {
 // as bursts.
 func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) {
 	cfg = cfg.withDefaults()
-	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &ArrivalAblationResult{}
 
 	for run := 0; run < cfg.Runs; run++ {
-		var params casestudy.Params
-		for {
-			c := problem.Space().Random(rng)
-			if _, err := eval.Evaluate(c); err != nil {
-				continue
-			}
-			var err error
-			params, err = problem.Decode(c)
-			if err != nil {
-				return nil, err
-			}
-			break
+		_, params, err := drawFeasible(problem, eval, rng)
+		if err != nil {
+			return nil, err
 		}
-		net, err := params.Network(cfg.Cal, 0)
+		net, err := problem.Network(params)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +200,7 @@ func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) 
 			return nil, err
 		}
 		for _, arrival := range []sim.ArrivalModel{sim.ArrivalUniform, sim.ArrivalBlock} {
-			simCfg, err := params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(run))
+			simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
 			if err != nil {
 				return nil, err
 			}

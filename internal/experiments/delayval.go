@@ -6,6 +6,7 @@ import (
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/numeric"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
@@ -64,29 +65,20 @@ type DelayValResult struct {
 // compares the bound against the largest measured delay.
 func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 	cfg = cfg.withDefaults()
-	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &DelayValResult{}
 
 	var overs []float64
 	for run := 0; run < cfg.Runs; run++ {
-		// Rejection-sample a feasible configuration.
-		var params casestudy.Params
-		for {
-			c := problem.Space().Random(rng)
-			if _, err := eval.Evaluate(c); err != nil {
-				continue
-			}
-			var err error
-			params, err = problem.Decode(c)
-			if err != nil {
-				return nil, err
-			}
-			break
+		_, params, err := drawFeasible(problem, eval, rng)
+		if err != nil {
+			return nil, err
 		}
-
-		net, err := params.Network(cfg.Cal, 0)
+		net, err := problem.Network(params)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +86,7 @@ func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		simCfg, err := params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(run))
+		simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
 		if err != nil {
 			return nil, err
 		}

@@ -26,6 +26,7 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/numeric"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
@@ -107,6 +108,10 @@ type Fig3Result struct {
 // simulation of the case-study network.
 func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
+	problem, err := scenario.NewProblem(scenario.ECGWardN(cfg.Nodes), cfg.Cal)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig3Result{}
 	var dwtErrs, csErrs []float64
 
@@ -116,7 +121,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			// feasible; applications that cannot run at fuc fall
 			// back to 8 MHz so the rest of the network still
 			// operates (their rows are reported infeasible).
-			params := casestudy.Params{
+			params := scenario.Params{
 				BeaconOrder:     cfg.BeaconOrder,
 				SuperframeOrder: cfg.SuperframeOrder,
 				PayloadBytes:    cfg.PayloadBytes,
@@ -128,11 +133,10 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 				params.MicroFreq[i] = fuc
 			}
 
-			net, err := params.Network(cfg.Cal, 0)
+			net, err := problem.Network(params)
 			if err != nil {
 				return nil, err
 			}
-			kinds := casestudy.DefaultKinds(cfg.Nodes)
 			feasible := make([]bool, len(net.Nodes))
 			modelPower := make([]units.Watts, len(net.Nodes))
 			for i, n := range net.Nodes {
@@ -149,7 +153,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 				}
 			}
 
-			simCfg, err := params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed)
+			simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +165,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			// One row per application kind, using the first node of
 			// each kind.
 			for _, kind := range []casestudy.Kind{casestudy.KindDWT, casestudy.KindCS} {
-				idx := firstOfKind(kinds, kind)
+				idx := firstOfKind(problem.Scenario.Nodes, kind)
 				row := Fig3Row{Kind: kind, MicroFreq: fuc, CR: cr}
 				if !feasible[idx] {
 					row.Infeasible = true
@@ -189,9 +193,9 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	return res, nil
 }
 
-func firstOfKind(kinds []casestudy.Kind, k casestudy.Kind) int {
-	for i, kk := range kinds {
-		if kk == k {
+func firstOfKind(nodes []scenario.NodeSpec, k casestudy.Kind) int {
+	for i, ns := range nodes {
+		if ns.Kind == k {
 			return i
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"wsndse/internal/baseline"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 )
 
 // Fig5Config parameterizes the tradeoff-detection experiment (§5.2,
@@ -81,9 +82,12 @@ type Fig5Result struct {
 // Fig5 runs both searches and compares the detected tradeoffs.
 func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
-	problem := casestudy.NewProblem(cfg.Cal)
+	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	if err != nil {
+		return nil, err
+	}
 
-	full, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
+	full, err := dse.NSGA2(problem.Space(), eval, dse.NSGA2Config{
 		PopulationSize: cfg.PopulationSize,
 		Generations:    cfg.Generations,
 		Seed:           cfg.Seed,
@@ -92,7 +96,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := dse.NSGA2(problem.Space(), baseline.New(problem), dse.NSGA2Config{
+	base, err := dse.NSGA2(problem.Space(), baseline.Project(eval, 0, 2), dse.NSGA2Config{
 		PopulationSize: cfg.PopulationSize,
 		Generations:    cfg.Generations,
 		Seed:           cfg.Seed,
@@ -101,7 +105,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lifted, err := baseline.Lift(problem, base.Front)
+	lifted, err := baseline.Lift(eval, base.Front)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +123,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	res.FullCoversBaseline = dse.Coverage(full.Front, lifted)
 
 	if cfg.RunMOSA {
-		sa, err := dse.MOSA(problem.Space(), problem.Evaluator(), dse.MOSAConfig{
+		sa, err := dse.MOSA(problem.Space(), eval, dse.MOSAConfig{
 			Iterations: cfg.PopulationSize * cfg.Generations,
 			Seed:       cfg.Seed,
 			Workers:    cfg.Workers,

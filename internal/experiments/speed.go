@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"wsndse/internal/casestudy"
+	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
@@ -60,32 +62,31 @@ type SpeedResult struct {
 // simulation wall-clock per configuration, using random feasible points.
 func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 	cfg = cfg.withDefaults()
-	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	problem, compiled, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pre-draw feasible configurations so the timed loop measures only
 	// evaluation.
 	const poolSize = 64
-	pool := make([]struct {
-		c      []int
-		params casestudy.Params
-	}, 0, poolSize)
+	type draw struct {
+		c      dse.Config
+		params scenario.Params
+	}
+	pool := make([]draw, 0, poolSize)
 	for len(pool) < poolSize {
-		c := problem.Space().Random(rng)
-		if _, err := eval.Evaluate(c); err != nil {
-			continue
-		}
-		params, err := problem.Decode(c)
+		c, params, err := drawFeasible(problem, compiled, rng)
 		if err != nil {
 			return nil, err
 		}
-		pool = append(pool, struct {
-			c      []int
-			params casestudy.Params
-		}{c, params})
+		pool = append(pool, draw{c, params})
 	}
 
+	// The timed loop runs the reference evaluator: the model rebuilding
+	// the network per call, without the compiled lookup tables.
+	eval := problem.Evaluator()
 	start := time.Now()
 	for i := 0; i < cfg.ModelEvals; i++ {
 		if _, err := eval.Evaluate(pool[i%poolSize].c); err != nil {
@@ -96,7 +97,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 
 	var simWall time.Duration
 	for i := 0; i < cfg.SimRuns; i++ {
-		simCfg, err := pool[i%poolSize].params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(i))
+		simCfg, err := problem.SimConfig(pool[i%poolSize].params, cfg.SimDuration, cfg.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}

@@ -45,15 +45,24 @@ func telemetryNode(name string, p platform.Platform, fs units.Hertz, payload int
 
 // ECGWard is the paper's §4–5 case study: six homogeneous ECG patients,
 // half wavelet and half compressed-sensing, on the full χ_mac grid. It is
-// the reference workload every other scenario deviates from.
-func ECGWard() Scenario {
-	nodes := make([]NodeSpec, casestudy.DefaultNodes)
-	for i, kind := range casestudy.DefaultKinds(casestudy.DefaultNodes) {
+// the reference workload every other scenario deviates from, and equals
+// ECGWardN(casestudy.DefaultNodes).
+func ECGWard() Scenario { return ECGWardN(casestudy.DefaultNodes) }
+
+// ECGWardN is the case-study ward at n patients: the first half wavelet and
+// the rest compressed-sensing (casestudy.DefaultKinds), node i named
+// "<kind>-i". It keeps the name "ecg-ward"; register a resized ward under
+// a new name. n < 1 yields a scenario that fails Validate.
+func ECGWardN(n int) Scenario {
+	kinds := casestudy.DefaultKinds(max(n, 0))
+	nodes := make([]NodeSpec, len(kinds))
+	for i, kind := range kinds {
 		nodes[i] = ecgNode(fmt.Sprintf("%s-%d", kind, i), kind)
 	}
 	return Scenario{
-		Name:         "ecg-ward",
-		Description:  "the paper's six-patient ECG ward (3 DWT + 3 CS, Shimmer)",
+		Name: "ecg-ward",
+		Description: fmt.Sprintf("the paper's ECG ward at %d patients (%d DWT + %d CS, Shimmer)",
+			len(kinds), len(kinds)/2, len(kinds)-len(kinds)/2),
 		Stress:       "the reference workload: CR-vs-energy-vs-delay over the full MAC grid",
 		Nodes:        nodes,
 		BeaconOrders: []int{1, 2, 3, 4, 5, 6},

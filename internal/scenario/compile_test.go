@@ -11,14 +11,26 @@ import (
 )
 
 // TestCompiledMatchesReferenceAllScenarios is the tentpole equivalence
-// guarantee: for every registered scenario, the compiled evaluator returns
-// bit-identical objectives and identical feasibility (including the
-// infeasibility class) to the reference evaluator, both directly and
-// through the batch runtime at worker counts 1 and 8.
+// guarantee: for every registered scenario, and for ecg-ward in the
+// axis-major gene layout, the compiled evaluator returns bit-identical
+// objectives and identical feasibility (including the infeasibility class)
+// to the reference evaluator, both directly and through the batch runtime
+// at worker counts 1 and 8.
 func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
+	type input struct {
+		name  string
+		sc    Scenario
+		build func(Scenario, *casestudy.Calibration) (*Problem, error)
+	}
+	var inputs []input
 	for _, sc := range List() {
-		t.Run(sc.Name, func(t *testing.T) {
-			problem, err := NewProblem(sc, casestudy.DefaultCalibration())
+		inputs = append(inputs, input{sc.Name, sc, NewProblem})
+	}
+	inputs = append(inputs, input{"ecg-ward-axis-major", ECGWard(), NewAxisMajorProblem})
+	for _, in := range inputs {
+		sc := in.sc
+		t.Run(in.name, func(t *testing.T) {
+			problem, err := in.build(sc, casestudy.DefaultCalibration())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,6 +77,15 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 				t.Logf("scenario %s: no feasible configuration in the sample (infeasibility-stress scenario)", sc.Name)
 			}
 
+			// Invalid configurations must be rejected, not evaluated.
+			outOfRange := lo.Clone()
+			outOfRange[0] = len(sc.BeaconOrders)
+			for _, c := range []dse.Config{nil, {0}, append(hi.Clone(), 0), outOfRange} {
+				if _, err := fast.Evaluate(c); err == nil {
+					t.Fatalf("compiled evaluator accepted invalid config %v", c)
+				}
+			}
+
 			// Batch runtime at worker counts 1 and 8 against the
 			// sequential reference.
 			want := dse.NewParallelEvaluator(ref, 1).EvaluateBatch(configs)
@@ -90,46 +111,116 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 	}
 }
 
-// TestCompiledZeroAllocsScenario pins the allocation guarantee on a
-// scenario with per-node MAC views (mixed-ward has payload-override
-// nodes), the structurally richest compiled path.
+// TestCompiledZeroAllocsScenario pins the allocation guarantee on the
+// case-study ward and on a scenario with per-node MAC views (mixed-ward has
+// payload-override nodes), the structurally richest compiled path.
 func TestCompiledZeroAllocsScenario(t *testing.T) {
-	sc, ok := Lookup("mixed-ward")
-	if !ok {
-		t.Fatal("mixed-ward not registered")
-	}
-	problem, err := NewProblem(sc, casestudy.DefaultCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := problem.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
+	for _, name := range []string{"ecg-ward", "mixed-ward"} {
+		sc, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		problem, err := NewProblem(sc, casestudy.DefaultCalibration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := problem.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
 
-	rng := rand.New(rand.NewSource(2))
-	var cfg dse.Config
-	for i := 0; ; i++ {
-		c := problem.Space().Random(rng)
-		if _, err := eval.Evaluate(c); err == nil {
-			cfg = c
-			break
+		rng := rand.New(rand.NewSource(2))
+		var cfg dse.Config
+		for i := 0; ; i++ {
+			c := problem.Space().Random(rng)
+			if _, err := eval.Evaluate(c); err == nil {
+				cfg = c
+				break
+			}
+			if i > 20000 {
+				t.Fatalf("no feasible %s configuration found", name)
+			}
 		}
-		if i > 20000 {
-			t.Fatal("no feasible mixed-ward configuration found")
-		}
-	}
-	objs := make(dse.Objectives, 3)
-	if err := eval.EvaluateInto(cfg, objs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(500, func() {
+		objs := make(dse.Objectives, 3)
 		if err := eval.EvaluateInto(cfg, objs); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(500, func() {
+			if err := eval.EvaluateInto(cfg, objs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", name, allocs)
+		}
+	}
+}
+
+// TestAxisMajorMatchesNodeMajor checks that the two gene layouts describe
+// the same design space: under the permutation between NewAxisMajorProblem
+// and NewProblem genes, ecg-ward's objectives are bitwise equal and
+// feasibility agrees.
+func TestAxisMajorMatchesNodeMajor(t *testing.T) {
+	cal := casestudy.DefaultCalibration()
+	node, err := NewProblem(ECGWard(), cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	axis, err := NewAxisMajorProblem(ECGWard(), cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(axis.Scenario.Nodes)
+	// perm[g] is the node-major gene holding axis-major gene g.
+	perm := []int{0, 1, 2}
+	perm = append(perm, make([]int, 2*n)...)
+	for i := 0; i < n; i++ {
+		if axis.crGene[i] != 3+i || axis.fGene[i] != 3+n+i {
+			t.Fatalf("node %d: axis-major genes (%d, %d), want (%d, %d)",
+				i, axis.crGene[i], axis.fGene[i], 3+i, 3+n+i)
+		}
+		perm[axis.crGene[i]] = node.crGene[i]
+		perm[axis.fGene[i]] = node.fGene[i]
+	}
+	for g, param := range axis.Space().Params {
+		if other := node.Space().Params[perm[g]]; other.Name != param.Name || len(other.Values) != len(param.Values) {
+			t.Fatalf("gene %d (%s) maps to node-major gene %d (%s)", g, param.Name, perm[g], other.Name)
+		}
+	}
+
+	evalOf := func(p *Problem) dse.Evaluator {
+		c, err := p.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Evaluator()
+	}
+	axisEval, nodeEval := evalOf(axis), evalOf(node)
+	rng := rand.New(rand.NewSource(5))
+	feasible := 0
+	for k := 0; k < 5000; k++ {
+		ca := axis.Space().Random(rng)
+		cn := make(dse.Config, len(ca))
+		for g, v := range ca {
+			cn[perm[g]] = v
+		}
+		want, werr := nodeEval.Evaluate(cn)
+		got, gerr := axisEval.Evaluate(ca)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("config %v: node-major err %v, axis-major err %v", ca, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		feasible++
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("config %v objective %d: %v, want %v (bitwise)", ca, j, got[j], want[j])
+			}
+		}
+	}
+	if feasible == 0 || feasible == 5000 {
+		t.Fatalf("%d/5000 feasible: the sample must cover both classes", feasible)
 	}
 }

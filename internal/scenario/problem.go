@@ -36,8 +36,24 @@ type Problem struct {
 	fGene  []int // gene index of node i's frequency axis
 }
 
-// NewProblem validates the scenario and builds its design space.
+// NewProblem validates the scenario and builds its design space. Genes are
+// laid out node-major: the three shared MAC genes (BO, SFO gap, payload),
+// then each node's CR gene (if it has one) followed by its frequency gene.
 func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
+	return newProblem(sc, cal, false)
+}
+
+// NewAxisMajorProblem is NewProblem with the per-node genes laid out
+// axis-major: the shared MAC genes, then every node's CR gene, then every
+// node's frequency gene. The paper harness (internal/experiments) searches
+// and samples the case study in this order, so its seeded trajectories and
+// Space.Random draws depend on it. Decode, Compile, Network, SimConfig and
+// both evaluators are the same for either layout.
+func NewAxisMajorProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
+	return newProblem(sc, cal, true)
+}
+
+func newProblem(sc Scenario, cal *casestudy.Calibration, axisMajor bool) (*Problem, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,7 +72,8 @@ func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
 		dse.Parameter{Name: "SFOgap", Values: intsToFloats(sc.SFOGaps)},
 		dse.Parameter{Name: "payload", Values: intsToFloats(sc.Payloads)},
 	)
-	for i, ns := range sc.Nodes {
+	addCR := func(i int) {
+		ns := sc.Nodes[i]
 		p.crGene[i] = -1
 		if ns.explorableCR() {
 			p.crGene[i] = len(p.space.Params)
@@ -65,6 +82,9 @@ func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
 				Values: append([]float64(nil), ns.CRs...),
 			})
 		}
+	}
+	addFreq := func(i int) {
+		ns := sc.Nodes[i]
 		freqs := ns.microFreqs()
 		fVals := make([]float64, len(freqs))
 		for j, f := range freqs {
@@ -75,6 +95,19 @@ func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
 			Name:   "fuc:" + ns.Name,
 			Values: fVals,
 		})
+	}
+	if axisMajor {
+		for i := range sc.Nodes {
+			addCR(i)
+		}
+		for i := range sc.Nodes {
+			addFreq(i)
+		}
+	} else {
+		for i := range sc.Nodes {
+			addCR(i)
+			addFreq(i)
+		}
 	}
 	return p, nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -227,5 +228,59 @@ func TestDenseGTSPastSlotLimitIsInfeasible(t *testing.T) {
 	eval := p.Evaluator()
 	if _, err := eval.Evaluate(p.NominalConfig()); err == nil {
 		t.Error("9-node dense scenario evaluated feasibly")
+	}
+}
+
+// TestSimConfigMirrorsModelAssignment checks that both sides of the Fig. 3
+// comparison describe the same network: on the case-study ward, the
+// simulator's GTS slot count for every node equals the model's Eq. 1
+// assignment K[i], at the Fig. 3 operating point and at random feasible
+// configurations.
+func TestSimConfigMirrorsModelAssignment(t *testing.T) {
+	p, err := NewProblem(ECGWard(), casestudy.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(p.Scenario.Nodes)
+	fig3 := Params{BeaconOrder: 3, SuperframeOrder: 2, PayloadBytes: 48,
+		CR: make([]float64, n), MicroFreq: make([]units.Hertz, n)}
+	for i := 0; i < n; i++ {
+		fig3.CR[i], fig3.MicroFreq[i] = 0.23, 8e6
+	}
+	samples := []Params{fig3}
+	eval := p.Evaluator()
+	rng := rand.New(rand.NewSource(11))
+	for len(samples) < 40 {
+		c := p.Space().Random(rng)
+		if _, err := eval.Evaluate(c); err != nil {
+			continue
+		}
+		params, err := p.Decode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, params)
+	}
+	for _, params := range samples {
+		cfg, err := p.SimConfig(params, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("sim config invalid: %v", err)
+		}
+		net, err := p.Network(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := net.Evaluate()
+		if err != nil {
+			t.Fatalf("%+v: %v", params, err)
+		}
+		for i := range cfg.Nodes {
+			if cfg.Nodes[i].Slots != ev.Assignment.K[i] {
+				t.Errorf("%+v node %d: sim slots %d vs model k %d", params, i, cfg.Nodes[i].Slots, ev.Assignment.K[i])
+			}
+		}
 	}
 }

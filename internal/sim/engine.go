@@ -20,21 +20,15 @@ package sim
 
 import "fmt"
 
-// evClosure is the reserved event kind for callbacks scheduled through the
-// At/After compatibility wrappers; every typed kind the dispatcher handles
-// must be nonzero.
-const evClosure uint8 = 0
-
 // event is one slab slot. Scheduled events live in the slab and are
 // addressed by index from the heap; idle slots chain through next on the
-// free list. Typed events carry (kind, node, arg) and cost no allocation;
-// closure events (kind 0) carry fn.
+// free list. An event is its (kind, node, arg) payload and costs no
+// allocation.
 type event struct {
 	time float64 // absolute simulation time, seconds
 	seq  int64   // tiebreaker: FIFO among simultaneous events
 	arg  float64
-	fn   func() // evClosure only
-	next int32  // free-list link while the slot is idle
+	next int32 // free-list link while the slot is idle
 	node int32
 	kind uint8
 }
@@ -42,8 +36,8 @@ type event struct {
 // Engine is the discrete-event scheduler. Events are value slots in a slab
 // recycled through a free list and ordered by a manual min-heap of slab
 // indices, so steady-state scheduling and dispatch perform zero heap
-// allocations: no per-event box, no container/heap interface boxing, and —
-// for typed events — no closure either.
+// allocations: no per-event box, no container/heap interface boxing and no
+// closure.
 type Engine struct {
 	now        float64
 	seq        int64
@@ -57,49 +51,19 @@ type Engine struct {
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{free: -1} }
 
-// SetDispatcher installs the typed-event handler. Schedule panics without
-// one at dispatch time; pure At/After users never need it.
+// SetDispatcher installs the event handler. Run panics without one once an
+// event is due.
 func (e *Engine) SetDispatcher(fn func(kind uint8, node int32, arg float64)) { e.dispatch = fn }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule arms a typed event at absolute time t: at dispatch the engine
-// calls the installed dispatcher with (kind, node, arg). kind 0 is
-// reserved for closures. Scheduling in the past is a programming error and
-// panics.
+// Schedule arms an event at absolute time t: at dispatch the engine calls
+// the installed dispatcher with (kind, node, arg). Scheduling in the past
+// is a programming error and panics. The event claims a slab slot (free
+// list first, growth only when every slot is live) and sifts its index
+// into the heap.
 func (e *Engine) Schedule(t float64, kind uint8, node int32, arg float64) {
-	if kind == evClosure {
-		panic("sim: event kind 0 is reserved for At/After closures")
-	}
-	e.push(t, kind, node, arg, nil)
-}
-
-// ScheduleAfter schedules a typed event delay seconds from now.
-func (e *Engine) ScheduleAfter(delay float64, kind uint8, node int32, arg float64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %.9f", delay))
-	}
-	e.Schedule(e.now+delay, kind, node, arg)
-}
-
-// At schedules fn at absolute time t. Scheduling in the past is a
-// programming error and panics.
-func (e *Engine) At(t float64, fn func()) {
-	e.push(t, evClosure, -1, 0, fn)
-}
-
-// After schedules fn delay seconds from now.
-func (e *Engine) After(delay float64, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %.9f", delay))
-	}
-	e.At(e.now+delay, fn)
-}
-
-// push claims a slab slot (free list first, growth only when every slot is
-// live) and sifts its index into the heap.
-func (e *Engine) push(t float64, kind uint8, node int32, arg float64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %.9f before now %.9f", t, e.now))
 	}
@@ -113,9 +77,17 @@ func (e *Engine) push(t float64, kind uint8, node int32, arg float64, fn func())
 		slot = int32(len(e.slab) - 1)
 	}
 	ev := &e.slab[slot]
-	ev.time, ev.seq, ev.kind, ev.node, ev.arg, ev.fn = t, e.seq, kind, node, arg, fn
+	ev.time, ev.seq, ev.kind, ev.node, ev.arg = t, e.seq, kind, node, arg
 	e.heap = append(e.heap, slot)
 	e.siftUp(len(e.heap) - 1)
+}
+
+// ScheduleAfter schedules an event delay seconds from now.
+func (e *Engine) ScheduleAfter(delay float64, kind uint8, node int32, arg float64) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %.9f", delay))
+	}
+	e.Schedule(e.now+delay, kind, node, arg)
 }
 
 // less orders slab slots by (time, seq).
@@ -175,19 +147,13 @@ func (e *Engine) Run(until float64) {
 			e.siftDown(0)
 		}
 		// Copy the payload out and recycle the slot before dispatching,
-		// so the handler can schedule into it; drop the closure reference
-		// so recycled slots never retain captured state.
-		t, kind, node, arg, fn := ev.time, ev.kind, ev.node, ev.arg, ev.fn
-		ev.fn = nil
+		// so the handler can schedule into it.
+		t, kind, node, arg := ev.time, ev.kind, ev.node, ev.arg
 		ev.next = e.free
 		e.free = slot
 		e.now = t
 		e.dispatched++
-		if kind == evClosure {
-			fn()
-		} else {
-			e.dispatch(kind, node, arg)
-		}
+		e.dispatch(kind, node, arg)
 	}
 	if e.now < until {
 		e.now = until

@@ -4,15 +4,34 @@ import (
 	"testing"
 )
 
+// recorder is an engine whose dispatcher appends every event it runs.
+type recorder struct {
+	*Engine
+	got []rec
+}
+
+type rec struct {
+	kind uint8
+	node int32
+	arg  float64
+}
+
+func newRecorder() *recorder {
+	r := &recorder{Engine: NewEngine()}
+	r.SetDispatcher(func(kind uint8, node int32, arg float64) {
+		r.got = append(r.got, rec{kind, node, arg})
+	})
+	return r
+}
+
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(0.3, func() { order = append(order, 3) })
-	e.At(0.1, func() { order = append(order, 1) })
-	e.At(0.2, func() { order = append(order, 2) })
+	e := newRecorder()
+	e.Schedule(0.3, 3, 0, 0)
+	e.Schedule(0.1, 1, 0, 0)
+	e.Schedule(0.2, 2, 0, 0)
 	e.Run(1)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
+	if len(e.got) != 3 || e.got[0].kind != 1 || e.got[1].kind != 2 || e.got[2].kind != 3 {
+		t.Errorf("order = %v", e.got)
 	}
 	if e.Now() != 1 {
 		t.Errorf("final time = %g, want 1", e.Now())
@@ -20,26 +39,26 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineFIFOAmongTies(t *testing.T) {
-	e := NewEngine()
-	var order []int
+	e := newRecorder()
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(0.5, func() { order = append(order, i) })
+		e.Schedule(0.5, 1, int32(i), 0)
 	}
 	e.Run(1)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order = %v", order)
+	if len(e.got) != 10 {
+		t.Fatalf("ran %d of 10 tied events", len(e.got))
+	}
+	for i, r := range e.got {
+		if r.node != int32(i) {
+			t.Fatalf("tie order = %v", e.got)
 		}
 	}
 }
 
 func TestEngineStopsAtHorizon(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.At(2.0, func() { ran = true })
+	e := newRecorder()
+	e.Schedule(2.0, 1, 0, 0)
 	e.Run(1)
-	if ran {
+	if len(e.got) != 0 {
 		t.Error("event beyond the horizon ran")
 	}
 	if e.Pending() != 1 {
@@ -47,7 +66,7 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 	}
 	// Continuing past the horizon runs it.
 	e.Run(3)
-	if !ran {
+	if len(e.got) != 1 {
 		t.Error("event not run on extended horizon")
 	}
 }
@@ -55,54 +74,46 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 func TestEngineChainedScheduling(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tick func()
-	tick = func() {
+	e.SetDispatcher(func(kind uint8, node int32, arg float64) {
 		count++
-		e.After(0.1, tick)
-	}
-	e.After(0.1, tick)
+		e.ScheduleAfter(0.1, kind, node, arg)
+	})
+	e.ScheduleAfter(0.1, 1, 0, 0)
 	e.Run(1.05)
 	if count != 10 {
 		t.Errorf("ticks = %d, want 10", count)
 	}
 }
 
+// TestEngineTypedEvents checks that the dispatcher receives each event's
+// payload intact, in time order, with ties between different kinds and
+// nodes resolved in schedule order — including events a handler schedules
+// for its own instant.
 func TestEngineTypedEvents(t *testing.T) {
-	e := NewEngine()
-	type rec struct {
-		kind uint8
-		node int32
-		arg  float64
-	}
-	var got []rec
+	e := newRecorder()
 	e.SetDispatcher(func(kind uint8, node int32, arg float64) {
-		got = append(got, rec{kind, node, arg})
+		e.got = append(e.got, rec{kind, node, arg})
+		if kind == 1 {
+			e.Schedule(e.Now(), 9, node, arg) // same instant: runs after earlier ties
+		}
 	})
 	e.Schedule(0.2, 2, 7, 1.5)
 	e.Schedule(0.1, 1, -1, 0)
-	order := 0
-	e.At(0.2, func() { order = len(got) }) // tie with the typed 0.2 event: FIFO
+	e.Schedule(0.2, 1, 3, 0.25)
+	e.Schedule(0.1, 4, 2, -1)
 	e.Run(1)
-	want := []rec{{1, -1, 0}, {2, 7, 1.5}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("dispatched %v, want %v", got, want)
+	want := []rec{{1, -1, 0}, {4, 2, -1}, {9, -1, 0}, {2, 7, 1.5}, {1, 3, 0.25}, {9, 3, 0.25}}
+	if len(e.got) != len(want) {
+		t.Fatalf("dispatched %v, want %v", e.got, want)
 	}
-	if order != 2 {
-		t.Errorf("closure ran before the earlier-scheduled typed tie (saw %d events)", order)
-	}
-	if e.Dispatched() != 3 {
-		t.Errorf("Dispatched = %d, want 3", e.Dispatched())
-	}
-}
-
-func TestEngineKindZeroReserved(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Error("Schedule with kind 0 should panic")
+	for i := range want {
+		if e.got[i] != want[i] {
+			t.Fatalf("dispatched %v, want %v", e.got, want)
 		}
-	}()
-	e.Schedule(1, 0, 0, 0)
+	}
+	if e.Dispatched() != int64(len(want)) {
+		t.Errorf("Dispatched = %d, want %d", e.Dispatched(), len(want))
+	}
 }
 
 // TestEngineSlotReuse checks the free list: a self-rescheduling chain of
@@ -148,25 +159,25 @@ func TestEngineTypedZeroAllocs(t *testing.T) {
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(1, func() {})
+	e := newRecorder()
+	e.Schedule(1, 1, 0, 0)
 	e.Run(2)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past should panic")
 		}
 	}()
-	e.At(1.5, func() {})
+	e.Schedule(1.5, 1, 0, 0)
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := NewEngine()
+	e := newRecorder()
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay should panic")
 		}
 	}()
-	e.After(-0.1, func() {})
+	e.ScheduleAfter(-0.1, 1, 0, 0)
 }
 
 func TestRadioAccountIntegration(t *testing.T) {

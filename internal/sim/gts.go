@@ -98,22 +98,21 @@ type simulation struct {
 	beaconAir float64
 }
 
-// Typed event kinds. Everything the simulation schedules is a typed event
-// — state reconstructible from (kind, node, arg) — so the hot loop
-// allocates neither closures nor boxed events. Kind 0 stays reserved for
-// the engine's At/After closure wrappers.
+// Event kinds. Everything the simulation schedules is state
+// reconstructible from (kind, node, arg), so the hot loop allocates neither
+// closures nor boxed events.
 const (
-	evRadio        uint8 = iota + 1 // arg: target RadioState
-	evBeaconEnd                     // beacon received: bookkeeping, then sleep
-	evTxWindow                      // GTS window (re)entry; arg: window end
-	evAckDone                       // ack wait finished; arg: window end
-	evBeaconTick                    // coordinator beacon counter (node < 0)
-	evSuperframe                    // chain the next superframe; arg: its index
-	evArrival                       // uniform traffic: one frame
-	evBlockArrival                  // block traffic: one codec block
+	evRadio        uint8 = iota // arg: target RadioState
+	evBeaconEnd                 // beacon received: bookkeeping, then sleep
+	evTxWindow                  // GTS window (re)entry; arg: window end
+	evAckDone                   // ack wait finished; arg: window end
+	evBeaconTick                // coordinator beacon counter (node < 0)
+	evSuperframe                // chain the next superframe; arg: its index
+	evArrival                   // uniform traffic: one frame
+	evBlockArrival              // block traffic: one codec block
 )
 
-// dispatch routes typed events; it is the engine's installed dispatcher.
+// dispatch routes events; it is the engine's installed dispatcher.
 func (s *simulation) dispatch(kind uint8, node int32, arg float64) {
 	var n *simNode
 	if node >= 0 {
