@@ -158,6 +158,141 @@ func TestProblemEvaluator(t *testing.T) {
 	}
 }
 
+// sameObjs asserts bitwise equality of objective vectors (NaN-safe).
+func sameObjs(t *testing.T, label string, c dse.Config, got, want dse.Objectives) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: config %v: %d objectives, want %d", label, c, len(got), len(want))
+	}
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("%s: config %v objective %d: %v (bits %x), want %v (bits %x)",
+				label, c, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+		}
+	}
+}
+
+// TestCompiledMatchesReference: over a large random sample of the case
+// study (plus the all-first and all-last corner points) the compiled
+// evaluator returns bit-identical objectives and identical feasibility,
+// including the infeasibility class, to the reference evaluator.
+func TestCompiledMatchesReference(t *testing.T) {
+	problem := wardProblem(t)
+	compiled, err := problem.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := problem.Evaluator()
+	fast := compiled.Evaluator()
+
+	rng := rand.New(rand.NewSource(42))
+	configs := make([]dse.Config, 0, 502)
+	for i := 0; i < 500; i++ {
+		configs = append(configs, problem.Space().Random(rng))
+	}
+	lo := make(dse.Config, len(problem.Space().Params))
+	hi := make(dse.Config, len(problem.Space().Params))
+	for i, p := range problem.Space().Params {
+		hi[i] = len(p.Values) - 1
+	}
+	configs = append(configs, lo, hi)
+
+	feasible, infeasible := 0, 0
+	for _, c := range configs {
+		want, werr := ref.Evaluate(c)
+		got, gerr := fast.Evaluate(c)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("config %v: reference err %v, compiled err %v", c, werr, gerr)
+		}
+		if werr != nil {
+			if core.IsInfeasible(werr) != core.IsInfeasible(gerr) {
+				t.Fatalf("config %v: infeasibility class differs: %v vs %v", c, werr, gerr)
+			}
+			infeasible++
+			continue
+		}
+		feasible++
+		sameObjs(t, "direct", c, got, want)
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("sample covered %d feasible / %d infeasible configs; need both", feasible, infeasible)
+	}
+
+	// Invalid configurations must be rejected, not evaluated.
+	outOfRange := lo.Clone()
+	outOfRange[0] = len(problem.Scenario.BeaconOrders)
+	for _, c := range []dse.Config{nil, {0}, append(hi.Clone(), 0), outOfRange} {
+		if _, err := fast.Evaluate(c); err == nil {
+			t.Fatalf("compiled evaluator accepted invalid config %v", c)
+		}
+	}
+}
+
+// TestCompiledBatchWorkerEquivalence runs the compiled case-study evaluator
+// through the batch runtime at worker counts 1 and 8 and requires both to
+// match the reference evaluator's points bit for bit.
+func TestCompiledBatchWorkerEquivalence(t *testing.T) {
+	problem := wardProblem(t)
+	compiled, err := problem.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	configs := make([]dse.Config, 256)
+	for i := range configs {
+		configs[i] = problem.Space().Random(rng)
+	}
+	want := dse.NewParallelEvaluator(problem.Evaluator(), 1).EvaluateBatch(configs)
+	for _, workers := range []int{1, 8} {
+		got := dse.NewParallelEvaluator(compiled.Evaluator(), workers).EvaluateBatch(configs)
+		for i := range want {
+			if got[i].Feasible != want[i].Feasible {
+				t.Fatalf("workers=%d: config %v feasibility %v, want %v",
+					workers, configs[i], got[i].Feasible, want[i].Feasible)
+			}
+			if want[i].Feasible {
+				sameObjs(t, "batch", configs[i], got[i].Objs, want[i].Objs)
+			}
+		}
+	}
+}
+
+// TestCompiledZeroAllocs: a forked compiled case-study instance evaluating
+// into caller scratch allocates nothing in steady state.
+func TestCompiledZeroAllocs(t *testing.T) {
+	problem := wardProblem(t)
+	compiled, err := problem.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
+
+	rng := rand.New(rand.NewSource(1))
+	var cfg dse.Config
+	for i := 0; ; i++ {
+		c := problem.Space().Random(rng)
+		if _, err := eval.Evaluate(c); err == nil {
+			cfg = c
+			break
+		}
+		if i > 20000 {
+			t.Fatal("no feasible case-study configuration found")
+		}
+	}
+	objs := make(dse.Objectives, 3)
+	if err := eval.EvaluateInto(cfg, objs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := eval.EvaluateInto(cfg, objs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", allocs)
+	}
+}
+
 // TestCompiledSearchEquivalence runs one seeded NSGA-II search of the case
 // study on the reference and the compiled evaluator: identical counts and
 // bitwise-identical fronts prove the compiled pipeline is a drop-in
@@ -185,11 +320,6 @@ func TestCompiledSearchEquivalence(t *testing.T) {
 		t.Fatalf("front sizes differ: %d vs %d", len(got.Front), len(want.Front))
 	}
 	for i := range want.Front {
-		for j := range want.Front[i].Objs {
-			if math.Float64bits(got.Front[i].Objs[j]) != math.Float64bits(want.Front[i].Objs[j]) {
-				t.Fatalf("front point %d objective %d: %v, want %v (bitwise)",
-					i, j, got.Front[i].Objs[j], want.Front[i].Objs[j])
-			}
-		}
+		sameObjs(t, "front", want.Front[i].Config, got.Front[i].Objs, want.Front[i].Objs)
 	}
 }
