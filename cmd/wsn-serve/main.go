@@ -46,9 +46,12 @@
 // SIGINT/SIGTERM drain gracefully (bounded by -shutdown-timeout): new
 // submissions get 503, running jobs are cancelled at their next search
 // boundary — leaving durable checkpoints behind when -checkpoint-dir is
-// set — and in-flight HTTP responses finish before exit. A restarted
-// server resumes the interrupted work bit-identically via
-// {"resume_job": "<old job id>"}.
+// set — and in-flight HTTP responses finish before exit. A server
+// restarted on the same -checkpoint-dir, after a drain or a crash alike,
+// resumes the interrupted work bit-identically when the job's spec is
+// resubmitted with {"resume_job": "<old job id>"}; the job keeps its old
+// ID, and fresh jobs are numbered after every ID the checkpoint and obs
+// directories already hold.
 package main
 
 import (
@@ -72,7 +75,7 @@ func main() {
 		addr          = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		jobs          = flag.Int("jobs", 2, "concurrent exploration jobs")
 		queue         = flag.Int("queue", 64, "queued-job limit (submissions beyond it are rejected)")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist job checkpoints to this directory")
+		checkpointDir = flag.String("checkpoint-dir", "", "persist job checkpoints to this directory (resume_job reads them)")
 		resultsDir    = flag.String("results-dir", "", "persist the result store to this directory (fronts survive restarts and warm-start new jobs)")
 		maxResults    = flag.Int("max-results", 0, "result store bound before LRU eviction (0 selects the default)")
 		familySpec    = flag.String("family", "", "enable scenario families before serving: a name, comma list, or 'all'")

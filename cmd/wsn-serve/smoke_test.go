@@ -167,6 +167,30 @@ func runJob(t *testing.T, base, spec string) goldenFront {
 	return fetchFront(t, base, submitWait(t, base, spec))
 }
 
+// resumeRestartJob resubmits restartSpec with {"resume_job": id} to a
+// server restarted on the interrupted job's checkpoint directory. The
+// job must continue under its old ID from a real checkpoint; its front
+// is returned.
+func resumeRestartJob(t *testing.T, base, id string) goldenFront {
+	t.Helper()
+	spec := strings.TrimSuffix(restartSpec, "}") + `,"resume_job":"` + id + `"}`
+	if got := submitWait(t, base, spec); got != id {
+		t.Fatalf("resume_job %s continued as %s", id, got)
+	}
+	resp, err := http.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info struct {
+		ResumedFromStep int `json:"resumed_from_step"`
+	}
+	decodeBody(t, resp, http.StatusOK, &info)
+	if info.ResumedFromStep < 1 {
+		t.Fatalf("job %s did not resume from a checkpoint: %+v", id, info)
+	}
+	return fetchFront(t, base, id)
+}
+
 // checkGolden diffs a front against its committed golden file (canonical
 // re-marshal, so formatting differences never mask or fake a diff).
 func checkGolden(t *testing.T, front goldenFront, name string) {
@@ -264,10 +288,10 @@ func TestServeWarmRestartSmoke(t *testing.T) {
 
 // TestServeCrashResumeSmoke is the crash-recovery gate over the deployed
 // binary: a checkpointing job's server is SIGKILLed mid-run, a fresh
-// process resumes the job from the durable checkpoint left behind, and
-// the resumed front must match — bit for bit — the golden pinned by an
-// uninterrupted run of the same spec. This is the end-to-end proof that
-// kill -9 costs wall-clock, never results.
+// process resumes the job via resume_job from the durable checkpoint
+// left behind, and the resumed front must match — bit for bit — the
+// golden pinned by an uninterrupted run of the same spec. This is the
+// end-to-end proof that kill -9 costs wall-clock, never results.
 func TestServeCrashResumeSmoke(t *testing.T) {
 	bin := serveBinary(t)
 
@@ -301,25 +325,8 @@ func TestServeCrashResumeSmoke(t *testing.T) {
 	stop() // SIGKILL: no graceful shutdown, no final checkpoint flush
 
 	// Restart: a fresh process resumes from whatever the dead one left.
-	snap, err := service.LoadSnapshot(ckptDir, job.ID)
-	if err != nil {
-		t.Fatalf("loading the dead server's checkpoint: %v", err)
-	}
-	if snap.Step < 1 {
-		t.Fatalf("checkpoint at step %d", snap.Step)
-	}
 	base, _ = startServe(t, bin, "-checkpoint-dir", ckptDir)
-	resumeSpec := map[string]any{
-		"scenario": "ecg-ward", "algorithm": "nsga2", "seed": int64(7), "workers": 2,
-		"checkpoint_every": 100,
-		"nsga2":            map[string]int{"population_size": 16, "generations": 1500},
-		"resume":           snap,
-	}
-	data, err := json.Marshal(resumeSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, runJob(t, base, string(data)), "smoke-front-restart.json")
+	checkGolden(t, resumeRestartJob(t, base, job.ID), "smoke-front-restart.json")
 }
 
 // TestServeIslandSmoke runs the island decomposition end to end over
@@ -398,12 +405,11 @@ func TestServeDrainResumeSmoke(t *testing.T) {
 	}
 
 	// Restart: the new server reads the drained job's checkpoint from
-	// disk by ID. (Its own first job is also j1; the resume load happens
-	// before that job writes anything, so the old file wins the race by
-	// construction.)
-	resumeSpec := strings.TrimSuffix(restartSpec, "}") + `,"resume_job":"` + job.ID + `"}`
+	// disk by ID and continues the job under that ID. Its fresh jobs
+	// number after every ID already in the checkpoint directory, so no
+	// other job can write this one's checkpoint files.
 	base, _ = startServe(t, bin, "-checkpoint-dir", ckptDir)
-	checkGolden(t, runJob(t, base, resumeSpec), "smoke-front-restart.json")
+	checkGolden(t, resumeRestartJob(t, base, job.ID), "smoke-front-restart.json")
 }
 
 // TestServeFamilySmoke is the same gate over the generated population: the

@@ -1,8 +1,8 @@
 // Service walkthrough: boot the exploration service in-process, then
 // drive it through service.Client exactly as a remote consumer would —
 // list scenarios, submit an NSGA-II job, stream its progress over SSE,
-// fetch the Pareto front, take a checkpoint round-trip, and query the
-// versioned result store.
+// fetch the Pareto front, resume the job from its durable checkpoint,
+// and query the versioned result store.
 //
 //	go run ./examples/service
 //
@@ -16,6 +16,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"wsndse/internal/dse"
@@ -24,8 +25,14 @@ import (
 
 func main() {
 	// 1. Boot the service: a 2-worker job manager behind the HTTP API on a
-	// random loopback port (this is everything wsn-serve does).
-	manager, err := service.New(service.Config{Workers: 2})
+	// random loopback port (this is everything wsn-serve does), with a
+	// checkpoint directory so jobs can be resumed.
+	ckptDir, err := os.MkdirTemp("", "wsn-checkpoints-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(ckptDir)
+	manager, err := service.New(service.Config{Workers: 2, CheckpointDir: ckptDir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,20 +110,18 @@ func main() {
 			p.Objs[0]*1e3, p.Objs[1], p.Objs[2]*1e3)
 	}
 
-	// 6. Checkpoint round-trip: the job checkpointed every 8 generations;
-	// a new job resumed from that snapshot replays the identical run —
-	// this is how a redeployed service picks up killed work.
-	snap, err := client.Checkpoint(ctx, job.ID)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 6. Resume: the job checkpointed every 8 generations into the
+	// checkpoint directory; a new job naming it in resume_job replays the
+	// identical run from the last checkpoint — this is how a redeployed
+	// service picks up killed work.
 	resumeSpec := spec
-	resumeSpec.Resume = snap
+	resumeSpec.ResumeJob = job.ID
 	resumedJob, err := client.Submit(ctx, resumeSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := client.Wait(ctx, resumedJob.ID, nil); err != nil {
+	resumedFinal, err := client.Wait(ctx, resumedJob.ID, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
 	resumedFront, err := client.Front(ctx, resumedJob.ID)
@@ -134,7 +139,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\nresumed %s from the generation-%d checkpoint: front bit-identical = %v\n",
-		resumedJob.ID, snap.Step, match)
+		resumedJob.ID, resumedFinal.ResumedFromStep, match)
 
 	// 7. The versioned store keeps every finished front queryable,
 	// newest-first and paginated.
@@ -152,7 +157,7 @@ func main() {
 	// random draws — warm_start "auto" resolves the scenario's content
 	// key against the store.
 	warmSpec := spec
-	warmSpec.Seed, warmSpec.Resume, warmSpec.CheckpointEvery = 18, nil, 0
+	warmSpec.Seed, warmSpec.CheckpointEvery = 18, 0
 	warmSpec.WarmStart = service.WarmStartAuto
 	warmJob, err := client.Submit(ctx, warmSpec)
 	if err != nil {

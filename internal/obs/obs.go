@@ -90,6 +90,13 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, buf: make([]byte, 0, 256)}
 }
 
+// NewAppendWriter continues a stream whose magic is already written, such
+// as a file reopened for append. Its first record is a schema record,
+// which resets the delta base just as a mid-stream schema change does.
+func NewAppendWriter(w io.Writer) *Writer {
+	return &Writer{w: w, buf: make([]byte, 0, 256), started: true}
+}
+
 // Samples returns how many sample records have been written.
 func (w *Writer) Samples() int64 { return w.samples }
 

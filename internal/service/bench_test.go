@@ -183,7 +183,7 @@ func BenchmarkSSEFanout(b *testing.B) {
 			h := newHub(nil)
 			done := make(chan struct{})
 			for s := 0; s < subs; s++ {
-				_, ch, cancel := h.subscribe()
+				_, ch, cancel := h.subscribeFrom(0)
 				defer cancel()
 				go func(ch <-chan Event) {
 					for range ch { // drain

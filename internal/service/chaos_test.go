@@ -204,7 +204,7 @@ func TestChaosRetryEventsCarryAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, ch, cancel, err := m.Subscribe(info.ID)
+	replay, ch, cancel, err := m.SubscribeFrom(info.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +322,8 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	if logged.Load() == 0 {
 		t.Fatal("failing checkpoint writes left no log trace")
 	}
-	if _, err := m.Checkpoint(info.ID); err != nil {
-		t.Fatalf("in-memory snapshot should survive failed durable writes: %v", err)
+	if memSnapshot(m, info.ID) == nil {
+		t.Fatal("in-memory snapshot should survive failed durable writes")
 	}
 	if _, err := LoadSnapshot(cfg.CheckpointDir, info.ID); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("no durable snapshot should exist, got err=%v", err)
@@ -392,14 +392,18 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 		t.Fatalf("recovered step %d, want the previous checkpoint's %d", recovered.Step, prev.Step)
 	}
 
-	// Resuming from the fallback still lands on the identical front.
+	// resume_job reads past the torn file to the fallback and still lands
+	// on the identical front.
 	resumeSpec := spec
-	resumeSpec.Resume = recovered
+	resumeSpec.ResumeJob = info.ID
 	resumed, err := m.Submit(resumeSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, m, resumed.ID)
+	if ri := waitDone(t, m, resumed.ID); ri.Status != StatusDone || ri.ResumedFromStep != prev.Step {
+		t.Fatalf("resumed job %s from step %d (%s), want done from the fallback's step %d",
+			ri.Status, ri.ResumedFromStep, ri.Error, prev.Step)
+	}
 	got, err := m.Front(resumed.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -620,17 +624,14 @@ func TestChaosServerRestartMidWait(t *testing.T) {
 	srv1.Close() // hard close: in-flight SSE streams die mid-event
 	m1.Close()
 
-	// "Restart": new manager resumes the dead one's job from its durable
-	// checkpoint under the same job ID (Submit assigns j1 on a fresh
-	// manager), on the same address.
-	snap, err := LoadSnapshot(dir, info.ID)
-	if err != nil {
-		t.Fatalf("loading the dead server's checkpoint: %v", err)
-	}
+	// "Restart": a new manager on the same address resumes the dead one's
+	// job from its durable checkpoint. A resume_job naming a job the new
+	// manager does not hold continues under that ID, which is what lets
+	// the waiting client find it again.
 	m2 := newTestManager(t, Config{Workers: 1, CheckpointDir: dir})
 	defer m2.Close()
 	resumeSpec := spec
-	resumeSpec.Resume = snap
+	resumeSpec.ResumeJob = info.ID
 	info2, err := m2.Submit(resumeSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -646,8 +647,8 @@ func TestChaosServerRestartMidWait(t *testing.T) {
 	if err := <-waitErr; err != nil {
 		t.Fatalf("Wait across the restart: %v", err)
 	}
-	if finalInfo.Status != StatusDone {
-		t.Fatalf("resumed job: %s (%s)", finalInfo.Status, finalInfo.Error)
+	if finalInfo.Status != StatusDone || finalInfo.ResumedFromStep < 1 {
+		t.Fatalf("resumed job: %s from step %d (%s)", finalInfo.Status, finalInfo.ResumedFromStep, finalInfo.Error)
 	}
 }
 
@@ -698,7 +699,7 @@ func TestHubSubscribeFrom(t *testing.T) {
 		t.Fatalf("replay %+v, want 2 events", replay)
 	}
 
-	all, _, cancelAll := h.subscribe()
+	all, _, cancelAll := h.subscribeFrom(0)
 	defer cancelAll()
 	if len(all) != 4 {
 		t.Fatalf("full replay has %d events, want 4", len(all))

@@ -13,8 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"wsndse/internal/dse"
 )
 
 // Client is the Go wrapper around the wsn-serve HTTP API. The zero
@@ -124,7 +122,7 @@ type APIError struct {
 	// StatusCode is the HTTP status of the response.
 	StatusCode int
 	// Code is the machine-readable error code (CodeNotFound, ...); empty
-	// if the server predates the structured envelope.
+	// when the response carried no error envelope.
 	Code string
 	// Message is the human-readable explanation.
 	Message string
@@ -140,25 +138,14 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("service: HTTP %d", e.StatusCode)
 }
 
-// decodeAPIError turns a non-2xx response body into an *APIError,
-// accepting both the structured envelope and the legacy flat
-// {"error": "..."} shape (an old server behind a new client).
+// decodeAPIError turns a non-2xx response body into an *APIError. A body
+// that is not the structured envelope (a proxy's error page, say) leaves
+// only the status code.
 func decodeAPIError(statusCode int, body io.Reader) *APIError {
-	var wire struct {
-		Error json.RawMessage `json:"error"`
-	}
 	ae := &APIError{StatusCode: statusCode}
-	if json.NewDecoder(body).Decode(&wire) != nil || len(wire.Error) == 0 {
-		return ae
-	}
-	var eb errorBody
-	if json.Unmarshal(wire.Error, &eb) == nil && eb.Message != "" {
-		ae.Code, ae.Message = eb.Code, eb.Message
-		return ae
-	}
-	var flat string
-	if json.Unmarshal(wire.Error, &flat) == nil {
-		ae.Message = flat
+	var wire errorEnvelope
+	if json.NewDecoder(body).Decode(&wire) == nil {
+		ae.Code, ae.Message = wire.Error.Code, wire.Error.Message
 	}
 	return ae
 }
@@ -315,14 +302,6 @@ func (c *Client) JobStats(ctx context.Context, id string, n int) (StatsResponse,
 	var resp StatsResponse
 	err := c.do(ctx, http.MethodGet, path, nil, &resp)
 	return resp, err
-}
-
-// Checkpoint fetches the job's latest snapshot — the artifact a new job's
-// Spec.Resume takes.
-func (c *Client) Checkpoint(ctx context.Context, id string) (*dse.Snapshot, error) {
-	snap := &dse.Snapshot{}
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/checkpoint", nil, snap)
-	return snap, err
 }
 
 // ScenariosPage fetches one window of the scenario list.

@@ -108,17 +108,11 @@ func (h *hub) close() {
 	h.subs = nil
 }
 
-// subscribe returns the replay history (lifecycle events plus the latest
-// progress/island snapshots, in Seq order), a live channel, and a cancel
-// func. After the hub closes the channel is closed; cancel is idempotent
-// and safe after close.
-func (h *hub) subscribe() (replay []Event, ch <-chan Event, cancel func()) {
-	return h.subscribeFrom(0)
-}
-
-// subscribeFrom is subscribe with the replay restricted to events after
-// sequence number afterSeq — the resume path for SSE reconnects carrying
-// Last-Event-ID.
+// subscribeFrom returns the replay history after sequence number
+// afterSeq (lifecycle events plus the latest progress/island snapshots,
+// in Seq order; 0 keeps all of it, a reconnect's Last-Event-ID skips
+// what it saw), a live channel, and a cancel func. After the hub closes
+// the channel is closed; cancel is idempotent and safe after close.
 func (h *hub) subscribeFrom(afterSeq int) (replay []Event, ch <-chan Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -48,12 +48,11 @@ const (
 	MaxPageLimit     = 500
 )
 
-// MaxBodyBytes caps request bodies (POST /v1/jobs). Specs are small —
-// the one legitimately large field is a resume snapshot, and even a
-// full-archive MOSA snapshot is well under a megabyte — so 8 MiB leaves
+// MaxBodyBytes caps request bodies (POST /v1/jobs). A spec is a few
+// hundred bytes of scalars and small algorithm configs, so 64 KiB is
 // generous headroom while keeping a hostile client from buffering
-// gigabytes into the decoder. Larger bodies get 413 body_too_large.
-const MaxBodyBytes = 8 << 20
+// megabytes into the decoder. Larger bodies get 413 body_too_large.
+const MaxBodyBytes = 64 << 10
 
 // Page is the list envelope shared by every v1 collection endpoint: the
 // requested window plus the total match count, so clients can page
@@ -121,7 +120,6 @@ type ScenarioInfo struct {
 //	GET    /v1/jobs/{id}             job state                 → 200 JobInfo
 //	DELETE /v1/jobs/{id}             cancel (cooperative)      → 202 JobInfo
 //	GET    /v1/jobs/{id}/front       Pareto front              → 200 FrontResponse (409 until available)
-//	GET    /v1/jobs/{id}/checkpoint  latest dse.Snapshot       → 200 (404 if none)
 //	GET    /v1/jobs/{id}/events      live progress stream      → 200 text/event-stream (SSE)
 //	GET    /v1/jobs/{id}/stats       recent telemetry window   → 200 StatsResponse       (?n=)
 //	GET    /v1/scenarios             registered workloads      → 200 Page[ScenarioInfo] (?limit=&offset=)
@@ -212,14 +210,6 @@ func NewHandler(m *Manager) http.Handler {
 		default:
 			writeJSON(w, http.StatusOK, front)
 		}
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		snap, err := m.Checkpoint(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, snap)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		serveEvents(m, w, r)

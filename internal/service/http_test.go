@@ -280,30 +280,28 @@ func TestHTTPAPIErrorCodes(t *testing.T) {
 	if code, _ := codeOf(err); code != CodeInvalidArgument {
 		t.Fatalf("malformed offset → %s", code)
 	}
-
-	// The legacy flat {"error":"..."} shape still decodes into APIError
-	// (message only, no code).
-	flat := decodeAPIError(http.StatusTeapot, strings.NewReader(`{"error":"kaputt"}`))
-	if flat.Code != "" || flat.Message != "kaputt" || flat.StatusCode != http.StatusTeapot {
-		t.Fatalf("legacy decode %+v", flat)
-	}
 }
 
-// TestHTTPSubmitUnknownFieldRejected: a typo in the spec body must be a
-// 400 invalid_spec, not a silently defaulted job.
+// TestHTTPSubmitUnknownFieldRejected: a typo in the spec body, or a
+// field the spec does not have such as "resume", must be a 400
+// invalid_spec, not a silently defaulted job.
 func TestHTTPSubmitUnknownFieldRejected(t *testing.T) {
 	c, m := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	err := c.do(ctx, http.MethodPost, "/v1/jobs",
-		map[string]any{"scenario": "ecg-ward", "algoritm": AlgoNSGA2}, nil)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != CodeInvalidSpec || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("misspelled field → %v", err)
-	}
-	if !strings.Contains(apiErr.Message, "algoritm") {
-		t.Fatalf("error does not name the offending field: %q", apiErr.Message)
+	for field, body := range map[string]map[string]any{
+		"algoritm": {"scenario": "ecg-ward", "algoritm": AlgoNSGA2},
+		"resume":   {"scenario": "ecg-ward", "algorithm": AlgoNSGA2, "resume": map[string]any{"algorithm": AlgoNSGA2, "step": 3}},
+	} {
+		err := c.do(ctx, http.MethodPost, "/v1/jobs", body, nil)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != CodeInvalidSpec || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("field %q → %v", field, err)
+		}
+		if !strings.Contains(apiErr.Message, field) {
+			t.Fatalf("error does not name the offending field %q: %q", field, apiErr.Message)
+		}
 	}
 	if jobs := m.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submission left %d job records", len(jobs))
@@ -393,10 +391,10 @@ func TestHTTPPagination(t *testing.T) {
 }
 
 // TestHTTPCheckpointRoundTrip drives the kill/resume flow purely over the
-// HTTP surface: checkpoint → cancel → fetch snapshot → resubmit with
-// resume → identical front to an uninterrupted HTTP job.
+// HTTP surface: checkpoint → cancel → resubmit with resume_job naming the
+// killed job → identical front to an uninterrupted HTTP job.
 func TestHTTPCheckpointRoundTrip(t *testing.T) {
-	c, _ := newTestServer(t, Config{Workers: 2})
+	c, _ := newTestServer(t, Config{Workers: 2, CheckpointDir: t.TempDir()})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -436,16 +434,9 @@ func TestHTTPCheckpointRoundTrip(t *testing.T) {
 	if _, err := c.Wait(ctx, victim.ID, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := c.Checkpoint(ctx, victim.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Algorithm != AlgoNSGA2 || snap.Step < 4 {
-		t.Fatalf("snapshot %+v", snap)
-	}
 
 	resume := spec
-	resume.Resume = snap
+	resume.ResumeJob = victim.ID
 	resumed, err := c.Submit(ctx, resume)
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +445,8 @@ func TestHTTPCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Status != StatusDone {
-		t.Fatalf("resumed job %s (%s)", final.Status, final.Error)
+	if final.Status != StatusDone || final.ResumedFromStep < 4 {
+		t.Fatalf("resumed job %s from step %d (%s)", final.Status, final.ResumedFromStep, final.Error)
 	}
 	got, err := c.Front(ctx, resumed.ID)
 	if err != nil {

@@ -55,9 +55,8 @@ func sameFronts(t *testing.T, a, b FrontResponse, label string) {
 }
 
 // TestIslandJobLifecycle drives an island job through the Manager: it
-// must finish with a front, report per-island supervision state, stream
-// island events, and (having no single snapshot) report ErrNoSnapshot
-// from the checkpoint endpoint.
+// must finish with a front, report per-island supervision state, and
+// stream island events.
 func TestIslandJobLifecycle(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
 	defer m.Close()
@@ -98,9 +97,6 @@ func TestIslandJobLifecycle(t *testing.T) {
 	front, err := m.Front(info.ID)
 	if err != nil || len(front.Front) == 0 {
 		t.Fatalf("front: %v (%d points)", err, len(front.Front))
-	}
-	if _, err := m.Checkpoint(info.ID); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("island job checkpoint err = %v, want ErrNoSnapshot", err)
 	}
 }
 
@@ -179,7 +175,6 @@ func TestIslandSpecValidation(t *testing.T) {
 		mutate(func(s *Spec) { s.Islands = -1; s.MigrationInterval = 0 }),
 		mutate(func(s *Spec) { s.WarmStart = WarmStartAuto }),
 		mutate(func(s *Spec) { s.CheckpointEvery = 2 }),
-		mutate(func(s *Spec) { s.Resume = &dse.Snapshot{Algorithm: AlgoNSGA2} }),
 		mutate(func(s *Spec) { s.Migrants = maxMigrants + 1 }),
 		mutate(func(s *Spec) { s.Islands = 0 }),                                          // migration_interval without islands
 		mutate(func(s *Spec) { s.Islands = 1; s.MigrationInterval = 0; s.Migrants = 4 }), // migrants without islands

@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 
 // Config parameterizes a Manager. The zero value is usable: 2 concurrent
 // jobs, a 64-deep queue, no checkpoint directory (snapshots are then kept
-// in memory only).
+// in memory only, for retries, and resume_job is rejected).
 type Config struct {
 	// Workers is how many jobs run concurrently (job-level parallelism;
 	// each job additionally fans its evaluations over Spec.Workers).
@@ -30,7 +31,7 @@ type Config struct {
 	QueueLimit int
 	// CheckpointDir, when set, persists each job's latest snapshot to
 	// <dir>/<jobID>.snapshot.json (atomically, via rename) so checkpoints
-	// survive the process.
+	// survive the process; Spec.ResumeJob resumes from these files.
 	CheckpointDir string
 	// ResultDir, when set, makes the result store durable: finished
 	// fronts are written there (atomic files plus an append-only index)
@@ -99,7 +100,6 @@ var (
 	ErrClosed      = errors.New("service: manager is closed")
 	ErrDraining    = errors.New("service: manager is draining")
 	ErrNotFinished = errors.New("service: job has no front yet")
-	ErrNoSnapshot  = errors.New("service: job has no checkpoint")
 )
 
 // job is the internal job record. mu guards info/result/snapshot; the
@@ -108,7 +108,7 @@ var (
 type job struct {
 	mu       sync.Mutex
 	info     JobInfo
-	spec     Spec            // normalized, Resume intact
+	spec     Spec            // normalized
 	ctx      context.Context // derived from the manager root; Cancel fires it
 	cancel   context.CancelFunc
 	runCtx   context.Context // ctx plus the job deadline; set once by runJob
@@ -207,13 +207,11 @@ type Manager struct {
 // set it reopens the persistent result store first, so fronts archived
 // by a previous process are immediately queryable and warm-startable;
 // a store that cannot be opened fails construction rather than silently
-// degrading to amnesia.
+// degrading to amnesia. Fresh job IDs continue after the largest one
+// named in cfg.CheckpointDir and cfg.ObsDir, so a restarted manager never
+// overwrites an earlier process's checkpoints or telemetry.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	store, err := NewStore(StoreConfig{Dir: cfg.ResultDir, MaxResults: cfg.MaxResults})
-	if err != nil {
-		return nil, err
-	}
 	// The obs directory is created once here, not per job: a sampler's
 	// lazy file open must be the only per-job filesystem cost.
 	if cfg.ObsDir != "" {
@@ -221,15 +219,24 @@ func New(cfg Config) (*Manager, error) {
 			return nil, fmt.Errorf("service: obs dir: %w", err)
 		}
 	}
+	lastID, err := lastJobNumber(cfg.CheckpointDir, cfg.ObsDir)
+	if err != nil {
+		return nil, err
+	}
+	store, err := NewStore(StoreConfig{Dir: cfg.ResultDir, MaxResults: cfg.MaxResults})
+	if err != nil {
+		return nil, err
+	}
 	root, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:   cfg,
-		store: store,
-		met:   newMetrics(),
-		jobs:  make(map[string]*job),
-		queue: make(chan *job, cfg.QueueLimit),
-		root:  root,
-		stop:  stop,
+		cfg:    cfg,
+		store:  store,
+		met:    newMetrics(),
+		jobs:   make(map[string]*job),
+		nextID: lastID,
+		queue:  make(chan *job, cfg.QueueLimit),
+		root:   root,
+		stop:   stop,
 	}
 	m.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -241,6 +248,29 @@ func New(cfg Config) (*Manager, error) {
 		}()
 	}
 	return m, nil
+}
+
+// lastJobNumber returns the largest N among the j<N> job IDs that prefix
+// file names in dirs (checkpoint slots, island snapfiles, obs streams).
+// A directory that does not exist yet holds no IDs.
+func lastJobNumber(dirs ...string) (int, error) {
+	last := 0
+	for _, dir := range dirs {
+		if dir == "" {
+			continue
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return 0, fmt.Errorf("service: scanning %s for job IDs: %w", dir, err)
+		}
+		for _, e := range entries {
+			id, _, _ := strings.Cut(e.Name(), ".")
+			if n, ok := jobNumber(id); ok && n > last {
+				last = n
+			}
+		}
+	}
+	return last, nil
 }
 
 // Store returns the versioned result store.
@@ -369,8 +399,17 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		m.mu.Unlock()
 		return JobInfo{}, ErrDraining
 	}
-	m.nextID++
-	id := fmt.Sprintf("j%d", m.nextID)
+	// A resume_job naming a job this manager does not hold — one from a
+	// previous process — continues under that ID, so its checkpoints and
+	// obs stream stay one series. Fresh IDs skip past it.
+	var id string
+	if n, ok := jobNumber(spec.ResumeJob); ok && m.jobs[spec.ResumeJob] == nil {
+		id = spec.ResumeJob
+		m.nextID = max(m.nextID, n)
+	} else {
+		m.nextID++
+		id = fmt.Sprintf("j%d", m.nextID)
+	}
 	ctx, cancel := context.WithCancel(m.root)
 	j := &job{
 		spec:   spec,
@@ -382,12 +421,9 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	}
 	j.info = JobInfo{
 		ID:        id,
-		Spec:      publicSpec(spec),
+		Spec:      spec,
 		Status:    StatusQueued,
 		CreatedAt: time.Now(),
-	}
-	if spec.Resume != nil {
-		j.info.ResumedFromStep = spec.Resume.Step
 	}
 	// The queue send stays inside the critical section: it is non-blocking,
 	// and m.mu is what orders it against Close's close(m.queue) — a send
@@ -410,13 +446,6 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	m.met.jobsSubmitted.Add(1)
 	m.met.jobsQueued.Add(1)
 	return j.snapshotInfo(), nil
-}
-
-// publicSpec strips the (potentially huge) resume snapshot from the spec
-// echoed in JobInfo.
-func publicSpec(s Spec) Spec {
-	s.Resume = nil
-	return s
 }
 
 // snapshotInfo returns a copy of the job's info under its lock.
@@ -523,34 +552,11 @@ func (m *Manager) Front(id string) (FrontResponse, error) {
 	}, nil
 }
 
-// Checkpoint returns the job's latest snapshot (from memory; the
-// CheckpointDir file is its durable twin). Island jobs have no single
-// snapshot — their per-island checkpoints live under CheckpointDir and a
-// restart reaches them through Spec.ResumeJob — so they report
-// ErrNoSnapshot here.
-func (m *Manager) Checkpoint(id string) (*dse.Snapshot, error) {
-	j, ok := m.lookup(id)
-	if !ok {
-		return nil, ErrNotFound
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.snapshot == nil {
-		return nil, ErrNoSnapshot
-	}
-	return j.snapshot, nil
-}
-
-// Subscribe attaches to the job's event stream: replayed history plus a
-// live channel (closed when the job terminates). cancel detaches early.
-func (m *Manager) Subscribe(id string) (replay []Event, ch <-chan Event, cancel func(), err error) {
-	return m.SubscribeFrom(id, 0)
-}
-
-// SubscribeFrom is Subscribe with the replay filtered to events after
-// sequence number afterSeq — the server side of SSE resume via
-// Last-Event-ID, so a reconnecting consumer never re-reads history it
-// already processed. afterSeq 0 replays everything retained.
+// SubscribeFrom attaches to the job's event stream: the retained history
+// after sequence number afterSeq (0 replays everything retained) plus a
+// live channel, closed when the job terminates; cancel detaches early.
+// afterSeq is the server side of SSE resume via Last-Event-ID, so a
+// reconnecting consumer never re-reads history it already processed.
 func (m *Manager) SubscribeFrom(id string, afterSeq int) (replay []Event, ch <-chan Event, cancel func(), err error) {
 	j, ok := m.lookup(id)
 	if !ok {
@@ -637,7 +643,7 @@ func (m *Manager) runJob(j *job) {
 		// Attempt failed (error or recovered panic). Out of retries →
 		// failed; otherwise walk the retry edge back to queued.
 		if attempt > j.spec.MaxRetries {
-			j.setStatus(StatusFailed, errMessage(err))
+			j.setStatus(StatusFailed, err.Error())
 			return
 		}
 		delay := retryDelay(attempt, m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay)
@@ -645,7 +651,7 @@ func (m *Manager) runJob(j *job) {
 		j.mu.Lock()
 		j.info.NextRetryAt = &next
 		j.mu.Unlock()
-		if !j.setStatus(StatusQueued, errMessage(err)) {
+		if !j.setStatus(StatusQueued, err.Error()) {
 			return
 		}
 		m.met.retries.Add(1)
@@ -730,15 +736,12 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	}
 
 	// Retry attempts resume from the latest in-memory snapshot (kept in
-	// sync with the durable file), falling back to the spec's own Resume.
-	// Either way the trajectory from that point is deterministic, so the
-	// retried job's final front matches an uninterrupted run bit for bit.
+	// sync with the durable file). The trajectory from that point is
+	// deterministic, so the retried job's final front matches an
+	// uninterrupted run bit for bit.
 	j.mu.Lock()
 	resume := j.snapshot
 	j.mu.Unlock()
-	if resume == nil {
-		resume = spec.Resume
-	}
 	// resume_job: restart from the durable checkpoint a previous job left
 	// in the server's checkpoint directory. A checkpoint that is missing or
 	// fails verification in both slots (errors wrapping os.ErrNotExist and
@@ -796,8 +799,10 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	// starts (a queued job can inherit fronts finished ahead of it). It
 	// runs once per job, not per attempt: the resolved seeds are cached on
 	// the job so a retry cannot pick up fronts archived since attempt one
-	// and drift onto a different trajectory.
-	if spec.Resume == nil && (spec.Algorithm == AlgoNSGA2 || spec.Algorithm == AlgoMOSA) {
+	// and drift onto a different trajectory. A resumed attempt passes the
+	// seeds too; dse ignores them there, since the snapshot fixes the
+	// trajectory.
+	if spec.Algorithm == AlgoNSGA2 || spec.Algorithm == AlgoMOSA {
 		if !j.seedsResolved {
 			seeds, wsInfo, err := ResolveWarmStart(m.store, spec.WarmStart,
 				sc.Fingerprint(), ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
@@ -811,9 +816,7 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 				j.mu.Unlock()
 			}
 		}
-		if resume == nil {
-			opts.SeedPoints = j.seeds
-		}
+		opts.SeedPoints = j.seeds
 	}
 	if spec.CheckpointEvery > 0 {
 		opts.Checkpoint = func(snap *dse.Snapshot) error {

@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"wsndse/internal/dse"
 )
@@ -131,12 +134,12 @@ func TestResumeJobAlgorithmMismatch(t *testing.T) {
 // rather than restarting the search from scratch under a resume label.
 func TestResumeJobCorruptCheckpointFailsJob(t *testing.T) {
 	dir := t.TempDir()
-	corruptBothSlots(t, dir, "dead-job")
+	corruptBothSlots(t, dir, "j41")
 
 	m := newTestManager(t, Config{Workers: 1, CheckpointDir: dir})
 	defer m.Close()
 	spec := smallNSGA2("ecg-ward", 7)
-	spec.ResumeJob = "dead-job"
+	spec.ResumeJob = "j41"
 	info, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +159,7 @@ func TestResumeJobMissingCheckpointFailsJob(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1, CheckpointDir: t.TempDir()})
 	defer m.Close()
 	spec := smallNSGA2("ecg-ward", 7)
-	spec.ResumeJob = "never-existed"
+	spec.ResumeJob = "j99"
 	info, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -168,4 +171,121 @@ func TestResumeJobMissingCheckpointFailsJob(t *testing.T) {
 	if !strings.Contains(final.Error, "no snapshot") {
 		t.Errorf("error %q does not say the snapshot is missing", final.Error)
 	}
+}
+
+// TestResumeJobRejectsForeignIDs: resume_job is joined into checkpoint
+// file paths, so Submit accepts only the server's own ID form. A valid
+// checkpoint planted one directory above the checkpoint directory must
+// stay out of reach.
+func TestResumeJobRejectsForeignIDs(t *testing.T) {
+	root := t.TempDir()
+	spec := smallNSGA2("ecg-ward", 7)
+	spec.CheckpointEvery = 2
+	planter := newTestManager(t, Config{Workers: 1, CheckpointDir: filepath.Join(root, "elsewhere")})
+	planted, err := planter.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, planter, planted.ID)
+	planter.Close()
+
+	m := newTestManager(t, Config{Workers: 1, CheckpointDir: filepath.Join(root, "ckpt")})
+	defer m.Close()
+	for _, id := range []string{
+		"../elsewhere/" + planted.ID, "j1/../j2", "/tmp/j1", "j0", "j01", "j-1", "j+1", "J1", "j", "j1.island0", "dead-job",
+	} {
+		s := spec
+		s.ResumeJob = id
+		if info, err := m.Submit(s); err == nil {
+			t.Errorf("resume_job %q accepted as job %s", id, info.ID)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(jobs))
+	}
+}
+
+// TestRestartKeepsJobIDsDistinct replays two managers taking turns on
+// one checkpoint and obs directory. The restarted manager's fresh job
+// must not reuse the dead job's ID — that overwrote the dead job's
+// checkpoint and buried the fresh job's telemetry behind a second obs
+// magic — and resume_job on the dead job must continue it under its own
+// ID, from its own checkpoint, as one obs stream.
+func TestRestartKeepsJobIDsDistinct(t *testing.T) {
+	cfg := Config{Workers: 1, CheckpointDir: t.TempDir(), ObsDir: t.TempDir(), ObsSampleInterval: time.Nanosecond}
+	spec := smallNSGA2("ecg-ward", 7)
+	spec.NSGA2 = &dse.NSGA2Config{PopulationSize: 8, Generations: 7}
+	spec.CheckpointEvery = 2 // last checkpoint lands at generation 6
+
+	m1 := newTestManager(t, cfg)
+	dead, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitDone(t, m1, dead.ID); info.Status != StatusDone {
+		t.Fatalf("first run ended %s: %s", info.Status, info.Error)
+	}
+	golden, err := m1.Front(dead.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Close()
+	ckpt, err := os.ReadFile(snapshotPath(cfg.CheckpointDir, dead.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsPath := filepath.Join(cfg.ObsDir, dead.ID+".obs")
+	before := len(readObsFile(t, obsPath))
+
+	m2 := newTestManager(t, cfg)
+	defer m2.Close()
+	other := spec
+	other.Seed = 99
+	fresh, err := m2.Submit(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == dead.ID {
+		t.Fatalf("restarted manager reissued job ID %s", fresh.ID)
+	}
+	waitDone(t, m2, fresh.ID)
+	if after, err := os.ReadFile(snapshotPath(cfg.CheckpointDir, dead.ID)); err != nil || !bytes.Equal(after, ckpt) {
+		t.Fatalf("a fresh job rewrote %s's checkpoint (err %v)", dead.ID, err)
+	}
+
+	resume := spec
+	resume.ResumeJob = dead.ID
+	cont, err := m2.Submit(resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cont.ID != dead.ID {
+		t.Fatalf("resume_job %s continued as %s", dead.ID, cont.ID)
+	}
+	final := waitDone(t, m2, cont.ID)
+	if final.Status != StatusDone || final.ResumedFromStep != 6 {
+		t.Fatalf("continued job %s from step %d: %s", final.Status, final.ResumedFromStep, final.Error)
+	}
+	got, err := m2.Front(cont.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(golden.Front, got.Front) {
+		t.Fatalf("continued front differs: %d points vs %d", len(got.Front), len(golden.Front))
+	}
+	stats, err := m2.JobStats(cont.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.Close() // drains the obs writers
+
+	samples := readObsFile(t, obsPath)
+	if want := before + int(stats.Samples); len(samples) != want {
+		t.Fatalf("%s.obs holds %d samples, want %d (dead run) + %d (continuation)", dead.ID, len(samples), before, stats.Samples)
+	}
+	last := samples[len(samples)-1]
+	if last.Values[fieldIndex(t, last.Fields, "step")] != 7 {
+		t.Fatalf("continued stream ends at %v", last.Values)
+	}
+	readObsFile(t, filepath.Join(cfg.ObsDir, fresh.ID+".obs"))
 }

@@ -44,17 +44,18 @@
 // faults.
 //
 // Jobs that request checkpointing produce dse.Snapshot checkpoints at
-// search boundaries; a killed job resubmitted with Spec.Resume set to its
-// last snapshot replays the uninterrupted run's exact trajectory and
-// finishes with a bit-identical front. Durable checkpoint files
-// (Config.CheckpointDir) are checksummed and double-buffered: a file
-// torn by a crash mid-write fails verification on LoadSnapshot and
-// recovery falls back to the previous checkpoint instead of resuming
-// from garbage. Checkpoint and result-store write failures degrade
-// gracefully — logged, never fatal to the job — so a full disk costs
-// durability, not the exploration budget already spent. The
-// internal/service/faultinject package provides the injection points the
-// chaos test suite drives all of this with.
+// search boundaries, kept in memory for retries and, with
+// Config.CheckpointDir set, written to durable checkpoint files. Those
+// files are checksummed and double-buffered: a file torn by a crash
+// mid-write fails verification on LoadSnapshot and recovery falls back
+// to the previous checkpoint instead of resuming from garbage. A killed
+// job resumes from them server-side (Spec.ResumeJob, below), replaying
+// the uninterrupted run's exact trajectory to a bit-identical front.
+// Checkpoint and result-store write failures degrade gracefully —
+// logged, never fatal to the job — so a full disk costs durability, not
+// the exploration budget already spent. The internal/service/faultinject
+// package provides the injection points the chaos test suite drives all
+// of this with.
 //
 // # Island decomposition and drain
 //
@@ -66,17 +67,19 @@
 // (Config.IslandStallTimeout) costs at most one round, and the merged
 // front stays bit-identical to an undisturbed run. Island jobs publish
 // "island" events instead of "progress", surface per-island supervision
-// state in JobInfo.Islands, and have no single resumable snapshot
-// (Checkpoint returns ErrNoSnapshot); when the island supervisor itself
-// gives up, the manager's retry edge resumes from the coordinator's
-// composite checkpoint.
+// state in JobInfo.Islands, and checkpoint per island; when the island
+// supervisor itself gives up, the manager's retry edge resumes from the
+// coordinator's composite checkpoint.
 //
-// Spec.ResumeJob resumes a prior job — plain or island — server-side
-// from its durable checkpoint files under Config.CheckpointDir, keyed by
-// the old job's ID: the cross-process-restart recovery path, no
-// client-held snapshot required. A missing, both-slots-corrupt, or
-// algorithm-mismatched checkpoint fails the job loudly rather than
-// silently starting over. Manager.Drain is the graceful half of that
+// Spec.ResumeJob is the one way back into an interrupted run: it resumes
+// a prior job — plain or island — server-side from its durable
+// checkpoint files under Config.CheckpointDir, keyed by the old job's
+// ID. A missing, both-slots-corrupt, or algorithm-mismatched checkpoint
+// fails the job loudly rather than silently starting over. Job IDs are
+// durable names: a restarted Manager numbers fresh jobs after every ID
+// its checkpoint and obs directories already hold, and a resume_job
+// naming a job it does not hold continues under that ID, appending to
+// the same obs stream. Manager.Drain is the graceful half of that
 // story: it rejects new submissions with ErrDraining, cancels running
 // jobs at their next boundary so their checkpoints land, and returns
 // once every job has settled — wsn-serve wires it to SIGINT/SIGTERM.
@@ -135,6 +138,8 @@ package service
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"wsndse/internal/dse"
@@ -181,9 +186,8 @@ type Spec struct {
 	// content key (fingerprint, objectives, algorithm) plus near-miss
 	// family siblings, and an explicit version ("17" or "v17") seeds
 	// from exactly that stored front. Applies to nsga2 and mosa;
-	// exhaustive and random ignore it. Ignored when Resume is set (the
-	// snapshot already fixes the trajectory). JobInfo.WarmStart reports
-	// what was actually seeded.
+	// exhaustive and random ignore it. JobInfo.WarmStart reports what was
+	// actually seeded.
 	WarmStart string `json:"warm_start,omitempty"`
 
 	// MaxRetries is how many times a failed attempt (panic or error —
@@ -204,17 +208,16 @@ type Spec struct {
 	// CheckpointEvery asks for a dse.Snapshot every N search boundaries
 	// (generations / chain segments / evaluation batches); 0 disables.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// Resume restarts from a snapshot produced by a previous job with the
-	// same scenario, algorithm and algorithm config. The resumed job's
-	// front is bit-identical to an uninterrupted run.
-	Resume *dse.Snapshot `json:"resume,omitempty"`
-	// ResumeJob resumes from the durable checkpoint files a previous job
-	// (same scenario, algorithm, config and island layout) left under the
-	// server's checkpoint directory — the restart path that needs no
-	// snapshot round-trip through the client. Requires Config.CheckpointDir;
-	// mutually exclusive with Resume and WarmStart. Corrupt or missing
-	// checkpoints fail the job with a diagnosable error rather than
-	// silently restarting from scratch.
+	// ResumeJob names a previous job (same scenario, algorithm, config
+	// and island layout) to resume from the durable checkpoint files it
+	// left under the server's checkpoint directory; the resumed job's
+	// front is bit-identical to an uninterrupted run. The value must be a
+	// server-assigned ID ("j" and a positive decimal, e.g. "j17"). A job
+	// this manager does not hold — one from before a restart — continues
+	// under its old ID; otherwise the resumed job gets a fresh one.
+	// Requires Config.CheckpointDir; mutually exclusive with WarmStart.
+	// Corrupt or missing checkpoints fail the job with a diagnosable error
+	// rather than silently restarting from scratch.
 	ResumeJob string `json:"resume_job,omitempty"`
 
 	// Islands partitions the search across N supervised islands with
@@ -263,7 +266,7 @@ func (s Spec) normalize() Spec {
 
 // Validate rejects a malformed spec before a worker is committed to it:
 // unknown scenario or algorithm, out-of-domain algorithm configs,
-// out-of-range budgets, or a resume snapshot from a different algorithm.
+// out-of-range budgets, or a resume_job that is not a job ID.
 func (s Spec) Validate() error {
 	if s.Scenario == "" {
 		return fmt.Errorf("service: spec has no scenario")
@@ -308,15 +311,15 @@ func (s Spec) Validate() error {
 	if s.DeadlineSeconds < 0 {
 		return fmt.Errorf("service: negative deadline_seconds %g", s.DeadlineSeconds)
 	}
-	if s.Resume != nil && s.Resume.Algorithm != s.Algorithm {
-		return fmt.Errorf("service: resume snapshot is a %s run, spec wants %s", s.Resume.Algorithm, s.Algorithm)
-	}
 	if !validWarmStart(s.WarmStart) {
 		return fmt.Errorf("service: malformed warm_start %q (want off|auto|<version>)", s.WarmStart)
 	}
 	if s.ResumeJob != "" {
-		if s.Resume != nil {
-			return fmt.Errorf("service: resume and resume_job are mutually exclusive")
+		// The ID becomes part of checkpoint file paths, so only the
+		// server's own form may pass: anything else could name a file
+		// outside the checkpoint directory.
+		if _, ok := jobNumber(s.ResumeJob); !ok {
+			return fmt.Errorf("service: resume_job %q is not a job ID (want j<N>)", s.ResumeJob)
 		}
 		if warmStartRequested(s.WarmStart) {
 			return fmt.Errorf("service: resume_job and warm_start are mutually exclusive (the checkpoint already fixes the trajectory)")
@@ -328,9 +331,6 @@ func (s Spec) Validate() error {
 	if s.Islands >= 2 {
 		if s.Algorithm != AlgoNSGA2 && s.Algorithm != AlgoMOSA {
 			return fmt.Errorf("service: algorithm %s does not support island decomposition", s.Algorithm)
-		}
-		if s.Resume != nil {
-			return fmt.Errorf("service: island jobs resume via resume_job, not a single-search snapshot")
 		}
 		if warmStartRequested(s.WarmStart) {
 			return fmt.Errorf("service: warm_start is not supported for island jobs")
@@ -353,6 +353,20 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("service: migrants %d out of [0,%d]", s.Migrants, maxMigrants)
 	}
 	return nil
+}
+
+// jobNumber parses a server-assigned job ID — "j" and a positive decimal
+// without leading zeros — into its number.
+func jobNumber(id string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, "j")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil || n < 1 || strconv.Itoa(n) != digits {
+		return 0, false
+	}
+	return n, true
 }
 
 // Status is the job lifecycle state.
@@ -387,9 +401,8 @@ type ProgressInfo struct {
 	EvalsPerSec float64 `json:"evals_per_sec"`
 }
 
-// JobInfo is the externally visible job state. Spec is echoed with Resume
-// nulled (snapshots can be large; ResumedFromStep records that and where
-// the job resumed).
+// JobInfo is the externally visible job state. ResumedFromStep records
+// the checkpoint step a resumed job (resume_job or a retry) started from.
 type JobInfo struct {
 	ID              string `json:"id"`
 	Spec            Spec   `json:"spec"`

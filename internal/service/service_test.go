@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -33,6 +32,15 @@ func newTestManager(tb testing.TB, cfg Config) *Manager {
 	return m
 }
 
+// memSnapshot returns the job's latest in-memory checkpoint, the one its
+// retries resume from.
+func memSnapshot(m *Manager, id string) *dse.Snapshot {
+	j, _ := m.lookup(id)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.snapshot
+}
+
 func waitDone(t *testing.T, m *Manager, id string) JobInfo {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -54,9 +62,6 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if info.ID == "" || info.Status.Terminal() {
 		t.Fatalf("fresh job info %+v", info)
-	}
-	if info.Spec.Resume != nil {
-		t.Error("echoed spec should have Resume stripped")
 	}
 	final := waitDone(t, m, info.ID)
 	if final.Status != StatusDone {
@@ -92,7 +97,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Scenario: "ecg-ward", Algorithm: AlgoMOSA, MOSA: &dse.MOSAConfig{Cooling: 1.5}},
 		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Workers: 1000},
 		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, CheckpointEvery: -1},
-		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Resume: &dse.Snapshot{Algorithm: "mosa"}},
 	}
 	for i, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
@@ -154,11 +158,12 @@ func TestDeterminismUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeBitIdentical is the satellite's determinism proof at
-// service level, per registered scenario: run a seeded NSGA-II job
+// TestCheckpointResumeBitIdentical is the determinism proof at service
+// level, per registered scenario: run a seeded NSGA-II job
 // uninterrupted; run it again with checkpointing and kill it mid-run;
-// resume a third job from the killed job's snapshot; the resumed front
-// must match the uninterrupted front bit for bit.
+// resume a third job from the killed job's durable checkpoint via
+// resume_job; the resumed front must match the uninterrupted front bit
+// for bit.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, sc := range scenario.List() {
 		sc := sc
@@ -191,7 +196,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replay, ch, cancelSub, err := m.Subscribe(victim.ID)
+			replay, ch, cancelSub, err := m.SubscribeFrom(victim.ID, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +219,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				}
 			}
 			waitDone(t, m, victim.ID)
-			snap, err := m.Checkpoint(victim.ID)
-			if err != nil {
-				t.Fatalf("victim has no checkpoint: %v", err)
+			// The durable checkpoint resume_job reads must match the
+			// in-memory snapshot retries use.
+			snap := memSnapshot(m, victim.ID)
+			if snap == nil {
+				t.Fatal("victim has no checkpoint")
 			}
-			// The durable twin must match the in-memory snapshot.
 			fromDisk, err := LoadSnapshot(dir, victim.ID)
 			if err != nil {
 				t.Fatal(err)
@@ -226,12 +232,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if fromDisk.Step != snap.Step || fromDisk.Algorithm != snap.Algorithm {
 				t.Fatalf("disk snapshot (step %d) != memory snapshot (step %d)", fromDisk.Step, snap.Step)
 			}
-			if _, err := filepath.Glob(filepath.Join(dir, "*.snapshot.json")); err != nil {
-				t.Fatal(err)
-			}
 
 			resumeSpec := spec
-			resumeSpec.Resume = fromDisk
+			resumeSpec.ResumeJob = victim.ID
 			resumed, err := m.Submit(resumeSpec)
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +260,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // TestMOSACheckpointResume covers the second algorithm family end to end
 // at service level.
 func TestMOSACheckpointResume(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1})
+	m := newTestManager(t, Config{Workers: 1, CheckpointDir: t.TempDir()})
 	defer m.Close()
 	spec := Spec{
 		Scenario:  "ecg-ward",
@@ -281,7 +284,7 @@ func TestMOSACheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ch, cancelSub, err := m.Subscribe(victim.ID)
+	_, ch, cancelSub, err := m.SubscribeFrom(victim.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +296,15 @@ func TestMOSACheckpointResume(t *testing.T) {
 		}
 	}
 	waitDone(t, m, victim.ID)
-	snap, err := m.Checkpoint(victim.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resumeSpec := spec
-	resumeSpec.Resume = snap
+	resumeSpec.ResumeJob = victim.ID
 	resumed, err := m.Submit(resumeSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, m, resumed.ID)
+	if info := waitDone(t, m, resumed.ID); info.Status != StatusDone || info.ResumedFromStep < 1 {
+		t.Fatalf("resumed job %s from step %d (%s)", info.Status, info.ResumedFromStep, info.Error)
+	}
 	got, err := m.Front(resumed.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// Let the first job make observable progress before killing it, so the
 	// cancel lands mid-run and the partial front survives.
-	_, ch, cancelSub, err := m.Subscribe(first.ID)
+	_, ch, cancelSub, err := m.SubscribeFrom(first.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestStoreVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Latest("", ""); ok {
+	if got, total := s.Query(ResultQuery{Limit: 1}); len(got) != 0 || total != 0 {
 		t.Fatal("empty store claims a latest result")
 	}
 	v1 := mustPut(t, s, StoredResult{Scenario: "a", Algorithm: "nsga2", Fingerprint: "fpA", Objectives: ObjectivesFull})
@@ -425,9 +426,8 @@ func TestStoreVersioning(t *testing.T) {
 	if got, _ := s.Query(ResultQuery{Algorithm: "nsga2"}); len(got) != 2 || got[0].Version != 3 || got[1].Version != 1 {
 		t.Fatalf("Query(nsga2) = %+v", got)
 	}
-	latest, ok := s.Latest("a", "")
-	if !ok || latest.Version != 2 {
-		t.Fatalf("Latest(a) = %+v", latest)
+	if latest, _ := s.Query(ResultQuery{Scenario: "a", Limit: 1}); len(latest) != 1 || latest[0].Version != 2 {
+		t.Fatalf("newest for scenario a = %+v", latest)
 	}
 	if _, ok := s.Get(0); ok {
 		t.Fatal("Get(0) succeeded")
@@ -435,14 +435,11 @@ func TestStoreVersioning(t *testing.T) {
 	if r, ok := s.Get(3); !ok || r.Scenario != "b" {
 		t.Fatalf("Get(3) = %+v", r)
 	}
-	// The content key is derived and queryable; the exact-key index finds
-	// the newest holder of a key.
+	// The content key is derived and queryable through the exact-key
+	// index.
 	wantKey := ResultKey("fpA", ObjectivesFull, "nsga2")
 	if r, _ := s.Get(1); r.Key != wantKey {
 		t.Fatalf("v1 key %q, want %q", r.Key, wantKey)
-	}
-	if r, ok := s.LatestByKey(wantKey); !ok || r.Version != 1 {
-		t.Fatalf("LatestByKey = %+v, %v", r, ok)
 	}
 	if got, total := s.Query(ResultQuery{Key: wantKey}); total != 1 || len(got) != 1 || got[0].Version != 1 {
 		t.Fatalf("Query(key) = %+v (total %d)", got, total)
@@ -462,7 +459,7 @@ func TestHubReplayAndDropOldest(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: i + 1}})
 	}
-	replay, ch, cancel := h.subscribe()
+	replay, ch, cancel := h.subscribeFrom(0)
 	defer cancel()
 	// Replay keeps the lifecycle event and only the latest progress.
 	if len(replay) != 2 || replay[0].Status != StatusQueued || replay[1].Progress.Step != 5 {
@@ -485,7 +482,7 @@ func TestHubReplayAndDropOldest(t *testing.T) {
 	}
 
 	// Subscribing after close replays and returns a closed channel.
-	replay2, ch2, cancel2 := h.subscribe()
+	replay2, ch2, cancel2 := h.subscribeFrom(0)
 	defer cancel2()
 	if len(replay2) == 0 {
 		t.Fatal("post-close replay empty")

@@ -171,11 +171,9 @@ func (s *jobSampler) writeLoop() {
 	for row := range s.ops {
 		if f == nil && !failed {
 			var err error
-			if f, err = os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			if f, w, err = openObs(s.path); err != nil {
 				failed = true
 				s.logf("service: job %s: obs file: %v (telemetry stays in memory)", s.jobID, err)
-			} else {
-				w = obs.NewWriter(f)
 			}
 		}
 		if w != nil {
@@ -197,6 +195,25 @@ func (s *jobSampler) writeLoop() {
 	if f != nil && w != nil {
 		_ = f.Close()
 	}
+}
+
+// openObs opens a job's obs stream for appending. A job continued after a
+// restart (resume_job) finds its predecessor's stream there and extends
+// it instead of starting a second one behind it.
+func openObs(path string) (*os.File, *obs.Writer, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, err
+	}
+	if st.Size() > 0 {
+		return f, obs.NewAppendWriter(f), nil
+	}
+	return f, obs.NewWriter(f), nil
 }
 
 // setAttempt records which run attempt subsequent samples belong to.

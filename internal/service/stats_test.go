@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -26,9 +27,25 @@ func fieldIndex(t *testing.T, fields []string, name string) int {
 	return -1
 }
 
+// readObsFile decodes a whole obs stream, failing on a torn or foreign one.
+func readObsFile(t *testing.T, path string) []obs.Sample {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	samples, truncated, err := obs.ReadAll(f)
+	if err != nil || truncated {
+		t.Fatalf("%s: %d samples, truncated=%v, err=%v", filepath.Base(path), len(samples), truncated, err)
+	}
+	return samples
+}
+
 // TestJobTelemetryEndToEnd runs a job with an obs directory and a
 // sample-every-boundary interval, then checks the live window and the
-// on-disk stream agree and carry monotone search-health counters.
+// on-disk stream agree and carry monotone search-health counters, and
+// that every telemetry view ends where JobInfo says the job ended.
 func TestJobTelemetryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Config{Workers: 1, ObsDir: dir, ObsSampleInterval: time.Nanosecond})
@@ -83,15 +100,7 @@ func TestJobTelemetryEndToEnd(t *testing.T) {
 	// Closing the manager first drains the background obs writer, so the
 	// file is complete on disk.
 	m.Close()
-	f, err := os.Open(filepath.Join(dir, info.ID+".obs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	samples, truncated, err := obs.ReadAll(f)
-	if err != nil || truncated {
-		t.Fatalf("obs decode: err=%v truncated=%v", err, truncated)
-	}
+	samples := readObsFile(t, filepath.Join(dir, info.ID+".obs"))
 	if len(samples) != len(resp.Rows) {
 		t.Fatalf("obs file has %d samples, live window %d", len(samples), len(resp.Rows))
 	}
@@ -101,6 +110,26 @@ func TestJobTelemetryEndToEnd(t *testing.T) {
 				t.Fatalf("sample %d field %s: file %d, ring %d", i, s.Fields[j], v, resp.Rows[i][j])
 			}
 		}
+	}
+
+	// The telemetry views agree on where the job ended: the final
+	// JobInfo.Progress, the last ring row and the last obs-file row on
+	// step, evaluations, infeasible count and front size, and /metrics'
+	// per-scenario counter on evaluations (this is the manager's only job).
+	p := final.Progress
+	want := []int64{int64(p.Step), int64(p.Evaluated), int64(p.Infeasible), int64(p.FrontSize)}
+	cols := []int{step, evald, fieldIndex(t, resp.Fields, "infeasible"), fieldIndex(t, resp.Fields, "front_size")}
+	for view, row := range map[string][]int64{"ring": last, "obs file": samples[len(samples)-1].Values} {
+		for k, c := range cols {
+			if row[c] != want[k] {
+				t.Fatalf("%s ends with %s=%d, JobInfo.Progress says %d", view, resp.Fields[c], row[c], want[k])
+			}
+		}
+	}
+	var metricsText strings.Builder
+	m.WriteMetrics(&metricsText)
+	if line := fmt.Sprintf("wsndse_evals_total{scenario=%q} %d\n", "ecg-ward", p.Evaluated); !strings.Contains(metricsText.String(), line) {
+		t.Fatalf("/metrics lacks %q:\n%s", line, metricsText.String())
 	}
 
 	// The window parameter trims from the front.

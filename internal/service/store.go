@@ -122,7 +122,8 @@ type StoreConfig struct {
 	Dir string
 	// MaxResults bounds how many results are retained (<= 0 selects
 	// DefaultMaxResults). Beyond it the least-recently-used result is
-	// evicted; Get, Latest and Query hits refresh recency.
+	// evicted; a Get hit refreshes recency, a Query (a read-locked scan)
+	// does not.
 	MaxResults int
 }
 
@@ -346,9 +347,6 @@ func (s *Store) appendIndex(rec indexRecord) error {
 	return err
 }
 
-// touch marks the entry most-recently-used. Caller holds mu (write).
-func (s *Store) touch(e *storedEntry) { s.lru.MoveToFront(e.node) }
-
 // Get returns the result at an exact version and refreshes its recency.
 // Evicted versions are gone: false, like versions never assigned.
 func (s *Store) Get(version int) (StoredResult, bool) {
@@ -358,21 +356,7 @@ func (s *Store) Get(version int) (StoredResult, bool) {
 	if !ok {
 		return StoredResult{}, false
 	}
-	s.touch(e)
-	return e.res, true
-}
-
-// LatestByKey returns the newest retained result with the given content
-// key — the exact-match warm-start lookup, O(1) via the key index.
-func (s *Store) LatestByKey(key string) (StoredResult, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vers := s.byKey[key]
-	if len(vers) == 0 {
-		return StoredResult{}, false
-	}
-	e := s.byVer[vers[len(vers)-1]]
-	s.touch(e)
+	s.lru.MoveToFront(e.node)
 	return e.res, true
 }
 
@@ -402,17 +386,6 @@ func (s *Store) Query(q ResultQuery) (page []StoredResult, total int) {
 		total++
 	}
 	return page, total
-}
-
-// Latest returns the newest retained result matching scenario/algorithm
-// filters (empty matches everything) — the coarse pre-content-key lookup
-// kept for CLI convenience.
-func (s *Store) Latest(scenarioName, algorithm string) (StoredResult, bool) {
-	page, _ := s.Query(ResultQuery{Scenario: scenarioName, Algorithm: algorithm, Limit: 1})
-	if len(page) == 0 {
-		return StoredResult{}, false
-	}
-	return page[0], true
 }
 
 // Evictions returns how many results the LRU bound has evicted over the

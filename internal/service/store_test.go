@@ -49,7 +49,7 @@ func TestStoreEvictionBoundaries(t *testing.T) {
 		}
 	}
 	// The evicted version's key index entry is gone with it.
-	if _, ok := s.LatestByKey(ResultKey("fpB", ObjectivesFull, "nsga2")); ok {
+	if _, total := s.Query(ResultQuery{Key: ResultKey("fpB", ObjectivesFull, "nsga2")}); total != 0 {
 		t.Fatal("key index still resolves the evicted result")
 	}
 	// An evicted version number is never reused.
@@ -73,9 +73,9 @@ func TestStoreEvictionBoundaries(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentPutQuery hammers Put, Get, Query and LatestByKey
-// from many goroutines (run under -race) and then checks the
-// version/key indexes agree with each other.
+// TestStoreConcurrentPutQuery hammers Put, Get and Query (by key and by
+// fingerprint) from many goroutines (run under -race) and then checks
+// the version/key indexes agree with each other.
 func TestStoreConcurrentPutQuery(t *testing.T) {
 	s, err := NewStore(StoreConfig{MaxResults: 64})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestStoreConcurrentPutQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
 				s.Get(i + 1)
-				s.LatestByKey(ResultKey(fmt.Sprintf("fp%d", i%16), ObjectivesFull, "nsga2"))
+				s.Query(ResultQuery{Key: ResultKey(fmt.Sprintf("fp%d", i%16), ObjectivesFull, "nsga2"), Limit: 1})
 				s.Query(ResultQuery{Fingerprint: fmt.Sprintf("fp%d", i%16), Limit: 4})
 			}
 		}()
@@ -119,12 +119,12 @@ func TestStoreConcurrentPutQuery(t *testing.T) {
 	perKey := map[string]int{}
 	for _, r := range all {
 		perKey[r.Key]++
-		hit, ok := s.LatestByKey(r.Key)
-		if !ok {
+		hit, _ := s.Query(ResultQuery{Key: r.Key, Limit: 1})
+		if len(hit) == 0 {
 			t.Fatalf("version %d unreachable through key %s", r.Version, r.Key)
 		}
-		if hit.Key != r.Key {
-			t.Fatalf("key index returned %s for %s", hit.Key, r.Key)
+		if hit[0].Key != r.Key {
+			t.Fatalf("key index returned %s for %s", hit[0].Key, r.Key)
 		}
 	}
 	sum := 0

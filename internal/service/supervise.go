@@ -56,14 +56,6 @@ func retryDelay(retry int, base, max time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.5 + 0.5*rand.Float64()))
 }
 
-// errMessage renders err for JobInfo.Error, keeping panic stacks intact.
-func errMessage(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
-
 // Checkpoint files are written through a two-slot rotation managed by
 // package snapfile: the latest snapshot at <id>.snapshot.json, its
 // predecessor at <id>.snapshot.prev.json. Writes are atomic (temp +

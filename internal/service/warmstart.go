@@ -124,7 +124,7 @@ func ResolveWarmStart(src ResultLookup, warmStart, fingerprint string, objective
 		if !ok {
 			return nil, nil, fmt.Errorf("service: warm-start version %d is not in the result store", v)
 		}
-		seeds := frontConfigs(r, space, nil)
+		seeds := appendFrontConfigs(nil, r, space, nil)
 		return seeds, &WarmStartInfo{
 			Mode:       "version",
 			Sources:    []int{r.Version},
@@ -179,12 +179,6 @@ func ResolveWarmStart(src ResultLookup, warmStart, fingerprint string, objective
 	}
 	info.SeedPoints = len(seeds)
 	return seeds, info, nil
-}
-
-// frontConfigs extracts r's front decision vectors that index space,
-// deduplicated.
-func frontConfigs(r StoredResult, space *dse.Space, seen map[string]bool) []dse.Config {
-	return appendFrontConfigs(nil, r, space, seen)
 }
 
 // appendFrontConfigs appends r's valid, unseen front decision vectors to
