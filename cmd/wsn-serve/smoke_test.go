@@ -314,7 +314,7 @@ func TestServeCrashResumeSmoke(t *testing.T) {
 	decodeBody(t, resp, http.StatusCreated, &job)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := service.LoadSnapshot(ckptDir, job.ID); err == nil {
+		if _, err := service.LoadCheckpoint(ckptDir, job.ID, 1); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -379,7 +379,7 @@ func TestServeDrainResumeSmoke(t *testing.T) {
 	decodeBody(t, resp, http.StatusCreated, &job)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := service.LoadSnapshot(ckptDir, job.ID); err == nil {
+		if _, err := service.LoadCheckpoint(ckptDir, job.ID, 1); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -313,19 +313,6 @@ func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error 
 	return nil
 }
 
-// Clone deep-copies the composite.
-func (s *IslandSnapshot) Clone() *IslandSnapshot {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	out.Islands = make([]*Snapshot, len(s.Islands))
-	for i, snap := range s.Islands {
-		out.Islands[i] = snap.Clone()
-	}
-	return &out
-}
-
 // EncodeIslandSnapshotFile serializes the composite into the same
 // checksummed durable envelope EncodeSnapshotFile uses, so a torn write
 // is detected on read rather than resumed from.

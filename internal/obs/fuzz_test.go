@@ -9,6 +9,8 @@ import (
 // never panic, never loop, and — when the input happens to decode — the
 // decoded samples must re-encode into a stream that decodes to the same
 // values (decode∘encode∘decode is the identity on whatever survived).
+// The reader's intact prefix must hold exactly those samples and no torn
+// record, since that prefix is what an appender keeps.
 func FuzzObsDecode(f *testing.F) {
 	// Seed with a healthy stream, a schema change, and a torn tail.
 	fields := []string{"ts", "step", "evals"}
@@ -29,6 +31,17 @@ func FuzzObsDecode(f *testing.F) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 			return
+		}
+		d := NewReader(bytes.NewReader(data))
+		for {
+			if _, ok, _ := d.Next(); !ok {
+				break
+			}
+		}
+		kept, truncated, err := ReadAll(bytes.NewReader(data[:d.Intact()]))
+		if err != nil || truncated || len(kept) != len(samples) {
+			t.Fatalf("intact prefix of %d bytes: %d/%d samples, truncated=%v, err=%v",
+				d.Intact(), len(kept), len(samples), truncated, err)
 		}
 		// Re-encode what decoded and decode again: the values must agree.
 		var buf bytes.Buffer

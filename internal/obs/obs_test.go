@@ -143,6 +143,58 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
+// TestIntactPrefix: at every cut of a stream, Intact is the length of a
+// prefix holding exactly the samples the reader decoded and no torn
+// record, so an appender that truncates the stream there and continues
+// it leaves every sample readable.
+func TestIntactPrefix(t *testing.T) {
+	var in []Sample
+	for i := range 8 {
+		fields := []string{"step", "evals"}
+		if i >= 4 {
+			fields = []string{"step", "evals", "island"}
+		}
+		vals := make([]int64, len(fields))
+		for j := range vals {
+			vals[j] = int64(i*31 + j)
+		}
+		in = append(in, Sample{Fields: fields, Values: vals})
+	}
+	data := writeStream(t, in)
+	more := Sample{Fields: []string{"step"}, Values: []int64{99}}
+	for cut := 0; cut <= len(data); cut++ {
+		d := NewReader(bytes.NewReader(data[:cut]))
+		n := 0
+		for {
+			_, ok, err := d.Next()
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		intact := d.Intact()
+		if intact > int64(cut) || (cut == len(data) && intact != int64(cut)) {
+			t.Fatalf("cut %d: intact prefix %d bytes", cut, intact)
+		}
+		buf := bytes.NewBuffer(append([]byte(nil), data[:intact]...))
+		w := NewWriter(buf)
+		if intact > 0 {
+			w = NewAppendWriter(buf)
+		}
+		if err := w.WriteSample(more.Fields, more.Values); err != nil {
+			t.Fatal(err)
+		}
+		got, truncated, err := ReadAll(buf)
+		if err != nil || truncated {
+			t.Fatalf("cut %d: continued stream truncated=%v, err=%v", cut, truncated, err)
+		}
+		sameSamples(t, append(in[:n:n], more), got)
+	}
+}
+
 // Flipping any single payload byte must surface as a torn tail, never as
 // silently wrong values.
 func TestCorruptRecordDetected(t *testing.T) {

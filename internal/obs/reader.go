@@ -34,25 +34,54 @@ type Sample struct {
 // because the only writer is append-only and the only realistic
 // corruption is a crash-torn tail.
 type Reader struct {
-	r         *bufio.Reader
+	r         *countingReader
 	schema    []string
 	prev      []int64
 	vals      []int64
 	started   bool
 	done      bool
 	truncated bool
+	intact    int64
 	hdr       [1]byte
+}
+
+// countingReader counts the bytes the Reader has consumed, so record
+// boundaries are known as byte offsets.
+type countingReader struct {
+	r *bufio.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *countingReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
+	}
+	return b, err
 }
 
 // NewReader decodes the stream on r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: &countingReader{r: bufio.NewReader(r)}}
 }
 
 // Truncated reports whether the stream ended at a torn or corrupt
 // record instead of a clean end-of-file. Meaningful once Next has
 // returned false.
 func (d *Reader) Truncated() bool { return d.truncated }
+
+// Intact returns the byte length of the stream's intact prefix: the
+// magic plus every record read so far that verified and applied. Once
+// Next has returned false it is where a torn tail begins (0 when even
+// the magic is torn), so an appender that truncates the stream there
+// continues it with nothing unreadable in between.
+func (d *Reader) Intact() int64 { return d.intact }
 
 // Next decodes records until the next sample. It returns false at the
 // end of the stream — clean or torn (see Truncated). The only error is
@@ -76,6 +105,7 @@ func (d *Reader) Next() (Sample, bool, error) {
 			return Sample{}, false, ErrBadMagic
 		}
 		d.started = true
+		d.intact = d.r.n
 	}
 	for {
 		payload, kind, ok := d.readRecord()
@@ -89,12 +119,14 @@ func (d *Reader) Next() (Sample, bool, error) {
 				d.end()
 				return Sample{}, false, nil
 			}
+			d.intact = d.r.n
 		case kindSample:
 			vals, ok := d.applySample(payload)
 			if !ok {
 				d.end()
 				return Sample{}, false, nil
 			}
+			d.intact = d.r.n
 			return Sample{Fields: d.schema, Values: vals}, true, nil
 		default:
 			// Unknown kind: this reader is older than the writer or the

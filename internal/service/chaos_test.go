@@ -92,6 +92,11 @@ func TestChaosPanicRetryBitIdentical(t *testing.T) {
 			if info.Error != "" {
 				t.Fatalf("done job still carries error %q", info.Error)
 			}
+			// The panic fired at step 3, so the retry resumed from the
+			// checkpoint at step 2.
+			if info.ResumedFromStep != 2 {
+				t.Fatalf("resumed_from_step = %d, want 2", info.ResumedFromStep)
+			}
 			got, err := m.Front(victim.ID)
 			if err != nil {
 				t.Fatal(err)
@@ -322,10 +327,10 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	if logged.Load() == 0 {
 		t.Fatal("failing checkpoint writes left no log trace")
 	}
-	if memSnapshot(m, info.ID) == nil {
+	if memCheckpoint(m, info.ID) == nil {
 		t.Fatal("in-memory snapshot should survive failed durable writes")
 	}
-	if _, err := LoadSnapshot(cfg.CheckpointDir, info.ID); !errors.Is(err, os.ErrNotExist) {
+	if _, err := LoadCheckpoint(cfg.CheckpointDir, info.ID, 1); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("no durable snapshot should exist, got err=%v", err)
 	}
 }
@@ -355,11 +360,12 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 	}
 
 	// Both rotation slots exist and the latest outranks its predecessor.
-	latest, err := LoadSnapshot(dir, info.ID)
+	path, prevPath := slotPaths(dir, info.ID, 1, 0)
+	latest, err := LoadCheckpoint(dir, info.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevData, err := os.ReadFile(snapshotPrevPath(dir, info.ID))
+	prevData, err := os.ReadFile(prevPath)
 	if err != nil {
 		t.Fatalf("rotation should have kept the previous checkpoint: %v", err)
 	}
@@ -372,7 +378,6 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 	}
 
 	// Kill-mid-write simulation: truncate the latest file to half.
-	path := snapshotPath(dir, info.ID)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +389,9 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 		t.Fatalf("torn bytes should decode as ErrCorruptSnapshot, got %v", err)
 	}
 
-	recovered, err := LoadSnapshot(dir, info.ID)
+	recovered, err := LoadCheckpoint(dir, info.ID, 1)
 	if err != nil {
-		t.Fatalf("LoadSnapshot should fall back past the torn file: %v", err)
+		t.Fatalf("LoadCheckpoint should fall back past the torn file: %v", err)
 	}
 	if recovered.Step != prev.Step {
 		t.Fatalf("recovered step %d, want the previous checkpoint's %d", recovered.Step, prev.Step)
@@ -414,8 +419,8 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 
 	// With both slots gone, loading reports not-exist (distinct from corrupt).
 	os.Remove(path)
-	os.Remove(snapshotPrevPath(dir, info.ID))
-	if _, err := LoadSnapshot(dir, info.ID); !errors.Is(err, os.ErrNotExist) {
+	os.Remove(prevPath)
+	if _, err := LoadCheckpoint(dir, info.ID, 1); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("want os.ErrNotExist with no files, got %v", err)
 	}
 }

@@ -12,10 +12,13 @@
 // every island advances from its checkpoint to the next migration
 // boundary (dse.Options.StopAfter), the coordinator exchanges migrants
 // on the ring and injects them deterministically (dse.InjectMigrants),
-// persists post-injection per-island checkpoints, and starts the next
-// round. A crashed island attempt is retried from the in-memory
-// post-injection snapshot — bit-identical replay — so failover changes
-// wall-clock time, never results.
+// hands the post-injection composite checkpoint to Config.OnCheckpoint,
+// and starts the next round. A crashed island attempt is retried from the
+// in-memory post-injection snapshot — bit-identical replay — so failover
+// changes wall-clock time, never results. The coordinator does no file
+// I/O: persisting checkpoints, and loading them back after a process
+// death, is the caller's business (the service writes every island's
+// checkpoint files at each migration boundary).
 //
 // Supervision is budgeted per executor: an executor whose attempts keep
 // failing exhausts its restart budget and is declared lost, and its
@@ -29,8 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,6 @@ import (
 
 	"wsndse/internal/dse"
 	"wsndse/internal/service/faultinject"
-	"wsndse/internal/service/snapfile"
 )
 
 // Event kinds reported through Config.OnEvent.
@@ -75,8 +75,8 @@ type Status struct {
 }
 
 // Config tunes one coordinator. The zero value of every field has a
-// sensible default applied by New; only OnEvent/OnCheckpoint/Logf stay
-// nil when unset.
+// sensible default applied by New; only OnEvent/OnCheckpoint stay nil
+// when unset.
 type Config struct {
 	// Islands is the number of logical islands L — the partition of the
 	// search, and with Interval/Migrants the *identity* of the run: the
@@ -108,26 +108,19 @@ type Config struct {
 	// (counting against its executor's budget). 0 disables the watchdog.
 	StallTimeout time.Duration
 
-	// CheckpointDir, when non-empty, persists every island's
-	// post-injection snapshot at every migration boundary through the
-	// snapfile two-slot rotation; LoadCheckpoint restores a coordinator
-	// from them after a process death.
-	CheckpointDir string
-
 	// Resume restarts the whole coordinator from a composite snapshot
-	// previously delivered to OnCheckpoint (or rebuilt by
-	// LoadCheckpoint). The remaining rounds replay the uninterrupted
+	// previously delivered to OnCheckpoint (or read back from wherever the
+	// caller persisted it). The remaining rounds replay the uninterrupted
 	// run's exact trajectory.
 	Resume *dse.IslandSnapshot
 
 	// OnEvent observes coordinator events; OnCheckpoint receives the
-	// composite post-injection snapshot at every migration boundary
-	// (the retry anchor a supervisor should keep). Both may be nil.
+	// composite post-injection snapshot at every migration boundary —
+	// the retry anchor a supervisor should keep, and the only way a
+	// checkpoint leaves the coordinator, which never touches files. Both
+	// may be nil.
 	OnEvent      func(Event)
 	OnCheckpoint func(*dse.IslandSnapshot)
-
-	// Logf receives best-effort diagnostics (checkpoint write failures).
-	Logf func(format string, args ...any)
 
 	// Runner executes island rounds: the in-process GoRunner by default,
 	// or a ProcRunner supervising child worker processes.
@@ -226,12 +219,6 @@ func (c *Coordinator) emit(e Event) {
 	}
 }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
 // Run executes the job to completion and returns the merged front. The
 // result is bit-identical across executor counts, island crashes,
 // executor loss, and coordinator restarts from checkpoints — anything
@@ -272,7 +259,15 @@ func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
 		if err := c.migrate(ctx, round, snaps); err != nil {
 			return nil, err
 		}
-		c.checkpoint(round, b, snaps)
+		if c.cfg.OnCheckpoint != nil {
+			c.cfg.OnCheckpoint(&dse.IslandSnapshot{
+				Version:   dse.IslandSnapshotVersion,
+				Algorithm: c.job.Algorithm,
+				Round:     round,
+				Step:      b,
+				Islands:   append([]*dse.Snapshot(nil), snaps...),
+			})
+		}
 	}
 
 	final := len(boundaries) + 1
@@ -546,122 +541,4 @@ func (c *Coordinator) migrate(ctx context.Context, round int, snaps []*dse.Snaps
 		c.emit(Event{Kind: EventMigration, Island: to, Executor: -1, Round: round, Step: snaps[to].Step})
 	}
 	return nil
-}
-
-// islandBase is the snapfile base name of one island's checkpoint.
-func islandBase(jobID string, island int) string {
-	return fmt.Sprintf("%s.island%d.snapshot", jobID, island)
-}
-
-// checkpoint persists the post-injection state: per-island durable
-// snapfiles (best-effort — a full disk costs durability, not the run)
-// and the in-memory composite for the supervisor's retry path.
-func (c *Coordinator) checkpoint(round, step int, snaps []*dse.Snapshot) {
-	if c.cfg.CheckpointDir != "" {
-		for i, snap := range snaps {
-			data, err := dse.EncodeSnapshotFile(snap)
-			if err == nil {
-				err = snapfile.Write(c.cfg.CheckpointDir, islandBase(c.job.JobID, i), data)
-			}
-			if err != nil {
-				c.logf("island: job %s: island %d checkpoint at step %d failed (run continues): %v",
-					c.job.JobID, i, step, err)
-			}
-		}
-	}
-	if c.cfg.OnCheckpoint != nil {
-		c.cfg.OnCheckpoint(&dse.IslandSnapshot{
-			Version:   dse.IslandSnapshotVersion,
-			Algorithm: c.job.Algorithm,
-			Round:     round,
-			Step:      step,
-			Islands:   append([]*dse.Snapshot(nil), snaps...),
-		})
-	}
-}
-
-// errSlotMissing distinguishes "this checkpoint slot does not exist"
-// from a real decode failure inside loadSlot.
-var errSlotMissing = errors.New("island: checkpoint slot missing")
-
-// loadSlot reads and checksum-verifies one checkpoint slot file.
-func loadSlot(path string) (*dse.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, errSlotMissing
-		}
-		return nil, err
-	}
-	snap, err := dse.DecodeSnapshotFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("island: snapshot %s: %w", filepath.Base(path), err)
-	}
-	return snap, nil
-}
-
-// LoadCheckpoint rebuilds a coordinator resume point from the per-island
-// snapfiles written under dir for jobID. A crash can land mid-way
-// through a checkpoint wave, leaving islands' latest slots at different
-// steps, so each island contributes every step it has a verified
-// snapshot for (latest and previous slots) and the most recent step
-// covered by *all* islands wins. Returns an error wrapping
-// os.ErrNotExist when no island has any snapshot, and the first decode
-// error when files exist but no consistent set can be assembled.
-func LoadCheckpoint(dir, jobID string, islands int) (*dse.IslandSnapshot, error) {
-	if islands < 1 {
-		return nil, fmt.Errorf("island: load checkpoint for %d islands", islands)
-	}
-	perStep := make([]map[int]*dse.Snapshot, islands)
-	var firstErr error
-	anyFile := false
-	for i := 0; i < islands; i++ {
-		perStep[i] = make(map[int]*dse.Snapshot)
-		base := islandBase(jobID, i)
-		// Collect both slots; snapfile.Load would stop at the first
-		// verified one, but consistency needs all candidates.
-		for _, path := range []string{snapfile.Path(dir, base), snapfile.PrevPath(dir, base)} {
-			snap, err := loadSlot(path)
-			if err != nil {
-				if !errors.Is(err, errSlotMissing) && firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			anyFile = true
-			perStep[i][snap.Step] = snap
-		}
-	}
-	best := -1
-	for step := range perStep[0] {
-		ok := true
-		for i := 1; i < islands; i++ {
-			if _, have := perStep[i][step]; !have {
-				ok = false
-				break
-			}
-		}
-		if ok && step > best {
-			best = step
-		}
-	}
-	if best < 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if !anyFile {
-			return nil, fmt.Errorf("island: no checkpoint for job %s: %w", jobID, os.ErrNotExist)
-		}
-		return nil, fmt.Errorf("island: job %s: no migration boundary is covered by all %d islands", jobID, islands)
-	}
-	comp := &dse.IslandSnapshot{
-		Version: dse.IslandSnapshotVersion,
-		Step:    best,
-		Islands: make([]*dse.Snapshot, islands),
-	}
-	for i := 0; i < islands; i++ {
-		comp.Islands[i] = perStep[i][best]
-	}
-	comp.Algorithm = comp.Islands[0].Algorithm
-	return comp, nil
 }

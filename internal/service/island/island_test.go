@@ -2,15 +2,12 @@ package island
 
 import (
 	"context"
-	"errors"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
 
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
-	"wsndse/internal/service/snapfile"
 )
 
 // testSpace mirrors the dse package's test grid.
@@ -166,64 +163,6 @@ func TestResumeFromComposite(t *testing.T) {
 				sameResult(t, golden, runCoordinator(t, job, cfg), "resumed run")
 			}
 		})
-	}
-}
-
-// TestLoadCheckpointRoundTrip: the durable per-island files reassemble
-// into a composite that resumes bit-identically — the coordinator's
-// process-death recovery path.
-func TestLoadCheckpointRoundTrip(t *testing.T) {
-	job, cfg := testJob("nsga2")
-	golden := runCoordinator(t, job, cfg)
-
-	dir := t.TempDir()
-	cfg.CheckpointDir = dir
-	sameResult(t, golden, runCoordinator(t, job, cfg), "durable-checkpoint run")
-
-	comp, err := LoadCheckpoint(dir, job.JobID, cfg.Islands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The latest boundary for this schedule is generation 9.
-	if comp.Step != 9 {
-		t.Fatalf("restored step %d, want 9", comp.Step)
-	}
-	if err := comp.Validate(job.Algorithm, cfg.Islands, testSpace(12, 4, 3)); err != nil {
-		t.Fatal(err)
-	}
-	cfg.CheckpointDir = ""
-	cfg.Resume = comp
-	sameResult(t, golden, runCoordinator(t, job, cfg), "disk-restored run")
-
-	if _, err := LoadCheckpoint(dir, "no-such-job", cfg.Islands); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing job: err = %v, want os.ErrNotExist", err)
-	}
-}
-
-// TestLoadCheckpointSkewedSlots: a crash mid-checkpoint-wave leaves
-// islands at different latest steps; recovery must fall back to the
-// newest step *all* islands cover.
-func TestLoadCheckpointSkewedSlots(t *testing.T) {
-	job, cfg := testJob("nsga2")
-	dir := t.TempDir()
-	cfg.CheckpointDir = dir
-	runCoordinator(t, job, cfg)
-
-	// Simulate the torn wave: island 0's latest (step 9) survives, but
-	// island 1 only got as far as step 6 — drop its latest slot so its
-	// newest file is the prev one.
-	if err := os.Rename(
-		snapfile.PrevPath(dir, islandBase(job.JobID, 1)),
-		snapfile.Path(dir, islandBase(job.JobID, 1)),
-	); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := LoadCheckpoint(dir, job.JobID, cfg.Islands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.Step != 6 {
-		t.Fatalf("skewed recovery landed on step %d, want 6", comp.Step)
 	}
 }
 

@@ -31,19 +31,7 @@ func runIslandJob(t *testing.T, cfg Config, spec Spec) (JobInfo, FrontResponse) 
 	t.Helper()
 	m := newTestManager(t, cfg)
 	defer m.Close()
-	info, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, m, info.ID)
-	if final.Status != StatusDone {
-		t.Fatalf("island job ended %s: %s", final.Status, final.Error)
-	}
-	front, err := m.Front(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return final, front
+	return runToDone(t, m, spec)
 }
 
 func sameFronts(t *testing.T, a, b FrontResponse, label string) {
@@ -149,7 +137,7 @@ func TestIslandJobRetryResumesFromComposite(t *testing.T) {
 
 // TestIslandJobResumeJobAcrossManagers is the process-restart story: a
 // second manager on the same checkpoint directory resumes a prior island
-// job from its per-island snapfiles via spec.ResumeJob and reproduces
+// job from its per-island checkpoint files via spec.ResumeJob and reproduces
 // the same merged front.
 func TestIslandJobResumeJobAcrossManagers(t *testing.T) {
 	dir := t.TempDir()

@@ -19,7 +19,7 @@ import (
 )
 
 // Config parameterizes a Manager. The zero value is usable: 2 concurrent
-// jobs, a 64-deep queue, no checkpoint directory (snapshots are then kept
+// jobs, a 64-deep queue, no checkpoint directory (checkpoints are then kept
 // in memory only, for retries, and resume_job is rejected).
 type Config struct {
 	// Workers is how many jobs run concurrently (job-level parallelism;
@@ -29,9 +29,11 @@ type Config struct {
 	// with ErrQueueFull beyond it, because an unbounded queue turns
 	// overload into silent unbounded latency.
 	QueueLimit int
-	// CheckpointDir, when set, persists each job's latest snapshot to
-	// <dir>/<jobID>.snapshot.json (atomically, via rename) so checkpoints
-	// survive the process; Spec.ResumeJob resumes from these files.
+	// CheckpointDir, when set, persists each job's latest checkpoint to
+	// <dir>/<jobID>.snapshot.json (island jobs: one
+	// <jobID>.island<i>.snapshot.json per island), atomically and with a
+	// two-slot rotation, so checkpoints survive the process;
+	// Spec.ResumeJob resumes from these files (see LoadCheckpoint).
 	CheckpointDir string
 	// ResultDir, when set, makes the result store durable: finished
 	// fronts are written there (atomic files plus an append-only index)
@@ -102,29 +104,28 @@ var (
 	ErrNotFinished = errors.New("service: job has no front yet")
 )
 
-// job is the internal job record. mu guards info/result/snapshot; the
+// job is the internal job record. mu guards info/result/ckpt; the
 // lifecycle is single-writer (the manager worker running the job) but
 // many-reader.
 type job struct {
-	mu       sync.Mutex
-	info     JobInfo
-	spec     Spec            // normalized
-	ctx      context.Context // derived from the manager root; Cancel fires it
-	cancel   context.CancelFunc
-	runCtx   context.Context // ctx plus the job deadline; set once by runJob
-	hub      *hub
-	result   *dse.Result
-	snapshot *dse.Snapshot
+	mu     sync.Mutex
+	info   JobInfo
+	spec   Spec            // normalized
+	ctx    context.Context // derived from the manager root; Cancel fires it
+	cancel context.CancelFunc
+	runCtx context.Context // ctx plus the job deadline; set once by runJob
+	hub    *hub
+	result *dse.Result
+	// ckpt is the job's latest checkpoint, the resume anchor a retried
+	// attempt restarts from (see Manager.checkpoint and resumePoint). A
+	// plain job's checkpoint is the one-island composite.
+	ckpt *dse.IslandSnapshot
 	// seeds caches the warm-start resolution of the first attempt, so a
 	// retried job re-seeds from exactly the same fronts even if the store
 	// gained results in between — keeping every attempt's trajectory (and
 	// thus the retried job's final front) identical to attempt one's.
 	seeds         []dse.Config
 	seedsResolved bool
-	// islandSnap is the island coordinator's latest composite checkpoint
-	// (island jobs only): the resume anchor a retried attempt restarts
-	// from, mirroring what snapshot does for single-search jobs.
-	islandSnap *dse.IslandSnapshot
 	// sampler collects the job's telemetry (ring + optional obs file);
 	// created by runJob, nil while the job is still queued. met is the
 	// manager's registry, threaded in so setStatus can move the
@@ -251,8 +252,8 @@ func New(cfg Config) (*Manager, error) {
 }
 
 // lastJobNumber returns the largest N among the j<N> job IDs that prefix
-// file names in dirs (checkpoint slots, island snapfiles, obs streams).
-// A directory that does not exist yet holds no IDs.
+// file names in dirs (the checkpoint slots of plain and island jobs, obs
+// streams). A directory that does not exist yet holds no IDs.
 func lastJobNumber(dirs ...string) (int, error) {
 	last := 0
 	for _, dir := range dirs {
@@ -712,9 +713,10 @@ func (m *Manager) archive(j *job, id string, res *dse.Result) {
 	j.mu.Unlock()
 }
 
-// execute materializes the scenario's compiled pipeline and runs the
-// spec's algorithm under the job's context with progress and checkpoint
-// hooks attached.
+// execute materializes the scenario's compiled pipeline, finds the
+// attempt's resume point, and runs the spec's algorithm — a plain search
+// or the island coordinator — under the job's context with progress and
+// checkpoint hooks attached.
 func (m *Manager) execute(j *job) (*dse.Result, error) {
 	spec := j.spec
 	sc, ok := scenario.Lookup(spec.Scenario)
@@ -730,37 +732,12 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 		return nil, err
 	}
 	eval := compiled.Evaluator()
-
-	if spec.Islands >= 2 {
-		return m.executeIslands(j, problem.Space(), eval)
+	resume, err := m.resumePoint(j)
+	if err != nil {
+		return nil, err
 	}
-
-	// Retry attempts resume from the latest in-memory snapshot (kept in
-	// sync with the durable file). The trajectory from that point is
-	// deterministic, so the retried job's final front matches an
-	// uninterrupted run bit for bit.
-	j.mu.Lock()
-	resume := j.snapshot
-	j.mu.Unlock()
-	// resume_job: restart from the durable checkpoint a previous job left
-	// in the server's checkpoint directory. A checkpoint that is missing or
-	// fails verification in both slots (errors wrapping os.ErrNotExist and
-	// dse.ErrCorruptSnapshot respectively) fails the job with that
-	// diagnosis — silently restarting from scratch would masquerade as a
-	// resume while exploring a different trajectory prefix.
-	if resume == nil && spec.ResumeJob != "" {
-		snap, err := LoadSnapshot(m.cfg.CheckpointDir, spec.ResumeJob)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Algorithm != spec.Algorithm {
-			return nil, fmt.Errorf("service: job %s checkpoint is a %s run, spec wants %s",
-				spec.ResumeJob, snap.Algorithm, spec.Algorithm)
-		}
-		resume = snap
-		j.mu.Lock()
-		j.info.ResumedFromStep = snap.Step
-		j.mu.Unlock()
+	if spec.Islands >= 2 {
+		return m.executeIslands(j, problem.Space(), eval, resume)
 	}
 
 	start := time.Now()
@@ -786,7 +763,9 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 			j.hub.publish(Event{Type: "progress", Progress: &info})
 		},
 		CheckpointEvery: spec.CheckpointEvery,
-		Resume:          resume,
+	}
+	if resume != nil {
+		opts.Resume = resume.Islands[0]
 	}
 	j.mu.Lock()
 	sampler := j.sampler
@@ -820,18 +799,12 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	}
 	if spec.CheckpointEvery > 0 {
 		opts.Checkpoint = func(snap *dse.Snapshot) error {
-			j.mu.Lock()
-			j.snapshot = snap
-			id := j.info.ID
-			j.mu.Unlock()
-			// The durable write is best-effort: a full disk (or injected
-			// write failure) costs durability, not the run — the in-memory
-			// snapshot above still backs retries, so log and continue.
-			if m.cfg.CheckpointDir != "" {
-				if err := writeSnapshotFile(m.cfg.CheckpointDir, id, snap); err != nil {
-					m.cfg.Logf("service: job %s: checkpoint write at step %d failed (run continues): %v", id, snap.Step, err)
-				}
-			}
+			m.checkpoint(j, &dse.IslandSnapshot{
+				Version:   dse.IslandSnapshotVersion,
+				Algorithm: snap.Algorithm,
+				Step:      snap.Step,
+				Islands:   []*dse.Snapshot{snap},
+			})
 			return nil
 		}
 	}
@@ -861,13 +834,12 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 }
 
 // executeIslands runs an island job (Spec.Islands >= 2) through the
-// island coordinator: the search is partitioned across supervised
-// islands with deterministic ring migration, island events are published
-// on the job's stream, per-island supervision state lands in
-// JobInfo.Islands, and the coordinator's composite checkpoints back both
-// in-process retries (j.islandSnap) and cross-process resume_job
-// restarts (per-island snapfiles under Config.CheckpointDir).
-func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator) (*dse.Result, error) {
+// island coordinator from resume (nil: a fresh start): the search is
+// partitioned across supervised islands with deterministic ring
+// migration, island events are published on the job's stream, per-island
+// supervision state lands in JobInfo.Islands, and every migration
+// boundary's composite checkpoint goes through Manager.checkpoint.
+func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
 	spec := j.spec
 	ijob := island.Job{
 		JobID:     j.info.ID,
@@ -879,12 +851,12 @@ func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator) (
 		Workers:   spec.Workers,
 	}
 	cfg := island.Config{
-		Islands:       spec.Islands,
-		Interval:      spec.MigrationInterval,
-		Migrants:      spec.Migrants,
-		StallTimeout:  m.cfg.IslandStallTimeout,
-		CheckpointDir: m.cfg.CheckpointDir,
-		Logf:          m.cfg.Logf,
+		Islands:      spec.Islands,
+		Interval:     spec.MigrationInterval,
+		Migrants:     spec.Migrants,
+		StallTimeout: m.cfg.IslandStallTimeout,
+		Resume:       resume,
+		OnCheckpoint: func(s *dse.IslandSnapshot) { m.checkpoint(j, s) },
 	}
 	j.mu.Lock()
 	sampler := j.sampler
@@ -894,34 +866,6 @@ func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator) (
 	}
 	if m.cfg.IslandExec != "" {
 		cfg.Runner = &island.ProcRunner{Bin: m.cfg.IslandExec}
-	}
-
-	// Retry attempts resume from the coordinator's latest composite
-	// checkpoint; a resume_job restart reassembles one from the previous
-	// job's per-island snapfiles (the newest migration boundary every
-	// island has a verified snapshot for). Missing or corrupt checkpoints
-	// fail the job with that diagnosis, exactly like the single-search
-	// resume_job path.
-	j.mu.Lock()
-	resume := j.islandSnap
-	j.mu.Unlock()
-	if resume == nil && spec.ResumeJob != "" {
-		comp, err := island.LoadCheckpoint(m.cfg.CheckpointDir, spec.ResumeJob, spec.Islands)
-		if err != nil {
-			return nil, err
-		}
-		resume = comp
-	}
-	cfg.Resume = resume
-	if resume != nil {
-		j.mu.Lock()
-		j.info.ResumedFromStep = resume.Step
-		j.mu.Unlock()
-	}
-	cfg.OnCheckpoint = func(s *dse.IslandSnapshot) {
-		j.mu.Lock()
-		j.islandSnap = s
-		j.mu.Unlock()
 	}
 
 	// OnEvent fires from coordinator and executor goroutines, all spawned

@@ -18,7 +18,8 @@ import (
 // disk that scribbled over both rotation slots.
 func corruptBothSlots(t *testing.T, dir, id string) {
 	t.Helper()
-	for _, path := range []string{snapshotPath(dir, id), snapshotPrevPath(dir, id)} {
+	latest, prev := slotPaths(dir, id, 1, 0)
+	for _, path := range []string{latest, prev} {
 		if err := os.WriteFile(path, []byte("{ not a snapshot"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +34,9 @@ func corruptBothSlots(t *testing.T, dir, id string) {
 func TestLoadSnapshotBothSlotsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	corruptBothSlots(t, dir, "j1")
-	snap, err := LoadSnapshot(dir, "j1")
-	if snap != nil {
-		t.Fatalf("corrupt slots yielded a snapshot: %+v", snap)
+	ckpt, err := LoadCheckpoint(dir, "j1", 1)
+	if ckpt != nil {
+		t.Fatalf("corrupt slots yielded a checkpoint: %+v", ckpt)
 	}
 	if !errors.Is(err, dse.ErrCorruptSnapshot) {
 		t.Fatalf("err = %v, want wrap of dse.ErrCorruptSnapshot", err)
@@ -94,38 +95,32 @@ func TestResumeJobBitIdenticalSingleRun(t *testing.T) {
 
 // TestResumeJobAlgorithmMismatch: resuming a checkpoint under a spec
 // that asks for a different algorithm must fail the job loudly instead
-// of silently starting a fresh search.
+// of silently starting a fresh search — plain and island jobs alike.
 func TestResumeJobAlgorithmMismatch(t *testing.T) {
-	dir := t.TempDir()
-	spec := smallNSGA2("ecg-ward", 7)
-	spec.CheckpointEvery = 2
+	plain := smallNSGA2("ecg-ward", 7)
+	plain.CheckpointEvery = 2
+	for name, spec := range map[string]Spec{"plain": plain, "island": islandSpec(7)} {
+		t.Run(name, func(t *testing.T) {
+			m := newTestManager(t, Config{Workers: 1, CheckpointDir: t.TempDir()})
+			defer m.Close()
+			info, _ := runToDone(t, m, spec)
 
-	m := newTestManager(t, Config{Workers: 1, CheckpointDir: dir})
-	defer m.Close()
-	info, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, m, info.ID)
-
-	wrong := Spec{
-		Scenario:  "ecg-ward",
-		Algorithm: AlgoMOSA,
-		Seed:      7,
-		Workers:   2,
-		MOSA:      &dse.MOSAConfig{Iterations: 50},
-		ResumeJob: info.ID,
-	}
-	got, err := m.Submit(wrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitDone(t, m, got.ID)
-	if final.Status != StatusFailed {
-		t.Fatalf("mismatched resume ended %s, want failed", final.Status)
-	}
-	if !strings.Contains(final.Error, "checkpoint is a nsga2 run") {
-		t.Errorf("error %q does not name the algorithm mismatch", final.Error)
+			wrong := spec
+			wrong.Algorithm, wrong.NSGA2, wrong.MOSA = AlgoMOSA, nil, &dse.MOSAConfig{Iterations: 50}
+			wrong.CheckpointEvery = 0
+			wrong.ResumeJob = info.ID
+			got, err := m.Submit(wrong)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitDone(t, m, got.ID)
+			if final.Status != StatusFailed {
+				t.Fatalf("mismatched resume ended %s, want failed", final.Status)
+			}
+			if !strings.Contains(final.Error, "checkpoint is a nsga2 run") {
+				t.Errorf("error %q does not name the algorithm mismatch", final.Error)
+			}
+		})
 	}
 }
 
@@ -230,7 +225,8 @@ func TestRestartKeepsJobIDsDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Close()
-	ckpt, err := os.ReadFile(snapshotPath(cfg.CheckpointDir, dead.ID))
+	ckptPath, _ := slotPaths(cfg.CheckpointDir, dead.ID, 1, 0)
+	ckpt, err := os.ReadFile(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +245,7 @@ func TestRestartKeepsJobIDsDistinct(t *testing.T) {
 		t.Fatalf("restarted manager reissued job ID %s", fresh.ID)
 	}
 	waitDone(t, m2, fresh.ID)
-	if after, err := os.ReadFile(snapshotPath(cfg.CheckpointDir, dead.ID)); err != nil || !bytes.Equal(after, ckpt) {
+	if after, err := os.ReadFile(ckptPath); err != nil || !bytes.Equal(after, ckpt) {
 		t.Fatalf("a fresh job rewrote %s's checkpoint (err %v)", dead.ID, err)
 	}
 

@@ -43,19 +43,24 @@
 // Neither cancelled nor timed_out jobs retry — both are verdicts, not
 // faults.
 //
-// Jobs that request checkpointing produce dse.Snapshot checkpoints at
-// search boundaries, kept in memory for retries and, with
-// Config.CheckpointDir set, written to durable checkpoint files. Those
+// Jobs that request checkpointing produce a checkpoint at search
+// boundaries (island jobs at every migration boundary). Plain and island
+// jobs share one checkpoint store: a checkpoint is a dse.IslandSnapshot
+// — a plain job's is the one-island composite — and one writer keeps it
+// in memory as the job's resume anchor and, with Config.CheckpointDir
+// set, writes each island's snapshot to durable checkpoint files. Those
 // files are checksummed and double-buffered: a file torn by a crash
-// mid-write fails verification on LoadSnapshot and recovery falls back
-// to the previous checkpoint instead of resuming from garbage. A killed
-// job resumes from them server-side (Spec.ResumeJob, below), replaying
-// the uninterrupted run's exact trajectory to a bit-identical front.
-// Checkpoint and result-store write failures degrade gracefully —
-// logged, never fatal to the job — so a full disk costs durability, not
-// the exploration budget already spent. The internal/service/faultinject
-// package provides the injection points the chaos test suite drives all
-// of this with.
+// mid-write fails verification in LoadCheckpoint, the one loader, and
+// recovery falls back to the previous checkpoint instead of resuming
+// from garbage. Every attempt starts from one resume point — the
+// in-memory anchor on a retry, the durable files for Spec.ResumeJob
+// (below) — and replays the uninterrupted run's exact trajectory to a
+// bit-identical front; JobInfo.ResumedFromStep reports the step it
+// started from. Checkpoint and result-store write failures degrade
+// gracefully — logged, never fatal to the job — so a full disk costs
+// durability, not the exploration budget already spent. The
+// internal/service/faultinject package provides the injection points the
+// chaos test suite drives all of this with.
 //
 // # Island decomposition and drain
 //
@@ -67,9 +72,10 @@
 // (Config.IslandStallTimeout) costs at most one round, and the merged
 // front stays bit-identical to an undisturbed run. Island jobs publish
 // "island" events instead of "progress", surface per-island supervision
-// state in JobInfo.Islands, and checkpoint per island; when the island
-// supervisor itself gives up, the manager's retry edge resumes from the
-// coordinator's composite checkpoint.
+// state in JobInfo.Islands, and checkpoint per island — the coordinator
+// hands each composite checkpoint to the manager, which does all the file
+// I/O; when the island supervisor itself gives up, the manager's retry
+// edge resumes from that composite.
 //
 // Spec.ResumeJob is the one way back into an interrupted run: it resumes
 // a prior job — plain or island — server-side from its durable
@@ -79,10 +85,11 @@
 // durable names: a restarted Manager numbers fresh jobs after every ID
 // its checkpoint and obs directories already hold, and a resume_job
 // naming a job it does not hold continues under that ID, appending to
-// the same obs stream. Manager.Drain is the graceful half of that
-// story: it rejects new submissions with ErrDraining, cancels running
-// jobs at their next boundary so their checkpoints land, and returns
-// once every job has settled — wsn-serve wires it to SIGINT/SIGTERM.
+// the same obs stream (after cutting off any tail a crash tore).
+// Manager.Drain is the graceful half of that story: it rejects new
+// submissions with ErrDraining, cancels running jobs at their next
+// boundary so their checkpoints land, and returns once every job has
+// settled — wsn-serve wires it to SIGINT/SIGTERM.
 //
 // # Result store and warm starts
 //

@@ -32,16 +32,16 @@ func newTestManager(tb testing.TB, cfg Config) *Manager {
 	return m
 }
 
-// memSnapshot returns the job's latest in-memory checkpoint, the one its
-// retries resume from.
-func memSnapshot(m *Manager, id string) *dse.Snapshot {
+// memCheckpoint returns the job's latest in-memory checkpoint, the
+// anchor its retries resume from.
+func memCheckpoint(m *Manager, id string) *dse.IslandSnapshot {
 	j, _ := m.lookup(id)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.snapshot
+	return j.ckpt
 }
 
-func waitDone(t *testing.T, m *Manager, id string) JobInfo {
+func waitDone(t testing.TB, m *Manager, id string) JobInfo {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -221,11 +221,11 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			waitDone(t, m, victim.ID)
 			// The durable checkpoint resume_job reads must match the
 			// in-memory snapshot retries use.
-			snap := memSnapshot(m, victim.ID)
+			snap := memCheckpoint(m, victim.ID)
 			if snap == nil {
 				t.Fatal("victim has no checkpoint")
 			}
-			fromDisk, err := LoadSnapshot(dir, victim.ID)
+			fromDisk, err := LoadCheckpoint(dir, victim.ID, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

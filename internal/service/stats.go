@@ -199,18 +199,33 @@ func (s *jobSampler) writeLoop() {
 
 // openObs opens a job's obs stream for appending. A job continued after a
 // restart (resume_job) finds its predecessor's stream there and extends
-// it instead of starting a second one behind it.
+// it instead of starting a second one behind it. A tail the predecessor's
+// crash tore is cut off first: readers stop at the first torn record, so
+// every sample appended behind it would be invisible. A file that is not
+// an obs stream at all (obs.ErrBadMagic) is left alone and fails the open.
 func openObs(path string) (*os.File, *obs.Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, err
+	d := obs.NewReader(f)
+	for {
+		_, ok, err := d.Next()
+		if err != nil {
+			_ = f.Close()
+			return nil, nil, err
+		}
+		if !ok {
+			break
+		}
 	}
-	if st.Size() > 0 {
+	if d.Truncated() {
+		if err := f.Truncate(d.Intact()); err != nil {
+			_ = f.Close()
+			return nil, nil, err
+		}
+	}
+	if d.Intact() > 0 {
 		return f, obs.NewAppendWriter(f), nil
 	}
 	return f, obs.NewWriter(f), nil

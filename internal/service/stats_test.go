@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,6 +41,71 @@ func readObsFile(t *testing.T, path string) []obs.Sample {
 		t.Fatalf("%s: %d samples, truncated=%v, err=%v", filepath.Base(path), len(samples), truncated, err)
 	}
 	return samples
+}
+
+// TestOpenObsTrimsTornTail: a continued job appends to its old obs
+// stream, and a tail the old process's crash tore is cut off first, so
+// every intact sample on either side of the restart stays readable. A
+// torn magic restarts the stream; a file that is not an obs stream fails
+// the open and is left as it was.
+func TestOpenObsTrimsTornTail(t *testing.T) {
+	fields := []string{"step", "evaluated"}
+	appendThree := func(path string, from int64) {
+		t.Helper()
+		f, w, err := openObs(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for i := from; i < from+3; i++ {
+			if err := w.WriteSample(fields, []int64{i, 10 * i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := func(path string) []int64 {
+		t.Helper()
+		var out []int64
+		for _, s := range readObsFile(t, path) {
+			out = append(out, s.Values[0])
+		}
+		return out
+	}
+	dir := t.TempDir()
+
+	path := filepath.Join(dir, "j1.obs")
+	appendThree(path, 0)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-2); err != nil { // tear the last sample
+		t.Fatal(err)
+	}
+	appendThree(path, 3)
+	if got := fmt.Sprint(steps(path)); got != "[0 1 3 4 5]" {
+		t.Fatalf("continued stream holds steps %s, want [0 1 3 4 5]", got)
+	}
+
+	torn := filepath.Join(dir, "j2.obs")
+	if err := os.WriteFile(torn, []byte(obs.Magic[:3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendThree(torn, 0)
+	if got := fmt.Sprint(steps(torn)); got != "[0 1 2]" {
+		t.Fatalf("stream behind a torn magic holds steps %s, want [0 1 2]", got)
+	}
+
+	foreign := filepath.Join(dir, "j3.obs")
+	if err := os.WriteFile(foreign, []byte("not an obs stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openObs(foreign); !errors.Is(err, obs.ErrBadMagic) {
+		t.Fatalf("foreign file: err = %v, want obs.ErrBadMagic", err)
+	}
+	if data, _ := os.ReadFile(foreign); string(data) != "not an obs stream" {
+		t.Fatalf("foreign file rewritten to %q", data)
+	}
 }
 
 // TestJobTelemetryEndToEnd runs a job with an obs directory and a

@@ -4,12 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
-
-	"wsndse/internal/dse"
-	"wsndse/internal/service/snapfile"
 )
 
 // PanicError is what the supervisor converts a panicking job attempt
@@ -54,48 +49,6 @@ func retryDelay(retry int, base, max time.Duration) time.Duration {
 		d = max
 	}
 	return time.Duration(float64(d) * (0.5 + 0.5*rand.Float64()))
-}
-
-// Checkpoint files are written through a two-slot rotation managed by
-// package snapfile: the latest snapshot at <id>.snapshot.json, its
-// predecessor at <id>.snapshot.prev.json. Writes are atomic (temp +
-// rename) and the bytes carry a SHA-256 (dse.EncodeSnapshotFile), so
-// recovery after a crash — even one that tore the latest file at the
-// filesystem level — verifies what it reads and falls back one
-// checkpoint instead of resuming from garbage.
-func snapshotBase(id string) string          { return id + ".snapshot" }
-func snapshotPath(dir, id string) string     { return snapfile.Path(dir, snapshotBase(id)) }
-func snapshotPrevPath(dir, id string) string { return snapfile.PrevPath(dir, snapshotBase(id)) }
-
-// writeSnapshotFile persists a snapshot through the snapfile rotation.
-func writeSnapshotFile(dir, id string, snap *dse.Snapshot) error {
-	data, err := dse.EncodeSnapshotFile(snap)
-	if err != nil {
-		return err
-	}
-	return snapfile.Write(dir, snapshotBase(id), data)
-}
-
-// LoadSnapshot reads a job's durable checkpoint, preferring the latest
-// file and falling back to its predecessor when the latest is missing,
-// torn, or corrupt (checksum mismatch — the kill-mid-write signature).
-// The returned error wraps dse.ErrCorruptSnapshot when candidates
-// existed but none verified, and os.ErrNotExist when none existed.
-func LoadSnapshot(dir, id string) (*dse.Snapshot, error) {
-	snap, err := snapfile.Load(dir, snapshotBase(id), func(path string, data []byte) (*dse.Snapshot, error) {
-		snap, err := dse.DecodeSnapshotFile(data)
-		if err != nil {
-			return nil, fmt.Errorf("service: snapshot %s: %w", filepath.Base(path), err)
-		}
-		return snap, nil
-	})
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("service: no snapshot for %s: %w", id, os.ErrNotExist)
-		}
-		return nil, err
-	}
-	return snap, nil
 }
 
 // errJobDeadline is the cancellation cause of a job whose
