@@ -97,27 +97,33 @@
 // # Search-layer performance
 //
 // With evaluation allocation-free, the search machinery above it is
-// engineered the same way. NSGA-II runs an ENS/Jensen-style fast
-// non-dominated sort — O(N log N) for the two-objective case, ENS with
-// binary search over fronts for three and more — on a reusable workspace,
+// engineered the same way. NSGA-II runs ENS with binary search over
+// fronts; with at most three objectives (every scenario's energy, quality
+// loss and delay) each front is a 2-D staircase over (f2, f3), so asking
+// whether a front dominates a lexicographically later point is one
+// binary search (the maxima-of-vectors sweep), and four or more
+// objectives scan the front. The sort runs on a reusable workspace,
 // ranks each generation's parent∪offspring union exactly once (the
 // survivors carry their union rank and crowding into the next
 // generation's tournaments, as in Deb's formulation), and recycles gene
 // and point buffers, so a steady-state generation performs zero heap
 // allocations. The Pareto archive stores its front sorted by lexicographic
-// objective order, which turns two-objective insertion into
-// O(log N + k)-comparison maintenance and prunes the dominance scans in
-// higher dimensions; MOSA chains reuse a single neighbour buffer. The sim
-// engine's event core is typed: value-slot events in a slab recycled
-// through a free list, ordered by an index-addressed min-heap and
-// dispatched by (kind, node, arg) with no closure or interface boxing.
-// Property tests prove
-// the fast sort produces exactly the naive reference's ranks and
-// bit-identical crowding on randomized populations, seeded NSGA-II runs
-// are bit-identical with either sort wired in, and the incremental archive
-// retains exactly the naive archive's points; AllocsPerRun regression
-// tests pin the generation loop, the annealing chain and the typed event
-// path at 0 allocs/op, and CI runs them uninstrumented in the test matrix.
+// objective order: a batch of evaluations (an NSGA-II generation, an
+// exhaustive or random batch, a snapshot restore, a merge of fronts) is
+// folded in by one sorted merge and one staircase sweep, with the same
+// result as adding its points one by one, and MOSA's single candidates
+// take the incremental insert; MOSA chains reuse a single neighbour
+// buffer. The sim engine's event core is typed: value-slot events in a
+// slab recycled through a free list, ordered by an index-addressed
+// min-heap and dispatched by (kind, node, arg) with no closure or
+// interface boxing. Property tests prove the fast sort produces exactly
+// the naive reference's ranks and bit-identical crowding on randomized
+// and front-shaped populations with two to four objectives, seeded
+// NSGA-II runs are bit-identical with either sort wired in, and the
+// archive, incremental or batched, retains exactly the naive archive's
+// points; AllocsPerRun regression tests pin the generation loop, the
+// annealing chain and the typed event path at 0 allocs/op, and CI runs
+// them uninstrumented in the test matrix.
 //
 // # Exploration service
 //

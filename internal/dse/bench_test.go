@@ -1,13 +1,15 @@
 package dse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// benchPoints draws n feasible points with continuous 2-objective vectors
-// — a representative mix of dominated and non-dominated inputs for the
-// Pareto machinery benchmarks.
+// benchPoints draws n feasible points with uniform continuous
+// m-objective vectors. With two objectives that is a representative mix
+// of dominated and non-dominated inputs; in three dimensions the fronts
+// of uniform points are tiny, so the 3-D benchmarks use frontPoints.
 func benchPoints(n, m int) []Point {
 	r := rand.New(rand.NewSource(int64(n)*31 + int64(m)))
 	pts := make([]Point, n)
@@ -15,6 +17,32 @@ func benchPoints(n, m int) []Point {
 		objs := make(Objectives, m)
 		for d := range objs {
 			objs[d] = r.Float64() * 100
+		}
+		pts[i] = Point{Config: Config{i}, Objs: objs, Feasible: true}
+	}
+	return pts
+}
+
+// frontPoints draws n feasible points near the simplex f1+…+fm = 1 — the
+// shape of a real m-objective front, where most points are mutually
+// non-dominated. Each point is a uniform point of the simplex shifted by
+// an excess drawn from [lo, hi) in every objective; grid > 0 rounds the
+// objectives to multiples of 1/grid, so ties and exact duplicates occur.
+func frontPoints(r *rand.Rand, n, m int, lo, hi float64, grid int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		objs := make(Objectives, m)
+		var sum float64
+		for d := range objs {
+			objs[d] = r.ExpFloat64()
+			sum += objs[d]
+		}
+		e := lo + (hi-lo)*r.Float64()
+		for d := range objs {
+			objs[d] = objs[d]/sum + e
+			if grid > 0 {
+				objs[d] = math.Round(objs[d]*float64(grid)) / float64(grid)
+			}
 		}
 		pts[i] = Point{Config: Config{i}, Objs: objs, Feasible: true}
 	}
@@ -78,6 +106,75 @@ func benchRankAndCrowd(b *testing.B, n int, naive bool) {
 	}
 }
 
+// benchRankAndCrowd3D is the three-objective twin on front-shaped points
+// spread over several fronts — the shape of every service scenario's
+// parent∪offspring union.
+func benchRankAndCrowd3D(b *testing.B, n int) {
+	pts := frontPoints(rand.New(rand.NewSource(int64(n))), n, 3, 0, 0.2, 0)
+	var ws sortWorkspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.rankAndCrowd(pts)
+	}
+}
+
+func BenchmarkRankAndCrowd3D256(b *testing.B)  { benchRankAndCrowd3D(b, 256) }
+func BenchmarkRankAndCrowd3D512(b *testing.B)  { benchRankAndCrowd3D(b, 512) }
+func BenchmarkRankAndCrowd3D1024(b *testing.B) { benchRankAndCrowd3D(b, 1024) }
+
+// BenchmarkArchiveAddBatch3D times one NSGA-II generation's archive work
+// at the scale of an ecg-ward search: a 256-point front-shaped batch into
+// a 1,000-point three-objective archive, as one AddBatch and as 256 Add
+// calls. The batch straddles the archive's simplex, so it inserts, evicts
+// and rejects. Every op first resets the archive to its 1,000 points (a
+// copy, the same in both variants).
+func BenchmarkArchiveAddBatch3D(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	var seed Archive
+	for _, p := range frontPoints(r, 1000, 3, 0, 0, 0) {
+		seed.Add(p)
+	}
+	base := seed.Points()
+	batch := frontPoints(r, 256, 3, -0.02, 0.08, 0)
+	for _, bc := range []struct {
+		name string
+		add  func(*Archive)
+	}{
+		{"batch", func(a *Archive) { a.AddBatch(batch) }},
+		{"add", func(a *Archive) {
+			for _, p := range batch {
+				a.Add(p)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var arch Archive
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arch.points = append(arch.points[:0], base...)
+				bc.add(&arch)
+			}
+			b.ReportMetric(float64(arch.Len()), "points")
+		})
+	}
+}
+
+// BenchmarkHypervolume3D1024 times the telemetry sampler's final-boundary
+// call on a 1,024-point three-objective front.
+func BenchmarkHypervolume3D1024(b *testing.B) {
+	front := frontPoints(rand.New(rand.NewSource(1024)), 1024, 3, 0, 0, 0)
+	ref := Objectives{1.1, 1.1, 1.1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if Hypervolume(front, ref) <= 0 {
+			b.Fatal("empty hypervolume")
+		}
+	}
+}
+
 func BenchmarkRankAndCrowd64(b *testing.B)        { benchRankAndCrowd(b, 64, false) }
 func BenchmarkRankAndCrowd256(b *testing.B)       { benchRankAndCrowd(b, 256, false) }
 func BenchmarkRankAndCrowd1024(b *testing.B)      { benchRankAndCrowd(b, 1024, false) }
@@ -92,6 +189,30 @@ func BenchmarkRankAndCrowdNaive1024(b *testing.B) { benchRankAndCrowd(b, 1024, t
 func BenchmarkNSGA2Generations256(b *testing.B) {
 	s := testSpace(64, 16, 16)
 	eval := &convexEvaluator{space: s}
+	const gens = 8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := NSGA2(s, eval, NSGA2Config{
+			PopulationSize: 256, Generations: gens, Seed: int64(i + 1), Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Front) == 0 {
+			b.Fatal("empty front")
+		}
+	}
+	b.ReportMetric(float64(b.N*gens)/b.Elapsed().Seconds(), "gens/s")
+}
+
+// BenchmarkNSGA2Generations3D256 is the three-objective twin of
+// BenchmarkNSGA2Generations256, the objective count of every service
+// scenario: the fronts are surfaces, not curves, so ranking and the
+// archive carry far more points.
+func BenchmarkNSGA2Generations3D256(b *testing.B) {
+	s := testSpace(64, 16, 16)
+	eval := &simplexEvaluator{space: s}
 	const gens = 8
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -141,8 +141,11 @@ type Snapshot struct {
 	Infeasible int         `json:"infeasible"`
 }
 
-// validateResume checks the snapshot's envelope against the resuming run.
-func (s *Snapshot) validateResume(algo string, space *Space) error {
+// validateResume checks the snapshot's envelope against the resuming run:
+// every point must index the space and, when objs > 0, every feasible
+// point must carry objs objectives (the evaluator's count), since the
+// front machinery reads objectives by index.
+func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil snapshot")
 	}
@@ -159,6 +162,9 @@ func (s *Snapshot) validateResume(algo string, space *Space) error {
 		}
 		if !space.Valid(sp.Config) {
 			return fmt.Errorf("dse: snapshot %s point %v does not index the space", kind, sp.Config)
+		}
+		if objs > 0 && sp.Feasible && len(sp.Objs) != objs {
+			return fmt.Errorf("dse: snapshot %s point has %d objectives, evaluator has %d", kind, len(sp.Objs), objs)
 		}
 		return nil
 	}
@@ -257,11 +263,10 @@ func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// restoreArchive rebuilds an Archive from snapshot points. The stored set
-// is mutually non-dominated and insertion order never changes the archived
-// set, so the rebuilt front is bit-identical to the snapshotted one.
+// restoreArchive adds snapshot points to arch as one batch. Restoring a
+// snapshot's archive into an empty Archive rebuilds it bit-identically:
+// the stored set is mutually non-dominated and insertion order never
+// changes the archived set.
 func restoreArchive(arch *Archive, sps []SnapPoint) {
-	for _, sp := range sps {
-		arch.Add(sp.point())
-	}
+	arch.AddBatch(restorePoints(sps))
 }

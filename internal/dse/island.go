@@ -186,17 +186,13 @@ func InjectMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) (*Snapsh
 		out.Crowd = append(InfFloats(nil), crowd...)
 		var arch Archive
 		restoreArchive(&arch, out.Archive)
-		for _, m := range accepted {
-			arch.Add(m.point())
-		}
+		restoreArchive(&arch, accepted)
 		out.Archive = snapPoints(arch.Points())
 	case "mosa":
 		for i := range out.Chains {
 			var arch Archive
 			restoreArchive(&arch, out.Chains[i].Archive)
-			for _, m := range accepted {
-				arch.Add(m.point())
-			}
+			restoreArchive(&arch, accepted)
 			out.Chains[i].Archive = snapPoints(arch.Points())
 		}
 	default:
@@ -286,6 +282,8 @@ type IslandSnapshot struct {
 }
 
 // Validate checks the composite against the run about to resume from it.
+// Objective counts are not checked here: each island's run checks them
+// against its evaluator when it resumes.
 func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil island snapshot")
@@ -306,7 +304,7 @@ func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error 
 		if snap.Step != s.Step {
 			return fmt.Errorf("dse: island %d checkpointed at step %d, composite says %d", i, snap.Step, s.Step)
 		}
-		if err := snap.validateResume(algo, space); err != nil {
+		if err := snap.validateResume(algo, space, 0); err != nil {
 			return fmt.Errorf("dse: island %d: %w", i, err)
 		}
 	}

@@ -155,18 +155,19 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		}
 	}
 
-	merged := func() *Archive {
-		var arch Archive
+	// merged rebuilds the union of the chain archives in one Archive
+	// reused across boundaries; each call overwrites the previous front.
+	var front Archive
+	merged := func() []Point {
+		front.points = front.points[:0]
 		for _, c := range chains {
-			for _, p := range c.arch.Points() {
-				arch.Add(p)
-			}
+			front.AddBatch(c.arch.Points())
 		}
-		return &arch
+		return front.Points()
 	}
 	result := func() *Result {
 		evaluated, infeasible := pe.Stats()
-		return &Result{Front: merged().Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+		return &Result{Front: merged(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	for seg := startSeg; seg < segments; seg++ {
 		upTo := (seg + 1) * mosaSegment
@@ -178,7 +179,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		})
 		evaluated, infeasible := pe.Stats()
 		err := opts.boundary("mosa", seg+1, segments, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return merged().Points() },
+			pe, merged,
 			func() *Snapshot { return snapChains(seg+1, chains, baseEval+evaluated, baseInf+infeasible) })
 		if err != nil {
 			return result(), err
@@ -286,7 +287,7 @@ func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snaps
 // restoreChains rebuilds the chains from a snapshot and primes the memo
 // cache with every archived point.
 func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEvaluator, chains []*mosaChain) error {
-	if err := snap.validateResume("mosa", space); err != nil {
+	if err := snap.validateResume("mosa", space, pe.NumObjectives()); err != nil {
 		return err
 	}
 	if len(snap.Chains) != len(chains) {

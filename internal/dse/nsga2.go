@@ -170,7 +170,7 @@ func (r *nsga2Run) snapshot(step int, src *splitMix64, arch *Archive, evaluated,
 // prime the memo cache so re-visited configurations are cache hits rather
 // than re-evaluations.
 func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *ParallelEvaluator, arch *Archive) error {
-	if err := snap.validateResume("nsga2", space); err != nil {
+	if err := snap.validateResume("nsga2", space, pe.NumObjectives()); err != nil {
 		return err
 	}
 	n := r.cfg.PopulationSize
@@ -251,9 +251,7 @@ func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 		r.space.RandomInto(rng, r.children[i])
 	}
 	r.pop = r.pe.EvaluateBatchInto(r.children, r.pop)
-	for _, p := range r.pop {
-		arch.Add(p)
-	}
+	arch.AddBatch(r.pop)
 	ranks, crowd := r.ws.rankAndCrowd(r.pop)
 	copy(r.ranks, ranks)
 	copy(r.crowd, crowd)
@@ -280,9 +278,7 @@ func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 		r.space.MutateInPlace(rng, child, r.cfg.MutationProb)
 	}
 	r.offspring = r.pe.EvaluateBatchInto(r.children, r.offspring)
-	for _, p := range r.offspring {
-		arch.Add(p)
-	}
+	arch.AddBatch(r.offspring)
 
 	// Elitist environmental selection over parents ∪ offspring, reusing
 	// the union's ranking for the survivors.

@@ -55,75 +55,14 @@ func dominatesConstrained(a, b Point) bool {
 }
 
 // NonDominated filters points to the Pareto-optimal subset among the
-// feasible ones (infeasible points never survive), preserving input order.
-// Duplicate objective vectors are kept once (the earliest occurrence).
-//
-// The filter runs on the lexicographic prefilter of the fast
-// non-dominated sort: after sorting feasible points by objectives only a
-// lexicographic predecessor can dominate a point, so the two-objective
-// case is a single O(N log N) sweep and higher dimensions compare each
-// point against the provisional front only.
+// feasible ones (infeasible points never survive) and returns it in
+// lexicographic objective order. Duplicate objective vectors are kept
+// once (the earliest occurrence). It is one AddBatch into a fresh
+// Archive.
 func NonDominated(points []Point) []Point {
-	order := make([]int, 0, len(points))
-	for i := range points {
-		if points[i].Feasible {
-			order = append(order, i)
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	lex := lexSorter{pop: points, idx: order}
-	sort.Sort(&lex)
-
-	keep := make([]bool, len(points))
-	if len(points[order[0]].Objs) == 2 {
-		// Sweep: a distinct lexicographic predecessor dominates iff its
-		// second objective is <= ours; track the running minimum.
-		best := math.Inf(1)
-		for k, i := range order {
-			if k > 0 && equalObjs(points[order[k-1]].Objs, points[i].Objs) {
-				continue // duplicate: first occurrence already decided
-			}
-			if f2 := points[i].Objs[1]; f2 < best {
-				keep[i] = true
-				best = f2
-			}
-		}
-	} else {
-		front := order[:0:0] // front member indices, lex order
-		for k, i := range order {
-			if k > 0 && equalObjs(points[order[k-1]].Objs, points[i].Objs) {
-				continue
-			}
-			dominated := false
-			for m := len(front) - 1; m >= 0; m-- {
-				q := points[front[m]].Objs
-				dom := true
-				for d := range q {
-					if q[d] > points[i].Objs[d] {
-						dom = false
-						break
-					}
-				}
-				if dom {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				keep[i] = true
-				front = append(front, i)
-			}
-		}
-	}
-	var out []Point
-	for i := range points {
-		if keep[i] {
-			out = append(out, points[i])
-		}
-	}
-	return out
+	var a Archive
+	a.AddBatch(points)
+	return a.Points()
 }
 
 func equalObjs(a, b Objectives) bool {
@@ -138,16 +77,21 @@ func equalObjs(a, b Objectives) bool {
 	return true
 }
 
-// Archive maintains a non-dominated set incrementally, stored sorted by
-// lexicographic objective order. Keeping the front sorted by the first
-// objective is what makes insertion cheap: only lexicographic predecessors
-// can dominate a candidate and only successors can be dominated by it, so
-// the two-objective case (where sortedness additionally forces the second
-// objective to be strictly decreasing) inserts in O(log N + k) comparisons
-// for k evictions, and higher dimensions scan one pruned side each instead
-// of the whole front twice.
+// Archive maintains a non-dominated set, stored sorted by lexicographic
+// objective order. Sortedness is what makes maintenance cheap: only
+// lexicographic predecessors can dominate a candidate and only successors
+// can be dominated by it. Add inserts one point — O(log N + k) for k
+// evictions with two objectives, one pruned scan per side otherwise —
+// and suits a caller that adds one point at a time. AddBatch folds a
+// whole batch in with one sorted merge and one staircase sweep (see
+// sortfast.go): with at most three objectives, a binary search per
+// merged point instead of an archive scan per batch point, and the same
+// result as one Add per batch point.
 type Archive struct {
 	points []Point
+	spare  []Point // AddBatch's merge target; swaps with points
+	order  []int   // AddBatch's feasible batch indices, lex-sorted
+	stair  staircase
 }
 
 // Add inserts p if no archived point dominates it, evicting points it
@@ -216,6 +160,53 @@ func (a *Archive) Add(p Point) bool {
 	return true
 }
 
+// AddBatch adds ps with the result of len(ps) calls to Add in order:
+// the same points, keeping the first occurrence of each objective vector,
+// in lexicographic order. It lex-sorts the feasible points of the batch
+// (ties by batch position), merges them with the archive (archived
+// points first among equal vectors) and keeps each merged point that no
+// kept point dominates or equals — one staircase query over (f2, f3).
+// That is exact because the archive is the first-occurrence non-dominated
+// set of everything fed to it and dominance is transitive. Vectors of
+// four or more objectives are added one by one.
+func (a *Archive) AddBatch(ps []Point) {
+	a.order = a.order[:0]
+	for i := range ps {
+		if ps[i].Feasible {
+			a.order = append(a.order, i)
+		}
+	}
+	if len(a.order) == 0 {
+		return
+	}
+	if len(ps[a.order[0]].Objs) > 3 {
+		for _, i := range a.order {
+			a.Add(ps[i])
+		}
+		return
+	}
+	sortLex(ps, a.order)
+
+	out := a.spare[:0]
+	a.stair = a.stair[:0]
+	arch, batch := a.points, a.order
+	for len(arch) > 0 || len(batch) > 0 {
+		var p Point
+		if len(batch) == 0 || len(arch) > 0 && !lexLessObjs(ps[batch[0]].Objs, arch[0].Objs) {
+			p, arch = arch[0], arch[1:]
+		} else {
+			p, batch = ps[batch[0]], batch[1:]
+		}
+		y, z := stairKey(p.Objs)
+		if a.stair.covers(y, z) {
+			continue
+		}
+		a.stair.insert(y, z)
+		out = append(out, p)
+	}
+	a.points, a.spare = out, a.points
+}
+
 // lexLessObjs compares objective vectors lexicographically.
 func lexLessObjs(x, y Objectives) bool {
 	for i := range x {
@@ -226,10 +217,11 @@ func lexLessObjs(x, y Objectives) bool {
 	return false
 }
 
-// Points returns the archived front in lexicographic objective order
-// (shared slice; callers must not modify). The sorted order is part of the
+// Points returns the archived front in lexicographic objective order. The
+// slice is the archive's own storage: callers must not modify it, and the
+// next Add or AddBatch may overwrite it. The sorted order is part of the
 // determinism story: the archived set never depends on insertion order,
-// and now neither does its presentation.
+// and neither does its presentation.
 func (a *Archive) Points() []Point { return a.points }
 
 // Len returns the archive size.
@@ -241,9 +233,7 @@ func (a *Archive) Len() int { return len(a.points) }
 // of the front even when objective vectors repeat.
 func CrowdingDistance(front []Point) []float64 {
 	dist := make([]float64, len(front))
-	idx := make([]int, len(front))
-	var s objSorter
-	crowdingInto(front, dist, idx, &s)
+	crowdingInto(front, dist, make([]crowdKey, len(front)))
 	return dist
 }
 
@@ -279,12 +269,21 @@ func Hypervolume(front []Point, ref Objectives) float64 {
 
 // hv2 sweeps points by the first objective.
 func hv2(pts []Objectives, ref Objectives) float64 {
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a][0] != pts[b][0] {
-			return pts[a][0] < pts[b][0]
-		}
-		return pts[a][1] < pts[b][1]
-	})
+	sort.Slice(pts, func(a, b int) bool { return lessXY(pts[a], pts[b]) })
+	return sweepXY(pts, ref)
+}
+
+// lessXY is hv2's order: first objective, then second.
+func lessXY(p, q Objectives) bool {
+	if p[0] != q[0] {
+		return p[0] < q[0]
+	}
+	return p[1] < q[1]
+}
+
+// sweepXY is the area the first two objectives of pts dominate below
+// (ref[0], ref[1]); pts must be in lessXY order.
+func sweepXY(pts []Objectives, ref Objectives) float64 {
 	var hv float64
 	bestY := ref[1]
 	for _, p := range pts {
@@ -297,25 +296,28 @@ func hv2(pts []Objectives, ref Objectives) float64 {
 }
 
 // hv3 slices along the third objective: between consecutive z values the
-// dominated area is the 2-D hypervolume of the points with z below the
-// slice.
+// dominated volume is the 2-D hypervolume of the points with z below the
+// slice times the slice's depth. The points below the slice are kept in
+// hv2's order by binary insertion, so each slice is one sweep, with the
+// same products summed in the same order as hv2 would.
 func hv3(pts []Objectives, ref Objectives) float64 {
 	sort.Slice(pts, func(a, b int) bool { return pts[a][2] < pts[b][2] })
+	below := make([]Objectives, 0, len(pts))
 	var hv float64
-	for i := 0; i < len(pts); i++ {
+	for i, p := range pts {
+		k := sort.Search(len(below), func(j int) bool { return !lessXY(below[j], p) })
+		below = append(below, nil)
+		copy(below[k+1:], below[k:])
+		below[k] = p
 		zTop := ref[2]
 		if i+1 < len(pts) {
 			zTop = pts[i+1][2]
 		}
-		dz := zTop - pts[i][2]
+		dz := zTop - p[2]
 		if dz <= 0 {
 			continue
 		}
-		slice := make([]Objectives, 0, i+1)
-		for j := 0; j <= i; j++ {
-			slice = append(slice, Objectives{pts[j][0], pts[j][1]})
-		}
-		hv += hv2(slice, Objectives{ref[0], ref[1]}) * dz
+		hv += sweepXY(below, ref) * dz
 	}
 	return hv
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -312,6 +313,49 @@ func TestHypervolume3D(t *testing.T) {
 	if got := Hypervolume(two, Objectives{3, 3, 3}); math.Abs(got-11) > 1e-12 {
 		t.Errorf("HV = %g, want 11", got)
 	}
+	// The in-place slice sweep sums the same products in the same order
+	// as the copy-and-sort reference, on grid fronts (ties, duplicates)
+	// and continuous ones, dominated points included.
+	for trial := 0; trial < 500; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		grid := 0
+		if trial%2 == 0 {
+			grid = 5 + r.Intn(30)
+		}
+		pts := frontPoints(r, 1+r.Intn(200), 3, 0, 0.2*r.Float64(), grid)
+		ref := Objectives{1.5, 1.5, 1.5}
+		var objs []Objectives
+		for _, p := range pts {
+			objs = append(objs, p.Objs)
+		}
+		want := hv3Reference(objs, ref)
+		if got := Hypervolume(pts, ref); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: HV = %v, reference %v", trial, got, want)
+		}
+	}
+}
+
+// hv3Reference is the copy-and-sort 3-D hypervolume hv3 replaced, kept
+// verbatim as the bit-equality reference.
+func hv3Reference(pts []Objectives, ref Objectives) float64 {
+	sort.Slice(pts, func(a, b int) bool { return pts[a][2] < pts[b][2] })
+	var hv float64
+	for i := 0; i < len(pts); i++ {
+		zTop := ref[2]
+		if i+1 < len(pts) {
+			zTop = pts[i+1][2]
+		}
+		dz := zTop - pts[i][2]
+		if dz <= 0 {
+			continue
+		}
+		slice := make([]Objectives, 0, i+1)
+		for j := 0; j <= i; j++ {
+			slice = append(slice, Objectives{pts[j][0], pts[j][1]})
+		}
+		hv += hv2(slice, Objectives{ref[0], ref[1]}) * dz
+	}
+	return hv
 }
 
 // Hypervolume grows (weakly) when points are added.

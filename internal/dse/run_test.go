@@ -235,7 +235,8 @@ func TestCheckpointErrorAborts(t *testing.T) {
 }
 
 // TestSnapshotResumeValidation covers the refusal paths: wrong algorithm,
-// wrong version, mismatched population size, out-of-space configs.
+// wrong version, mismatched population size, out-of-space configs, short
+// objective vectors.
 func TestSnapshotResumeValidation(t *testing.T) {
 	s := testSpace(8, 3)
 	eval := &convexEvaluator{space: s}
@@ -265,6 +266,21 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
 		t.Error("out-of-space config accepted")
 	}
+	// Short objective vectors: the front machinery reads objectives by
+	// index, so they must be refused, not resumed into a panic.
+	if len(snap.Archive) < 2 {
+		t.Fatalf("archive has %d points, want >= 2", len(snap.Archive))
+	}
+	bad = roundTrip(t, snap)
+	bad.Archive[1].Objs = bad.Archive[1].Objs[:1]
+	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+		t.Error("short archive objective vector accepted")
+	}
+	bad = roundTrip(t, snap)
+	bad.Population[0].Objs = bad.Population[0].Objs[:1]
+	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+		t.Error("short population objective vector accepted")
+	}
 
 	// MOSA must reject a snapshot from a longer run than the resuming
 	// config allows, instead of silently returning the restored archives.
@@ -275,6 +291,14 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 	if msnap == nil {
 		t.Fatal("no MOSA snapshot captured")
+	}
+	bad = roundTrip(t, msnap)
+	if len(bad.Chains[0].Archive) == 0 {
+		t.Fatal("MOSA chain 0 has an empty archive")
+	}
+	bad.Chains[0].Archive[0].Objs = bad.Chains[0].Archive[0].Objs[:1]
+	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+		t.Error("short MOSA chain-archive objective vector accepted")
 	}
 	msnap.Step = 99
 	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: msnap}); err == nil {

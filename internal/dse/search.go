@@ -52,7 +52,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	skip := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("exhaustive", space); err != nil {
+		if err := opts.Resume.validateResume("exhaustive", space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > total {
@@ -71,9 +71,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	}
 	batch := make([]Config, 0, exhaustiveBatch)
 	flush := func() {
-		for _, p := range pe.EvaluateBatchInto(batch, nil) {
-			arch.Add(p)
-		}
+		arch.AddBatch(pe.EvaluateBatchInto(batch, nil))
 		batch = batch[:0]
 	}
 	idx := 0
@@ -142,7 +140,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	drawn := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("random", space); err != nil {
+		if err := opts.Resume.validateResume("random", space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > budget {
@@ -174,9 +172,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		}
 		drawn += n
 		points = pe.EvaluateBatchInto(configs, points)
-		for _, p := range points {
-			arch.Add(p)
-		}
+		arch.AddBatch(points)
 		step := (drawn + exhaustiveBatch - 1) / exhaustiveBatch
 		evaluated, infeasible := pe.Stats()
 		consumed := drawn

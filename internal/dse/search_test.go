@@ -42,12 +42,31 @@ func (e *convexEvaluator) Evaluate(c Config) (Objectives, error) {
 	return Objectives{t + excess, 1 - t + excess}, nil
 }
 
-// constrainedEvaluator marks a band of the space infeasible.
-type constrainedEvaluator struct {
-	inner *convexEvaluator
+// simplexEvaluator is the three-objective twin of convexEvaluator: the
+// first two genes pick a point on the simplex f1+f2+f3 = 1 and the
+// remaining genes add the same excess to all three objectives, so the
+// true front is the excess-0 simplex.
+type simplexEvaluator struct{ space *Space }
+
+func (e *simplexEvaluator) NumObjectives() int { return 3 }
+
+func (e *simplexEvaluator) Evaluate(c Config) (Objectives, error) {
+	t := e.space.Value(c, 0) / float64(len(e.space.Params[0].Values)-1)
+	u := (1 - t) * e.space.Value(c, 1) / float64(len(e.space.Params[1].Values)-1)
+	excess := 0.0
+	for i := 2; i < len(c); i++ {
+		excess += e.space.Value(c, i)
+	}
+	excess /= 10
+	return Objectives{t + excess, u + excess, 1 - t - u + excess}, nil
 }
 
-func (e *constrainedEvaluator) NumObjectives() int { return 2 }
+// constrainedEvaluator marks a band of the space infeasible.
+type constrainedEvaluator struct {
+	inner Evaluator
+}
+
+func (e *constrainedEvaluator) NumObjectives() int { return e.inner.NumObjectives() }
 func (e *constrainedEvaluator) Evaluate(c Config) (Objectives, error) {
 	if c[0]%3 == 1 {
 		return nil, core.Infeasible("band %d excluded", c[0])

@@ -2,15 +2,20 @@ package dse
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file holds the fast non-dominated sorting machinery behind the
-// NSGA-II generation loop: an ENS/Jensen-style sort that is O(N log N) for
-// the two-objective case (the paper's baseline view) and an ENS-BS sort
-// with a lexicographic prefilter for three and more objectives, both
-// running entirely on reusable workspace buffers so steady-state
-// generations allocate nothing.
+// NSGA-II generation loop and the Archive's batch merge. Points are
+// visited in lexicographic objective order, so only an earlier point can
+// dominate a later one. With at most three objectives, "does an earlier
+// point of this set dominate p" becomes "does the set's (f2, f3)
+// staircase hold a corner <= (p.f2, p.f3)": an O(log |F|) query instead
+// of a scan of F. ENS-BS keeps one staircase per front (one corner per
+// front for two objectives), so ranking N points costs O(N log N) plus
+// the staircase splices; four and more objectives fall back to scanning
+// each front's members. Everything runs on reusable workspace buffers,
+// so steady-state generations allocate nothing.
 //
 // Equivalence with the O(MN²) reference implementation
 // (rankAndCrowdNaive) is part of the contract, not an aspiration: both
@@ -25,45 +30,92 @@ import (
 // search internals produce bit-identical NSGA-II runs.
 var testNaiveRank = false
 
-// lexSorter sorts a population index permutation by lexicographic
-// objective order, ties broken by index so the permutation is a
-// deterministic function of the population. It is persistent workspace
-// state so sort.Sort sees an already-heap-allocated value and the sort
-// itself allocates nothing.
-type lexSorter struct {
-	pop []Point
-	idx []int
+// sortLex sorts a permutation of population indices into lexicographic
+// objective order, ties broken by index, so the permutation is a
+// deterministic function of the population.
+func sortLex(pop []Point, idx []int) {
+	slices.SortFunc(idx, func(a, b int) int {
+		x, y := pop[a].Objs, pop[b].Objs
+		for k := range x {
+			if x[k] != y[k] {
+				if x[k] < y[k] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return a - b
+	})
 }
 
-func (s *lexSorter) Len() int      { return len(s.idx) }
-func (s *lexSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *lexSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	x, y := s.pop[a].Objs, s.pop[b].Objs
-	for k := range x {
-		if x[k] != y[k] {
-			return x[k] < y[k]
+// corner is one step of a staircase: the (f2, f3) projection of a point.
+type corner struct{ y, z float64 }
+
+// staircase is the 2-D non-dominated set of the (f2, f3) projections of
+// points visited in lexicographic order, kept with y strictly ascending
+// and z strictly descending. Every visited point is lexicographically
+// smaller than the next query, so a visited point dominates or equals
+// the query exactly when its projection is componentwise <= the query's:
+// "does anything visited so far dominate p" is one binary search. This
+// is the maxima-of-vectors sweep of Kung, Luccio & Preparata (JACM 1975),
+// which Jensen (IEEE TEC 2003) applied to non-dominated sorting.
+type staircase []corner
+
+// covers reports whether some corner is componentwise <= (y, z). Of the
+// corners with corner.y <= y, the last one has the smallest z.
+func (s staircase) covers(y, z float64) bool {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].y <= y {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return a < b
+	return lo > 0 && s[lo-1].z <= z
 }
 
-// objSorter orders front-local indices by one objective, ties broken by
-// index — the deterministic ordering the crowding computation runs on.
-type objSorter struct {
-	front []Point
-	idx   []int
-	obj   int
-}
-
-func (s *objSorter) Len() int      { return len(s.idx) }
-func (s *objSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *objSorter) Less(i, j int) bool {
-	a, b := s.front[s.idx[i]].Objs[s.obj], s.front[s.idx[j]].Objs[s.obj]
-	if a != b {
-		return a < b
+// insert adds (y, z), which no corner may cover, and drops the corners it
+// covers: they are the run of corners from the first one with y' >= y
+// while z' >= z.
+func (s *staircase) insert(y, z float64) {
+	c := *s
+	lo, hi := 0, len(c)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c[mid].y < y {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return s.idx[i] < s.idx[j]
+	j := lo
+	for j < len(c) && c[j].z >= z {
+		j++
+	}
+	switch {
+	case j == lo: // nothing covered: open a slot
+		c = append(c, corner{})
+		copy(c[lo+1:], c[lo:])
+	case j > lo+1: // several covered: close the gap
+		c = append(c[:lo+1], c[j:]...)
+	}
+	c[lo] = corner{y, z}
+	*s = c
+}
+
+// stairKey projects a vector of at most three objectives onto the
+// staircase plane, reading a missing objective as 0: with two objectives
+// every front's staircase is a single corner, its minimum f2.
+func stairKey(o Objectives) (y, z float64) {
+	switch len(o) {
+	case 3:
+		return o[1], o[2]
+	case 2:
+		return o[1], 0
+	}
+	return 0, 0
 }
 
 // sortWorkspace owns every buffer the fast non-dominated sort needs, so a
@@ -72,15 +124,13 @@ func (s *objSorter) Less(i, j int) bool {
 type sortWorkspace struct {
 	ranks  []int
 	crowd  []float64
-	order  []int     // feasible population indices in lexicographic order
-	minf2  []float64 // two-objective sweep: min f2 per front, non-decreasing
-	fronts [][]int   // per-front member indices (ENS state, then crowding buckets)
-	nf     int       // fronts in use
-	member []Point   // one front's points, gathered for crowding
-	dist   []float64 // crowding scratch
-	idx    []int     // crowding scratch
-	lex    lexSorter
-	objs   objSorter
+	order  []int       // feasible population indices in lexicographic order
+	stairs []staircase // per-front staircases (M <= 3)
+	fronts [][]int     // per-front member indices (M >= 4), then crowding buckets
+	nf     int         // fronts in use
+	member []Point     // one front's points, gathered for crowding
+	dist   []float64   // crowding scratch
+	keys   []crowdKey  // crowding scratch
 }
 
 // rankAndCrowd computes the non-domination rank (0 = best) and crowding
@@ -94,8 +144,8 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 		return rankAndCrowdNaive(pop)
 	}
 	n := len(pop)
-	ws.ranks = growInts(ws.ranks, n)
-	ws.crowd = growFloats(ws.crowd, n)
+	ws.ranks = grow(ws.ranks, n)
+	ws.crowd = grow(ws.crowd, n)
 	if n == 0 {
 		return ws.ranks, ws.crowd
 	}
@@ -109,17 +159,11 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 			infeasible++
 		}
 	}
-	ws.lex.pop, ws.lex.idx = pop, ws.order
-	sort.Sort(&ws.lex)
-	ws.lex.pop = nil
+	sortLex(pop, ws.order)
 
 	maxRank := -1
 	if len(ws.order) > 0 {
-		if len(pop[ws.order[0]].Objs) == 2 {
-			maxRank = ws.sweep2(pop)
-		} else {
-			maxRank = ws.ensBS(pop)
-		}
+		maxRank = ws.ensBS(pop)
 	}
 	nFronts := maxRank + 1
 	if infeasible > 0 {
@@ -144,9 +188,9 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 		for _, i := range members {
 			ws.member = append(ws.member, pop[i])
 		}
-		ws.dist = growFloats(ws.dist, len(members))
-		ws.idx = growInts(ws.idx, len(members))
-		crowdingInto(ws.member, ws.dist, ws.idx, &ws.objs)
+		ws.dist = grow(ws.dist, len(members))
+		ws.keys = grow(ws.keys, len(members))
+		crowdingInto(ws.member, ws.dist, ws.keys)
 		for k, i := range members {
 			ws.crowd[i] = ws.dist[k]
 		}
@@ -154,52 +198,17 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 	return ws.ranks, ws.crowd
 }
 
-// sweep2 is Jensen's two-objective non-dominated sort: process points in
-// lexicographic order and binary-search the non-decreasing per-front
-// minimum-f2 array for the first front that does not dominate the point —
-// the longest-increasing-subsequence patience trick, O(N log N) total.
-// Exact duplicates inherit the representative's front (equal vectors never
-// dominate each other). Returns the highest feasible rank.
-func (ws *sortWorkspace) sweep2(pop []Point) int {
-	ws.minf2 = ws.minf2[:0]
-	for k, i := range ws.order {
-		if k > 0 {
-			if j := ws.order[k-1]; equalObjs(pop[j].Objs, pop[i].Objs) {
-				ws.ranks[i] = ws.ranks[j]
-				continue
-			}
-		}
-		f2 := pop[i].Objs[1]
-		// A lex-earlier distinct point dominates iff its f2 <= ours, so
-		// front r dominates iff minf2[r] <= f2; place at the first front
-		// whose minimum exceeds f2.
-		lo, hi := 0, len(ws.minf2)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ws.minf2[mid] > f2 {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		if lo == len(ws.minf2) {
-			ws.minf2 = append(ws.minf2, f2)
-		} else {
-			ws.minf2[lo] = f2
-		}
-		ws.ranks[i] = lo
-	}
-	return len(ws.minf2) - 1
-}
-
-// ensBS is the efficient non-dominated sort with binary search over fronts
-// for three and more objectives: points arrive in lexicographic order, so
-// only already-placed points can dominate a newcomer, domination of a
-// lex-earlier distinct point reduces to componentwise <=, and the fronts
-// that dominate a point always form a prefix. Exact duplicates inherit the
-// representative's front and are not re-added as members. Returns the
-// highest feasible rank.
+// ensBS is the efficient non-dominated sort with binary search over
+// fronts: points arrive in lexicographic order, so only already-placed
+// points can dominate a newcomer, domination by a lex-earlier distinct
+// point reduces to componentwise <=, and the fronts that dominate a point
+// always form a prefix. With at most three objectives each front is a
+// staircase and "does front f dominate p" is one covers query; four and
+// more objectives scan the front's members. Exact duplicates inherit the
+// representative's front and are not re-added. Returns the highest
+// feasible rank.
 func (ws *sortWorkspace) ensBS(pop []Point) int {
+	stairs := len(pop[ws.order[0]].Objs) <= 3
 	ws.nf = 0
 	for k, i := range ws.order {
 		if k > 0 {
@@ -208,31 +217,51 @@ func (ws *sortWorkspace) ensBS(pop []Point) int {
 				continue
 			}
 		}
+		objs := pop[i].Objs
+		y, z := stairKey(objs)
 		lo, hi := 0, ws.nf
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if ws.frontDominates(pop, mid, pop[i].Objs) {
+			var dominated bool
+			if stairs {
+				dominated = ws.stairs[mid].covers(y, z)
+			} else {
+				dominated = ws.frontDominates(pop, mid, objs)
+			}
+			if dominated {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
 		if lo == ws.nf {
-			if ws.nf == len(ws.fronts) {
-				ws.fronts = append(ws.fronts, nil)
+			if stairs {
+				if ws.nf == len(ws.stairs) {
+					ws.stairs = append(ws.stairs, nil)
+				}
+				ws.stairs[ws.nf] = ws.stairs[ws.nf][:0]
+			} else {
+				if ws.nf == len(ws.fronts) {
+					ws.fronts = append(ws.fronts, nil)
+				}
+				ws.fronts[ws.nf] = ws.fronts[ws.nf][:0]
 			}
-			ws.fronts[ws.nf] = ws.fronts[ws.nf][:0]
 			ws.nf++
 		}
-		ws.fronts[lo] = append(ws.fronts[lo], i)
+		if stairs {
+			ws.stairs[lo].insert(y, z)
+		} else {
+			ws.fronts[lo] = append(ws.fronts[lo], i)
+		}
 		ws.ranks[i] = lo
 	}
 	return ws.nf - 1
 }
 
-// frontDominates reports whether any member of front f dominates objs.
-// Members are scanned newest-first: the most recently placed points are
-// closest in lexicographic order and the likeliest dominators.
+// frontDominates reports whether any member of front f dominates objs —
+// the four-or-more-objective fallback of ensBS. Members are scanned
+// newest-first: the most recently placed points are closest in
+// lexicographic order and the likeliest dominators.
 func (ws *sortWorkspace) frontDominates(pop []Point, f int, objs Objectives) bool {
 	members := ws.fronts[f]
 	for k := len(members) - 1; k >= 0; k-- {
@@ -263,11 +292,32 @@ func (ws *sortWorkspace) ensureFronts(n int) {
 	ws.nf = n
 }
 
+// crowdKey is one front member's value on the objective being sorted,
+// tagged with its front position.
+type crowdKey struct {
+	v float64
+	i int
+}
+
+// compareCrowdKeys orders crowding keys by value, ties broken by front
+// position — a total order, so every sort algorithm yields the same
+// permutation.
+func compareCrowdKeys(a, b crowdKey) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return a.i - b.i
+}
+
 // crowdingInto is the canonical crowding computation: NSGA-II crowding
 // distance over front, written into dist, with the per-objective orderings
 // fully determined (objective value, then front position) so equal inputs
-// always produce bit-equal outputs regardless of sort algorithm.
-func crowdingInto(front []Point, dist []float64, idx []int, s *objSorter) {
+// always produce bit-equal outputs regardless of sort algorithm. keys is
+// scratch of len(front).
+func crowdingInto(front []Point, dist []float64, keys []crowdKey) {
 	n := len(front)
 	for i := range dist[:n] {
 		dist[i] = 0
@@ -276,25 +326,21 @@ func crowdingInto(front []Point, dist []float64, idx []int, s *objSorter) {
 		return
 	}
 	m := len(front[0].Objs)
-	s.front, s.idx = front, idx
 	for obj := 0; obj < m; obj++ {
-		for i := range idx {
-			idx[i] = i
+		for i := range keys {
+			keys[i] = crowdKey{front[i].Objs[obj], i}
 		}
-		s.obj = obj
-		sort.Sort(s)
-		lo := front[idx[0]].Objs[obj]
-		hi := front[idx[n-1]].Objs[obj]
-		dist[idx[0]] = math.Inf(1)
-		dist[idx[n-1]] = math.Inf(1)
+		slices.SortFunc(keys, compareCrowdKeys)
+		lo, hi := keys[0].v, keys[n-1].v
+		dist[keys[0].i] = math.Inf(1)
+		dist[keys[n-1].i] = math.Inf(1)
 		if hi == lo {
 			continue
 		}
 		for k := 1; k < n-1; k++ {
-			dist[idx[k]] += (front[idx[k+1]].Objs[obj] - front[idx[k-1]].Objs[obj]) / (hi - lo)
+			dist[keys[k].i] += (keys[k+1].v - keys[k-1].v) / (hi - lo)
 		}
 	}
-	s.front = nil
 }
 
 // rankAndCrowdNaive is the O(MN²) reference: pairwise constrained-dominance
@@ -360,18 +406,10 @@ func rankAndCrowdNaive(pop []Point) (ranks []int, crowd []float64) {
 	return ranks, crowd
 }
 
-// growInts returns s resized to n, reallocating only on capacity growth.
-func growInts(s []int, n int) []int {
+// grow returns s resized to n, reallocating only on capacity growth.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growFloats returns s resized to n, reallocating only on capacity growth.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -28,16 +28,34 @@ func randomPopulation(r *rand.Rand) []Point {
 	return pop
 }
 
+// frontPopulation draws up to 512 front-shaped points (near the simplex,
+// so fronts are large) with 2, 3 or 4 objectives, rounded to a grid so
+// ties and exact duplicates occur, with a feasibility mix.
+func frontPopulation(r *rand.Rand) []Point {
+	n := 1 + r.Intn(512)
+	pop := frontPoints(r, n, 2+r.Intn(3), 0, 0.3, 10+r.Intn(40))
+	for i := range pop {
+		pop[i].Feasible = r.Intn(5) > 0
+	}
+	return pop
+}
+
 // TestFastSortMatchesNaive is the equivalence proof the tentpole demands:
 // on >= 1000 randomized populations (2 and 3 objectives, duplicates,
-// infeasible mixes, singleton and all-equal degenerate shapes) the fast
-// workspace sort returns exactly the naive reference's ranks and
-// bit-identical crowding distances.
+// infeasible mixes, singleton and all-equal degenerate shapes) plus
+// front-shaped populations of up to 512 points with 2, 3 and 4
+// objectives, the fast workspace sort returns exactly the naive
+// reference's ranks and bit-identical crowding distances.
 func TestFastSortMatchesNaive(t *testing.T) {
 	var ws sortWorkspace
-	for trial := 0; trial < 1200; trial++ {
+	for trial := 0; trial < 1500; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		pop := randomPopulation(r)
+		var pop []Point
+		if trial < 1200 {
+			pop = randomPopulation(r)
+		} else {
+			pop = frontPopulation(r)
+		}
 		wantRanks, wantCrowd := rankAndCrowdNaive(pop)
 		gotRanks, gotCrowd := ws.rankAndCrowd(pop)
 		for i := range pop {
@@ -89,25 +107,30 @@ func TestFastSortDegenerateShapes(t *testing.T) {
 // ranks, per Deb's formulation), never from the fast sort.
 func TestNSGA2FastVsNaiveBitIdentical(t *testing.T) {
 	s := testSpace(12, 4, 3)
-	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	for _, seed := range []int64{1, 7, 42} {
-		cfg := NSGA2Config{PopulationSize: 20, Generations: 12, Seed: seed}
-		fast, err := NSGA2(s, eval, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testNaiveRank = true
-		naive, err := NSGA2(s, eval, cfg)
-		testNaiveRank = false
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Evaluated != naive.Evaluated || fast.Infeasible != naive.Infeasible {
-			t.Fatalf("seed %d: counts (%d,%d) vs naive (%d,%d)",
-				seed, fast.Evaluated, fast.Infeasible, naive.Evaluated, naive.Infeasible)
-		}
-		if !reflect.DeepEqual(fast.Front, naive.Front) {
-			t.Fatalf("seed %d: fronts differ\nfast:  %+v\nnaive: %+v", seed, fast.Front, naive.Front)
+	for _, eval := range []Evaluator{
+		&constrainedEvaluator{inner: &convexEvaluator{space: s}},
+		&constrainedEvaluator{inner: &simplexEvaluator{space: s}},
+	} {
+		m := eval.NumObjectives()
+		for _, seed := range []int64{1, 7, 42} {
+			cfg := NSGA2Config{PopulationSize: 20, Generations: 12, Seed: seed}
+			fast, err := NSGA2(s, eval, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testNaiveRank = true
+			naive, err := NSGA2(s, eval, cfg)
+			testNaiveRank = false
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.Evaluated != naive.Evaluated || fast.Infeasible != naive.Infeasible {
+				t.Fatalf("m=%d seed %d: counts (%d,%d) vs naive (%d,%d)",
+					m, seed, fast.Evaluated, fast.Infeasible, naive.Evaluated, naive.Infeasible)
+			}
+			if !reflect.DeepEqual(fast.Front, naive.Front) {
+				t.Fatalf("m=%d seed %d: fronts differ\nfast:  %+v\nnaive: %+v", m, seed, fast.Front, naive.Front)
+			}
 		}
 	}
 }
@@ -137,28 +160,42 @@ func (a *naiveArchive) Add(p Point) bool {
 
 // TestArchiveMatchesNaiveArchive drives the incremental sorted archive and
 // the pre-rewrite reference through identical random insertion sequences
-// (2 and 3 objectives): every Add must return the same verdict and the
+// (2, 3 and 4 objectives): every Add must return the same verdict and the
 // retained point sets must be identical — same points, not merely the same
 // objective multiset, which the Config identity tags verify. Since MOSA's
 // acceptance energy and archive merging read the archive as a set, this is
 // the "before/after" proof that seeded MOSA runs are unchanged by the
-// archive rewrite (up to the now-sorted presentation of Points).
+// archive rewrite (up to the now-sorted presentation of Points). The same
+// sequence also goes through AddBatch in random-size chunks (empty and
+// all-infeasible ones included), which must hold exactly the Add
+// archive's points after every chunk.
 func TestArchiveMatchesNaiveArchive(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		m := 2 + r.Intn(2)
+		m := 2 + r.Intn(3)
 		n := 1 + r.Intn(120)
-		var fast Archive
+		var fast, batched Archive
 		var naive naiveArchive
-		for i := 0; i < n; i++ {
-			objs := make(Objectives, m)
-			for d := range objs {
-				objs[d] = float64(r.Intn(7))
+		for i := 0; i < n; {
+			size := r.Intn(12) // 0: an empty chunk
+			allInfeasible := r.Intn(8) == 0
+			chunk := make([]Point, 0, size)
+			for ; len(chunk) < size && i < n; i++ {
+				objs := make(Objectives, m)
+				for d := range objs {
+					objs[d] = float64(r.Intn(7))
+				}
+				p := Point{Config: Config{i}, Objs: objs, Feasible: !allInfeasible && r.Intn(8) > 0}
+				got, want := fast.Add(p), naive.Add(p)
+				if got != want {
+					t.Fatalf("trial %d insert %d (%v): Add = %v, naive %v", trial, i, objs, got, want)
+				}
+				chunk = append(chunk, p)
 			}
-			p := Point{Config: Config{i}, Objs: objs, Feasible: r.Intn(8) > 0}
-			got, want := fast.Add(p), naive.Add(p)
-			if got != want {
-				t.Fatalf("trial %d insert %d (%v): Add = %v, naive %v", trial, i, objs, got, want)
+			batched.AddBatch(chunk)
+			if !sameArchive(batched.Points(), fast.Points()) {
+				t.Fatalf("trial %d after insert %d: AddBatch archive\n%v\nAdd archive\n%v",
+					trial, i, batched.Points(), fast.Points())
 			}
 		}
 		if fast.Len() != len(naive.points) {
@@ -183,29 +220,45 @@ func TestArchiveMatchesNaiveArchive(t *testing.T) {
 	}
 }
 
+// sameArchive reports whether two archives hold the same points — the
+// same Config tags with the same objectives — in the same order.
+func sameArchive(a, b []Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Config[0] != b[i].Config[0] || !equalObjs(a[i].Objs, b[i].Objs) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestNSGA2GenerationSteadyStateZeroAllocs pins the pooled-buffer claim:
 // once the memo cache and archive have converged on a small space, a full
 // NSGA-II generation (tournaments, variation, batch evaluation, fast
 // non-dominated sort, environmental selection, archive maintenance)
-// performs zero heap allocations.
+// performs zero heap allocations, with two objectives and with three.
 func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	s := testSpace(6, 3)
-	eval := &convexEvaluator{space: s}
-	cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: 1}
-	cfg = cfg.withDefaults(len(s.Params))
-	pe := NewParallelEvaluator(eval, 1)
-	var arch Archive
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	r := newNSGA2Run(s, pe, cfg)
-	r.seed(rng, &arch, nil)
-	for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
-		r.generation(rng, &arch)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		r.generation(rng, &arch)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state generation allocates %.1f objects, want 0", allocs)
+	for _, eval := range []Evaluator{&convexEvaluator{space: s}, &simplexEvaluator{space: s}} {
+		cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: 1}
+		cfg = cfg.withDefaults(len(s.Params))
+		pe := NewParallelEvaluator(eval, 1)
+		var arch Archive
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		r := newNSGA2Run(s, pe, cfg)
+		r.seed(rng, &arch, nil)
+		for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
+			r.generation(rng, &arch)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			r.generation(rng, &arch)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d objectives: steady-state generation allocates %.1f objects, want 0",
+				eval.NumObjectives(), allocs)
+		}
 	}
 }
 

@@ -278,18 +278,20 @@ func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
 	return mergeResults(resps), nil
 }
 
-// mergeResults folds the per-island fronts through one Archive in island
-// order — deterministic regardless of which island finished first.
+// mergeResults folds the per-island fronts through one Archive batch in
+// island order — deterministic regardless of which island finished first.
 func mergeResults(resps []*Response) *dse.Result {
-	var arch dse.Archive
 	out := &dse.Result{}
+	var all []dse.Point
 	for _, r := range resps {
 		out.Evaluated += r.Result.Evaluated
 		out.Infeasible += r.Result.Infeasible
 		for _, sp := range r.Result.Front {
-			arch.Add(dse.Point{Config: sp.Config, Objs: sp.Objs, Feasible: sp.Feasible})
+			all = append(all, dse.Point{Config: sp.Config, Objs: sp.Objs, Feasible: sp.Feasible})
 		}
 	}
+	var arch dse.Archive
+	arch.AddBatch(all)
 	out.Front = arch.Points()
 	return out
 }
