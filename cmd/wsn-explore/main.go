@@ -1,14 +1,16 @@
 // Command wsn-explore runs a multi-objective design-space exploration of a
 // registered scenario with the analytical model — the paper's end-to-end
 // use case generalized to heterogeneous workloads. It supports the full
-// three-metric model or the energy/delay-only baseline view, with NSGA-II,
-// simulated annealing or random search.
+// three-metric model or the energy/delay-only baseline view, with any
+// algorithm in dse's table: NSGA-II, simulated annealing, exhaustive
+// enumeration (spaces up to dse.DefaultMaxPoints points) or random search.
 //
 // Example:
 //
 //	wsn-explore -list-scenarios
 //	wsn-explore -scenario dense-gts -algo nsga2 -pop 96 -gen 60 -workers 8
 //	wsn-explore -scenario athletes -objectives baseline -algo mosa -iters 6000
+//	wsn-explore -scenario raw-stream -algo exhaustive
 //	wsn-explore -csv front.csv
 //
 // Generated scenario families (see -list-families) register hundreds of
@@ -51,7 +53,7 @@ func main() {
 		familySpec   = flag.String("family", "", "enable scenario families first: a name, comma list, or 'all' (see -list-families)")
 		list         = flag.Bool("list-scenarios", false, "list registered scenarios and exit")
 		listFamilies = flag.Bool("list-families", false, "list scenario families and their axes, then exit")
-		algo         = flag.String("algo", "nsga2", "search algorithm: nsga2 | mosa | random")
+		algo         = flag.String("algo", "nsga2", "search algorithm: "+strings.Join(dse.Algorithms(), " | "))
 		objectives   = flag.String("objectives", "full", "evaluator: full (energy, quality, delay) | baseline (energy, delay)")
 		pop          = flag.Int("pop", 96, "NSGA-II population size")
 		gen          = flag.Int("gen", 60, "NSGA-II generations")
@@ -83,6 +85,12 @@ func main() {
 	if *list {
 		listScenarios()
 		return
+	}
+	search := dse.Search{Algorithm: *algo, Seed: *seed, Workers: *workers, Budget: *iters,
+		NSGA2: &dse.NSGA2Config{PopulationSize: *pop, Generations: *gen},
+		MOSA:  &dse.MOSAConfig{Iterations: *iters}}
+	if err := search.Validate(); err != nil {
+		fail(err)
 	}
 
 	sc, err := cliutil.LookupScenario(*scenarioName)
@@ -129,8 +137,8 @@ func main() {
 		}
 	}
 	if *warmStart != "" {
-		if *algo != "nsga2" && *algo != "mosa" {
-			fmt.Fprintf(os.Stderr, "wsn-explore: -warm-start only seeds nsga2/mosa, ignored for %s\n", *algo)
+		if !search.Injectable() {
+			fmt.Fprintf(os.Stderr, "wsn-explore: -warm-start is ignored for %s, which takes no seed points\n", *algo)
 		} else {
 			src, closeSrc, err := openWarmStartSource(*warmStart)
 			if err != nil {
@@ -159,21 +167,7 @@ func main() {
 			}
 		}
 	}
-	var res *dse.Result
-	switch *algo {
-	case "nsga2":
-		res, err = dse.NSGA2Opts(problem.Space(), eval, dse.NSGA2Config{
-			PopulationSize: *pop, Generations: *gen, Seed: *seed, Workers: *workers,
-		}, opts)
-	case "mosa":
-		res, err = dse.MOSAOpts(problem.Space(), eval, dse.MOSAConfig{
-			Iterations: *iters, Seed: *seed, Workers: *workers,
-		}, opts)
-	case "random":
-		res, err = dse.RandomSearchOpts(problem.Space(), eval, *iters, *seed, *workers, opts)
-	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := search.Run(problem.Space(), eval, opts)
 	interrupted := errors.Is(err, context.Canceled) && res != nil
 	if err != nil && !interrupted {
 		fail(err)

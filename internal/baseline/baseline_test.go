@@ -63,7 +63,7 @@ func TestBaselineEvaluates(t *testing.T) {
 
 func TestLift(t *testing.T) {
 	p, full := wardEvaluator(t)
-	res, err := dse.RandomSearch(p.Space(), Project(full, 0, 2), 300, 5)
+	res, err := dse.RandomSearchOpts(p.Space(), Project(full, 0, 2), 300, 5, 1, dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

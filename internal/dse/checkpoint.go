@@ -142,9 +142,10 @@ type Snapshot struct {
 }
 
 // validateResume checks the snapshot's envelope against the resuming run:
-// every point must index the space and, when objs > 0, every feasible
-// point must carry objs objectives (the evaluator's count), since the
-// front machinery reads objectives by index.
+// no cursor (Step, Next, a chain's Iter) may be negative, or the run
+// would overrun its budget; every point must index the space and, when
+// objs > 0, every feasible point must carry objs objectives (the
+// evaluator's count), since the front machinery reads objectives by index.
 func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil snapshot")
@@ -154,6 +155,9 @@ func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 	}
 	if s.Algorithm != algo {
 		return fmt.Errorf("dse: snapshot is a %s run, cannot resume as %s", s.Algorithm, algo)
+	}
+	if s.Step < 0 || s.Next < 0 {
+		return fmt.Errorf("dse: snapshot cursor is negative (step %d, next %d)", s.Step, s.Next)
 	}
 	genes := len(space.Params)
 	check := func(kind string, sp SnapPoint) error {
@@ -179,6 +183,9 @@ func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 		}
 	}
 	for _, ch := range s.Chains {
+		if ch.Iter < 0 {
+			return fmt.Errorf("dse: snapshot chain cursor is negative (iter %d)", ch.Iter)
+		}
 		if err := check("chain", ch.Cur); err != nil {
 			return err
 		}

@@ -29,27 +29,6 @@ func ForkSeed(seed int64, island int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Steps returns the number of search boundaries (completed generations)
-// a run with this config performs after defaulting — the unit
-// Options.StopAfter, CheckpointEvery and migration intervals count in.
-func (c NSGA2Config) Steps() int {
-	if c.Generations == 0 {
-		return 50
-	}
-	return c.Generations
-}
-
-// Steps returns the number of search boundaries (completed chain
-// segments) a run with this config performs after defaulting.
-func (c MOSAConfig) Steps() int {
-	d := c.withDefaults()
-	perChain := d.Iterations / d.Restarts
-	if perChain <= 0 {
-		return 0
-	}
-	return (perChain + mosaSegment - 1) / mosaSegment
-}
-
 // cloneSnapPoints deep-copies snapshot points (Config and Objs storage
 // included), so mutating the copy never aliases the original snapshot.
 func cloneSnapPoints(sps []SnapPoint) []SnapPoint {
@@ -92,43 +71,27 @@ func (s *Snapshot) Clone() *Snapshot {
 	return &out
 }
 
-// snapshotFront rebuilds the non-dominated set a snapshot has discovered
-// so far: the run archive for NSGA-II, the merge of every chain's
-// guiding archive for MOSA. Points come back in the Archive's
-// lexicographic objective order, so selection over them is
-// deterministic.
-func snapshotFront(snap *Snapshot) []Point {
-	var arch Archive
-	switch snap.Algorithm {
-	case "nsga2":
-		restoreArchive(&arch, snap.Archive)
-	case "mosa":
-		for _, ch := range snap.Chains {
-			restoreArchive(&arch, ch.Archive)
-		}
-	}
-	return arch.Points()
-}
-
 // MigrantsOut selects up to k migrants from the snapshot's current
 // front, stride-sampled across the whole front (the same shape
 // Options.validSeeds uses, and for the same reason: a front is ordered
 // along the tradeoff curve, and a prefix would export only one end of
 // it). The result deep-copies the snapshot's storage and is a pure
 // function of (snap, k), so every executor arrangement exports the same
-// migrants. Snapshots of algorithms without migration support (or an
+// migrants. Snapshots of algorithms that take no injected points (or an
 // empty front, or k <= 0) yield nil.
 func MigrantsOut(snap *Snapshot, k int) []SnapPoint {
 	if snap == nil || k <= 0 {
 		return nil
 	}
-	front := snapshotFront(snap)
+	a := lookup(snap.Algorithm)
+	if a.front == nil {
+		return nil
+	}
+	front := a.front(snap)
 	if len(front) == 0 {
 		return nil
 	}
-	if k > len(front) {
-		k = len(front)
-	}
+	k = min(k, len(front))
 	out := make([]SnapPoint, k)
 	for i := range out {
 		out[i] = snapPoint(front[i*len(front)/k])
@@ -137,75 +100,69 @@ func MigrantsOut(snap *Snapshot, k int) []SnapPoint {
 }
 
 // InjectMigrants returns a deep copy of snap with migrants folded into
-// the algorithm's state, leaving snap itself untouched:
-//
-//   - nsga2: migrants replace the worst population members (rank
-//     descending, crowding ascending, index descending — the exact
-//     inverse of environmental selection's order), capped at half the
-//     population so immigration never displaces the island's whole gene
-//     pool; the post-injection population is re-ranked, and migrants
-//     join the run archive.
-//   - mosa: migrants join every chain's guiding archive, steering each
-//     chain's acceptance energy toward the neighbours' fronts; chain
-//     positions, temperatures and RNG states are untouched.
-//
-// Migrants that do not index the space, are infeasible, carry a
-// mismatched objective count, or duplicate a point already present are
-// skipped, never an error — a migration between islands exploring the
-// same region is naturally mostly duplicates. The result is a pure
-// function of (snap, migrants, space): injection itself draws no
-// randomness, so the resumed trajectory depends only on what was
-// injected, not on when or where.
+// the algorithm's state, leaving snap itself untouched. Migrants that do
+// not index the space, are infeasible, carry a mismatched objective
+// count, or duplicate a point already present are skipped, never an
+// error: islands exploring the same region mostly exchange duplicates.
+// Injection draws no randomness, so the result is a pure function of
+// (snap, migrants, space).
 func InjectMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) (*Snapshot, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("dse: inject migrants into nil snapshot")
 	}
+	a := lookup(snap.Algorithm)
+	if a.inject == nil {
+		return nil, fmt.Errorf("dse: algorithm %q does not support migration", snap.Algorithm)
+	}
 	out := snap.Clone()
-	accepted := acceptMigrants(space, snap, migrants)
+	accepted := acceptMigrants(space, snap, a.front, migrants)
 	if len(accepted) == 0 {
 		return out, nil
 	}
-	switch snap.Algorithm {
-	case "nsga2":
-		n := len(out.Population)
-		if n == 0 {
-			return nil, fmt.Errorf("dse: nsga2 snapshot has no population to inject into")
-		}
-		if limit := n / 2; len(accepted) > limit {
-			accepted = accepted[:limit]
-		}
-		pop := restorePoints(out.Population)
-		worst := worstIndices(out.Ranks, out.Crowd)
-		for i, m := range accepted {
-			pop[worst[i]] = m.point()
-		}
-		var ws sortWorkspace
-		ranks, crowd := ws.rankAndCrowd(pop)
-		out.Population = snapPoints(pop)
-		out.Ranks = append([]int(nil), ranks...)
-		out.Crowd = append(InfFloats(nil), crowd...)
-		var arch Archive
-		restoreArchive(&arch, out.Archive)
-		restoreArchive(&arch, accepted)
-		out.Archive = snapPoints(arch.Points())
-	case "mosa":
-		for i := range out.Chains {
-			var arch Archive
-			restoreArchive(&arch, out.Chains[i].Archive)
-			restoreArchive(&arch, accepted)
-			out.Chains[i].Archive = snapPoints(arch.Points())
-		}
-	default:
-		return nil, fmt.Errorf("dse: algorithm %q does not support migration", snap.Algorithm)
+	if err := a.inject(out, accepted); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// acceptMigrants filters migrants down to feasible, space-valid,
-// objective-bearing points, dropping duplicates of the snapshot's
-// population (NSGA-II) and among the migrants themselves, preserving
-// first-seen order.
-func acceptMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) []SnapPoint {
+// injectPopulation is NSGA-II's injection: migrants replace the worst
+// population members (the inverse of environmental selection's order),
+// at most half the population so immigration never displaces the whole
+// gene pool; the population is re-ranked and migrants join the archive.
+func injectPopulation(out *Snapshot, accepted []SnapPoint) error {
+	n := len(out.Population)
+	if n == 0 {
+		return fmt.Errorf("dse: nsga2 snapshot has no population to inject into")
+	}
+	accepted = accepted[:min(len(accepted), n/2)]
+	pop := restorePoints(out.Population)
+	worst := worstIndices(out.Ranks, out.Crowd)
+	for i, m := range accepted {
+		pop[worst[i]] = m.point()
+	}
+	var ws sortWorkspace
+	ranks, crowd := ws.rankAndCrowd(pop)
+	out.Population = snapPoints(pop)
+	out.Ranks = append([]int(nil), ranks...)
+	out.Crowd = append(InfFloats(nil), crowd...)
+	out.Archive = snapPoints(archivePoints(out.Archive, accepted))
+	return nil
+}
+
+// injectChains is MOSA's injection: migrants join every chain's guiding
+// archive; chain positions, temperatures and RNG states are untouched.
+func injectChains(out *Snapshot, accepted []SnapPoint) error {
+	for i := range out.Chains {
+		out.Chains[i].Archive = snapPoints(archivePoints(out.Chains[i].Archive, accepted))
+	}
+	return nil
+}
+
+// acceptMigrants filters migrants down to feasible, space-valid points
+// with as many objectives as the snapshot's front (front is the table
+// entry's), dropping duplicates of the snapshot's population (NSGA-II)
+// and among the migrants themselves, preserving first-seen order.
+func acceptMigrants(space *Space, snap *Snapshot, front func(*Snapshot) []Point, migrants []SnapPoint) []SnapPoint {
 	if len(migrants) == 0 {
 		return nil
 	}
@@ -213,16 +170,9 @@ func acceptMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) []SnapPo
 	for _, sp := range snap.Population {
 		seen[sp.Config.Key()] = true
 	}
-	objs := -1
-	if len(snap.Archive) > 0 {
-		objs = len(snap.Archive[0].Objs)
-	} else {
-		for _, ch := range snap.Chains {
-			if len(ch.Archive) > 0 {
-				objs = len(ch.Archive[0].Objs)
-				break
-			}
-		}
+	objs := -1 // no front yet: any count goes
+	if f := front(snap); len(f) > 0 {
+		objs = len(f[0].Objs)
 	}
 	out := make([]SnapPoint, 0, len(migrants))
 	for _, m := range migrants {

@@ -110,18 +110,26 @@ func TestForkSeedDecorrelates(t *testing.T) {
 }
 
 func TestConfigSteps(t *testing.T) {
-	if got := (NSGA2Config{}).Steps(); got != 50 {
-		t.Errorf("default NSGA2 Steps = %d, want 50", got)
-	}
-	if got := (NSGA2Config{Generations: 12}).Steps(); got != 12 {
-		t.Errorf("NSGA2 Steps = %d, want 12", got)
-	}
-	// 8192 iterations over 4 chains = 2048 per chain = 8 segments of 256.
-	if got := (MOSAConfig{Iterations: 8192, Restarts: 4}).Steps(); got != 8 {
-		t.Errorf("MOSA Steps = %d, want 8", got)
-	}
-	if got := (MOSAConfig{}).Steps(); got != 5 {
-		t.Errorf("default MOSA Steps = %d, want 5 (1250 iterations per chain)", got)
+	space := testSpace(20, 18, 6) // 2160 points: 3 exhaustive batches
+	for _, tc := range []struct {
+		name   string
+		search Search
+		want   int
+	}{
+		{"default NSGA2", Search{Algorithm: "nsga2"}, 50},
+		{"NSGA2", Search{Algorithm: "nsga2", NSGA2: &NSGA2Config{Generations: 12}}, 12},
+		// 8192 iterations over 4 chains = 2048 per chain = 8 segments of 256.
+		{"MOSA", Search{Algorithm: "mosa", MOSA: &MOSAConfig{Iterations: 8192, Restarts: 4}}, 8},
+		{"default MOSA (1250 iterations per chain)", Search{Algorithm: "mosa"}, 5},
+		{"random", Search{Algorithm: "random", Budget: 3000}, 3},
+		{"default random", Search{Algorithm: "random"}, 4},
+		{"exhaustive", Search{Algorithm: "exhaustive"}, 3},
+		{"exhaustive over its limit", Search{Algorithm: "exhaustive", MaxPoints: 1000}, 0},
+		{"unknown algorithm", Search{Algorithm: "gradient-descent"}, 0},
+	} {
+		if got := tc.search.Steps(space); got != tc.want {
+			t.Errorf("%s Steps = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -245,6 +253,7 @@ func TestInjectMigrantsFiltersGarbage(t *testing.T) {
 		{Config: Config{99, 99, 99}, Objs: Objectives{1, 2}, Feasible: true},             // out of range
 		{Config: Config{1, 1}, Objs: Objectives{1, 2}, Feasible: true},                   // wrong gene count
 		{Config: Config{1, 1, 1}, Feasible: false},                                       // infeasible
+		{Config: Config{2, 2, 2}, Objs: Objectives{1, 2, 3}, Feasible: true},             // objective count
 		{Config: nsga2Snap.Population[0].Config, Objs: Objectives{1, 2}, Feasible: true}, // duplicate
 	}
 	out, err := InjectMigrants(s, nsga2Snap, garbage)
@@ -294,5 +303,12 @@ func TestIslandSnapshotFileRoundTrip(t *testing.T) {
 	comp.Islands[1].Step++
 	if err := comp.Validate("nsga2", 2, s); err == nil {
 		t.Error("step skew accepted")
+	}
+	comp.Step = -3
+	for _, isl := range comp.Islands {
+		isl.Step = -3
+	}
+	if err := comp.Validate("nsga2", 2, s); err == nil {
+		t.Error("negative step accepted")
 	}
 }

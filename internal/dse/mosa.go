@@ -26,8 +26,9 @@ type MOSAConfig struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// validate rejects out-of-domain values before defaulting.
-func (c MOSAConfig) validate() error {
+// Validate rejects out-of-domain values; MOSA runs it first. Zero values
+// select defaults, explicit values must be in domain.
+func (c MOSAConfig) Validate() error {
 	if c.Iterations < 0 {
 		return fmt.Errorf("dse: MOSA iteration budget %d is negative (use 0 for the default)", c.Iterations)
 	}
@@ -36,17 +37,6 @@ func (c MOSAConfig) validate() error {
 	}
 	if c.InitialTemp < 0 {
 		return fmt.Errorf("dse: MOSA initial temperature %g is negative (use 0 for the default)", c.InitialTemp)
-	}
-	return nil
-}
-
-// Validate is the exported domain check, for callers (the exploration
-// service) that want to reject a bad configuration before committing a
-// worker to it. It accepts everything MOSA itself accepts: zero values
-// select defaults, explicit values must be in domain.
-func (c MOSAConfig) Validate() error {
-	if err := c.validate(); err != nil {
-		return err
 	}
 	if c.Cooling != 0 && (c.Cooling <= 0 || c.Cooling >= 1) {
 		return fmt.Errorf("dse: cooling factor %g must be in (0,1)", c.Cooling)
@@ -73,6 +63,15 @@ func (c MOSAConfig) withDefaults() MOSAConfig {
 		c.Restarts = 4
 	}
 	return c
+}
+
+// segments returns how many chain segments a defaulted config runs.
+func (c MOSAConfig) segments() int {
+	perChain := c.Iterations / c.Restarts
+	if perChain <= 0 {
+		return 0
+	}
+	return (perChain + mosaSegment - 1) / mosaSegment
 }
 
 // chainSeed derives chain ch's RNG seed from the run seed with a
@@ -117,21 +116,14 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Cooling <= 0 || cfg.Cooling >= 1 {
-		return nil, fmt.Errorf("dse: cooling factor %g must be in (0,1)", cfg.Cooling)
-	}
-	if cfg.Iterations < cfg.Restarts {
-		return nil, fmt.Errorf("dse: MOSA budget of %d iterations gives the %d chains zero length",
-			cfg.Iterations, cfg.Restarts)
-	}
 	pe := NewParallelEvaluator(eval, cfg.Workers)
 
 	perChain := cfg.Iterations / cfg.Restarts
-	segments := (perChain + mosaSegment - 1) / mosaSegment
+	segments := cfg.segments()
 	chains := make([]*mosaChain, cfg.Restarts)
 	startSeg := 0
 	var baseEval, baseInf int

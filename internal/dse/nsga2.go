@@ -25,8 +25,9 @@ type NSGA2Config struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// validate rejects out-of-domain values before defaulting.
-func (c NSGA2Config) validate() error {
+// Validate rejects out-of-domain values; NSGA2 runs it first. Zero values
+// select defaults, and an explicit population size must be even and ≥ 4.
+func (c NSGA2Config) Validate() error {
 	if c.PopulationSize < 0 {
 		return fmt.Errorf("dse: NSGA-II population size %d is negative (use 0 for the default)", c.PopulationSize)
 	}
@@ -38,17 +39,6 @@ func (c NSGA2Config) validate() error {
 	}
 	if c.MutationProb < 0 || c.MutationProb > 1 {
 		return fmt.Errorf("dse: NSGA-II mutation probability %g out of [0,1]", c.MutationProb)
-	}
-	return nil
-}
-
-// Validate is the exported domain check, for callers (the exploration
-// service) that want to reject a bad configuration before committing a
-// worker to it. It accepts everything NSGA2 itself accepts: zero values
-// select defaults, and an explicit population size must be even and ≥ 4.
-func (c NSGA2Config) Validate() error {
-	if err := c.validate(); err != nil {
-		return err
 	}
 	if c.PopulationSize != 0 && (c.PopulationSize < 4 || c.PopulationSize%2 != 0) {
 		return fmt.Errorf("dse: population size %d must be even and ≥ 4", c.PopulationSize)
@@ -100,13 +90,10 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults(len(space.Params))
-	if cfg.PopulationSize < 4 || cfg.PopulationSize%2 != 0 {
-		return nil, fmt.Errorf("dse: population size %d must be even and ≥ 4", cfg.PopulationSize)
-	}
 	rng, src := newSearchRand(cfg.Seed)
 	pe := NewParallelEvaluator(eval, cfg.Workers)
 	var arch Archive

@@ -305,21 +305,21 @@ func TestMOSAWorkerEquivalence(t *testing.T) {
 func TestExhaustiveWorkerEquivalence(t *testing.T) {
 	s := testSpace(9, 5, 4)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	seq, err := ExhaustiveParallel(s, eval, 1000, 1)
+	seq, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExhaustiveParallel(s, eval, 1000, 8)
+	par, err := ExhaustiveOpts(s, eval, 1000, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, seq, par, "exhaustive")
-	// And the single-worker wrapper matches too.
-	wrapped, err := Exhaustive(s, eval, 1000)
+	// And the table's single-worker entry matches too.
+	wrapped, err := Search{Algorithm: "exhaustive", MaxPoints: 1000, Workers: 1}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, seq, wrapped, "exhaustive wrapper")
+	sameResult(t, seq, wrapped, "exhaustive table entry")
 }
 
 // TestRandomSearchWorkerEquivalence checks the pre-drawn batch: the RNG
@@ -327,11 +327,11 @@ func TestExhaustiveWorkerEquivalence(t *testing.T) {
 func TestRandomSearchWorkerEquivalence(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	seq, err := RandomSearchParallel(s, eval, 400, 1, 1)
+	seq, err := RandomSearchOpts(s, eval, 400, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RandomSearchParallel(s, eval, 400, 1, 8)
+	par, err := RandomSearchOpts(s, eval, 400, 1, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

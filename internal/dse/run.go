@@ -8,8 +8,8 @@ import (
 
 // Progress is one search-boundary snapshot, delivered to a ProgressSink.
 // The unit of Step depends on the algorithm: NSGA-II counts completed
-// generations, MOSA completed chain segments, Exhaustive and RandomSearch
-// completed evaluation batches. Front is a fresh slice whose Points share
+// generations, MOSA completed chain segments, exhaustive and random
+// search completed evaluation batches. Front is a fresh slice whose Points share
 // the run's immutable Config/Objs storage — safe to read from any
 // goroutine, not to mutate.
 type Progress struct {

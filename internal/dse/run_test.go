@@ -66,25 +66,20 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	evalBig := &constrainedEvaluator{inner: &convexEvaluator{space: sBig}}
 
 	algorithms := []struct {
-		name string
-		run  func(opts Options) (*Result, error)
+		search Search
+		space  *Space
+		eval   Evaluator
 	}{
-		{"nsga2", func(opts Options) (*Result, error) {
-			return NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9, Workers: 2}, opts)
-		}},
-		{"mosa", func(opts Options) (*Result, error) {
-			return MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 5, Workers: 2}, opts)
-		}},
-		{"exhaustive", func(opts Options) (*Result, error) {
-			return ExhaustiveOpts(sBig, evalBig, 1000000, 2, opts)
-		}},
-		{"random", func(opts Options) (*Result, error) {
-			return RandomSearchOpts(s, eval, 3000, 7, 2, opts)
-		}},
+		{Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
+		{Search{Algorithm: "mosa", Seed: 5, Workers: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}, s, eval},
+		{Search{Algorithm: "exhaustive", Workers: 2, MaxPoints: 1000000}, sBig, evalBig},
+		{Search{Algorithm: "random", Seed: 7, Workers: 2, Budget: 3000}, s, eval},
 	}
 	for _, alg := range algorithms {
-		t.Run(alg.name, func(t *testing.T) {
-			want, err := alg.run(Options{})
+		name := alg.search.Algorithm
+		run := func(opts Options) (*Result, error) { return alg.search.Run(alg.space, alg.eval, opts) }
+		t.Run(name, func(t *testing.T) {
+			want, err := run(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +101,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					return nil
 				},
 			}
-			partial, err := alg.run(opts)
+			partial, err := run(opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
@@ -116,15 +111,15 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 			if snap == nil {
 				t.Fatal("no checkpoint was taken")
 			}
-			if snap.Algorithm != alg.name {
-				t.Fatalf("snapshot algorithm %q, want %q", snap.Algorithm, alg.name)
+			if snap.Algorithm != name {
+				t.Fatalf("snapshot algorithm %q, want %q", snap.Algorithm, name)
 			}
 
-			got, err := alg.run(Options{Resume: roundTrip(t, snap)})
+			got, err := run(Options{Resume: roundTrip(t, snap)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameFront(t, want, got, alg.name+" resume")
+			sameFront(t, want, got, name+" resume")
 			if got.Evaluated < len(want.Front) {
 				t.Fatalf("resumed Evaluated=%d implausibly small", got.Evaluated)
 			}
@@ -281,6 +276,12 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
 		t.Error("short population objective vector accepted")
 	}
+	// A negative cursor would resume into a run longer than the budget.
+	bad = roundTrip(t, snap)
+	bad.Step = -3
+	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+		t.Error("NSGA-II snapshot with a negative step accepted")
+	}
 
 	// MOSA must reject a snapshot from a longer run than the resuming
 	// config allows, instead of silently returning the restored archives.
@@ -300,9 +301,33 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
 		t.Error("short MOSA chain-archive objective vector accepted")
 	}
+	bad = roundTrip(t, msnap)
+	bad.Step = -2
+	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+		t.Error("MOSA snapshot with a negative step accepted")
+	}
+	bad = roundTrip(t, msnap)
+	bad.Chains[0].Iter = -500
+	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+		t.Error("MOSA snapshot with a negative chain iteration accepted")
+	}
 	msnap.Step = 99
 	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: msnap}); err == nil {
 		t.Error("MOSA accepted a snapshot past its segment count")
+	}
+
+	// Random search counts draws consumed in Next.
+	var rsnap *Snapshot
+	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, captureLatest(&rsnap, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if rsnap == nil {
+		t.Fatal("no random-search snapshot captured")
+	}
+	bad = roundTrip(t, rsnap)
+	bad.Next = -5000
+	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, Options{Resume: bad}); err == nil {
+		t.Error("random-search snapshot with a negative draw count accepted")
 	}
 }
 

@@ -12,32 +12,24 @@ type Result struct {
 	Infeasible int // of those, how many violated constraints
 }
 
-// exhaustiveBatch is how many configurations Exhaustive hands to the
-// worker pool at a time: large enough to amortize dispatch, small enough
-// that the archive merge interleaves with evaluation.
+// exhaustiveBatch is how many configurations exhaustive and random
+// search hand to the worker pool at a time: large enough to amortize
+// dispatch, small enough that the archive merge interleaves with
+// evaluation.
 const exhaustiveBatch = 1024
 
-// Exhaustive enumerates the whole space on a single worker. It refuses
-// spaces larger than maxPoints to protect callers from accidental
-// 10¹¹-point sweeps.
-func Exhaustive(space *Space, eval Evaluator, maxPoints int) (*Result, error) {
-	return ExhaustiveParallel(space, eval, maxPoints, 1)
+// batches returns how many exhaustiveBatch-sized batches hold n
+// configurations.
+func batches(n int) int {
+	return (n + exhaustiveBatch - 1) / exhaustiveBatch
 }
 
-// ExhaustiveParallel enumerates the whole space, evaluating batches of
-// configurations across the worker pool (workers <= 0 selects GOMAXPROCS).
-// Enumeration order, the resulting front, and the counts are identical at
-// any worker count.
-func ExhaustiveParallel(space *Space, eval Evaluator, maxPoints, workers int) (*Result, error) {
-	return ExhaustiveOpts(space, eval, maxPoints, workers, Options{})
-}
-
-// ExhaustiveOpts is ExhaustiveParallel under run Options: progress,
-// checkpointing and cancellation hook in at batch boundaries (every
-// exhaustiveBatch configurations). Snapshots record how far the
-// lexicographic enumeration got (Snapshot.Next), so a resumed sweep skips
-// exactly the consumed prefix. On cancellation the partial Result is
-// returned together with ctx.Err().
+// ExhaustiveOpts enumerates a space of at most maxPoints points (a guard
+// against accidental 10¹¹-point sweeps) in batches across the worker pool
+// (workers <= 0 selects GOMAXPROCS), with identical results at any worker
+// count. Options hook in at batch
+// boundaries; snapshots record how far the lexicographic enumeration got
+// (Snapshot.Next), so a resumed sweep skips exactly the consumed prefix.
 func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts Options) (*Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -48,7 +40,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	pe := NewParallelEvaluator(eval, workers)
 	var arch Archive
 	total := int(space.Size())
-	totalBatches := (total + exhaustiveBatch - 1) / exhaustiveBatch
+	totalBatches := batches(total)
 	skip := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
@@ -107,26 +99,13 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	return result(), nil
 }
 
-// RandomSearch evaluates `budget` uniform random configurations on a single
-// worker — the reference any metaheuristic must beat.
-func RandomSearch(space *Space, eval Evaluator, budget int, seed int64) (*Result, error) {
-	return RandomSearchParallel(space, eval, budget, seed, 1)
-}
-
-// RandomSearchParallel draws the budget from one seeded stream in batches
-// of exhaustiveBatch and evaluates each batch across the worker pool
-// (workers <= 0 selects GOMAXPROCS). The draw sequence, front, and counts
-// are identical at any worker count; revisited configurations are
-// deduplicated by the memo cache so Evaluated means distinct points.
-func RandomSearchParallel(space *Space, eval Evaluator, budget int, seed int64, workers int) (*Result, error) {
-	return RandomSearchOpts(space, eval, budget, seed, workers, Options{})
-}
-
-// RandomSearchOpts is RandomSearchParallel under run Options: progress,
-// checkpointing and cancellation hook in at batch boundaries. Snapshots
-// record the RNG state and draws consumed, so a resumed search continues
-// the identical draw stream. On cancellation the partial Result is
-// returned together with ctx.Err().
+// RandomSearchOpts evaluates `budget` uniform random configurations, the
+// reference any metaheuristic must beat, drawn from one seeded stream in
+// batches across the worker pool (workers <= 0 selects GOMAXPROCS), with
+// identical results at any worker count; revisits hit the memo cache, so
+// Evaluated counts distinct points. Options hook in at batch boundaries;
+// snapshots record the RNG state and draws consumed, so a resumed search
+// continues the identical draw stream.
 func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, workers int, opts Options) (*Result, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -158,7 +137,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		evaluated, infeasible := pe.Stats()
 		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
-	totalBatches := (budget + exhaustiveBatch - 1) / exhaustiveBatch
+	totalBatches := batches(budget)
 	configs := make([]Config, 0, exhaustiveBatch)
 	var points []Point
 	for drawn < budget {
@@ -173,7 +152,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		drawn += n
 		points = pe.EvaluateBatchInto(configs, points)
 		arch.AddBatch(points)
-		step := (drawn + exhaustiveBatch - 1) / exhaustiveBatch
+		step := batches(drawn)
 		evaluated, infeasible := pe.Stats()
 		consumed := drawn
 		err := opts.boundary("random", step, totalBatches, baseEval+evaluated, baseInf+infeasible,

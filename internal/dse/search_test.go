@@ -164,7 +164,7 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 func TestExhaustiveFindsTrueFront(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := Exhaustive(s, eval, 1000)
+	res, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 		}
 	}
 	// Refuses oversized spaces.
-	if _, err := Exhaustive(s, eval, 10); err == nil {
+	if _, err := ExhaustiveOpts(s, eval, 10, 1, Options{}); err == nil {
 		t.Error("oversize exhaustive accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 func TestRandomSearchAndMemo(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := RandomSearch(s, eval, 500, 1)
+	res, err := RandomSearchOpts(s, eval, 500, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRandomSearchAndMemo(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Error("empty front")
 	}
-	if _, err := RandomSearch(s, eval, 0, 1); err == nil {
+	if _, err := RandomSearchOpts(s, eval, 0, 1, 1, Options{}); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
@@ -307,7 +307,7 @@ func TestNSGA2AndMOSAEquivalentQuality(t *testing.T) {
 		t.Errorf("GA and SA hypervolumes differ substantially: %g vs %g", hvGA, hvSA)
 	}
 	// And both beat random search at comparable budget.
-	rs, err := RandomSearch(s, eval, ga.Evaluated, 1)
+	rs, err := RandomSearchOpts(s, eval, ga.Evaluated, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

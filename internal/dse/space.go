@@ -27,17 +27,19 @@
 // derives each offspring population from the parent generation alone and
 // archives it in offspring order, MOSA gives each chain a seed mixed from
 // (Seed, chain index) and a private guiding archive and merges the chain
-// archives in chain order, and Exhaustive/RandomSearch archive their
+// archives in chain order, and exhaustive/random search archive their
 // batches in enumeration/draw order. Archive merging is additionally
 // order-independent at the objective level: the set of non-dominated
 // objective vectors does not depend on insertion order.
 //
 // # Run options: cancellation, progress, checkpoint/resume
 //
-// Every algorithm has an Opts variant (NSGA2Opts, MOSAOpts,
-// ExhaustiveOpts, RandomSearchOpts) taking an Options value whose hooks
-// run at boundaries only — the end of a generation (NSGA-II), a chain
-// segment (MOSA) or an evaluation batch (exhaustive/random) — so the
+// One algorithm table (algorithm.go) holds nsga2, mosa, exhaustive and
+// random; front ends look a Search up in it instead of switching on
+// names. Search.Run calls the entry's Opts function (NSGA2Opts, MOSAOpts,
+// ExhaustiveOpts, RandomSearchOpts), whose Options hooks run at
+// boundaries only — the end of a generation (NSGA-II), a chain segment
+// (MOSA) or an evaluation batch (exhaustive/random) — so the
 // allocation-free hot loops never see them and a zero Options run is
 // bit-identical to the plain entry point. Cancellation returns the
 // partial Result alongside ctx.Err(); ProgressSink receives step counters

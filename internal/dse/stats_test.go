@@ -17,25 +17,19 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 	evalBig := &constrainedEvaluator{inner: &convexEvaluator{space: sBig}}
 
 	algorithms := []struct {
-		name string
-		run  func(opts Options) (*Result, error)
+		search Search
+		space  *Space
+		eval   Evaluator
 	}{
-		{"nsga2", func(opts Options) (*Result, error) {
-			return NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9, Workers: 2}, opts)
-		}},
-		{"mosa", func(opts Options) (*Result, error) {
-			return MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 5, Workers: 2}, opts)
-		}},
-		{"exhaustive", func(opts Options) (*Result, error) {
-			return ExhaustiveOpts(sBig, evalBig, 1000000, 2, opts)
-		}},
-		{"random", func(opts Options) (*Result, error) {
-			return RandomSearchOpts(sBig, evalBig, 3000, 3, 2, opts)
-		}},
+		{Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
+		{Search{Algorithm: "mosa", Seed: 5, Workers: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}, s, eval},
+		{Search{Algorithm: "exhaustive", Workers: 2, MaxPoints: 1000000}, sBig, evalBig},
+		{Search{Algorithm: "random", Seed: 3, Workers: 2, Budget: 3000}, sBig, evalBig},
 	}
 
 	for _, alg := range algorithms {
-		t.Run(alg.name, func(t *testing.T) {
+		name := alg.search.Algorithm
+		t.Run(name, func(t *testing.T) {
 			var stats []Stats
 			var progressSteps []int
 			opts := Options{
@@ -47,7 +41,7 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 				},
 				Progress: func(p Progress) { progressSteps = append(progressSteps, p.Step) },
 			}
-			res, err := alg.run(opts)
+			res, err := alg.search.Run(alg.space, alg.eval, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,8 +54,11 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 			}
 			prev := Stats{Step: 0}
 			for i, st := range stats {
-				if st.Algorithm != alg.name {
-					t.Fatalf("sample %d: algorithm %q, want %q", i, st.Algorithm, alg.name)
+				if st.Algorithm != name {
+					t.Fatalf("sample %d: algorithm %q, want %q", i, st.Algorithm, name)
+				}
+				if want := alg.search.Steps(alg.space); st.TotalSteps != want {
+					t.Fatalf("sample %d: %d total steps, Search.Steps says %d", i, st.TotalSteps, want)
 				}
 				if st.Step != progressSteps[i] {
 					t.Fatalf("sample %d: stats step %d, progress step %d", i, st.Step, progressSteps[i])

@@ -45,6 +45,9 @@ func TestNSGA2ConfigValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
+			if verr := tc.cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("Validate() = %v, the run says %q", verr, err)
+			}
 		})
 	}
 	// Zero values still select the documented defaults.
@@ -74,6 +77,9 @@ func TestMOSAConfigValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+			if verr := tc.cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("Validate() = %v, the run says %q", verr, err)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -113,6 +114,16 @@ type ScenarioInfo struct {
 	Objectives  int     `json:"objectives"`
 }
 
+// decodeSpec reads a POST /v1/jobs body of at most MaxBodyBytes. Unknown
+// fields fail fast: a typo like "algoritm" must be a 400, not a silently
+// defaulted (and differently explored) job.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (spec Spec, err error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&spec)
+	return spec, err
+}
+
 // NewHandler exposes the Manager as a JSON HTTP API:
 //
 //	POST   /v1/jobs                  submit a Spec             → 201 JobInfo
@@ -143,13 +154,8 @@ type ScenarioInfo struct {
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec Spec
-		body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-		dec := json.NewDecoder(body)
-		// Unknown fields fail fast: a typo like "algoritm" must be a 400,
-		// not a silently defaulted (and differently explored) job.
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeSpec(w, r.Body)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,

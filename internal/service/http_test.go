@@ -1,13 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -500,4 +503,89 @@ func TestSSEWireFormat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSpecDecode feeds arbitrary bytes through the POST /v1/jobs decoder
+// (MaxBodyBytes cap, unknown fields rejected), then through normalize and
+// Validate as Submit does. Nothing may panic; every decoded spec must
+// survive a JSON round trip; and a spec Validate accepts must build a
+// dse.Search that validates, ask for islands only with an algorithm that
+// takes injected points, and convert a positive deadline to a positive
+// duration.
+func FuzzSpecDecode(f *testing.F) {
+	chaos := chaosSpecs()
+	seeds := []Spec{smallNSGA2("ecg-ward", 7), islandSpec(7)}
+	for _, name := range slices.Sorted(maps.Keys(chaos)) {
+		seeds = append(seeds, chaos[name])
+	}
+	seeds = append(seeds,
+		// The shapes of the four benchmark workloads' jobs: ward-explore,
+		// ward-burst, family-mosa and paper-validate.
+		Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Seed: 101, Workers: 2,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 256, Generations: 120}},
+		Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Seed: 101, Workers: 1,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 8, Generations: 4}},
+		Spec{Scenario: registerSweepMember(f, "telosb"), Algorithm: AlgoMOSA, Seed: 101, Workers: 2,
+			MOSA: &dse.MOSAConfig{Iterations: 20000}, WarmStart: WarmStartAuto, CheckpointEvery: 4},
+		Spec{Scenario: "athletes", Algorithm: AlgoNSGA2, Seed: 11, Workers: 2,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 32, Generations: 12}},
+		// A deadline past the range of time.Duration, and a resume_job of
+		// a random search: its snapshot's step and draw cursors must not
+		// be negative.
+		Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, DeadlineSeconds: 1e11},
+		Spec{Scenario: "ecg-ward", Algorithm: AlgoRandom, Budget: 3000, ResumeJob: "j1"},
+	)
+	for _, spec := range seeds {
+		data, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// The wsn-serve smoke specs, as its smoke test sends them.
+	for _, raw := range []string{
+		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":7,"workers":2,"nsga2":{"population_size":16,"generations":12}}`,
+		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":7,"workers":2,"checkpoint_every":100,"nsga2":{"population_size":16,"generations":1500}}`,
+		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":7,"workers":2,"islands":2,"migration_interval":6,"nsga2":{"population_size":16,"generations":12}}`,
+		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":21,"workers":2,"warm_start":"auto","nsga2":{"population_size":16,"generations":12}}`,
+	} {
+		f.Add([]byte(raw))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpec(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("decoded spec does not encode: %v", err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(enc))
+		dec.DisallowUnknownFields()
+		var back Spec
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", enc, err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("spec changed in a JSON round trip:\n%+v\n%+v", spec, back)
+		}
+
+		spec = spec.normalize()
+		if spec.Validate() != nil {
+			return
+		}
+		search := spec.search()
+		if err := search.Validate(); err != nil {
+			t.Fatalf("accepted spec builds an invalid search: %v", err)
+		}
+		if spec.Islands >= 2 && !search.Injectable() {
+			t.Fatalf("accepted %d islands of %q, which takes no injected points", spec.Islands, spec.Algorithm)
+		}
+		if spec.DeadlineSeconds > 0 {
+			if d, err := spec.deadline(); err != nil || d <= 0 {
+				t.Fatalf("accepted deadline_seconds %g converts to %v (%v)", spec.DeadlineSeconds, d, err)
+			}
+		}
+	})
 }

@@ -35,13 +35,12 @@ func BenchmarkDistributedThroughput(b *testing.B) {
 	eval := &latencyEval{inner: testEval{space: space}, delay: 100 * time.Microsecond}
 	for _, islands := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("islands/%d", islands), func(b *testing.B) {
-			job := Job{
-				JobID:     "bench",
+			job := Job{JobID: "bench", Search: dse.Search{
 				Algorithm: "nsga2",
 				NSGA2:     &dse.NSGA2Config{PopulationSize: 32, Generations: 20},
 				Seed:      11,
 				Workers:   1,
-			}
+			}}
 			cfg := Config{Islands: islands, Interval: 5, Migrants: 4, Executors: islands}
 			totalEvals := 0
 			b.ResetTimer()

@@ -163,7 +163,7 @@ type Coordinator struct {
 
 // New validates the job and configuration and builds a coordinator.
 func New(cfg Config, job Job, space *dse.Space, eval dse.Evaluator) (*Coordinator, error) {
-	if job.Algorithm != "nsga2" && job.Algorithm != "mosa" {
+	if !job.Injectable() {
 		return nil, fmt.Errorf("island: algorithm %q does not support island decomposition", job.Algorithm)
 	}
 	if cfg.Islands < 1 {
@@ -224,7 +224,7 @@ func (c *Coordinator) emit(e Event) {
 // executor loss, and coordinator restarts from checkpoints — anything
 // short of changing (job, Islands, Interval, Migrants).
 func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
-	total := c.job.steps()
+	total := c.job.Steps(c.space)
 	if total <= 0 {
 		return nil, fmt.Errorf("island: job has no search boundaries")
 	}

@@ -46,7 +46,7 @@ func (e *testEval) Evaluate(c dse.Config) (dse.Objectives, error) {
 // algo ("nsga2" or "mosa"), sized so each algorithm crosses three
 // migration boundaries.
 func testJob(algo string) (Job, Config) {
-	job := Job{JobID: "t1", Scenario: "test", Algorithm: algo, Workers: 2}
+	job := Job{JobID: "t1", Scenario: "test", Search: dse.Search{Algorithm: algo, Workers: 2}}
 	cfg := Config{Islands: 4, Migrants: 3}
 	switch algo {
 	case "nsga2":
@@ -193,14 +193,14 @@ func TestStatusAccounting(t *testing.T) {
 func TestNewRejectsBadConfigs(t *testing.T) {
 	space := testSpace(4)
 	eval := &testEval{space: space}
-	if _, err := New(Config{Islands: 2}, Job{Algorithm: "exhaustive"}, space, eval); err == nil {
+	if _, err := New(Config{Islands: 2}, Job{Search: dse.Search{Algorithm: "exhaustive"}}, space, eval); err == nil {
 		t.Error("exhaustive accepted")
 	}
-	if _, err := New(Config{Islands: 0}, Job{Algorithm: "nsga2"}, space, eval); err == nil {
+	if _, err := New(Config{Islands: 0}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
 		t.Error("0 islands accepted")
 	}
 	bad := &dse.IslandSnapshot{Version: 99}
-	if _, err := New(Config{Islands: 2, Resume: bad}, Job{Algorithm: "nsga2"}, space, eval); err == nil {
+	if _, err := New(Config{Islands: 2, Resume: bad}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
 		t.Error("bad resume snapshot accepted")
 	}
 }

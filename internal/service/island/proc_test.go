@@ -2,9 +2,13 @@ package island
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -50,12 +54,14 @@ var (
 // scenario itself, so the test must use a registered one.
 func procJob() (Job, Config) {
 	return Job{
-			JobID:     "p1",
-			Scenario:  "ecg-ward",
-			Algorithm: "nsga2",
-			NSGA2:     &dse.NSGA2Config{PopulationSize: 16, Generations: 12},
-			Seed:      7,
-			Workers:   2,
+			JobID:    "p1",
+			Scenario: "ecg-ward",
+			Search: dse.Search{
+				Algorithm: "nsga2",
+				NSGA2:     &dse.NSGA2Config{PopulationSize: 16, Generations: 12},
+				Seed:      7,
+				Workers:   2,
+			},
 		}, Config{
 			Islands:   2,
 			Interval:  6, // one migration at generation 6
@@ -141,5 +147,50 @@ func TestProcWorkerSigkillFailover(t *testing.T) {
 	}
 	if events(EventCrash) != 1 || events(EventRestart) != 1 {
 		t.Errorf("crash=%d restart=%d, want 1/1", events(EventCrash), events(EventRestart))
+	}
+}
+
+// TestRequestWireFormat pins the line protocol wsn-island reads on stdin:
+// a request written before Job embedded dse.Search decodes into the same
+// Job, and the Job re-encodes under the same keys.
+func TestRequestWireFormat(t *testing.T) {
+	const line = `{"job":{"job_id":"j3","scenario":"ecg-ward","algorithm":"nsga2",` +
+		`"nsga2":{"population_size":16,"generations":12},"seed":7,"workers":2},` +
+		`"island":1,"executor":0,"seed":-4242,"stop_after":6}`
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	want := Request{
+		Job: Job{JobID: "j3", Scenario: "ecg-ward", Search: dse.Search{
+			Algorithm: "nsga2",
+			NSGA2:     &dse.NSGA2Config{PopulationSize: 16, Generations: 12},
+			Seed:      7,
+			Workers:   2,
+		}},
+		Island:    1,
+		Seed:      -4242,
+		StopAfter: 6,
+	}
+	if !reflect.DeepEqual(req, want) {
+		t.Fatalf("decoded %+v\nwant    %+v", req, want)
+	}
+	data, err := json.Marshal(req.Job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(keys))
+	for k := range keys {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if wantKeys := []string{"algorithm", "job_id", "nsga2", "scenario", "seed", "workers"}; !slices.Equal(got, wantKeys) {
+		t.Fatalf("job re-encodes with keys %v, want %v", got, wantKeys)
 	}
 }

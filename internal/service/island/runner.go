@@ -10,40 +10,14 @@ import (
 )
 
 // Job is the immutable description of one island-model search: the
-// scenario and algorithm every island runs, the base seed the per-island
-// seeds fork from, and the evaluation worker count each island uses.
-// It crosses the process boundary verbatim when islands run as child
-// worker processes, so it carries everything a worker needs to rebuild
-// the compiled evaluation pipeline on its own.
+// scenario and the dse.Search every island runs, whose Seed the
+// per-island seeds fork from. It crosses the process boundary verbatim
+// when islands run as child worker processes, so it carries everything a
+// worker needs to rebuild the compiled evaluation pipeline on its own.
 type Job struct {
-	JobID     string           `json:"job_id"`
-	Scenario  string           `json:"scenario"`
-	Algorithm string           `json:"algorithm"` // "nsga2" or "mosa"
-	NSGA2     *dse.NSGA2Config `json:"nsga2,omitempty"`
-	MOSA      *dse.MOSAConfig  `json:"mosa,omitempty"`
-	Seed      int64            `json:"seed"`
-	Workers   int              `json:"workers,omitempty"` // evaluation workers per island
-}
-
-// steps returns the job's total boundary count (generations for NSGA-II,
-// chain segments for MOSA) — the axis the migration schedule divides.
-func (j Job) steps() int {
-	switch j.Algorithm {
-	case "nsga2":
-		cfg := dse.NSGA2Config{}
-		if j.NSGA2 != nil {
-			cfg = *j.NSGA2
-		}
-		return cfg.Steps()
-	case "mosa":
-		cfg := dse.MOSAConfig{}
-		if j.MOSA != nil {
-			cfg = *j.MOSA
-		}
-		return cfg.Steps()
-	default:
-		return 0
-	}
+	JobID    string `json:"job_id"`
+	Scenario string `json:"scenario"`
+	dse.Search
 }
 
 // Request asks a Runner to advance one island by one round: run from
@@ -124,7 +98,9 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 	var snap *dse.Snapshot
 	opts.Checkpoint = func(s *dse.Snapshot) error { snap = s; return nil }
 
-	res, err := runAlgorithm(g.Space, g.Eval, req, opts)
+	search := req.Job.Search
+	search.Seed = req.Seed
+	res, err := search.Run(g.Space, g.Eval, opts)
 	switch {
 	case errors.Is(err, dse.ErrPaused):
 		if snap == nil {
@@ -139,28 +115,6 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 			Evaluated:  res.Evaluated,
 			Infeasible: res.Infeasible,
 		}}, nil
-	}
-}
-
-// runAlgorithm dispatches one island run with the island's forked seed.
-func runAlgorithm(space *dse.Space, eval dse.Evaluator, req Request, opts dse.Options) (*dse.Result, error) {
-	switch req.Job.Algorithm {
-	case "nsga2":
-		cfg := dse.NSGA2Config{}
-		if req.Job.NSGA2 != nil {
-			cfg = *req.Job.NSGA2
-		}
-		cfg.Seed, cfg.Workers = req.Seed, req.Job.Workers
-		return dse.NSGA2Opts(space, eval, cfg, opts)
-	case "mosa":
-		cfg := dse.MOSAConfig{}
-		if req.Job.MOSA != nil {
-			cfg = *req.Job.MOSA
-		}
-		cfg.Seed, cfg.Workers = req.Seed, req.Job.Workers
-		return dse.MOSAOpts(space, eval, cfg, opts)
-	default:
-		return nil, fmt.Errorf("island: algorithm %q does not support island decomposition", req.Job.Algorithm)
 	}
 }
 

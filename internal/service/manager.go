@@ -602,10 +602,9 @@ func (m *Manager) runJob(j *job) {
 	// The deadline clock starts when the job first runs (queue wait is
 	// the scheduler's fault, not the job's) and spans every retry.
 	j.runCtx = j.ctx
-	if d := j.spec.DeadlineSeconds; d > 0 {
+	if d, _ := j.spec.deadline(); d > 0 { // Validate rejected any error
 		var cancel context.CancelFunc
-		j.runCtx, cancel = context.WithTimeoutCause(j.ctx,
-			time.Duration(d*float64(time.Second)), errJobDeadline)
+		j.runCtx, cancel = context.WithTimeoutCause(j.ctx, d, errJobDeadline)
 		defer cancel()
 	}
 
@@ -618,7 +617,7 @@ func (m *Manager) runJob(j *job) {
 		if !j.setStatus(StatusRunning, "") {
 			return // cancelled during the retry wait, status already set
 		}
-		res, err := m.runAttempt(j)
+		res, err := m.runAttempt(j, sampler)
 		switch {
 		case err == nil:
 			j.mu.Lock()
@@ -675,13 +674,13 @@ func (m *Manager) runJob(j *job) {
 // evaluator (or progress/checkpoint hook on the search goroutine) becomes
 // a *PanicError carrying the stack, failing the attempt instead of the
 // process.
-func (m *Manager) runAttempt(j *job) (res *dse.Result, err error) {
+func (m *Manager) runAttempt(j *job, sampler *jobSampler) (res *dse.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return m.execute(j)
+	return m.execute(j, sampler)
 }
 
 // archive stores a finished job's front. Archiving failures degrade
@@ -714,11 +713,12 @@ func (m *Manager) archive(j *job, id string, res *dse.Result) {
 }
 
 // execute materializes the scenario's compiled pipeline, finds the
-// attempt's resume point, and runs the spec's algorithm — a plain search
-// or the island coordinator — under the job's context with progress and
-// checkpoint hooks attached.
-func (m *Manager) execute(j *job) (*dse.Result, error) {
+// attempt's resume point, and runs the spec's search — plain or through
+// the island coordinator — under the job's context with progress,
+// telemetry and checkpoint hooks attached.
+func (m *Manager) execute(j *job, sampler *jobSampler) (*dse.Result, error) {
 	spec := j.spec
+	search := spec.search()
 	sc, ok := scenario.Lookup(spec.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("scenario %q disappeared from the registry", spec.Scenario)
@@ -737,7 +737,7 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 		return nil, err
 	}
 	if spec.Islands >= 2 {
-		return m.executeIslands(j, problem.Space(), eval, resume)
+		return m.executeIslands(j, sampler, problem.Space(), eval, resume)
 	}
 
 	start := time.Now()
@@ -762,16 +762,11 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 			j.mu.Unlock()
 			j.hub.publish(Event{Type: "progress", Progress: &info})
 		},
+		Stats:           sampler.observeSearch,
 		CheckpointEvery: spec.CheckpointEvery,
 	}
 	if resume != nil {
 		opts.Resume = resume.Islands[0]
-	}
-	j.mu.Lock()
-	sampler := j.sampler
-	j.mu.Unlock()
-	if sampler != nil {
-		opts.Stats = sampler.observeSearch
 	}
 	// Warm-start resolution happens here — on the worker, not at Submit —
 	// so the seeds reflect the store's contents when the job actually
@@ -780,8 +775,9 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	// the job so a retry cannot pick up fronts archived since attempt one
 	// and drift onto a different trajectory. A resumed attempt passes the
 	// seeds too; dse ignores them there, since the snapshot fixes the
-	// trajectory.
-	if spec.Algorithm == AlgoNSGA2 || spec.Algorithm == AlgoMOSA {
+	// trajectory. Only an algorithm that takes injected points can use
+	// seeds.
+	if search.Injectable() {
 		if !j.seedsResolved {
 			seeds, wsInfo, err := ResolveWarmStart(m.store, spec.WarmStart,
 				sc.Fingerprint(), ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
@@ -808,29 +804,7 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 			return nil
 		}
 	}
-
-	switch spec.Algorithm {
-	case AlgoNSGA2:
-		cfg := dse.NSGA2Config{}
-		if spec.NSGA2 != nil {
-			cfg = *spec.NSGA2
-		}
-		cfg.Seed, cfg.Workers = spec.Seed, spec.Workers
-		return dse.NSGA2Opts(problem.Space(), eval, cfg, opts)
-	case AlgoMOSA:
-		cfg := dse.MOSAConfig{}
-		if spec.MOSA != nil {
-			cfg = *spec.MOSA
-		}
-		cfg.Seed, cfg.Workers = spec.Seed, spec.Workers
-		return dse.MOSAOpts(problem.Space(), eval, cfg, opts)
-	case AlgoExhaustive:
-		return dse.ExhaustiveOpts(problem.Space(), eval, spec.MaxPoints, spec.Workers, opts)
-	case AlgoRandom:
-		return dse.RandomSearchOpts(problem.Space(), eval, spec.Budget, spec.Seed, spec.Workers, opts)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", spec.Algorithm)
-	}
+	return search.Run(problem.Space(), eval, opts)
 }
 
 // executeIslands runs an island job (Spec.Islands >= 2) through the
@@ -839,17 +813,9 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 // migration, island events are published on the job's stream, per-island
 // supervision state lands in JobInfo.Islands, and every migration
 // boundary's composite checkpoint goes through Manager.checkpoint.
-func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
+func (m *Manager) executeIslands(j *job, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
 	spec := j.spec
-	ijob := island.Job{
-		JobID:     j.info.ID,
-		Scenario:  spec.Scenario,
-		Algorithm: spec.Algorithm,
-		NSGA2:     spec.NSGA2,
-		MOSA:      spec.MOSA,
-		Seed:      spec.Seed,
-		Workers:   spec.Workers,
-	}
+	ijob := island.Job{JobID: j.info.ID, Scenario: spec.Scenario, Search: spec.search()}
 	cfg := island.Config{
 		Islands:      spec.Islands,
 		Interval:     spec.MigrationInterval,
@@ -857,12 +823,7 @@ func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator, r
 		StallTimeout: m.cfg.IslandStallTimeout,
 		Resume:       resume,
 		OnCheckpoint: func(s *dse.IslandSnapshot) { m.checkpoint(j, s) },
-	}
-	j.mu.Lock()
-	sampler := j.sampler
-	j.mu.Unlock()
-	if sampler != nil {
-		cfg.Stats = sampler.observeIsland
+		Stats:        sampler.observeIsland,
 	}
 	if m.cfg.IslandExec != "" {
 		cfg.Runner = &island.ProcRunner{Bin: m.cfg.IslandExec}
@@ -879,13 +840,11 @@ func (m *Manager) executeIslands(j *job, space *dse.Space, eval dse.Evaluator, r
 		case island.EventRestart:
 			m.met.islandRestarts.Add(1)
 		}
-		if sampler != nil {
-			restarts := 0
-			for _, st := range sts {
-				restarts += st.Restarts
-			}
-			sampler.setIsland(e.Round, restarts)
+		restarts := 0
+		for _, st := range sts {
+			restarts += st.Restarts
 		}
+		sampler.setIsland(e.Round, restarts)
 		j.mu.Lock()
 		j.info.Islands = sts
 		j.mu.Unlock()

@@ -154,8 +154,8 @@ import (
 	"wsndse/internal/service/island"
 )
 
-// Algorithms the service accepts, mapping 1:1 onto the search entry
-// points in internal/dse.
+// Names of the algorithms in dse's table (dse.Algorithms), the ones the
+// service accepts.
 const (
 	AlgoNSGA2      = "nsga2"
 	AlgoMOSA       = "mosa"
@@ -181,10 +181,10 @@ type Spec struct {
 	NSGA2 *dse.NSGA2Config `json:"nsga2,omitempty"`
 	MOSA  *dse.MOSAConfig  `json:"mosa,omitempty"`
 
-	// Budget is the random-search draw budget (default 4096).
+	// Budget is the random-search draw budget (default dse.DefaultBudget).
 	Budget int `json:"budget,omitempty"`
-	// MaxPoints guards exhaustive sweeps (default 200000): a space larger
-	// than this is rejected rather than enumerated.
+	// MaxPoints guards exhaustive sweeps (default dse.DefaultMaxPoints): a
+	// space larger than this is rejected rather than enumerated.
 	MaxPoints int `json:"max_points,omitempty"`
 
 	// WarmStart seeds the initial population from prior fronts in the
@@ -263,12 +263,31 @@ func (s Spec) normalize() Spec {
 		s.Workers = 1
 	}
 	if s.Budget == 0 {
-		s.Budget = 4096
+		s.Budget = dse.DefaultBudget
 	}
 	if s.MaxPoints == 0 {
-		s.MaxPoints = 200000
+		s.MaxPoints = dse.DefaultMaxPoints
 	}
 	return s
+}
+
+// search is the dse.Search the spec runs.
+func (s Spec) search() dse.Search {
+	return dse.Search{Algorithm: s.Algorithm, Seed: s.Seed, Workers: s.Workers,
+		NSGA2: s.NSGA2, MOSA: s.MOSA, Budget: s.Budget, MaxPoints: s.MaxPoints}
+}
+
+// deadline converts DeadlineSeconds into the timeout runJob arms (0: no
+// deadline). Validate and runJob both use it.
+func (s Spec) deadline() (time.Duration, error) {
+	d, ns := s.DeadlineSeconds, s.DeadlineSeconds*float64(time.Second)
+	switch {
+	case d < 0:
+		return 0, fmt.Errorf("service: negative deadline_seconds %g", d)
+	case d != 0 && !(ns >= 1 && ns < 0x1p63): // float64(math.MaxInt64) rounds up to 2^63; NaN fails too
+		return 0, fmt.Errorf("service: deadline_seconds %g does not fit a time.Duration", d)
+	}
+	return time.Duration(ns), nil
 }
 
 // Validate rejects a malformed spec before a worker is committed to it:
@@ -281,33 +300,12 @@ func (s Spec) Validate() error {
 	if _, ok := scenario.Lookup(s.Scenario); !ok {
 		return fmt.Errorf("service: unknown scenario %q", s.Scenario)
 	}
-	switch s.Algorithm {
-	case AlgoNSGA2:
-		if s.NSGA2 != nil {
-			if err := s.NSGA2.Validate(); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-		}
-	case AlgoMOSA:
-		if s.MOSA != nil {
-			if err := s.MOSA.Validate(); err != nil {
-				return fmt.Errorf("service: %w", err)
-			}
-		}
-	case AlgoExhaustive, AlgoRandom:
-		// Budget/MaxPoints domain-checked below.
-	default:
-		return fmt.Errorf("service: unknown algorithm %q (want %s|%s|%s|%s)",
-			s.Algorithm, AlgoNSGA2, AlgoMOSA, AlgoExhaustive, AlgoRandom)
+	search := s.search()
+	if err := search.Validate(); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	if s.Workers < 0 || s.Workers > maxEvalWorkers {
 		return fmt.Errorf("service: workers %d out of [0,%d]", s.Workers, maxEvalWorkers)
-	}
-	if s.Budget < 0 {
-		return fmt.Errorf("service: negative random-search budget %d", s.Budget)
-	}
-	if s.MaxPoints < 0 {
-		return fmt.Errorf("service: negative exhaustive point limit %d", s.MaxPoints)
 	}
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("service: negative checkpoint interval %d", s.CheckpointEvery)
@@ -315,8 +313,8 @@ func (s Spec) Validate() error {
 	if s.MaxRetries < 0 || s.MaxRetries > maxJobRetries {
 		return fmt.Errorf("service: max_retries %d out of [0,%d]", s.MaxRetries, maxJobRetries)
 	}
-	if s.DeadlineSeconds < 0 {
-		return fmt.Errorf("service: negative deadline_seconds %g", s.DeadlineSeconds)
+	if _, err := s.deadline(); err != nil {
+		return err
 	}
 	if !validWarmStart(s.WarmStart) {
 		return fmt.Errorf("service: malformed warm_start %q (want off|auto|<version>)", s.WarmStart)
@@ -336,7 +334,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("service: islands %d out of [0,%d]", s.Islands, maxIslands)
 	}
 	if s.Islands >= 2 {
-		if s.Algorithm != AlgoNSGA2 && s.Algorithm != AlgoMOSA {
+		if !search.Injectable() {
 			return fmt.Errorf("service: algorithm %s does not support island decomposition", s.Algorithm)
 		}
 		if warmStartRequested(s.WarmStart) {

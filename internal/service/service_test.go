@@ -97,6 +97,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Scenario: "ecg-ward", Algorithm: AlgoMOSA, MOSA: &dse.MOSAConfig{Cooling: 1.5}},
 		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Workers: 1000},
 		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, CheckpointEvery: -1},
+		{Scenario: "ecg-ward", Algorithm: AlgoRandom, Budget: -1},
+		{Scenario: "ecg-ward", Algorithm: AlgoExhaustive, MaxPoints: -1},
+		// Past the range of time.Duration: converting it would overflow
+		// into a negative timeout that ends the job at once.
+		{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, DeadlineSeconds: 1e11},
 	}
 	for i, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
