@@ -131,12 +131,13 @@
 // dse.Options, all hooked at generation/segment/batch boundaries so the
 // allocation-free hot loops are untouched: cooperative cancellation
 // (context.Context; SIGINT in the CLIs flushes the partial front),
-// incremental progress (dse.ProgressSink receives step counters and front
-// snapshots), and checkpoint/resume (dse.Snapshot serializes the complete
-// search state — population, archives, chain temperatures, and the RNG,
-// which draws from a SplitMix64 source precisely so its whole state is
-// one uint64). A run resumed from a snapshot replays the uninterrupted
-// trajectory bit for bit.
+// incremental progress (dse.ProgressSink receives step counters and the
+// archive's own front slice, valid only during the call: a sink that
+// keeps the front must copy it), and checkpoint/resume (dse.Snapshot
+// serializes the complete search state — population, archives, chain
+// temperatures, and the RNG, which draws from a SplitMix64 source
+// precisely so its whole state is one uint64). A run resumed from a
+// snapshot replays the uninterrupted trajectory bit for bit.
 //
 // internal/service builds the multi-tenant runtime on those hooks: jobs
 // (scenario × algorithm × seed) validated against the registry, a

@@ -111,9 +111,7 @@ func AssignHeteroInto(a *Assignment, base MAC, views []MAC, phiOut []units.Bytes
 		a.Used += a.DeltaTx[i]
 	}
 	if a.Used > capacity+1e-12 {
-		return Infeasible(
-			"transmission demand %.6f s/s exceeds MAC %q capacity %.6f s/s (N=%d nodes)",
-			a.Used, base.Name(), capacity, len(phiOut))
+		return &InfeasibleError{Code: CodeCapacity, MAC: base.Name(), Nodes: len(phiOut), Need: a.Used, Capacity: capacity}
 	}
 	a.Idle = 1 - a.Used - a.ControlTime
 	if a.Idle < 0 {

@@ -96,18 +96,70 @@ type DelayBound interface {
 	WorstCaseDelay(deltaTx []float64, n int) units.Seconds
 }
 
+// InfeasibleCode says which constraint an InfeasibleError reports.
+type InfeasibleCode uint8
+
+const (
+	// CodeOther is a constraint outside the model's own four; Reason
+	// carries the formatted text (see Infeasible).
+	CodeOther InfeasibleCode = iota
+	// CodeGTSSlots: Nodes nodes exceed the Limit guaranteed time slots
+	// of one superframe.
+	CodeGTSSlots
+	// CodeCapacity: the assigned channel time Need (s/s) exceeds MAC's
+	// capacity Capacity (s/s) for Nodes nodes.
+	CodeCapacity
+	// CodeDutyCycle: App on Node needs a duty cycle of Need (a fraction)
+	// at microcontroller clock Freq.
+	CodeDutyCycle
+	// CodeRAM: App's working set on Node, Need bytes, exceeds the
+	// platform's Limit bytes of RAM.
+	CodeRAM
+)
+
 // InfeasibleError marks a configuration that violates a physical or
 // protocol constraint: duty cycle above 100 %, GTS capacity exhausted,
 // memory footprint beyond the platform, and so on. The DSE layer treats
 // these as constraint violations rather than hard failures.
+//
+// The model reports its four constraints as a Code plus the numbers and
+// names behind them, and formats them only in Error: the search hot path
+// meets an infeasible configuration for about one evaluation in five, and
+// building the error must stay a single small allocation there.
 type InfeasibleError struct {
-	Reason string
+	Code     InfeasibleCode
+	Node     string      // offending node (CodeDutyCycle, CodeRAM)
+	App      string      // its application (CodeDutyCycle)
+	MAC      string      // saturated MAC (CodeCapacity)
+	Nodes    int         // network size (CodeGTSSlots, CodeCapacity)
+	Limit    int         // GTS slots (CodeGTSSlots) or RAM bytes (CodeRAM)
+	Need     float64     // channel time, duty cycle or working set
+	Capacity float64     // assignable channel time (CodeCapacity)
+	Freq     units.Hertz // microcontroller clock (CodeDutyCycle)
+	Reason   string      // formatted text (CodeOther)
 }
 
 // Error implements the error interface.
-func (e *InfeasibleError) Error() string { return "core: infeasible configuration: " + e.Reason }
+func (e *InfeasibleError) Error() string { return "core: infeasible configuration: " + e.reason() }
 
-// Infeasible builds an InfeasibleError with formatting.
+func (e *InfeasibleError) reason() string {
+	switch e.Code {
+	case CodeGTSSlots:
+		return fmt.Sprintf("%d nodes exceed the %d guaranteed time slots per superframe", e.Nodes, e.Limit)
+	case CodeCapacity:
+		return fmt.Sprintf("transmission demand %.6f s/s exceeds MAC %q capacity %.6f s/s (N=%d nodes)",
+			e.Need, e.MAC, e.Capacity, e.Nodes)
+	case CodeDutyCycle:
+		return fmt.Sprintf("node %q: application %q duty cycle %.1f%% exceeds 100%% at f_µC=%v",
+			e.Node, e.App, e.Need*100, e.Freq)
+	case CodeRAM:
+		return fmt.Sprintf("node %q: application working set %.0f B exceeds %d B RAM", e.Node, e.Need, e.Limit)
+	}
+	return e.Reason
+}
+
+// Infeasible builds a CodeOther InfeasibleError with formatting, for
+// constraints the model itself does not check.
 func Infeasible(format string, args ...any) error {
 	return &InfeasibleError{Reason: fmt.Sprintf(format, args...)}
 }

@@ -84,6 +84,56 @@ func TestInfeasibleError(t *testing.T) {
 	}
 }
 
+// TestInfeasibleMessages pins the text of the model's four constraint
+// violations byte for byte (wsn-model prints them) and checks that each
+// carries its code through errors.As.
+func TestInfeasibleMessages(t *testing.T) {
+	overloaded := make([]units.BytesPerSecond, 6)
+	for i := range overloaded {
+		overloaded[i] = 375
+	}
+	tinyRAM := testNode(t, "ecg", "cs", 0.23, 8e6)
+	tinyRAM.Platform.Memory.SizeBytes = 512
+	cases := []struct {
+		name string
+		run  func() error
+		code InfeasibleCode
+		want string
+	}{
+		{"gts slots", func() error {
+			_, err := NewGTSMac(ieee.SuperframeConfig{BeaconOrder: 2, SuperframeOrder: 2}, 80, 8)
+			return err
+		}, CodeGTSSlots, "8 nodes exceed the 7 guaranteed time slots per superframe"},
+		{"capacity", func() error {
+			_, err := Assign(testMAC(t, 6, 0, 32, 6), overloaded)
+			return err
+		}, CodeCapacity, `transmission demand 0.205078 s/s exceeds MAC "ieee802.15.4-gts" capacity 0.006836 s/s (N=6 nodes)`},
+		{"duty cycle", func() error {
+			_, err := testNode(t, "ecg", "dwt", 0.23, 1e6).Energy(testMAC(t, 2, 2, 80, 1))
+			return err
+		}, CodeDutyCycle, `node "ecg": application "dwt" duty cycle 226.6% exceeds 100% at f_µC=1MHz`},
+		{"ram", func() error {
+			_, err := tinyRAM.Energy(testMAC(t, 2, 2, 80, 1))
+			return err
+		}, CodeRAM, `node "ecg": application working set 1536 B exceeds 512 B RAM`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := fmt.Errorf("wrapped: %w", tc.run())
+			var ie *InfeasibleError
+			if !errors.As(err, &ie) {
+				t.Fatalf("%v is not an InfeasibleError", err)
+			}
+			if ie.Code != tc.code {
+				t.Errorf("code %d, want %d", ie.Code, tc.code)
+			}
+			if got, want := ie.Error(), "core: infeasible configuration: "+tc.want; got != want {
+				t.Errorf("message\n got %q\nwant %q", got, want)
+			}
+		})
+	}
+}
+
 func TestNodeRates(t *testing.T) {
 	n := testNode(t, "a", "dwt", 0.23, 8e6)
 	// φ_in = 250 Hz × 1.5 B = 375 B/s, the paper's constant.

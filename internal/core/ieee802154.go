@@ -38,8 +38,7 @@ func NewGTSMac(sf ieee.SuperframeConfig, payloadBytes, numNodes int) (*GTSMac, e
 		return nil, fmt.Errorf("core: GTS MAC needs at least one node, got %d", numNodes)
 	}
 	if numNodes > ieee.MaxGTS {
-		return nil, Infeasible("%d nodes exceed the %d guaranteed time slots per superframe",
-			numNodes, ieee.MaxGTS)
+		return nil, &InfeasibleError{Code: CodeGTSSlots, Nodes: numNodes, Limit: ieee.MaxGTS}
 	}
 	return &GTSMac{Superframe: sf, PayloadBytes: payloadBytes, NumNodes: numNodes}, nil
 }

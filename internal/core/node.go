@@ -73,15 +73,13 @@ func (n *Node) EnergyWithRates(mac MAC, phiIn, phiOut units.BytesPerSecond) (Ene
 	var eb EnergyBreakdown
 	usage := n.App.Usage(phiIn, n.MicroFreq)
 	if usage.Duty > 1 {
-		return eb, Infeasible("node %q: application %q duty cycle %.1f%% exceeds 100%% at f_µC=%v",
-			n.Name, n.App.Name(), usage.Duty*100, n.MicroFreq)
+		return eb, &InfeasibleError{Code: CodeDutyCycle, Node: n.Name, App: n.App.Name(), Need: usage.Duty, Freq: n.MicroFreq}
 	}
 	if usage.Duty < 0 {
 		return eb, fmt.Errorf("core: node %q: negative duty cycle %g", n.Name, usage.Duty)
 	}
 	if usage.MemoryBytes > float64(n.Platform.Memory.SizeBytes) {
-		return eb, Infeasible("node %q: application working set %.0f B exceeds %d B RAM",
-			n.Name, usage.MemoryBytes, n.Platform.Memory.SizeBytes)
+		return eb, &InfeasibleError{Code: CodeRAM, Node: n.Name, Need: usage.MemoryBytes, Limit: n.Platform.Memory.SizeBytes}
 	}
 
 	// Eq. 3: sensing.

@@ -216,9 +216,13 @@ type snapshotEnvelope struct {
 	Snapshot json.RawMessage `json:"snapshot"`
 }
 
-// encodeEnvelope wraps serialized snapshot bytes (of either snapshot
-// kind) in the checksummed envelope.
-func encodeEnvelope(raw []byte) ([]byte, error) {
+// EncodeSnapshotFile serializes snap into its durable envelope form:
+// {"version":1,"sha256":"...","snapshot":{...}}.
+func EncodeSnapshotFile(snap *Snapshot) ([]byte, error) {
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
 	sum := sha256.Sum256(raw)
 	return json.Marshal(snapshotEnvelope{
 		Version:  SnapshotVersion,
@@ -227,9 +231,11 @@ func encodeEnvelope(raw []byte) ([]byte, error) {
 	})
 }
 
-// decodeEnvelope verifies the envelope checksum and returns the inner
-// snapshot bytes; failures wrap ErrCorruptSnapshot.
-func decodeEnvelope(data []byte) (json.RawMessage, error) {
+// DecodeSnapshotFile parses an envelope produced by EncodeSnapshotFile,
+// verifying the checksum before trusting any field of the snapshot.
+// Undecodable bytes and checksum mismatches both return an error wrapping
+// ErrCorruptSnapshot.
+func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
 	var env snapshotEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
@@ -241,30 +247,8 @@ func decodeEnvelope(data []byte) (json.RawMessage, error) {
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
 		return nil, fmt.Errorf("%w: checksum mismatch (torn write?)", ErrCorruptSnapshot)
 	}
-	return env.Snapshot, nil
-}
-
-// EncodeSnapshotFile serializes snap into its durable envelope form:
-// {"version":1,"sha256":"...","snapshot":{...}}.
-func EncodeSnapshotFile(snap *Snapshot) ([]byte, error) {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(raw)
-}
-
-// DecodeSnapshotFile parses an envelope produced by EncodeSnapshotFile,
-// verifying the checksum before trusting any field of the snapshot.
-// Undecodable bytes and checksum mismatches both return an error wrapping
-// ErrCorruptSnapshot.
-func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
-	raw, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
 	snap := &Snapshot{}
-	if err := json.Unmarshal(raw, snap); err != nil {
+	if err := json.Unmarshal(env.Snapshot, snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
 	return snap, nil

@@ -159,7 +159,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	}
 	result := func() *Result {
 		evaluated, infeasible := pe.Stats()
-		return &Result{Front: merged(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+		return &Result{Front: detach(merged()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	for seg := startSeg; seg < segments; seg++ {
 		upTo := (seg + 1) * mosaSegment

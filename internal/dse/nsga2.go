@@ -118,7 +118,7 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	}
 	result := func() *Result {
 		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	for gen := startGen; gen < cfg.Generations; gen++ {
 		r.generation(rng, &arch)

@@ -1,42 +1,189 @@
 package dse
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// memoShards is the number of independently locked cache shards. Sharding
-// keeps workers from serializing on one mutex when the evaluator is cheap
-// relative to the cache lookup.
-const memoShards = 64
+// memoShards is the number of independently locked cache shards. A shard
+// lock is held only to look a configuration up, reserve it or publish its
+// result, never across an evaluation, so a few shards keep workers from
+// serializing on one mutex; each costs three allocations at its first
+// miss, which a fresh evaluator's first batch pays.
+const memoShards = 16
 
-// memoEntry is one cached evaluation. The goroutine that inserts the entry
-// owns the evaluation; every other goroutine that hits the same
-// configuration blocks on done until the point is filled in. This gives
-// exactly-once evaluation per distinct configuration regardless of
-// scheduling, which is what keeps the Evaluated/Infeasible counts identical
-// at any worker count. Entries hashing to the same uint64 chain through
-// next; cfg disambiguates them, so a hash collision costs a comparison,
-// never a wrong result.
-type memoEntry struct {
-	cfg  Config
-	next *memoEntry
-	done chan struct{}
-	p    Point
+// Arena and table sizing. A shard's first miss allocates the shard, with
+// a 32-slot table inside it, and a 16-entry chunk of each arena; every
+// later chunk holds twice the entries of the one before, so a long search
+// adds O(log n) chunks, and 28 chunks hold every int32 entry number.
+const (
+	memoTable0  = 32
+	memoChunk0  = 16
+	memoChunks  = 28
+	memoFibHash = 0x9E3779B97F4A7C15 // spreads Config.Hash over the table
+)
+
+// slotState is the life cycle of one memo entry.
+type slotState uint8
+
+const (
+	slotEmpty      slotState = iota
+	slotPending              // reserved; its evaluation is in flight
+	slotFeasible             // published with its objectives
+	slotInfeasible           // published as a constraint violation
+)
+
+// memoSlot is one open-addressing table entry: the configuration's hash,
+// its entry number in the shard's arenas and its state.
+type memoSlot struct {
+	hash  uint64
+	entry int32
+	state slotState
 }
 
+// memoShard is one lock's share of the memo, allocated at the first miss
+// that hashes to it. Entry e's genes and objectives live at offset e in
+// chunked flat arenas (chunkOf maps e to a chunk and an offset); chunks
+// never move, so the Points handed out alias them for as long as anything
+// holds one. The gene stride is fixed by the shard's first miss; a
+// configuration of another length is kept apart in odd, as entry −1−i.
 type memoShard struct {
-	mu      sync.Mutex
-	entries map[uint64]*memoEntry
+	mu     sync.Mutex
+	ready  sync.Cond  // waiters on a pending slot; L is &mu
+	slots  []memoSlot // power-of-two length, table0 until the first growth
+	shift  uint       // 64 − log2(len(slots))
+	used   int
+	stride int   // genes per entry
+	nobj   int   // objectives per entry
+	n      int32 // arena entries
+	genes  [memoChunks][]int
+	objs   [memoChunks][]float64
+	odd    []Point
+	table0 [memoTable0]memoSlot
+}
+
+// newMemoShard returns an empty shard whose arenas take configurations of
+// stride genes and nobj objectives.
+func newMemoShard(stride, nobj int) *memoShard {
+	sh := &memoShard{stride: stride, nobj: nobj, shift: uint(64 - bits.TrailingZeros(memoTable0))}
+	sh.ready.L = &sh.mu
+	sh.slots = sh.table0[:]
+	return sh
+}
+
+// chunkOf maps arena entry e to its chunk and its offset in that chunk.
+func chunkOf(e int32) (k, off int) {
+	k = bits.Len(uint(e)/memoChunk0+1) - 1
+	return k, int(e) - memoChunk0*(1<<k-1)
+}
+
+// config returns entry e's genes.
+func (sh *memoShard) config(e int32) Config {
+	if e < 0 {
+		return sh.odd[-1-e].Config
+	}
+	k, off := chunkOf(e)
+	g := off * sh.stride
+	return sh.genes[k][g : g+sh.stride : g+sh.stride]
+}
+
+// objectives returns entry e's objective storage.
+func (sh *memoShard) objectives(e int32) Objectives {
+	if e < 0 {
+		return sh.odd[-1-e].Objs
+	}
+	k, off := chunkOf(e)
+	o := off * sh.nobj
+	return sh.objs[k][o : o+sh.nobj : o+sh.nobj]
+}
+
+// point returns the published Point of slot s. An infeasible point
+// carries no objective vector.
+func (sh *memoShard) point(s memoSlot) Point {
+	p := Point{Config: sh.config(s.entry), Feasible: s.state == slotFeasible}
+	if p.Feasible {
+		p.Objs = sh.objectives(s.entry)
+	}
+	return p
+}
+
+// find probes for c: it returns c's slot and true, or the empty slot
+// where c belongs and false.
+func (sh *memoShard) find(h uint64, c Config) (int, bool) {
+	mask := len(sh.slots) - 1
+	for i := int((h * memoFibHash) >> sh.shift); ; i = (i + 1) & mask {
+		s := &sh.slots[i]
+		if s.state == slotEmpty {
+			return i, false
+		}
+		if s.hash == h && sh.config(s.entry).Equal(c) {
+			return i, true
+		}
+	}
+}
+
+// reserve is the first half of the memo protocol; the caller holds sh.mu.
+// It returns c's slot and true when c is already known (published or
+// pending). Otherwise it claims a pending slot, copies c's genes into the
+// arena and returns the new slot and false: the caller then evaluates
+// into the entry's objectives with the lock released and publishes.
+func (sh *memoShard) reserve(h uint64, c Config) (int, bool) {
+	i, ok := sh.find(h, c)
+	if ok {
+		return i, true
+	}
+	if 4*(sh.used+1) > 3*len(sh.slots) {
+		sh.grow()
+		i, _ = sh.find(h, c)
+	}
+	sh.slots[i] = memoSlot{hash: h, entry: sh.store(c), state: slotPending}
+	sh.used++
+	return i, false
+}
+
+// store copies c into the arenas and returns its entry number.
+func (sh *memoShard) store(c Config) int32 {
+	if len(c) != sh.stride {
+		sh.odd = append(sh.odd, Point{Config: c.Clone(), Objs: make(Objectives, sh.nobj)})
+		return int32(-len(sh.odd))
+	}
+	e := sh.n
+	sh.n++
+	k, off := chunkOf(e)
+	if off == 0 {
+		sh.genes[k] = make([]int, (memoChunk0<<k)*sh.stride)
+		sh.objs[k] = make([]float64, (memoChunk0<<k)*sh.nobj)
+	}
+	copy(sh.config(e), c)
+	return e
+}
+
+// grow doubles the table and re-inserts every slot.
+func (sh *memoShard) grow() {
+	old := sh.slots
+	sh.slots = make([]memoSlot, 2*len(old))
+	sh.shift--
+	mask := len(sh.slots) - 1
+	for _, s := range old {
+		if s.state == slotEmpty {
+			continue
+		}
+		i := int((s.hash * memoFibHash) >> sh.shift)
+		for sh.slots[i].state != slotEmpty {
+			i = (i + 1) & mask
+		}
+		sh.slots[i] = s
+	}
 }
 
 // IntoEvaluator is an Evaluator that can additionally write its objectives
 // into a caller-provided buffer of length NumObjectives(), avoiding the
 // per-call Objectives allocation. Compiled evaluators (casestudy and
-// scenario Compile) implement it; the batch runtime uses it on cache
-// misses so the only steady-state allocations left are the cache entries
-// themselves — one per distinct configuration, ever.
+// scenario Compile) implement it; the batch runtime evaluates each miss
+// straight into the memo's objective arena through it.
 type IntoEvaluator interface {
 	Evaluator
 	EvaluateInto(c Config, objs Objectives) error
@@ -52,9 +199,9 @@ type Forkable interface {
 }
 
 // ParallelEvaluator wraps an Evaluator with a bounded worker pool and a
-// sharded, mutex-guarded memo cache keyed on the configurations' packed
-// uint64 hash. It is the batch-evaluation runtime every search algorithm in
-// this package runs on: the sequential path is simply workers = 1.
+// sharded memo cache keyed on the configurations' packed uint64 hash. It
+// is the batch-evaluation runtime every search algorithm in this package
+// runs on: the sequential path is simply workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
 // the configuration (every evaluator in this repository is). Under that
@@ -65,19 +212,25 @@ type Forkable interface {
 // The wrapped Evaluator is called from multiple goroutines concurrently;
 // stateless evaluators need no synchronization of their own, and Forkable
 // evaluators get one private instance per worker.
+//
+// The returned Points alias the memo's arenas: they stay valid for as long
+// as they are held, must not be mutated, and keep a whole arena chunk
+// alive. A search result that outlives its run is therefore copied out
+// (see detach).
 type ParallelEvaluator struct {
 	inner      Evaluator
 	perWorker  []Evaluator // perWorker[w] is used only by worker w
 	workers    int
 	nobj       int
-	shards     [memoShards]memoShard
+	shards     [memoShards]atomic.Pointer[memoShard]
 	evaluated  atomic.Int64
 	infeasible atomic.Int64
 	hits       atomic.Int64
 }
 
 // NewParallelEvaluator wraps inner with a batch runtime running at most
-// workers concurrent evaluations. workers <= 0 selects GOMAXPROCS.
+// workers concurrent evaluations. workers <= 0 selects GOMAXPROCS. The
+// memo allocates nothing until its first miss.
 func NewParallelEvaluator(inner Evaluator, workers int) *ParallelEvaluator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -91,10 +244,18 @@ func NewParallelEvaluator(inner Evaluator, workers int) *ParallelEvaluator {
 			pe.perWorker[w] = inner
 		}
 	}
-	for i := range pe.shards {
-		pe.shards[i].entries = make(map[uint64]*memoEntry)
-	}
 	return pe
+}
+
+// shard returns the shard of hash h, allocating it on first use for
+// configurations like c.
+func (pe *ParallelEvaluator) shard(h uint64, c Config) *memoShard {
+	p := &pe.shards[h%memoShards]
+	if sh := p.Load(); sh != nil {
+		return sh
+	}
+	p.CompareAndSwap(nil, newMemoShard(len(c), pe.nobj))
+	return p.Load()
 }
 
 // Workers returns the pool bound.
@@ -118,34 +279,38 @@ func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
 	return pe.evalOn(pe.perWorker[w], c)
 }
 
-// evalOn runs the memo-cache protocol around inner. A cache hit allocates
-// nothing: the key is the packed hash, collisions chain through the shard's
-// entries, and the stored Point is returned as-is.
+// evalOn runs the memo protocol around inner: reserve c under its shard's
+// lock, evaluate a miss into the arena with the lock released, publish.
+// The first goroutine to reserve a configuration owns its evaluation;
+// every other one waits on the shard's condition variable until it is
+// published. That gives exactly-once evaluation per distinct configuration
+// regardless of scheduling, which is what keeps the Evaluated/Infeasible
+// counts identical at any worker count. The memo allocates nothing for a
+// hit, nor for a miss while its shard's table and arena chunk have room.
 func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
 	h := c.Hash()
-	sh := &pe.shards[h%memoShards]
+	sh := pe.shard(h, c)
 	sh.mu.Lock()
-	head := sh.entries[h]
-	for e := head; e != nil; e = e.next {
-		if e.cfg.Equal(c) {
-			sh.mu.Unlock()
-			pe.hits.Add(1)
-			<-e.done
-			return e.p
+	i, known := sh.reserve(h, c)
+	if known {
+		for sh.slots[i].state == slotPending {
+			sh.ready.Wait()
+			i, _ = sh.find(h, c) // the table may have grown meanwhile
 		}
+		p := sh.point(sh.slots[i])
+		sh.mu.Unlock()
+		pe.hits.Add(1)
+		return p
 	}
-	e := &memoEntry{cfg: c.Clone(), next: head, done: make(chan struct{})}
-	sh.entries[h] = e
+	objs := sh.objectives(sh.slots[i].entry)
 	sh.mu.Unlock()
 
-	objs, err := pe.evaluate(inner, c)
-	e.p = Point{Config: e.cfg, Objs: objs, Feasible: err == nil}
+	err := pe.evaluate(inner, c, objs)
 	pe.evaluated.Add(1)
 	if err != nil {
 		pe.infeasible.Add(1)
 	}
-	close(e.done)
-	return e.p
+	return sh.publish(h, c, err == nil)
 }
 
 // prime inserts an already-evaluated point into the memo cache without
@@ -154,39 +319,47 @@ func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
 // re-evaluations. A configuration already cached is left as-is.
 func (pe *ParallelEvaluator) prime(p Point) {
 	h := p.Config.Hash()
-	sh := &pe.shards[h%memoShards]
+	sh := pe.shard(h, p.Config)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	head := sh.entries[h]
-	for e := head; e != nil; e = e.next {
-		if e.cfg.Equal(p.Config) {
-			return
-		}
-	}
-	done := make(chan struct{})
-	close(done)
-	cfg := p.Config.Clone()
-	sh.entries[h] = &memoEntry{
-		cfg:  cfg,
-		next: head,
-		done: done,
-		p:    Point{Config: cfg, Objs: append(Objectives(nil), p.Objs...), Feasible: p.Feasible},
+	i, known := sh.reserve(h, p.Config)
+	objs := sh.objectives(sh.slots[i].entry)
+	sh.mu.Unlock()
+	if !known {
+		copy(objs, p.Objs)
+		sh.publish(h, p.Config, p.Feasible)
 	}
 }
 
-// evaluate dispatches to the scratch-reuse API when inner provides one.
-// The Objectives buffer it fills is the one stored in the cache entry, so
-// the compiled path's only per-miss allocations are the entry and that
-// buffer — both of which outlive the call by design.
-func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config) (Objectives, error) {
-	if ie, ok := inner.(IntoEvaluator); ok {
-		objs := make(Objectives, pe.nobj)
-		if err := ie.EvaluateInto(c, objs); err != nil {
-			return nil, err
-		}
-		return objs, nil
+// publish ends the memo protocol for c's pending slot: it records whether
+// the evaluation was feasible, wakes the waiters and returns the point.
+func (sh *memoShard) publish(h uint64, c Config, feasible bool) Point {
+	sh.mu.Lock()
+	i, _ := sh.find(h, c)
+	sh.slots[i].state = slotInfeasible
+	if feasible {
+		sh.slots[i].state = slotFeasible
 	}
-	return inner.Evaluate(c)
+	p := sh.point(sh.slots[i])
+	sh.mu.Unlock()
+	sh.ready.Broadcast()
+	return p
+}
+
+// evaluate writes c's objectives into objs, through the scratch API when
+// inner provides one. An Evaluator that returns a vector of another length
+// than NumObjectives is broken, and evaluate panics rather than store it.
+func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config, objs Objectives) error {
+	if ie, ok := inner.(IntoEvaluator); ok {
+		return ie.EvaluateInto(c, objs)
+	}
+	got, err := inner.Evaluate(c)
+	if err == nil {
+		if len(got) != len(objs) {
+			panic(fmt.Sprintf("dse: evaluator returned %d objectives, NumObjectives is %d", len(got), len(objs)))
+		}
+		copy(objs, got)
+	}
+	return err
 }
 
 // ForEach runs fn(i) for every i in [0,n) on at most workers goroutines

@@ -121,11 +121,12 @@ func (e *countingEvaluator) Evaluate(c Config) (Objectives, error) {
 	return e.inner.Evaluate(c)
 }
 
-// TestMemoCollisionChain drives hundreds of distinct configurations
-// through the 64-shard cache (so shards carry multi-entry chains) and
-// checks each is evaluated exactly once and keeps its own result.
+// TestMemoCollisionChain drives 1,728 distinct configurations through the
+// sharded cache (so every shard's table grows and its arenas span several
+// chunks) and checks each is evaluated exactly once and keeps its own
+// result.
 func TestMemoCollisionChain(t *testing.T) {
-	s := testSpace(6, 6, 6)
+	s := testSpace(12, 12, 12)
 	counting := &countingEvaluator{inner: &convexEvaluator{space: s}}
 	pe := NewParallelEvaluator(counting, 4)
 	var all []Config
@@ -148,6 +149,114 @@ func TestMemoCollisionChain(t *testing.T) {
 			t.Fatalf("config %v: objs %v, want %v (collision cross-talk?)", all[i], first[i].Objs, want)
 		}
 	}
+}
+
+// gateEvaluator sums the genes of a configuration of any length; the
+// evaluation of gated blocks until release is closed.
+type gateEvaluator struct {
+	gated   Config
+	entered chan struct{}
+	release chan struct{}
+	calls   atomic.Int64
+}
+
+func (e *gateEvaluator) NumObjectives() int { return 2 }
+func (e *gateEvaluator) Evaluate(c Config) (Objectives, error) {
+	e.calls.Add(1)
+	if c.Equal(e.gated) {
+		close(e.entered)
+		<-e.release
+	}
+	sum := 0
+	for _, v := range c {
+		sum += v
+	}
+	return Objectives{float64(sum), float64(len(c))}, nil
+}
+
+// TestMemoWaitersShareOneEvaluation parks goroutines on a configuration
+// whose evaluation is in flight while other misses grow every shard's
+// table, then checks that the waiters wake to the one published point.
+func TestMemoWaitersShareOneEvaluation(t *testing.T) {
+	gated := Config{7, 7, 7}
+	eval := &gateEvaluator{gated: gated, entered: make(chan struct{}), release: make(chan struct{})}
+	pe := NewParallelEvaluator(eval, 1)
+	owner := make(chan Point)
+	go func() { owner <- pe.Eval(gated) }()
+	<-eval.entered
+
+	const waiters = 4
+	got := make(chan Point, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { got <- pe.Eval(Config{7, 7, 7}) }()
+	}
+	var others []Config
+	testSpace(10, 10, 10).Iterate(func(c Config) bool {
+		if !c.Equal(gated) {
+			others = append(others, c.Clone())
+		}
+		return true
+	})
+	pe.EvaluateBatch(others)
+	close(eval.release)
+
+	want := <-owner
+	for i := 0; i < waiters; i++ {
+		if p := <-got; !reflect.DeepEqual(p, want) {
+			t.Fatalf("waiter got %+v, owner %+v", p, want)
+		}
+	}
+	if n := eval.calls.Load(); n != int64(len(others)+1) {
+		t.Fatalf("%d evaluations for %d distinct configurations", n, len(others)+1)
+	}
+	if lookups, hits := pe.CacheStats(); hits != waiters || lookups != int64(len(others)+1+waiters) {
+		t.Fatalf("cache stats: %d lookups, %d hits", lookups, hits)
+	}
+}
+
+// TestMemoMixedLengths checks that configurations of several lengths
+// share one evaluator: each keeps its own genes and result, once.
+func TestMemoMixedLengths(t *testing.T) {
+	eval := &gateEvaluator{gated: Config{-1}} // never drawn: no gate
+	pe := NewParallelEvaluator(eval, 2)
+	var configs []Config
+	for n := 0; n < 5; n++ {
+		for v := 0; v < 40; v++ {
+			c := make(Config, n)
+			for i := range c {
+				c[i] = v + i
+			}
+			configs = append(configs, c)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, p := range pe.EvaluateBatch(configs) {
+			want, _ := eval.Evaluate(configs[i])
+			if !p.Config.Equal(configs[i]) || !reflect.DeepEqual(p.Objs, want) || !p.Feasible {
+				t.Fatalf("config %v: got %+v, want objs %v", configs[i], p, want)
+			}
+		}
+	}
+	if evaluated, _ := pe.Stats(); evaluated != 4*40+1 {
+		t.Fatalf("evaluated %d distinct configurations, want %d", evaluated, 4*40+1)
+	}
+}
+
+// shortEvaluator returns fewer objectives than it declares.
+type shortEvaluator struct{}
+
+func (shortEvaluator) NumObjectives() int                  { return 3 }
+func (shortEvaluator) Evaluate(Config) (Objectives, error) { return Objectives{1}, nil }
+
+// TestObjectiveCountMismatchPanics checks that a broken evaluator is
+// reported instead of stored.
+func TestObjectiveCountMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 1-objective result from a 3-objective evaluator was accepted")
+		}
+	}()
+	NewParallelEvaluator(shortEvaluator{}, 1).Eval(Config{0})
 }
 
 // forkEvaluator records how many instances Fork produced and which

@@ -9,9 +9,10 @@ import (
 // Progress is one search-boundary snapshot, delivered to a ProgressSink.
 // The unit of Step depends on the algorithm: NSGA-II counts completed
 // generations, MOSA completed chain segments, exhaustive and random
-// search completed evaluation batches. Front is a fresh slice whose Points share
-// the run's immutable Config/Objs storage — safe to read from any
-// goroutine, not to mutate.
+// search completed evaluation batches. Front is the archive's own
+// storage, as in Stats: valid only for the duration of the call and
+// strictly read-only. A sink that keeps the front past its return must
+// copy it, Points included, since they alias the memo's arenas.
 type Progress struct {
 	Algorithm  string
 	Step       int // boundaries completed so far
@@ -28,10 +29,10 @@ type Progress struct {
 type ProgressSink func(Progress)
 
 // Stats is one boundary-level search-health snapshot, delivered to a
-// StatsSink. It is the zero-copy sibling of Progress, built for
-// telemetry samplers that fire every boundary: Front is the archive's
-// own sorted storage — valid only for the duration of the call and
-// strictly read-only — so emitting a Stats allocates nothing on the
+// StatsSink. It is the telemetry sibling of Progress, built for
+// samplers that fire every boundary: Front is, as in Progress, the
+// archive's own sorted storage — valid only for the duration of the call
+// and strictly read-only — so emitting a Stats allocates nothing on the
 // NSGA-II/exhaustive/random paths. CacheHits/CacheLookups expose the
 // memo cache (lookups = hits + distinct evaluations), the signal that
 // tells an operator whether a search is still discovering or mostly
@@ -75,8 +76,7 @@ type Options struct {
 
 	// Stats, when non-nil, is invoked at every boundary with the
 	// telemetry view: counters, the live front (zero-copy) and memo-cache
-	// hit rates. It exists so observability never pays for the Progress
-	// sink's defensive front copy.
+	// hit rates.
 	Stats StatsSink
 
 	// Checkpoint, when non-nil and CheckpointEvery > 0, is invoked with a
@@ -169,9 +169,8 @@ func (o Options) validSeeds(space *Space, max int) []Config {
 // is already durable when the partial result comes back, and a paused
 // run's snapshot is written before ErrPaused surfaces. step is 1-based
 // (boundaries completed); live returns the archive's shared point slice
-// (materialized once, only when a sink is attached — Progress copies it,
-// Stats reads it in place), and snap builds the snapshot lazily and only
-// when one is due.
+// (materialized once, only when a sink is attached; both sinks read it in
+// place), and snap builds the snapshot lazily and only when one is due.
 func (o Options) boundary(algo string, step, total, evaluated, infeasible int, pe *ParallelEvaluator, live func() []Point, snap func() *Snapshot) error {
 	if o.Progress != nil || o.Stats != nil {
 		front := live()
@@ -182,7 +181,7 @@ func (o Options) boundary(algo string, step, total, evaluated, infeasible int, p
 				TotalSteps: total,
 				Evaluated:  evaluated,
 				Infeasible: infeasible,
-				Front:      append([]Point(nil), front...),
+				Front:      front,
 			})
 		}
 		if o.Stats != nil {

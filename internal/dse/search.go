@@ -5,11 +5,37 @@ import (
 )
 
 // Result is the outcome of a search: the non-dominated front over every
-// feasible point the algorithm evaluated, plus bookkeeping.
+// feasible point the algorithm evaluated, plus bookkeeping. Front is
+// storage of its own, not the memo's: a kept Result keeps only its front
+// alive.
 type Result struct {
 	Front      []Point
 	Evaluated  int // distinct configurations evaluated
 	Infeasible int // of those, how many violated constraints
+}
+
+// detach copies points into three blocks of their own (points, genes,
+// objectives). Points from the batch runtime alias its memo arenas, so a
+// front that outlives its run would otherwise pin every configuration
+// the run evaluated.
+func detach(ps []Point) []Point {
+	if len(ps) == 0 {
+		return ps
+	}
+	genes, objs := 0, 0
+	for _, p := range ps {
+		genes += len(p.Config)
+		objs += len(p.Objs)
+	}
+	out := make([]Point, len(ps))
+	g := make(Config, genes)
+	o := make(Objectives, objs)
+	for i, p := range ps {
+		n, m := copy(g, p.Config), copy(o, p.Objs)
+		out[i] = Point{Config: g[:n:n], Objs: o[:m:m], Feasible: p.Feasible}
+		g, o = g[n:], o[m:]
+	}
+	return out
 }
 
 // exhaustiveBatch is how many configurations exhaustive and random
@@ -59,7 +85,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	}
 	result := func() *Result {
 		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	batch := make([]Config, 0, exhaustiveBatch)
 	flush := func() {
@@ -135,7 +161,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	}
 	result := func() *Result {
 		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	totalBatches := batches(budget)
 	configs := make([]Config, 0, exhaustiveBatch)

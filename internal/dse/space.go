@@ -12,7 +12,8 @@
 // # Batch-evaluation runtime
 //
 // Every search algorithm runs on ParallelEvaluator, a bounded worker pool
-// over a sharded, mutex-guarded memo cache. Candidate configurations are
+// over a sharded memo cache whose genes and objectives sit in flat arenas
+// (a Result's front is copied out of them). Candidate configurations are
 // produced sequentially from the algorithm's seeded RNG and handed to
 // EvaluateBatch, which fans them across the pool and returns points in
 // input order; each distinct configuration is evaluated exactly once no
@@ -43,11 +44,11 @@
 // allocation-free hot loops never see them and a zero Options run is
 // bit-identical to the plain entry point. Cancellation returns the
 // partial Result alongside ctx.Err(); ProgressSink receives step counters
-// and front snapshots; CheckpointFunc receives self-contained, JSON-
-// serializable Snapshots. The search RNG draws from a SplitMix64
-// rand.Source64 so its complete state is a single uint64, which is what
-// makes a resumed run (Options.Resume) replay the uninterrupted
-// trajectory bit for bit.
+// and the live front (valid during the call); CheckpointFunc receives
+// self-contained, JSON-serializable Snapshots. The search RNG draws from
+// a SplitMix64 rand.Source64 so its complete state is a single uint64,
+// which is what makes a resumed run (Options.Resume) replay the
+// uninterrupted trajectory bit for bit.
 package dse
 
 import (

@@ -118,14 +118,12 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 	}
 }
 
+// frontToWire converts a Result's front, which is storage of its own, to
+// snapshot points sharing it.
 func frontToWire(front []dse.Point) []dse.SnapPoint {
 	out := make([]dse.SnapPoint, len(front))
 	for i, p := range front {
-		out[i] = dse.SnapPoint{
-			Config:   p.Config.Clone(),
-			Objs:     append(dse.Objectives(nil), p.Objs...),
-			Feasible: p.Feasible,
-		}
+		out[i] = dse.SnapPoint{Config: p.Config, Objs: p.Objs, Feasible: p.Feasible}
 	}
 	return out
 }
