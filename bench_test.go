@@ -1,10 +1,10 @@
 package wsndse
 
-// One benchmark per evaluation artifact of the paper (see DESIGN.md §4)
-// plus micro-benchmarks of the hot paths. The experiment benchmarks run
-// reduced-but-representative workloads per iteration and attach the
-// headline quantities as custom metrics, so `go test -bench` both times
-// the harness and regenerates the numbers.
+// One benchmark per evaluation artifact of the paper's §5 (the harnesses
+// of internal/experiments) plus micro-benchmarks of the hot paths. The
+// experiment benchmarks run reduced-but-representative workloads per
+// iteration and attach the headline quantities as custom metrics, so
+// `go test -bench` both times the harness and regenerates the numbers.
 
 import (
 	"math/rand"

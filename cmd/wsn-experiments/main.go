@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"wsndse/internal/casestudy"
@@ -63,15 +64,9 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	selected := map[string]bool{}
-	if *run == "all" {
-		for _, name := range []string{"fig3", "fig4", "delay", "speed", "fig5", "ablation", "scenarios"} {
-			selected[name] = true
-		}
-	} else {
-		for _, name := range strings.Split(*run, ",") {
-			selected[strings.TrimSpace(name)] = true
-		}
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if selected["calibrate"] {
@@ -182,6 +177,32 @@ func main() {
 	}
 }
 
+// allExperiments is what -run all selects. calibrate, which regenerates
+// the shipped polynomials rather than checking a claim, runs only when
+// named.
+var allExperiments = []string{"fig3", "fig4", "delay", "speed", "fig5", "ablation", "scenarios"}
+
+// selectExperiments parses -run into the set of experiments to run. An
+// entry that names no experiment is an error, so a typo cannot select
+// nothing and exit 0.
+func selectExperiments(run string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "all":
+			for _, n := range allExperiments {
+				selected[n] = true
+			}
+		case name == "calibrate" || slices.Contains(allExperiments, name):
+			selected[name] = true
+		default:
+			return nil, fmt.Errorf("-run: unknown experiment %q (valid: all, %s, calibrate)", name, strings.Join(allExperiments, ", "))
+		}
+	}
+	return selected, nil
+}
+
 // stopProfiles flushes any active -cpuprofile/-memprofile; fatalf runs it
 // so error exits do not truncate a profile mid-write.
 var stopProfiles = func() {}
@@ -198,8 +219,10 @@ func writeCSV(dir, name string, r interface{ WriteCSV(io.Writer) error }) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer f.Close()
 	if err := r.WriteCSV(f); err != nil {
+		fatalf("%s: %v", name, err)
+	}
+	if err := f.Close(); err != nil {
 		fatalf("%s: %v", name, err)
 	}
 	fmt.Printf("[%s.csv written]\n", name)

@@ -242,9 +242,8 @@ func writeCSV(path string, front []dse.Point, objectives int) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // error paths only; the success path checks Close below
 	w := csv.NewWriter(f)
-	defer w.Flush()
 	header := []string{"energy_W", "delay_s"}
 	if objectives == 3 {
 		header = []string{"energy_W", "quality", "delay_s"}
@@ -263,7 +262,11 @@ func writeCSV(path string, front []dse.Point, objectives int) error {
 			return err
 		}
 	}
-	return w.Error()
+	w.Flush()
+	if err := w.Error(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile; fail runs it

@@ -50,8 +50,7 @@ func frontPoints(r *rand.Rand, n, m int, lo, hi float64, grid int) []Point {
 }
 
 // benchNonDominated times the batch Pareto filter at the given scale; the
-// N ∈ {64, 256, 1024} ladder lets `benchjson diff` track the
-// O(N²) → O(N log N) rewrite across sizes.
+// N ∈ {64, 256, 1024} ladder shows how its cost grows with the front.
 func benchNonDominated(b *testing.B, n int) {
 	pts := benchPoints(n, 2)
 	b.ReportAllocs()

@@ -141,12 +141,14 @@ type Snapshot struct {
 	Infeasible int         `json:"infeasible"`
 }
 
-// validateResume checks the snapshot's envelope against the resuming run:
-// no cursor (Step, Next, a chain's Iter) may be negative, or the run
-// would overrun its budget; every point must index the space and, when
-// objs > 0, every feasible point must carry objs objectives (the
-// evaluator's count), since the front machinery reads objectives by index.
-func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
+// Validate checks the snapshot against the run about to resume from it,
+// with the checks that need no run configuration: no cursor (Step, Next,
+// a chain's Iter) may be negative, or the run would overrun its budget;
+// Ranks and Crowd must cover the population; and every point must pass
+// SnapPoint.Validate with objs, the evaluator's objective count (0 skips
+// the count). Checks against the configuration (population size, chain
+// count, budget) are the algorithm's own, made when it restores.
+func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil snapshot")
 	}
@@ -159,16 +161,12 @@ func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 	if s.Step < 0 || s.Next < 0 {
 		return fmt.Errorf("dse: snapshot cursor is negative (step %d, next %d)", s.Step, s.Next)
 	}
-	genes := len(space.Params)
+	if len(s.Ranks) != len(s.Population) || len(s.Crowd) != len(s.Population) {
+		return fmt.Errorf("dse: snapshot ranking covers %d/%d points", min(len(s.Ranks), len(s.Crowd)), len(s.Population))
+	}
 	check := func(kind string, sp SnapPoint) error {
-		if len(sp.Config) != genes {
-			return fmt.Errorf("dse: snapshot %s point has %d genes, space has %d", kind, len(sp.Config), genes)
-		}
-		if !space.Valid(sp.Config) {
-			return fmt.Errorf("dse: snapshot %s point %v does not index the space", kind, sp.Config)
-		}
-		if objs > 0 && sp.Feasible && len(sp.Objs) != objs {
-			return fmt.Errorf("dse: snapshot %s point has %d objectives, evaluator has %d", kind, len(sp.Objs), objs)
+		if err := sp.Validate(space, objs); err != nil {
+			return fmt.Errorf("dse: snapshot %s %w", kind, err)
 		}
 		return nil
 	}
@@ -194,6 +192,24 @@ func (s *Snapshot) validateResume(algo string, space *Space, objs int) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// Validate checks that the point indexes space and, when objs > 0 and the
+// point is feasible, that it carries objs objectives (the evaluator's
+// count), since the front machinery reads objectives by index. The error
+// starts with "point", for the caller to prefix with where the point
+// came from.
+func (sp SnapPoint) Validate(space *Space, objs int) error {
+	if genes := len(space.Params); len(sp.Config) != genes {
+		return fmt.Errorf("point has %d genes, space has %d", len(sp.Config), genes)
+	}
+	if !space.Valid(sp.Config) {
+		return fmt.Errorf("point %v does not index the space", sp.Config)
+	}
+	if objs > 0 && sp.Feasible && len(sp.Objs) != objs {
+		return fmt.Errorf("point has %d objectives, evaluator has %d", len(sp.Objs), objs)
 	}
 	return nil
 }

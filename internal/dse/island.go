@@ -230,9 +230,10 @@ type IslandSnapshot struct {
 	Islands   []*Snapshot `json:"islands"`
 }
 
-// Validate checks the composite against the run about to resume from it.
-// Objective counts are not checked here: each island's run checks them
-// against its evaluator when it resumes.
+// Validate checks the composite against the run about to resume from it,
+// and each island's snapshot with Snapshot.Validate. Objective counts are
+// not checked here: each island's run checks them against its evaluator
+// when it resumes.
 func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil island snapshot")
@@ -253,7 +254,7 @@ func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error 
 		if snap.Step != s.Step {
 			return fmt.Errorf("dse: island %d checkpointed at step %d, composite says %d", i, snap.Step, s.Step)
 		}
-		if err := snap.validateResume(algo, space, 0); err != nil {
+		if err := snap.Validate(algo, space, 0); err != nil {
 			return fmt.Errorf("dse: island %d: %w", i, err)
 		}
 	}

@@ -3,6 +3,7 @@ package dse
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -266,7 +267,8 @@ func TestInjectMigrantsFiltersGarbage(t *testing.T) {
 }
 
 // TestIslandSnapshotValidate checks the composite checks failover relies
-// on: algorithm, island count, step skew and negative steps.
+// on: algorithm, island count, a ranking short of the population, step
+// skew and negative steps.
 func TestIslandSnapshotValidate(t *testing.T) {
 	s, nsga2Snap, _ := islandSnapshotPair(t)
 	other := nsga2Snap.Clone()
@@ -286,6 +288,12 @@ func TestIslandSnapshotValidate(t *testing.T) {
 	if err := comp.Validate("nsga2", 3, s); err == nil {
 		t.Error("island count mismatch accepted")
 	}
+	ranks := other.Ranks
+	other.Ranks = ranks[:len(ranks)-1]
+	if err := comp.Validate("nsga2", 2, s); err == nil || !strings.Contains(err.Error(), "ranking covers") {
+		t.Errorf("short ranking: err = %v, want a ranking error", err)
+	}
+	other.Ranks = ranks
 	comp.Islands[1].Step++
 	if err := comp.Validate("nsga2", 2, s); err == nil {
 		t.Error("step skew accepted")

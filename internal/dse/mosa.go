@@ -279,7 +279,7 @@ func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snaps
 // restoreChains rebuilds the chains from a snapshot and primes the memo
 // cache with every archived point.
 func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEvaluator, chains []*mosaChain) error {
-	if err := snap.validateResume("mosa", space, pe.NumObjectives()); err != nil {
+	if err := snap.Validate("mosa", space, pe.NumObjectives()); err != nil {
 		return err
 	}
 	if len(snap.Chains) != len(chains) {

@@ -157,15 +157,12 @@ func (r *nsga2Run) snapshot(step int, src *splitMix64, arch *Archive, evaluated,
 // prime the memo cache so re-visited configurations are cache hits rather
 // than re-evaluations.
 func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *ParallelEvaluator, arch *Archive) error {
-	if err := snap.validateResume("nsga2", space, pe.NumObjectives()); err != nil {
+	if err := snap.Validate("nsga2", space, pe.NumObjectives()); err != nil {
 		return err
 	}
 	n := r.cfg.PopulationSize
 	if len(snap.Population) != n {
 		return fmt.Errorf("dse: snapshot population %d does not match configured size %d", len(snap.Population), n)
-	}
-	if len(snap.Ranks) != n || len(snap.Crowd) != n {
-		return fmt.Errorf("dse: snapshot ranking covers %d/%d points", len(snap.Ranks), n)
 	}
 	if snap.Step > r.cfg.Generations {
 		return fmt.Errorf("dse: snapshot at generation %d is past the configured %d", snap.Step, r.cfg.Generations)

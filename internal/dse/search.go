@@ -70,7 +70,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	skip := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("exhaustive", space, pe.NumObjectives()); err != nil {
+		if err := opts.Resume.Validate("exhaustive", space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > total {
@@ -145,7 +145,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	drawn := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("random", space, pe.NumObjectives()); err != nil {
+		if err := opts.Resume.Validate("random", space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > budget {

@@ -3,6 +3,7 @@ package island
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +157,73 @@ func TestStallWatchdogRecovers(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("watchdog recovery took %v", elapsed)
+	}
+}
+
+// damagingRunner wraps a Runner and damages island 1's first paused
+// response (final: its first final response) once, as a worker process
+// writing a well-formed but wrong NDJSON response would.
+type damagingRunner struct {
+	inner  Runner
+	final  bool
+	damage func(*Response)
+	once   sync.Once
+}
+
+func (d *damagingRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
+	resp, err := d.inner.RunRound(ctx, req, beat)
+	if err == nil && req.Island == 1 && (req.StopAfter == 0) == d.final {
+		d.once.Do(func() { d.damage(resp) })
+	}
+	return resp, err
+}
+
+// TestDamagedResponseRetried: a round response that would panic the
+// migration, poison the island's snapshot or corrupt the merged front
+// fails its attempt instead, and the island is retried from its
+// unchanged snapshot to the undisturbed run's front.
+func TestDamagedResponseRetried(t *testing.T) {
+	job, cfg := testJob("nsga2")
+	golden := runCoordinator(t, job, cfg)
+
+	cases := []struct {
+		name   string
+		final  bool
+		damage func(*Response)
+	}{
+		{"empty ranking", false, func(r *Response) { r.Snapshot.Ranks, r.Snapshot.Crowd = nil, nil }},
+		{"one-objective archive", false, func(r *Response) {
+			for i := range r.Snapshot.Archive {
+				r.Snapshot.Archive[i].Objs = r.Snapshot.Archive[i].Objs[:1]
+			}
+		}},
+		{"other algorithm", false, func(r *Response) { r.Snapshot.Algorithm = "mosa" }},
+		{"one-objective front point", true, func(r *Response) { r.Result.Front[0].Objs = r.Result.Front[0].Objs[:1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg
+			space := testSpace(12, 4, 3)
+			cfg.Runner = &damagingRunner{inner: &GoRunner{Space: space, Eval: &testEval{space: space}}, final: tc.final, damage: tc.damage}
+			var mu sync.Mutex
+			crashes, restarts := map[int]int{}, map[int]int{}
+			cfg.OnEvent = func(e Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch e.Kind {
+				case EventCrash:
+					crashes[e.Island]++
+				case EventRestart:
+					restarts[e.Island]++
+				}
+			}
+			sameResult(t, golden, runCoordinator(t, job, cfg), "damaged response vs golden")
+			mu.Lock()
+			defer mu.Unlock()
+			if want := map[int]int{1: 1}; !reflect.DeepEqual(crashes, want) || !reflect.DeepEqual(restarts, want) {
+				t.Errorf("crash events %v, restart events %v, want one of each for island 1", crashes, restarts)
+			}
+		})
 	}
 }
 

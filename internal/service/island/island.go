@@ -499,13 +499,36 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 	if rerr != nil {
 		return nil, rerr
 	}
-	switch {
-	case stopAfter > 0 && (resp == nil || resp.Snapshot == nil || resp.Snapshot.Step != stopAfter):
-		return nil, fmt.Errorf("island %d: round to %d returned no snapshot at that boundary", island, stopAfter)
-	case stopAfter == 0 && (resp == nil || resp.Result == nil):
-		return nil, fmt.Errorf("island %d: final round returned no result", island)
+	if err := c.check(island, stopAfter, resp); err != nil {
+		return nil, err
 	}
 	return resp, nil
+}
+
+// check vets a round's response before the coordinator uses it, since a
+// worker process's response is outside input. A paused snapshot must
+// pass Snapshot.Validate and each final front point SnapPoint.Validate,
+// both with the evaluator's objective count. A failed check fails the
+// attempt, and the island is retried from its unchanged snapshot.
+func (c *Coordinator) check(island, stopAfter int, resp *Response) error {
+	objs := c.eval.NumObjectives()
+	switch {
+	case stopAfter > 0 && (resp == nil || resp.Snapshot == nil || resp.Snapshot.Step != stopAfter):
+		return fmt.Errorf("island %d: round to %d returned no snapshot at that boundary", island, stopAfter)
+	case stopAfter > 0:
+		if err := resp.Snapshot.Validate(c.job.Algorithm, c.space, objs); err != nil {
+			return fmt.Errorf("island %d: round to %d: %w", island, stopAfter, err)
+		}
+	case resp == nil || resp.Result == nil:
+		return fmt.Errorf("island %d: final round returned no result", island)
+	default:
+		for _, sp := range resp.Result.Front {
+			if err := sp.Validate(c.space, objs); err != nil {
+				return fmt.Errorf("island %d: final front %w", island, err)
+			}
+		}
+	}
+	return nil
 }
 
 // migrate exchanges migrants on the ring: every island's outgoing set is
