@@ -144,12 +144,14 @@
 // bounded-worker Manager with queued → running → done/failed/cancelled
 // lifecycles, per-job event hubs streamed as server-sent events, durable
 // snapshot files, and a versioned store of finished fronts queryable by
-// scenario/algorithm. Seeded jobs return bit-identical fronts regardless
-// of service concurrency — jobs share nothing mutable but code paths
-// already proven scheduling-independent. cmd/wsn-serve serves the HTTP
-// API; service.Client consumes it; examples/service walks the flow; and
-// CI's service-smoke job diffs a real submit→poll→front round-trip
-// against a committed golden front.
+// scenario/algorithm. A finished job keeps its info, events, stats window
+// and one read-only front shared with the store; its checkpoint anchor
+// and warm-start seeds live only while it runs. Seeded jobs return
+// bit-identical fronts regardless of service concurrency — jobs share
+// nothing mutable but code paths already proven scheduling-independent.
+// cmd/wsn-serve serves the HTTP API; service.Client consumes it;
+// examples/service walks the flow; and CI's service-smoke job diffs a
+// real submit→poll→front round-trip against a committed golden front.
 //
 // The benchmarks in bench_test.go regenerate every evaluation artifact
 // (including parallel-vs-sequential exploration pairs and the

@@ -28,72 +28,110 @@ type Search struct {
 	MaxPoints int          `json:"max_points,omitempty"`
 }
 
-// algorithm is one table entry. front rebuilds the front a snapshot has
-// found so far, in lexicographic order so that migrant selection is
-// deterministic; inject folds accepted migrants into a snapshot copy.
-// Both are nil for an algorithm that takes no injected points.
+// algorithm is one table entry. resume checks a resume snapshot against
+// the configuration. front rebuilds the front a snapshot has found so
+// far, in lexicographic order so that migrant selection is deterministic;
+// inject folds accepted migrants into a snapshot copy. Both are nil for
+// an algorithm that takes no injected points.
 type algorithm struct {
 	validate func(Search) error
 	run      func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error)
 	steps    func(s Search, space *Space) int
+	resume   func(s Search, space *Space, snap *Snapshot) error
 	front    func(*Snapshot) []Point
 	inject   func(out *Snapshot, accepted []SnapPoint) error
 }
 
-// algorithms is the table.
-var algorithms = map[string]algorithm{
-	"nsga2": {
-		validate: func(s Search) error { return s.nsga2().Validate() },
-		run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-			return NSGA2Opts(space, eval, s.nsga2(), opts)
+// algorithms is the table. It is filled in init because the resume
+// paths its entries run look the table up again (ValidateResume).
+var algorithms map[string]algorithm
+
+func init() {
+	algorithms = map[string]algorithm{
+		"nsga2": {
+			validate: func(s Search) error { return s.nsga2().Validate() },
+			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+				return NSGA2Opts(space, eval, s.nsga2(), opts)
+			},
+			// The gene count only sets the mutation default.
+			steps: func(s Search, _ *Space) int { return s.nsga2().withDefaults(1).Generations },
+			resume: func(s Search, _ *Space, snap *Snapshot) error {
+				switch c := s.nsga2().withDefaults(1); {
+				case len(snap.Population) != c.PopulationSize:
+					return fmt.Errorf("dse: snapshot population %d does not match configured size %d", len(snap.Population), c.PopulationSize)
+				case snap.Step > c.Generations:
+					return fmt.Errorf("dse: snapshot at generation %d is past the configured %d", snap.Step, c.Generations)
+				}
+				return nil
+			},
+			front:  func(snap *Snapshot) []Point { return archivePoints(snap.Archive) },
+			inject: injectPopulation,
 		},
-		// The gene count only sets the mutation default.
-		steps:  func(s Search, _ *Space) int { return s.nsga2().withDefaults(1).Generations },
-		front:  func(snap *Snapshot) []Point { return archivePoints(snap.Archive) },
-		inject: injectPopulation,
-	},
-	"mosa": {
-		validate: func(s Search) error { return s.mosa().Validate() },
-		run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-			return MOSAOpts(space, eval, s.mosa(), opts)
+		"mosa": {
+			validate: func(s Search) error { return s.mosa().Validate() },
+			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+				return MOSAOpts(space, eval, s.mosa(), opts)
+			},
+			steps: func(s Search, _ *Space) int { return s.mosa().withDefaults().segments() },
+			resume: func(s Search, _ *Space, snap *Snapshot) error {
+				switch c := s.mosa().withDefaults(); {
+				case len(snap.Chains) != c.Restarts:
+					return fmt.Errorf("dse: snapshot has %d chains, configuration wants %d", len(snap.Chains), c.Restarts)
+				case snap.Step > c.segments():
+					return fmt.Errorf("dse: snapshot at segment %d is past the configured %d (budget %d iterations over %d chains)",
+						snap.Step, c.segments(), c.Iterations, c.Restarts)
+				}
+				return nil
+			},
+			front: func(snap *Snapshot) []Point {
+				var arch Archive
+				for _, ch := range snap.Chains {
+					restoreArchive(&arch, ch.Archive)
+				}
+				return arch.Points()
+			},
+			inject: injectChains,
 		},
-		steps: func(s Search, _ *Space) int { return s.mosa().withDefaults().segments() },
-		front: func(snap *Snapshot) []Point {
-			var arch Archive
-			for _, ch := range snap.Chains {
-				restoreArchive(&arch, ch.Archive)
-			}
-			return arch.Points()
+		"exhaustive": {
+			validate: func(Search) error { return nil },
+			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+				return ExhaustiveOpts(space, eval, cmp.Or(s.MaxPoints, DefaultMaxPoints), s.Workers, opts)
+			},
+			steps: func(s Search, space *Space) int {
+				if size := space.Size(); size <= float64(cmp.Or(s.MaxPoints, DefaultMaxPoints)) {
+					return batches(int(size))
+				}
+				return 0
+			},
+			resume: func(_ Search, space *Space, snap *Snapshot) error {
+				if size := space.Size(); float64(snap.Next) > size {
+					return fmt.Errorf("dse: snapshot consumed %d of %d points", snap.Next, int(size))
+				}
+				return nil
+			},
 		},
-		inject: injectChains,
-	},
-	"exhaustive": {
-		validate: func(Search) error { return nil },
-		run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-			return ExhaustiveOpts(space, eval, cmp.Or(s.MaxPoints, DefaultMaxPoints), s.Workers, opts)
+		"random": {
+			validate: func(Search) error { return nil },
+			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+				return RandomSearchOpts(space, eval, cmp.Or(s.Budget, DefaultBudget), s.Seed, s.Workers, opts)
+			},
+			steps: func(s Search, _ *Space) int { return batches(cmp.Or(s.Budget, DefaultBudget)) },
+			resume: func(s Search, _ *Space, snap *Snapshot) error {
+				if budget := cmp.Or(s.Budget, DefaultBudget); snap.Next > budget {
+					return fmt.Errorf("dse: snapshot consumed %d of %d draws", snap.Next, budget)
+				}
+				return nil
+			},
 		},
-		steps: func(s Search, space *Space) int {
-			if size := space.Size(); size <= float64(cmp.Or(s.MaxPoints, DefaultMaxPoints)) {
-				return batches(int(size))
-			}
-			return 0
-		},
-	},
-	"random": {
-		validate: func(Search) error { return nil },
-		run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-			return RandomSearchOpts(space, eval, cmp.Or(s.Budget, DefaultBudget), s.Seed, s.Workers, opts)
-		},
-		steps: func(s Search, _ *Space) int { return batches(cmp.Or(s.Budget, DefaultBudget)) },
-	},
+	}
 }
 
 // Algorithms lists the table's names in sorted order.
 func Algorithms() []string { return slices.Sorted(maps.Keys(algorithms)) }
 
 // lookup returns the table entry for name. An unknown name gets an entry
-// that takes no injected points, has no steps, and fails validation and
-// runs with an error listing every name in the table.
+// that takes no injected points, has no steps, and fails validation,
+// resume checks and runs with an error listing every name in the table.
 func lookup(name string) algorithm {
 	if a, ok := algorithms[name]; ok {
 		return a
@@ -103,6 +141,7 @@ func lookup(name string) algorithm {
 		validate: func(Search) error { return err },
 		run:      func(Search, *Space, Evaluator, Options) (*Result, error) { return nil, err },
 		steps:    func(Search, *Space) int { return 0 },
+		resume:   func(Search, *Space, *Snapshot) error { return err },
 	}
 }
 
@@ -124,6 +163,17 @@ func (s Search) Validate() error {
 // Run runs the named algorithm over space under opts.
 func (s Search) Run(space *Space, eval Evaluator, opts Options) (*Result, error) {
 	return lookup(s.Algorithm).run(s, space, eval, opts)
+}
+
+// ValidateResume checks snap before a run of s over space resumes from
+// it, objs being the evaluator's objective count (0 skips it): first
+// Snapshot.Validate, then the algorithm's checks against the
+// configuration. Every resume path runs it.
+func (s Search) ValidateResume(snap *Snapshot, space *Space, objs int) error {
+	if err := snap.Validate(s.Algorithm, space, objs); err != nil {
+		return err
+	}
+	return lookup(s.Algorithm).resume(s, space, snap)
 }
 
 // Steps returns how many boundaries (generations, chain segments or

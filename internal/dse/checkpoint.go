@@ -146,8 +146,8 @@ type Snapshot struct {
 // a chain's Iter) may be negative, or the run would overrun its budget;
 // Ranks and Crowd must cover the population; and every point must pass
 // SnapPoint.Validate with objs, the evaluator's objective count (0 skips
-// the count). Checks against the configuration (population size, chain
-// count, budget) are the algorithm's own, made when it restores.
+// the count). Search.ValidateResume adds the checks against the
+// configuration (population size, chain count, budget).
 func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil snapshot")

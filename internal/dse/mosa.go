@@ -128,12 +128,20 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	startSeg := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := restoreChains(opts.Resume, space, cfg, pe, chains); err != nil {
+		if err := (Search{Algorithm: "mosa", MOSA: &cfg}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
-		if opts.Resume.Step > segments {
-			return nil, fmt.Errorf("dse: snapshot at segment %d is past the configured %d (budget %d iterations over %d chains)",
-				opts.Resume.Step, segments, cfg.Iterations, cfg.Restarts)
+		// Restore every chain and prime the memo cache with its points.
+		for i, cs := range opts.Resume.Chains {
+			c := newMOSAChain(space, cfg, i)
+			c.src.state, c.cur, c.curE = cs.RNG, cs.Cur.point(), cs.CurE
+			c.temp, c.iter, c.started = cs.Temp, cs.Iter, true
+			restoreArchive(&c.arch, cs.Archive)
+			pe.prime(c.cur)
+			for _, p := range c.arch.Points() {
+				pe.prime(p)
+			}
+			chains[i] = c
 		}
 		startSeg = opts.Resume.Step
 		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
@@ -274,32 +282,4 @@ func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snaps
 		}
 	}
 	return snap
-}
-
-// restoreChains rebuilds the chains from a snapshot and primes the memo
-// cache with every archived point.
-func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEvaluator, chains []*mosaChain) error {
-	if err := snap.Validate("mosa", space, pe.NumObjectives()); err != nil {
-		return err
-	}
-	if len(snap.Chains) != len(chains) {
-		return fmt.Errorf("dse: snapshot has %d chains, configuration wants %d", len(snap.Chains), len(chains))
-	}
-	for i := range chains {
-		cs := snap.Chains[i]
-		c := newMOSAChain(space, cfg, i)
-		c.src.state = cs.RNG
-		c.cur = cs.Cur.point()
-		c.curE = cs.CurE
-		c.temp = cs.Temp
-		c.iter = cs.Iter
-		c.started = true
-		restoreArchive(&c.arch, cs.Archive)
-		pe.prime(c.cur)
-		for _, p := range c.arch.Points() {
-			pe.prime(p)
-		}
-		chains[i] = c
-	}
-	return nil
 }

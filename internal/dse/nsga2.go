@@ -102,9 +102,10 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	startGen := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := r.restore(opts.Resume, space, src, pe, &arch); err != nil {
+		if err := (Search{Algorithm: "nsga2", NSGA2: &cfg}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
 			return nil, err
 		}
+		r.restore(opts.Resume, src, pe, &arch)
 		startGen = opts.Resume.Step
 		// Primed cache entries never touch the Stats counters, so the
 		// resumed run's totals are snapshot counts plus fresh evaluations.
@@ -152,21 +153,11 @@ func (r *nsga2Run) snapshot(step int, src *splitMix64, arch *Archive, evaluated,
 	}
 }
 
-// restore rebuilds the run from a snapshot: population, carried ranking,
-// archive and RNG state come back bit-exactly, and the snapshot's points
-// prime the memo cache so re-visited configurations are cache hits rather
-// than re-evaluations.
-func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *ParallelEvaluator, arch *Archive) error {
-	if err := snap.Validate("nsga2", space, pe.NumObjectives()); err != nil {
-		return err
-	}
-	n := r.cfg.PopulationSize
-	if len(snap.Population) != n {
-		return fmt.Errorf("dse: snapshot population %d does not match configured size %d", len(snap.Population), n)
-	}
-	if snap.Step > r.cfg.Generations {
-		return fmt.Errorf("dse: snapshot at generation %d is past the configured %d", snap.Step, r.cfg.Generations)
-	}
+// restore rebuilds the run from a validated snapshot: population,
+// carried ranking, archive and RNG state come back bit-exactly, and the
+// snapshot's points prime the memo cache so re-visited configurations are
+// cache hits rather than re-evaluations.
+func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, pe *ParallelEvaluator, arch *Archive) {
 	r.pop = append(r.pop[:0], restorePoints(snap.Population)...)
 	copy(r.ranks, snap.Ranks)
 	copy(r.crowd, snap.Crowd)
@@ -178,7 +169,6 @@ func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *Pa
 		pe.prime(p)
 	}
 	src.state = snap.RNG
-	return nil
 }
 
 // nsga2Run owns every buffer of the generation loop, pre-sized so the

@@ -331,6 +331,42 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 }
 
+// FuzzResumeSnapshot resumes each of the four searches on a small space
+// from arbitrary snapshot JSON, named as the resuming algorithm's: the
+// resume must fail with an error or run, never panic. The seeds are real
+// snapshots of all four algorithms.
+func FuzzResumeSnapshot(f *testing.F) {
+	space := testSpace(12, 12, 12) // 1,728 points: two exhaustive batches
+	eval := &constrainedEvaluator{inner: &simplexEvaluator{space: space}}
+	searches := []Search{
+		{Algorithm: "nsga2", Seed: 3, Workers: 1, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 4}},
+		{Algorithm: "mosa", Seed: 3, Workers: 1, MOSA: &MOSAConfig{Iterations: 1024, Restarts: 2}},
+		{Algorithm: "exhaustive", Workers: 1},
+		{Algorithm: "random", Seed: 3, Workers: 1, Budget: 2048},
+	}
+	for _, s := range searches {
+		var snap *Snapshot
+		if _, err := s.Run(space, eval, captureLatest(&snap, 1)); err != nil || snap == nil {
+			f.Fatalf("%s: snapshot %v, err %v", s.Algorithm, snap, err)
+		}
+		data, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, s := range searches {
+			var snap Snapshot
+			if json.Unmarshal(data, &snap) != nil {
+				return
+			}
+			snap.Algorithm = s.Algorithm
+			s.Run(space, eval, Options{Resume: &snap})
+		}
+	})
+}
+
 // TestInfFloatsRoundTrip pins the ±Inf JSON encoding crowding distances
 // rely on (front-boundary points carry +Inf crowding).
 func TestInfFloatsRoundTrip(t *testing.T) {

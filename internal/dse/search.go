@@ -70,11 +70,8 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	skip := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.Validate("exhaustive", space, pe.NumObjectives()); err != nil {
+		if err := (Search{Algorithm: "exhaustive"}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
 			return nil, err
-		}
-		if opts.Resume.Next > total {
-			return nil, fmt.Errorf("dse: snapshot consumed %d of %d points", opts.Resume.Next, total)
 		}
 		skip = opts.Resume.Next
 		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
@@ -145,11 +142,8 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	drawn := 0
 	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.Validate("random", space, pe.NumObjectives()); err != nil {
+		if err := (Search{Algorithm: "random", Budget: budget}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
 			return nil, err
-		}
-		if opts.Resume.Next > budget {
-			return nil, fmt.Errorf("dse: snapshot consumed %d of %d draws", opts.Resume.Next, budget)
 		}
 		drawn = opts.Resume.Next
 		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible

@@ -296,16 +296,11 @@ func TestChaosDeadlineSpansRetries(t *testing.T) {
 }
 
 // TestChaosCheckpointWriteFailure: a dying disk fails every durable
-// checkpoint write; the job logs, keeps its in-memory snapshot, and
-// finishes as if nothing happened.
+// checkpoint write; the job logs, keeps its in-memory anchor, and a
+// panic mid-run still retries from that anchor to the undisturbed front.
 func TestChaosCheckpointWriteFailure(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.SetCheckpointWriteHook(func(path string, data []byte) ([]byte, error) {
-		return nil, errors.New("disk full (injected)")
-	})
-
 	var logged atomic.Int32
-	cfg := Config{Workers: 1, CheckpointDir: t.TempDir()}
+	cfg := fastRetry(Config{Workers: 1, CheckpointDir: t.TempDir()})
 	cfg.Logf = func(format string, args ...any) {
 		if strings.Contains(fmt.Sprintf(format, args...), "checkpoint write") {
 			logged.Add(1)
@@ -313,9 +308,16 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	}
 	m := newTestManager(t, cfg)
 	defer m.Close()
-
 	spec := chaosSpecs()["nsga2"]
+	_, want := runToDone(t, m, spec)
+
+	defer faultinject.Reset()
+	faultinject.SetCheckpointWriteHook(func(path string, data []byte) ([]byte, error) {
+		return nil, errors.New("disk full (injected)")
+	})
+	faultinject.PanicOnceAtStep(3, 1)
 	spec.CheckpointEvery = 1
+	spec.MaxRetries = 1
 	info, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -327,8 +329,17 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	if logged.Load() == 0 {
 		t.Fatal("failing checkpoint writes left no log trace")
 	}
-	if memCheckpoint(m, info.ID) == nil {
-		t.Fatal("in-memory snapshot should survive failed durable writes")
+	// The panic fired at step 3; the retry resumed from the in-memory
+	// anchor at step 2, which no failed write could reach.
+	if final.ResumedFromStep != 2 {
+		t.Fatalf("resumed_from_step = %d, want 2", final.ResumedFromStep)
+	}
+	got, err := m.Front(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Front, got.Front) {
+		t.Fatalf("retried front differs from uninterrupted run:\nwant %+v\ngot  %+v", want.Front, got.Front)
 	}
 	if _, err := LoadCheckpoint(cfg.CheckpointDir, info.ID, 1); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("no durable snapshot should exist, got err=%v", err)

@@ -138,19 +138,17 @@ func atStep(slots []*dse.Snapshot, step int) *dse.Snapshot {
 
 // checkpoint is the one checkpoint writer, fed alike by a plain search's
 // dse.Options.Checkpoint hook and the island coordinator's OnCheckpoint.
-// It makes ckpt the job's resume anchor, then writes every island's slot
+// It makes ckpt the run's resume anchor, then writes every island's slot
 // when the manager has a checkpoint directory. The durable write is
 // best-effort: a full disk (or an injected write failure) costs
 // durability, not the run — the in-memory anchor still backs retries —
 // so a failure is logged and the run continues.
-func (m *Manager) checkpoint(j *job, ckpt *dse.IslandSnapshot) {
-	j.mu.Lock()
-	j.ckpt = ckpt
-	id := j.info.ID
-	j.mu.Unlock()
+func (m *Manager) checkpoint(r *run, ckpt *dse.IslandSnapshot) {
+	r.ckpt = ckpt
 	if m.cfg.CheckpointDir == "" {
 		return
 	}
+	id := r.job.info.ID
 	for i, snap := range ckpt.Islands {
 		latest, prev := slotPaths(m.cfg.CheckpointDir, id, len(ckpt.Islands), i)
 		if err := writeSlot(latest, prev, snap); err != nil {
@@ -161,7 +159,7 @@ func (m *Manager) checkpoint(j *job, ckpt *dse.IslandSnapshot) {
 }
 
 // resumePoint returns the checkpoint an attempt starts from, for plain
-// and island jobs alike: the job's in-memory anchor on a retry, else the
+// and island jobs alike: the run's in-memory anchor on a retry, else the
 // durable checkpoint resume_job names, else nil (a fresh start). A
 // resume_job checkpoint that is missing or fails verification in every
 // slot, or that belongs to another algorithm, fails the job with that
@@ -169,12 +167,9 @@ func (m *Manager) checkpoint(j *job, ckpt *dse.IslandSnapshot) {
 // resume while exploring a different trajectory prefix. The trajectory
 // from the returned point is deterministic, so the job's final front
 // matches an uninterrupted run bit for bit.
-func (m *Manager) resumePoint(j *job) (*dse.IslandSnapshot, error) {
-	spec := j.spec
-	j.mu.Lock()
-	ckpt := j.ckpt
-	j.mu.Unlock()
-	if ckpt == nil && spec.ResumeJob != "" {
+func (m *Manager) resumePoint(r *run) (*dse.IslandSnapshot, error) {
+	spec := r.job.spec
+	if r.ckpt == nil && spec.ResumeJob != "" {
 		loaded, err := LoadCheckpoint(m.cfg.CheckpointDir, spec.ResumeJob, max(spec.Islands, 1))
 		if err != nil {
 			return nil, err
@@ -183,13 +178,12 @@ func (m *Manager) resumePoint(j *job) (*dse.IslandSnapshot, error) {
 			return nil, fmt.Errorf("service: job %s checkpoint is a %s run, spec wants %s",
 				spec.ResumeJob, loaded.Algorithm, spec.Algorithm)
 		}
-		ckpt = loaded
+		r.ckpt = loaded
 	}
-	if ckpt != nil {
-		j.mu.Lock()
-		j.ckpt = ckpt
-		j.info.ResumedFromStep = ckpt.Step
-		j.mu.Unlock()
+	if r.ckpt != nil {
+		r.job.mu.Lock()
+		r.job.info.ResumedFromStep = r.ckpt.Step
+		r.job.mu.Unlock()
 	}
-	return ckpt, nil
+	return r.ckpt, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wsndse/internal/dse"
 	"wsndse/internal/service/faultinject"
 )
 
@@ -179,30 +180,41 @@ func (d *damagingRunner) RunRound(ctx context.Context, req Request, beat Heartbe
 }
 
 // TestDamagedResponseRetried: a round response that would panic the
-// migration, poison the island's snapshot or corrupt the merged front
-// fails its attempt instead, and the island is retried from its
-// unchanged snapshot to the undisturbed run's front.
+// migration, poison the island's snapshot, fail every retry of the next
+// round or corrupt the merged front fails its attempt instead, and the
+// island is retried from its unchanged snapshot to the undisturbed run's
+// front.
 func TestDamagedResponseRetried(t *testing.T) {
-	job, cfg := testJob("nsga2")
-	golden := runCoordinator(t, job, cfg)
-
+	goldens := map[string]*dse.Result{}
 	cases := []struct {
 		name   string
+		algo   string
 		final  bool
 		damage func(*Response)
 	}{
-		{"empty ranking", false, func(r *Response) { r.Snapshot.Ranks, r.Snapshot.Crowd = nil, nil }},
-		{"one-objective archive", false, func(r *Response) {
+		{"empty ranking", "nsga2", false, func(r *Response) { r.Snapshot.Ranks, r.Snapshot.Crowd = nil, nil }},
+		{"one-objective archive", "nsga2", false, func(r *Response) {
 			for i := range r.Snapshot.Archive {
 				r.Snapshot.Archive[i].Objs = r.Snapshot.Archive[i].Objs[:1]
 			}
 		}},
-		{"other algorithm", false, func(r *Response) { r.Snapshot.Algorithm = "mosa" }},
-		{"one-objective front point", true, func(r *Response) { r.Result.Front[0].Objs = r.Result.Front[0].Objs[:1] }},
+		{"other algorithm", "nsga2", false, func(r *Response) { r.Snapshot.Algorithm = "mosa" }},
+		{"short population", "nsga2", false, func(r *Response) {
+			s := r.Snapshot
+			n := len(s.Population) - 2
+			s.Population, s.Ranks, s.Crowd = s.Population[:n], s.Ranks[:n], s.Crowd[:n]
+		}},
+		{"missing chain", "mosa", false, func(r *Response) { r.Snapshot.Chains = r.Snapshot.Chains[1:] }},
+		{"one-objective front point", "nsga2", true, func(r *Response) { r.Result.Front[0].Objs = r.Result.Front[0].Objs[:1] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := cfg
+			job, cfg := testJob(tc.algo)
+			golden := goldens[tc.algo]
+			if golden == nil {
+				golden = runCoordinator(t, job, cfg)
+				goldens[tc.algo] = golden
+			}
 			space := testSpace(12, 4, 3)
 			cfg.Runner = &damagingRunner{inner: &GoRunner{Space: space, Eval: &testEval{space: space}}, final: tc.final, damage: tc.damage}
 			var mu sync.Mutex

@@ -507,16 +507,17 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 
 // check vets a round's response before the coordinator uses it, since a
 // worker process's response is outside input. A paused snapshot must
-// pass Snapshot.Validate and each final front point SnapPoint.Validate,
-// both with the evaluator's objective count. A failed check fails the
-// attempt, and the island is retried from its unchanged snapshot.
+// pass the job's Search.ValidateResume (as the next round will) and each
+// final front point SnapPoint.Validate, both with the evaluator's
+// objective count. A failed check fails the attempt, and the island is
+// retried from its unchanged snapshot.
 func (c *Coordinator) check(island, stopAfter int, resp *Response) error {
 	objs := c.eval.NumObjectives()
 	switch {
 	case stopAfter > 0 && (resp == nil || resp.Snapshot == nil || resp.Snapshot.Step != stopAfter):
 		return fmt.Errorf("island %d: round to %d returned no snapshot at that boundary", island, stopAfter)
 	case stopAfter > 0:
-		if err := resp.Snapshot.Validate(c.job.Algorithm, c.space, objs); err != nil {
+		if err := c.job.ValidateResume(resp.Snapshot, c.space, objs); err != nil {
 			return fmt.Errorf("island %d: round to %d: %w", island, stopAfter, err)
 		}
 	case resp == nil || resp.Result == nil:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os/exec"
@@ -63,9 +64,28 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 		p.OnSpawn(req.Island, req.Executor, cmd.Process.Pid)
 	}
 
-	var resp *Response
-	var procErr error
-	sc := bufio.NewScanner(stdout)
+	resp, err := readRound(stdout, req.Island, beat)
+	// Drain so the worker never blocks on a full stdout pipe, then reap.
+	io.Copy(io.Discard, stdout)
+	waitErr := cmd.Wait()
+	if errors.Is(err, errNoResult) && waitErr != nil {
+		// Killed (or exited) before reporting: the round is lost, the
+		// island's snapshot is not. Surface the cause for the crash event.
+		if detail := strings.TrimSpace(stderr.String()); detail != "" {
+			return nil, fmt.Errorf("island %d: worker died mid-round: %v (stderr: %s)", req.Island, waitErr, detail)
+		}
+		return nil, fmt.Errorf("island %d: worker died mid-round: %v", req.Island, waitErr)
+	}
+	return resp, err
+}
+
+var errNoResult = errors.New("worker exited without a result")
+
+// readRound reads one round from a worker's stdout: "beat" lines feed
+// beat, the first "done" line returns its response, and any other line,
+// or the end of the stream (errNoResult), is an error.
+func readRound(r io.Reader, island int, beat Heartbeat) (*Response, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 64<<20) // snapshots can be large
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -74,8 +94,7 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 		}
 		var msg ProcLine
 		if err := json.Unmarshal(line, &msg); err != nil {
-			procErr = fmt.Errorf("island %d: undecodable worker line: %v", req.Island, err)
-			break
+			return nil, fmt.Errorf("island %d: undecodable worker line: %v", island, err)
 		}
 		switch msg.Type {
 		case "beat":
@@ -83,39 +102,20 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 				beat(msg.Step)
 			}
 		case "done":
-			resp = msg.Response
-		case "error":
-			procErr = fmt.Errorf("island %d: worker: %s", req.Island, msg.Error)
-		default:
-			procErr = fmt.Errorf("island %d: unknown worker message type %q", req.Island, msg.Type)
-		}
-		if resp != nil || procErr != nil {
-			break
-		}
-	}
-	if scanErr := sc.Err(); scanErr != nil && procErr == nil {
-		procErr = fmt.Errorf("island %d: reading worker output: %w", req.Island, scanErr)
-	}
-	// Drain so the worker never blocks on a full stdout pipe, then reap.
-	io.Copy(io.Discard, stdout)
-	waitErr := cmd.Wait()
-
-	if procErr != nil {
-		return nil, procErr
-	}
-	if resp == nil {
-		// Killed (or exited) before reporting: the round is lost, the
-		// island's snapshot is not. Surface the cause for the crash event.
-		detail := strings.TrimSpace(stderr.String())
-		if waitErr != nil {
-			if detail != "" {
-				return nil, fmt.Errorf("island %d: worker died mid-round: %v (stderr: %s)", req.Island, waitErr, detail)
+			if msg.Response == nil {
+				return nil, fmt.Errorf("island %d: worker reported done without a response", island)
 			}
-			return nil, fmt.Errorf("island %d: worker died mid-round: %v", req.Island, waitErr)
+			return msg.Response, nil
+		case "error":
+			return nil, fmt.Errorf("island %d: worker: %s", island, msg.Error)
+		default:
+			return nil, fmt.Errorf("island %d: unknown worker message type %q", island, msg.Type)
 		}
-		return nil, fmt.Errorf("island %d: worker exited without a result", req.Island)
 	}
-	return resp, nil
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("island %d: reading worker output: %w", island, err)
+	}
+	return nil, fmt.Errorf("island %d: %w", island, errNoResult)
 }
 
 // limitedBuffer keeps the first stderrLimit bytes written to it.

@@ -1,6 +1,7 @@
 package island
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -193,4 +194,46 @@ func TestRequestWireFormat(t *testing.T) {
 	if wantKeys := []string{"algorithm", "job_id", "nsga2", "scenario", "seed", "workers"}; !slices.Equal(got, wantKeys) {
 		t.Fatalf("job re-encodes with keys %v, want %v", got, wantKeys)
 	}
+}
+
+// FuzzProcLine feeds arbitrary bytes to the reader of a worker's stdout,
+// the island protocol's input from outside the process. Any bytes yield
+// a response or an error, never a panic, and a response goes through the
+// coordinator's check, as a paused and as a final round, without
+// panicking.
+func FuzzProcLine(f *testing.F) {
+	job, cfg := testJob("nsga2")
+	space := testSpace(12, 4, 3)
+	eval := &testEval{space: space}
+	c, err := New(cfg, job, space, eval)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seeds: island 1's beat/done stream of a paused and of a final
+	// round, encoded as wsn-island writes them, and an error line.
+	for _, stopAfter := range []int{cfg.Interval, 0} {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		req := Request{Job: job, Island: 1, Seed: dse.ForkSeed(job.Seed, 1), StopAfter: stopAfter}
+		resp, err := (&GoRunner{Space: space, Eval: eval}).RunRound(context.Background(), req, func(step int) {
+			enc.Encode(ProcLine{Type: "beat", Step: step})
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc.Encode(ProcLine{Type: "done", Response: resp})
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"type":"error","error":"decode request: unexpected EOF"}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := readRound(bytes.NewReader(data), 1, nil)
+		if (resp == nil) == (err == nil) {
+			t.Fatalf("response %v with error %v, want exactly one", resp, err)
+		}
+		if resp != nil {
+			_ = c.check(1, cfg.Interval, resp)
+			_ = c.check(1, 0, resp)
+		}
+	})
 }

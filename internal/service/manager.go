@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -104,7 +105,8 @@ var (
 	ErrNotFinished = errors.New("service: job has no front yet")
 )
 
-// job is the internal job record. mu guards info/result/ckpt; the
+// job is the record readers of a job need; what only the attempt loop
+// needs lives in its run. mu guards info, sampler and front; the
 // lifecycle is single-writer (the manager worker running the job) but
 // many-reader.
 type job struct {
@@ -113,19 +115,7 @@ type job struct {
 	spec   Spec            // normalized
 	ctx    context.Context // derived from the manager root; Cancel fires it
 	cancel context.CancelFunc
-	runCtx context.Context // ctx plus the job deadline; set once by runJob
 	hub    *hub
-	result *dse.Result
-	// ckpt is the job's latest checkpoint, the resume anchor a retried
-	// attempt restarts from (see Manager.checkpoint and resumePoint). A
-	// plain job's checkpoint is the one-island composite.
-	ckpt *dse.IslandSnapshot
-	// seeds caches the warm-start resolution of the first attempt, so a
-	// retried job re-seeds from exactly the same fronts even if the store
-	// gained results in between — keeping every attempt's trajectory (and
-	// thus the retried job's final front) identical to attempt one's.
-	seeds         []dse.Config
-	seedsResolved bool
 	// sampler collects the job's telemetry (ring + optional obs file);
 	// created by runJob, nil while the job is still queued. met is the
 	// manager's registry, threaded in so setStatus can move the
@@ -133,6 +123,25 @@ type job struct {
 	sampler *jobSampler
 	met     *metrics
 	done    chan struct{}
+	// front is what Front serves, set once when the job ends with a
+	// front; its points are those of the job's StoredResult.
+	front *FrontResponse
+}
+
+// run is the state of a job's attempt loop, owned by runJob. The dse
+// boundary hooks and the coordinator's OnCheckpoint run on its
+// goroutine, so it needs no lock.
+type run struct {
+	job *job
+	ctx context.Context // the job's ctx plus its deadline
+	// ckpt is the job's latest checkpoint, the resume anchor a retried
+	// attempt restarts from (see Manager.checkpoint and resumePoint). A
+	// plain job's checkpoint is the one-island composite.
+	ckpt *dse.IslandSnapshot
+	// seeds is the warm-start resolution of the first attempt, which
+	// every retry reuses (see execute).
+	seeds    []dse.Config
+	resolved bool
 }
 
 // setStatus transitions the lifecycle under the job lock and publishes
@@ -193,7 +202,7 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string
+	order    []*job // jobs in submission order
 	nextID   int
 	closed   bool
 	draining bool
@@ -277,33 +286,30 @@ func lastJobNumber(dirs ...string) (int, error) {
 // Store returns the versioned result store.
 func (m *Manager) Store() *Store { return m.store }
 
+// allJobs returns every job in submission order.
+func (m *Manager) allJobs() []*job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.order)
+}
+
 // Close cancels every job, stops accepting submissions, and waits for the
 // workers to drain. Queued jobs are marked cancelled. Obs writer
 // goroutines are drained too, so every job's telemetry file is complete
 // on disk when Close returns.
 func (m *Manager) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.wg.Wait()
-		m.drainSamplers()
-		return
+	if !m.closed {
+		m.closed = true
+		close(m.queue)
 	}
-	m.closed = true
-	close(m.queue)
 	m.mu.Unlock()
 	m.stop()
 	m.wg.Wait()
 	m.drainSamplers()
 	// Anything still non-terminal (queued jobs the workers never reached)
 	// is cancelled for the record.
-	m.mu.Lock()
-	jobs := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
-	}
-	m.mu.Unlock()
-	for _, j := range jobs {
+	for _, j := range m.allJobs() {
 		j.setStatus(StatusCancelled, "manager closed")
 	}
 	m.store.Close()
@@ -313,19 +319,13 @@ func (m *Manager) Close() {
 // flushing. Workers must be drained first: runJob's deferred
 // sampler.close is what lets a writer exit.
 func (m *Manager) drainSamplers() {
-	m.mu.Lock()
-	samplers := make([]*jobSampler, 0, len(m.order))
-	for _, id := range m.order {
-		j := m.jobs[id]
+	for _, j := range m.allJobs() {
 		j.mu.Lock()
-		if j.sampler != nil {
-			samplers = append(samplers, j.sampler)
-		}
+		s := j.sampler
 		j.mu.Unlock()
-	}
-	m.mu.Unlock()
-	for _, s := range samplers {
-		s.drain()
+		if s != nil {
+			s.drain()
+		}
 	}
 }
 
@@ -343,21 +343,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 		return ErrClosed
 	}
 	m.draining = true
-	jobs := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
-	}
 	m.mu.Unlock()
+	jobs := m.allJobs()
 	for _, j := range jobs {
-		j.cancel()
-		// Jobs still queued (never started, or waiting out a retry) settle
-		// immediately; running jobs settle at their next search boundary.
-		j.mu.Lock()
-		queued := j.info.Status == StatusQueued
-		j.mu.Unlock()
-		if queued {
-			j.setStatus(StatusCancelled, "manager draining")
-		}
+		j.stop("manager draining")
 	}
 	for _, j := range jobs {
 		select {
@@ -413,18 +402,13 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	}
 	ctx, cancel := context.WithCancel(m.root)
 	j := &job{
+		info:   JobInfo{ID: id, Spec: spec, Status: StatusQueued, CreatedAt: time.Now()},
 		spec:   spec,
 		ctx:    ctx,
 		cancel: cancel,
 		hub:    newHub(&m.met.sseSubscribers),
 		met:    m.met,
 		done:   make(chan struct{}),
-	}
-	j.info = JobInfo{
-		ID:        id,
-		Spec:      spec,
-		Status:    StatusQueued,
-		CreatedAt: time.Now(),
 	}
 	// The queue send stays inside the critical section: it is non-blocking,
 	// and m.mu is what orders it against Close's close(m.queue) — a send
@@ -442,23 +426,19 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		return JobInfo{}, ErrQueueFull
 	}
 	m.jobs[id] = j
-	m.order = append(m.order, id)
+	m.order = append(m.order, j)
 	m.mu.Unlock()
 	m.met.jobsSubmitted.Add(1)
 	m.met.jobsQueued.Add(1)
 	return j.snapshotInfo(), nil
 }
 
-// snapshotInfo returns a copy of the job's info under its lock.
+// snapshotInfo returns a copy of the job's info under its lock. Its
+// pointers and slices are never written through, only replaced.
 func (j *job) snapshotInfo() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := j.info
-	if info.Progress != nil {
-		p := *info.Progress
-		info.Progress = &p
-	}
-	return info
+	return j.info
 }
 
 // lookup fetches a job by id.
@@ -480,14 +460,10 @@ func (m *Manager) Get(id string) (JobInfo, bool) {
 
 // Jobs returns every job's info in submission order.
 func (m *Manager) Jobs() []JobInfo {
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	out := make([]JobInfo, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := m.lookup(id); ok {
-			out = append(out, j.snapshotInfo())
-		}
+	jobs := m.allJobs()
+	out := make([]JobInfo, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.snapshotInfo()
 	}
 	return out
 }
@@ -500,17 +476,21 @@ func (m *Manager) Cancel(id string) error {
 	if !ok {
 		return ErrNotFound
 	}
+	j.stop(context.Canceled.Error())
+	return nil
+}
+
+// stop cancels the job: a running one stops at its next search boundary,
+// and a queued one (never started, or waiting out a retry) is marked
+// cancelled with reason at once, without waiting for a worker.
+func (j *job) stop(reason string) {
 	j.cancel()
-	// If the job is still queued the worker will observe the dead context
-	// before starting the search; mark it cancelled eagerly so callers see
-	// the state settle without waiting for a worker to reach it.
 	j.mu.Lock()
 	queued := j.info.Status == StatusQueued
 	j.mu.Unlock()
 	if queued {
-		j.setStatus(StatusCancelled, context.Canceled.Error())
+		j.setStatus(StatusCancelled, reason)
 	}
-	return nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
@@ -530,7 +510,8 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 // Front returns the job's Pareto front: the full result for done jobs,
 // the partial front for cancelled and timed-out ones. Queued/running/
 // failed jobs return ErrNotFinished (wrapped with the state, so callers
-// can distinguish not-yet from never).
+// can distinguish not-yet from never). The front is shared with the
+// job's StoredResult and every caller: read it, never modify it.
 func (m *Manager) Front(id string) (FrontResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {
@@ -538,19 +519,10 @@ func (m *Manager) Front(id string) (FrontResponse, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.result == nil {
+	if j.front == nil {
 		return FrontResponse{}, fmt.Errorf("%w (status %s)", ErrNotFinished, j.info.Status)
 	}
-	return FrontResponse{
-		JobID:      j.info.ID,
-		Status:     j.info.Status,
-		Scenario:   j.spec.Scenario,
-		Algorithm:  j.spec.Algorithm,
-		Seed:       j.spec.Seed,
-		Evaluated:  j.result.Evaluated,
-		Infeasible: j.result.Infeasible,
-		Front:      frontPoints(j.result.Front),
-	}, nil
+	return *j.front, nil
 }
 
 // SubscribeFrom attaches to the job's event stream: the retained history
@@ -577,17 +549,13 @@ func (m *Manager) runJob(j *job) {
 	// so skipping this would leak one context node per job for the life
 	// of the process.
 	defer j.cancel()
-	j.mu.Lock()
-	status := j.info.Status
-	id := j.info.ID
-	j.mu.Unlock()
-	if status.Terminal() {
-		return // cancelled while queued
-	}
-	if j.ctx.Err() != nil {
-		j.setStatus(StatusCancelled, j.ctx.Err().Error())
+	// A job cancelled while queued has a dead context; setStatus keeps
+	// the terminal state it may already be in.
+	if err := j.ctx.Err(); err != nil {
+		j.setStatus(StatusCancelled, err.Error())
 		return
 	}
+	id := j.info.ID
 
 	// The telemetry sampler spans every attempt: the ring and obs file
 	// carry one continuous series with the attempt column distinguishing
@@ -601,12 +569,13 @@ func (m *Manager) runJob(j *job) {
 
 	// The deadline clock starts when the job first runs (queue wait is
 	// the scheduler's fault, not the job's) and spans every retry.
-	j.runCtx = j.ctx
+	r := &run{job: j, ctx: j.ctx}
 	if d, _ := j.spec.deadline(); d > 0 { // Validate rejected any error
 		var cancel context.CancelFunc
-		j.runCtx, cancel = context.WithTimeoutCause(j.ctx, d, errJobDeadline)
+		r.ctx, cancel = context.WithTimeoutCause(j.ctx, d, errJobDeadline)
 		defer cancel()
 	}
+	timedOut := fmt.Sprintf("deadline of %gs exceeded", j.spec.DeadlineSeconds)
 
 	for attempt := 1; ; attempt++ {
 		j.mu.Lock()
@@ -617,25 +586,18 @@ func (m *Manager) runJob(j *job) {
 		if !j.setStatus(StatusRunning, "") {
 			return // cancelled during the retry wait, status already set
 		}
-		res, err := m.runAttempt(j, sampler)
+		res, err := m.runAttempt(r, sampler)
 		switch {
 		case err == nil:
-			j.mu.Lock()
-			j.result = res
-			j.mu.Unlock()
-			m.archive(j, id, res)
+			m.archive(j, j.keepFront(StatusDone, res))
 			j.setStatus(StatusDone, "")
 			return
-		case errors.Is(err, context.DeadlineExceeded) || context.Cause(j.runCtx) == errJobDeadline:
-			j.mu.Lock()
-			j.result = res // partial front, like a cancelled run
-			j.mu.Unlock()
-			j.setStatus(StatusTimedOut, fmt.Sprintf("deadline of %gs exceeded", j.spec.DeadlineSeconds))
+		case errors.Is(err, context.DeadlineExceeded) || context.Cause(r.ctx) == errJobDeadline:
+			j.keepFront(StatusTimedOut, res) // partial front, like a cancelled run
+			j.setStatus(StatusTimedOut, timedOut)
 			return
 		case errors.Is(err, context.Canceled):
-			j.mu.Lock()
-			j.result = res
-			j.mu.Unlock()
+			j.keepFront(StatusCancelled, res)
 			j.setStatus(StatusCancelled, context.Canceled.Error())
 			return
 		}
@@ -658,9 +620,9 @@ func (m *Manager) runJob(j *job) {
 		m.cfg.Logf("service: job %s attempt %d/%d failed, retrying in %s: %v",
 			id, attempt, j.spec.MaxRetries+1, delay.Round(time.Millisecond), err)
 		select {
-		case <-j.runCtx.Done():
-			if context.Cause(j.runCtx) == errJobDeadline {
-				j.setStatus(StatusTimedOut, fmt.Sprintf("deadline of %gs exceeded", j.spec.DeadlineSeconds))
+		case <-r.ctx.Done():
+			if context.Cause(r.ctx) == errJobDeadline {
+				j.setStatus(StatusTimedOut, timedOut)
 			} else {
 				j.setStatus(StatusCancelled, context.Canceled.Error())
 			}
@@ -674,37 +636,58 @@ func (m *Manager) runJob(j *job) {
 // evaluator (or progress/checkpoint hook on the search goroutine) becomes
 // a *PanicError carrying the stack, failing the attempt instead of the
 // process.
-func (m *Manager) runAttempt(j *job, sampler *jobSampler) (res *dse.Result, err error) {
+func (m *Manager) runAttempt(r *run, sampler *jobSampler) (res *dse.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return m.execute(j, sampler)
+	return m.execute(r, sampler)
 }
 
-// archive stores a finished job's front. Archiving failures degrade
-// gracefully: the job stays done (its front is readable via /front and
-// resumable via its checkpoint) and the failure is logged — a full disk
-// must cost durability, not the exploration budget already spent.
-func (m *Manager) archive(j *job, id string, res *dse.Result) {
+// keepFront makes res, the last attempt's result (nil: none), the front
+// Front serves once the job ends in status s. Its points alias res's.
+func (j *job) keepFront(s Status, res *dse.Result) *FrontResponse {
+	if res == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.front = &FrontResponse{
+		JobID:      j.info.ID,
+		Status:     s,
+		Scenario:   j.spec.Scenario,
+		Algorithm:  j.spec.Algorithm,
+		Seed:       j.spec.Seed,
+		Evaluated:  res.Evaluated,
+		Infeasible: res.Infeasible,
+		Front:      frontPoints(res.Front),
+	}
+	return j.front
+}
+
+// archive stores a finished job's front, sharing its points. Archiving
+// failures degrade gracefully: the job stays done (its front is readable
+// via /front) and the failure is logged — a full disk must cost
+// durability, not the exploration budget already spent.
+func (m *Manager) archive(j *job, front *FrontResponse) {
 	stored := StoredResult{
-		JobID:       id,
-		Scenario:    j.spec.Scenario,
-		Algorithm:   j.spec.Algorithm,
+		JobID:       front.JobID,
+		Scenario:    front.Scenario,
+		Algorithm:   front.Algorithm,
 		Objectives:  ObjectivesFull,
-		Seed:        j.spec.Seed,
-		Evaluated:   res.Evaluated,
-		Infeasible:  res.Infeasible,
-		Front:       frontPoints(res.Front),
+		Seed:        front.Seed,
+		Evaluated:   front.Evaluated,
+		Infeasible:  front.Infeasible,
+		Front:       front.Front,
 		CompletedAt: time.Now(),
 	}
-	if sc, ok := scenario.Lookup(j.spec.Scenario); ok {
+	if sc, ok := scenario.Lookup(front.Scenario); ok {
 		stored.Fingerprint = sc.Fingerprint()
 	}
 	version, err := m.store.Put(stored)
 	if err != nil {
-		m.cfg.Logf("service: job %s: archiving result failed (front still served from memory): %v", id, err)
+		m.cfg.Logf("service: job %s: archiving result failed (front still served from memory): %v", front.JobID, err)
 		return
 	}
 	j.mu.Lock()
@@ -716,7 +699,8 @@ func (m *Manager) archive(j *job, id string, res *dse.Result) {
 // attempt's resume point, and runs the spec's search — plain or through
 // the island coordinator — under the job's context with progress,
 // telemetry and checkpoint hooks attached.
-func (m *Manager) execute(j *job, sampler *jobSampler) (*dse.Result, error) {
+func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
+	j := r.job
 	spec := j.spec
 	search := spec.search()
 	sc, ok := scenario.Lookup(spec.Scenario)
@@ -732,37 +716,38 @@ func (m *Manager) execute(j *job, sampler *jobSampler) (*dse.Result, error) {
 		return nil, err
 	}
 	eval := compiled.Evaluator()
-	resume, err := m.resumePoint(j)
+	resume, err := m.resumePoint(r)
 	if err != nil {
 		return nil, err
 	}
 	if spec.Islands >= 2 {
-		return m.executeIslands(j, sampler, problem.Space(), eval, resume)
+		return m.executeIslands(r, sampler, problem.Space(), eval, resume)
 	}
 
+	// One boundary handler: fault hook, progress, telemetry.
 	start := time.Now()
 	opts := dse.Options{
-		Context: j.runCtx,
-		Progress: func(p dse.Progress) {
-			faultinject.Boundary(j.info.ID, spec.Algorithm, p.Step)
+		Context: r.ctx,
+		Stats: func(st dse.Stats) {
+			faultinject.Boundary(j.info.ID, spec.Algorithm, st.Step)
 			elapsed := time.Since(start).Seconds()
 			info := ProgressInfo{
-				Step:       p.Step,
-				TotalSteps: p.TotalSteps,
-				Evaluated:  p.Evaluated,
-				Infeasible: p.Infeasible,
-				FrontSize:  len(p.Front),
+				Step:       st.Step,
+				TotalSteps: st.TotalSteps,
+				Evaluated:  st.Evaluated,
+				Infeasible: st.Infeasible,
+				FrontSize:  len(st.Front),
 				ElapsedSec: elapsed,
 			}
 			if elapsed > 0 {
-				info.EvalsPerSec = float64(p.Evaluated) / elapsed
+				info.EvalsPerSec = float64(st.Evaluated) / elapsed
 			}
 			j.mu.Lock()
 			j.info.Progress = &info
 			j.mu.Unlock()
 			j.hub.publish(Event{Type: "progress", Progress: &info})
+			sampler.observeSearch(st)
 		},
-		Stats:           sampler.observeSearch,
 		CheckpointEvery: spec.CheckpointEvery,
 	}
 	if resume != nil {
@@ -772,30 +757,30 @@ func (m *Manager) execute(j *job, sampler *jobSampler) (*dse.Result, error) {
 	// so the seeds reflect the store's contents when the job actually
 	// starts (a queued job can inherit fronts finished ahead of it). It
 	// runs once per job, not per attempt: the resolved seeds are cached on
-	// the job so a retry cannot pick up fronts archived since attempt one
+	// the run so a retry cannot pick up fronts archived since attempt one
 	// and drift onto a different trajectory. A resumed attempt passes the
 	// seeds too; dse ignores them there, since the snapshot fixes the
 	// trajectory. Only an algorithm that takes injected points can use
 	// seeds.
 	if search.Injectable() {
-		if !j.seedsResolved {
+		if !r.resolved {
 			seeds, wsInfo, err := ResolveWarmStart(m.store, spec.WarmStart,
 				sc.Fingerprint(), ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
 			if err != nil {
 				return nil, err
 			}
-			j.seeds, j.seedsResolved = seeds, true
+			r.seeds, r.resolved = seeds, true
 			if wsInfo != nil {
 				j.mu.Lock()
 				j.info.WarmStart = wsInfo
 				j.mu.Unlock()
 			}
 		}
-		opts.SeedPoints = j.seeds
+		opts.SeedPoints = r.seeds
 	}
 	if spec.CheckpointEvery > 0 {
 		opts.Checkpoint = func(snap *dse.Snapshot) error {
-			m.checkpoint(j, &dse.IslandSnapshot{
+			m.checkpoint(r, &dse.IslandSnapshot{
 				Version:   dse.IslandSnapshotVersion,
 				Algorithm: snap.Algorithm,
 				Step:      snap.Step,
@@ -813,7 +798,8 @@ func (m *Manager) execute(j *job, sampler *jobSampler) (*dse.Result, error) {
 // migration, island events are published on the job's stream, per-island
 // supervision state lands in JobInfo.Islands, and every migration
 // boundary's composite checkpoint goes through Manager.checkpoint.
-func (m *Manager) executeIslands(j *job, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
+func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
+	j := r.job
 	spec := j.spec
 	ijob := island.Job{JobID: j.info.ID, Scenario: spec.Scenario, Search: spec.search()}
 	cfg := island.Config{
@@ -822,7 +808,7 @@ func (m *Manager) executeIslands(j *job, sampler *jobSampler, space *dse.Space, 
 		Migrants:     spec.Migrants,
 		StallTimeout: m.cfg.IslandStallTimeout,
 		Resume:       resume,
-		OnCheckpoint: func(s *dse.IslandSnapshot) { m.checkpoint(j, s) },
+		OnCheckpoint: func(s *dse.IslandSnapshot) { m.checkpoint(r, s) },
 		Stats:        sampler.observeIsland,
 	}
 	if m.cfg.IslandExec != "" {
@@ -859,7 +845,7 @@ func (m *Manager) executeIslands(j *job, sampler *jobSampler, space *dse.Space, 
 	j.mu.Lock()
 	j.info.Islands = coord.Status()
 	j.mu.Unlock()
-	res, runErr := coord.Run(j.runCtx)
+	res, runErr := coord.Run(r.ctx)
 	j.mu.Lock()
 	j.info.Islands = coord.Status()
 	j.mu.Unlock()

@@ -444,11 +444,12 @@ type FrontPoint struct {
 	Objs   []float64 `json:"objs"`
 }
 
-// frontPoints converts a dse front (feasible by construction).
+// frontPoints converts a Result's front (feasible by construction) to
+// wire points sharing its storage, which is the front's own (dse.Result).
 func frontPoints(front []dse.Point) []FrontPoint {
 	out := make([]FrontPoint, len(front))
 	for i, p := range front {
-		out[i] = FrontPoint{Config: append([]int(nil), p.Config...), Objs: append([]float64(nil), p.Objs...)}
+		out[i] = FrontPoint{Config: p.Config, Objs: p.Objs}
 	}
 	return out
 }

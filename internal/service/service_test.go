@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,15 +32,6 @@ func newTestManager(tb testing.TB, cfg Config) *Manager {
 		tb.Fatal(err)
 	}
 	return m
-}
-
-// memCheckpoint returns the job's latest in-memory checkpoint, the
-// anchor its retries resume from.
-func memCheckpoint(m *Manager, id string) *dse.IslandSnapshot {
-	j, _ := m.lookup(id)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ckpt
 }
 
 func waitDone(t testing.TB, m *Manager, id string) JobInfo {
@@ -223,19 +216,21 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					killed = true
 				}
 			}
-			waitDone(t, m, victim.ID)
-			// The durable checkpoint resume_job reads must match the
-			// in-memory snapshot retries use.
-			snap := memCheckpoint(m, victim.ID)
-			if snap == nil {
-				t.Fatal("victim has no checkpoint")
-			}
+			stopped := waitDone(t, m, victim.ID)
+			// The durable checkpoint resume_job reads is the victim's
+			// last one: the latest multiple of checkpoint_every the run
+			// passed, short of its final boundary.
 			fromDisk, err := LoadCheckpoint(dir, victim.ID, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fromDisk.Step != snap.Step || fromDisk.Algorithm != snap.Algorithm {
-				t.Fatalf("disk snapshot (step %d) != memory snapshot (step %d)", fromDisk.Step, snap.Step)
+			last := stopped.Progress.Step
+			if last == stopped.Progress.TotalSteps {
+				last--
+			}
+			if step := last / 3 * 3; fromDisk.Step != step || fromDisk.Algorithm != spec.Algorithm {
+				t.Fatalf("disk snapshot is a %s run at step %d, want nsga2 at step %d (victim stopped at %d)",
+					fromDisk.Algorithm, fromDisk.Step, step, stopped.Progress.Step)
 			}
 
 			resumeSpec := spec
@@ -570,5 +565,91 @@ func TestJobsOrderStable(t *testing.T) {
 	}
 	if fmt.Sprintf("j%d", len(want)) != want[len(want)-1] {
 		t.Fatalf("IDs not sequential: %v", want)
+	}
+}
+
+// TestDoneFrontSharedWithStore: a done job keeps one front, and Front
+// and the job's StoredResult serve the same points.
+func TestDoneFrontSharedWithStore(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	defer m.Close()
+	info, front := runToDone(t, m, smallNSGA2("ecg-ward", 7))
+	stored, ok := m.Store().Get(info.ResultVersion)
+	if !ok || len(front.Front) == 0 {
+		t.Fatalf("stored result %d found %v, front of %d points", info.ResultVersion, ok, len(front.Front))
+	}
+	again, err := m.Front(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range [][]FrontPoint{stored.Front, again.Front} {
+		a, b := front.Front[0], other[0]
+		if &front.Front[0] != &other[0] || &a.Config[0] != &b.Config[0] || &a.Objs[0] != &b.Objs[0] {
+			t.Fatal("the served front and the stored front are copies, want one shared front")
+		}
+	}
+}
+
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestFinishedJobRetainedHeap bounds what a finished job keeps: its
+// JobInfo, event history, stats window and one front shared with the
+// store. Its checkpoint anchor, warm-start seeds, search result and obs
+// writer queue must be garbage once it ends, so each finished job may
+// add to the live heap at most its front's compact size (48 B per point
+// plus 8 B per gene and per objective) plus 32 KiB. The jobs checkpoint,
+// archive to disk, write obs streams and, for MOSA, warm-start from the
+// store.
+func TestFinishedJobRetainedHeap(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{
+		Workers:       1,
+		CheckpointDir: filepath.Join(dir, "ckpt"),
+		ResultDir:     filepath.Join(dir, "results"),
+		ObsDir:        filepath.Join(dir, "obs"),
+	})
+	defer m.Close()
+	kinds := []struct {
+		name string
+		spec Spec
+	}{
+		{"mosa", Spec{Scenario: "ecg-ward", Algorithm: AlgoMOSA, Workers: 2, CheckpointEvery: 2, WarmStart: WarmStartAuto,
+			MOSA: &dse.MOSAConfig{Iterations: 4000}}},
+		{"nsga2", Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Workers: 2, CheckpointEvery: 5,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 64, Generations: 20}}},
+	}
+	const jobs = 12
+	seed := int64(0)
+	for _, k := range kinds {
+		// One job first builds what every later job shares (the compiled
+		// scenario, metrics cells), so the baseline holds it.
+		seed++
+		k.spec.Seed = seed
+		runToDone(t, m, k.spec)
+		m.drainSamplers()
+		before := liveHeap()
+		var compact int64
+		for range jobs {
+			seed++
+			k.spec.Seed = seed
+			_, front := runToDone(t, m, k.spec)
+			for _, p := range front.Front {
+				compact += 48 + 8*int64(len(p.Config)+len(p.Objs))
+			}
+		}
+		m.drainSamplers()
+		perJob := (liveHeap() - before) / jobs
+		over := perJob - compact/jobs
+		t.Logf("%s: %d B retained per finished job, %d B above its compact front", k.name, perJob, over)
+		if over > 32<<10 {
+			t.Errorf("%s: a finished job retains %d B above its compact front, want at most 32 KiB", k.name, over)
+		}
 	}
 }

@@ -102,7 +102,7 @@ type jobSampler struct {
 
 	// ops feeds filled rows to writeLoop; free recycles their storage
 	// back so the steady state allocates nothing. Both are nil until the
-	// first recorded sample of a job with an obs directory.
+	// first recorded sample of a job with an obs directory, and closed.
 	ops  chan []int64
 	free chan []int64
 	wg   sync.WaitGroup
@@ -158,17 +158,17 @@ const obsQueueCap = statsRingCap
 // writeLoop owns the job's obs file: it opens the file at the first
 // row (an open syscall can cost more than a benchmark-sized job, so it
 // runs here, overlapped with the search, not on the boundary path),
-// appends every queued row, and closes the file when close() shuts the
-// channel. Row storage goes back through free for reuse. Open or write
-// failures are logged once and degrade the job to ring-only telemetry.
-func (s *jobSampler) writeLoop() {
+// appends every row of ops, and closes the file when close() shuts ops.
+// Row storage goes back through free for reuse. Open or write failures
+// are logged once and degrade the job to ring-only telemetry.
+func (s *jobSampler) writeLoop(ops <-chan []int64, free chan<- []int64) {
 	defer s.wg.Done()
 	var (
 		f      *os.File
 		w      *obs.Writer
 		failed bool
 	)
-	for row := range s.ops {
+	for row := range ops {
 		if f == nil && !failed {
 			var err error
 			if f, w, err = openObs(s.path); err != nil {
@@ -188,7 +188,7 @@ func (s *jobSampler) writeLoop() {
 			}
 		}
 		select {
-		case s.free <- row:
+		case free <- row:
 		default:
 		}
 	}
@@ -351,7 +351,7 @@ func (s *jobSampler) record(v []int64) {
 		s.ops = make(chan []int64, obsQueueCap)
 		s.free = make(chan []int64, 4)
 		s.wg.Add(1)
-		go s.writeLoop()
+		go s.writeLoop(s.ops, s.free)
 	}
 	var row []int64
 	select {
@@ -428,14 +428,15 @@ func (s *jobSampler) window(n int) (fields []string, rows [][]int64, total int64
 // close stops accepting file rows and lets the writer goroutine finish
 // the queue and close the file in the background. It does not wait —
 // the worker moves to its next job while the tail flushes; drain is the
-// blocking variant for shutdown and tests.
+// blocking variant for shutdown and tests. The sampler drops the
+// queue, so a finished job does not keep it.
 func (s *jobSampler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ops != nil && !s.closed {
+	if s.ops != nil {
 		close(s.ops)
 	}
-	s.closed = true
+	s.ops, s.free, s.closed = nil, nil, true
 }
 
 // drain blocks until the writer goroutine has flushed every queued row
@@ -457,14 +458,8 @@ func (m *Manager) JobStats(id string, n int) (StatsResponse, error) {
 	j.mu.Lock()
 	sampler := j.sampler
 	j.mu.Unlock()
-	if sampler == nil {
-		return resp, nil
+	if sampler != nil {
+		resp.Fields, resp.Rows, resp.Samples = sampler.window(n)
 	}
-	fields, rows, total := sampler.window(n)
-	resp.Fields = fields
-	if rows != nil {
-		resp.Rows = rows
-	}
-	resp.Samples = total
 	return resp, nil
 }

@@ -2,11 +2,15 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -162,7 +166,8 @@ type Store struct {
 // NewStore opens a store. With cfg.Dir set it creates the directory,
 // replays the append-only index, loads every surviving result file and
 // reopens the index for appending, so the returned store carries the
-// previous process's results.
+// previous process's results, and cuts a tail a crash tore off the index
+// before it appends (see replayIndex).
 func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = DefaultMaxResults
@@ -179,12 +184,13 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: result store dir: %w", err)
 	}
-	if err := s.replayIndex(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(cfg.Dir, "index.jsonl"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: result store index: %w", err)
+	}
+	if err := s.replayIndex(f); err != nil {
+		f.Close()
+		return nil, err
 	}
 	s.index = f
 	// A store reopened with a smaller bound trims immediately (recorded
@@ -195,8 +201,6 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) indexPath() string { return filepath.Join(s.cfg.Dir, "index.jsonl") }
-
 func (s *Store) resultPath(version int) string {
 	return filepath.Join(s.cfg.Dir, fmt.Sprintf("v%d.json", version))
 }
@@ -205,28 +209,25 @@ func (s *Store) resultPath(version int) string {
 // minus evictions, in recorded order (which is also recency order, so
 // the rebuilt LRU treats older surviving versions as colder). A result
 // file that disappeared out from under the index is treated as evicted
-// rather than failing the whole store open.
-func (s *Store) replayIndex() error {
-	f, err := os.Open(s.indexPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("service: result store index: %w", err)
-	}
-	defer f.Close()
+// rather than failing the whole store open. The first record that does
+// not decode, or lacks its newline, ends the usable history (a crash
+// mid-append tears the final record), and replayIndex cuts the index
+// there, through the newline of the last record that decodes.
+func (s *Store) replayIndex(index *os.File) error {
+	var intact int64
 	live := []int{}
 	liveSet := map[int]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	br := bufio.NewReader(index)
+	for {
+		line, err := br.ReadBytes('\n')
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		var rec indexRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			// A torn final line (crash mid-append) ends the usable history.
+		if err != nil {
+			return fmt.Errorf("service: result store index: %w", err)
+		}
+		var rec indexRecord // a blank line leaves it zero: no op
+		if len(bytes.TrimSpace(line)) > 0 && json.Unmarshal(line, &rec) != nil {
 			break
 		}
 		switch rec.Op {
@@ -235,22 +236,20 @@ func (s *Store) replayIndex() error {
 				liveSet[rec.Version] = true
 				live = append(live, rec.Version)
 			}
-			if rec.Version > s.nextVer {
-				s.nextVer = rec.Version
-			}
+			s.nextVer = max(s.nextVer, rec.Version)
 		case "evict":
-			if liveSet[rec.Version] {
-				delete(liveSet, rec.Version)
-			}
+			delete(liveSet, rec.Version)
 		}
+		intact += int64(len(line))
 	}
-	if err := sc.Err(); err != nil {
+	if err := index.Truncate(intact); err != nil {
 		return fmt.Errorf("service: result store index: %w", err)
 	}
 	for _, v := range live {
 		if !liveSet[v] {
 			continue
 		}
+		delete(liveSet, v) // a damaged index may put a version twice
 		data, err := os.ReadFile(s.resultPath(v))
 		if err != nil {
 			continue // evicted behind the index's back; drop it
@@ -274,6 +273,9 @@ func (s *Store) insert(r StoredResult) {
 	s.byKey[r.Key] = append(s.byKey[r.Key], r.Version)
 }
 
+// errVersionsExhausted fails a Put after a damaged index's largest int.
+var errVersionsExhausted = errors.New("service: result store has no version numbers left")
+
 // Put archives a result, assigns its version (monotonic in completion
 // order, continuing across restarts for persistent stores), computes its
 // content key when unset, persists it, and evicts beyond the size bound.
@@ -284,6 +286,9 @@ func (s *Store) Put(r StoredResult) (int, error) {
 	defer s.mu.Unlock()
 	if r.Key == "" {
 		r.Key = ResultKey(r.Fingerprint, r.Objectives, r.Algorithm)
+	}
+	if s.nextVer == math.MaxInt {
+		return 0, errVersionsExhausted
 	}
 	s.nextVer++
 	r.Version = s.nextVer
@@ -347,8 +352,9 @@ func (s *Store) appendIndex(rec indexRecord) error {
 	return err
 }
 
-// Get returns the result at an exact version and refreshes its recency.
-// Evicted versions are gone: false, like versions never assigned.
+// Get returns the result at an exact version and refreshes its recency;
+// its front is shared with the store and the job: read it, never modify
+// it. Evicted versions are gone: false, like versions never assigned.
 func (s *Store) Get(version int) (StoredResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -361,8 +367,9 @@ func (s *Store) Get(version int) (StoredResult, bool) {
 }
 
 // Query returns retained results matching the filters, newest first,
-// paginated by q.Limit/q.Offset. total counts every match before
-// pagination, so clients can page through without a second endpoint.
+// paginated by q.Limit/q.Offset; their fronts are shared, as in Get.
+// total counts every match before pagination, so clients can page
+// through without a second endpoint.
 func (s *Store) Query(q ResultQuery) (page []StoredResult, total int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

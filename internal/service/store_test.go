@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -224,4 +225,125 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	if s6.Len() != 1 {
 		t.Fatalf("store after torn line holds %d, want 1", s6.Len())
 	}
+}
+
+// TestStoreTornIndexTail: a record a crash tore off the end of the
+// index is cut before the next append, so the records put after one
+// restart survive the next, and their versions are never given out
+// again.
+func TestStoreTornIndexTail(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Store {
+		t.Helper()
+		s, err := NewStore(StoreConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := open()
+	v1 := mustPut(t, s, storeRes("a", "nsga2", "fpA"))
+	s.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "index.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"put","vers`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s = open()
+	v2 := mustPut(t, s, storeRes("b", "nsga2", "fpB"))
+	v3 := mustPut(t, s, storeRes("c", "nsga2", "fpC"))
+	s.Close()
+	s = open()
+	defer s.Close()
+	for v, name := range map[int]string{v1: "a", v2: "b", v3: "c"} {
+		if r, ok := s.Get(v); !ok || r.Scenario != name {
+			t.Errorf("after the second restart v%d holds %q (found %v), want %q", v, r.Scenario, ok, name)
+		}
+	}
+	if v4 := mustPut(t, s, storeRes("d", "nsga2", "fpD")); v4 != v3+1 {
+		t.Fatalf("next version %d, want %d", v4, v3+1)
+	}
+}
+
+// FuzzStoreIndex feeds arbitrary bytes to the result store as its
+// index.jsonl, beside one valid result file (v1.json). NewStore must
+// return a store or an error, never panic. A store it returns must keep
+// a Put across Close and reopen, and give a later Put a larger version
+// (unless a damaged index used up every version, which Put reports).
+func FuzzStoreIndex(f *testing.F) {
+	// Seed: a real index with puts and evictions, whole and torn.
+	seedDir := f.TempDir()
+	s, err := NewStore(StoreConfig{Dir: seedDir, MaxResults: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := s.Put(storeRes(name, "nsga2", "fp"+name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	s.Close()
+	index, err := os.ReadFile(filepath.Join(seedDir, "index.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	result, err := os.ReadFile(filepath.Join(seedDir, "v3.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(index)
+	f.Add(index[:len(index)-9])
+	f.Add([]byte{})
+	// A damaged index that puts one version three times.
+	f.Add([]byte(`{"op":"put","version":1}
+{"op":"evict","version":1}
+{"op":"put","version":1}
+{"op":"evict","version":1}
+{"op":"put","version":1}
+`))
+
+	f.Fuzz(func(t *testing.T, index []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "v1.json"), result, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := StoreConfig{Dir: dir, MaxResults: 2}
+		s, err := NewStore(cfg)
+		if err != nil {
+			return
+		}
+		put := func(s *Store, name string) (int, bool) {
+			v, err := s.Put(storeRes(name, "nsga2", "fp"+name))
+			if errors.Is(err, errVersionsExhausted) {
+				return 0, false
+			}
+			if err != nil {
+				t.Fatalf("put %s: %v", name, err)
+			}
+			return v, true
+		}
+		v, ok := put(s, "x")
+		s.Close()
+		if !ok {
+			return
+		}
+		s, err = NewStore(cfg)
+		if err != nil {
+			t.Fatalf("reopen after a put: %v", err)
+		}
+		defer s.Close()
+		if r, found := s.Get(v); !found || r.Scenario != "x" {
+			t.Fatalf("v%d did not survive the reopen: %q, %v", v, r.Scenario, found)
+		}
+		if later, ok := put(s, "y"); ok && later <= v {
+			t.Fatalf("later put got version %d, not above %d", later, v)
+		}
+	})
 }
