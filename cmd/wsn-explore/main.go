@@ -130,10 +130,10 @@ func main() {
 	start := time.Now()
 	opts := dse.Options{Context: ctx}
 	if *progress {
-		opts.Progress = func(p dse.Progress) {
+		opts.Stats = func(s dse.Stats) {
 			fmt.Fprintf(os.Stderr, "%s %d/%d: front=%d evaluated=%d (%.3g evals/s)\n",
-				p.Algorithm, p.Step, p.TotalSteps, len(p.Front), p.Evaluated,
-				float64(p.Evaluated)/time.Since(start).Seconds())
+				s.Algorithm, s.Step, s.TotalSteps, len(s.Front), s.Evaluated,
+				float64(s.Evaluated)/time.Since(start).Seconds())
 		}
 	}
 	if *warmStart != "" {

@@ -45,22 +45,16 @@ func writeLine(msg island.ProcLine) {
 }
 
 func run() error {
-	var familySpec string
-	if v := os.Getenv("WSN_ISLAND_FAMILIES"); v != "" {
-		familySpec = v
-	}
-	if _, err := cliutil.EnableFamilies(familySpec); err != nil {
-		return err
-	}
-
 	var req island.Request
 	if err := json.NewDecoder(os.Stdin).Decode(&req); err != nil {
 		return fmt.Errorf("decode request: %w", err)
 	}
 
-	sc, ok := scenario.Lookup(req.Job.Scenario)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q", req.Job.Scenario)
+	// A "family/member" name enables its family first, as in the CLIs,
+	// so a family job's rounds compile the member the service ran.
+	sc, err := cliutil.LookupScenario(req.Job.Scenario)
+	if err != nil {
+		return err
 	}
 	problem, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
 	if err != nil {

@@ -131,9 +131,10 @@
 // dse.Options, all hooked at generation/segment/batch boundaries so the
 // allocation-free hot loops are untouched: cooperative cancellation
 // (context.Context; SIGINT in the CLIs flushes the partial front),
-// incremental progress (dse.ProgressSink receives step counters and the
-// archive's own front slice, valid only during the call: a sink that
-// keeps the front must copy it), and checkpoint/resume (dse.Snapshot
+// boundary telemetry (dse.StatsSink receives step counters, memo-cache
+// hits and the archive's own front slice, valid only during the call: a
+// sink that keeps the front must copy it; it is the one sink every search
+// the service and the CLIs run attaches), and checkpoint/resume (dse.Snapshot
 // serializes the complete search state — population, archives, chain
 // temperatures, and the RNG, which draws from a SplitMix64 source
 // precisely so its whole state is one uint64). A run resumed from a

@@ -43,9 +43,10 @@
 // (MOSA) or an evaluation batch (exhaustive/random) — so the
 // allocation-free hot loops never see them and a zero Options run is
 // bit-identical to the plain entry point. Cancellation returns the
-// partial Result alongside ctx.Err(); ProgressSink receives step counters
-// and the live front (valid during the call); CheckpointFunc receives
-// self-contained, JSON-serializable Snapshots. The search RNG draws from
+// partial Result alongside ctx.Err(); StatsSink, the sink searches feed,
+// receives step counters, memo-cache hits and the live front (valid
+// during the call); CheckpointFunc receives self-contained,
+// JSON-serializable Snapshots. The search RNG draws from
 // a SplitMix64 rand.Source64 so its complete state is a single uint64,
 // which is what makes a resumed run (Options.Resume) replay the
 // uninterrupted trajectory bit for bit.

@@ -792,3 +792,56 @@ func TestHTTPRobustnessSurface(t *testing.T) {
 		t.Fatalf("resume past the end replayed: %q", got)
 	}
 }
+
+// TestChaosBoundaryHookSeesEveryJob: plain jobs and island rounds reach
+// the one faultinject boundary point. A plain job reports island 0 on
+// executor -1, and each island of an island job reports its steps on the
+// executor running it; either way every island passes steps 1…N once,
+// in order.
+func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
+	type call struct{ island, executor, step int }
+	var (
+		mu    sync.Mutex
+		calls []call
+	)
+	defer faultinject.Reset()
+	faultinject.SetBoundaryHook(func(_ string, island, executor, step int) {
+		mu.Lock()
+		calls = append(calls, call{island, executor, step})
+		mu.Unlock()
+	})
+	for name, spec := range map[string]Spec{"plain": smallNSGA2("ecg-ward", 7), "islands": islandSpec(7)} {
+		t.Run(name, func(t *testing.T) {
+			mu.Lock()
+			calls = nil
+			mu.Unlock()
+			m := newTestManager(t, Config{Workers: 1})
+			defer m.Close()
+			runToDone(t, m, spec)
+
+			mu.Lock()
+			defer mu.Unlock()
+			islands := max(spec.Islands, 1)
+			validExec := func(e int) bool { return e >= 0 }
+			if spec.Islands < 2 {
+				validExec = func(e int) bool { return e == -1 }
+			}
+			steps := make([][]int, islands)
+			for _, c := range calls {
+				if c.island < 0 || c.island >= islands || !validExec(c.executor) {
+					t.Fatalf("boundary call %+v of a %s job", c, name)
+				}
+				steps[c.island] = append(steps[c.island], c.step)
+			}
+			want := make([]int, spec.NSGA2.Generations)
+			for s := range want {
+				want[s] = s + 1
+			}
+			for i, got := range steps {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("island %d passed steps %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}

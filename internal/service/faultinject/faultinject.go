@@ -5,6 +5,12 @@
 // inject the faults the supervisor must survive: a panicking evaluator,
 // a full disk, a torn (partially written) checkpoint.
 //
+// Every search boundary, of a plain job or of an island round, reaches
+// the one Boundary point with the job ID, the island, the executor
+// running it and the step. A plain job is the one-island run the
+// checkpoint store already treats it as: it reports island 0 on
+// executor -1.
+//
 // All hooks default to disabled and the disabled fast path is a single
 // atomic load, so shipping the hook points in production builds costs
 // nothing measurable (BenchmarkSupervisedJobOverhead pins this). Hooks
@@ -30,10 +36,9 @@ var armed atomic.Bool
 
 var (
 	mu             sync.Mutex
-	boundaryHook   func(jobID, algorithm string, step int)
+	boundaryHook   func(jobID string, island, executor, step int)
 	checkpointHook func(path string, data []byte) ([]byte, error)
 	storeHook      func(path string) error
-	islandHook     func(jobID string, island, executor, step int)
 	migrationHook  func(jobID string, round, from, to int) error
 )
 
@@ -67,23 +72,23 @@ func (p InjectedIslandPanic) String() string {
 // rearm recomputes the fast-path gate. Caller holds mu.
 func rearm() {
 	armed.Store(boundaryHook != nil || checkpointHook != nil || storeHook != nil ||
-		islandHook != nil || migrationHook != nil)
+		migrationHook != nil)
 }
 
 // Reset disarms every hook. Tests defer this.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()
-	boundaryHook, checkpointHook, storeHook = nil, nil, nil
-	islandHook, migrationHook = nil, nil
+	boundaryHook, checkpointHook, storeHook, migrationHook = nil, nil, nil, nil
 	rearm()
 }
 
-// SetBoundaryHook installs fn at the search-boundary point: the service
-// supervisor calls Boundary from its progress sink — on the search
-// goroutine, between generations/segments — and fn may panic to simulate
-// an evaluator crash at an exact, reproducible step. nil disarms.
-func SetBoundaryHook(fn func(jobID, algorithm string, step int)) {
+// SetBoundaryHook installs fn at the search-boundary point (see
+// Boundary): it runs on the search goroutine (an island's own goroutine,
+// or inside the worker process), between generations/segments, and may
+// panic to simulate an evaluator or island crash at an exact,
+// reproducible step. nil disarms.
+func SetBoundaryHook(fn func(jobID string, island, executor, step int)) {
 	mu.Lock()
 	defer mu.Unlock()
 	boundaryHook = fn
@@ -116,23 +121,11 @@ func SetStoreWriteHook(fn func(path string) error) {
 func PanicOnceAtStep(step, times int) {
 	var remaining atomic.Int64
 	remaining.Store(int64(times))
-	SetBoundaryHook(func(jobID, algorithm string, s int) {
+	SetBoundaryHook(func(jobID string, _, _, s int) {
 		if s == step && remaining.Add(-1) >= 0 {
 			panic(InjectedPanic{JobID: jobID, Step: s})
 		}
 	})
-}
-
-// SetIslandHook installs fn at the island search-boundary point: the
-// island runner calls IslandBoundary between generations/segments on the
-// island's own goroutine (or inside the worker process), and fn may
-// panic to simulate an island crash at an exact, reproducible step. nil
-// disarms.
-func SetIslandHook(fn func(jobID string, island, executor, step int)) {
-	mu.Lock()
-	defer mu.Unlock()
-	islandHook = fn
-	rearm()
 }
 
 // SetMigrationHook installs fn at the migration-transfer point: the
@@ -146,20 +139,20 @@ func SetMigrationHook(fn func(jobID string, round, from, to int) error) {
 	rearm()
 }
 
-// PanicOnIslandAtStep arms the island hook to panic (with an
+// PanicOnIslandAtStep arms the boundary hook to panic (with an
 // InjectedIslandPanic value) the first `times` times island `island`
 // reaches search step `step`.
 func PanicOnIslandAtStep(island, step, times int) {
 	var remaining atomic.Int64
 	remaining.Store(int64(times))
-	SetIslandHook(func(jobID string, isl, executor, s int) {
+	SetBoundaryHook(func(jobID string, isl, executor, s int) {
 		if isl == island && s == step && remaining.Add(-1) >= 0 {
 			panic(InjectedIslandPanic{JobID: jobID, Island: isl, Executor: executor, Step: s})
 		}
 	})
 }
 
-// PanicOnExecutorAtStep arms the island hook to panic every time any
+// PanicOnExecutorAtStep arms the boundary hook to panic every time any
 // island running on executor `executor` reaches step `step`, up to
 // `times` total panics. With times > the executor's restart budget this
 // simulates a persistently broken worker: the coordinator must declare
@@ -167,7 +160,7 @@ func PanicOnIslandAtStep(island, step, times int) {
 func PanicOnExecutorAtStep(executor, step, times int) {
 	var remaining atomic.Int64
 	remaining.Store(int64(times))
-	SetIslandHook(func(jobID string, isl, exec, s int) {
+	SetBoundaryHook(func(jobID string, isl, exec, s int) {
 		if exec == executor && s == step && remaining.Add(-1) >= 0 {
 			panic(InjectedIslandPanic{JobID: jobID, Island: isl, Executor: exec, Step: s})
 		}
@@ -189,14 +182,16 @@ func DropMigrations(times int) {
 	})
 }
 
-// IslandBoundary is the hook point island runners call at every search
-// boundary. Disabled: one atomic load.
-func IslandBoundary(jobID string, island, executor, step int) {
+// Boundary is the hook point every search calls at every boundary: the
+// service's plain-job sink with island 0 on executor -1, and the island
+// runner with the island and the executor running it. Disabled: one
+// atomic load.
+func Boundary(jobID string, island, executor, step int) {
 	if !armed.Load() {
 		return
 	}
 	mu.Lock()
-	fn := islandHook
+	fn := boundaryHook
 	mu.Unlock()
 	if fn != nil {
 		fn(jobID, island, executor, step)
@@ -216,20 +211,6 @@ func Migration(jobID string, round, from, to int) error {
 		return nil
 	}
 	return fn(jobID, round, from, to)
-}
-
-// Boundary is the hook point the supervisor's progress sink calls at
-// every search boundary. Disabled: one atomic load.
-func Boundary(jobID, algorithm string, step int) {
-	if !armed.Load() {
-		return
-	}
-	mu.Lock()
-	fn := boundaryHook
-	mu.Unlock()
-	if fn != nil {
-		fn(jobID, algorithm, step)
-	}
 }
 
 // CheckpointWrite is the hook point for checkpoint file writes: it maps

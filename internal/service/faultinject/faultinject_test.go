@@ -91,12 +91,12 @@ func TestIslandHookPanicsOnTarget(t *testing.T) {
 	defer Reset()
 	PanicOnIslandAtStep(2, 3, 1)
 
-	IslandBoundary("j1", 1, 0, 3) // wrong island: no panic
-	IslandBoundary("j1", 2, 0, 2) // wrong step: no panic
+	Boundary("j1", 1, 0, 3) // wrong island: no panic
+	Boundary("j1", 2, 0, 2) // wrong step: no panic
 
 	caught := func() (p any) {
 		defer func() { p = recover() }()
-		IslandBoundary("j1", 2, 5, 3)
+		Boundary("j1", 2, 5, 3)
 		return nil
 	}()
 	ip, ok := caught.(InjectedIslandPanic)
@@ -106,7 +106,7 @@ func TestIslandHookPanicsOnTarget(t *testing.T) {
 	if ip.Island != 2 || ip.Step != 3 || ip.Executor != 5 || ip.JobID != "j1" {
 		t.Fatalf("panic payload %+v", ip)
 	}
-	IslandBoundary("j1", 2, 5, 3) // budget spent: no panic
+	Boundary("j1", 2, 5, 3) // budget spent: no panic
 }
 
 func TestPanicOnExecutorAtStep(t *testing.T) {
@@ -120,7 +120,7 @@ func TestPanicOnExecutorAtStep(t *testing.T) {
 					hits++
 				}
 			}()
-			IslandBoundary("j1", isl, 1, 4)
+			Boundary("j1", isl, 1, 4)
 		}()
 	}
 	if hits != 2 {
@@ -146,7 +146,7 @@ func TestResetDisarmsIslandHooks(t *testing.T) {
 	PanicOnIslandAtStep(0, 1, 100)
 	DropMigrations(100)
 	Reset()
-	IslandBoundary("j1", 0, 0, 1) // must not panic
+	Boundary("j1", 0, 0, 1) // must not panic
 	if err := Migration("j1", 0, 0, 1); err != nil {
 		t.Fatalf("Migration after Reset: %v", err)
 	}

@@ -510,8 +510,8 @@ func TestSSEWireFormat(t *testing.T) {
 // Validate as Submit does. Nothing may panic; every decoded spec must
 // survive a JSON round trip; and a spec Validate accepts must build a
 // dse.Search that validates, ask for islands only with an algorithm that
-// takes injected points, and convert a positive deadline to a positive
-// duration.
+// takes injected points, convert a positive deadline to a positive
+// duration, and stay within the population and chain caps.
 func FuzzSpecDecode(f *testing.F) {
 	chaos := chaosSpecs()
 	seeds := []Spec{smallNSGA2("ecg-ward", 7), islandSpec(7)}
@@ -581,6 +581,12 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if spec.Islands >= 2 && !search.Injectable() {
 			t.Fatalf("accepted %d islands of %q, which takes no injected points", spec.Islands, spec.Algorithm)
+		}
+		if spec.NSGA2 != nil && spec.NSGA2.PopulationSize > maxPopulation {
+			t.Fatalf("accepted population size %d above the cap %d", spec.NSGA2.PopulationSize, maxPopulation)
+		}
+		if spec.MOSA != nil && spec.MOSA.Restarts > maxChains {
+			t.Fatalf("accepted %d MOSA chains above the cap %d", spec.MOSA.Restarts, maxChains)
 		}
 		if spec.DeadlineSeconds > 0 {
 			if d, err := spec.deadline(); err != nil || d <= 0 {

@@ -62,7 +62,6 @@ func TestExecutorLostRedistribution(t *testing.T) {
 
 	defer faultinject.Reset()
 	cfg.Executors = 2
-	cfg.MaxRestarts = 2
 	faultinject.PanicOnExecutorAtStep(1, 5, 1000) // persistent: every attempt on executor 1 dies
 	events := collectEvents(&cfg)
 	disturbed := runCoordinator(t, job, cfg)
@@ -83,8 +82,7 @@ func TestAllExecutorsLostFallback(t *testing.T) {
 
 	defer faultinject.Reset()
 	cfg.Executors = 2
-	cfg.MaxRestarts = 1
-	faultinject.SetIslandHook(func(jobID string, island, executor, step int) {
+	faultinject.SetBoundaryHook(func(jobID string, island, executor, step int) {
 		if executor >= 0 && step == 5 {
 			panic(faultinject.InjectedIslandPanic{JobID: jobID, Island: island, Executor: executor, Step: step})
 		}
@@ -103,8 +101,7 @@ func TestFallbackExhaustedFailsCleanly(t *testing.T) {
 	job, cfg := testJob("nsga2")
 	defer faultinject.Reset()
 	cfg.Executors = 2
-	cfg.MaxRestarts = 1
-	faultinject.SetIslandHook(func(jobID string, island, executor, step int) {
+	faultinject.SetBoundaryHook(func(jobID string, island, executor, step int) {
 		if step == 5 {
 			panic(faultinject.InjectedIslandPanic{JobID: jobID, Island: island, Executor: executor, Step: step})
 		}

@@ -97,12 +97,6 @@ type Config struct {
 	// [1, Islands].
 	Executors int
 
-	// MaxRestarts is each executor's restart budget (and, separately,
-	// the inline fallback's): an executor whose attempts fail more than
-	// MaxRestarts times is lost and its islands are redistributed.
-	// Default 2.
-	MaxRestarts int
-
 	// StallTimeout arms the heartbeat watchdog: an island attempt that
 	// passes no search boundary for this long is cancelled and retried
 	// (counting against its executor's budget). 0 disables the watchdog.
@@ -134,6 +128,11 @@ type Config struct {
 	// none — see GoRunner's doc for why. May be nil.
 	Stats func(island int, s dse.Stats)
 }
+
+// maxRestarts is each executor's restart budget (and, separately, the
+// inline fallback's): an executor whose attempts fail more than
+// maxRestarts times is lost and its islands are redistributed.
+const maxRestarts = 2
 
 // errStalled is the cancellation cause of an island attempt that stopped
 // heartbeating; errNoExecutors fails the job when every executor and the
@@ -177,9 +176,6 @@ func New(cfg Config, job Job, space *dse.Space, eval dse.Evaluator) (*Coordinato
 	}
 	if cfg.Executors <= 0 || cfg.Executors > cfg.Islands {
 		cfg.Executors = cfg.Islands
-	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 2
 	}
 	c := &Coordinator{
 		cfg:          cfg,
@@ -380,7 +376,7 @@ func (c *Coordinator) aliveExecutors() ([]int, Runner) {
 		c.mu.Unlock()
 		return alive, c.runner
 	}
-	exhausted := c.fbRestarts > c.cfg.MaxRestarts
+	exhausted := c.fbRestarts > maxRestarts
 	announce := !c.fbAnnounced && !exhausted
 	c.fbAnnounced = true
 	c.mu.Unlock()
@@ -401,10 +397,10 @@ func (c *Coordinator) noteCrash(exec, island int) (lost bool) {
 	c.status[island].Restarts++
 	if exec < 0 {
 		c.fbRestarts++
-		return c.fbRestarts > c.cfg.MaxRestarts
+		return c.fbRestarts > maxRestarts
 	}
 	c.execRestarts[exec]++
-	if c.execRestarts[exec] > c.cfg.MaxRestarts {
+	if c.execRestarts[exec] > maxRestarts {
 		c.execLost[exec] = true
 		return true
 	}

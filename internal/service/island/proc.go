@@ -24,20 +24,18 @@ type ProcRunner struct {
 	// Bin is the worker binary (cmd/wsn-island).
 	Bin string
 
-	// Args are prepended to the worker's command line.
-	Args []string
-
 	// OnSpawn, when non-nil, observes every worker process right after
 	// start — chaos tests use the pid to SIGKILL a worker mid-round.
 	OnSpawn func(island, executor, pid int)
-
-	// WaitDelay bounds how long Wait lingers after context cancellation
-	// before force-closing the pipes. Default 5s.
-	WaitDelay time.Duration
 }
 
-// stderrLimit bounds how much worker stderr is kept for error reports.
-const stderrLimit = 8 << 10
+const (
+	// stderrLimit bounds how much worker stderr is kept for error reports.
+	stderrLimit = 8 << 10
+	// waitDelay bounds how long Wait lingers after context cancellation
+	// before force-closing the worker's pipes.
+	waitDelay = 5 * time.Second
+)
 
 // RunRound implements Runner.
 func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
@@ -45,7 +43,7 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.CommandContext(ctx, p.Bin, p.Args...)
+	cmd := exec.CommandContext(ctx, p.Bin)
 	cmd.Stdin = bytes.NewReader(input)
 	var stderr limitedBuffer
 	cmd.Stderr = &stderr
@@ -53,10 +51,7 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 	if err != nil {
 		return nil, err
 	}
-	cmd.WaitDelay = p.WaitDelay
-	if cmd.WaitDelay <= 0 {
-		cmd.WaitDelay = 5 * time.Second
-	}
+	cmd.WaitDelay = waitDelay
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("island %d: start worker: %w", req.Island, err)
 	}

@@ -16,17 +16,14 @@ import (
 	"testing"
 
 	"wsndse/internal/casestudy"
+	"wsndse/internal/cliutil"
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
 )
 
-// islandBinary builds cmd/wsn-island once per test binary (or uses
-// $WSN_ISLAND_BIN, which CI sets to reuse one build).
+// islandBinary builds cmd/wsn-island once per test binary.
 func islandBinary(t *testing.T) string {
 	t.Helper()
-	if bin := os.Getenv("WSN_ISLAND_BIN"); bin != "" {
-		return bin
-	}
 	binDirOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "wsn-island-bin")
 		if err != nil {
@@ -118,6 +115,32 @@ func TestProcRunnerMatchesGoRunner(t *testing.T) {
 	cfg.Runner = &ProcRunner{Bin: bin}
 	viaProc := runProcCoordinator(t, job, cfg)
 	sameResult(t, golden, viaProc, "proc runner vs go runner")
+}
+
+// TestProcRunnerFamilyScenario: a worker process resolves a generated
+// family member on its own, so a family job keeps its process isolation:
+// no round crashes and the front is the in-process one.
+func TestProcRunnerFamilyScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	bin := islandBinary(t)
+	job, cfg := procJob()
+	job.Scenario = "chipset-sweep/iris-n3-relay-long-block"
+	// This process registers the member, as wsn-serve -family does; the
+	// worker process must resolve it on its own.
+	if _, err := cliutil.LookupScenario(job.Scenario); err != nil {
+		t.Fatal(err)
+	}
+	golden := runProcCoordinator(t, job, cfg)
+
+	cfg.Runner = &ProcRunner{Bin: bin}
+	events := collectEvents(&cfg)
+	viaProc := runProcCoordinator(t, job, cfg)
+	sameResult(t, golden, viaProc, "family member: proc runner vs go runner")
+	if n := events(EventCrash); n != 0 {
+		t.Errorf("%d crash events, want none", n)
+	}
 }
 
 // TestProcWorkerSigkillFailover is the headline robustness proof at the

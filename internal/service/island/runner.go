@@ -66,13 +66,15 @@ type Runner interface {
 // coordinator runs islands on more than one executor (the compiled
 // scenario evaluator is; see scenario.Compiled.Evaluator).
 //
-// Stats, when non-nil, receives every island's per-boundary dse.Stats
-// tagged with the island index — the hook the service's telemetry
-// sampler attaches to. It is called from executor goroutines
-// concurrently, so the sink must be safe for concurrent use. ProcRunner
-// intentionally does not forward stats: a worker process's value is
-// crash containment, and widening its line protocol with per-boundary
-// telemetry would couple the watchdog path to the sampler.
+// A round attaches one boundary sink, dse.Options.Stats. At every
+// boundary it fires the faultinject boundary point, then the heartbeat,
+// then Stats when it is non-nil. Stats receives every island's
+// per-boundary dse.Stats tagged with the island index — the hook the
+// service's telemetry sampler attaches to. It is called from executor
+// goroutines concurrently, so the sink must be safe for concurrent use.
+// ProcRunner intentionally does not forward stats: a worker process's
+// value is crash containment, and widening its line protocol with
+// per-boundary telemetry would couple the watchdog path to the sampler.
 type GoRunner struct {
 	Space *dse.Space
 	Eval  dse.Evaluator
@@ -81,22 +83,22 @@ type GoRunner struct {
 
 // RunRound implements Runner.
 func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
+	var snap *dse.Snapshot
 	opts := dse.Options{
 		Context:   ctx,
 		StopAfter: req.StopAfter,
-		Progress: func(p dse.Progress) {
-			faultinject.IslandBoundary(req.Job.JobID, req.Island, req.Executor, p.Step)
+		Stats: func(s dse.Stats) {
+			faultinject.Boundary(req.Job.JobID, req.Island, req.Executor, s.Step)
 			if beat != nil {
-				beat(p.Step)
+				beat(s.Step)
+			}
+			if g.Stats != nil {
+				g.Stats(req.Island, s)
 			}
 		},
-		Resume: req.Resume,
+		Checkpoint: func(s *dse.Snapshot) error { snap = s; return nil },
+		Resume:     req.Resume,
 	}
-	if g.Stats != nil {
-		opts.Stats = func(s dse.Stats) { g.Stats(req.Island, s) }
-	}
-	var snap *dse.Snapshot
-	opts.Checkpoint = func(s *dse.Snapshot) error { snap = s; return nil }
 
 	search := req.Job.Search
 	search.Seed = req.Seed

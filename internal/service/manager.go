@@ -729,7 +729,7 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 	opts := dse.Options{
 		Context: r.ctx,
 		Stats: func(st dse.Stats) {
-			faultinject.Boundary(j.info.ID, spec.Algorithm, st.Step)
+			faultinject.Boundary(j.info.ID, 0, -1, st.Step)
 			elapsed := time.Since(start).Seconds()
 			info := ProgressInfo{
 				Step:       st.Step,
@@ -815,39 +815,39 @@ func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, 
 		cfg.Runner = &island.ProcRunner{Bin: m.cfg.IslandExec}
 	}
 
-	// OnEvent fires from coordinator and executor goroutines, all spawned
-	// inside Run — strictly after coord is assigned below.
+	// syncIslands reads the coordinator's supervision state once into
+	// JobInfo.Islands and the sampler's round/restarts stamp. OnEvent
+	// fires from coordinator and executor goroutines, all spawned inside
+	// Run — strictly after coord is assigned below.
 	var coord *island.Coordinator
-	cfg.OnEvent = func(e island.Event) {
+	syncIslands := func(round int) {
 		sts := coord.Status()
+		restarts := 0
+		for _, st := range sts {
+			restarts += st.Restarts
+		}
+		sampler.setIsland(round, restarts)
+		j.mu.Lock()
+		j.info.Islands = sts
+		j.mu.Unlock()
+	}
+	cfg.OnEvent = func(e island.Event) {
 		switch e.Kind {
 		case island.EventRound:
 			m.met.islandRounds.Add(1)
 		case island.EventRestart:
 			m.met.islandRestarts.Add(1)
 		}
-		restarts := 0
-		for _, st := range sts {
-			restarts += st.Restarts
-		}
-		sampler.setIsland(e.Round, restarts)
-		j.mu.Lock()
-		j.info.Islands = sts
-		j.mu.Unlock()
-		ev := e
-		j.hub.publish(Event{Type: "island", Island: &ev})
+		syncIslands(e.Round)
+		j.hub.publish(Event{Type: "island", Island: &e})
 	}
 
 	coord, err := island.New(cfg, ijob, space, eval)
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	j.info.Islands = coord.Status()
-	j.mu.Unlock()
+	syncIslands(0)
 	res, runErr := coord.Run(r.ctx)
-	j.mu.Lock()
-	j.info.Islands = coord.Status()
-	j.mu.Unlock()
+	syncIslands(0)
 	return res, runErr
 }

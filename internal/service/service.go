@@ -177,7 +177,8 @@ type Spec struct {
 	Workers   int    `json:"workers,omitempty"`
 
 	// Exactly the matching algorithm's config is consulted; both are
-	// optional (zero configs select the dse defaults).
+	// optional (zero configs select the dse defaults). Either way
+	// nsga2.population_size and mosa.restarts are capped at 4096.
 	NSGA2 *dse.NSGA2Config `json:"nsga2,omitempty"`
 	MOSA  *dse.MOSAConfig  `json:"mosa,omitempty"`
 
@@ -251,10 +252,15 @@ const maxEvalWorkers = 64
 
 // maxIslands caps Spec.Islands, and maxMigrants Spec.Migrants: island
 // decomposition is a handful-of-partitions technique — a thousand-island
-// request is a typo or an attack, not a plan.
+// request is a typo or an attack, not a plan. maxPopulation caps
+// nsga2.population_size and maxChains mosa.restarts: both size buffers a
+// search allocates before its first boundary, where neither a cancel nor
+// a deadline can stop it.
 const (
-	maxIslands  = 16
-	maxMigrants = 64
+	maxIslands    = 16
+	maxMigrants   = 64
+	maxPopulation = 4096
+	maxChains     = 4096
 )
 
 // normalize fills the defaults validation and execution agree on.
@@ -306,6 +312,12 @@ func (s Spec) Validate() error {
 	}
 	if s.Workers < 0 || s.Workers > maxEvalWorkers {
 		return fmt.Errorf("service: workers %d out of [0,%d]", s.Workers, maxEvalWorkers)
+	}
+	if s.NSGA2 != nil && s.NSGA2.PopulationSize > maxPopulation {
+		return fmt.Errorf("service: nsga2.population_size %d above %d", s.NSGA2.PopulationSize, maxPopulation)
+	}
+	if s.MOSA != nil && s.MOSA.Restarts > maxChains {
+		return fmt.Errorf("service: mosa.restarts %d above %d", s.MOSA.Restarts, maxChains)
 	}
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("service: negative checkpoint interval %d", s.CheckpointEvery)

@@ -103,6 +103,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSpecSearchBufferCaps: nsga2.population_size and mosa.restarts size
+// buffers a search allocates before its first boundary, so Validate caps
+// both. A spec at each cap passes, and one a step above it fails.
+func TestSpecSearchBufferCaps(t *testing.T) {
+	nsga2 := func(pop int) Spec {
+		return Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, NSGA2: &dse.NSGA2Config{PopulationSize: pop}}
+	}
+	mosa := func(chains int) Spec {
+		return Spec{Scenario: "ecg-ward", Algorithm: AlgoMOSA, MOSA: &dse.MOSAConfig{Restarts: chains}}
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"population at cap", nsga2(maxPopulation), true},
+		{"population above cap", nsga2(maxPopulation + 2), false}, // sizes are even
+		{"chains at cap", mosa(maxChains), true},
+		{"chains above cap", mosa(maxChains + 1), false},
+	} {
+		if err := tc.spec.normalize().Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want accepted %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestDeterminismUnderConcurrency is the multi-tenant determinism
 // guarantee: a seeded job's front is bit-identical whether it runs alone
 // on a single-worker manager or alongside seven other jobs on a

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"wsndse/internal/scenario"
 )
 
 // storeRes builds a minimal distinct result for store tests.
@@ -344,6 +347,76 @@ func FuzzStoreIndex(f *testing.F) {
 		}
 		if later, ok := put(s, "y"); ok && later <= v {
 			t.Fatalf("later put got version %d, not above %d", later, v)
+		}
+	})
+}
+
+// FuzzStoreResult feeds arbitrary bytes to the result store as v1.json,
+// beside an index.jsonl that puts v1. NewStore must return a store or an
+// error, never panic. With a store, Get, Query, the JSON encoding of what
+// they return, and warm-start resolution of "v1" and "auto" over
+// ecg-ward's space must not panic, and every resolved seed must index
+// that space.
+func FuzzStoreResult(f *testing.F) {
+	// Seeds: the result file of a finished ecg-ward job, null, and that
+	// result with a front point whose config is null.
+	seedDir := f.TempDir()
+	m := newTestManager(f, Config{Workers: 1, ResultDir: seedDir})
+	info, err := m.Submit(smallNSGA2("ecg-ward", 7))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if final := waitDone(f, m, info.ID); final.Status != StatusDone {
+		f.Fatalf("seed job ended %s: %s", final.Status, final.Error)
+	}
+	m.Close()
+	result, err := os.ReadFile(filepath.Join(seedDir, "v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var r StoredResult
+	if err := json.Unmarshal(result, &r); err != nil {
+		f.Fatal(err)
+	}
+	r.Front[0].Config = nil
+	nullConfig, err := json.Marshal(r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(result)
+	f.Add([]byte("null"))
+	f.Add(nullConfig)
+
+	index := []byte(`{"op":"put","version":1,"key":"` + r.Key + `"}` + "\n")
+	sc, _ := scenario.Lookup("ecg-ward")
+	space := wardSpace(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "v1.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewStore(StoreConfig{Dir: dir})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		got, _ := s.Get(1)
+		page, _ := s.Query(ResultQuery{})
+		for _, v := range []any{got, page} {
+			if _, err := json.Marshal(v); err != nil {
+				t.Fatalf("stored result does not encode: %v", err)
+			}
+		}
+		for _, ws := range []string{"v1", WarmStartAuto} {
+			seeds, _, _ := ResolveWarmStart(s, ws, sc.Fingerprint(), ObjectivesFull, AlgoNSGA2, sc.Name, space)
+			for _, c := range seeds {
+				if !space.Valid(c) {
+					t.Fatalf("warm start %s resolved seed %v outside the space", ws, c)
+				}
+			}
 		}
 	})
 }
