@@ -15,6 +15,11 @@
 //	curl -N localhost:8080/v1/jobs/j1/events
 //	curl -s localhost:8080/v1/jobs/j1/front | jq '.front | length'
 //
+// -max-results bounds both the result store and the finished job records
+// the server keeps in memory: once that many jobs have finished after a
+// job, its /v1/jobs/{id} endpoints answer 404 not_found, while its front
+// stays at /v1/results/{version} for as long as the store holds it.
+//
 // With -results-dir the archived fronts survive restarts; a follow-up
 // job can warm-start from them:
 //
@@ -77,7 +82,7 @@ func main() {
 		queue         = flag.Int("queue", 64, "queued-job limit (submissions beyond it are rejected)")
 		checkpointDir = flag.String("checkpoint-dir", "", "persist job checkpoints to this directory (resume_job reads them)")
 		resultsDir    = flag.String("results-dir", "", "persist the result store to this directory (fronts survive restarts and warm-start new jobs)")
-		maxResults    = flag.Int("max-results", 0, "result store bound before LRU eviction (0 selects the default)")
+		maxResults    = flag.Int("max-results", 0, "bound on the stored fronts (least recently used evicted) and on the finished job records kept in memory (oldest dropped) (0 selects the default 1024)")
 		familySpec    = flag.String("family", "", "enable scenario families before serving: a name, comma list, or 'all'")
 		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "max duration for reading a full request (0 disables)")
 		writeTimeout  = flag.Duration("write-timeout", 60*time.Second, "max duration for writing a response; SSE streams are exempt (0 disables)")

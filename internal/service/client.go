@@ -270,7 +270,8 @@ func (c *Client) JobsPage(ctx context.Context, limit, offset int) (Page[JobInfo]
 	return page, err
 }
 
-// Jobs lists every job, draining pagination.
+// Jobs lists every job the server retains (see Config.MaxResults),
+// draining pagination.
 func (c *Client) Jobs(ctx context.Context) ([]JobInfo, error) {
 	return collectPages(func(limit, offset int) (Page[JobInfo], error) {
 		return c.JobsPage(ctx, limit, offset)

@@ -147,6 +147,12 @@ func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (spec Spec, err error
 // 409 conflict, 413 body_too_large, 429 queue_full, 503 unavailable,
 // 500 internal.
 //
+// The /v1/jobs endpoints serve the records the Manager retains: queued
+// and running jobs and the last Config.MaxResults finished ones. An
+// older job's ID answers 404 not_found like an unknown one, and GET
+// /v1/jobs neither lists nor counts it; its front stays at
+// /v1/results/{version} while the store holds it.
+//
 // The events stream honors the SSE Last-Event-ID request header: each
 // event's id is its per-job sequence number, and a reconnect carrying the
 // last id seen resumes after it instead of replaying history. Request

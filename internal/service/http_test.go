@@ -511,7 +511,8 @@ func TestSSEWireFormat(t *testing.T) {
 // survive a JSON round trip; and a spec Validate accepts must build a
 // dse.Search that validates, ask for islands only with an algorithm that
 // takes injected points, convert a positive deadline to a positive
-// duration, and stay within the population and chain caps.
+// duration, stay within the population and chain caps, and name a
+// resume_job whose number is at most maxJobNumber.
 func FuzzSpecDecode(f *testing.F) {
 	chaos := chaosSpecs()
 	seeds := []Spec{smallNSGA2("ecg-ward", 7), islandSpec(7)}
@@ -534,6 +535,8 @@ func FuzzSpecDecode(f *testing.F) {
 		// be negative.
 		Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, DeadlineSeconds: 1e11},
 		Spec{Scenario: "ecg-ward", Algorithm: AlgoRandom, Budget: 3000, ResumeJob: "j1"},
+		// A resume_job past the job-number cap.
+		Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, ResumeJob: "j9223372036854775807"},
 	)
 	for _, spec := range seeds {
 		data, err := json.Marshal(spec)
@@ -591,6 +594,11 @@ func FuzzSpecDecode(f *testing.F) {
 		if spec.DeadlineSeconds > 0 {
 			if d, err := spec.deadline(); err != nil || d <= 0 {
 				t.Fatalf("accepted deadline_seconds %g converts to %v (%v)", spec.DeadlineSeconds, d, err)
+			}
+		}
+		if spec.ResumeJob != "" {
+			if n, ok := jobNumber(spec.ResumeJob); !ok || int64(n) > maxJobNumber {
+				t.Fatalf("accepted resume_job %q parses to %d (%v), want at most %d", spec.ResumeJob, n, ok, int64(maxJobNumber))
 			}
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/cliutil"
@@ -70,7 +71,7 @@ func procJob() (Job, Config) {
 
 // compileScenario builds the in-process space/evaluator the coordinator
 // needs for migration injection and front merging.
-func compileScenario(t *testing.T, name string) (*dse.Space, dse.Evaluator) {
+func compileScenario(t testing.TB, name string) (*dse.Space, dse.Evaluator) {
 	t.Helper()
 	sc, ok := scenario.Lookup(name)
 	if !ok {
@@ -257,6 +258,52 @@ func FuzzProcLine(f *testing.F) {
 		if resp != nil {
 			_ = c.check(1, cfg.Interval, resp)
 			_ = c.check(1, 0, resp)
+		}
+	})
+}
+
+// FuzzIslandRequest feeds arbitrary bytes to a worker process's request
+// decoder, the island protocol's other input from outside the process:
+// wsn-island decodes its stdin with json.NewDecoder and runs the round
+// through GoRunner, here over ecg-ward under a 100 ms deadline. Nothing
+// may panic, and a round that succeeds carries exactly one of Snapshot
+// and Result: a snapshot the job's search can resume over the same
+// space, or a front of configurations inside it. Requests beyond the
+// service's spec caps (64 workers, 4096 population members or MOSA
+// chains) are skipped: the coordinator never sends them. The committed
+// corpus holds a fresh and a resumed round's stdin from a real
+// ProcRunner run, plus null and {}.
+func FuzzIslandRequest(f *testing.F) {
+	space, eval := compileScenario(f, "ecg-ward")
+	runner := &GoRunner{Space: space, Eval: eval}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+			return
+		}
+		s := req.Job.Search
+		if s.Workers > 64 || (s.NSGA2 != nil && s.NSGA2.PopulationSize > 4096) || (s.MOSA != nil && s.MOSA.Restarts > 4096) {
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		resp, err := runner.RunRound(ctx, req, nil)
+		if err != nil {
+			return
+		}
+		if (resp.Snapshot == nil) == (resp.Result == nil) {
+			t.Fatalf("round returned snapshot %v and result %v, want exactly one", resp.Snapshot != nil, resp.Result != nil)
+		}
+		if resp.Snapshot != nil {
+			if err := s.ValidateResume(resp.Snapshot, space, eval.NumObjectives()); err != nil {
+				t.Fatalf("paused round's snapshot does not resume: %v", err)
+			}
+			return
+		}
+		for _, p := range resp.Result.Front {
+			if !space.Valid(p.Config) {
+				t.Fatalf("front config %v is outside the space", p.Config)
+			}
 		}
 	})
 }

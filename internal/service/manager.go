@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"runtime/debug"
 	"slices"
@@ -41,9 +43,13 @@ type Config struct {
 	// and a restarted Manager serves — and warm-starts from — the
 	// previous process's results.
 	ResultDir string
-	// MaxResults bounds the result store (<= 0 selects
-	// DefaultMaxResults); beyond it the least-recently-used front is
-	// evicted.
+	// MaxResults bounds both the result store and the finished job
+	// records the manager holds (<= 0 selects DefaultMaxResults). Beyond
+	// it the store evicts its least-recently-used front, and the manager
+	// drops the record of the job that finished first: its /v1/jobs/{id}
+	// endpoints then answer not found, its front stays in the store for
+	// as long as the store holds it, and a checkpointed job can still be
+	// continued with resume_job. Queued and running jobs do not count.
 	MaxResults int
 	// RetryBaseDelay/RetryMaxDelay shape the backoff between retry
 	// attempts of failed jobs (zero selects DefaultRetryBaseDelay/
@@ -84,6 +90,9 @@ func (c Config) withDefaults() Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 64
 	}
+	if c.MaxResults <= 0 {
+		c.MaxResults = DefaultMaxResults
+	}
 	if c.RetryBaseDelay <= 0 {
 		c.RetryBaseDelay = DefaultRetryBaseDelay
 	}
@@ -110,6 +119,7 @@ var (
 // lifecycle is single-writer (the manager worker running the job) but
 // many-reader.
 type job struct {
+	seq    int // submission order, set before the job is published
 	mu     sync.Mutex
 	info   JobInfo
 	spec   Spec            // normalized
@@ -200,12 +210,15 @@ type Manager struct {
 	store *Store
 	met   *metrics
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []*job // jobs in submission order
-	nextID   int
-	closed   bool
-	draining bool
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished holds the retained finished records in the order they
+	// finished; past cfg.MaxResults the first one is evicted (retire).
+	finished  []*job
+	submitted int // jobs accepted so far; numbers job.seq
+	nextID    int
+	closed    bool
+	draining  bool
 
 	queue chan *job
 	root  context.Context
@@ -254,6 +267,7 @@ func New(cfg Config) (*Manager, error) {
 			defer m.wg.Done()
 			for j := range m.queue {
 				m.runJob(j)
+				m.retire(j)
 			}
 		}()
 	}
@@ -286,17 +300,50 @@ func lastJobNumber(dirs ...string) (int, error) {
 // Store returns the versioned result store.
 func (m *Manager) Store() *Store { return m.store }
 
-// allJobs returns every job in submission order.
+// allJobs returns every retained job in submission order.
 func (m *Manager) allJobs() []*job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return slices.Clone(m.order)
+	jobs := slices.Collect(maps.Values(m.jobs))
+	m.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+	return jobs
+}
+
+// retire counts j, which a worker has just finished with, toward the
+// cfg.MaxResults bound on finished records, and evicts the record that
+// finished first beyond it. Every job that was ever queued passes here
+// once: run to its end, cancelled while queued, or cancelled by Close.
+// The evicted job's obs file is flushed before its ID leaves m.jobs, so
+// a resume_job that continues that ID never appends behind a writer
+// that still holds the file.
+func (m *Manager) retire(j *job) {
+	m.mu.Lock()
+	m.finished = append(m.finished, j)
+	if len(m.finished) <= m.cfg.MaxResults {
+		m.mu.Unlock()
+		return
+	}
+	old := m.finished[0]
+	m.finished[0] = nil
+	m.finished = m.finished[1:]
+	m.mu.Unlock()
+
+	old.mu.Lock()
+	sampler := old.sampler
+	old.mu.Unlock()
+	if sampler != nil {
+		sampler.drain()
+	}
+	m.mu.Lock()
+	delete(m.jobs, old.info.ID)
+	m.mu.Unlock()
+	m.met.jobsEvicted.Add(1)
 }
 
 // Close cancels every job, stops accepting submissions, and waits for the
-// workers to drain. Queued jobs are marked cancelled. Obs writer
-// goroutines are drained too, so every job's telemetry file is complete
-// on disk when Close returns.
+// workers to drain the queue, which marks every queued job cancelled.
+// Obs writer goroutines are drained too, so every job's telemetry file is
+// complete on disk when Close returns.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if !m.closed {
@@ -307,17 +354,13 @@ func (m *Manager) Close() {
 	m.stop()
 	m.wg.Wait()
 	m.drainSamplers()
-	// Anything still non-terminal (queued jobs the workers never reached)
-	// is cancelled for the record.
-	for _, j := range m.allJobs() {
-		j.setStatus(StatusCancelled, "manager closed")
-	}
 	m.store.Close()
 }
 
-// drainSamplers waits for every job's obs writer goroutine to finish
-// flushing. Workers must be drained first: runJob's deferred
-// sampler.close is what lets a writer exit.
+// drainSamplers waits for every retained job's obs writer goroutine to
+// finish flushing; retire drained the evicted ones. Workers must be
+// drained first: runJob's deferred sampler.close is what lets a writer
+// exit.
 func (m *Manager) drainSamplers() {
 	for _, j := range m.allJobs() {
 		j.mu.Lock()
@@ -425,8 +468,9 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 		cancel()
 		return JobInfo{}, ErrQueueFull
 	}
+	m.submitted++
+	j.seq = m.submitted
 	m.jobs[id] = j
-	m.order = append(m.order, j)
 	m.mu.Unlock()
 	m.met.jobsSubmitted.Add(1)
 	m.met.jobsQueued.Add(1)
@@ -449,7 +493,9 @@ func (m *Manager) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
-// Get returns a job's current info.
+// Get returns a job's current info. A finished job's record is dropped
+// once Config.MaxResults jobs have finished after it; Get then reports
+// it missing, as for an ID never issued.
 func (m *Manager) Get(id string) (JobInfo, bool) {
 	j, ok := m.lookup(id)
 	if !ok {
@@ -458,7 +504,8 @@ func (m *Manager) Get(id string) (JobInfo, bool) {
 	return j.snapshotInfo(), true
 }
 
-// Jobs returns every job's info in submission order.
+// Jobs returns the info of every retained job in submission order: the
+// queued and running jobs, and the last Config.MaxResults finished ones.
 func (m *Manager) Jobs() []JobInfo {
 	jobs := m.allJobs()
 	out := make([]JobInfo, len(jobs))
@@ -511,7 +558,10 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 // the partial front for cancelled and timed-out ones. Queued/running/
 // failed jobs return ErrNotFinished (wrapped with the state, so callers
 // can distinguish not-yet from never). The front is shared with the
-// job's StoredResult and every caller: read it, never modify it.
+// job's StoredResult and every caller: read it, never modify it. Once the
+// job's record is evicted (see Config.MaxResults) Front returns
+// ErrNotFound; a done job's front stays at its ResultVersion in the
+// store for as long as the store holds it.
 func (m *Manager) Front(id string) (FrontResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -28,6 +29,7 @@ type metrics struct {
 	jobsTimedOut  atomic.Int64
 	jobsCancelled atomic.Int64
 	retries       atomic.Int64
+	jobsEvicted   atomic.Int64
 
 	evals          labeledCounter // distinct evaluations, by scenario
 	sseSubscribers atomic.Int64   // gauge
@@ -101,8 +103,17 @@ func (c *labeledCounter) snapshot() (labels []string, values []int64) {
 // ObserveHTTPRequest counts one finished HTTP request into the
 // wsndse_http_requests_total family. The serving layer (wsn-serve's
 // access-log middleware) calls it; method is the HTTP verb, status the
-// response code.
+// response code. net/http accepts any token as a method, so a method
+// outside its nine Method* constants counts as "OTHER": each label
+// pair is a series kept for the life of the process, and clients must
+// not be able to mint them.
 func (m *Manager) ObserveHTTPRequest(method string, status int) {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+	default:
+		method = "OTHER"
+	}
 	m.met.httpRequests.get(fmt.Sprintf("method=%q,code=\"%d\"", method, status)).Add(1)
 }
 
@@ -151,6 +162,11 @@ func (m *Manager) WriteMetrics(w io.Writer) {
 	gauge("wsndse_sse_subscribers", "Open /v1/jobs/{id}/events streams.", mt.sseSubscribers.Load())
 	gauge("wsndse_store_results", "Fronts resident in the result store.", int64(m.store.Len()))
 	counter("wsndse_store_evictions_total", "Results evicted from the store (LRU).", m.store.Evictions())
+	m.mu.Lock()
+	retained := len(m.jobs)
+	m.mu.Unlock()
+	gauge("wsndse_jobs_retained", "Job records held in memory: queued, running and the last -max-results finished.", int64(retained))
+	counter("wsndse_jobs_evicted_total", "Finished job records dropped past the -max-results bound.", mt.jobsEvicted.Load())
 	counter("wsndse_island_rounds_total", "Island migration rounds completed.", mt.islandRounds.Load())
 	counter("wsndse_island_restarts_total", "Island attempts retried after a crash or stall.", mt.islandRestarts.Load())
 	counter("wsndse_obs_samples_total", "Telemetry samples recorded across all jobs.", mt.obsSamples.Load())

@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,6 +191,7 @@ func TestResumeJobRejectsForeignIDs(t *testing.T) {
 	defer m.Close()
 	for _, id := range []string{
 		"../elsewhere/" + planted.ID, "j1/../j2", "/tmp/j1", "j0", "j01", "j-1", "j+1", "J1", "j", "j1.island0", "dead-job",
+		"j9223372036854775807",
 	} {
 		s := spec
 		s.ResumeJob = id
@@ -284,4 +288,99 @@ func TestRestartKeepsJobIDsDistinct(t *testing.T) {
 		t.Fatalf("continued stream ends at %v", last.Values)
 	}
 	readObsFile(t, filepath.Join(cfg.ObsDir, fresh.ID+".obs"))
+}
+
+// TestJobRecordBound: past Config.MaxResults finished jobs the record of
+// the job that finished first is dropped. Its /v1/jobs/{id} endpoints
+// answer 404 not_found, GET /v1/jobs neither lists nor counts it, a
+// resume_job continues it under its own ID from its checkpoint, and its
+// obs file stays one stream across the two runs.
+func TestJobRecordBound(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Workers: 1, MaxResults: 2, CheckpointDir: filepath.Join(dir, "ckpt"),
+		ObsDir: filepath.Join(dir, "obs"), ObsSampleInterval: time.Nanosecond})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	spec := smallNSGA2("ecg-ward", 7)
+	spec.NSGA2 = &dse.NSGA2Config{PopulationSize: 8, Generations: 7}
+	spec.CheckpointEvery = 2 // last checkpoint lands at generation 6
+	first, golden := runToDone(t, m, spec)
+	firstStats, err := m.JobStats(first.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToDone(t, m, smallNSGA2("ecg-ward", 8))
+	runToDone(t, m, smallNSGA2("ecg-ward", 9))
+	waitRetained(t, m, 2)
+	var metrics strings.Builder
+	m.WriteMetrics(&metrics)
+	for _, line := range []string{"\nwsndse_jobs_retained 2\n", "\nwsndse_jobs_evicted_total 1\n"} {
+		if !strings.Contains(metrics.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+
+	for _, req := range []struct{ method, path string }{
+		{http.MethodGet, ""}, {http.MethodGet, "/front"}, {http.MethodGet, "/events"},
+		{http.MethodGet, "/stats"}, {http.MethodDelete, ""},
+	} {
+		r, err := http.NewRequest(req.method, srv.URL+"/v1/jobs/"+first.ID+req.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || err != nil || body.Error.Code != CodeNotFound {
+			t.Errorf("%s %s of an evicted job: %d %+v (%v), want 404 %s",
+				req.method, req.path, resp.StatusCode, body, err, CodeNotFound)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page Page[JobInfo]
+	err = json.NewDecoder(resp.Body).Decode(&page)
+	resp.Body.Close()
+	if err != nil || page.Total != 2 || len(page.Items) != 2 {
+		t.Fatalf("GET /v1/jobs: total %d, %d items (%v), want 2 retained", page.Total, len(page.Items), err)
+	}
+
+	resume := spec
+	resume.ResumeJob = first.ID
+	cont, err := m.Submit(resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cont.ID != first.ID {
+		t.Fatalf("resume_job %s continued as %s", first.ID, cont.ID)
+	}
+	final := waitDone(t, m, cont.ID)
+	if final.Status != StatusDone || final.ResumedFromStep != 6 {
+		t.Fatalf("continued job %s from step %d: %s", final.Status, final.ResumedFromStep, final.Error)
+	}
+	got, err := m.Front(cont.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(golden.Front, got.Front) {
+		t.Fatalf("continued front differs: %d points vs %d", len(got.Front), len(golden.Front))
+	}
+	contStats, err := m.JobStats(cont.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close() // drains the obs writers
+
+	samples := readObsFile(t, filepath.Join(dir, "obs", first.ID+".obs"))
+	if want := firstStats.Samples + contStats.Samples; int64(len(samples)) != want {
+		t.Fatalf("%s.obs holds %d samples, want %d + %d", first.ID, len(samples), firstStats.Samples, contStats.Samples)
+	}
 }

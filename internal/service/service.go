@@ -372,15 +372,21 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// jobNumber parses a server-assigned job ID — "j" and a positive decimal
-// without leading zeros — into its number.
+// maxJobNumber caps the number of a job ID. Fresh IDs count up from the
+// largest number a manager has seen, and a resume_job may name any ID;
+// without a cap far below math.MaxInt one resume_job near the top
+// would wrap every later ID negative.
+const maxJobNumber = 1 << 53
+
+// jobNumber parses a server-assigned job ID — "j" and a decimal in
+// [1, maxJobNumber] without leading zeros — into its number.
 func jobNumber(id string) (int, bool) {
 	digits, ok := strings.CutPrefix(id, "j")
 	if !ok {
 		return 0, false
 	}
 	n, err := strconv.Atoi(digits)
-	if err != nil || n < 1 || strconv.Itoa(n) != digits {
+	if err != nil || n < 1 || int64(n) > maxJobNumber || strconv.Itoa(n) != digits {
 		return 0, false
 	}
 	return n, true

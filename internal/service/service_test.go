@@ -45,6 +45,20 @@ func waitDone(t testing.TB, m *Manager, id string) JobInfo {
 	return info
 }
 
+// waitRetained polls until m holds want job records. A finished job's
+// Wait returns before its worker retires it, and retiring is what
+// drops the oldest finished record past the bound.
+func waitRetained(t *testing.T, m *Manager, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(m.Jobs()) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("manager holds %d job records, want %d", len(m.Jobs()), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestJobLifecycle(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 2})
 	defer m.Close()
@@ -625,6 +639,15 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
+// compactSize is a front's size stored compactly: 48 B per point plus
+// 8 B per gene and per objective.
+func compactSize(front []FrontPoint) (n int64) {
+	for _, p := range front {
+		n += 48 + 8*int64(len(p.Config)+len(p.Objs))
+	}
+	return n
+}
+
 // TestFinishedJobRetainedHeap bounds what a finished job keeps: its
 // JobInfo, event history, stats window and one front shared with the
 // store. Its checkpoint anchor, warm-start seeds, search result and obs
@@ -632,15 +655,20 @@ func liveHeap() int64 {
 // add to the live heap at most its front's compact size (48 B per point
 // plus 8 B per gene and per objective) plus 32 KiB. The jobs checkpoint,
 // archive to disk, write obs streams and, for MOSA, warm-start from the
-// store.
+// store. A last phase bounds the server's memory: on a Manager with
+// MaxResults 4, 32 more NSGA-II jobs past the first 8 may add at most
+// 32 KiB in all, because each finished job drops the oldest record. The
+// retained fronts differ in size from seed to seed, so the difference
+// of their compact sizes is taken out.
 func TestFinishedJobRetainedHeap(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestManager(t, Config{
+	cfg := Config{
 		Workers:       1,
 		CheckpointDir: filepath.Join(dir, "ckpt"),
 		ResultDir:     filepath.Join(dir, "results"),
 		ObsDir:        filepath.Join(dir, "obs"),
-	})
+	}
+	m := newTestManager(t, cfg)
 	defer m.Close()
 	kinds := []struct {
 		name string
@@ -666,9 +694,7 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 			seed++
 			k.spec.Seed = seed
 			_, front := runToDone(t, m, k.spec)
-			for _, p := range front.Front {
-				compact += 48 + 8*int64(len(p.Config)+len(p.Objs))
-			}
+			compact += compactSize(front.Front)
 		}
 		m.drainSamplers()
 		perJob := (liveHeap() - before) / jobs
@@ -677,5 +703,38 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 		if over > 32<<10 {
 			t.Errorf("%s: a finished job retains %d B above its compact front, want at most 32 KiB", k.name, over)
 		}
+	}
+	m.Close()
+
+	cfg.MaxResults = 4
+	bounded := newTestManager(t, cfg)
+	defer bounded.Close()
+	spec := kinds[1].spec
+	// run finishes that many more jobs and returns the compact size of the
+	// fronts the retained records then hold.
+	run := func(jobs int) (fronts int64) {
+		for range jobs {
+			seed++
+			spec.Seed = seed
+			runToDone(t, bounded, spec)
+		}
+		waitRetained(t, bounded, cfg.MaxResults)
+		bounded.drainSamplers()
+		for _, info := range bounded.Jobs() {
+			front, err := bounded.Front(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fronts += compactSize(front.Front)
+		}
+		return fronts
+	}
+	frontsBefore := run(8)
+	before := liveHeap()
+	frontsAfter := run(32)
+	growth := liveHeap() - before - (frontsAfter - frontsBefore)
+	t.Logf("bounded: 32 jobs past the record bound add %d B beside their fronts (%d B → %d B)", growth, frontsBefore, frontsAfter)
+	if growth > 32<<10 {
+		t.Errorf("bounded: 32 jobs past the record bound of %d add %d B, want at most 32 KiB", cfg.MaxResults, growth)
 	}
 }

@@ -287,6 +287,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"wsndse_sse_subscribers",
 		"wsndse_store_results",
 		"wsndse_store_evictions_total",
+		"wsndse_jobs_retained",
+		"wsndse_jobs_evicted_total",
 		"wsndse_island_rounds_total",
 		"wsndse_island_restarts_total",
 		"wsndse_obs_samples_total",
@@ -305,6 +307,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"wsndse_jobs_submitted_total 1",
 		`wsndse_jobs_completed_total{status="done"} 1`,
 		`wsndse_evals_total{scenario="ecg-ward"}`,
+		"\nwsndse_jobs_retained 1\n",
+		"\nwsndse_jobs_evicted_total 0\n",
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("expected %q in /metrics output", line)
@@ -321,6 +325,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if _, err := c.JobStats(ctx, "nope", 0); err == nil {
 		t.Fatal("unknown job stats should 404")
+	}
+}
+
+// TestHTTPRequestMethodsBounded: net/http accepts any token as a
+// method, and every label pair of wsndse_http_requests_total is a series
+// kept for the life of the process. 100 made-up methods must add one
+// series, method="OTHER", not 100.
+func TestHTTPRequestMethodsBounded(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	defer m.Close()
+	m.ObserveHTTPRequest(http.MethodGet, http.StatusOK)
+	before, _ := m.met.httpRequests.snapshot()
+	for i := range 100 {
+		m.ObserveHTTPRequest(fmt.Sprintf("M%05d", i), http.StatusMethodNotAllowed)
+	}
+	if after, _ := m.met.httpRequests.snapshot(); len(after) != len(before)+1 {
+		t.Fatalf("100 made-up methods took %d series to %d, want one more", len(before), len(after))
+	}
+	var text strings.Builder
+	m.WriteMetrics(&text)
+	if line := `wsndse_http_requests_total{method="OTHER",code="405"} 100`; !strings.Contains(text.String(), line) {
+		t.Fatalf("/metrics lacks %q:\n%s", line, text.String())
 	}
 }
 
