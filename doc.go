@@ -81,8 +81,10 @@
 // The arithmetic itself runs on scratch-reuse APIs in core
 // (Network.EvaluateInto, Network.EvaluateWithRatesInto, AssignHeteroInto,
 // Node.EnergyWithRates, and the per-worker core.Workspace), and the batch
-// runtime's memo cache keys on a packed uint64 hash of the gene indices,
-// so steady-state evaluation performs zero heap allocations. Equivalence
+// runtime's memo cache keys on a uint64 hash of the gene indices and
+// keeps each configuration packed, one byte per gene, so steady-state
+// evaluation performs zero heap allocations and the memo holds about a
+// hundred bytes per distinct configuration. Equivalence
 // tests assert the compiled evaluators return bit-identical objectives to
 // the reference evaluators for every registered scenario at worker counts
 // 1 and 8, and testing.AllocsPerRun regression tests pin the hot path at
@@ -106,14 +108,17 @@
 // ranks each generation's parent∪offspring union exactly once (the
 // survivors carry their union rank and crowding into the next
 // generation's tournaments, as in Deb's formulation), and recycles gene
-// and point buffers, so a steady-state generation performs zero heap
-// allocations. The Pareto archive stores its front sorted by lexicographic
+// and point buffers (the discarded half of each union hands its gene
+// buffers to the next offspring), so a steady-state generation performs
+// zero heap allocations. The Pareto archive stores its front sorted by lexicographic
 // objective order: a batch of evaluations (an NSGA-II generation, an
 // exhaustive or random batch, a snapshot restore, a merge of fronts) is
 // folded in by one sorted merge and one staircase sweep, with the same
 // result as adding its points one by one, and MOSA's single candidates
-// take the incremental insert; MOSA chains reuse a single neighbour
-// buffer. The sim engine's event core is typed: value-slot events in a
+// take the incremental insert. The archive copies the genes of each
+// point it keeps into buffers it recycles on eviction, since the batch
+// runtime hands back the caller's own configurations; MOSA chains trade
+// two gene buffers with the candidates they accept. The sim engine's event core is typed: value-slot events in a
 // slab recycled through a free list, ordered by an index-addressed
 // min-heap and dispatched by (kind, node, arg) with no closure or
 // interface boxing. Property tests prove the fast sort produces exactly

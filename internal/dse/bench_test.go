@@ -152,7 +152,10 @@ func BenchmarkArchiveAddBatch3D(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				arch.points = append(arch.points[:0], base...)
+				arch.reset()
+				for _, p := range base {
+					arch.points = append(arch.points, Point{Config: arch.own(p.Config), Objs: p.Objs, Feasible: true})
+				}
 				bc.add(&arch)
 			}
 			b.ReportMetric(float64(arch.Len()), "points")

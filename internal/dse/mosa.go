@@ -159,7 +159,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	// reused across boundaries; each call overwrites the previous front.
 	var front Archive
 	merged := func() []Point {
-		front.points = front.points[:0]
+		front.reset()
 		for _, c := range chains {
 			front.AddBatch(c.arch.Points())
 		}
@@ -189,15 +189,16 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 }
 
 // mosaChain is one independent annealing chain: a private RNG, the current
-// point and its energy, the temperature, the guiding archive, and a single
-// gene buffer for candidate moves. The memo cache clones configurations it
-// keeps, so a steady-state iteration (cache hit, archive unchanged)
-// performs zero heap allocations.
+// point and its energy, the temperature, the guiding archive, and two gene
+// buffers, the current point's and the candidate's, which trade places
+// when a candidate is accepted. The archive copies the genes it keeps, so
+// a steady-state iteration (cache hit, archive unchanged) performs zero
+// heap allocations.
 type mosaChain struct {
 	rng     *rand.Rand
 	src     *splitMix64
 	cfg     MOSAConfig
-	buf     Config
+	buf     Config // the candidate's genes; cur.Config holds the current point's
 	start   Config // warm-start point; nil draws the start uniformly
 	cur     Point
 	curE    float64
@@ -245,6 +246,7 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 			space.RandomInto(c.rng, c.buf)
 		}
 		c.cur = pe.evalFor(w, c.buf)
+		c.buf = make(Config, len(c.buf))
 		c.arch.Add(c.cur)
 		c.curE = c.energy(c.cur)
 		c.started = true
@@ -255,7 +257,7 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 		c.arch.Add(cand)
 		candE := c.energy(cand)
 		if candE <= c.curE || c.rng.Float64() < math.Exp(-(candE-c.curE)/c.temp) {
-			c.cur, c.curE = cand, candE
+			c.buf, c.cur, c.curE = c.cur.Config, cand, candE
 		}
 		c.temp *= c.cfg.Cooling
 	}

@@ -172,9 +172,13 @@ func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, pe *ParallelEvaluato
 }
 
 // nsga2Run owns every buffer of the generation loop, pre-sized so the
-// steady state allocates nothing: gene scratch for one offspring batch,
-// the parent∪offspring union, rank/crowding arrays for both, the fast
-// sort's workspace and the environmental-selection permutation.
+// steady state allocates nothing: gene buffers for the population and one
+// offspring batch, the parent∪offspring union, rank/crowding arrays for
+// both, the fast sort's workspace and the environmental-selection
+// permutation. Each population point carries a gene buffer of the run's
+// own (the batch runtime hands back the caller's slices), and after
+// selection the buffers of the discarded half of the union become the
+// next offspring's, so no gene is copied per generation.
 type nsga2Run struct {
 	space *Space
 	pe    *ParallelEvaluator
@@ -183,7 +187,7 @@ type nsga2Run struct {
 	pop       []Point   // current population
 	ranks     []int     // pop's ranks, carried from the union ranking
 	crowd     []float64 // pop's crowding, carried from the union ranking
-	children  []Config  // reusable gene buffers, one per offspring
+	children  []Config  // gene buffers of the next offspring
 	offspring []Point   // offspring evaluation results
 	union     []Point   // pop ∪ offspring
 	selIdx    []int     // environmental-selection permutation
@@ -193,22 +197,18 @@ type nsga2Run struct {
 
 func newNSGA2Run(space *Space, pe *ParallelEvaluator, cfg NSGA2Config) *nsga2Run {
 	n := cfg.PopulationSize
-	r := &nsga2Run{
+	return &nsga2Run{
 		space:     space,
 		pe:        pe,
 		cfg:       cfg,
 		pop:       make([]Point, 0, n),
 		ranks:     make([]int, n),
 		crowd:     make([]float64, n),
-		children:  make([]Config, n),
+		children:  geneBuffers(n, len(space.Params)),
 		offspring: make([]Point, n),
 		union:     make([]Point, 0, 2*n),
 		selIdx:    make([]int, 2*n),
 	}
-	for i := range r.children {
-		r.children[i] = make(Config, len(space.Params))
-	}
-	return r
 }
 
 // seed builds and evaluates the initial population and ranks it for the
@@ -216,7 +216,8 @@ func newNSGA2Run(space *Space, pe *ParallelEvaluator, cfg NSGA2Config) *nsga2Run
 // at most half of PopulationSize) fill the leading slots; the remainder
 // is drawn uniformly. Seeded slots consume no RNG draws, so the unseeded
 // tail — and with an empty seed list the whole run — matches the plain
-// entry point draw for draw.
+// entry point draw for draw. The population keeps the buffers it was
+// evaluated from, and the first offspring get buffers of their own.
 func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 	for i, s := range seeds {
 		copy(r.children[i], s)
@@ -225,6 +226,7 @@ func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 		r.space.RandomInto(rng, r.children[i])
 	}
 	r.pop = r.pe.EvaluateBatchInto(r.children, r.pop)
+	r.children = geneBuffers(len(r.children), len(r.space.Params))
 	arch.AddBatch(r.pop)
 	ranks, crowd := r.ws.rankAndCrowd(r.pop)
 	copy(r.ranks, ranks)
@@ -237,7 +239,8 @@ func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 // PopulationSize points of parents ∪ offspring by (rank, crowding). The
 // union is ranked exactly once; the survivors carry their union rank and
 // crowding into the next generation's tournaments, as in Deb's original
-// formulation.
+// formulation. The discarded union members hand their gene buffers to
+// the next generation's offspring.
 func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 	n := r.cfg.PopulationSize
 	for i := 0; i < n; i++ {
@@ -271,6 +274,7 @@ func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 		r.pop[i] = r.union[idx[i]]
 		r.ranks[i] = uRanks[idx[i]]
 		r.crowd[i] = uCrowd[idx[i]]
+		r.children[i] = r.union[idx[n+i]].Config
 	}
 }
 

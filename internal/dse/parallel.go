@@ -45,11 +45,13 @@ type memoSlot struct {
 }
 
 // memoShard is one lock's share of the memo, allocated at the first miss
-// that hashes to it. Entry e's genes and objectives live at offset e in
-// chunked flat arenas (chunkOf maps e to a chunk and an offset); chunks
-// never move, so the Points handed out alias them for as long as anything
-// holds one. The gene stride is fixed by the shard's first miss; a
-// configuration of another length is kept apart in odd, as entry −1−i.
+// that hashes to it. Entry e's packed genes (one byte each) and its
+// objectives live at offset e in chunked flat arenas (chunkOf maps e to a
+// chunk and an offset); chunks never move, so the objectives handed out
+// alias them for as long as anything holds one. The gene stride is fixed
+// by the shard's first miss; a configuration that does not pack (another
+// length, or a gene outside [0, 256)) is kept apart in odd, as a full
+// copy, under entry −1−i.
 type memoShard struct {
 	mu     sync.Mutex
 	ready  sync.Cond  // waiters on a pending slot; L is &mu
@@ -59,7 +61,7 @@ type memoShard struct {
 	stride int   // genes per entry
 	nobj   int   // objectives per entry
 	n      int32 // arena entries
-	genes  [memoChunks][]int
+	genes  [memoChunks][]uint8
 	objs   [memoChunks][]float64
 	odd    []Point
 	table0 [memoTable0]memoSlot
@@ -80,14 +82,40 @@ func chunkOf(e int32) (k, off int) {
 	return k, int(e) - memoChunk0*(1<<k-1)
 }
 
-// config returns entry e's genes.
-func (sh *memoShard) config(e int32) Config {
-	if e < 0 {
-		return sh.odd[-1-e].Config
+// packs reports whether c fits the arena: stride genes, each in [0, 256).
+func (sh *memoShard) packs(c Config) bool {
+	if len(c) != sh.stride {
+		return false
 	}
+	for _, v := range c {
+		if uint(v) > 255 {
+			return false
+		}
+	}
+	return true
+}
+
+// packed returns entry e's packed genes.
+func (sh *memoShard) packed(e int32) []uint8 {
 	k, off := chunkOf(e)
 	g := off * sh.stride
 	return sh.genes[k][g : g+sh.stride : g+sh.stride]
+}
+
+// holds reports whether entry e is configuration c.
+func (sh *memoShard) holds(e int32, c Config) bool {
+	if e < 0 {
+		return sh.odd[-1-e].Config.Equal(c)
+	}
+	if len(c) != sh.stride {
+		return false
+	}
+	for i, g := range sh.packed(e) {
+		if int(g) != c[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // objectives returns entry e's objective storage.
@@ -100,10 +128,10 @@ func (sh *memoShard) objectives(e int32) Objectives {
 	return sh.objs[k][o : o+sh.nobj : o+sh.nobj]
 }
 
-// point returns the published Point of slot s. An infeasible point
-// carries no objective vector.
-func (sh *memoShard) point(s memoSlot) Point {
-	p := Point{Config: sh.config(s.entry), Feasible: s.state == slotFeasible}
+// point returns the published Point of slot s for configuration c. An
+// infeasible point carries no objective vector.
+func (sh *memoShard) point(s memoSlot, c Config) Point {
+	p := Point{Config: c, Feasible: s.state == slotFeasible}
 	if p.Feasible {
 		p.Objs = sh.objectives(s.entry)
 	}
@@ -119,7 +147,7 @@ func (sh *memoShard) find(h uint64, c Config) (int, bool) {
 		if s.state == slotEmpty {
 			return i, false
 		}
-		if s.hash == h && sh.config(s.entry).Equal(c) {
+		if s.hash == h && sh.holds(s.entry, c) {
 			return i, true
 		}
 	}
@@ -127,7 +155,7 @@ func (sh *memoShard) find(h uint64, c Config) (int, bool) {
 
 // reserve is the first half of the memo protocol; the caller holds sh.mu.
 // It returns c's slot and true when c is already known (published or
-// pending). Otherwise it claims a pending slot, copies c's genes into the
+// pending). Otherwise it claims a pending slot, packs c's genes into the
 // arena and returns the new slot and false: the caller then evaluates
 // into the entry's objectives with the lock released and publishes.
 func (sh *memoShard) reserve(h uint64, c Config) (int, bool) {
@@ -144,9 +172,10 @@ func (sh *memoShard) reserve(h uint64, c Config) (int, bool) {
 	return i, false
 }
 
-// store copies c into the arenas and returns its entry number.
+// store packs c into the arenas, or keeps a copy in odd when it does not
+// pack, and returns its entry number.
 func (sh *memoShard) store(c Config) int32 {
-	if len(c) != sh.stride {
+	if !sh.packs(c) {
 		sh.odd = append(sh.odd, Point{Config: c.Clone(), Objs: make(Objectives, sh.nobj)})
 		return int32(-len(sh.odd))
 	}
@@ -154,10 +183,13 @@ func (sh *memoShard) store(c Config) int32 {
 	sh.n++
 	k, off := chunkOf(e)
 	if off == 0 {
-		sh.genes[k] = make([]int, (memoChunk0<<k)*sh.stride)
+		sh.genes[k] = make([]uint8, (memoChunk0<<k)*sh.stride)
 		sh.objs[k] = make([]float64, (memoChunk0<<k)*sh.nobj)
 	}
-	copy(sh.config(e), c)
+	g := sh.packed(e)
+	for i, v := range c {
+		g[i] = uint8(v)
+	}
 	return e
 }
 
@@ -199,7 +231,7 @@ type Forkable interface {
 }
 
 // ParallelEvaluator wraps an Evaluator with a bounded worker pool and a
-// sharded memo cache keyed on the configurations' packed uint64 hash. It
+// sharded memo cache keyed on the configurations' uint64 hash. It
 // is the batch-evaluation runtime every search algorithm in this package
 // runs on: the sequential path is simply workers = 1.
 //
@@ -213,9 +245,14 @@ type Forkable interface {
 // stateless evaluators need no synchronization of their own, and Forkable
 // evaluators get one private instance per worker.
 //
-// The returned Points alias the memo's arenas: they stay valid for as long
-// as they are held, must not be mutated, and keep a whole arena chunk
-// alive. A search result that outlives its run is therefore copied out
+// The memo keeps each configuration's genes packed, one byte per gene,
+// not the caller's slice. A returned Point carries the caller's own
+// configuration: it is valid while its caller keeps that slice unchanged,
+// and the caller that reuses the slice must first copy out any genes it
+// still needs (Archive does). Duplicates in one batch give equal Points,
+// each carrying its own slice. A Point's objectives alias the memo's
+// objective arena: they must not be mutated, and they keep a whole arena
+// chunk alive, so a search result that outlives its run is copied out
 // (see detach).
 type ParallelEvaluator struct {
 	inner      Evaluator
@@ -265,8 +302,9 @@ func (pe *ParallelEvaluator) Workers() int { return pe.workers }
 // is itself usable wherever an objective count is needed.
 func (pe *ParallelEvaluator) NumObjectives() int { return pe.nobj }
 
-// Eval evaluates one configuration through the cache. Safe for concurrent
-// use; a configuration in flight on another goroutine is waited for, not
+// Eval evaluates one configuration through the cache and returns its
+// point, whose Config is c itself. Safe for concurrent use; a
+// configuration in flight on another goroutine is waited for, not
 // re-evaluated.
 func (pe *ParallelEvaluator) Eval(c Config) Point {
 	return pe.evalOn(pe.inner, c)
@@ -297,7 +335,7 @@ func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
 			sh.ready.Wait()
 			i, _ = sh.find(h, c) // the table may have grown meanwhile
 		}
-		p := sh.point(sh.slots[i])
+		p := sh.point(sh.slots[i], c)
 		sh.mu.Unlock()
 		pe.hits.Add(1)
 		return p
@@ -339,7 +377,7 @@ func (sh *memoShard) publish(h uint64, c Config, feasible bool) Point {
 	if feasible {
 		sh.slots[i].state = slotFeasible
 	}
-	p := sh.point(sh.slots[i])
+	p := sh.point(sh.slots[i], c)
 	sh.mu.Unlock()
 	sh.ready.Broadcast()
 	return p
@@ -408,8 +446,9 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 
 // EvaluateBatch evaluates every configuration, fanning the batch across the
 // worker pool, and returns the points in input order: out[i] is configs[i]'s
-// evaluation. Duplicate configurations (within the batch or across batches)
-// cost one evaluation and yield the identical Point.
+// evaluation, and out[i].Config is configs[i] itself. Duplicate
+// configurations (within the batch or across batches) cost one evaluation
+// and yield equal Points, each carrying its own slice.
 func (pe *ParallelEvaluator) EvaluateBatch(configs []Config) []Point {
 	return pe.EvaluateBatchInto(configs, nil)
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"wsndse/internal/core"
 )
 
 // sameResult asserts two search results are bit-identical: same front
@@ -445,4 +447,216 @@ func TestRandomSearchWorkerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, seq, par, "random")
+}
+
+// TestEvaluateBatchCallerConfigs pins the ownership contract: misses and
+// hits hand back the caller's own slices, and the memo keeps no alias of
+// them, so overwriting a buffer does not disturb the entry it was
+// evaluated as.
+func TestEvaluateBatchCallerConfigs(t *testing.T) {
+	s := testSpace(6, 6)
+	counting := &countingEvaluator{inner: &convexEvaluator{space: s}}
+	pe := NewParallelEvaluator(counting, 2)
+	configs := []Config{{1, 2}, {3, 4}, {1, 2}, {5, 0}}
+	var first []Point
+	for pass := 0; pass < 2; pass++ { // misses, then hits
+		pts := pe.EvaluateBatch(configs)
+		for i, p := range pts {
+			if len(p.Config) != len(configs[i]) || &p.Config[0] != &configs[i][0] {
+				t.Fatalf("pass %d: point %d does not carry the caller's slice", pass, i)
+			}
+		}
+		if pass == 0 {
+			first = pts
+		}
+	}
+	if p := pe.Eval(configs[3]); &p.Config[0] != &configs[3][0] {
+		t.Fatal("Eval does not return the caller's slice")
+	}
+	want := append(Objectives(nil), first[1].Objs...)
+	configs[1][0], configs[1][1] = 0, 0
+	p := pe.Eval(Config{3, 4})
+	if got := counting.calls.Load(); got != 3 {
+		t.Fatalf("%d evaluations for 3 distinct configurations", got)
+	}
+	if !reflect.DeepEqual(p.Objs, want) {
+		t.Fatalf("{3 4} after its buffer was overwritten: objs %v, want %v", p.Objs, want)
+	}
+}
+
+// TestMemoWideGenes runs configurations the packed arena cannot hold, a
+// gene of 256 or more and another gene count, through the memo beside
+// ones it can: each is evaluated once at workers 1 and 4, and NSGA-II
+// over a 300-value parameter returns the same front at both.
+func TestMemoWideGenes(t *testing.T) {
+	s := testSpace(300, 3)
+	var configs []Config
+	s.Iterate(func(c Config) bool {
+		configs = append(configs, c.Clone())
+		return true
+	})
+	configs = append(configs, Config{299}, Config{7}, Config{1, 2, 3}, Config{299, 2, 0})
+	distinct := len(configs)
+	configs = append(configs, Config{299, 2}, Config{7}, Config{299, 2, 0}) // repeats
+	direct := &gateEvaluator{gated: Config{-1}}
+	for _, workers := range []int{1, 4} {
+		eval := &gateEvaluator{gated: Config{-1}}
+		pe := NewParallelEvaluator(eval, workers)
+		for pass := 0; pass < 2; pass++ {
+			for i, p := range pe.EvaluateBatch(configs) {
+				want, _ := direct.Evaluate(configs[i])
+				if !p.Feasible || !reflect.DeepEqual(p.Objs, want) {
+					t.Fatalf("workers %d: config %v: objs %v, want %v", workers, configs[i], p.Objs, want)
+				}
+			}
+		}
+		if got := eval.calls.Load(); got != int64(distinct) {
+			t.Fatalf("workers %d: %d evaluations for %d distinct configurations", workers, got, distinct)
+		}
+	}
+
+	var ref *Result
+	for _, workers := range []int{1, 4} {
+		counting := &countingEvaluator{inner: &convexEvaluator{space: s}}
+		res, err := NSGA2(s, counting, NSGA2Config{PopulationSize: 32, Generations: 20, Seed: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counting.calls.Load(); got != int64(res.Evaluated) {
+			t.Fatalf("workers %d: %d evaluator calls, Evaluated %d", workers, got, res.Evaluated)
+		}
+		wide := false
+		for _, p := range res.Front {
+			wide = wide || p.Config[0] > 255
+		}
+		if !wide {
+			t.Fatalf("workers %d: no front point has a gene above 255", workers)
+		}
+		if ref == nil {
+			ref = res
+			continue
+		}
+		sameResult(t, ref, res, "nsga2 over a 300-value parameter")
+	}
+}
+
+// sumEvaluator is a cheap, pure IntoEvaluator over configurations of any
+// length and gene values: two weighted gene sums, infeasible when the
+// first is a multiple of 7.
+type sumEvaluator struct{}
+
+func (sumEvaluator) NumObjectives() int { return 2 }
+func (e sumEvaluator) Evaluate(c Config) (Objectives, error) {
+	objs := make(Objectives, 2)
+	return objs, e.EvaluateInto(c, objs)
+}
+func (sumEvaluator) EvaluateInto(c Config, objs Objectives) error {
+	var a, b int
+	for i, v := range c {
+		a += v
+		b += (i + 1) * v * v
+	}
+	if a%7 == 0 {
+		return core.Infeasible("sum %d", a)
+	}
+	objs[0], objs[1] = float64(a), float64(b)+0.5*float64(len(c))
+	return nil
+}
+
+// fuzzBatch decodes data into one batch of configurations of 1–4 genes in
+// [−2, 300]: an opcode byte with its top bit set repeats an earlier
+// configuration (in a slice of its own), otherwise it gives the gene
+// count, and each gene takes the next two bytes.
+func fuzzBatch(data []byte) []Config {
+	var out []Config
+	for len(data) > 0 && len(out) < 512 {
+		op := data[0]
+		data = data[1:]
+		if op&0x80 != 0 && len(out) > 0 {
+			out = append(out, out[int(op&0x7f)%len(out)].Clone())
+			continue
+		}
+		c := make(Config, 1+int(op)%4)
+		for i := range c {
+			v := 0
+			if len(data) >= 2 {
+				v = int(data[0]) | int(data[1])<<8
+				data = data[2:]
+			}
+			c[i] = v%303 - 2
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// FuzzEvaluateBatch drives arbitrary batches across the boundary of the
+// packed arena (genes outside [0, 256), several lengths, repeats) through
+// fresh evaluators at workers 1 and 3. Every point carries the caller's
+// slice and a direct evaluation's objectives, each distinct configuration
+// is evaluated once, both worker counts agree, and after the caller has
+// overwritten its buffers with other configurations and back, a second
+// pass evaluates nothing. The seeds are in testdata/fuzz/FuzzEvaluateBatch.
+func FuzzEvaluateBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		configs := fuzzBatch(data)
+		if len(configs) == 0 {
+			return
+		}
+		other := make([]Config, len(configs))
+		seen := map[string]bool{}
+		for i, c := range configs {
+			seen[c.Key()] = true
+			other[i] = c.Clone()
+			for j := range other[i] {
+				other[i][j] = 298 - c[j]
+			}
+		}
+		distinct := len(seen)
+		for _, c := range other {
+			seen[c.Key()] = true
+		}
+		var ref []Point
+		for _, workers := range []int{1, 3} {
+			pe := NewParallelEvaluator(sumEvaluator{}, workers)
+			pts := pe.EvaluateBatch(configs)
+			for i, p := range pts {
+				if len(p.Config) != len(configs[i]) || &p.Config[0] != &configs[i][0] {
+					t.Fatalf("workers %d: point %d does not carry the caller's slice", workers, i)
+				}
+				want, err := sumEvaluator{}.Evaluate(configs[i])
+				if p.Feasible != (err == nil) || p.Feasible && !reflect.DeepEqual(p.Objs, want) {
+					t.Fatalf("workers %d: config %v: got %+v, want objs %v, error %v", workers, configs[i], p, want, err)
+				}
+				if ref != nil && (p.Feasible != ref[i].Feasible || !reflect.DeepEqual(p.Objs, ref[i].Objs)) {
+					t.Fatalf("config %v: workers 1 and 3 disagree: %+v vs %+v", configs[i], ref[i], p)
+				}
+			}
+			if evaluated, _ := pe.Stats(); evaluated != distinct {
+				t.Fatalf("workers %d: %d evaluations for %d distinct configurations", workers, evaluated, distinct)
+			}
+			saved := make([]Config, len(configs))
+			for i, c := range configs {
+				saved[i] = c.Clone()
+				copy(c, other[i])
+			}
+			pe.EvaluateBatch(configs)
+			for i, c := range configs {
+				copy(c, saved[i])
+			}
+			before, _ := pe.Stats()
+			if before != len(seen) {
+				t.Fatalf("workers %d: %d evaluations for %d distinct configurations", workers, before, len(seen))
+			}
+			for i, p := range pe.EvaluateBatch(configs) {
+				if p.Feasible != pts[i].Feasible || !reflect.DeepEqual(p.Objs, pts[i].Objs) {
+					t.Fatalf("workers %d: config %v: second pass %+v, first %+v", workers, configs[i], p, pts[i])
+				}
+			}
+			if after, _ := pe.Stats(); after != before {
+				t.Fatalf("workers %d: second pass evaluated %d configurations", workers, after-before)
+			}
+			ref = pts
+		}
+	})
 }

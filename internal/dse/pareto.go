@@ -87,16 +87,60 @@ func equalObjs(a, b Objectives) bool {
 // sortfast.go): with at most three objectives, a binary search per
 // merged point instead of an archive scan per batch point, and the same
 // result as one Add per batch point.
+//
+// The archive owns the genes of the points it keeps: Add and AddBatch
+// copy each kept point's Config into a buffer of the archive's, so the
+// caller may reuse its slices (the batch runtime hands back the caller's
+// own). An evicted point's buffer goes onto a free list, and new buffers
+// come in slabs of archiveSlab, so a steady-state archive allocates
+// nothing. Objectives are not copied: they stay the caller's (the memo's
+// objective arena, for the searches).
 type Archive struct {
 	points []Point
 	spare  []Point // AddBatch's merge target; swaps with points
 	order  []int   // AddBatch's feasible batch indices, lex-sorted
 	stair  staircase
+	free   []Config // gene buffers of evicted points
+}
+
+// archiveSlab is how many gene buffers an Archive allocates at a time.
+const archiveSlab = 32
+
+// own copies c into a buffer of the archive's: a freed one when one is
+// long enough, else a fresh slab.
+func (a *Archive) own(c Config) Config {
+	if c == nil {
+		return nil
+	}
+	if n := len(a.free); n == 0 || cap(a.free[n-1]) < len(c) {
+		a.free = append(a.free, geneBuffers(archiveSlab, len(c))...)
+	}
+	n := len(a.free) - 1
+	buf := a.free[n][:len(c)]
+	a.free = a.free[:n]
+	copy(buf, c)
+	return buf
+}
+
+// release returns the gene buffer of an evicted point to the free list.
+func (a *Archive) release(p Point) {
+	if p.Config != nil {
+		a.free = append(a.free, p.Config)
+	}
+}
+
+// reset empties the archive, keeping every gene buffer for reuse.
+func (a *Archive) reset() {
+	for _, p := range a.points {
+		a.release(p)
+	}
+	a.points = a.points[:0]
 }
 
 // Add inserts p if no archived point dominates it, evicting points it
 // dominates. A point whose objective vector already sits in the archive is
-// rejected (the first occurrence wins). It reports whether p was inserted.
+// rejected (the first occurrence wins). It reports whether p was inserted;
+// an inserted point's genes are copied, so p.Config stays the caller's.
 func (a *Archive) Add(p Point) bool {
 	if !p.Feasible {
 		return false
@@ -126,6 +170,7 @@ func (a *Archive) Add(p Point) bool {
 		}
 		j := i
 		for j < n && a.points[j].Objs[1] >= p.Objs[1] {
+			a.release(a.points[j])
 			j++
 		}
 		switch {
@@ -135,7 +180,7 @@ func (a *Archive) Add(p Point) bool {
 		case j > i+1: // several evicted: close the gap
 			a.points = append(a.points[:i+1], a.points[j:]...)
 		}
-		a.points[i] = p
+		a.points[i] = Point{Config: a.own(p.Config), Objs: p.Objs, Feasible: true}
 		return true
 	}
 	// M >= 3: a lexicographic successor can never dominate p and a
@@ -149,6 +194,7 @@ func (a *Archive) Add(p Point) bool {
 	w := i
 	for k := i; k < n; k++ {
 		if Dominates(p.Objs, a.points[k].Objs) {
+			a.release(a.points[k])
 			continue
 		}
 		a.points[w] = a.points[k]
@@ -156,7 +202,7 @@ func (a *Archive) Add(p Point) bool {
 	}
 	a.points = append(a.points[:w], Point{})
 	copy(a.points[i+1:], a.points[i:])
-	a.points[i] = p
+	a.points[i] = Point{Config: a.own(p.Config), Objs: p.Objs, Feasible: true}
 	return true
 }
 
@@ -168,7 +214,8 @@ func (a *Archive) Add(p Point) bool {
 // kept point dominates or equals — one staircase query over (f2, f3).
 // That is exact because the archive is the first-occurrence non-dominated
 // set of everything fed to it and dominance is transitive. Vectors of
-// four or more objectives are added one by one.
+// four or more objectives are added one by one. As with Add, the genes of
+// every batch point kept are copied.
 func (a *Archive) AddBatch(ps []Point) {
 	a.order = a.order[:0]
 	for i := range ps {
@@ -192,16 +239,23 @@ func (a *Archive) AddBatch(ps []Point) {
 	arch, batch := a.points, a.order
 	for len(arch) > 0 || len(batch) > 0 {
 		var p Point
-		if len(batch) == 0 || len(arch) > 0 && !lexLessObjs(ps[batch[0]].Objs, arch[0].Objs) {
+		archived := len(batch) == 0 || len(arch) > 0 && !lexLessObjs(ps[batch[0]].Objs, arch[0].Objs)
+		if archived {
 			p, arch = arch[0], arch[1:]
 		} else {
 			p, batch = ps[batch[0]], batch[1:]
 		}
 		y, z := stairKey(p.Objs)
 		if a.stair.covers(y, z) {
+			if archived {
+				a.release(p)
+			}
 			continue
 		}
 		a.stair.insert(y, z)
+		if !archived {
+			p.Config = a.own(p.Config)
+		}
 		out = append(out, p)
 	}
 	a.points, a.spare = out, a.points
@@ -219,7 +273,8 @@ func lexLessObjs(x, y Objectives) bool {
 
 // Points returns the archived front in lexicographic objective order. The
 // slice is the archive's own storage: callers must not modify it, and the
-// next Add or AddBatch may overwrite it. The sorted order is part of the
+// next Add or AddBatch may overwrite it, the genes of its points included,
+// since the archive recycles an evicted point's gene buffer. The sorted order is part of the
 // determinism story: the archived set never depends on insertion order,
 // and neither does its presentation.
 func (a *Archive) Points() []Point { return a.points }

@@ -169,6 +169,44 @@ func TestArchiveMatchesBatchFilter(t *testing.T) {
 	}
 }
 
+// TestArchiveOwnsConfigs checks that the archive keeps copies of the genes
+// it is given: after every caller slice is overwritten, through inserts,
+// evictions and reused buffers, each archived point still carries the
+// genes it was added with. Two and three objectives take different Add
+// paths; AddBatch shares one.
+func TestArchiveOwnsConfigs(t *testing.T) {
+	for _, m := range []int{2, 3} {
+		r := rand.New(rand.NewSource(int64(m)))
+		var one, batched Archive
+		var all []Point
+		for wave := 0; wave < 4; wave++ {
+			// Each wave sits closer to the simplex, so it evicts much of
+			// the last one and its buffers are reused.
+			pts := frontPoints(r, 64, m, 0.3-0.1*float64(wave), 0.4-0.1*float64(wave), 16)
+			for i := range pts {
+				tag := len(all) + i
+				pts[i].Config = Config{tag, 7 * tag}
+			}
+			for _, p := range pts {
+				one.Add(p)
+			}
+			batched.AddBatch(pts)
+			all = append(all, pts...)
+			for _, p := range pts {
+				p.Config[0], p.Config[1] = -1, -1
+			}
+			for name, a := range map[string]*Archive{"Add": &one, "AddBatch": &batched} {
+				for _, p := range a.Points() {
+					tag := p.Config[0]
+					if tag < 0 || tag >= len(all) || p.Config[1] != 7*tag || !equalObjs(p.Objs, all[tag].Objs) {
+						t.Fatalf("%d objectives, wave %d, %s: archived point %v does not keep its genes", m, wave, name, p)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestArchiveRejectsDuplicatesAndDominated(t *testing.T) {
 	var a Archive
 	if !a.Add(Point{Objs: Objectives{1, 1}, Feasible: true}) {

@@ -12,7 +12,8 @@ import (
 // search completed evaluation batches. Front is the archive's own
 // storage, as in Stats: valid only for the duration of the call and
 // strictly read-only. A sink that keeps the front past its return must
-// copy it, Points included, since they alias the memo's arenas.
+// copy it, Points included: their genes are the archive's buffers, which
+// it recycles, and their objectives alias the memo's objective arena.
 type Progress struct {
 	Algorithm  string
 	Step       int // boundaries completed so far
@@ -31,7 +32,8 @@ type ProgressSink func(Progress)
 // Stats is one boundary-level search-health snapshot, delivered to a
 // StatsSink. It is the telemetry sibling of Progress, built for
 // samplers that fire every boundary: Front is, as in Progress, the
-// archive's own sorted storage — valid only for the duration of the call
+// archive's own sorted storage — genes in buffers the archive recycles,
+// objectives in the memo's arena, valid only for the duration of the call
 // and strictly read-only — so emitting a Stats allocates nothing on the
 // NSGA-II/exhaustive/random paths. CacheHits/CacheLookups expose the
 // memo cache (lookups = hits + distinct evaluations), the signal that

@@ -15,9 +15,10 @@ type Result struct {
 }
 
 // detach copies points into three blocks of their own (points, genes,
-// objectives). Points from the batch runtime alias its memo arenas, so a
-// front that outlives its run would otherwise pin every configuration
-// the run evaluated.
+// objectives). An archive's points keep their genes in the archive's gene
+// slabs and their objectives in the memo's objective arena, so a front
+// that outlives its run would otherwise pin the objectives of every
+// configuration the run evaluated.
 func detach(ps []Point) []Point {
 	if len(ps) == 0 {
 		return ps
@@ -41,7 +42,8 @@ func detach(ps []Point) []Point {
 // exhaustiveBatch is how many configurations exhaustive and random
 // search hand to the worker pool at a time: large enough to amortize
 // dispatch, small enough that the archive merge interleaves with
-// evaluation.
+// evaluation. Both reuse one batch of gene buffers throughout, since the
+// archive copies the genes it keeps.
 const exhaustiveBatch = 1024
 
 // batches returns how many exhaustiveBatch-sized batches hold n
@@ -84,10 +86,13 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 		evaluated, infeasible := pe.Stats()
 		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
-	batch := make([]Config, 0, exhaustiveBatch)
+	bufs := geneBuffers(min(total, exhaustiveBatch), len(space.Params))
+	batch := bufs[:0]
+	var points []Point
 	flush := func() {
-		arch.AddBatch(pe.EvaluateBatchInto(batch, nil))
-		batch = batch[:0]
+		points = pe.EvaluateBatchInto(batch, points)
+		arch.AddBatch(points)
+		batch = bufs[:0]
 	}
 	idx := 0
 	var stopErr error
@@ -97,7 +102,8 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 			return true
 		}
 		idx++
-		batch = append(batch, c.Clone())
+		batch = batch[:len(batch)+1]
+		copy(batch[len(batch)-1], c)
 		if len(batch) == exhaustiveBatch {
 			flush()
 			step := idx / exhaustiveBatch
@@ -158,18 +164,14 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	totalBatches := batches(budget)
-	configs := make([]Config, 0, exhaustiveBatch)
+	bufs := geneBuffers(min(budget, exhaustiveBatch), len(space.Params))
 	var points []Point
 	for drawn < budget {
-		n := exhaustiveBatch
-		if budget-drawn < n {
-			n = budget - drawn
+		configs := bufs[:min(len(bufs), budget-drawn)]
+		for _, c := range configs {
+			space.RandomInto(rng, c)
 		}
-		configs = configs[:0]
-		for i := 0; i < n; i++ {
-			configs = append(configs, space.Random(rng))
-		}
-		drawn += n
+		drawn += len(configs)
 		points = pe.EvaluateBatchInto(configs, points)
 		arch.AddBatch(points)
 		step := batches(drawn)

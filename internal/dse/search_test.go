@@ -3,6 +3,7 @@ package dse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wsndse/internal/core"
@@ -183,6 +184,27 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 	// Refuses oversized spaces.
 	if _, err := ExhaustiveOpts(s, eval, 10, 1, Options{}); err == nil {
 		t.Error("oversize exhaustive accepted")
+	}
+}
+
+// TestExhaustiveSteadyStateAllocs pins the reused enumeration buffers: an
+// exhaustive sweep allocates about one object per point, the evaluator's
+// own objective vector. A configuration cloned per point would cost one
+// more per point.
+func TestExhaustiveSteadyStateAllocs(t *testing.T) {
+	s := testSpace(64, 16, 16)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	m0 := ms.Mallocs
+	res, err := ExhaustiveOpts(s, &simplexEvaluator{space: s}, 1<<20, 1, Options{})
+	runtime.ReadMemStats(&ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := ms.Mallocs - m0
+	t.Logf("%d allocations for %d points", allocs, res.Evaluated)
+	if limit := 1.1 * float64(res.Evaluated); float64(allocs) > limit {
+		t.Errorf("exhaustive search allocates %d objects for %d points, want at most %.0f", allocs, res.Evaluated, limit)
 	}
 }
 

@@ -47,6 +47,19 @@ func TestOptionsValidSeeds(t *testing.T) {
 	}
 }
 
+// TestConfigKeyFullGenes checks that Key encodes every gene in full: two
+// bytes per gene merged genes that differ by a multiple of 65,536, and
+// validSeeds dropped the second of two distinct seeds.
+func TestConfigKeyFullGenes(t *testing.T) {
+	seeds := []Config{{0}, {65536}}
+	if got := (Options{SeedPoints: seeds}).validSeeds(testSpace(70000), 0); len(got) != 2 {
+		t.Fatalf("validSeeds kept %v of %v", got, seeds)
+	}
+	if (Config{-1}).Key() == (Config{65535}).Key() {
+		t.Fatal("{-1} and {65535} share a key")
+	}
+}
+
 // TestNSGA2SeedPointsFillInitialPopulation pins the injection contract:
 // at one worker, the first len(seeds) evaluations of the run are exactly
 // the seed points in order, and the rest of the initial population is

@@ -12,13 +12,17 @@
 // # Batch-evaluation runtime
 //
 // Every search algorithm runs on ParallelEvaluator, a bounded worker pool
-// over a sharded memo cache whose genes and objectives sit in flat arenas
-// (a Result's front is copied out of them). Candidate configurations are
-// produced sequentially from the algorithm's seeded RNG and handed to
-// EvaluateBatch, which fans them across the pool and returns points in
-// input order; each distinct configuration is evaluated exactly once no
-// matter how many workers race for it, so Result.Evaluated keeps meaning
-// distinct points.
+// over a sharded memo cache that keeps each configuration's genes packed,
+// one byte per gene, beside its objectives in flat arenas. Candidate
+// configurations are produced sequentially from the algorithm's seeded
+// RNG and handed to EvaluateBatch, which fans them across the pool and
+// returns points in input order; each distinct configuration is evaluated
+// exactly once no matter how many workers race for it, so
+// Result.Evaluated keeps meaning distinct points. A returned point carries
+// the caller's own configuration slice, so each search owns its gene
+// buffers and recycles them, and an Archive copies the genes of every
+// point it keeps; a Result's front is copied out of the archive and the
+// objective arena.
 //
 // # Determinism guarantees
 //
@@ -53,6 +57,7 @@
 package dse
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 )
@@ -103,13 +108,26 @@ func (c Config) Clone() Config {
 	return out
 }
 
-// Key returns a compact map key for memoization in string-keyed containers.
-// The batch runtime's memo cache uses the allocation-free Hash/Equal pair
-// instead; Key remains for callers that want a set of configurations.
+// geneBuffers returns n configurations of the given length whose genes
+// share one slab; each is capped at its own length.
+func geneBuffers(n, genes int) []Config {
+	slab := make([]int, n*genes)
+	out := make([]Config, n)
+	for i := range out {
+		out[i] = slab[i*genes : (i+1)*genes : (i+1)*genes]
+	}
+	return out
+}
+
+// Key returns a compact map key for memoization in string-keyed containers:
+// each gene in full as a varint, so distinct configurations, of any length
+// and with any gene values, get distinct keys. The batch runtime's memo
+// cache uses the allocation-free Hash/Equal pair instead; Key remains for
+// callers that want a set of configurations.
 func (c Config) Key() string {
-	b := make([]byte, 0, len(c)*3)
+	b := make([]byte, 0, len(c)*2)
 	for _, v := range c {
-		b = append(b, byte(v), byte(v>>8), '|')
+		b = binary.AppendVarint(b, int64(v))
 	}
 	return string(b)
 }

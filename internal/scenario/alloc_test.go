@@ -96,6 +96,29 @@ func TestWardSearchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRandomSearchSteadyStateAllocs is the random-search twin of the gate
+// above: an ecg-ward random search allocates at most one object per
+// infeasible evaluation plus 0.15 per distinct evaluation. A configuration
+// allocated per draw would cost one more per draw.
+func TestRandomSearchSteadyStateAllocs(t *testing.T) {
+	p, compiled := compiledWard(t)
+	for _, workers := range []int{1, 2} {
+		eval := compiled.Evaluator()
+		m0 := mallocs()
+		res, err := dse.Search{Algorithm: "random", Seed: 1, Workers: workers, Budget: 20000}.Run(p.Space(), eval, dse.Options{})
+		allocs := mallocs() - m0
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := float64(res.Infeasible) + 0.15*float64(res.Evaluated)
+		t.Logf("workers %d: %d allocations for %d evaluations (%d infeasible), limit %.0f",
+			workers, allocs, res.Evaluated, res.Infeasible, limit)
+		if float64(allocs) > limit {
+			t.Errorf("workers %d: random search allocates %d objects, want at most %.0f", workers, allocs, limit)
+		}
+	}
+}
+
 // liveHeap is the heap still reachable after two collections.
 func liveHeap() uint64 {
 	runtime.GC()
@@ -134,6 +157,37 @@ func TestSearchResultRetainedHeap(t *testing.T) {
 	}
 	if retained > 3*int64(compact) {
 		t.Errorf("a kept Result retains %d B, want at most 3 × %d B", retained, compact)
+	}
+	runtime.KeepAlive(compiled)
+}
+
+// TestWardSearchMemoRetainedHeap bounds what a ward-explore search keeps
+// alive per distinct configuration it has evaluated: read at the final
+// boundary, the live heap above the heap before the search may be at most
+// 128 B per distinct evaluation. The memo keeps one byte per gene beside
+// the objectives; a full copy of every configuration (15 eight-byte genes)
+// would read about 218 B.
+func TestWardSearchMemoRetainedHeap(t *testing.T) {
+	p, compiled := compiledWard(t)
+	for _, workers := range []int{1, 2} {
+		eval := compiled.Evaluator()
+		var live uint64
+		var evaluated int
+		opts := dse.Options{Stats: func(s dse.Stats) {
+			if s.Step == s.TotalSteps {
+				live, evaluated = liveHeap(), s.Evaluated
+			}
+		}}
+		base := liveHeap()
+		if _, err := wardSearch(120, workers).Run(p.Space(), eval, opts); err != nil {
+			t.Fatal(err)
+		}
+		perEval := float64(int64(live)-int64(base)) / float64(evaluated)
+		t.Logf("workers %d: %d B live above the heap before the search, %d distinct evaluations: %.1f B each",
+			workers, int64(live)-int64(base), evaluated, perEval)
+		if evaluated == 0 || perEval > 128 {
+			t.Errorf("workers %d: a search keeps %.1f B per distinct evaluation, want at most 128", workers, perEval)
+		}
 	}
 	runtime.KeepAlive(compiled)
 }
