@@ -63,10 +63,11 @@
 // batches across a bounded worker pool backed by a sharded memo cache.
 // Fronts and evaluation counts are bit-identical at every worker count —
 // parallelism changes wall-clock, never results. The per-figure harnesses
-// in internal/experiments fan out the same way (experiments.RunJobs), and
-// internal/cs builds its per-rate reconstruction dictionaries under a
-// per-codec lock that never blocks concurrent decoders. See the dse
-// package documentation for the exact determinism guarantees.
+// in internal/experiments fan out the same way
+// (experiments.RunJobsContext), and internal/cs builds its per-rate
+// reconstruction dictionaries under a per-codec lock that never blocks
+// concurrent decoders. See the dse package documentation for the exact
+// determinism guarantees.
 //
 // # Compiled evaluation pipeline
 //
@@ -134,7 +135,9 @@
 //
 // The search layer exposes three cross-cutting run controls through
 // dse.Options, all hooked at generation/segment/batch boundaries so the
-// allocation-free hot loops are untouched: cooperative cancellation
+// allocation-free hot loops are untouched. The four searches share one
+// run harness that passes every boundary, 1 through the run's total, the
+// last included: cooperative cancellation
 // (context.Context; SIGINT in the CLIs flushes the partial front),
 // boundary telemetry (dse.StatsSink receives step counters, memo-cache
 // hits and the archive's own front slice, valid only during the call: a

@@ -103,11 +103,8 @@ func init() {
 				}
 				return 0
 			},
-			resume: func(_ Search, space *Space, snap *Snapshot) error {
-				if size := space.Size(); float64(snap.Next) > size {
-					return fmt.Errorf("dse: snapshot consumed %d of %d points", snap.Next, int(size))
-				}
-				return nil
+			resume: func(s Search, space *Space, snap *Snapshot) error {
+				return onBatch(snap, s.Steps(space), space.Size(), "points")
 			},
 		},
 		"random": {
@@ -116,14 +113,24 @@ func init() {
 				return RandomSearchOpts(space, eval, cmp.Or(s.Budget, DefaultBudget), s.Seed, s.Workers, opts)
 			},
 			steps: func(s Search, _ *Space) int { return batches(cmp.Or(s.Budget, DefaultBudget)) },
-			resume: func(s Search, _ *Space, snap *Snapshot) error {
-				if budget := cmp.Or(s.Budget, DefaultBudget); snap.Next > budget {
-					return fmt.Errorf("dse: snapshot consumed %d of %d draws", snap.Next, budget)
-				}
-				return nil
+			resume: func(s Search, space *Space, snap *Snapshot) error {
+				return onBatch(snap, s.Steps(space), float64(cmp.Or(s.Budget, DefaultBudget)), "draws")
 			},
 		},
 	}
+}
+
+// onBatch checks that an exhaustive or random snapshot sits on one of
+// the run's boundaries, since a resumed run counts its boundaries from
+// the snapshot's Step: the step at most the run's steps, and the cursor
+// at min(step × exhaustiveBatch, n), n being the space size or the
+// budget. n stays a float64, so an oversize space never converts to int.
+func onBatch(snap *Snapshot, steps int, n float64, unit string) error {
+	if snap.Step > steps || float64(snap.Next) != min(float64(snap.Step)*exhaustiveBatch, n) {
+		return fmt.Errorf("dse: snapshot at batch %d of %d consumed %d of %.0f %s, not a batch boundary",
+			snap.Step, steps, snap.Next, n, unit)
+	}
+	return nil
 }
 
 // Algorithms lists the table's names in sorted order.

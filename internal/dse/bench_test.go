@@ -56,7 +56,7 @@ func benchNonDominated(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(NonDominated(pts)) == 0 {
+		if len(batchFront(pts)) == 0 {
 			b.Fatal("empty front")
 		}
 	}

@@ -124,6 +124,9 @@ func (f *InfFloats) UnmarshalJSON(data []byte) error {
 //     Archive
 //   - random: RNG, Next (draws consumed), Archive
 //
+// An exhaustive or random snapshot sits on a batch boundary: Next is
+// min(Step × 1024, n), n being the space size or the budget.
+//
 // Evaluated/Infeasible carry the run's cumulative counters so resumed runs
 // report totals, not deltas.
 type Snapshot struct {
@@ -147,7 +150,7 @@ type Snapshot struct {
 // Ranks and Crowd must cover the population; and every point must pass
 // SnapPoint.Validate with objs, the evaluator's objective count (0 skips
 // the count). Search.ValidateResume adds the checks against the
-// configuration (population size, chain count, budget).
+// configuration (population size, chain count, the batch cursor).
 func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 	if s == nil {
 		return fmt.Errorf("dse: resume from nil snapshot")
@@ -196,17 +199,20 @@ func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 	return nil
 }
 
-// Validate checks that the point indexes space and, when objs > 0 and the
-// point is feasible, that it carries objs objectives (the evaluator's
-// count), since the front machinery reads objectives by index. The error
-// starts with "point", for the caller to prefix with where the point
-// came from.
+// Validate checks that the point indexes space, that an infeasible point
+// carries no objectives (as in memory), and, when objs > 0 and the point
+// is feasible, that it carries objs objectives (the evaluator's count),
+// since the front machinery reads objectives by index. The error starts
+// with "point", for the caller to prefix with where the point came from.
 func (sp SnapPoint) Validate(space *Space, objs int) error {
 	if genes := len(space.Params); len(sp.Config) != genes {
 		return fmt.Errorf("point has %d genes, space has %d", len(sp.Config), genes)
 	}
 	if !space.Valid(sp.Config) {
 		return fmt.Errorf("point %v does not index the space", sp.Config)
+	}
+	if !sp.Feasible && len(sp.Objs) > 0 {
+		return fmt.Errorf("point is infeasible but carries %d objectives", len(sp.Objs))
 	}
 	if objs > 0 && sp.Feasible && len(sp.Objs) != objs {
 		return fmt.Errorf("point has %d objectives, evaluator has %d", len(sp.Objs), objs)

@@ -6,13 +6,13 @@ import (
 )
 
 // This file holds the dse-level primitives of island-model search: seed
-// forking, migrant selection/injection on snapshots, and the composite
-// IslandSnapshot. The coordinator that schedules islands, supervises
-// their executors and drives the migration ring lives in
-// internal/service/island; everything here is pure state manipulation,
-// deterministic by construction, so the coordinator's bit-identity
-// guarantees reduce to the resume guarantees already proven for
-// Snapshot.
+// forking and migrant selection/injection on snapshots. The coordinator
+// that schedules islands, supervises their executors and drives the
+// migration ring lives in internal/service/island, and an island run's
+// checkpoint is one Snapshot per island; everything here is pure state
+// manipulation, deterministic by construction, so the coordinator's
+// bit-identity guarantees reduce to the resume guarantees already proven
+// for Snapshot.
 
 // ForkSeed derives island i's search seed from the job seed with a
 // SplitMix64-style mix, so islands walk decorrelated streams and the
@@ -211,52 +211,4 @@ func worstIndices(ranks []int, crowd []float64) []int {
 		return a > b
 	})
 	return idx
-}
-
-// IslandSnapshotVersion is the composite checkpoint format version.
-const IslandSnapshotVersion = 1
-
-// IslandSnapshot is the composite checkpoint of an island-model run: one
-// per-island Snapshot, all taken at the same migration boundary, after
-// that round's migrants were injected. Because injection happens before
-// the checkpoint, restoring any island replays its next round without
-// needing the in-flight migrants again — the composite is always a
-// clean cut of the whole distributed trajectory.
-type IslandSnapshot struct {
-	Version   int         `json:"version"`
-	Algorithm string      `json:"algorithm"`
-	Round     int         `json:"round"` // migration rounds completed
-	Step      int         `json:"step"`  // the common per-island boundary
-	Islands   []*Snapshot `json:"islands"`
-}
-
-// Validate checks the composite against the run about to resume from it,
-// and each island's snapshot with Snapshot.Validate. Objective counts are
-// not checked here: each island's run checks them against its evaluator
-// when it resumes.
-func (s *IslandSnapshot) Validate(algo string, islands int, space *Space) error {
-	if s == nil {
-		return fmt.Errorf("dse: resume from nil island snapshot")
-	}
-	if s.Version != IslandSnapshotVersion {
-		return fmt.Errorf("dse: island snapshot version %d, this build writes %d", s.Version, IslandSnapshotVersion)
-	}
-	if s.Algorithm != algo {
-		return fmt.Errorf("dse: island snapshot is a %s run, cannot resume as %s", s.Algorithm, algo)
-	}
-	if len(s.Islands) != islands {
-		return fmt.Errorf("dse: island snapshot has %d islands, configuration wants %d", len(s.Islands), islands)
-	}
-	for i, snap := range s.Islands {
-		if snap == nil {
-			return fmt.Errorf("dse: island snapshot %d is nil", i)
-		}
-		if snap.Step != s.Step {
-			return fmt.Errorf("dse: island %d checkpointed at step %d, composite says %d", i, snap.Step, s.Step)
-		}
-		if err := snap.Validate(algo, space, 0); err != nil {
-			return fmt.Errorf("dse: island %d: %w", i, err)
-		}
-	}
-	return nil
 }

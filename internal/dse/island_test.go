@@ -3,7 +3,6 @@ package dse
 import (
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -263,46 +262,5 @@ func TestInjectMigrantsFiltersGarbage(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, nsga2Snap.Clone()) {
 		t.Fatal("garbage injection changed the snapshot")
-	}
-}
-
-// TestIslandSnapshotValidate checks the composite checks failover relies
-// on: algorithm, island count, a ranking short of the population, step
-// skew and negative steps.
-func TestIslandSnapshotValidate(t *testing.T) {
-	s, nsga2Snap, _ := islandSnapshotPair(t)
-	other := nsga2Snap.Clone()
-	comp := &IslandSnapshot{
-		Version:   IslandSnapshotVersion,
-		Algorithm: "nsga2",
-		Round:     2,
-		Step:      nsga2Snap.Step,
-		Islands:   []*Snapshot{nsga2Snap, other},
-	}
-	if err := comp.Validate("nsga2", 2, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := comp.Validate("mosa", 2, s); err == nil {
-		t.Error("algorithm mismatch accepted")
-	}
-	if err := comp.Validate("nsga2", 3, s); err == nil {
-		t.Error("island count mismatch accepted")
-	}
-	ranks := other.Ranks
-	other.Ranks = ranks[:len(ranks)-1]
-	if err := comp.Validate("nsga2", 2, s); err == nil || !strings.Contains(err.Error(), "ranking covers") {
-		t.Errorf("short ranking: err = %v, want a ranking error", err)
-	}
-	other.Ranks = ranks
-	comp.Islands[1].Step++
-	if err := comp.Validate("nsga2", 2, s); err == nil {
-		t.Error("step skew accepted")
-	}
-	comp.Step = -3
-	for _, isl := range comp.Islands {
-		isl.Step = -3
-	}
-	if err := comp.Validate("nsga2", 2, s); err == nil {
-		t.Error("negative step accepted")
 	}
 }

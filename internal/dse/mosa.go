@@ -113,38 +113,25 @@ func MOSA(space *Space, eval Evaluator, cfg MOSAConfig) (*Result, error) {
 // Result (the merge of every chain's archive so far) is returned together
 // with ctx.Err().
 func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Result, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	pe := NewParallelEvaluator(eval, cfg.Workers)
-
-	perChain := cfg.Iterations / cfg.Restarts
-	segments := cfg.segments()
+	rs, err := begin(Search{Algorithm: "mosa", MOSA: &cfg}, space, eval, cfg.Workers, cfg.segments(), opts)
+	if err != nil {
+		return nil, err
+	}
 	chains := make([]*mosaChain, cfg.Restarts)
-	startSeg := 0
-	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := (Search{Algorithm: "mosa", MOSA: &cfg}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
-			return nil, err
-		}
 		// Restore every chain and prime the memo cache with its points.
 		for i, cs := range opts.Resume.Chains {
 			c := newMOSAChain(space, cfg, i)
 			c.src.state, c.cur, c.curE = cs.RNG, cs.Cur.point(), cs.CurE
 			c.temp, c.iter, c.started = cs.Temp, cs.Iter, true
-			restoreArchive(&c.arch, cs.Archive)
-			pe.prime(c.cur)
-			for _, p := range c.arch.Points() {
-				pe.prime(p)
-			}
+			rs.pe.prime(c.cur)
+			rs.restore(&c.arch, cs.Archive)
 			chains[i] = c
 		}
-		startSeg = opts.Resume.Step
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
 	} else {
 		seeds := opts.validSeeds(space, cfg.Restarts)
 		for ch := range chains {
@@ -165,27 +152,13 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		}
 		return front.Points()
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: detach(merged()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
-	}
-	for seg := startSeg; seg < segments; seg++ {
-		upTo := (seg + 1) * mosaSegment
-		if upTo > perChain {
-			upTo = perChain
-		}
-		ForEachWorker(cfg.Restarts, pe.Workers(), func(w, ch int) {
-			chains[ch].run(space, pe, w, upTo)
+	perChain := cfg.Iterations / cfg.Restarts
+	return rs.loop(func(seg int) {
+		upTo := min(seg*mosaSegment, perChain)
+		ForEachWorker(cfg.Restarts, rs.pe.Workers(), func(w, ch int) {
+			chains[ch].run(space, rs.pe, w, upTo)
 		})
-		evaluated, infeasible := pe.Stats()
-		err := opts.boundary("mosa", seg+1, segments, baseEval+evaluated, baseInf+infeasible,
-			pe, merged,
-			func() *Snapshot { return snapChains(seg+1, chains, baseEval+evaluated, baseInf+infeasible) })
-		if err != nil {
-			return result(), err
-		}
-	}
-	return result(), nil
+	}, merged, func(snap *Snapshot) { snap.Chains = snapChains(chains) })
 }
 
 // mosaChain is one independent annealing chain: a private RNG, the current
@@ -264,17 +237,10 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 }
 
 // snapChains captures every chain's state at a segment boundary.
-func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snapshot {
-	snap := &Snapshot{
-		Version:    SnapshotVersion,
-		Algorithm:  "mosa",
-		Step:       step,
-		Chains:     make([]ChainSnap, len(chains)),
-		Evaluated:  evaluated,
-		Infeasible: infeasible,
-	}
+func snapChains(chains []*mosaChain) []ChainSnap {
+	out := make([]ChainSnap, len(chains))
 	for i, c := range chains {
-		snap.Chains[i] = ChainSnap{
+		out[i] = ChainSnap{
 			RNG:     c.src.state,
 			Cur:     snapPoint(c.cur),
 			CurE:    c.curE,
@@ -283,5 +249,5 @@ func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snaps
 			Archive: snapPoints(c.arch.Points()),
 		}
 	}
-	return snap
+	return out
 }

@@ -87,29 +87,19 @@ func NSGA2(space *Space, eval Evaluator, cfg NSGA2Config) (*Result, error) {
 // bit-identical to NSGA2). On cancellation the partial Result — the front
 // over everything evaluated so far — is returned together with ctx.Err().
 func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Result, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults(len(space.Params))
+	rs, err := begin(Search{Algorithm: "nsga2", NSGA2: &cfg}, space, eval, cfg.Workers, cfg.Generations, opts)
+	if err != nil {
+		return nil, err
+	}
 	rng, src := newSearchRand(cfg.Seed)
-	pe := NewParallelEvaluator(eval, cfg.Workers)
 	var arch Archive
-
-	r := newNSGA2Run(space, pe, cfg)
-	startGen := 0
-	var baseEval, baseInf int
+	r := newNSGA2Run(space, rs.pe, cfg)
 	if opts.Resume != nil {
-		if err := (Search{Algorithm: "nsga2", NSGA2: &cfg}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
-			return nil, err
-		}
-		r.restore(opts.Resume, src, pe, &arch)
-		startGen = opts.Resume.Step
-		// Primed cache entries never touch the Stats counters, so the
-		// resumed run's totals are snapshot counts plus fresh evaluations.
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
+		r.restore(opts.Resume, src, rs, &arch)
 	} else {
 		// Seeds fill at most half the initial population: transferred
 		// fronts are often as large as the population itself, and letting
@@ -117,57 +107,35 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 		// finds regions the donor never reached.
 		r.seed(rng, &arch, opts.validSeeds(space, (cfg.PopulationSize+1)/2))
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
-	}
-	for gen := startGen; gen < cfg.Generations; gen++ {
-		r.generation(rng, &arch)
-		evaluated, infeasible := pe.Stats()
-		err := opts.boundary("nsga2", gen+1, cfg.Generations, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return arch.Points() },
-			func() *Snapshot { return r.snapshot(gen+1, src, &arch, baseEval+evaluated, baseInf+infeasible) })
-		if err != nil {
-			return result(), err
-		}
-	}
-	return result(), nil
+	return rs.loop(func(int) { r.generation(rng, &arch) }, arch.Points,
+		func(snap *Snapshot) { r.fill(snap, src, &arch) })
 }
 
-// snapshot captures the run at a generation boundary: the survivors with
-// their carried union ranking, the archive, and the RNG state. Everything
-// is deep-copied — the run keeps recycling its buffers after the call.
-func (r *nsga2Run) snapshot(step int, src *splitMix64, arch *Archive, evaluated, infeasible int) *Snapshot {
+// fill adds the run's state at a generation boundary to snap: the
+// survivors with their carried union ranking, the archive, and the RNG
+// state. Everything is deep-copied — the run keeps recycling its buffers
+// after the call.
+func (r *nsga2Run) fill(snap *Snapshot, src *splitMix64, arch *Archive) {
 	n := r.cfg.PopulationSize
-	return &Snapshot{
-		Version:    SnapshotVersion,
-		Algorithm:  "nsga2",
-		Step:       step,
-		RNG:        src.state,
-		Population: snapPoints(r.pop),
-		Ranks:      append([]int(nil), r.ranks[:n]...),
-		Crowd:      append(InfFloats(nil), r.crowd[:n]...),
-		Archive:    snapPoints(arch.Points()),
-		Evaluated:  evaluated,
-		Infeasible: infeasible,
-	}
+	snap.RNG = src.state
+	snap.Population = snapPoints(r.pop)
+	snap.Ranks = append([]int(nil), r.ranks[:n]...)
+	snap.Crowd = append(InfFloats(nil), r.crowd[:n]...)
+	snap.Archive = snapPoints(arch.Points())
 }
 
 // restore rebuilds the run from a validated snapshot: population,
 // carried ranking, archive and RNG state come back bit-exactly, and the
 // snapshot's points prime the memo cache so re-visited configurations are
 // cache hits rather than re-evaluations.
-func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, pe *ParallelEvaluator, arch *Archive) {
+func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, rs *runState, arch *Archive) {
 	r.pop = append(r.pop[:0], restorePoints(snap.Population)...)
 	copy(r.ranks, snap.Ranks)
 	copy(r.crowd, snap.Crowd)
-	restoreArchive(arch, snap.Archive)
 	for _, p := range r.pop {
-		pe.prime(p)
+		rs.pe.prime(p)
 	}
-	for _, p := range arch.Points() {
-		pe.prime(p)
-	}
+	rs.restore(arch, snap.Archive)
 	src.state = snap.RNG
 }
 

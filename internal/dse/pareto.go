@@ -54,17 +54,6 @@ func dominatesConstrained(a, b Point) bool {
 	}
 }
 
-// NonDominated filters points to the Pareto-optimal subset among the
-// feasible ones (infeasible points never survive) and returns it in
-// lexicographic objective order. Duplicate objective vectors are kept
-// once (the earliest occurrence). It is one AddBatch into a fresh
-// Archive.
-func NonDominated(points []Point) []Point {
-	var a Archive
-	a.AddBatch(points)
-	return a.Points()
-}
-
 func equalObjs(a, b Objectives) bool {
 	if len(a) != len(b) {
 		return false

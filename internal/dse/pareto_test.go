@@ -70,6 +70,15 @@ func mkPoints(objs ...[]float64) []Point {
 	return pts
 }
 
+// batchFront is the batch Pareto filter: one AddBatch into a fresh
+// Archive, which keeps the feasible, mutually non-dominated points (each
+// objective vector once) in lexicographic order.
+func batchFront(points []Point) []Point {
+	var a Archive
+	a.AddBatch(points)
+	return a.Points()
+}
+
 func TestNonDominated(t *testing.T) {
 	pts := mkPoints(
 		[]float64{1, 5},
@@ -78,19 +87,19 @@ func TestNonDominated(t *testing.T) {
 		[]float64{4, 1},
 		[]float64{2, 3}, // duplicate
 	)
-	front := NonDominated(pts)
+	front := batchFront(pts)
 	if len(front) != 3 {
 		t.Fatalf("front size = %d, want 3: %v", len(front), front)
 	}
 	// Infeasible points never enter the front.
 	pts = append(pts, Point{Objs: Objectives{0, 0}, Feasible: false})
-	front = NonDominated(pts)
+	front = batchFront(pts)
 	if len(front) != 3 {
 		t.Errorf("infeasible point entered the front")
 	}
 }
 
-// NonDominated must be idempotent and its output mutually non-dominated.
+// The batch filter must be idempotent and its output mutually non-dominated.
 func TestNonDominatedProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -102,7 +111,7 @@ func TestNonDominatedProperties(t *testing.T) {
 				Feasible: r.Intn(5) > 0,
 			}
 		}
-		front := NonDominated(pts)
+		front := batchFront(pts)
 		for i, p := range front {
 			for j, q := range front {
 				if i != j && Dominates(p.Objs, q.Objs) {
@@ -110,7 +119,7 @@ func TestNonDominatedProperties(t *testing.T) {
 				}
 			}
 		}
-		again := NonDominated(front)
+		again := batchFront(front)
 		return len(again) == len(front)
 	}
 	cfg := &quick.Config{
@@ -139,7 +148,7 @@ func TestArchiveMatchesBatchFilter(t *testing.T) {
 			arch.Add(p)
 			all = append(all, p)
 		}
-		batch := NonDominated(all)
+		batch := batchFront(all)
 		if arch.Len() != len(batch) {
 			return false
 		}

@@ -165,46 +165,114 @@ func (o Options) validSeeds(space *Space, max int) []Config {
 	return out
 }
 
-// boundary is the shared per-boundary bookkeeping: emit progress and
-// stats, write a due checkpoint, honor StopAfter, then honor
-// cancellation — in that order, so a cancelled run's latest checkpoint
-// is already durable when the partial result comes back, and a paused
-// run's snapshot is written before ErrPaused surfaces. step is 1-based
-// (boundaries completed); live returns the archive's shared point slice
-// (materialized once, only when a sink is attached; both sinks read it in
-// place), and snap builds the snapshot lazily and only when one is due.
-func (o Options) boundary(algo string, step, total, evaluated, infeasible int, pe *ParallelEvaluator, live func() []Point, snap func() *Snapshot) error {
+// runState is the bookkeeping every search shares, around the hot loop
+// that is each algorithm's own: the run options, the batch runtime, the
+// boundaries already passed (a resume's Step) and in the whole run, and
+// the counts a resumed run carries over.
+type runState struct {
+	algo        string
+	opts        Options
+	pe          *ParallelEvaluator
+	done, total int
+	// baseEval and baseInf are the resume snapshot's counts. Primed memo
+	// entries never touch the evaluator's counters, so a resumed run's
+	// totals are these plus its fresh evaluations.
+	baseEval, baseInf int
+}
+
+// begin validates the space, builds the batch runtime over workers and
+// checks opts.Resume against s (Search.ValidateResume). total is how many
+// boundaries the whole run passes.
+func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Options) (*runState, error) {
+	if err := space.Validate(); err != nil {
+		return nil, err
+	}
+	r := &runState{algo: s.Algorithm, opts: opts, pe: NewParallelEvaluator(eval, workers), total: total}
+	if snap := opts.Resume; snap != nil {
+		if err := s.ValidateResume(snap, space, r.pe.NumObjectives()); err != nil {
+			return nil, err
+		}
+		r.done, r.baseEval, r.baseInf = snap.Step, snap.Evaluated, snap.Infeasible
+	}
+	return r, nil
+}
+
+// restore rebuilds a snapshot archive into arch and primes the memo with
+// its points, so re-visited configurations are cache hits rather than
+// re-evaluations.
+func (r *runState) restore(arch *Archive, sps []SnapPoint) {
+	restoreArchive(arch, sps)
+	for _, p := range arch.Points() {
+		r.pe.prime(p)
+	}
+}
+
+// counts returns the run's cumulative Evaluated and Infeasible.
+func (r *runState) counts() (evaluated, infeasible int) {
+	evaluated, infeasible = r.pe.Stats()
+	return r.baseEval + evaluated, r.baseInf + infeasible
+}
+
+// loop passes boundaries done+1 through total: step(k) advances the
+// search to boundary k, then the boundary hooks run. front returns the
+// live front (the archive's own points); fill adds the algorithm's
+// fields to a due snapshot. It returns the detached Result with
+// cumulative counts, together with the error of a hook that stopped the
+// run (cancellation, a failed checkpoint, ErrPaused).
+func (r *runState) loop(step func(k int), front func() []Point, fill func(*Snapshot)) (*Result, error) {
+	var err error
+	for k := r.done + 1; k <= r.total && err == nil; k++ {
+		step(k)
+		err = r.boundary(k, front, fill)
+	}
+	evaluated, infeasible := r.counts()
+	return &Result{Front: detach(front()), Evaluated: evaluated, Infeasible: infeasible}, err
+}
+
+// boundary is the per-boundary bookkeeping: emit progress and stats,
+// write a due checkpoint, honor StopAfter, then honor cancellation — in
+// that order, so a cancelled run's latest checkpoint is already durable
+// when the partial result comes back, and a paused run's snapshot is
+// written before ErrPaused surfaces. step is 1-based (boundaries
+// completed). The front is materialized once, only when a sink is
+// attached, and both sinks read it in place; a snapshot is built only
+// when one is due.
+func (r *runState) boundary(step int, front func() []Point, fill func(*Snapshot)) error {
+	o := r.opts
+	evaluated, infeasible := r.counts()
 	if o.Progress != nil || o.Stats != nil {
-		front := live()
+		live := front()
 		if o.Progress != nil {
 			o.Progress(Progress{
-				Algorithm:  algo,
+				Algorithm:  r.algo,
 				Step:       step,
-				TotalSteps: total,
+				TotalSteps: r.total,
 				Evaluated:  evaluated,
 				Infeasible: infeasible,
-				Front:      front,
+				Front:      live,
 			})
 		}
 		if o.Stats != nil {
-			lookups, hits := pe.CacheStats()
+			lookups, hits := r.pe.CacheStats()
 			o.Stats(Stats{
-				Algorithm:    algo,
+				Algorithm:    r.algo,
 				Step:         step,
-				TotalSteps:   total,
+				TotalSteps:   r.total,
 				Evaluated:    evaluated,
 				Infeasible:   infeasible,
-				Front:        front,
+				Front:        live,
 				CacheHits:    hits,
 				CacheLookups: lookups,
 			})
 		}
 	}
-	pause := o.StopAfter > 0 && step >= o.StopAfter && step < total
+	pause := o.StopAfter > 0 && step >= o.StopAfter && step < r.total
 	if o.Checkpoint != nil {
-		due := o.CheckpointEvery > 0 && step < total && step%o.CheckpointEvery == 0
+		due := o.CheckpointEvery > 0 && step < r.total && step%o.CheckpointEvery == 0
 		if due || pause {
-			if err := o.Checkpoint(snap()); err != nil {
+			snap := &Snapshot{Version: SnapshotVersion, Algorithm: r.algo, Step: step, Evaluated: evaluated, Infeasible: infeasible}
+			fill(snap)
+			if err := o.Checkpoint(snap); err != nil {
 				return fmt.Errorf("dse: checkpoint at step %d: %w", step, err)
 			}
 		}

@@ -231,7 +231,8 @@ func TestCheckpointErrorAborts(t *testing.T) {
 
 // TestSnapshotResumeValidation covers the refusal paths: wrong algorithm,
 // wrong version, mismatched population size, out-of-space configs, short
-// objective vectors.
+// objective vectors, objectives on an infeasible point, negative cursors
+// and cursors off a batch boundary.
 func TestSnapshotResumeValidation(t *testing.T) {
 	s := testSpace(8, 3)
 	eval := &convexEvaluator{space: s}
@@ -275,6 +276,15 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	bad.Population[0].Objs = bad.Population[0].Objs[:1]
 	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
 		t.Error("short population objective vector accepted")
+	}
+	// An infeasible point carries no objectives: one that did, beside one
+	// that does not, would make the crowding of the infeasible front read
+	// past the second's empty vector.
+	bad = roundTrip(t, snap)
+	bad.Population[0].Feasible = false
+	bad.Population[1].Feasible, bad.Population[1].Objs = false, nil
+	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+		t.Error("infeasible population point with objectives accepted")
 	}
 	// A negative cursor would resume into a run longer than the budget.
 	bad = roundTrip(t, snap)
@@ -329,12 +339,34 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, Options{Resume: bad}); err == nil {
 		t.Error("random-search snapshot with a negative draw count accepted")
 	}
+	// A resumed run counts its boundaries from Step, so the cursor must
+	// sit on one of the run's batch boundaries.
+	bad = roundTrip(t, rsnap)
+	bad.Step = 7
+	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, Options{Resume: bad}); err == nil {
+		t.Error("random-search snapshot at step 7 of a 3-batch run accepted")
+	}
+	sBig := testSpace(12, 12, 12) // 1,728 points: two batches
+	evalBig := &convexEvaluator{space: sBig}
+	var esnap *Snapshot
+	if _, err := ExhaustiveOpts(sBig, evalBig, DefaultMaxPoints, 1, captureLatest(&esnap, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if esnap == nil || esnap.Step != 1 || esnap.Next != exhaustiveBatch {
+		t.Fatalf("exhaustive snapshot %+v, want step 1 at %d points", esnap, exhaustiveBatch)
+	}
+	bad = roundTrip(t, esnap)
+	bad.Next = 100
+	if _, err := ExhaustiveOpts(sBig, evalBig, DefaultMaxPoints, 1, Options{Resume: bad}); err == nil {
+		t.Error("exhaustive snapshot at step 1 with 100 points consumed accepted")
+	}
 }
 
 // FuzzResumeSnapshot resumes each of the four searches on a small space
 // from arbitrary snapshot JSON, named as the resuming algorithm's: the
-// resume must fail with an error or run, never panic. The seeds are real
-// snapshots of all four algorithms.
+// resume must fail with an error or run, never panic, and a run that
+// resumes passes exactly the boundaries Step+1 through Search.Steps.
+// The seeds are real snapshots of all four algorithms.
 func FuzzResumeSnapshot(f *testing.F) {
 	space := testSpace(12, 12, 12) // 1,728 points: two exhaustive batches
 	eval := &constrainedEvaluator{inner: &simplexEvaluator{space: space}}
@@ -362,7 +394,22 @@ func FuzzResumeSnapshot(f *testing.F) {
 				return
 			}
 			snap.Algorithm = s.Algorithm
-			s.Run(space, eval, Options{Resume: &snap})
+			var steps []int
+			_, err := s.Run(space, eval, Options{
+				Resume: &snap,
+				Stats:  func(st Stats) { steps = append(steps, st.Step) },
+			})
+			if err != nil {
+				continue
+			}
+			for i, step := range steps {
+				if step != snap.Step+1+i {
+					t.Fatalf("%s resumed at step %d passed boundaries %v", s.Algorithm, snap.Step, steps)
+				}
+			}
+			if total := s.Steps(space); snap.Step+len(steps) != total {
+				t.Fatalf("%s resumed at step %d passed boundaries %v of %d", s.Algorithm, snap.Step, steps, total)
+			}
 		}
 	})
 }

@@ -55,77 +55,40 @@ func batches(n int) int {
 // ExhaustiveOpts enumerates a space of at most maxPoints points (a guard
 // against accidental 10¹¹-point sweeps) in batches across the worker pool
 // (workers <= 0 selects GOMAXPROCS), with identical results at any worker
-// count. Options hook in at batch
-// boundaries; snapshots record how far the lexicographic enumeration got
+// count. Each batch, the last partial one included, ends at a boundary
+// where Options hook in; snapshots record how far the enumeration got
 // (Snapshot.Next), so a resumed sweep skips exactly the consumed prefix.
 func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts Options) (*Result, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
 	if size := space.Size(); size > float64(maxPoints) {
 		return nil, fmt.Errorf("dse: space has %.3g points, exhaustive limit is %d", size, maxPoints)
 	}
-	pe := NewParallelEvaluator(eval, workers)
-	var arch Archive
 	total := int(space.Size())
-	totalBatches := batches(total)
-	skip := 0
-	var baseEval, baseInf int
-	if opts.Resume != nil {
-		if err := (Search{Algorithm: "exhaustive"}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
-			return nil, err
-		}
-		skip = opts.Resume.Next
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
-		restoreArchive(&arch, opts.Resume.Archive)
-		for _, p := range arch.Points() {
-			pe.prime(p)
-		}
+	rs, err := begin(Search{Algorithm: "exhaustive", MaxPoints: maxPoints}, space, eval, workers, batches(total), opts)
+	if err != nil {
+		return nil, err
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
+	var arch Archive
+	// cursor is the next configuration in Space.Iterate's order, next its
+	// index.
+	cursor, next := make(Config, len(space.Params)), 0
+	if snap := opts.Resume; snap != nil {
+		rs.restore(&arch, snap.Archive)
+		for ; next < snap.Next; next++ {
+			space.advance(cursor)
+		}
 	}
 	bufs := geneBuffers(min(total, exhaustiveBatch), len(space.Params))
-	batch := bufs[:0]
 	var points []Point
-	flush := func() {
-		points = pe.EvaluateBatchInto(batch, points)
+	return rs.loop(func(int) {
+		batch := bufs[:min(len(bufs), total-next)]
+		for _, c := range batch {
+			copy(c, cursor)
+			space.advance(cursor)
+		}
+		next += len(batch)
+		points = rs.pe.EvaluateBatchInto(batch, points)
 		arch.AddBatch(points)
-		batch = bufs[:0]
-	}
-	idx := 0
-	var stopErr error
-	space.Iterate(func(c Config) bool {
-		if idx < skip {
-			idx++
-			return true
-		}
-		idx++
-		batch = batch[:len(batch)+1]
-		copy(batch[len(batch)-1], c)
-		if len(batch) == exhaustiveBatch {
-			flush()
-			step := idx / exhaustiveBatch
-			evaluated, infeasible := pe.Stats()
-			consumed := idx
-			stopErr = opts.boundary("exhaustive", step, totalBatches, baseEval+evaluated, baseInf+infeasible,
-				pe, func() []Point { return arch.Points() },
-				func() *Snapshot {
-					return &Snapshot{
-						Version: SnapshotVersion, Algorithm: "exhaustive", Step: step, Next: consumed,
-						Archive: snapPoints(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible,
-					}
-				})
-			return stopErr == nil
-		}
-		return true
-	})
-	if stopErr != nil {
-		return result(), stopErr
-	}
-	flush()
-	return result(), nil
+	}, arch.Points, func(snap *Snapshot) { snap.Next, snap.Archive = next, snapPoints(arch.Points()) })
 }
 
 // RandomSearchOpts evaluates `budget` uniform random configurations, the
@@ -136,58 +99,31 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 // snapshots record the RNG state and draws consumed, so a resumed search
 // continues the identical draw stream.
 func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, workers int, opts Options) (*Result, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
 	if budget < 1 {
 		return nil, fmt.Errorf("dse: budget %d must be positive", budget)
 	}
+	rs, err := begin(Search{Algorithm: "random", Budget: budget}, space, eval, workers, batches(budget), opts)
+	if err != nil {
+		return nil, err
+	}
 	rng, src := newSearchRand(seed)
-	pe := NewParallelEvaluator(eval, workers)
 	var arch Archive
 	drawn := 0
-	var baseEval, baseInf int
-	if opts.Resume != nil {
-		if err := (Search{Algorithm: "random", Budget: budget}).ValidateResume(opts.Resume, space, pe.NumObjectives()); err != nil {
-			return nil, err
-		}
-		drawn = opts.Resume.Next
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
-		restoreArchive(&arch, opts.Resume.Archive)
-		for _, p := range arch.Points() {
-			pe.prime(p)
-		}
-		src.state = opts.Resume.RNG
+	if snap := opts.Resume; snap != nil {
+		rs.restore(&arch, snap.Archive)
+		drawn, src.state = snap.Next, snap.RNG
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: detach(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
-	}
-	totalBatches := batches(budget)
 	bufs := geneBuffers(min(budget, exhaustiveBatch), len(space.Params))
 	var points []Point
-	for drawn < budget {
+	return rs.loop(func(int) {
 		configs := bufs[:min(len(bufs), budget-drawn)]
 		for _, c := range configs {
 			space.RandomInto(rng, c)
 		}
 		drawn += len(configs)
-		points = pe.EvaluateBatchInto(configs, points)
+		points = rs.pe.EvaluateBatchInto(configs, points)
 		arch.AddBatch(points)
-		step := batches(drawn)
-		evaluated, infeasible := pe.Stats()
-		consumed := drawn
-		err := opts.boundary("random", step, totalBatches, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return arch.Points() },
-			func() *Snapshot {
-				return &Snapshot{
-					Version: SnapshotVersion, Algorithm: "random", Step: step, RNG: src.state, Next: consumed,
-					Archive: snapPoints(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible,
-				}
-			})
-		if err != nil {
-			return result(), err
-		}
-	}
-	return result(), nil
+	}, arch.Points, func(snap *Snapshot) {
+		snap.RNG, snap.Next, snap.Archive = src.state, drawn, snapPoints(arch.Points())
+	})
 }

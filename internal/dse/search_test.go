@@ -131,11 +131,13 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := s.Random(rng)
 	for i := 0; i < 200; i++ {
-		m := s.Mutate(rng, c, 0.5)
+		m := c.Clone()
+		s.MutateInPlace(rng, m, 0.5)
 		if !s.Valid(m) {
 			t.Fatalf("mutation produced invalid config %v", m)
 		}
-		n := s.Neighbor(rng, c)
+		n := make(Config, len(c))
+		s.NeighborInto(rng, n, c)
 		if !s.Valid(n) {
 			t.Fatalf("neighbor produced invalid config %v", n)
 		}
@@ -153,7 +155,8 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 	// Crossover mixes genes from both parents only.
 	a, b := Config{0, 0, 0}, Config{4, 0, 3}
 	for i := 0; i < 50; i++ {
-		child := s.Crossover(rng, a, b)
+		child := make(Config, len(a))
+		s.CrossoverInto(rng, child, a, b)
 		for j := range child {
 			if child[j] != a[j] && child[j] != b[j] {
 				t.Fatalf("crossover invented gene %d=%d", j, child[j])

@@ -42,18 +42,22 @@
 // One algorithm table (algorithm.go) holds nsga2, mosa, exhaustive and
 // random; front ends look a Search up in it instead of switching on
 // names. Search.Run calls the entry's Opts function (NSGA2Opts, MOSAOpts,
-// ExhaustiveOpts, RandomSearchOpts), whose Options hooks run at
-// boundaries only — the end of a generation (NSGA-II), a chain segment
-// (MOSA) or an evaluation batch (exhaustive/random) — so the
-// allocation-free hot loops never see them and a zero Options run is
+// ExhaustiveOpts, RandomSearchOpts), and all four run on one harness
+// (run.go): each supplies only how to advance to its next boundary — a
+// generation (NSGA-II), a chain segment (MOSA) or an evaluation batch
+// (exhaustive/random, the last partial one included) — its live front
+// and its snapshot fields. The harness does the rest: resume checks, memo
+// priming, cumulative counts, and the Options hooks, which run at every
+// boundary from the resume step + 1 through the run's total and never
+// inside the allocation-free hot loops, so a zero Options run is
 // bit-identical to the plain entry point. Cancellation returns the
 // partial Result alongside ctx.Err(); StatsSink, the sink searches feed,
 // receives step counters, memo-cache hits and the live front (valid
 // during the call); CheckpointFunc receives self-contained,
-// JSON-serializable Snapshots. The search RNG draws from
-// a SplitMix64 rand.Source64 so its complete state is a single uint64,
-// which is what makes a resumed run (Options.Resume) replay the
-// uninterrupted trajectory bit for bit.
+// JSON-serializable Snapshots. The search RNG draws from a SplitMix64
+// rand.Source64 so its complete state is a single uint64, which is what
+// makes a resumed run (Options.Resume) replay the uninterrupted
+// trajectory bit for bit.
 package dse
 
 import (
@@ -192,17 +196,8 @@ func (s *Space) RandomInto(rng *rand.Rand, dst Config) {
 	}
 }
 
-// Mutate flips each gene with the given probability to a uniformly chosen
-// value, returning a new configuration.
-func (s *Space) Mutate(rng *rand.Rand, c Config, perGeneProb float64) Config {
-	out := c.Clone()
-	s.MutateInPlace(rng, out, perGeneProb)
-	return out
-}
-
-// MutateInPlace is Mutate on a caller-owned configuration: each gene flips
-// with the given probability to a uniformly chosen value. The rng draw
-// sequence is identical to Mutate's.
+// MutateInPlace flips each gene of c with the given probability to a
+// uniformly chosen value.
 func (s *Space) MutateInPlace(rng *rand.Rand, c Config, perGeneProb float64) {
 	for i := range c {
 		if rng.Float64() < perGeneProb {
@@ -211,44 +206,26 @@ func (s *Space) MutateInPlace(rng *rand.Rand, c Config, perGeneProb float64) {
 	}
 }
 
-// Neighbor nudges exactly one randomly chosen gene by ±1 (wrapping at the
-// ends), the canonical simulated-annealing move on a discrete grid.
-func (s *Space) Neighbor(rng *rand.Rand, c Config) Config {
-	out := c.Clone()
-	s.neighborInPlace(rng, out)
-	return out
-}
-
-// NeighborInto writes the ±1 single-gene neighbour of src into dst (equal
-// lengths, dst must not alias src's backing array if src must survive).
-// The rng draw sequence is identical to Neighbor's.
+// NeighborInto writes a neighbour of src into dst (equal lengths, dst
+// must not alias src's backing array if src must survive): exactly one
+// randomly chosen gene moves by ±1, wrapping at the ends, the canonical
+// simulated-annealing move on a discrete grid.
 func (s *Space) NeighborInto(rng *rand.Rand, dst, src Config) {
 	copy(dst, src)
-	s.neighborInPlace(rng, dst)
-}
-
-func (s *Space) neighborInPlace(rng *rand.Rand, c Config) {
-	i := rng.Intn(len(c))
+	i := rng.Intn(len(dst))
 	n := len(s.Params[i].Values)
 	if n == 1 {
 		return
 	}
 	if rng.Intn(2) == 0 {
-		c[i] = (c[i] + 1) % n
+		dst[i] = (dst[i] + 1) % n
 	} else {
-		c[i] = (c[i] - 1 + n) % n
+		dst[i] = (dst[i] - 1 + n) % n
 	}
 }
 
-// Crossover performs uniform crossover between two parents.
-func (s *Space) Crossover(rng *rand.Rand, a, b Config) Config {
-	out := make(Config, len(a))
-	s.CrossoverInto(rng, out, a, b)
-	return out
-}
-
 // CrossoverInto performs uniform crossover between two parents into dst
-// (all equal lengths). The rng draw sequence is identical to Crossover's.
+// (all equal lengths).
 func (s *Space) CrossoverInto(rng *rand.Rand, dst, a, b Config) {
 	for i := range dst {
 		if rng.Intn(2) == 0 {
@@ -259,26 +236,24 @@ func (s *Space) CrossoverInto(rng *rand.Rand, dst, a, b Config) {
 	}
 }
 
-// Iterate enumerates the whole space in lexicographic order, stopping when
-// fn returns false. Only sensible for small (test-sized) spaces.
+// Iterate enumerates the whole space in lexicographic order, the last
+// gene fastest, stopping when fn returns false. Only sensible for small
+// (test-sized) spaces.
 func (s *Space) Iterate(fn func(Config) bool) {
 	c := make(Config, len(s.Params))
-	for {
-		if !fn(c) {
-			return
-		}
-		// Odometer increment.
-		i := len(c) - 1
-		for i >= 0 {
-			c[i]++
-			if c[i] < len(s.Params[i].Values) {
-				break
-			}
-			c[i] = 0
-			i--
-		}
-		if i < 0 {
-			return
-		}
+	for fn(c) && s.advance(c) {
 	}
+}
+
+// advance steps c to the next configuration in Iterate's order (an
+// odometer increment) and reports false once c was the last one, leaving
+// it wrapped to all zeros.
+func (s *Space) advance(c Config) bool {
+	for i := len(c) - 1; i >= 0; i-- {
+		if c[i]++; c[i] < len(s.Params[i].Values) {
+			return true
+		}
+		c[i] = 0
+	}
+	return false
 }

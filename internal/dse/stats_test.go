@@ -5,31 +5,38 @@ import (
 )
 
 // TestStatsSinkAllAlgorithms is the StatsSink contract on every algorithm:
-// the sink fires at each boundary, counters are monotone, the final sample
-// reaches the last boundary, cache stats are populated and consistent
-// (lookups = hits + evaluated, monotone), and the zero-copy front is
-// non-empty once anything was evaluated. It also pins that Stats and
-// Progress observe the same boundaries when both are attached.
+// the sink fires at every boundary, 1 through Search.Steps, the last
+// included, counters are monotone, the final sample's counts are the
+// Result's, cache stats are populated and consistent (lookups = hits +
+// evaluated, monotone), and the zero-copy front is non-empty once
+// anything was evaluated. It also pins that Stats and Progress observe
+// the same boundaries when both are attached. Exhaustive and random
+// search run over 2,160 points (three batches, the last partial) and
+// exhaustive search also over 36 (one partial batch).
 func TestStatsSinkAllAlgorithms(t *testing.T) {
 	s := testSpace(12, 4, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
 	sBig := testSpace(20, 18, 6)
 	evalBig := &constrainedEvaluator{inner: &convexEvaluator{space: sBig}}
+	sSmall := testSpace(6, 6)
+	evalSmall := &constrainedEvaluator{inner: &convexEvaluator{space: sSmall}}
 
 	algorithms := []struct {
+		name   string
 		search Search
 		space  *Space
 		eval   Evaluator
 	}{
-		{Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
-		{Search{Algorithm: "mosa", Seed: 5, Workers: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}, s, eval},
-		{Search{Algorithm: "exhaustive", Workers: 2, MaxPoints: 1000000}, sBig, evalBig},
-		{Search{Algorithm: "random", Seed: 3, Workers: 2, Budget: 3000}, sBig, evalBig},
+		{"nsga2", Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
+		{"mosa", Search{Algorithm: "mosa", Seed: 5, Workers: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}, s, eval},
+		{"exhaustive", Search{Algorithm: "exhaustive", Workers: 2, MaxPoints: 1000000}, sBig, evalBig},
+		{"exhaustive-one-batch", Search{Algorithm: "exhaustive", Workers: 2}, sSmall, evalSmall},
+		{"random", Search{Algorithm: "random", Seed: 3, Workers: 2, Budget: 3000}, sBig, evalBig},
 	}
 
 	for _, alg := range algorithms {
 		name := alg.search.Algorithm
-		t.Run(name, func(t *testing.T) {
+		t.Run(alg.name, func(t *testing.T) {
 			var stats []Stats
 			var progressSteps []int
 			opts := Options{
@@ -45,26 +52,27 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(stats) == 0 {
-				t.Fatal("stats sink never fired")
+			steps := alg.search.Steps(alg.space)
+			if len(stats) != steps {
+				t.Fatalf("stats sink fired %d times, want %d (every boundary)", len(stats), steps)
 			}
 			if len(stats) != len(progressSteps) {
 				t.Fatalf("stats fired %d times, progress %d — must observe the same boundaries",
 					len(stats), len(progressSteps))
 			}
-			prev := Stats{Step: 0}
+			var prev Stats
 			for i, st := range stats {
 				if st.Algorithm != name {
 					t.Fatalf("sample %d: algorithm %q, want %q", i, st.Algorithm, name)
 				}
-				if want := alg.search.Steps(alg.space); st.TotalSteps != want {
-					t.Fatalf("sample %d: %d total steps, Search.Steps says %d", i, st.TotalSteps, want)
+				if st.TotalSteps != steps {
+					t.Fatalf("sample %d: %d total steps, Search.Steps says %d", i, st.TotalSteps, steps)
 				}
 				if st.Step != progressSteps[i] {
 					t.Fatalf("sample %d: stats step %d, progress step %d", i, st.Step, progressSteps[i])
 				}
-				if st.Step <= prev.Step {
-					t.Fatalf("sample %d: step %d not increasing from %d", i, st.Step, prev.Step)
+				if st.Step != i+1 {
+					t.Fatalf("sample %d: step %d, want %d", i, st.Step, i+1)
 				}
 				if st.Evaluated < prev.Evaluated || st.Infeasible < prev.Infeasible {
 					t.Fatalf("sample %d: counters regressed: %+v after %+v", i, st, prev)
@@ -81,24 +89,11 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 				if st.Evaluated > 0 && len(st.Front) == 0 {
 					t.Fatalf("sample %d: empty front after %d evaluations", i, st.Evaluated)
 				}
-				if st.TotalSteps <= 0 || st.Step > st.TotalSteps {
-					t.Fatalf("sample %d: step %d of %d", i, st.Step, st.TotalSteps)
-				}
 				prev = st
 			}
-			// Exhaustive flushes a trailing partial batch after its last
-			// boundary (Progress behaves identically), so the final sample
-			// may sit one step and one partial batch short of the result.
-			last := stats[len(stats)-1]
-			if last.Step < last.TotalSteps-1 {
-				t.Fatalf("final sample at step %d of %d", last.Step, last.TotalSteps)
-			}
-			if last.Evaluated > res.Evaluated || last.Infeasible > res.Infeasible {
-				t.Fatalf("final sample counts (%d, %d) exceed result (%d, %d)",
+			if last := stats[len(stats)-1]; last.Evaluated != res.Evaluated || last.Infeasible != res.Infeasible {
+				t.Fatalf("final sample counts (%d, %d), result (%d, %d)",
 					last.Evaluated, last.Infeasible, res.Evaluated, res.Infeasible)
-			}
-			if last.Step == last.TotalSteps && last.Evaluated != res.Evaluated {
-				t.Fatalf("final-boundary sample evaluated %d, result %d", last.Evaluated, res.Evaluated)
 			}
 		})
 	}

@@ -10,10 +10,10 @@
 // regenerate identically from `wsn-experiments` or the benchmark harness.
 //
 // Because the harnesses are pure and independent, they fan out across
-// goroutines: RunJobs executes any subset of them on a bounded worker pool
-// and returns outcomes in job order, so `wsn-experiments -workers N`
-// regenerates the full evaluation concurrently with byte-identical,
-// deterministically ordered output. The searches inside Fig5 and the
+// goroutines: RunJobsContext executes any subset of them on a bounded
+// worker pool and returns outcomes in job order, so `wsn-experiments
+// -workers N` regenerates the full evaluation concurrently with
+// byte-identical, deterministically ordered output. The searches inside Fig5 and the
 // ablations additionally parallelize their own evaluation batches through
 // dse.ParallelEvaluator, whose worker count never changes results (see the
 // dse package documentation for the determinism guarantees).

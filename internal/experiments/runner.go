@@ -35,28 +35,24 @@ type Outcome struct {
 	Err    error
 }
 
-// RunJobs executes the jobs on at most workers goroutines (workers <= 0
-// selects GOMAXPROCS) and returns the outcomes in job order regardless of
-// completion order, so rendering stays deterministic however the harnesses
-// are scheduled. Jobs whose harnesses take a Workers knob (Fig5, the ϑ
-// ablation) may additionally batch their evaluations across
+// RunJobsContext executes the jobs on at most workers goroutines
+// (workers <= 0 selects GOMAXPROCS) and returns the outcomes in job order
+// regardless of completion order, so rendering stays deterministic however
+// the harnesses are scheduled. Jobs whose harnesses take a Workers knob
+// (Fig5, the ϑ ablation) may additionally batch their evaluations across
 // dse.ParallelEvaluator, so total concurrency can reach jobs × evaluation
 // workers; worker counts never change any job's results.
 //
 // Wall-clock-sensitive harnesses (Speed) measure their own timing and will
 // read slower when co-scheduled with other jobs on a loaded machine; run
-// those in their own RunJobs call (as cmd/wsn-experiments does) when the
-// absolute throughput number matters.
-func RunJobs(jobs []Job, workers int) []Outcome {
-	return RunJobsContext(context.Background(), jobs, workers)
-}
-
-// RunJobsContext is RunJobs under a cancellation context. A job that has
-// not started when ctx is cancelled is skipped and its Outcome carries
-// ctx.Err(); jobs already running receive the context and finish on their
-// own terms (immediately, for harnesses that thread it into their search
-// loops). Completed outcomes are always returned — cancellation flushes
-// partial results, it never discards them.
+// those in their own RunJobsContext call (as cmd/wsn-experiments does)
+// when the absolute throughput number matters.
+//
+// A job that has not started when ctx is cancelled is skipped and its
+// Outcome carries ctx.Err(); jobs already running receive the context and
+// finish on their own terms (immediately, for harnesses that thread it
+// into their search loops). Completed outcomes are always returned —
+// cancellation flushes partial results, it never discards them.
 func RunJobsContext(ctx context.Context, jobs []Job, workers int) []Outcome {
 	outs := make([]Outcome, len(jobs))
 	dse.ForEach(len(jobs), workers, func(i int) {

@@ -46,7 +46,7 @@ func TestRunJobsDeterministicOrder(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		outs := RunJobs(jobs, workers)
+		outs := RunJobsContext(context.Background(), jobs, workers)
 		if len(outs) != n {
 			t.Fatalf("workers=%d: got %d outcomes, want %d", workers, len(outs), n)
 		}

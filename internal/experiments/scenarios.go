@@ -144,17 +144,12 @@ type ScenarioSweepResult struct {
 	Starvation []StarvationRow
 }
 
-// ScenarioSweep runs one exploration + simulator cross-check per scenario
-// on the concurrent job runner, then walks the dense workload's node count
-// across the 7-GTS-slot budget. Results are deterministic and identical at
-// every worker count.
-func ScenarioSweep(cfg ScenarioSweepConfig) (*ScenarioSweepResult, error) {
-	return ScenarioSweepContext(context.Background(), cfg)
-}
-
-// ScenarioSweepContext is ScenarioSweep under a cancellation context,
-// threaded through the job runner into each scenario's NSGA-II generation
-// loop — SIGINT in wsn-experiments stops the sweep within one generation.
+// ScenarioSweepContext runs one exploration + simulator cross-check per
+// scenario on the concurrent job runner, then walks the dense workload's
+// node count across the 7-GTS-slot budget. Results are deterministic and
+// identical at every worker count. ctx is threaded through the job runner
+// into each scenario's NSGA-II generation loop — SIGINT in
+// wsn-experiments stops the sweep within one generation.
 func ScenarioSweepContext(ctx context.Context, cfg ScenarioSweepConfig) (*ScenarioSweepResult, error) {
 	cfg = cfg.withDefaults()
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func sweepTestConfig(workers int) ScenarioSweepConfig {
 }
 
 func TestScenarioSweep(t *testing.T) {
-	res, err := ScenarioSweep(sweepTestConfig(0))
+	res, err := ScenarioSweepContext(context.Background(), sweepTestConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestScenarioSweep(t *testing.T) {
 // at different worker counts — the PR-1 determinism contract extended to
 // the scenario harness.
 func TestScenarioSweepWorkerInvariance(t *testing.T) {
-	seq, err := ScenarioSweep(sweepTestConfig(1))
+	seq, err := ScenarioSweepContext(context.Background(), sweepTestConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ScenarioSweep(sweepTestConfig(4))
+	par, err := ScenarioSweepContext(context.Background(), sweepTestConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestScenarioSweepWorkerInvariance(t *testing.T) {
 func TestScenarioSweepUnknownScenario(t *testing.T) {
 	cfg := sweepTestConfig(1)
 	cfg.Names = []string{"no-such-scenario"}
-	if _, err := ScenarioSweep(cfg); err == nil {
+	if _, err := ScenarioSweepContext(context.Background(), cfg); err == nil {
 		t.Error("unknown scenario name accepted")
 	}
 }
 
 func TestStarvationCliff(t *testing.T) {
-	res, err := ScenarioSweep(sweepTestConfig(0))
+	res, err := ScenarioSweepContext(context.Background(), sweepTestConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,8 @@ package xcheck
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
@@ -286,37 +284,16 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 	if cal == nil {
 		cal = casestudy.DefaultCalibration()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(names) {
-		workers = len(names)
-	}
-
 	reports := make([]*Report, len(names))
 	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sc, ok := scenario.Lookup(names[i])
-				if !ok {
-					errs[i] = fmt.Errorf("scenario %q not registered", names[i])
-					continue
-				}
-				reports[i], errs[i] = CheckScenario(sc, cal, cfg.Tol)
-			}
-		}()
-	}
-	for i := range names {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	dse.ForEach(len(names), cfg.Workers, func(i int) {
+		sc, ok := scenario.Lookup(names[i])
+		if !ok {
+			errs[i] = fmt.Errorf("scenario %q not registered", names[i])
+			return
+		}
+		reports[i], errs[i] = CheckScenario(sc, cal, cfg.Tol)
+	})
 
 	res := &SweepResult{Reports: reports, Checked: len(names)}
 	for i, err := range errs {

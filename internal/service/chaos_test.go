@@ -384,8 +384,8 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prev.Step != latest.Step-1 {
-		t.Fatalf("prev at step %d, latest at %d — rotation broken", prev.Step, latest.Step)
+	if prev.Step != latest[0].Step-1 {
+		t.Fatalf("prev at step %d, latest at %d — rotation broken", prev.Step, latest[0].Step)
 	}
 
 	// Kill-mid-write simulation: truncate the latest file to half.
@@ -404,8 +404,8 @@ func TestChaosTornCheckpointFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCheckpoint should fall back past the torn file: %v", err)
 	}
-	if recovered.Step != prev.Step {
-		t.Fatalf("recovered step %d, want the previous checkpoint's %d", recovered.Step, prev.Step)
+	if recovered[0].Step != prev.Step {
+		t.Fatalf("recovered step %d, want the previous checkpoint's %d", recovered[0].Step, prev.Step)
 	}
 
 	// resume_job reads past the torn file to the fallback and still lands
@@ -797,7 +797,9 @@ func TestHTTPRobustnessSurface(t *testing.T) {
 // the one faultinject boundary point. A plain job reports island 0 on
 // executor -1, and each island of an island job reports its steps on the
 // executor running it; either way every island passes steps 1…N once,
-// in order.
+// in order, and a plain job's progress ends at N of N. The exhaustive
+// job sweeps raw-stream, fewer points than one batch: its one boundary
+// is its last.
 func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
 	type call struct{ island, executor, step int }
 	var (
@@ -810,14 +812,26 @@ func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
 		calls = append(calls, call{island, executor, step})
 		mu.Unlock()
 	})
-	for name, spec := range map[string]Spec{"plain": smallNSGA2("ecg-ward", 7), "islands": islandSpec(7)} {
+	cases := map[string]struct {
+		spec  Spec
+		steps int
+	}{
+		"plain":      {smallNSGA2("ecg-ward", 7), 6},
+		"islands":    {islandSpec(7), islandSpec(7).NSGA2.Generations},
+		"exhaustive": {Spec{Scenario: "raw-stream", Algorithm: AlgoExhaustive, Workers: 2}, 1},
+	}
+	for name, tc := range cases {
+		spec := tc.spec
 		t.Run(name, func(t *testing.T) {
 			mu.Lock()
 			calls = nil
 			mu.Unlock()
 			m := newTestManager(t, Config{Workers: 1})
 			defer m.Close()
-			runToDone(t, m, spec)
+			info, _ := runToDone(t, m, spec)
+			if p := info.Progress; spec.Islands < 2 && (p == nil || p.Step != tc.steps || p.TotalSteps != tc.steps) {
+				t.Errorf("progress %+v, want step %d of %d", p, tc.steps, tc.steps)
+			}
 
 			mu.Lock()
 			defer mu.Unlock()
@@ -833,7 +847,7 @@ func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
 				}
 				steps[c.island] = append(steps[c.island], c.step)
 			}
-			want := make([]int, spec.NSGA2.Generations)
+			want := make([]int, tc.steps)
 			for s := range want {
 				want[s] = s + 1
 			}

@@ -10,9 +10,9 @@ import (
 	"wsndse/internal/service/faultinject"
 )
 
-// Every job's checkpoint is a dse.IslandSnapshot; a plain job's is the
-// one-island composite. Each island's snapshot lives in its own two-slot
-// rotation of checksummed files under Config.CheckpointDir:
+// Every job's checkpoint is a list of dse.Snapshots, one per island, all
+// at one step; a plain job's has one. Each island's snapshot lives in its
+// own two-slot rotation of checksummed files under Config.CheckpointDir:
 //
 //	plain job:  <id>.snapshot.json           <id>.snapshot.prev.json
 //	island i:   <id>.island<i>.snapshot.json <id>.island<i>.snapshot.prev.json
@@ -66,7 +66,7 @@ func writeSlot(latest, prev string, snap *dse.Snapshot) error {
 // through a wave of island writes costs one checkpoint of progress. The
 // error wraps os.ErrNotExist when no slot exists, and
 // dse.ErrCorruptSnapshot when slots exist but none verifies.
-func LoadCheckpoint(dir, id string, islands int) (*dse.IslandSnapshot, error) {
+func LoadCheckpoint(dir, id string, islands int) ([]*dse.Snapshot, error) {
 	if islands < 1 {
 		return nil, fmt.Errorf("service: load checkpoint for %d islands", islands)
 	}
@@ -94,9 +94,9 @@ func LoadCheckpoint(dir, id string, islands int) (*dse.IslandSnapshot, error) {
 			slots[i] = append(slots[i], snap)
 		}
 	}
-	var ckpt *dse.IslandSnapshot
+	var ckpt []*dse.Snapshot
 	for _, cand := range slots[0] {
-		if ckpt != nil && cand.Step <= ckpt.Step {
+		if ckpt != nil && cand.Step <= ckpt[0].Step {
 			continue
 		}
 		cut := []*dse.Snapshot{cand}
@@ -106,12 +106,7 @@ func LoadCheckpoint(dir, id string, islands int) (*dse.IslandSnapshot, error) {
 			}
 		}
 		if len(cut) == islands {
-			ckpt = &dse.IslandSnapshot{
-				Version:   dse.IslandSnapshotVersion,
-				Algorithm: cand.Algorithm,
-				Step:      cand.Step,
-				Islands:   cut,
-			}
+			ckpt = cut
 		}
 	}
 	switch {
@@ -138,22 +133,23 @@ func atStep(slots []*dse.Snapshot, step int) *dse.Snapshot {
 
 // checkpoint is the one checkpoint writer, fed alike by a plain search's
 // dse.Options.Checkpoint hook and the island coordinator's OnCheckpoint.
-// It makes ckpt the run's resume anchor, then writes every island's slot
-// when the manager has a checkpoint directory. The durable write is
+// It makes ckpt (one snapshot per island, all at one step) the run's
+// resume anchor, then writes every island's slot when the manager has a
+// checkpoint directory. The durable write is
 // best-effort: a full disk (or an injected write failure) costs
 // durability, not the run — the in-memory anchor still backs retries —
 // so a failure is logged and the run continues.
-func (m *Manager) checkpoint(r *run, ckpt *dse.IslandSnapshot) {
+func (m *Manager) checkpoint(r *run, ckpt []*dse.Snapshot) {
 	r.ckpt = ckpt
 	if m.cfg.CheckpointDir == "" {
 		return
 	}
 	id := r.job.info.ID
-	for i, snap := range ckpt.Islands {
-		latest, prev := slotPaths(m.cfg.CheckpointDir, id, len(ckpt.Islands), i)
+	for i, snap := range ckpt {
+		latest, prev := slotPaths(m.cfg.CheckpointDir, id, len(ckpt), i)
 		if err := writeSlot(latest, prev, snap); err != nil {
 			m.cfg.Logf("service: job %s: checkpoint write %s at step %d failed (run continues): %v",
-				id, filepath.Base(latest), ckpt.Step, err)
+				id, filepath.Base(latest), snap.Step, err)
 		}
 	}
 }
@@ -167,22 +163,22 @@ func (m *Manager) checkpoint(r *run, ckpt *dse.IslandSnapshot) {
 // resume while exploring a different trajectory prefix. The trajectory
 // from the returned point is deterministic, so the job's final front
 // matches an uninterrupted run bit for bit.
-func (m *Manager) resumePoint(r *run) (*dse.IslandSnapshot, error) {
+func (m *Manager) resumePoint(r *run) ([]*dse.Snapshot, error) {
 	spec := r.job.spec
 	if r.ckpt == nil && spec.ResumeJob != "" {
 		loaded, err := LoadCheckpoint(m.cfg.CheckpointDir, spec.ResumeJob, max(spec.Islands, 1))
 		if err != nil {
 			return nil, err
 		}
-		if loaded.Algorithm != spec.Algorithm {
+		if algo := loaded[0].Algorithm; algo != spec.Algorithm {
 			return nil, fmt.Errorf("service: job %s checkpoint is a %s run, spec wants %s",
-				spec.ResumeJob, loaded.Algorithm, spec.Algorithm)
+				spec.ResumeJob, algo, spec.Algorithm)
 		}
 		r.ckpt = loaded
 	}
 	if r.ckpt != nil {
 		r.job.mu.Lock()
-		r.job.info.ResumedFromStep = r.ckpt.Step
+		r.job.info.ResumedFromStep = r.ckpt[0].Step
 		r.job.mu.Unlock()
 	}
 	return r.ckpt, nil

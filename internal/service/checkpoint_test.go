@@ -37,10 +37,10 @@ func checkpointSpecs() map[string]Spec {
 }
 
 // cut is a synthetic checkpoint of n islands at step.
-func cut(n, step int) *dse.IslandSnapshot {
-	ckpt := &dse.IslandSnapshot{Version: dse.IslandSnapshotVersion, Algorithm: AlgoNSGA2, Step: step}
+func cut(n, step int) []*dse.Snapshot {
+	var ckpt []*dse.Snapshot
 	for range n {
-		ckpt.Islands = append(ckpt.Islands, &dse.Snapshot{Version: dse.SnapshotVersion, Algorithm: AlgoNSGA2, Step: step})
+		ckpt = append(ckpt, &dse.Snapshot{Version: dse.SnapshotVersion, Algorithm: AlgoNSGA2, Step: step})
 	}
 	return ckpt
 }
@@ -57,14 +57,21 @@ func TestRotationAndFallback(t *testing.T) {
 			m := newTestManager(t, Config{Workers: 1, CheckpointDir: dir})
 			defer m.Close()
 			r := &run{job: &job{info: JobInfo{ID: "j1"}}}
-			load := func() (*dse.IslandSnapshot, error) { return LoadCheckpoint(dir, "j1", islands) }
+			// step is the step of a loaded checkpoint, -1 for none.
+			step := func(ckpt []*dse.Snapshot) int {
+				if len(ckpt) == 0 {
+					return -1
+				}
+				return ckpt[0].Step
+			}
+			load := func() ([]*dse.Snapshot, error) { return LoadCheckpoint(dir, "j1", islands) }
 
 			if _, err := load(); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("empty dir: err = %v, want os.ErrNotExist", err)
 			}
 
 			m.checkpoint(r, cut(islands, 1))
-			if got, err := load(); err != nil || got.Step != 1 || len(got.Islands) != islands {
+			if got, err := load(); err != nil || step(got) != 1 || len(got) != islands {
 				t.Fatalf("after first write: %+v, %v", got, err)
 			}
 			for i := range islands {
@@ -76,10 +83,10 @@ func TestRotationAndFallback(t *testing.T) {
 
 			second := cut(islands, 2)
 			m.checkpoint(r, second)
-			if r.ckpt != second {
+			if len(r.ckpt) == 0 || r.ckpt[0] != second[0] {
 				t.Fatal("checkpoint did not move the in-memory anchor")
 			}
-			if got, err := load(); err != nil || got.Step != 2 {
+			if got, err := load(); err != nil || step(got) != 2 {
 				t.Fatalf("latest = %+v, %v, want step 2", got, err)
 			}
 			for i := range islands {
@@ -102,7 +109,7 @@ func TestRotationAndFallback(t *testing.T) {
 			if err := os.WriteFile(latest0, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := load(); err != nil || got.Step != 1 {
+			if got, err := load(); err != nil || step(got) != 1 {
 				t.Fatalf("fallback read: %+v, %v, want step 1", got, err)
 			}
 
@@ -135,12 +142,17 @@ func TestLoadCheckpointRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The latest boundary for this schedule is step 9.
-			if ckpt.Step != 9 {
-				t.Fatalf("restored step %d, want 9", ckpt.Step)
+			if len(ckpt) != islands {
+				t.Fatalf("checkpoint has %d islands, want %d", len(ckpt), islands)
 			}
-			if err := ckpt.Validate(spec.Algorithm, islands, space); err != nil {
-				t.Fatal(err)
+			// The latest boundary for this schedule is step 9.
+			for i, snap := range ckpt {
+				if snap.Step != 9 {
+					t.Fatalf("island %d restored at step %d, want 9", i, snap.Step)
+				}
+				if err := spec.search().ValidateResume(snap, space, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			resume := spec
@@ -179,10 +191,10 @@ func TestLoadCheckpointSkewedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ckpt.Step != 6 {
-		t.Fatalf("skewed recovery landed on step %d, want 6", ckpt.Step)
+	if len(ckpt) != spec.Islands {
+		t.Fatalf("skewed recovery has %d islands, want %d", len(ckpt), spec.Islands)
 	}
-	for i, snap := range ckpt.Islands {
+	for i, snap := range ckpt {
 		if snap.Step != 6 {
 			t.Fatalf("island %d restored at step %d, want 6", i, snap.Step)
 		}
@@ -213,9 +225,9 @@ func runToDone(t *testing.T, m *Manager, spec Spec) (JobInfo, FrontResponse) {
 // slots of a plain and a 2-island checkpoint: raw in every latest slot,
 // and inside a valid SHA-256 envelope (so the fuzzer reaches the snapshot
 // JSON) in every prev slot. The loader must return a checkpoint or an
-// error wrapping dse.ErrCorruptSnapshot, never panic, and a checkpoint it
-// returns must go through IslandSnapshot.Validate on the ecg-ward space
-// without panicking.
+// error wrapping dse.ErrCorruptSnapshot, never panic, and every island
+// snapshot of a checkpoint it returns must go through its algorithm's
+// Search.ValidateResume on the ecg-ward space without panicking.
 func FuzzLoadCheckpoint(f *testing.F) {
 	// Seeds: the latest slots of short real nsga2, mosa and island jobs,
 	// as written and as the bare snapshot JSON inside their envelopes.
@@ -280,10 +292,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 				}
 				continue
 			}
-			if len(ckpt.Islands) != islands {
-				t.Fatalf("%d islands: checkpoint has %d", islands, len(ckpt.Islands))
+			if len(ckpt) != islands {
+				t.Fatalf("%d islands: checkpoint has %d", islands, len(ckpt))
 			}
-			_ = ckpt.Validate(ckpt.Algorithm, islands, space)
+			for _, snap := range ckpt {
+				_ = dse.Search{Algorithm: snap.Algorithm}.ValidateResume(snap, space, 0)
+			}
 		}
 	})
 }

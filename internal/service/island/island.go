@@ -12,7 +12,7 @@
 // every island advances from its checkpoint to the next migration
 // boundary (dse.Options.StopAfter), the coordinator exchanges migrants
 // on the ring and injects them deterministically (dse.InjectMigrants),
-// hands the post-injection composite checkpoint to Config.OnCheckpoint,
+// hands the post-injection checkpoint to Config.OnCheckpoint,
 // and starts the next round. A crashed island attempt is retried from the
 // in-memory post-injection snapshot — bit-identical replay — so failover
 // changes wall-clock time, never results. The coordinator does no file
@@ -102,19 +102,22 @@ type Config struct {
 	// (counting against its executor's budget). 0 disables the watchdog.
 	StallTimeout time.Duration
 
-	// Resume restarts the whole coordinator from a composite snapshot
-	// previously delivered to OnCheckpoint (or read back from wherever the
-	// caller persisted it). The remaining rounds replay the uninterrupted
-	// run's exact trajectory.
-	Resume *dse.IslandSnapshot
+	// Resume restarts the whole coordinator from a checkpoint previously
+	// delivered to OnCheckpoint (or read back from wherever the caller
+	// persisted it): one snapshot per island, all at one step. The
+	// remaining rounds replay the uninterrupted run's exact trajectory.
+	Resume []*dse.Snapshot
 
 	// OnEvent observes coordinator events; OnCheckpoint receives the
-	// composite post-injection snapshot at every migration boundary —
-	// the retry anchor a supervisor should keep, and the only way a
-	// checkpoint leaves the coordinator, which never touches files. Both
+	// post-injection checkpoint at every migration boundary, one snapshot
+	// per island in island order — the retry anchor a supervisor should
+	// keep, and the only way a checkpoint leaves the coordinator, which
+	// never touches files. Because migrants are injected before the
+	// checkpoint, restoring it replays the next round without the
+	// in-flight migrants: it is always a clean cut of the whole run. Both
 	// may be nil.
 	OnEvent      func(Event)
-	OnCheckpoint func(*dse.IslandSnapshot)
+	OnCheckpoint func([]*dse.Snapshot)
 
 	// Runner executes island rounds: the in-process GoRunner by default,
 	// or a ProcRunner supervising child worker processes.
@@ -195,11 +198,32 @@ func New(cfg Config, job Job, space *dse.Space, eval dse.Evaluator) (*Coordinato
 		c.status[i] = Status{Island: i, Executor: -1}
 	}
 	if cfg.Resume != nil {
-		if err := cfg.Resume.Validate(job.Algorithm, cfg.Islands, space); err != nil {
+		if err := c.checkResume(cfg.Resume); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// checkResume vets a resume checkpoint: one snapshot per island, none
+// nil, all at one step, each passing the job's Search.ValidateResume
+// with the evaluator's objective count.
+func (c *Coordinator) checkResume(snaps []*dse.Snapshot) error {
+	if len(snaps) != c.cfg.Islands {
+		return fmt.Errorf("island: checkpoint has %d islands, configuration wants %d", len(snaps), c.cfg.Islands)
+	}
+	for i, snap := range snaps {
+		if snap == nil {
+			return fmt.Errorf("island: checkpoint of island %d is nil", i)
+		}
+		if snap.Step != snaps[0].Step {
+			return fmt.Errorf("island: island %d checkpointed at step %d, island 0 at %d", i, snap.Step, snaps[0].Step)
+		}
+		if err := c.job.ValidateResume(snap, c.space, c.eval.NumObjectives()); err != nil {
+			return fmt.Errorf("island: island %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Status returns a copy of the per-island supervision state.
@@ -232,13 +256,14 @@ func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
 	snaps := make([]*dse.Snapshot, c.cfg.Islands)
 	start := 0
 	if r := c.cfg.Resume; r != nil {
-		copy(snaps, r.Islands)
-		for start < len(boundaries) && boundaries[start] <= r.Step {
+		copy(snaps, r)
+		step := r[0].Step
+		for start < len(boundaries) && boundaries[start] <= step {
 			start++
 		}
 		c.mu.Lock()
 		for i := range c.status {
-			c.status[i].Step = r.Step
+			c.status[i].Step = step
 		}
 		c.mu.Unlock()
 	}
@@ -256,13 +281,7 @@ func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
 			return nil, err
 		}
 		if c.cfg.OnCheckpoint != nil {
-			c.cfg.OnCheckpoint(&dse.IslandSnapshot{
-				Version:   dse.IslandSnapshotVersion,
-				Algorithm: c.job.Algorithm,
-				Round:     round,
-				Step:      b,
-				Islands:   append([]*dse.Snapshot(nil), snaps...),
-			})
+			c.cfg.OnCheckpoint(append([]*dse.Snapshot(nil), snaps...))
 		}
 	}
 

@@ -3,6 +3,7 @@ package island
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -138,7 +139,8 @@ func TestSingleIslandMatchesPlainRun(t *testing.T) {
 }
 
 // TestResumeFromComposite: restarting a coordinator from any mid-run
-// OnCheckpoint composite replays the identical remainder.
+// OnCheckpoint checkpoint (one snapshot per island) replays the identical
+// remainder.
 func TestResumeFromComposite(t *testing.T) {
 	for _, algo := range []string{"nsga2", "mosa"} {
 		t.Run(algo, func(t *testing.T) {
@@ -146,15 +148,15 @@ func TestResumeFromComposite(t *testing.T) {
 			golden := runCoordinator(t, job, cfg)
 
 			var mu sync.Mutex
-			var comps []*dse.IslandSnapshot
-			cfg.OnCheckpoint = func(s *dse.IslandSnapshot) {
+			var comps [][]*dse.Snapshot
+			cfg.OnCheckpoint = func(s []*dse.Snapshot) {
 				mu.Lock()
 				comps = append(comps, s)
 				mu.Unlock()
 			}
 			sameResult(t, golden, runCoordinator(t, job, cfg), "checkpointing run")
 			if len(comps) != 3 {
-				t.Fatalf("%d composites, want 3", len(comps))
+				t.Fatalf("%d checkpoints, want 3", len(comps))
 			}
 
 			cfg.OnCheckpoint = nil
@@ -190,6 +192,11 @@ func TestStatusAccounting(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfigs covers New's refusals: an algorithm that takes
+// no migrants, no islands, and a resume checkpoint that does not fit the
+// job — the wrong island count, a nil island, another algorithm, a
+// ranking short of the population, step skew, a negative step, or a
+// population of another size than the job's.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	space := testSpace(4)
 	eval := &testEval{space: space}
@@ -199,8 +206,70 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Islands: 0}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
 		t.Error("0 islands accepted")
 	}
-	bad := &dse.IslandSnapshot{Version: 99}
-	if _, err := New(Config{Islands: 2, Resume: bad}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
-		t.Error("bad resume snapshot accepted")
+
+	// A real checkpoint: two islands paused at generation 6 of 12.
+	job, cfg := testJob("nsga2")
+	cfg.Islands = 2
+	space = testSpace(12, 4, 3)
+	eval = &testEval{space: space}
+	var ckpt []*dse.Snapshot
+	cfg.OnCheckpoint = func(s []*dse.Snapshot) {
+		if ckpt == nil || s[0].Step == 6 {
+			ckpt = s
+		}
+	}
+	c, err := New(cfg, job, space, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt) != 2 || ckpt[0].Step != 6 {
+		t.Fatalf("checkpoint of %d islands, want 2 at step 6", len(ckpt))
+	}
+	cfg.OnCheckpoint = nil
+	resume := func(snaps []*dse.Snapshot, islands int) error {
+		cfg := cfg
+		cfg.Islands, cfg.Resume = islands, snaps
+		_, err := New(cfg, job, space, eval)
+		return err
+	}
+	if err := resume(ckpt, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := resume(ckpt, 3); err == nil {
+		t.Error("island count mismatch accepted")
+	}
+	if err := resume([]*dse.Snapshot{ckpt[0], nil}, 2); err == nil {
+		t.Error("nil island snapshot accepted")
+	}
+	other := ckpt[1].Clone()
+	other.Algorithm = "mosa"
+	if err := resume([]*dse.Snapshot{ckpt[0], other}, 2); err == nil {
+		t.Error("algorithm mismatch accepted")
+	}
+	other = ckpt[1].Clone()
+	other.Ranks = other.Ranks[:len(other.Ranks)-1]
+	if err := resume([]*dse.Snapshot{ckpt[0], other}, 2); err == nil || !strings.Contains(err.Error(), "ranking covers") {
+		t.Errorf("short ranking: err = %v, want a ranking error", err)
+	}
+	other = ckpt[1].Clone()
+	other.Step++
+	if err := resume([]*dse.Snapshot{ckpt[0], other}, 2); err == nil {
+		t.Error("step skew accepted")
+	}
+	neg := []*dse.Snapshot{ckpt[0].Clone(), ckpt[1].Clone()}
+	for _, s := range neg {
+		s.Step = -3
+	}
+	if err := resume(neg, 2); err == nil {
+		t.Error("negative step accepted")
+	}
+	other = ckpt[1].Clone()
+	other.Population = other.Population[:len(other.Population)-2]
+	other.Ranks, other.Crowd = other.Ranks[:len(other.Population)], other.Crowd[:len(other.Population)]
+	if err := resume([]*dse.Snapshot{ckpt[0], other}, 2); err == nil {
+		t.Error("short population accepted")
 	}
 }

@@ -144,10 +144,10 @@ type job struct {
 type run struct {
 	job *job
 	ctx context.Context // the job's ctx plus its deadline
-	// ckpt is the job's latest checkpoint, the resume anchor a retried
-	// attempt restarts from (see Manager.checkpoint and resumePoint). A
-	// plain job's checkpoint is the one-island composite.
-	ckpt *dse.IslandSnapshot
+	// ckpt is the job's latest checkpoint, one snapshot per island (a
+	// plain job's has one): the resume anchor a retried attempt restarts
+	// from (see Manager.checkpoint and resumePoint).
+	ckpt []*dse.Snapshot
 	// seeds is the warm-start resolution of the first attempt, which
 	// every retry reuses (see execute).
 	seeds    []dse.Config
@@ -801,7 +801,7 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 		CheckpointEvery: spec.CheckpointEvery,
 	}
 	if resume != nil {
-		opts.Resume = resume.Islands[0]
+		opts.Resume = resume[0]
 	}
 	// Warm-start resolution happens here — on the worker, not at Submit —
 	// so the seeds reflect the store's contents when the job actually
@@ -830,12 +830,7 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 	}
 	if spec.CheckpointEvery > 0 {
 		opts.Checkpoint = func(snap *dse.Snapshot) error {
-			m.checkpoint(r, &dse.IslandSnapshot{
-				Version:   dse.IslandSnapshotVersion,
-				Algorithm: snap.Algorithm,
-				Step:      snap.Step,
-				Islands:   []*dse.Snapshot{snap},
-			})
+			m.checkpoint(r, []*dse.Snapshot{snap})
 			return nil
 		}
 	}
@@ -847,8 +842,9 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 // partitioned across supervised islands with deterministic ring
 // migration, island events are published on the job's stream, per-island
 // supervision state lands in JobInfo.Islands, and every migration
-// boundary's composite checkpoint goes through Manager.checkpoint.
-func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume *dse.IslandSnapshot) (*dse.Result, error) {
+// boundary's checkpoint (one snapshot per island) goes through
+// Manager.checkpoint.
+func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume []*dse.Snapshot) (*dse.Result, error) {
 	j := r.job
 	spec := j.spec
 	ijob := island.Job{JobID: j.info.ID, Scenario: spec.Scenario, Search: spec.search()}
@@ -858,7 +854,7 @@ func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, 
 		Migrants:     spec.Migrants,
 		StallTimeout: m.cfg.IslandStallTimeout,
 		Resume:       resume,
-		OnCheckpoint: func(s *dse.IslandSnapshot) { m.checkpoint(r, s) },
+		OnCheckpoint: func(s []*dse.Snapshot) { m.checkpoint(r, s) },
 		Stats:        sampler.observeIsland,
 	}
 	if m.cfg.IslandExec != "" {

@@ -45,9 +45,10 @@
 //
 // Jobs that request checkpointing produce a checkpoint at search
 // boundaries (island jobs at every migration boundary). Plain and island
-// jobs share one checkpoint store: a checkpoint is a dse.IslandSnapshot
-// — a plain job's is the one-island composite — and one writer keeps it
-// in memory as the job's resume anchor and, with Config.CheckpointDir
+// jobs share one checkpoint store: a checkpoint is a list of
+// dse.Snapshots, one per island and all at one step (a plain job's has
+// one), and one writer keeps it in memory as the job's resume anchor
+// and, with Config.CheckpointDir
 // set, writes each island's snapshot to durable checkpoint files. Those
 // files are checksummed and double-buffered: a file torn by a crash
 // mid-write fails verification in LoadCheckpoint, the one loader, and
@@ -73,9 +74,9 @@
 // front stays bit-identical to an undisturbed run. Island jobs publish
 // "island" events instead of "progress", surface per-island supervision
 // state in JobInfo.Islands, and checkpoint per island — the coordinator
-// hands each composite checkpoint to the manager, which does all the file
-// I/O; when the island supervisor itself gives up, the manager's retry
-// edge resumes from that composite.
+// hands each checkpoint to the manager, which does all the file I/O;
+// when the island supervisor itself gives up, the manager's retry edge
+// resumes from that checkpoint.
 //
 // Spec.ResumeJob is the one way back into an interrupted run: it resumes
 // a prior job — plain or island — server-side from its durable

@@ -260,10 +260,11 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			// The durable checkpoint resume_job reads is the victim's
 			// last one: the latest multiple of checkpoint_every the run
 			// passed, short of its final boundary.
-			fromDisk, err := LoadCheckpoint(dir, victim.ID, 1)
+			ckpt, err := LoadCheckpoint(dir, victim.ID, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fromDisk := ckpt[0]
 			last := stopped.Progress.Step
 			if last == stopped.Progress.TotalSteps {
 				last--
