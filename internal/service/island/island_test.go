@@ -193,10 +193,8 @@ func TestStatusAccounting(t *testing.T) {
 }
 
 // TestNewRejectsBadConfigs covers New's refusals: an algorithm that takes
-// no migrants, no islands, and a resume checkpoint that does not fit the
-// job — the wrong island count, a nil island, another algorithm, a
-// ranking short of the population, step skew, a negative step, or a
-// population of another size than the job's.
+// no migrants, no islands, and a resume checkpoint of another format
+// version.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	space := testSpace(4)
 	eval := &testEval{space: space}
@@ -206,12 +204,23 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Islands: 0}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
 		t.Error("0 islands accepted")
 	}
+	bad := []*dse.Snapshot{{Version: 99, Algorithm: "nsga2"}, {Version: 99, Algorithm: "nsga2"}}
+	if _, err := New(Config{Islands: 2, Resume: bad}, Job{Search: dse.Search{Algorithm: "nsga2"}}, space, eval); err == nil {
+		t.Error("bad resume snapshot accepted")
+	}
+}
 
+// TestNewRejectsBadCheckpoint checks that New refuses a resume checkpoint
+// that does not fit the job — the wrong island count, a nil island,
+// another algorithm, a ranking short of the population, step skew, a
+// negative step, or a population of another size than the job's — and
+// takes the real one it was cut from.
+func TestNewRejectsBadCheckpoint(t *testing.T) {
 	// A real checkpoint: two islands paused at generation 6 of 12.
 	job, cfg := testJob("nsga2")
 	cfg.Islands = 2
-	space = testSpace(12, 4, 3)
-	eval = &testEval{space: space}
+	space := testSpace(12, 4, 3)
+	eval := &testEval{space: space}
 	var ckpt []*dse.Snapshot
 	cfg.OnCheckpoint = func(s []*dse.Snapshot) {
 		if ckpt == nil || s[0].Step == 6 {
