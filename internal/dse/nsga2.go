@@ -3,7 +3,7 @@ package dse
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NSGA2Config parameterizes the genetic algorithm. Zero values select the
@@ -17,11 +17,13 @@ type NSGA2Config struct {
 	CrossoverProb  float64 `json:"crossover_prob,omitempty"`  // default 0.9
 	MutationProb   float64 `json:"mutation_prob,omitempty"`   // per gene; default 1/len(genes)
 	Seed           int64   `json:"seed,omitempty"`
-	// Workers bounds the evaluation pool each generation's offspring
-	// batch fans out over; <= 0 selects GOMAXPROCS. Results are
-	// bit-identical at any worker count: variation is driven by a single
-	// seeded RNG stream independent of evaluation scheduling, and points
-	// enter the archive in offspring order.
+	// Workers bounds the run's evaluation pool: the search goroutine plus
+	// Workers − 1 goroutines that evaluate each generation's offspring as
+	// variation writes them and merge them into the archive while the
+	// search goroutine ranks and selects; <= 0 selects GOMAXPROCS, and 1
+	// starts no goroutine. Results are bit-identical at any worker count:
+	// variation is driven by a single seeded RNG stream independent of
+	// evaluation scheduling, and results land by offspring index.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -70,13 +72,15 @@ func (c NSGA2Config) withDefaults(genes int) NSGA2Config {
 //
 // Each generation's offspring population is produced sequentially from the
 // seeded RNG (tournament selection only reads the parent generation, so no
-// offspring depends on a sibling's evaluation) and then evaluated in one
-// batch across cfg.Workers. The generation loop runs on pre-sized, pooled
-// buffers — gene scratch, the parent∪offspring union, the fast
+// offspring depends on a sibling's evaluation). With cfg.Workers > 1 the
+// run's evaluation pool evaluates each child as soon as variation has
+// written it, and merges the offspring into the archive while the search
+// goroutine ranks and selects. The generation loop runs on pre-sized,
+// pooled buffers — gene scratch, the parent∪offspring union, the fast
 // non-dominated sort's workspace — so steady-state generations are
 // allocation-free: after the memo cache saturates, a generation performs
-// zero heap allocations (TestNSGA2GenerationSteadyStateZeroAllocs pins
-// this).
+// zero heap allocations at any worker count
+// (TestNSGA2GenerationSteadyStateZeroAllocs pins this).
 func NSGA2(space *Space, eval Evaluator, cfg NSGA2Config) (*Result, error) {
 	return NSGA2Opts(space, eval, cfg, Options{})
 }
@@ -95,88 +99,98 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
+	defer rs.stop()
 	rng, src := newSearchRand(cfg.Seed)
 	var arch Archive
-	r := newNSGA2Run(space, rs.pe, cfg)
+	r := newNSGA2Run(space, rs, cfg, &arch)
 	if opts.Resume != nil {
-		r.restore(opts.Resume, src, rs, &arch)
+		r.restore(opts.Resume, src)
 	} else {
 		// Seeds fill at most half the initial population: transferred
 		// fronts are often as large as the population itself, and letting
 		// them displace every random individual kills the exploration that
 		// finds regions the donor never reached.
-		r.seed(rng, &arch, opts.validSeeds(space, (cfg.PopulationSize+1)/2))
+		r.seed(rng, opts.validSeeds(space, (cfg.PopulationSize+1)/2))
 	}
-	return rs.loop(func(int) { r.generation(rng, &arch) }, arch.Points,
-		func(snap *Snapshot) { r.fill(snap, src, &arch) })
+	return rs.loop(func(int) { r.generation(rng) }, arch.Points,
+		func(snap *Snapshot) { r.fill(snap, src) })
 }
 
 // fill adds the run's state at a generation boundary to snap: the
 // survivors with their carried union ranking, the archive, and the RNG
 // state. Everything is deep-copied — the run keeps recycling its buffers
 // after the call.
-func (r *nsga2Run) fill(snap *Snapshot, src *splitMix64, arch *Archive) {
+func (r *nsga2Run) fill(snap *Snapshot, src *splitMix64) {
 	n := r.cfg.PopulationSize
 	snap.RNG = src.state
 	snap.Population = snapPoints(r.pop)
 	snap.Ranks = append([]int(nil), r.ranks[:n]...)
 	snap.Crowd = append(InfFloats(nil), r.crowd[:n]...)
-	snap.Archive = snapPoints(arch.Points())
+	snap.Archive = snapPoints(r.arch.Points())
 }
 
 // restore rebuilds the run from a validated snapshot: population,
 // carried ranking, archive and RNG state come back bit-exactly, and the
 // snapshot's points prime the memo cache so re-visited configurations are
 // cache hits rather than re-evaluations.
-func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, rs *runState, arch *Archive) {
+func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64) {
 	r.pop = append(r.pop[:0], restorePoints(snap.Population)...)
 	copy(r.ranks, snap.Ranks)
 	copy(r.crowd, snap.Crowd)
 	for _, p := range r.pop {
-		rs.pe.prime(p)
+		r.rs.pe.prime(p)
 	}
-	rs.restore(arch, snap.Archive)
+	r.orderPop()
+	r.rs.restore(r.arch, snap.Archive)
 	src.state = snap.RNG
 }
 
 // nsga2Run owns every buffer of the generation loop, pre-sized so the
 // steady state allocates nothing: gene buffers for the population and one
 // offspring batch, the parent∪offspring union, rank/crowding arrays for
-// both, the fast sort's workspace and the environmental-selection
-// permutation. Each population point carries a gene buffer of the run's
-// own (the batch runtime hands back the caller's slices), and after
-// selection the buffers of the discarded half of the union become the
-// next offspring's, so no gene is copied per generation.
+// the survivors and the fast sort's workspace. Each population point
+// carries a gene buffer of the run's own (the batch runtime hands back the
+// caller's slices), and after selection the buffers of the discarded half
+// of the union become the next offspring's, so no gene is copied per
+// generation.
 type nsga2Run struct {
 	space *Space
-	pe    *ParallelEvaluator
+	rs    *runState
 	cfg   NSGA2Config
+	arch  *Archive
+	merge func() // adds the offspring to arch; a pool job's tail
 
 	pop       []Point   // current population
 	ranks     []int     // pop's ranks, carried from the union ranking
 	crowd     []float64 // pop's crowding, carried from the union ranking
+	popOrder  []int     // pop's feasible indices in lexicographic order
 	children  []Config  // gene buffers of the next offspring
 	offspring []Point   // offspring evaluation results
+	offOrder  []int     // offspring's feasible union indices, lex-sorted
 	union     []Point   // pop ∪ offspring
-	selIdx    []int     // environmental-selection permutation
+	kept      []int     // union index → survivor position, −1 if discarded
 	ws        sortWorkspace
-	sel       selSorter
 }
 
-func newNSGA2Run(space *Space, pe *ParallelEvaluator, cfg NSGA2Config) *nsga2Run {
+func newNSGA2Run(space *Space, rs *runState, cfg NSGA2Config, arch *Archive) *nsga2Run {
 	n := cfg.PopulationSize
-	return &nsga2Run{
+	r := &nsga2Run{
 		space:     space,
-		pe:        pe,
+		rs:        rs,
 		cfg:       cfg,
+		arch:      arch,
 		pop:       make([]Point, 0, n),
 		ranks:     make([]int, n),
 		crowd:     make([]float64, n),
+		popOrder:  make([]int, 0, n),
 		children:  geneBuffers(n, len(space.Params)),
 		offspring: make([]Point, n),
+		offOrder:  make([]int, 0, n),
 		union:     make([]Point, 0, 2*n),
-		selIdx:    make([]int, 2*n),
+		kept:      make([]int, 2*n),
 	}
+	r.merge = func() { r.arch.AddBatch(r.offspring) }
+	return r
 }
 
 // seed builds and evaluates the initial population and ranks it for the
@@ -186,19 +200,27 @@ func newNSGA2Run(space *Space, pe *ParallelEvaluator, cfg NSGA2Config) *nsga2Run
 // tail — and with an empty seed list the whole run — matches the plain
 // entry point draw for draw. The population keeps the buffers it was
 // evaluated from, and the first offspring get buffers of their own.
-func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
+func (r *nsga2Run) seed(rng *rand.Rand, seeds []Config) {
 	for i, s := range seeds {
 		copy(r.children[i], s)
 	}
 	for i := len(seeds); i < len(r.children); i++ {
 		r.space.RandomInto(rng, r.children[i])
 	}
-	r.pop = r.pe.EvaluateBatchInto(r.children, r.pop)
+	r.pop = r.rs.evaluate(r.children, r.pop)
 	r.children = geneBuffers(len(r.children), len(r.space.Params))
-	arch.AddBatch(r.pop)
+	r.arch.AddBatch(r.pop)
 	ranks, crowd := r.ws.rankAndCrowd(r.pop)
 	copy(r.ranks, ranks)
 	copy(r.crowd, crowd)
+	r.orderPop()
+}
+
+// orderPop sorts the population's feasible indices into popOrder, for a
+// population that selection did not leave.
+func (r *nsga2Run) orderPop() {
+	r.ws.lexOrder(r.pop)
+	r.popOrder = append(r.popOrder[:0], r.ws.order...)
 }
 
 // generation advances the population by one NSGA-II step: binary
@@ -209,8 +231,18 @@ func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 // crowding into the next generation's tournaments, as in Deb's original
 // formulation. The discarded union members hand their gene buffers to
 // the next generation's offspring.
-func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
+//
+// The generation is one job on the run's pool: each child is published
+// as soon as variation has written it, and the offspring's archive merge
+// is the job's tail, which a pool goroutine runs while this one selects.
+// The job is closed — the merge done — before the generation returns, so
+// the boundary hooks read a whole archive, and the next variation may
+// overwrite the genes of the discarded offspring the merge copies.
+func (r *nsga2Run) generation(rng *rand.Rand) {
 	n := r.cfg.PopulationSize
+	pool := &r.rs.pool
+	r.rs.in, r.rs.out = r.children, r.offspring
+	pool.open(n, r.rs.evalItem, r.merge)
 	for i := 0; i < n; i++ {
 		a := tournament(rng, r.pop, r.ranks, r.crowd)
 		b := tournament(rng, r.pop, r.ranks, r.crowd)
@@ -221,51 +253,98 @@ func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 			copy(child, r.pop[a].Config)
 		}
 		r.space.MutateInPlace(rng, child, r.cfg.MutationProb)
+		pool.publish(i + 1)
 	}
-	r.offspring = r.pe.EvaluateBatchInto(r.children, r.offspring)
-	arch.AddBatch(r.offspring)
+	pool.finish()
+	r.selectSurvivors()
+	pool.close()
+}
 
-	// Elitist environmental selection over parents ∪ offspring, reusing
-	// the union's ranking for the survivors.
-	r.union = r.union[:0]
-	r.union = append(r.union, r.pop...)
-	r.union = append(r.union, r.offspring...)
-	uRanks, uCrowd := r.ws.rankAndCrowd(r.union)
-	idx := r.selIdx[:len(r.union)]
-	for i := range idx {
-		idx[i] = i
+// selectSurvivors is elitist environmental selection over parents ∪
+// offspring, reusing the union's ranking for the survivors. Fronts are
+// taken whole in rank order until the one that does not fit, the split
+// front, and each front taken is ordered by crowding descending, then
+// union index, so the survivors are the union's first PopulationSize
+// points in (rank, crowding desc, index) order — the order tournaments
+// index into. Only the fronts selection takes are crowded. The discarded
+// members' gene buffers become the next offspring's.
+func (r *nsga2Run) selectSurvivors() {
+	n := r.cfg.PopulationSize
+	r.union = append(append(r.union[:0], r.pop...), r.offspring...)
+	r.unionOrder()
+	uRanks, uCrowd := r.ws.rankLex(r.union, n)
+	byCrowd := func(a, b int) int {
+		if uCrowd[a] != uCrowd[b] {
+			if uCrowd[a] > uCrowd[b] {
+				return -1
+			}
+			return 1
+		}
+		return a - b
 	}
-	r.sel.ranks, r.sel.crowd, r.sel.idx = uRanks, uCrowd, idx
-	sort.Sort(&r.sel)
 	r.pop = r.pop[:n]
-	for i := 0; i < n; i++ {
-		r.pop[i] = r.union[idx[i]]
-		r.ranks[i] = uRanks[idx[i]]
-		r.crowd[i] = uCrowd[idx[i]]
-		r.children[i] = r.union[idx[n+i]].Config
+	kept, spare := 0, 0
+	for _, members := range r.ws.fronts[:r.ws.nf] {
+		if kept < n {
+			slices.SortFunc(members, byCrowd)
+			take := members[:min(len(members), n-kept)]
+			for _, i := range take {
+				r.pop[kept], r.ranks[kept], r.crowd[kept] = r.union[i], uRanks[i], uCrowd[i]
+				r.kept[i] = kept
+				kept++
+			}
+			members = members[len(take):]
+		}
+		for _, i := range members {
+			r.children[spare] = r.union[i].Config
+			r.kept[i] = -1
+			spare++
+		}
 	}
+	r.carryOrder()
 }
 
-// selSorter orders union indices best-first for environmental selection:
-// rank ascending, then crowding descending, then index — a total order, so
-// selection is deterministic even among exact (rank, crowding) ties.
-type selSorter struct {
-	ranks []int
-	crowd []float64
-	idx   []int
+// unionOrder puts the union's feasible indices into ws.order as lexOrder
+// would, sorting only the offspring: the population's order is carried
+// over from the last selection, and the two are merged, the population
+// first among equal vectors, since its indices are the lower ones.
+func (r *nsga2Run) unionOrder() {
+	n := len(r.pop)
+	off := r.offOrder[:0]
+	for i := range r.offspring {
+		if r.offspring[i].Feasible {
+			off = append(off, n+i)
+		}
+	}
+	sortLex(r.union, off)
+	r.offOrder = off
+	out, pop := r.ws.order[:0], r.popOrder
+	for len(pop) > 0 && len(off) > 0 {
+		if lexLessObjs(r.union[off[0]].Objs, r.union[pop[0]].Objs) {
+			out, off = append(out, off[0]), off[1:]
+		} else {
+			out, pop = append(out, pop[0]), pop[1:]
+		}
+	}
+	r.ws.order = append(append(out, pop...), off...)
 }
 
-func (s *selSorter) Len() int      { return len(s.idx) }
-func (s *selSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *selSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	if s.ranks[a] != s.ranks[b] {
-		return s.ranks[a] < s.ranks[b]
+// carryOrder sets popOrder to the survivors' lexicographic order, read
+// off the union's: survivors keep their relative order there, except that
+// a run of equal objective vectors goes back to ascending index.
+func (r *nsga2Run) carryOrder() {
+	order := r.popOrder[:0]
+	for _, u := range r.ws.order {
+		if p := r.kept[u]; p >= 0 {
+			order = append(order, p)
+		}
 	}
-	if s.crowd[a] != s.crowd[b] {
-		return s.crowd[a] > s.crowd[b]
+	for k := 1; k < len(order); k++ {
+		for j := k; j > 0 && order[j-1] > order[j] && equalObjs(r.pop[order[j-1]].Objs, r.pop[order[j]].Objs); j-- {
+			order[j-1], order[j] = order[j], order[j-1]
+		}
 	}
-	return a < b
+	r.popOrder = order
 }
 
 // tournament returns the index of the binary-tournament winner: lower rank

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -34,6 +35,7 @@ const (
 	slotPending              // reserved; its evaluation is in flight
 	slotFeasible             // published with its objectives
 	slotInfeasible           // published as a constraint violation
+	slotAbandoned            // its evaluation panicked; the next lookup retries it
 )
 
 // memoSlot is one open-addressing table entry: the configuration's hash,
@@ -230,10 +232,13 @@ type Forkable interface {
 	Fork() Evaluator
 }
 
-// ParallelEvaluator wraps an Evaluator with a bounded worker pool and a
-// sharded memo cache keyed on the configurations' uint64 hash. It
-// is the batch-evaluation runtime every search algorithm in this package
-// runs on: the sequential path is simply workers = 1.
+// ParallelEvaluator wraps an Evaluator with a sharded memo cache keyed on
+// the configurations' uint64 hash and per-worker evaluator instances for
+// at most workers concurrent evaluations. It is the batch-evaluation
+// runtime every search algorithm in this package runs on: a search fans
+// its evaluations out on the run's own pool (evalPool), EvaluateBatch on
+// goroutines it starts per call, and the sequential path is simply
+// workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
 // the configuration (every evaluator in this repository is). Under that
@@ -323,27 +328,42 @@ func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
 // every other one waits on the shard's condition variable until it is
 // published. That gives exactly-once evaluation per distinct configuration
 // regardless of scheduling, which is what keeps the Evaluated/Infeasible
-// counts identical at any worker count. The memo allocates nothing for a
-// hit, nor for a miss while its shard's table and arena chunk have room.
+// counts identical at any worker count. An evaluation that panics leaves
+// its slot abandoned, not pending: the waiters wake, and the first of them
+// takes the evaluation over. The memo allocates nothing for a hit, nor for
+// a miss while its shard's table and arena chunk have room.
 func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
 	h := c.Hash()
 	sh := pe.shard(h, c)
 	sh.mu.Lock()
 	i, known := sh.reserve(h, c)
-	if known {
-		for sh.slots[i].state == slotPending {
-			sh.ready.Wait()
-			i, _ = sh.find(h, c) // the table may have grown meanwhile
-		}
+	for known && sh.slots[i].state == slotPending {
+		sh.ready.Wait()
+		i, _ = sh.find(h, c) // the table may have grown meanwhile
+	}
+	if known && sh.slots[i].state != slotAbandoned {
 		p := sh.point(sh.slots[i], c)
 		sh.mu.Unlock()
 		pe.hits.Add(1)
 		return p
 	}
+	sh.slots[i].state = slotPending
 	objs := sh.objectives(sh.slots[i].entry)
 	sh.mu.Unlock()
+	return pe.miss(inner, sh, h, c, objs)
+}
 
+// miss evaluates the configuration c whose slot the caller reserved, and
+// publishes it, or abandons the slot if the evaluator panics.
+func (pe *ParallelEvaluator) miss(inner Evaluator, sh *memoShard, h uint64, c Config, objs Objectives) Point {
+	ok := false
+	defer func() {
+		if !ok {
+			sh.settle(h, c, slotAbandoned)
+		}
+	}()
 	err := pe.evaluate(inner, c, objs)
+	ok = true
 	pe.evaluated.Add(1)
 	if err != nil {
 		pe.infeasible.Add(1)
@@ -371,12 +391,19 @@ func (pe *ParallelEvaluator) prime(p Point) {
 // publish ends the memo protocol for c's pending slot: it records whether
 // the evaluation was feasible, wakes the waiters and returns the point.
 func (sh *memoShard) publish(h uint64, c Config, feasible bool) Point {
+	state := slotInfeasible
+	if feasible {
+		state = slotFeasible
+	}
+	return sh.settle(h, c, state)
+}
+
+// settle moves c's pending slot to state, wakes the waiters and returns
+// the slot's point.
+func (sh *memoShard) settle(h uint64, c Config, state slotState) Point {
 	sh.mu.Lock()
 	i, _ := sh.find(h, c)
-	sh.slots[i].state = slotInfeasible
-	if feasible {
-		sh.slots[i].state = slotFeasible
-	}
+	sh.slots[i].state = state
 	p := sh.point(sh.slots[i], c)
 	sh.mu.Unlock()
 	sh.ready.Broadcast()
@@ -403,8 +430,9 @@ func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config, objs Objectives
 // ForEach runs fn(i) for every i in [0,n) on at most workers goroutines
 // (workers <= 0 selects GOMAXPROCS; one worker runs inline). Workers claim
 // indices from an atomic counter, so scheduling affects only when each
-// index runs, never whether. It is the pool primitive beneath
-// EvaluateBatch, MOSA's chains, and the experiments job runner.
+// index runs, never whether. It is the fan-out beneath bare EvaluateBatch
+// calls and the experiments job runner; a search run fans out on its own
+// pool instead (see evalPool).
 func ForEach(n, workers int, fn func(i int)) {
 	ForEachWorker(n, workers, func(_, i int) { fn(i) })
 }
@@ -412,7 +440,10 @@ func ForEach(n, workers int, fn func(i int)) {
 // ForEachWorker is ForEach with worker identity: fn(w, i) runs index i on
 // worker w, where w ranges over [0, min(workers, n)) and each w executes on
 // exactly one goroutine. Worker-indexed scratch therefore needs no
-// synchronization.
+// synchronization. It starts its goroutines for the call and returns once
+// they have all exited. A panic in fn stops the other workers claiming
+// indices and, once every worker has stopped, is raised again on the
+// caller's goroutine as a *WorkerPanic.
 func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -427,11 +458,18 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		return
 	}
 	var next atomic.Int64
+	var failure atomic.Pointer[WorkerPanic]
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					failure.CompareAndSwap(nil, newWorkerPanic(v))
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -442,10 +480,275 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
+	if wp := failure.Load(); wp != nil {
+		panic(wp)
+	}
 }
 
-// EvaluateBatch evaluates every configuration, fanning the batch across the
-// worker pool, and returns the points in input order: out[i] is configs[i]'s
+// WorkerPanic is what a panic on a worker goroutine (ForEachWorker's, or a
+// search run's pool) becomes on the goroutine that started the work: the
+// recovered value and the stack of the goroutine that panicked, captured
+// where it panicked. It is raised only once every worker has stopped, so a
+// caller that recovers it can go on.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// newWorkerPanic wraps a recovered value with the current stack; a value
+// that is already a *WorkerPanic, from a fan-out nested in fn, is kept.
+func newWorkerPanic(v any) *WorkerPanic {
+	if wp, ok := v.(*WorkerPanic); ok {
+		return wp
+	}
+	return &WorkerPanic{Value: v, Stack: debug.Stack()}
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
+// evalPool is one search run's fan-out: the run's goroutine, as worker 0,
+// and workers − 1 helper goroutines that live from begin until the run
+// returns (stop). The pool runs one job at a time: n items, fn(w, i) for
+// each, and an optional tail that runs once every item is done. A job
+// opens an epoch and wakes the helpers with a non-blocking send each; a
+// helper joins the open epoch with a CAS on state, claims items one at a
+// time, and parks on its wake channel again when it finds nothing to do.
+// The run's goroutine runs every item no helper has claimed, and waits
+// only for items a joined helper already holds, so a helper that wakes
+// late costs some lost help, never a stall. Items may be published while
+// the job is open (publish), so a helper can evaluate a generation's first
+// offspring while variation still writes the rest, and a joined helper
+// takes the tail while the run's goroutine goes on (NSGA-II merges its
+// archive there while it ranks and selects). Results land by index, so
+// they never depend on which goroutine ran an item.
+//
+// Only two waits spin, and both yield with runtime.Gosched: a helper that
+// has claimed the item variation is about to publish, and a wait for the
+// one item or tail a joined goroutine is running. With one worker the pool
+// starts no goroutine and every job runs inline.
+//
+// A panic on a helper aborts the job and is raised again on the run's
+// goroutine as a *WorkerPanic once every joined helper has left it; a
+// panic on the run's goroutine unwinds through stop, which aborts the job
+// and waits for the helpers to exit.
+type evalPool struct {
+	wake []chan struct{} // one per helper, with room for one pending wake-up
+	quit chan struct{}
+	wg   sync.WaitGroup
+
+	// The job. The run's goroutine writes these only while the epoch is
+	// closed and no helper is joined.
+	n    int
+	fn   func(w, i int)
+	tail func()
+
+	state     atomic.Int64 // bit 0: epoch open; above it, 2 × joined helpers
+	_         [56]byte
+	published paddedCount // items [0, published) are ready
+	claimed   paddedCount // next item to claim
+	done      paddedCount // items finished
+	tailTaken atomic.Bool
+	aborted   atomic.Bool
+	failure   atomic.Pointer[WorkerPanic]
+}
+
+// paddedCount is a counter on a cache line of its own.
+type paddedCount struct {
+	atomic.Int64
+	_ [56]byte
+}
+
+// start starts workers − 1 helper goroutines.
+func (p *evalPool) start(workers int) {
+	if workers <= 1 {
+		return
+	}
+	p.quit = make(chan struct{})
+	p.wake = make([]chan struct{}, workers-1)
+	p.wg.Add(len(p.wake))
+	for k := range p.wake {
+		p.wake[k] = make(chan struct{}, 1)
+		go p.helper(k + 1)
+	}
+}
+
+// helper is worker w's loop: park until woken, join the open job if there
+// is one, leave it.
+func (p *evalPool) helper(w int) {
+	defer p.wg.Done()
+	for {
+		select {
+		case <-p.quit:
+			return
+		case <-p.wake[w-1]:
+		}
+		if p.join() {
+			p.work(w)
+			p.state.Add(-2)
+		}
+	}
+}
+
+// join joins the open epoch, if any.
+func (p *evalPool) join() bool {
+	for {
+		s := p.state.Load()
+		if s&1 == 0 {
+			return false
+		}
+		if p.state.CompareAndSwap(s, s+2) {
+			return true
+		}
+	}
+}
+
+// work is a joined helper's share of the job: claimed items, then the
+// tail if no one has taken it. A panic aborts the job.
+func (p *evalPool) work(w int) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.failure.CompareAndSwap(nil, newWorkerPanic(v))
+			p.aborted.Store(true)
+		}
+	}()
+	n := int64(p.n)
+	for {
+		i := p.claimed.Add(1) - 1
+		if i >= n {
+			break
+		}
+		for p.published.Load() <= i {
+			if p.aborted.Load() {
+				return
+			}
+			runtime.Gosched()
+		}
+		if p.aborted.Load() {
+			return
+		}
+		p.fn(w, int(i))
+		p.done.Add(1)
+	}
+	if p.tail == nil {
+		return
+	}
+	for p.done.Load() < n {
+		if p.aborted.Load() {
+			return
+		}
+		runtime.Gosched()
+	}
+	if p.tailTaken.CompareAndSwap(false, true) {
+		p.tail()
+	}
+}
+
+// open starts a job of n items, of which none is published yet, and
+// wakes the helpers.
+func (p *evalPool) open(n int, fn func(w, i int), tail func()) {
+	p.n, p.fn, p.tail = n, fn, tail
+	if p.wake == nil {
+		return
+	}
+	p.published.Store(0)
+	p.claimed.Store(0)
+	p.done.Store(0)
+	p.tailTaken.Store(false)
+	p.state.Add(1)
+	for _, ch := range p.wake {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// publish makes items [0, k) ready.
+func (p *evalPool) publish(k int) {
+	if p.wake != nil {
+		p.published.Store(int64(k))
+	}
+}
+
+// finish runs, as worker 0, every item no helper has claimed, and returns
+// once every item is done. All n items must be published.
+func (p *evalPool) finish() {
+	n := int64(p.n)
+	if p.wake == nil {
+		for i := 0; i < p.n; i++ {
+			p.fn(0, i)
+		}
+		return
+	}
+	for !p.aborted.Load() {
+		i := p.claimed.Add(1) - 1
+		if i >= n {
+			break
+		}
+		p.fn(0, int(i))
+		p.done.Add(1)
+	}
+	for p.done.Load() < n && !p.aborted.Load() {
+		runtime.Gosched()
+	}
+	if p.aborted.Load() {
+		p.close()
+	}
+}
+
+// close runs the tail unless a helper has taken it, closes the epoch and
+// waits for the joined helpers to leave, and raises a helper's panic.
+func (p *evalPool) close() {
+	if p.wake == nil {
+		if p.tail != nil {
+			p.tail()
+		}
+		return
+	}
+	if p.tail != nil && !p.aborted.Load() && p.tailTaken.CompareAndSwap(false, true) {
+		p.tail()
+	}
+	if p.state.Load()&1 != 0 {
+		p.state.Add(-1)
+	}
+	for p.state.Load() != 0 {
+		runtime.Gosched()
+	}
+	if wp := p.failure.Load(); wp != nil {
+		panic(wp)
+	}
+}
+
+// run runs a job of n items, all ready at once, with no tail.
+func (p *evalPool) run(n int, fn func(w, i int)) {
+	p.open(n, fn, nil)
+	p.publish(n)
+	p.finish()
+	p.close()
+}
+
+// stop aborts any open job, waits for the joined helpers to leave it, and
+// stops the helpers. The run defers it, so it runs on every way out,
+// panics included.
+func (p *evalPool) stop() {
+	if p.wake == nil {
+		return
+	}
+	p.aborted.Store(true)
+	if p.state.Load()&1 != 0 {
+		p.state.Add(-1)
+	}
+	for p.state.Load() != 0 {
+		runtime.Gosched()
+	}
+	close(p.quit)
+	p.wg.Wait()
+}
+
+// EvaluateBatch evaluates every configuration, fanning the batch across
+// ForEachWorker's goroutines, and returns the points in input order: out[i] is configs[i]'s
 // evaluation, and out[i].Config is configs[i] itself. Duplicate
 // configurations (within the batch or across batches) cost one evaluation
 // and yield equal Points, each carrying its own slice.

@@ -277,7 +277,7 @@ func (a *Archive) Len() int { return len(a.points) }
 // of the front even when objective vectors repeat.
 func CrowdingDistance(front []Point) []float64 {
 	dist := make([]float64, len(front))
-	crowdingInto(front, dist, make([]crowdKey, len(front)))
+	crowdingInto(front, dist, make([]crowdKey, len(front)), nil)
 	return dist
 }
 

@@ -166,23 +166,31 @@ func (o Options) validSeeds(space *Space, max int) []Config {
 }
 
 // runState is the bookkeeping every search shares, around the hot loop
-// that is each algorithm's own: the run options, the batch runtime, the
-// boundaries already passed (a resume's Step) and in the whole run, and
-// the counts a resumed run carries over.
+// that is each algorithm's own: the run options, the batch runtime and
+// the run's evaluation pool, the boundaries already passed (a resume's
+// Step) and in the whole run, and the counts a resumed run carries over.
 type runState struct {
 	algo        string
 	opts        Options
 	pe          *ParallelEvaluator
+	pool        evalPool
 	done, total int
 	// baseEval and baseInf are the resume snapshot's counts. Primed memo
 	// entries never touch the evaluator's counters, so a resumed run's
 	// totals are these plus its fresh evaluations.
 	baseEval, baseInf int
+	// in and out are the batch a pool job evaluates: evalItem writes
+	// in[i]'s point to out[i]. evalItem is bound once, so a job allocates
+	// nothing.
+	in       []Config
+	out      []Point
+	evalItem func(w, i int)
 }
 
-// begin validates the space, builds the batch runtime over workers and
-// checks opts.Resume against s (Search.ValidateResume). total is how many
-// boundaries the whole run passes.
+// begin validates the space, builds the batch runtime over workers, starts
+// the run's evaluation pool and checks opts.Resume against s
+// (Search.ValidateResume). total is how many boundaries the whole run
+// passes. On success the caller must defer stop.
 func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Options) (*runState, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -194,7 +202,24 @@ func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Opti
 		}
 		r.done, r.baseEval, r.baseInf = snap.Step, snap.Evaluated, snap.Infeasible
 	}
+	r.evalItem = func(w, i int) { r.out[i] = r.pe.evalFor(w, r.in[i]) }
+	r.pool.start(r.pe.Workers())
 	return r, nil
+}
+
+// stop stops the run's evaluation pool.
+func (r *runState) stop() { r.pool.stop() }
+
+// evaluate evaluates configs on the run's pool, as EvaluateBatchInto does
+// on per-call goroutines: out is grown only when its capacity is short,
+// and returned holding configs[i]'s point at i.
+func (r *runState) evaluate(configs []Config, out []Point) []Point {
+	if cap(out) < len(configs) {
+		out = make([]Point, len(configs))
+	}
+	r.in, r.out = configs, out[:len(configs)]
+	r.pool.run(len(configs), r.evalItem)
+	return r.out
 }
 
 // restore rebuilds a snapshot archive into arch and primes the memo with

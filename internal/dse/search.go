@@ -40,7 +40,7 @@ func detach(ps []Point) []Point {
 }
 
 // exhaustiveBatch is how many configurations exhaustive and random
-// search hand to the worker pool at a time: large enough to amortize
+// search hand to the run's evaluation pool at a time: large enough to amortize
 // dispatch, small enough that the archive merge interleaves with
 // evaluation. Both reuse one batch of gene buffers throughout, since the
 // archive copies the genes it keeps.
@@ -67,6 +67,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	if err != nil {
 		return nil, err
 	}
+	defer rs.stop()
 	var arch Archive
 	// cursor is the next configuration in Space.Iterate's order, next its
 	// index.
@@ -86,7 +87,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 			space.advance(cursor)
 		}
 		next += len(batch)
-		points = rs.pe.EvaluateBatchInto(batch, points)
+		points = rs.evaluate(batch, points)
 		arch.AddBatch(points)
 	}, arch.Points, func(snap *Snapshot) { snap.Next, snap.Archive = next, snapPoints(arch.Points()) })
 }
@@ -106,6 +107,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	if err != nil {
 		return nil, err
 	}
+	defer rs.stop()
 	rng, src := newSearchRand(seed)
 	var arch Archive
 	drawn := 0
@@ -121,7 +123,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 			space.RandomInto(rng, c)
 		}
 		drawn += len(configs)
-		points = rs.pe.EvaluateBatchInto(configs, points)
+		points = rs.evaluate(configs, points)
 		arch.AddBatch(points)
 	}, arch.Points, func(snap *Snapshot) {
 		snap.RNG, snap.Next, snap.Archive = src.state, drawn, snapPoints(arch.Points())

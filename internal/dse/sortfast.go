@@ -126,11 +126,13 @@ type sortWorkspace struct {
 	crowd  []float64
 	order  []int       // feasible population indices in lexicographic order
 	stairs []staircase // per-front staircases (M <= 3)
-	fronts [][]int     // per-front member indices (M >= 4), then crowding buckets
+	fronts [][]int     // per-front member indices (M >= 4), then each front's members
 	nf     int         // fronts in use
 	member []Point     // one front's points, gathered for crowding
+	pos    []int       // each point's position in its front
 	dist   []float64   // crowding scratch
 	keys   []crowdKey  // crowding scratch
+	first  []crowdKey  // one front's first-objective keys, read off order
 }
 
 // rankAndCrowd computes the non-domination rank (0 = best) and crowding
@@ -140,62 +142,117 @@ type sortWorkspace struct {
 // and dominated by every feasible point). The returned slices are
 // workspace-owned and valid until the next call.
 func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64) {
+	ws.lexOrder(pop)
+	return ws.rankLex(pop, len(pop))
+}
+
+// lexOrder puts pop's feasible indices into ws.order in lexicographic
+// objective order, ties broken by index.
+func (ws *sortWorkspace) lexOrder(pop []Point) {
+	ws.order = ws.order[:0]
+	for i := range pop {
+		if pop[i].Feasible {
+			ws.order = append(ws.order, i)
+		}
+	}
+	sortLex(pop, ws.order)
+}
+
+// rankLex is rankAndCrowd for a caller that has put pop's feasible
+// indices into ws.order as lexOrder does, and that reads the crowding of
+// the best keep points only: it crowds fronts in rank order until they
+// hold at least keep points and leaves the crowding of later fronts
+// unset. Either way, ws.fronts[:ws.nf] lists each front's members in
+// ascending population index order afterwards.
+func (ws *sortWorkspace) rankLex(pop []Point, keep int) (ranks []int, crowd []float64) {
 	if testNaiveRank {
-		return rankAndCrowdNaive(pop)
+		ranks, crowd = rankAndCrowdNaive(pop)
+		ws.bucket(ranks)
+		return ranks, crowd
 	}
 	n := len(pop)
 	ws.ranks = grow(ws.ranks, n)
 	ws.crowd = grow(ws.crowd, n)
 	if n == 0 {
+		ws.nf = 0
 		return ws.ranks, ws.crowd
 	}
-
-	ws.order = ws.order[:0]
-	infeasible := 0
-	for i := range pop {
-		if pop[i].Feasible {
-			ws.order = append(ws.order, i)
-		} else {
-			infeasible++
-		}
-	}
-	sortLex(pop, ws.order)
+	infeasible := n - len(ws.order)
 
 	maxRank := -1
 	if len(ws.order) > 0 {
 		maxRank = ws.ensBS(pop)
 	}
-	nFronts := maxRank + 1
 	if infeasible > 0 {
 		for i := range pop {
 			if !pop[i].Feasible {
-				ws.ranks[i] = nFronts
+				ws.ranks[i] = maxRank + 1
 			}
 		}
-		nFronts++
 	}
 
-	// Re-bucket each front's members in ascending population index order —
-	// the canonical order crowding is defined over.
-	ws.ensureFronts(nFronts)
-	for i := 0; i < n; i++ {
-		r := ws.ranks[i]
-		ws.fronts[r] = append(ws.fronts[r], i)
-	}
-	for f := 0; f < nFronts; f++ {
-		members := ws.fronts[f]
+	// Crowding is defined over each front's members in ascending
+	// population index order.
+	ws.bucket(ws.ranks)
+	ws.pos = grow(ws.pos, n)
+	covered := 0
+	for f, members := range ws.fronts[:ws.nf] {
+		if covered >= keep {
+			break
+		}
+		covered += len(members)
 		ws.member = ws.member[:0]
-		for _, i := range members {
+		for k, i := range members {
 			ws.member = append(ws.member, pop[i])
+			ws.pos[i] = k
 		}
 		ws.dist = grow(ws.dist, len(members))
 		ws.keys = grow(ws.keys, len(members))
-		crowdingInto(ws.member, ws.dist, ws.keys)
+		var first []crowdKey
+		if f <= maxRank { // a front of feasible points, all in ws.order
+			first = ws.firstKeys(pop, f)
+		}
+		crowdingInto(ws.member, ws.dist, ws.keys, first)
 		for k, i := range members {
 			ws.crowd[i] = ws.dist[k]
 		}
 	}
 	return ws.ranks, ws.crowd
+}
+
+// firstKeys returns the first-objective crowding keys of front f, whose
+// members' front positions are in ws.pos, in compareCrowdKeys order,
+// without sorting them: ws.order visits the front's members by ascending
+// first objective already, and only a run of equal first objectives, which
+// ws.order breaks by the later objectives, needs its positions put back
+// in ascending order. f must be a front of feasible points.
+func (ws *sortWorkspace) firstKeys(pop []Point, f int) []crowdKey {
+	keys := ws.first[:0]
+	for _, i := range ws.order {
+		if ws.ranks[i] == f {
+			keys = append(keys, crowdKey{pop[i].Objs[0], ws.pos[i]})
+		}
+	}
+	for k := 1; k < len(keys); k++ {
+		for j := k; j > 0 && keys[j-1].v == keys[j].v && keys[j-1].i > keys[j].i; j-- {
+			keys[j-1], keys[j] = keys[j], keys[j-1]
+		}
+	}
+	ws.first = keys
+	return keys
+}
+
+// bucket lists the members of each front in ws.fronts[:ws.nf], in
+// ascending population index order.
+func (ws *sortWorkspace) bucket(ranks []int) {
+	nf := 0
+	for _, r := range ranks {
+		nf = max(nf, r+1)
+	}
+	ws.ensureFronts(nf)
+	for i, r := range ranks {
+		ws.fronts[r] = append(ws.fronts[r], i)
+	}
 }
 
 // ensBS is the efficient non-dominated sort with binary search over
@@ -316,8 +373,9 @@ func compareCrowdKeys(a, b crowdKey) int {
 // distance over front, written into dist, with the per-objective orderings
 // fully determined (objective value, then front position) so equal inputs
 // always produce bit-equal outputs regardless of sort algorithm. keys is
-// scratch of len(front).
-func crowdingInto(front []Point, dist []float64, keys []crowdKey) {
+// scratch of len(front). first, when not nil, is the first objective's
+// keys already in that order.
+func crowdingInto(front []Point, dist []float64, keys, first []crowdKey) {
 	n := len(front)
 	for i := range dist[:n] {
 		dist[i] = 0
@@ -327,18 +385,22 @@ func crowdingInto(front []Point, dist []float64, keys []crowdKey) {
 	}
 	m := len(front[0].Objs)
 	for obj := 0; obj < m; obj++ {
-		for i := range keys {
-			keys[i] = crowdKey{front[i].Objs[obj], i}
+		order := first
+		if obj > 0 || first == nil {
+			for i := range keys {
+				keys[i] = crowdKey{front[i].Objs[obj], i}
+			}
+			slices.SortFunc(keys, compareCrowdKeys)
+			order = keys
 		}
-		slices.SortFunc(keys, compareCrowdKeys)
-		lo, hi := keys[0].v, keys[n-1].v
-		dist[keys[0].i] = math.Inf(1)
-		dist[keys[n-1].i] = math.Inf(1)
+		lo, hi := order[0].v, order[n-1].v
+		dist[order[0].i] = math.Inf(1)
+		dist[order[n-1].i] = math.Inf(1)
 		if hi == lo {
 			continue
 		}
 		for k := 1; k < n-1; k++ {
-			dist[keys[k].i] += (keys[k+1].v - keys[k-1].v) / (hi - lo)
+			dist[order[k].i] += (order[k+1].v - order[k-1].v) / (hi - lo)
 		}
 	}
 }

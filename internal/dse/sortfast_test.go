@@ -236,28 +236,35 @@ func sameArchive(a, b []Point) bool {
 
 // TestNSGA2GenerationSteadyStateZeroAllocs pins the pooled-buffer claim:
 // once the memo cache and archive have converged on a small space, a full
-// NSGA-II generation (tournaments, variation, batch evaluation, fast
-// non-dominated sort, environmental selection, archive maintenance)
-// performs zero heap allocations, with two objectives and with three.
+// NSGA-II generation (tournaments, variation, evaluation on the run's
+// pool, fast non-dominated sort, environmental selection, archive
+// maintenance) performs zero heap allocations, with two objectives and
+// with three, inline at one worker and with a pool goroutine at two.
 func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	s := testSpace(6, 3)
-	for _, eval := range []Evaluator{&convexEvaluator{space: s}, &simplexEvaluator{space: s}} {
-		cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: 1}
-		cfg = cfg.withDefaults(len(s.Params))
-		pe := NewParallelEvaluator(eval, 1)
-		var arch Archive
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		r := newNSGA2Run(s, pe, cfg)
-		r.seed(rng, &arch, nil)
-		for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
-			r.generation(rng, &arch)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			r.generation(rng, &arch)
-		})
-		if allocs != 0 {
-			t.Fatalf("%d objectives: steady-state generation allocates %.1f objects, want 0",
-				eval.NumObjectives(), allocs)
+	for _, workers := range []int{1, 2} {
+		for _, eval := range []Evaluator{&convexEvaluator{space: s}, &simplexEvaluator{space: s}} {
+			cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: workers}
+			cfg = cfg.withDefaults(len(s.Params))
+			rs, err := begin(Search{Algorithm: "nsga2", NSGA2: &cfg}, s, eval, workers, 1, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arch Archive
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			r := newNSGA2Run(s, rs, cfg, &arch)
+			r.seed(rng, nil)
+			for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
+				r.generation(rng)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				r.generation(rng)
+			})
+			rs.stop()
+			if allocs != 0 {
+				t.Fatalf("workers %d, %d objectives: steady-state generation allocates %.1f objects, want 0",
+					workers, eval.NumObjectives(), allocs)
+			}
 		}
 	}
 }

@@ -11,14 +11,21 @@
 //
 // # Batch-evaluation runtime
 //
-// Every search algorithm runs on ParallelEvaluator, a bounded worker pool
-// over a sharded memo cache that keeps each configuration's genes packed,
-// one byte per gene, beside its objectives in flat arenas. Candidate
-// configurations are produced sequentially from the algorithm's seeded
-// RNG and handed to EvaluateBatch, which fans them across the pool and
-// returns points in input order; each distinct configuration is evaluated
-// exactly once no matter how many workers race for it, so
-// Result.Evaluated keeps meaning distinct points. A returned point carries
+// Every search algorithm runs on ParallelEvaluator, a sharded memo cache
+// that keeps each configuration's genes packed, one byte per gene, beside
+// its objectives in flat arenas. Candidate configurations are produced
+// sequentially from the algorithm's seeded RNG and evaluated on the run's
+// evaluation pool: the search goroutine plus Workers − 1 goroutines that
+// live as long as the run and park between jobs, so waking them costs no
+// goroutine start. NSGA-II publishes each offspring as variation writes
+// it, and a pool goroutine merges the offspring into the archive while
+// the search goroutine ranks and selects. Results land in input order;
+// each distinct configuration is evaluated exactly once no matter how
+// many workers race for it, so Result.Evaluated keeps meaning distinct
+// points. A panic on a pool goroutine is raised again on the search
+// goroutine as a *WorkerPanic once every pool goroutine has stopped.
+// EvaluateBatch, for callers outside a run, fans out over goroutines of
+// its own per call (ForEachWorker). A returned point carries
 // the caller's own configuration slice, so each search owns its gene
 // buffers and recycles them, and an Archive copies the genes of every
 // point it keeps; a Result's front is copied out of the archive and the

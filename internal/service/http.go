@@ -387,12 +387,12 @@ func listScenarios() []ScenarioInfo {
 	return out
 }
 
+// writeJSON writes v as compact JSON on one line. Indenting a 1,033-point
+// ward front would triple its bytes and its encode time.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorEnvelope is the wire form of every v1 error response.

@@ -685,10 +685,15 @@ func (m *Manager) runJob(j *job) {
 // runAttempt executes one attempt under panic recovery: a panicking
 // evaluator (or progress/checkpoint hook on the search goroutine) becomes
 // a *PanicError carrying the stack, failing the attempt instead of the
-// process.
+// process. A panic on one of the search's pool goroutines arrives as a
+// *dse.WorkerPanic, whose value and stack the PanicError takes over.
 func (m *Manager) runAttempt(r *run, sampler *jobSampler) (res *dse.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			if wp, ok := p.(*dse.WorkerPanic); ok {
+				res, err = nil, &PanicError{Value: wp.Value, Stack: wp.Stack}
+				return
+			}
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()

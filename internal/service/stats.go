@@ -136,9 +136,10 @@ func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir stri
 		fields:      fields,
 		vals:        make([]int64, len(fields)),
 		start:       now,
-		// The rate-limit clock starts at job start, not at zero: the
-		// first boundary of every job would otherwise always sample,
-		// making sub-interval jobs pay double (first + final).
+		// The rate-limit clock starts at job start, not at zero, so a
+		// ring-only job shorter than the interval records its final
+		// boundary alone; a job with an obs file records its first
+		// boundary regardless (observe).
 		last:     now,
 		attempt:  1,
 		prevEval: make(map[int]int),
@@ -270,7 +271,11 @@ func (s *jobSampler) observe(island int, st dse.Stats) {
 
 	now := time.Now()
 	final := st.TotalSteps > 0 && st.Step >= st.TotalSteps
-	if !final && now.Sub(s.last) < s.minInterval {
+	// A job that writes an obs file records its first boundary too, so
+	// its stream holds the start of the search beside its end even when
+	// every boundary falls within one interval.
+	first := s.count == 0 && s.path != ""
+	if !final && !first && now.Sub(s.last) < s.minInterval {
 		return
 	}
 	s.last = now

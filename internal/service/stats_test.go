@@ -370,6 +370,45 @@ func TestSamplerBoundaryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSamplerFirstBoundary: a job that writes an obs file samples its
+// first boundary as well as its last, even when all twelve fall within
+// one sample interval, so its stream decodes as two samples. A ring-only
+// job keeps its final sample alone.
+func TestSamplerFirstBoundary(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		dir   string
+		steps []int64
+	}{{dir, []int64{1, 12}}, {"", []int64{12}}} {
+		s := newJobSampler(newMetrics(), "j1", "ecg-ward", false, tc.dir, time.Hour, t.Logf)
+		for step := 1; step <= 12; step++ {
+			s.observeSearch(dse.Stats{Step: step, TotalSteps: 12, Evaluated: 10 * step})
+		}
+		s.close()
+		s.drain()
+		fields, rows, total := s.window(0)
+		col := fieldIndex(t, fields, "step")
+		var steps []int64
+		for _, r := range rows {
+			steps = append(steps, r[col])
+		}
+		if fmt.Sprint(steps) != fmt.Sprint(tc.steps) || total != int64(len(tc.steps)) {
+			t.Errorf("obs dir %q: sampled steps %v (%d samples), want %v", tc.dir, steps, total, tc.steps)
+		}
+		if tc.dir == "" {
+			continue
+		}
+		samples := readObsFile(t, filepath.Join(dir, "j1.obs"))
+		steps = steps[:0]
+		for _, smp := range samples {
+			steps = append(steps, smp.Values[col])
+		}
+		if fmt.Sprint(steps) != fmt.Sprint(tc.steps) {
+			t.Errorf("obs file holds steps %v, want %v", steps, tc.steps)
+		}
+	}
+}
+
 // TestStatusGaugesSettle pins that the lifecycle gauges return to zero
 // once every job is terminal — the invariant that catches a missed
 // transition edge.

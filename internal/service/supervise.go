@@ -9,9 +9,11 @@ import (
 
 // PanicError is what the supervisor converts a panicking job attempt
 // into: the recovered value plus the goroutine stack captured at the
-// panic site. A panic in an evaluator (or any hook running on the search
-// goroutine) fails the attempt — and, with retries left, triggers a
-// checkpoint-backed retry — instead of killing the whole process.
+// panic site. A panic in an evaluator — on the search goroutine or on one
+// of the search's evaluation pool goroutines, which hand it to the search
+// goroutine once they have stopped — or in any hook running on the search
+// goroutine fails the attempt, and with retries left triggers a
+// checkpoint-backed retry, instead of killing the whole process.
 type PanicError struct {
 	Value any
 	Stack []byte
