@@ -317,7 +317,7 @@ func (pe *ParallelEvaluator) Eval(c Config) Point {
 
 // evalFor evaluates c on worker w's private evaluator instance. The caller
 // must guarantee at most one goroutine uses each w at a time (ForEachWorker
-// does).
+// and a run's pool do).
 func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
 	return pe.evalOn(pe.perWorker[w], c)
 }
@@ -457,21 +457,24 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var failure atomic.Pointer[WorkerPanic]
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	// One struct, so the goroutines' shared state is one allocation.
+	var fan struct {
+		next    atomic.Int64
+		failure atomic.Pointer[WorkerPanic]
+		wg      sync.WaitGroup
+	}
+	fan.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			defer wg.Done()
+			defer fan.wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
-					failure.CompareAndSwap(nil, newWorkerPanic(v))
-					next.Store(int64(n))
+					fan.failure.CompareAndSwap(nil, newWorkerPanic(v))
+					fan.next.Store(int64(n))
 				}
 			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(fan.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -479,8 +482,8 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 			}
 		}(w)
 	}
-	wg.Wait()
-	if wp := failure.Load(); wp != nil {
+	fan.wg.Wait()
+	if wp := fan.failure.Load(); wp != nil {
 		panic(wp)
 	}
 }
@@ -710,14 +713,20 @@ func (p *evalPool) close() {
 	if p.tail != nil && !p.aborted.Load() && p.tailTaken.CompareAndSwap(false, true) {
 		p.tail()
 	}
+	p.closeEpoch()
+	if wp := p.failure.Load(); wp != nil {
+		panic(wp)
+	}
+}
+
+// closeEpoch closes the open epoch, if any, and waits for the joined
+// helpers to leave it.
+func (p *evalPool) closeEpoch() {
 	if p.state.Load()&1 != 0 {
 		p.state.Add(-1)
 	}
 	for p.state.Load() != 0 {
 		runtime.Gosched()
-	}
-	if wp := p.failure.Load(); wp != nil {
-		panic(wp)
 	}
 }
 
@@ -737,41 +746,20 @@ func (p *evalPool) stop() {
 		return
 	}
 	p.aborted.Store(true)
-	if p.state.Load()&1 != 0 {
-		p.state.Add(-1)
-	}
-	for p.state.Load() != 0 {
-		runtime.Gosched()
-	}
+	p.closeEpoch()
 	close(p.quit)
 	p.wg.Wait()
 }
 
 // EvaluateBatch evaluates every configuration, fanning the batch across
-// ForEachWorker's goroutines, and returns the points in input order: out[i] is configs[i]'s
-// evaluation, and out[i].Config is configs[i] itself. Duplicate
-// configurations (within the batch or across batches) cost one evaluation
-// and yield equal Points, each carrying its own slice.
+// ForEachWorker's goroutines (one worker runs it inline), and returns the
+// points in input order: out[i] is configs[i]'s evaluation, and
+// out[i].Config is configs[i] itself. Duplicate configurations (within the
+// batch or across batches) cost one evaluation and yield equal Points,
+// each carrying its own slice. A search run evaluates on its own pool
+// instead (runState.evaluate).
 func (pe *ParallelEvaluator) EvaluateBatch(configs []Config) []Point {
-	return pe.EvaluateBatchInto(configs, nil)
-}
-
-// EvaluateBatchInto is EvaluateBatch writing into a caller-provided slice,
-// which is grown only when its capacity is short and returned re-sliced to
-// len(configs) — the allocation-free form the generation loops run on.
-// With one worker the batch runs inline on the caller's goroutine, so a
-// fully memoized batch performs zero heap allocations.
-func (pe *ParallelEvaluator) EvaluateBatchInto(configs []Config, out []Point) []Point {
-	if cap(out) < len(configs) {
-		out = make([]Point, len(configs))
-	}
-	out = out[:len(configs)]
-	if pe.workers <= 1 {
-		for i := range configs {
-			out[i] = pe.evalFor(0, configs[i])
-		}
-		return out
-	}
+	out := make([]Point, len(configs))
 	ForEachWorker(len(configs), pe.workers, func(w, i int) {
 		out[i] = pe.evalFor(w, configs[i])
 	})

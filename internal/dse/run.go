@@ -210,9 +210,9 @@ func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Opti
 // stop stops the run's evaluation pool.
 func (r *runState) stop() { r.pool.stop() }
 
-// evaluate evaluates configs on the run's pool, as EvaluateBatchInto does
-// on per-call goroutines: out is grown only when its capacity is short,
-// and returned holding configs[i]'s point at i.
+// evaluate is EvaluateBatch on the run's pool, writing into out: out is
+// grown only when its capacity is short, and returned holding configs[i]'s
+// point at i.
 func (r *runState) evaluate(configs []Config, out []Point) []Point {
 	if cap(out) < len(configs) {
 		out = make([]Point, len(configs))
