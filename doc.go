@@ -59,9 +59,10 @@
 //
 // The exploration stack runs on a concurrent batch-evaluation runtime
 // (dse.ParallelEvaluator): search algorithms produce candidate
-// configurations sequentially from their seeded RNGs and evaluate them on
-// one evaluation pool per run, goroutines that live as long as the run,
-// backed by a sharded memo cache.
+// configurations sequentially from their seeded RNGs and evaluate them
+// across a bounded set of worker goroutines (for NSGA-II, exhaustive and
+// random search one pool per run, whose goroutines live as long as the
+// run) backed by a sharded memo cache.
 // Fronts and evaluation counts are bit-identical at every worker count —
 // parallelism changes wall-clock, never results. The per-figure harnesses
 // in internal/experiments fan out the same way

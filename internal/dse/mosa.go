@@ -18,9 +18,8 @@ type MOSAConfig struct {
 	Cooling     float64 `json:"cooling,omitempty"`      // geometric factor per iteration; default 0.999
 	Restarts    int     `json:"restarts,omitempty"`     // independent chains; default 4
 	Seed        int64   `json:"seed,omitempty"`
-	// Workers bounds how many chains anneal concurrently, on the run's
-	// evaluation pool; <= 0 selects GOMAXPROCS, and 1 starts no
-	// goroutine. Each chain owns a seed derived deterministically from
+	// Workers bounds how many chains anneal concurrently; <= 0 selects
+	// GOMAXPROCS. Each chain owns a seed derived deterministically from
 	// (Seed, chain index) and a private guiding archive, so results are
 	// bit-identical at any worker count; the per-chain archives merge
 	// into the returned front in chain order.
@@ -96,8 +95,8 @@ const mosaSegment = 256
 // spirit of Nam & Park [27]: a random walk over single-gene neighbours
 // whose acceptance energy is the fraction of the chain's archive that
 // dominates the candidate, so the chain is always pulled toward (and
-// along) the front. The independent chains run concurrently on the run's
-// evaluation pool, share the memo cache (a configuration visited by two chains is
+// along) the front. The independent chains run concurrently on the worker
+// pool, share the memo cache (a configuration visited by two chains is
 // evaluated once), and their archives merge deterministically at the end.
 //
 // The paper reports that the model-driven DSE found fronts of equivalent
@@ -155,11 +154,16 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		return front.Points()
 	}
 	perChain := cfg.Iterations / cfg.Restarts
-	upTo := 0
-	advance := func(w, ch int) { chains[ch].run(space, rs.pe, w, upTo) }
+	// The chains fan out on ForEachWorker's goroutines, not on the run's
+	// pool: a segment is a few long items, so the search goroutine, as the
+	// pool's worker 0, would wait at every segment's end for the chain a
+	// late-woken pool goroutine started last. On a 2-vCPU machine that made
+	// a family-mosa service job ≈17% slower.
 	return rs.loop(func(seg int) {
-		upTo = min(seg*mosaSegment, perChain)
-		rs.pool.run(cfg.Restarts, advance)
+		upTo := min(seg*mosaSegment, perChain)
+		ForEachWorker(cfg.Restarts, rs.pe.Workers(), func(w, ch int) {
+			chains[ch].run(space, rs.pe, w, upTo)
+		})
 	}, merged, func(snap *Snapshot) { snap.Chains = snapChains(chains) })
 }
 

@@ -512,8 +512,9 @@ func (p *WorkerPanic) Error() string {
 }
 
 // evalPool is one search run's fan-out: the run's goroutine, as worker 0,
-// and workers − 1 helper goroutines that live from begin until the run
-// returns (stop). The pool runs one job at a time: n items, fn(w, i) for
+// and workers − 1 helper goroutines that start with the run's first job
+// and live until the run returns (stop). The pool runs one job at a time:
+// n items, fn(w, i) for
 // each, and an optional tail that runs once every item is done. A job
 // opens an epoch and wakes the helpers with a non-blocking send each; a
 // helper joins the open epoch with a CAS on state, claims items one at a
@@ -537,9 +538,10 @@ func (p *WorkerPanic) Error() string {
 // panic on the run's goroutine unwinds through stop, which aborts the job
 // and waits for the helpers to exit.
 type evalPool struct {
-	wake []chan struct{} // one per helper, with room for one pending wake-up
-	quit chan struct{}
-	wg   sync.WaitGroup
+	helpers int             // workers − 1
+	wake    []chan struct{} // one per started helper, with room for one pending wake-up
+	quit    chan struct{}
+	wg      sync.WaitGroup
 
 	// The job. The run's goroutine writes these only while the epoch is
 	// closed and no helper is joined.
@@ -563,13 +565,10 @@ type paddedCount struct {
 	_ [56]byte
 }
 
-// start starts workers − 1 helper goroutines.
-func (p *evalPool) start(workers int) {
-	if workers <= 1 {
-		return
-	}
+// start starts the helper goroutines.
+func (p *evalPool) start() {
 	p.quit = make(chan struct{})
-	p.wake = make([]chan struct{}, workers-1)
+	p.wake = make([]chan struct{}, p.helpers)
 	p.wg.Add(len(p.wake))
 	for k := range p.wake {
 		p.wake[k] = make(chan struct{}, 1)
@@ -649,11 +648,14 @@ func (p *evalPool) work(w int) {
 }
 
 // open starts a job of n items, of which none is published yet, and
-// wakes the helpers.
+// wakes the helpers, starting them at the run's first job.
 func (p *evalPool) open(n int, fn func(w, i int), tail func()) {
 	p.n, p.fn, p.tail = n, fn, tail
-	if p.wake == nil {
+	if p.helpers == 0 {
 		return
+	}
+	if p.wake == nil {
+		p.start()
 	}
 	p.published.Store(0)
 	p.claimed.Store(0)

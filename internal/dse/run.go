@@ -187,8 +187,8 @@ type runState struct {
 	evalItem func(w, i int)
 }
 
-// begin validates the space, builds the batch runtime over workers, starts
-// the run's evaluation pool and checks opts.Resume against s
+// begin validates the space, builds the batch runtime and the run's
+// evaluation pool over workers and checks opts.Resume against s
 // (Search.ValidateResume). total is how many boundaries the whole run
 // passes. On success the caller must defer stop.
 func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Options) (*runState, error) {
@@ -203,7 +203,7 @@ func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Opti
 		r.done, r.baseEval, r.baseInf = snap.Step, snap.Evaluated, snap.Infeasible
 	}
 	r.evalItem = func(w, i int) { r.out[i] = r.pe.evalFor(w, r.in[i]) }
-	r.pool.start(r.pe.Workers())
+	r.pool.helpers = r.pe.Workers() - 1
 	return r, nil
 }
 

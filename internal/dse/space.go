@@ -14,16 +14,18 @@
 // Every search algorithm runs on ParallelEvaluator, a sharded memo cache
 // that keeps each configuration's genes packed, one byte per gene, beside
 // its objectives in flat arenas. Candidate configurations are produced
-// sequentially from the algorithm's seeded RNG and evaluated on the run's
-// evaluation pool: the search goroutine plus Workers − 1 goroutines that
-// live as long as the run and park between jobs, so waking them costs no
-// goroutine start. NSGA-II publishes each offspring as variation writes
-// it, and a pool goroutine merges the offspring into the archive while
-// the search goroutine ranks and selects. Results land in input order;
+// sequentially from the algorithm's seeded RNG. NSGA-II, exhaustive and
+// random search evaluate them on the run's evaluation pool: the search
+// goroutine plus Workers − 1 goroutines that live as long as the run and
+// park between jobs, so waking them costs no goroutine start. NSGA-II
+// publishes each offspring as variation writes it, and a pool goroutine
+// merges the offspring into the archive while the search goroutine ranks
+// and selects. MOSA runs its chains on ForEachWorker's goroutines, one
+// fan-out per chain segment. Results land in input order;
 // each distinct configuration is evaluated exactly once no matter how
 // many workers race for it, so Result.Evaluated keeps meaning distinct
-// points. A panic on a pool goroutine is raised again on the search
-// goroutine as a *WorkerPanic once every pool goroutine has stopped.
+// points. A panic on a worker goroutine is raised again on the search
+// goroutine as a *WorkerPanic once every worker goroutine has stopped.
 // EvaluateBatch, for callers outside a run, fans out over goroutines of
 // its own per call (ForEachWorker). A returned point carries
 // the caller's own configuration slice, so each search owns its gene
