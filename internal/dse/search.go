@@ -40,8 +40,8 @@ func detach(ps []Point) []Point {
 }
 
 // exhaustiveBatch is how many configurations exhaustive and random
-// search hand to the run's evaluation pool at a time: large enough to amortize
-// dispatch, small enough that the archive merge interleaves with
+// search hand to the run's evaluation pool at a time: large enough to
+// amortize dispatch, small enough that the archive merge interleaves with
 // evaluation. Both reuse one batch of gene buffers throughout, since the
 // archive copies the genes it keeps.
 const exhaustiveBatch = 1024

@@ -132,7 +132,9 @@ type sortWorkspace struct {
 	pos    []int       // each point's position in its front
 	dist   []float64   // crowding scratch
 	keys   []crowdKey  // crowding scratch
-	first  []crowdKey  // one front's first-objective keys, read off order
+	first  []crowdKey  // the crowded fronts' first-objective keys, read off order
+	start  []int       // front f's keys start at first[start[f]]
+	next   []int       // firstKeys' fill cursors
 }
 
 // rankAndCrowd computes the non-domination rank (0 = best) and crowding
@@ -192,25 +194,25 @@ func (ws *sortWorkspace) rankLex(pop []Point, keep int) (ranks []int, crowd []fl
 	}
 
 	// Crowding is defined over each front's members in ascending
-	// population index order.
+	// population index order, and the fronts crowded are those selection
+	// reads: in rank order until they hold keep points.
 	ws.bucket(ws.ranks)
-	ws.pos = grow(ws.pos, n)
-	covered := 0
-	for f, members := range ws.fronts[:ws.nf] {
-		if covered >= keep {
-			break
-		}
-		covered += len(members)
+	crowded, covered := 0, 0
+	for crowded < ws.nf && covered < keep {
+		covered += len(ws.fronts[crowded])
+		crowded++
+	}
+	ws.firstKeys(pop, min(crowded, maxRank+1))
+	for f, members := range ws.fronts[:crowded] {
 		ws.member = ws.member[:0]
-		for k, i := range members {
+		for _, i := range members {
 			ws.member = append(ws.member, pop[i])
-			ws.pos[i] = k
 		}
 		ws.dist = grow(ws.dist, len(members))
 		ws.keys = grow(ws.keys, len(members))
 		var first []crowdKey
-		if f <= maxRank { // a front of feasible points, all in ws.order
-			first = ws.firstKeys(pop, f)
+		if f <= maxRank { // a front of feasible points
+			first = ws.first[ws.start[f]:ws.start[f+1]]
 		}
 		crowdingInto(ws.member, ws.dist, ws.keys, first)
 		for k, i := range members {
@@ -220,26 +222,42 @@ func (ws *sortWorkspace) rankLex(pop []Point, keep int) (ranks []int, crowd []fl
 	return ws.ranks, ws.crowd
 }
 
-// firstKeys returns the first-objective crowding keys of front f, whose
-// members' front positions are in ws.pos, in compareCrowdKeys order,
-// without sorting them: ws.order visits the front's members by ascending
-// first objective already, and only a run of equal first objectives, which
-// ws.order breaks by the later objectives, needs its positions put back
-// in ascending order. f must be a front of feasible points.
-func (ws *sortWorkspace) firstKeys(pop []Point, f int) []crowdKey {
-	keys := ws.first[:0]
+// firstKeys lays out the first-objective crowding keys of fronts [0, nf),
+// all fronts of feasible points, in compareCrowdKeys order: front f's are
+// ws.first[ws.start[f]:ws.start[f+1]]. No sort builds them. One pass over
+// ws.order visits every front's members by ascending first objective, and
+// only a run of equal first objectives, which ws.order breaks by the
+// later objectives, needs its front positions put back in ascending
+// order.
+func (ws *sortWorkspace) firstKeys(pop []Point, nf int) {
+	pos := grow(ws.pos, len(pop))
+	ws.pos = pos
+	ws.start = grow(ws.start, nf+1)
+	ws.next = grow(ws.next, nf)
+	n := 0
+	for f, members := range ws.fronts[:nf] {
+		ws.start[f], ws.next[f] = n, n
+		for k, i := range members {
+			pos[i] = k
+		}
+		n += len(members)
+	}
+	ws.start[nf] = n
+	ws.first = grow(ws.first, n)
 	for _, i := range ws.order {
-		if ws.ranks[i] == f {
-			keys = append(keys, crowdKey{pop[i].Objs[0], ws.pos[i]})
+		if f := ws.ranks[i]; f < nf {
+			ws.first[ws.next[f]] = crowdKey{pop[i].Objs[0], pos[i]}
+			ws.next[f]++
 		}
 	}
-	for k := 1; k < len(keys); k++ {
-		for j := k; j > 0 && keys[j-1].v == keys[j].v && keys[j-1].i > keys[j].i; j-- {
-			keys[j-1], keys[j] = keys[j], keys[j-1]
+	for f := 0; f < nf; f++ {
+		keys := ws.first[ws.start[f]:ws.start[f+1]]
+		for k := 1; k < len(keys); k++ {
+			for j := k; j > 0 && keys[j-1].v == keys[j].v && keys[j-1].i > keys[j].i; j-- {
+				keys[j-1], keys[j] = keys[j], keys[j-1]
+			}
 		}
 	}
-	ws.first = keys
-	return keys
 }
 
 // bucket lists the members of each front in ws.fronts[:ws.nf], in
