@@ -216,8 +216,8 @@ func (r *nsga2Run) seed(rng *rand.Rand, seeds []Config) {
 	r.orderPop()
 }
 
-// orderPop sorts the population's feasible indices into popOrder, for a
-// population that selection did not leave.
+// orderPop sorts the population's feasible indices into popOrder: for a
+// seeded or restored population, which no selection has ordered.
 func (r *nsga2Run) orderPop() {
 	r.ws.lexOrder(r.pop)
 	r.popOrder = append(r.popOrder[:0], r.ws.order...)
