@@ -121,7 +121,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	defer rs.stop()
+	defer rs.pool.stop()
 	chains := make([]*mosaChain, cfg.Restarts)
 	if opts.Resume != nil {
 		// Restore every chain and prime the memo cache with its points.

@@ -99,7 +99,7 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	defer rs.stop()
+	defer rs.pool.stop()
 	rng, src := newSearchRand(cfg.Seed)
 	var arch Archive
 	r := newNSGA2Run(space, rs, cfg, &arch)

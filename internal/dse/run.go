@@ -190,7 +190,7 @@ type runState struct {
 // begin validates the space, builds the batch runtime and the run's
 // evaluation pool over workers and checks opts.Resume against s
 // (Search.ValidateResume). total is how many boundaries the whole run
-// passes. On success the caller must defer stop.
+// passes. On success the caller must defer pool.stop.
 func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Options) (*runState, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -206,9 +206,6 @@ func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Opti
 	r.pool.helpers = r.pe.Workers() - 1
 	return r, nil
 }
-
-// stop stops the run's evaluation pool.
-func (r *runState) stop() { r.pool.stop() }
 
 // evaluate is EvaluateBatch on the run's pool, writing into out: out is
 // grown only when its capacity is short, and returned holding configs[i]'s

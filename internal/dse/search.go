@@ -67,7 +67,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	if err != nil {
 		return nil, err
 	}
-	defer rs.stop()
+	defer rs.pool.stop()
 	var arch Archive
 	// cursor is the next configuration in Space.Iterate's order, next its
 	// index.
@@ -107,7 +107,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	if err != nil {
 		return nil, err
 	}
-	defer rs.stop()
+	defer rs.pool.stop()
 	rng, src := newSearchRand(seed)
 	var arch Archive
 	drawn := 0

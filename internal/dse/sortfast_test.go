@@ -260,7 +260,7 @@ func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(100, func() {
 				r.generation(rng)
 			})
-			rs.stop()
+			rs.pool.stop()
 			if allocs != 0 {
 				t.Fatalf("workers %d, %d objectives: steady-state generation allocates %.1f objects, want 0",
 					workers, eval.NumObjectives(), allocs)
