@@ -235,10 +235,10 @@ type Forkable interface {
 // ParallelEvaluator wraps an Evaluator with a sharded memo cache keyed on
 // the configurations' uint64 hash and per-worker evaluator instances for
 // at most workers concurrent evaluations. It is the batch-evaluation
-// runtime every search algorithm in this package runs on: a search fans
-// its evaluations out on the run's own pool (evalPool), EvaluateBatch on
-// goroutines it starts per call, and the sequential path is simply
-// workers = 1.
+// runtime every search algorithm in this package runs on: NSGA-II,
+// exhaustive and random search fan their evaluations out on the run's own
+// pool (evalPool), MOSA and EvaluateBatch on goroutines ForEachWorker
+// starts per call, and the sequential path is simply workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
 // the configuration (every evaluator in this repository is). Under that
@@ -431,8 +431,8 @@ func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config, objs Objectives
 // (workers <= 0 selects GOMAXPROCS; one worker runs inline). Workers claim
 // indices from an atomic counter, so scheduling affects only when each
 // index runs, never whether. It is the fan-out beneath bare EvaluateBatch
-// calls and the experiments job runner; a search run fans out on its own
-// pool instead (see evalPool).
+// calls, MOSA's chains and the experiments job runner; NSGA-II, exhaustive
+// and random search fan out on their run's pool instead (see evalPool).
 func ForEach(n, workers int, fn func(i int)) {
 	ForEachWorker(n, workers, func(_, i int) { fn(i) })
 }
@@ -507,6 +507,8 @@ func newWorkerPanic(v any) *WorkerPanic {
 	return &WorkerPanic{Value: v, Stack: debug.Stack()}
 }
 
+// Error formats the value and the worker's stack, so a WorkerPanic that
+// goes unrecovered prints both.
 func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }
@@ -514,19 +516,19 @@ func (p *WorkerPanic) Error() string {
 // evalPool is one search run's fan-out: the run's goroutine, as worker 0,
 // and workers − 1 helper goroutines that start with the run's first job
 // and live until the run returns (stop). The pool runs one job at a time:
-// n items, fn(w, i) for
-// each, and an optional tail that runs once every item is done. A job
-// opens an epoch and wakes the helpers with a non-blocking send each; a
-// helper joins the open epoch with a CAS on state, claims items one at a
-// time, and parks on its wake channel again when it finds nothing to do.
-// The run's goroutine runs every item no helper has claimed, and waits
-// only for items a joined helper already holds, so a helper that wakes
-// late costs some lost help, never a stall. Items may be published while
-// the job is open (publish), so a helper can evaluate a generation's first
-// offspring while variation still writes the rest, and a joined helper
-// takes the tail while the run's goroutine goes on (NSGA-II merges its
-// archive there while it ranks and selects). Results land by index, so
-// they never depend on which goroutine ran an item.
+// n items, fn(w, i) for each, and an optional tail that runs once every
+// item is done. A job opens an epoch and wakes the helpers with a
+// non-blocking send each; a helper joins the open epoch with a CAS on
+// state, claims items one at a time, and parks on its wake channel again
+// when it finds nothing to do. The run's goroutine runs every item no
+// helper has claimed, and waits only for items a joined helper already
+// holds, so a helper that wakes late costs some lost help, never a stall.
+// Items may be published while the job is open (publish), so a helper can
+// evaluate a generation's first offspring while variation still writes
+// the rest, and a joined helper takes the tail while the run's goroutine
+// goes on (NSGA-II merges its archive there while it ranks and selects).
+// Results land by index, so they never depend on which goroutine ran an
+// item.
 //
 // Only two waits spin, and both yield with runtime.Gosched: a helper that
 // has claimed the item variation is about to publish, and a wait for the
