@@ -359,12 +359,9 @@ func benchExplore(b *testing.B, workers int) {
 	problem := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
-			PopulationSize: 32,
-			Generations:    8,
-			Seed:           11,
-			Workers:        workers,
-		})
+		res, err := dse.Search{Algorithm: "nsga2", Seed: 11, Workers: workers,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 32, Generations: 8},
+		}.Run(problem.Space(), problem.Evaluator(), dse.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -383,11 +380,9 @@ func BenchmarkNSGA2Generation(b *testing.B) {
 	problem := benchProblem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
-			PopulationSize: 32,
-			Generations:    1,
-			Seed:           int64(i + 1),
-		}); err != nil {
+		search := dse.Search{Algorithm: "nsga2", Seed: int64(i + 1),
+			NSGA2: &dse.NSGA2Config{PopulationSize: 32, Generations: 1}}
+		if _, err := search.Run(problem.Space(), problem.Evaluator(), dse.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

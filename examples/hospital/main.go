@@ -32,11 +32,9 @@ func main() {
 
 	// Multi-objective search with the analytical model: minimize
 	// (E_net, quality loss, delay_net) over the per-node design space.
-	res, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
-		PopulationSize: 64,
-		Generations:    40,
-		Seed:           2026,
-	})
+	search := dse.Search{Algorithm: "nsga2", Seed: 2026,
+		NSGA2: &dse.NSGA2Config{PopulationSize: 64, Generations: 40}}
+	res, err := search.Run(problem.Space(), problem.Evaluator(), dse.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestBaselineEvaluates(t *testing.T) {
 
 func TestLift(t *testing.T) {
 	p, full := wardEvaluator(t)
-	res, err := dse.RandomSearchOpts(p.Space(), Project(full, 0, 2), 300, 5, 1, dse.Options{})
+	res, err := dse.Search{Algorithm: "random", Seed: 5, Workers: 1, Budget: 300}.Run(p.Space(), Project(full, 0, 2), dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,12 +303,13 @@ func TestCompiledSearchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dse.NSGA2Config{PopulationSize: 16, Generations: 6, Seed: 3, Workers: 4}
-	want, err := dse.NSGA2(problem.Space(), problem.Evaluator(), cfg)
+	search := dse.Search{Algorithm: "nsga2", Seed: 3, Workers: 4,
+		NSGA2: &dse.NSGA2Config{PopulationSize: 16, Generations: 6}}
+	want, err := search.Run(problem.Space(), problem.Evaluator(), dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dse.NSGA2(problem.Space(), compiled.Evaluator(), cfg)
+	got, err := search.Run(problem.Space(), compiled.Evaluator(), dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

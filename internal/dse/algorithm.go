@@ -14,14 +14,23 @@ const (
 	DefaultMaxPoints = 200000 // largest space an exhaustive sweep enumerates
 )
 
-// Search names one run of an algorithm in the table below. Seed and
-// Workers override those inside NSGA2/MOSA, Run ignores the fields its
-// algorithm does not read, and zero values select the defaults. The JSON
-// names are those of the service's job spec and the island protocol.
+// Search names one run of an algorithm in the table below and carries
+// every setting of the run. Run ignores the fields its algorithm does
+// not read, and zero values select the defaults. The JSON names are
+// those of the service's job spec and the island protocol.
 type Search struct {
-	Algorithm string       `json:"algorithm"`
-	Seed      int64        `json:"seed,omitempty"`
-	Workers   int          `json:"workers,omitempty"`
+	Algorithm string `json:"algorithm"`
+	// Seed fixes the run's trajectory; every seed is a valid run.
+	Seed int64 `json:"seed,omitempty"`
+	// Workers bounds the run's evaluation pool: the search goroutine plus
+	// Workers − 1 goroutines (<= 0 selects GOMAXPROCS, 1 starts none).
+	// NSGA-II evaluates each child on it as variation writes it, and
+	// merges the offspring into the archive there while the search
+	// goroutine ranks and selects; MOSA anneals up to Workers chains at
+	// once. Fronts and counts are bit-identical at any worker count.
+	Workers int `json:"workers,omitempty"`
+	// NSGA2 and MOSA configure those algorithms; Validate refuses a Seed
+	// or Workers inside them.
 	NSGA2     *NSGA2Config `json:"nsga2,omitempty"`
 	MOSA      *MOSAConfig  `json:"mosa,omitempty"`
 	Budget    int          `json:"budget,omitempty"`
@@ -50,9 +59,7 @@ func init() {
 	algorithms = map[string]algorithm{
 		"nsga2": {
 			validate: func(s Search) error { return s.nsga2().Validate() },
-			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-				return NSGA2Opts(space, eval, s.nsga2(), opts)
-			},
+			run:      runNSGA2,
 			// The gene count only sets the mutation default.
 			steps: func(s Search, _ *Space) int { return s.nsga2().withDefaults(1).Generations },
 			resume: func(s Search, _ *Space, snap *Snapshot) error {
@@ -69,10 +76,8 @@ func init() {
 		},
 		"mosa": {
 			validate: func(s Search) error { return s.mosa().Validate() },
-			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-				return MOSAOpts(space, eval, s.mosa(), opts)
-			},
-			steps: func(s Search, _ *Space) int { return s.mosa().withDefaults().segments() },
+			run:      runMOSA,
+			steps:    func(s Search, _ *Space) int { return s.mosa().withDefaults().segments() },
 			resume: func(s Search, _ *Space, snap *Snapshot) error {
 				switch c := s.mosa().withDefaults(); {
 				case len(snap.Chains) != c.Restarts:
@@ -94,9 +99,7 @@ func init() {
 		},
 		"exhaustive": {
 			validate: func(Search) error { return nil },
-			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-				return ExhaustiveOpts(space, eval, cmp.Or(s.MaxPoints, DefaultMaxPoints), s.Workers, opts)
-			},
+			run:      runExhaustive,
 			steps: func(s Search, space *Space) int {
 				if size := space.Size(); size <= float64(cmp.Or(s.MaxPoints, DefaultMaxPoints)) {
 					return batches(int(size))
@@ -109,10 +112,8 @@ func init() {
 		},
 		"random": {
 			validate: func(Search) error { return nil },
-			run: func(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
-				return RandomSearchOpts(space, eval, cmp.Or(s.Budget, DefaultBudget), s.Seed, s.Workers, opts)
-			},
-			steps: func(s Search, _ *Space) int { return batches(cmp.Or(s.Budget, DefaultBudget)) },
+			run:      runRandom,
+			steps:    func(s Search, _ *Space) int { return batches(cmp.Or(s.Budget, DefaultBudget)) },
 			resume: func(s Search, space *Space, snap *Snapshot) error {
 				return onBatch(snap, s.Steps(space), float64(cmp.Or(s.Budget, DefaultBudget)), "draws")
 			},
@@ -137,8 +138,9 @@ func onBatch(snap *Snapshot, steps int, n float64, unit string) error {
 func Algorithms() []string { return slices.Sorted(maps.Keys(algorithms)) }
 
 // lookup returns the table entry for name. An unknown name gets an entry
-// that takes no injected points, has no steps, and fails validation,
-// resume checks and runs with an error listing every name in the table.
+// that takes no injected points, has no steps and no run (Run validates
+// first), and fails validation and resume checks with an error listing
+// every name in the table.
 func lookup(name string) algorithm {
 	if a, ok := algorithms[name]; ok {
 		return a
@@ -146,17 +148,31 @@ func lookup(name string) algorithm {
 	err := fmt.Errorf("dse: unknown algorithm %q (want %s)", name, strings.Join(Algorithms(), "|"))
 	return algorithm{
 		validate: func(Search) error { return err },
-		run:      func(Search, *Space, Evaluator, Options) (*Result, error) { return nil, err },
 		steps:    func(Search, *Space) int { return 0 },
 		resume:   func(Search, *Space, *Snapshot) error { return err },
 	}
 }
 
 // Validate rejects an unknown algorithm, an out-of-domain config for the
-// named algorithm, and a negative Budget or MaxPoints.
+// named algorithm, a seed or worker count inside NSGA2 or MOSA, and a
+// negative Budget or MaxPoints.
 func (s Search) Validate() error {
 	if err := lookup(s.Algorithm).validate(s); err != nil {
 		return err
+	}
+	// A run reads the Search's own seed and workers, so a nested one
+	// would be silently ignored.
+	n, m := s.nsga2(), s.mosa()
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"nsga2.seed", n.Seed}, {"nsga2.workers", int64(n.Workers)},
+		{"mosa.seed", m.Seed}, {"mosa.workers", int64(m.Workers)},
+	} {
+		if f.value != 0 {
+			return fmt.Errorf("dse: %s = %d is never read; set it on the search instead", f.name, f.value)
+		}
 	}
 	if s.Budget < 0 {
 		return fmt.Errorf("dse: negative random-search budget %d", s.Budget)
@@ -167,8 +183,11 @@ func (s Search) Validate() error {
 	return nil
 }
 
-// Run runs the named algorithm over space under opts.
+// Run validates s and runs the named algorithm over space under opts.
 func (s Search) Run(space *Space, eval Evaluator, opts Options) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	return lookup(s.Algorithm).run(s, space, eval, opts)
 }
 
@@ -197,13 +216,12 @@ func (s Search) Injectable() bool {
 	return lookup(s.Algorithm).inject != nil
 }
 
-// nsga2 and mosa return the config the search runs, with its Seed and
-// Workers.
+// nsga2 and mosa return the config the search runs; nil selects the
+// defaults.
 func (s Search) nsga2() (c NSGA2Config) {
 	if s.NSGA2 != nil {
 		c = *s.NSGA2
 	}
-	c.Seed, c.Workers = s.Seed, s.Workers
 	return c
 }
 
@@ -211,7 +229,6 @@ func (s Search) mosa() (c MOSAConfig) {
 	if s.MOSA != nil {
 		c = *s.MOSA
 	}
-	c.Seed, c.Workers = s.Seed, s.Workers
 	return c
 }
 

@@ -195,9 +195,8 @@ func BenchmarkNSGA2Generations256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := NSGA2(s, eval, NSGA2Config{
-			PopulationSize: 256, Generations: gens, Seed: int64(i + 1), Workers: 1,
-		})
+		res, err := Search{Algorithm: "nsga2", Seed: int64(i + 1), Workers: 1,
+			NSGA2: &NSGA2Config{PopulationSize: 256, Generations: gens}}.Run(s, eval, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,9 +218,8 @@ func BenchmarkNSGA2Generations3D256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := NSGA2(s, eval, NSGA2Config{
-			PopulationSize: 256, Generations: gens, Seed: int64(i + 1), Workers: 1,
-		})
+		res, err := Search{Algorithm: "nsga2", Seed: int64(i + 1), Workers: 1,
+			NSGA2: &NSGA2Config{PopulationSize: 256, Generations: gens}}.Run(s, eval, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,9 +242,8 @@ func BenchmarkNSGA2Generations256Naive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := NSGA2(s, eval, NSGA2Config{
-			PopulationSize: 256, Generations: gens, Seed: int64(i + 1), Workers: 1,
-		})
+		res, err := Search{Algorithm: "nsga2", Seed: int64(i + 1), Workers: 1,
+			NSGA2: &NSGA2Config{PopulationSize: 256, Generations: gens}}.Run(s, eval, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

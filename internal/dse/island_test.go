@@ -53,10 +53,12 @@ func TestStopAfterRoundsMatchUninterrupted(t *testing.T) {
 		targets []int
 	}{
 		{"nsga2", func(opts Options) (*Result, error) {
-			return NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9, Workers: 2}, opts)
+			return Search{Algorithm: "nsga2", Seed: 9, Workers: 2,
+				NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}.Run(s, eval, opts)
 		}, []int{3, 6, 9}},
 		{"mosa", func(opts Options) (*Result, error) {
-			return MOSAOpts(s, eval, MOSAConfig{Iterations: 8192, Restarts: 4, Seed: 5, Workers: 2}, opts)
+			return Search{Algorithm: "mosa", Seed: 5, Workers: 2,
+				MOSA: &MOSAConfig{Iterations: 8192, Restarts: 4}}.Run(s, eval, opts)
 		}, []int{2, 4, 6}},
 	}
 	for _, tc := range cases {
@@ -77,7 +79,8 @@ func TestStopAfterAtFinalBoundaryNeverFires(t *testing.T) {
 	s := testSpace(8, 3)
 	eval := &convexEvaluator{space: s}
 	for _, stop := range []int{5, 7} {
-		res, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 5, Seed: 1}, Options{StopAfter: stop})
+		res, err := Search{Algorithm: "nsga2", Seed: 1,
+			NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 5}}.Run(s, eval, Options{StopAfter: stop})
 		if err != nil {
 			t.Fatalf("StopAfter=%d: %v", stop, err)
 		}
@@ -140,14 +143,14 @@ func islandSnapshotPair(t *testing.T) (*Space, *Snapshot, *Snapshot) {
 	s := testSpace(12, 4, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
 	var nsga2Snap, mosaSnap *Snapshot
-	_, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9}, Options{
+	_, err := Search{Algorithm: "nsga2", Seed: 9, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}.Run(s, eval, Options{
 		StopAfter:  6,
 		Checkpoint: func(sn *Snapshot) error { nsga2Snap = sn; return nil },
 	})
 	if !errors.Is(err, ErrPaused) {
 		t.Fatal(err)
 	}
-	_, err = MOSAOpts(s, eval, MOSAConfig{Iterations: 8192, Restarts: 4, Seed: 5}, Options{
+	_, err = Search{Algorithm: "mosa", Seed: 5, MOSA: &MOSAConfig{Iterations: 8192, Restarts: 4}}.Run(s, eval, Options{
 		StopAfter:  4,
 		Checkpoint: func(sn *Snapshot) error { mosaSnap = sn; return nil },
 	})
@@ -218,13 +221,13 @@ func TestInjectMigrantsResumes(t *testing.T) {
 	if !reflect.DeepEqual(before, nsga2Snap) {
 		t.Fatal("InjectMigrants mutated its input snapshot")
 	}
-	res1, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9},
-		Options{Resume: roundTrip(t, inj1)})
+	res1, err := Search{Algorithm: "nsga2", Seed: 9,
+		NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}.Run(s, eval, Options{Resume: roundTrip(t, inj1)})
 	if err != nil {
 		t.Fatalf("resume after injection: %v", err)
 	}
-	res2, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9},
-		Options{Resume: roundTrip(t, inj1)})
+	res2, err := Search{Algorithm: "nsga2", Seed: 9,
+		NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}.Run(s, eval, Options{Resume: roundTrip(t, inj1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +237,8 @@ func TestInjectMigrantsResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 8192, Restarts: 4, Seed: 5},
-		Options{Resume: roundTrip(t, minj)})
+	mres, err := Search{Algorithm: "mosa", Seed: 5,
+		MOSA: &MOSAConfig{Iterations: 8192, Restarts: 4}}.Run(s, eval, Options{Resume: roundTrip(t, minj)})
 	if err != nil {
 		t.Fatalf("mosa resume after injection: %v", err)
 	}

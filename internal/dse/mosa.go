@@ -9,25 +9,22 @@ import (
 // MOSAConfig parameterizes multi-objective simulated annealing. Zero
 // values select the documented defaults; out-of-domain values (negative
 // budgets or temperatures, a budget smaller than the chain count) are
-// rejected by MOSA with a descriptive error rather than silently
-// degenerating into zero-length chains. Seed may be any value — every
-// seed defines a valid deterministic run.
+// rejected by Search.Validate with a descriptive error rather than
+// silently degenerating into zero-length chains.
 type MOSAConfig struct {
 	Iterations  int     `json:"iterations,omitempty"`   // total across all chains; default 5000
 	InitialTemp float64 `json:"initial_temp,omitempty"` // default 1.0
 	Cooling     float64 `json:"cooling,omitempty"`      // geometric factor per iteration; default 0.999
 	Restarts    int     `json:"restarts,omitempty"`     // independent chains; default 4
-	Seed        int64   `json:"seed,omitempty"`
-	// Workers bounds how many chains anneal concurrently; <= 0 selects
-	// GOMAXPROCS. Each chain owns a seed derived deterministically from
-	// (Seed, chain index) and a private guiding archive, so results are
-	// bit-identical at any worker count; the per-chain archives merge
-	// into the returned front in chain order.
+	// Deprecated: only MOSAOpts reads Seed; set Search.Seed.
+	Seed int64 `json:"seed,omitempty"`
+	// Deprecated: only MOSAOpts reads Workers; set Search.Workers.
 	Workers int `json:"workers,omitempty"`
 }
 
-// Validate rejects out-of-domain values; MOSA runs it first. Zero values
-// select defaults, explicit values must be in domain.
+// Validate rejects out-of-domain values; Search.Validate runs it for a
+// mosa search. Zero values select defaults, explicit values must be in
+// domain.
 func (c MOSAConfig) Validate() error {
 	if c.Iterations < 0 {
 		return fmt.Errorf("dse: MOSA iteration budget %d is negative (use 0 for the default)", c.Iterations)
@@ -91,33 +88,27 @@ func chainSeed(seed int64, ch int) int64 {
 // segments — so the constant trades hook latency against barrier overhead.
 const mosaSegment = 256
 
-// MOSA runs archive-based multi-objective simulated annealing in the
+// runMOSA runs archive-based multi-objective simulated annealing in the
 // spirit of Nam & Park [27]: a random walk over single-gene neighbours
 // whose acceptance energy is the fraction of the chain's archive that
 // dominates the candidate, so the chain is always pulled toward (and
-// along) the front. The independent chains run concurrently on the worker
-// pool, share the memo cache (a configuration visited by two chains is
-// evaluated once), and their archives merge deterministically at the end.
+// along) the front. The independent chains, each seeded from (s.Seed,
+// chain index), run concurrently on up to s.Workers goroutines, share the
+// memo cache (a configuration visited by two chains is evaluated once),
+// and their archives merge deterministically in chain order.
 //
 // The paper reports that the model-driven DSE found fronts of equivalent
 // quality with genetic algorithms and simulated annealing (§5.2); MOSA is
 // here so that claim can be checked.
-func MOSA(space *Space, eval Evaluator, cfg MOSAConfig) (*Result, error) {
-	return MOSAOpts(space, eval, cfg, Options{})
-}
-
-// MOSAOpts is MOSA under run Options. The chains advance in lock-stepped
-// segments of mosaSegment iterations; between segments — never inside a
-// chain's allocation-free iteration loop — the run emits progress, writes
-// due checkpoints and honors cancellation. On cancellation the partial
-// Result (the merge of every chain's archive so far) is returned together
-// with ctx.Err().
-func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	rs, err := begin(Search{Algorithm: "mosa", MOSA: &cfg}, space, eval, cfg.Workers, cfg.segments(), opts)
+//
+// The chains advance in lock-stepped segments of mosaSegment iterations;
+// between segments — never inside a chain's allocation-free iteration
+// loop — the run emits stats, writes due checkpoints and honors
+// cancellation. On cancellation the partial Result (the merge of every
+// chain's archive so far) is returned together with ctx.Err().
+func runMOSA(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+	cfg := s.mosa().withDefaults()
+	rs, err := begin(s, space, eval, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +117,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	if opts.Resume != nil {
 		// Restore every chain and prime the memo cache with its points.
 		for i, cs := range opts.Resume.Chains {
-			c := newMOSAChain(space, cfg, i)
+			c := newMOSAChain(space, cfg, chainSeed(s.Seed, i))
 			c.src.state, c.cur, c.curE = cs.RNG, cs.Cur.point(), cs.CurE
 			c.temp, c.iter, c.started = cs.Temp, cs.Iter, true
 			rs.pe.prime(c.cur)
@@ -136,7 +127,7 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	} else {
 		seeds := opts.validSeeds(space, cfg.Restarts)
 		for ch := range chains {
-			chains[ch] = newMOSAChain(space, cfg, ch)
+			chains[ch] = newMOSAChain(space, cfg, chainSeed(s.Seed, ch))
 			if ch < len(seeds) {
 				chains[ch].start = seeds[ch].Clone()
 			}
@@ -154,17 +145,26 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		return front.Points()
 	}
 	perChain := cfg.Iterations / cfg.Restarts
-	// The chains fan out on ForEachWorker's goroutines, not on the run's
+	// The chains fan out on forEachWorker's goroutines, not on the run's
 	// pool: a segment is a few long items, so the search goroutine, as the
 	// pool's worker 0, would wait at every segment's end for the chain a
 	// late-woken pool goroutine started last. On a 2-vCPU machine that made
 	// a family-mosa service job ≈17% slower.
 	return rs.loop(func(seg int) {
 		upTo := min(seg*mosaSegment, perChain)
-		ForEachWorker(cfg.Restarts, rs.pe.Workers(), func(w, ch int) {
+		forEachWorker(cfg.Restarts, rs.pe.Workers(), func(w, ch int) {
 			chains[ch].run(space, rs.pe, w, upTo)
 		})
 	}, merged, func(snap *Snapshot) { snap.Chains = snapChains(chains) })
+}
+
+// MOSAOpts runs a mosa Search whose Seed and Workers are cfg's.
+//
+// Deprecated: build a Search and call Search.Run.
+func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Result, error) {
+	s := Search{Algorithm: "mosa", Seed: cfg.Seed, Workers: cfg.Workers, MOSA: &cfg}
+	cfg.Seed, cfg.Workers = 0, 0
+	return s.Run(space, eval, opts)
 }
 
 // mosaChain is one independent annealing chain: a private RNG, the current
@@ -187,9 +187,9 @@ type mosaChain struct {
 	arch    Archive
 }
 
-func newMOSAChain(space *Space, cfg MOSAConfig, ch int) *mosaChain {
+func newMOSAChain(space *Space, cfg MOSAConfig, seed int64) *mosaChain {
 	c := &mosaChain{cfg: cfg, buf: make(Config, len(space.Params)), temp: cfg.InitialTemp}
-	c.rng, c.src = newSearchRand(chainSeed(cfg.Seed, ch))
+	c.rng, c.src = newSearchRand(seed)
 	return c
 }
 

@@ -8,27 +8,22 @@ import (
 
 // NSGA2Config parameterizes the genetic algorithm. Zero values select the
 // documented defaults; out-of-domain values (negative sizes, probabilities
-// outside [0,1]) are rejected by NSGA2 with a descriptive error rather
-// than silently degenerating the search. Seed may be any value — every
-// seed defines a valid deterministic run.
+// outside [0,1]) are rejected by Search.Validate with a descriptive error
+// rather than silently degenerating the search.
 type NSGA2Config struct {
 	PopulationSize int     `json:"population_size,omitempty"` // default 64; must be even and ≥ 4
 	Generations    int     `json:"generations,omitempty"`     // default 50
 	CrossoverProb  float64 `json:"crossover_prob,omitempty"`  // default 0.9
 	MutationProb   float64 `json:"mutation_prob,omitempty"`   // per gene; default 1/len(genes)
-	Seed           int64   `json:"seed,omitempty"`
-	// Workers bounds the run's evaluation pool: the search goroutine plus
-	// Workers − 1 goroutines that evaluate each generation's offspring as
-	// variation writes them and merge them into the archive while the
-	// search goroutine ranks and selects; <= 0 selects GOMAXPROCS, and 1
-	// starts no goroutine. Results are bit-identical at any worker count:
-	// variation is driven by a single seeded RNG stream independent of
-	// evaluation scheduling, and results land by offspring index.
+	// Deprecated: only NSGA2Opts reads Seed; set Search.Seed.
+	Seed int64 `json:"seed,omitempty"`
+	// Deprecated: only NSGA2Opts reads Workers; set Search.Workers.
 	Workers int `json:"workers,omitempty"`
 }
 
-// Validate rejects out-of-domain values; NSGA2 runs it first. Zero values
-// select defaults, and an explicit population size must be even and ≥ 4.
+// Validate rejects out-of-domain values; Search.Validate runs it for an
+// nsga2 search. Zero values select defaults, and an explicit population
+// size must be even and ≥ 4.
 func (c NSGA2Config) Validate() error {
 	if c.PopulationSize < 0 {
 		return fmt.Errorf("dse: NSGA-II population size %d is negative (use 0 for the default)", c.PopulationSize)
@@ -64,43 +59,35 @@ func (c NSGA2Config) withDefaults(genes int) NSGA2Config {
 	return c
 }
 
-// NSGA2 runs the elitist non-dominated-sorting genetic algorithm of Deb et
-// al. — the "genetic algorithms (which have already been used in the WSN
-// domain)" the paper drives with its model (§5.2). The returned front is
-// the non-dominated set over every point evaluated during the run (in
-// lexicographic objective order), not merely the final population.
+// runNSGA2 runs the elitist non-dominated-sorting genetic algorithm of
+// Deb et al. — the "genetic algorithms (which have already been used in
+// the WSN domain)" the paper drives with its model (§5.2). The returned
+// front is the non-dominated set over every point evaluated during the
+// run (in lexicographic objective order), not merely the final
+// population.
 //
 // Each generation's offspring population is produced sequentially from the
-// seeded RNG (tournament selection only reads the parent generation, so no
-// offspring depends on a sibling's evaluation). With cfg.Workers > 1 the
-// run's evaluation pool evaluates each child as soon as variation has
-// written it, and merges the offspring into the archive while the search
-// goroutine ranks and selects. The generation loop runs on pre-sized,
-// pooled buffers — gene scratch, the parent∪offspring union, the fast
-// non-dominated sort's workspace — so steady-state generations are
-// allocation-free: after the memo cache saturates, a generation performs
-// zero heap allocations at any worker count
-// (TestNSGA2GenerationSteadyStateZeroAllocs pins this).
-func NSGA2(space *Space, eval Evaluator, cfg NSGA2Config) (*Result, error) {
-	return NSGA2Opts(space, eval, cfg, Options{})
-}
-
-// NSGA2Opts is NSGA2 under run Options: cancellation, progress and
-// checkpointing hook in at generation boundaries only, so the
-// allocation-free generation loop is untouched (a run with zero Options is
-// bit-identical to NSGA2). On cancellation the partial Result — the front
-// over everything evaluated so far — is returned together with ctx.Err().
-func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults(len(space.Params))
-	rs, err := begin(Search{Algorithm: "nsga2", NSGA2: &cfg}, space, eval, cfg.Workers, cfg.Generations, opts)
+// RNG seeded with s.Seed (tournament selection only reads the parent
+// generation, so no offspring depends on a sibling's evaluation). With
+// s.Workers > 1 the run's evaluation pool evaluates each child as soon as
+// variation has written it, and merges the offspring into the archive
+// while the search goroutine ranks and selects. The generation loop runs
+// on pre-sized, pooled buffers — gene scratch, the parent∪offspring union,
+// the fast non-dominated sort's workspace — so steady-state generations
+// are allocation-free: after the memo cache saturates, a generation
+// performs zero heap allocations at any worker count
+// (TestNSGA2GenerationSteadyStateZeroAllocs pins this). Options hook in
+// at generation boundaries only; on cancellation the partial Result — the
+// front over everything evaluated so far — is returned together with
+// ctx.Err().
+func runNSGA2(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+	cfg := s.nsga2().withDefaults(len(space.Params))
+	rs, err := begin(s, space, eval, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.pool.stop()
-	rng, src := newSearchRand(cfg.Seed)
+	rng, src := newSearchRand(s.Seed)
 	var arch Archive
 	r := newNSGA2Run(space, rs, cfg, &arch)
 	if opts.Resume != nil {
@@ -114,6 +101,15 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 	}
 	return rs.loop(func(int) { r.generation(rng) }, arch.Points,
 		func(snap *Snapshot) { r.fill(snap, src) })
+}
+
+// NSGA2Opts runs an nsga2 Search whose Seed and Workers are cfg's.
+//
+// Deprecated: build a Search and call Search.Run.
+func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Result, error) {
+	s := Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers, NSGA2: &cfg}
+	cfg.Seed, cfg.Workers = 0, 0
+	return s.Run(space, eval, opts)
 }
 
 // fill adds the run's state at a generation boundary to snap: the

@@ -237,7 +237,7 @@ type Forkable interface {
 // at most workers concurrent evaluations. It is the batch-evaluation
 // runtime every search algorithm in this package runs on: NSGA-II,
 // exhaustive and random search fan their evaluations out on the run's own
-// pool (evalPool), MOSA and EvaluateBatch on goroutines ForEachWorker
+// pool (evalPool), MOSA and EvaluateBatch on goroutines forEachWorker
 // starts per call, and the sequential path is simply workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
@@ -260,7 +260,6 @@ type Forkable interface {
 // chunk alive, so a search result that outlives its run is copied out
 // (see detach).
 type ParallelEvaluator struct {
-	inner      Evaluator
 	perWorker  []Evaluator // perWorker[w] is used only by worker w
 	workers    int
 	nobj       int
@@ -277,7 +276,7 @@ func NewParallelEvaluator(inner Evaluator, workers int) *ParallelEvaluator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pe := &ParallelEvaluator{inner: inner, workers: workers, nobj: inner.NumObjectives()}
+	pe := &ParallelEvaluator{workers: workers, nobj: inner.NumObjectives()}
 	pe.perWorker = make([]Evaluator, workers)
 	for w := range pe.perWorker {
 		if f, ok := inner.(Forkable); ok {
@@ -307,32 +306,22 @@ func (pe *ParallelEvaluator) Workers() int { return pe.workers }
 // is itself usable wherever an objective count is needed.
 func (pe *ParallelEvaluator) NumObjectives() int { return pe.nobj }
 
-// Eval evaluates one configuration through the cache and returns its
-// point, whose Config is c itself. Safe for concurrent use; a
-// configuration in flight on another goroutine is waited for, not
-// re-evaluated.
-func (pe *ParallelEvaluator) Eval(c Config) Point {
-	return pe.evalOn(pe.inner, c)
-}
-
-// evalFor evaluates c on worker w's private evaluator instance. The caller
-// must guarantee at most one goroutine uses each w at a time (ForEachWorker
-// and a run's pool do).
-func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
-	return pe.evalOn(pe.perWorker[w], c)
-}
-
-// evalOn runs the memo protocol around inner: reserve c under its shard's
-// lock, evaluate a miss into the arena with the lock released, publish.
-// The first goroutine to reserve a configuration owns its evaluation;
-// every other one waits on the shard's condition variable until it is
-// published. That gives exactly-once evaluation per distinct configuration
+// evalFor evaluates c on worker w's private evaluator instance and
+// returns its point, whose Config is c itself. The caller must guarantee
+// at most one goroutine uses each w at a time (forEachWorker and a run's
+// pool do).
+//
+// It runs the memo protocol: reserve c under its shard's lock, evaluate a
+// miss into the arena with the lock released, publish. The first
+// goroutine to reserve a configuration owns its evaluation; every other
+// one waits on the shard's condition variable until it is published.
+// That gives exactly-once evaluation per distinct configuration
 // regardless of scheduling, which is what keeps the Evaluated/Infeasible
 // counts identical at any worker count. An evaluation that panics leaves
-// its slot abandoned, not pending: the waiters wake, and the first of them
-// takes the evaluation over. The memo allocates nothing for a hit, nor for
-// a miss while its shard's table and arena chunk have room.
-func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
+// its slot abandoned, not pending: the waiters wake, and the first of
+// them takes the evaluation over. The memo allocates nothing for a hit,
+// nor for a miss while its shard's table and arena chunk have room.
+func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
 	h := c.Hash()
 	sh := pe.shard(h, c)
 	sh.mu.Lock()
@@ -350,7 +339,7 @@ func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
 	sh.slots[i].state = slotPending
 	objs := sh.objectives(sh.slots[i].entry)
 	sh.mu.Unlock()
-	return pe.miss(inner, sh, h, c, objs)
+	return pe.miss(pe.perWorker[w], sh, h, c, objs)
 }
 
 // miss evaluates the configuration c whose slot the caller reserved, and
@@ -434,17 +423,17 @@ func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config, objs Objectives
 // calls, MOSA's chains and the experiments job runner; NSGA-II, exhaustive
 // and random search fan out on their run's pool instead (see evalPool).
 func ForEach(n, workers int, fn func(i int)) {
-	ForEachWorker(n, workers, func(_, i int) { fn(i) })
+	forEachWorker(n, workers, func(_, i int) { fn(i) })
 }
 
-// ForEachWorker is ForEach with worker identity: fn(w, i) runs index i on
+// forEachWorker is ForEach with worker identity: fn(w, i) runs index i on
 // worker w, where w ranges over [0, min(workers, n)) and each w executes on
 // exactly one goroutine. Worker-indexed scratch therefore needs no
 // synchronization. It starts its goroutines for the call and returns once
 // they have all exited. A panic in fn stops the other workers claiming
 // indices and, once every worker has stopped, is raised again on the
 // caller's goroutine as a *WorkerPanic.
-func ForEachWorker(n, workers int, fn func(worker, i int)) {
+func forEachWorker(n, workers int, fn func(worker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -488,7 +477,7 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	}
 }
 
-// WorkerPanic is what a panic on a worker goroutine (ForEachWorker's, or a
+// WorkerPanic is what a panic on a worker goroutine (forEachWorker's, or a
 // search run's pool) becomes on the goroutine that started the work: the
 // recovered value and the stack of the goroutine that panicked, captured
 // where it panicked. It is raised only once every worker has stopped, so a
@@ -756,7 +745,7 @@ func (p *evalPool) stop() {
 }
 
 // EvaluateBatch evaluates every configuration, fanning the batch across
-// ForEachWorker's goroutines (one worker runs it inline), and returns the
+// forEachWorker's goroutines (one worker runs it inline), and returns the
 // points in input order: out[i] is configs[i]'s evaluation, and
 // out[i].Config is configs[i] itself. Duplicate configurations (within the
 // batch or across batches) cost one evaluation and yield equal Points,
@@ -764,7 +753,7 @@ func (p *evalPool) stop() {
 // instead (runState.evaluate).
 func (pe *ParallelEvaluator) EvaluateBatch(configs []Config) []Point {
 	out := make([]Point, len(configs))
-	ForEachWorker(len(configs), pe.workers, func(w, i int) {
+	forEachWorker(len(configs), pe.workers, func(w, i int) {
 		out[i] = pe.evalFor(w, configs[i])
 	})
 	return out

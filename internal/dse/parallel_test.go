@@ -182,15 +182,17 @@ func (e *gateEvaluator) Evaluate(c Config) (Objectives, error) {
 func TestMemoWaitersShareOneEvaluation(t *testing.T) {
 	gated := Config{7, 7, 7}
 	eval := &gateEvaluator{gated: gated, entered: make(chan struct{}), release: make(chan struct{})}
-	pe := NewParallelEvaluator(eval, 1)
+	// Worker 0 owns the gated evaluation, workers 1 to waiters wait for
+	// it, and the last worker evaluates the others.
+	const waiters = 4
+	pe := NewParallelEvaluator(eval, waiters+2)
 	owner := make(chan Point)
-	go func() { owner <- pe.Eval(gated) }()
+	go func() { owner <- pe.evalFor(0, gated) }()
 	<-eval.entered
 
-	const waiters = 4
 	got := make(chan Point, waiters)
 	for i := 0; i < waiters; i++ {
-		go func() { got <- pe.Eval(Config{7, 7, 7}) }()
+		go func() { got <- pe.evalFor(1+i, Config{7, 7, 7}) }()
 	}
 	var others []Config
 	testSpace(10, 10, 10).Iterate(func(c Config) bool {
@@ -199,7 +201,9 @@ func TestMemoWaitersShareOneEvaluation(t *testing.T) {
 		}
 		return true
 	})
-	pe.EvaluateBatch(others)
+	for _, c := range others {
+		pe.evalFor(waiters+1, c)
+	}
 	close(eval.release)
 
 	want := <-owner
@@ -258,7 +262,7 @@ func TestObjectiveCountMismatchPanics(t *testing.T) {
 			t.Fatal("a 1-objective result from a 3-objective evaluator was accepted")
 		}
 	}()
-	NewParallelEvaluator(shortEvaluator{}, 1).Eval(Config{0})
+	NewParallelEvaluator(shortEvaluator{}, 1).evalFor(0, Config{0})
 }
 
 // forkEvaluator records how many instances Fork produced and which
@@ -361,9 +365,9 @@ func TestEvalCacheHitZeroAllocs(t *testing.T) {
 	s := testSpace(6, 6)
 	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 2)
 	c := Config{3, 4}
-	pe.Eval(c) // warm the cache
+	pe.evalFor(0, c) // warm the cache
 	allocs := testing.AllocsPerRun(500, func() {
-		pe.Eval(c)
+		pe.evalFor(0, c)
 	})
 	if allocs != 0 {
 		t.Fatalf("cache hit allocates %.1f objects, want 0", allocs)
@@ -375,15 +379,14 @@ func TestEvalCacheHitZeroAllocs(t *testing.T) {
 func TestNSGA2WorkerEquivalence(t *testing.T) {
 	s := testSpace(12, 4, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	cfg := NSGA2Config{PopulationSize: 24, Generations: 15, Seed: 9}
-	cfg.Workers = 1
-	seq, err := NSGA2(s, eval, cfg)
+	search := Search{Algorithm: "nsga2", Seed: 9, Workers: 1, NSGA2: &NSGA2Config{PopulationSize: 24, Generations: 15}}
+	seq, err := search.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		par, err := NSGA2(s, eval, cfg)
+		search.Workers = workers
+		par, err := search.Run(s, eval, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,15 +399,14 @@ func TestNSGA2WorkerEquivalence(t *testing.T) {
 func TestMOSAWorkerEquivalence(t *testing.T) {
 	s := testSpace(15, 4)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	cfg := MOSAConfig{Iterations: 2000, Restarts: 4, Seed: 5}
-	cfg.Workers = 1
-	seq, err := MOSA(s, eval, cfg)
+	search := Search{Algorithm: "mosa", Seed: 5, Workers: 1, MOSA: &MOSAConfig{Iterations: 2000, Restarts: 4}}
+	seq, err := search.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		par, err := MOSA(s, eval, cfg)
+		search.Workers = workers
+		par, err := search.Run(s, eval, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,11 +418,11 @@ func TestMOSAWorkerEquivalence(t *testing.T) {
 func TestExhaustiveWorkerEquivalence(t *testing.T) {
 	s := testSpace(9, 5, 4)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	seq, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
+	seq, err := Search{Algorithm: "exhaustive", Workers: 1, MaxPoints: 1000}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExhaustiveOpts(s, eval, 1000, 8, Options{})
+	par, err := Search{Algorithm: "exhaustive", Workers: 8, MaxPoints: 1000}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +440,11 @@ func TestExhaustiveWorkerEquivalence(t *testing.T) {
 func TestRandomSearchWorkerEquivalence(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	seq, err := RandomSearchOpts(s, eval, 400, 1, 1, Options{})
+	seq, err := Search{Algorithm: "random", Seed: 1, Workers: 1, Budget: 400}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RandomSearchOpts(s, eval, 400, 1, 8, Options{})
+	par, err := Search{Algorithm: "random", Seed: 1, Workers: 8, Budget: 400}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +472,12 @@ func TestEvaluateBatchCallerConfigs(t *testing.T) {
 			first = pts
 		}
 	}
-	if p := pe.Eval(configs[3]); &p.Config[0] != &configs[3][0] {
-		t.Fatal("Eval does not return the caller's slice")
+	if p := pe.evalFor(0, configs[3]); &p.Config[0] != &configs[3][0] {
+		t.Fatal("evalFor does not return the caller's slice")
 	}
 	want := append(Objectives(nil), first[1].Objs...)
 	configs[1][0], configs[1][1] = 0, 0
-	p := pe.Eval(Config{3, 4})
+	p := pe.evalFor(0, Config{3, 4})
 	if got := counting.calls.Load(); got != 3 {
 		t.Fatalf("%d evaluations for 3 distinct configurations", got)
 	}
@@ -518,7 +520,8 @@ func TestMemoWideGenes(t *testing.T) {
 	var ref *Result
 	for _, workers := range []int{1, 4} {
 		counting := &countingEvaluator{inner: &convexEvaluator{space: s}}
-		res, err := NSGA2(s, counting, NSGA2Config{PopulationSize: 32, Generations: 20, Seed: 4, Workers: workers})
+		res, err := Search{Algorithm: "nsga2", Seed: 4, Workers: workers,
+			NSGA2: &NSGA2Config{PopulationSize: 32, Generations: 20}}.Run(s, counting, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,13 +153,13 @@ func TestSearchWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerPanic checks that a panic on a ForEachWorker goroutine
+// TestForEachWorkerPanic checks that a panic on a forEachWorker goroutine
 // is raised on the caller as a *WorkerPanic once every worker has stopped,
 // and that the other workers stop claiming indices.
 func TestForEachWorkerPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	v := recoverRun(func() {
-		ForEachWorker(1000, 4, func(_, i int) {
+		forEachWorker(1000, 4, func(_, i int) {
 			if i == 10 {
 				panic("boom")
 			}
@@ -170,7 +170,7 @@ func TestForEachWorkerPanic(t *testing.T) {
 		t.Fatalf("recovered %#v, want a *WorkerPanic of \"boom\" with the worker's stack", v)
 	}
 	if n := goroutinesSettle(base); n > base {
-		t.Errorf("%d goroutines after ForEachWorker, %d before", n, base)
+		t.Errorf("%d goroutines after forEachWorker, %d before", n, base)
 	}
 }
 
@@ -202,11 +202,11 @@ func TestMemoPanicAbandonsSlot(t *testing.T) {
 	c := Config{1, 2}
 	panicked := make(chan any)
 	go func() {
-		panicked <- recoverRun(func() { pe.Eval(c.Clone()) })
+		panicked <- recoverRun(func() { pe.evalFor(0, c.Clone()) })
 	}()
 	<-eval.entered // the first evaluation holds the slot pending
 	waiter := make(chan Point)
-	go func() { waiter <- pe.Eval(c.Clone()) }()
+	go func() { waiter <- pe.evalFor(1, c.Clone()) }()
 	// The waiter is either blocked on the pending slot or not yet there;
 	// either way the slot is abandoned before it can be published.
 	close(eval.release)
@@ -221,7 +221,7 @@ func TestMemoPanicAbandonsSlot(t *testing.T) {
 	if evaluated, _ := pe.Stats(); evaluated != 1 {
 		t.Errorf("Stats counts %d evaluations, want the one that finished", evaluated)
 	}
-	if again := pe.Eval(c.Clone()); !equalObjs(again.Objs, want) {
+	if again := pe.evalFor(0, c.Clone()); !equalObjs(again.Objs, want) {
 		t.Errorf("a later lookup got %+v", again)
 	}
 }

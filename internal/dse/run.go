@@ -6,55 +6,40 @@ import (
 	"fmt"
 )
 
-// Progress is one search-boundary snapshot, delivered to a ProgressSink.
-// The unit of Step depends on the algorithm: NSGA-II counts completed
+// Stats is one search-boundary snapshot, delivered to a StatsSink. The
+// unit of Step depends on the algorithm: NSGA-II counts completed
 // generations, MOSA completed chain segments, exhaustive and random
-// search completed evaluation batches. Front is the archive's own
-// storage, as in Stats: valid only for the duration of the call and
-// strictly read-only. A sink that keeps the front past its return must
-// copy it, Points included: their genes are the archive's buffers, which
-// it recycles, and their objectives alias the memo's objective arena.
-type Progress struct {
-	Algorithm  string
-	Step       int // boundaries completed so far
-	TotalSteps int // boundaries the full run will reach
-	Evaluated  int // distinct configurations evaluated so far
-	Infeasible int // of those, constraint violations
-	Front      []Point
-}
-
-// ProgressSink receives Progress snapshots at search boundaries. Sinks run
-// synchronously on the search goroutine between generations/segments —
-// never inside the allocation-free hot loops — so a slow sink slows the
-// search but cannot corrupt it. A nil sink costs nothing.
-type ProgressSink func(Progress)
-
-// Stats is one boundary-level search-health snapshot, delivered to a
-// StatsSink. It is the telemetry sibling of Progress, built for
-// samplers that fire every boundary: Front is, as in Progress, the
-// archive's own sorted storage — genes in buffers the archive recycles,
-// objectives in the memo's arena, valid only for the duration of the call
-// and strictly read-only — so emitting a Stats allocates nothing on the
-// NSGA-II/exhaustive/random paths. CacheHits/CacheLookups expose the
-// memo cache (lookups = hits + distinct evaluations), the signal that
-// tells an operator whether a search is still discovering or mostly
-// revisiting.
+// search completed evaluation batches. Front is the archive's own sorted
+// storage, valid only for the duration of the call and strictly
+// read-only, so emitting a Stats allocates nothing on the
+// NSGA-II/exhaustive/random paths. A sink that keeps the front past its
+// return must copy it, Points included: their genes are the archive's
+// buffers, which it recycles, and their objectives alias the memo's
+// objective arena. CacheHits/CacheLookups expose the memo cache (lookups
+// = hits + distinct evaluations), the signal that tells an operator
+// whether a search is still discovering or mostly revisiting.
 type Stats struct {
 	Algorithm    string
-	Step         int // boundaries completed so far
-	TotalSteps   int
-	Evaluated    int // distinct configurations evaluated so far
-	Infeasible   int
+	Step         int     // boundaries completed so far
+	TotalSteps   int     // boundaries the full run will reach
+	Evaluated    int     // distinct configurations evaluated so far
+	Infeasible   int     // of those, constraint violations
 	Front        []Point // shared storage — do not retain or mutate
 	CacheHits    int64   // memo-cache hits so far
 	CacheLookups int64   // memo-cache lookups so far
 }
 
-// StatsSink receives Stats at every search boundary. Like ProgressSink
-// it runs synchronously on the search goroutine, outside the
-// allocation-free hot loops; a nil sink costs nothing. Sinks that need
-// the front beyond the call must copy it.
+// StatsSink receives Stats at every search boundary. Sinks run
+// synchronously on the search goroutine between generations, segments or
+// batches — never inside the allocation-free hot loops — so a slow sink
+// slows the search but cannot corrupt it. A nil sink costs nothing.
 type StatsSink func(Stats)
+
+// Deprecated: Progress is the old name of Stats.
+type Progress = Stats
+
+// Deprecated: ProgressSink is the old name of StatsSink.
+type ProgressSink = StatsSink
 
 // CheckpointFunc persists one Snapshot. A non-nil error aborts the run:
 // the search returns its partial result alongside the error, on the theory
@@ -64,8 +49,7 @@ type CheckpointFunc func(*Snapshot) error
 
 // Options carries the cross-cutting run controls shared by every search
 // algorithm: cooperative cancellation, incremental progress, and
-// checkpoint/resume. The zero value is a plain run-to-completion search,
-// bit-identical to the option-free entry points.
+// checkpoint/resume. The zero value is a plain run-to-completion search.
 type Options struct {
 	// Context cancels the run cooperatively: the search checks it at
 	// generation/segment/batch boundaries and, once cancelled, returns the
@@ -73,13 +57,13 @@ type Options struct {
 	// never cancelled.
 	Context context.Context
 
-	// Progress, when non-nil, is invoked at every boundary.
-	Progress ProgressSink
-
 	// Stats, when non-nil, is invoked at every boundary with the
-	// telemetry view: counters, the live front (zero-copy) and memo-cache
-	// hit rates.
+	// counters, the live front (zero-copy) and memo-cache hit rates.
 	Stats StatsSink
+
+	// Deprecated: attach the sink as Stats. Progress gets the same value,
+	// just before Stats.
+	Progress ProgressSink
 
 	// Checkpoint, when non-nil and CheckpointEvery > 0, is invoked with a
 	// self-contained Snapshot every CheckpointEvery boundaries (and never
@@ -188,14 +172,14 @@ type runState struct {
 }
 
 // begin validates the space, builds the batch runtime and the run's
-// evaluation pool over workers and checks opts.Resume against s
-// (Search.ValidateResume). total is how many boundaries the whole run
-// passes. On success the caller must defer pool.stop.
-func begin(s Search, space *Space, eval Evaluator, workers, total int, opts Options) (*runState, error) {
+// evaluation pool over s.Workers and checks opts.Resume against s
+// (Search.ValidateResume). The run passes s.Steps(space) boundaries. On
+// success the caller must defer pool.stop.
+func begin(s Search, space *Space, eval Evaluator, opts Options) (*runState, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	r := &runState{algo: s.Algorithm, opts: opts, pe: NewParallelEvaluator(eval, workers), total: total}
+	r := &runState{algo: s.Algorithm, opts: opts, pe: NewParallelEvaluator(eval, s.Workers), total: s.Steps(space)}
 	if snap := opts.Resume; snap != nil {
 		if err := s.ValidateResume(snap, space, r.pe.NumObjectives()); err != nil {
 			return nil, err
@@ -251,41 +235,33 @@ func (r *runState) loop(step func(k int), front func() []Point, fill func(*Snaps
 	return &Result{Front: detach(front()), Evaluated: evaluated, Infeasible: infeasible}, err
 }
 
-// boundary is the per-boundary bookkeeping: emit progress and stats,
-// write a due checkpoint, honor StopAfter, then honor cancellation — in
-// that order, so a cancelled run's latest checkpoint is already durable
-// when the partial result comes back, and a paused run's snapshot is
-// written before ErrPaused surfaces. step is 1-based (boundaries
-// completed). The front is materialized once, only when a sink is
-// attached, and both sinks read it in place; a snapshot is built only
-// when one is due.
+// boundary is the per-boundary bookkeeping: emit stats, write a due
+// checkpoint, honor StopAfter, then honor cancellation — in that order,
+// so a cancelled run's latest checkpoint is already durable when the
+// partial result comes back, and a paused run's snapshot is written
+// before ErrPaused surfaces. step is 1-based (boundaries completed). One
+// Stats is built, only when a sink is attached, and every attached sink
+// reads the front in place; a snapshot is built only when one is due.
 func (r *runState) boundary(step int, front func() []Point, fill func(*Snapshot)) error {
 	o := r.opts
 	evaluated, infeasible := r.counts()
 	if o.Progress != nil || o.Stats != nil {
-		live := front()
+		lookups, hits := r.pe.CacheStats()
+		st := Stats{
+			Algorithm:    r.algo,
+			Step:         step,
+			TotalSteps:   r.total,
+			Evaluated:    evaluated,
+			Infeasible:   infeasible,
+			Front:        front(),
+			CacheHits:    hits,
+			CacheLookups: lookups,
+		}
 		if o.Progress != nil {
-			o.Progress(Progress{
-				Algorithm:  r.algo,
-				Step:       step,
-				TotalSteps: r.total,
-				Evaluated:  evaluated,
-				Infeasible: infeasible,
-				Front:      live,
-			})
+			o.Progress(st)
 		}
 		if o.Stats != nil {
-			lookups, hits := r.pe.CacheStats()
-			o.Stats(Stats{
-				Algorithm:    r.algo,
-				Step:         step,
-				TotalSteps:   r.total,
-				Evaluated:    evaluated,
-				Infeasible:   infeasible,
-				Front:        live,
-				CacheHits:    hits,
-				CacheLookups: lookups,
-			})
+			o.Stats(st)
 		}
 	}
 	pause := o.StopAfter > 0 && step >= o.StopAfter && step < r.total

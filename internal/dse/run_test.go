@@ -151,7 +151,8 @@ func TestProgressSinkCadence(t *testing.T) {
 		lastEval = p.Evaluated
 		steps = append(steps, p.Step)
 	}}
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 10, Seed: 3}, opts); err != nil {
+	if _, err := (Search{Algorithm: "nsga2", Seed: 3,
+		NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 10}}).Run(s, eval, opts); err != nil {
 		t.Fatal(err)
 	}
 	if len(steps) != 10 {
@@ -165,32 +166,56 @@ func TestProgressSinkCadence(t *testing.T) {
 }
 
 // TestOptionsZeroValueIdentical pins that the Options plumbing itself does
-// not perturb results: the option-free entry points and Opts with zero
-// Options are bit-identical, counts included.
+// not perturb results: a run with zero Options and one with a context and
+// a sink attached are bit-identical, counts included.
 func TestOptionsZeroValueIdentical(t *testing.T) {
 	s := testSpace(10, 4, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	a, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, search := range []Search{
+		{Algorithm: "nsga2", Seed: 4, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 10}},
+		{Algorithm: "mosa", Seed: 4, MOSA: &MOSAConfig{Iterations: 2000}},
+	} {
+		a, err := search.Run(s, eval, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := search.Run(s, eval, Options{Context: context.Background(), Progress: func(Progress) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, a, b, search.Algorithm+" options plumbing")
 	}
-	b, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 4},
-		Options{Context: context.Background(), Progress: func(Progress) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, a, b, "nsga2 options plumbing")
+}
 
-	am, err := MOSA(s, eval, MOSAConfig{Iterations: 2000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestDeprecatedShimsMatchRun pins NSGA2Opts and MOSAOpts, which move a
+// config's Seed and Workers onto the Search, to Search.Run with the same
+// seed and workers: fronts and counts are equal.
+func TestDeprecatedShimsMatchRun(t *testing.T) {
+	s := testSpace(10, 4, 3)
+	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
+	for _, workers := range []int{1, 2} {
+		want, err := Search{Algorithm: "nsga2", Seed: 6, Workers: workers,
+			NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 10}}.Run(s, eval, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 6, Workers: workers}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, want, got, fmt.Sprintf("NSGA2Opts at workers %d", workers))
+
+		want, err = Search{Algorithm: "mosa", Seed: 6, Workers: workers,
+			MOSA: &MOSAConfig{Iterations: 2000}}.Run(s, eval, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = MOSAOpts(s, eval, MOSAConfig{Iterations: 2000, Seed: 6, Workers: workers}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, want, got, fmt.Sprintf("MOSAOpts at workers %d", workers))
 	}
-	bm, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 2000, Seed: 4},
-		Options{Context: context.Background(), Progress: func(Progress) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, am, bm, "mosa options plumbing")
 }
 
 // TestCancelledContextReturnsPartial checks immediate-cancellation
@@ -201,7 +226,8 @@ func TestCancelledContextReturnsPartial(t *testing.T) {
 	eval := &convexEvaluator{space: s}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 50, Seed: 2}, Options{Context: ctx})
+	res, err := Search{Algorithm: "nsga2", Seed: 2,
+		NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 50}}.Run(s, eval, Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -219,7 +245,8 @@ func TestCheckpointErrorAborts(t *testing.T) {
 	s := testSpace(8, 3)
 	eval := &convexEvaluator{space: s}
 	boom := fmt.Errorf("disk full")
-	res, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 50, Seed: 2},
+	res, err := Search{Algorithm: "nsga2", Seed: 2,
+		NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 50}}.Run(s, eval,
 		Options{CheckpointEvery: 3, Checkpoint: func(*Snapshot) error { return boom }})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
@@ -236,30 +263,33 @@ func TestCheckpointErrorAborts(t *testing.T) {
 func TestSnapshotResumeValidation(t *testing.T) {
 	s := testSpace(8, 3)
 	eval := &convexEvaluator{space: s}
+	ga := Search{Algorithm: "nsga2", Seed: 1, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 6}}
 	var snap *Snapshot
 	latest := captureLatest(&snap, 2)
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, latest); err != nil {
+	if _, err := ga.Run(s, eval, latest); err != nil {
 		t.Fatal(err)
 	}
 	if snap == nil {
 		t.Fatal("no snapshot captured")
 	}
 
-	if _, err := MOSAOpts(s, eval, MOSAConfig{}, Options{Resume: snap}); err == nil {
+	if _, err := (Search{Algorithm: "mosa", MOSA: &MOSAConfig{}}).Run(s, eval, Options{Resume: snap}); err == nil {
 		t.Error("mosa accepted an nsga2 snapshot")
 	}
 	bad := roundTrip(t, snap)
 	bad.Version = 99
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("version mismatch accepted")
 	}
 	bad = roundTrip(t, snap)
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	ga16 := ga
+	ga16.NSGA2 = &NSGA2Config{PopulationSize: 16, Generations: 6}
+	if _, err := ga16.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("population-size mismatch accepted")
 	}
 	bad = roundTrip(t, snap)
 	bad.Population[0].Config[0] = 999
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("out-of-space config accepted")
 	}
 	// Short objective vectors: the front machinery reads objectives by
@@ -269,12 +299,12 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 	bad = roundTrip(t, snap)
 	bad.Archive[1].Objs = bad.Archive[1].Objs[:1]
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("short archive objective vector accepted")
 	}
 	bad = roundTrip(t, snap)
 	bad.Population[0].Objs = bad.Population[0].Objs[:1]
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("short population objective vector accepted")
 	}
 	// An infeasible point carries no objectives: one that did, beside one
@@ -283,21 +313,22 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	bad = roundTrip(t, snap)
 	bad.Population[0].Feasible = false
 	bad.Population[1].Feasible, bad.Population[1].Objs = false, nil
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("infeasible population point with objectives accepted")
 	}
 	// A negative cursor would resume into a run longer than the budget.
 	bad = roundTrip(t, snap)
 	bad.Step = -3
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+	if _, err := ga.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("NSGA-II snapshot with a negative step accepted")
 	}
 
 	// MOSA must reject a snapshot from a longer run than the resuming
 	// config allows, instead of silently returning the restored archives.
+	sa := Search{Algorithm: "mosa", Seed: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}
 	var msnap *Snapshot
 	mlatest := captureLatest(&msnap, 1)
-	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, mlatest); err != nil {
+	if _, err := sa.Run(s, eval, mlatest); err != nil {
 		t.Fatal(err)
 	}
 	if msnap == nil {
@@ -308,27 +339,28 @@ func TestSnapshotResumeValidation(t *testing.T) {
 		t.Fatal("MOSA chain 0 has an empty archive")
 	}
 	bad.Chains[0].Archive[0].Objs = bad.Chains[0].Archive[0].Objs[:1]
-	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+	if _, err := sa.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("short MOSA chain-archive objective vector accepted")
 	}
 	bad = roundTrip(t, msnap)
 	bad.Step = -2
-	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+	if _, err := sa.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("MOSA snapshot with a negative step accepted")
 	}
 	bad = roundTrip(t, msnap)
 	bad.Chains[0].Iter = -500
-	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+	if _, err := sa.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("MOSA snapshot with a negative chain iteration accepted")
 	}
 	msnap.Step = 99
-	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: msnap}); err == nil {
+	if _, err := sa.Run(s, eval, Options{Resume: msnap}); err == nil {
 		t.Error("MOSA accepted a snapshot past its segment count")
 	}
 
 	// Random search counts draws consumed in Next.
+	random := Search{Algorithm: "random", Seed: 4, Workers: 1, Budget: 3000}
 	var rsnap *Snapshot
-	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, captureLatest(&rsnap, 1)); err != nil {
+	if _, err := random.Run(s, eval, captureLatest(&rsnap, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if rsnap == nil {
@@ -336,20 +368,21 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 	bad = roundTrip(t, rsnap)
 	bad.Next = -5000
-	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, Options{Resume: bad}); err == nil {
+	if _, err := random.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("random-search snapshot with a negative draw count accepted")
 	}
 	// A resumed run counts its boundaries from Step, so the cursor must
 	// sit on one of the run's batch boundaries.
 	bad = roundTrip(t, rsnap)
 	bad.Step = 7
-	if _, err := RandomSearchOpts(s, eval, 3000, 4, 1, Options{Resume: bad}); err == nil {
+	if _, err := random.Run(s, eval, Options{Resume: bad}); err == nil {
 		t.Error("random-search snapshot at step 7 of a 3-batch run accepted")
 	}
 	sBig := testSpace(12, 12, 12) // 1,728 points: two batches
 	evalBig := &convexEvaluator{space: sBig}
+	exhaustive := Search{Algorithm: "exhaustive", Workers: 1}
 	var esnap *Snapshot
-	if _, err := ExhaustiveOpts(sBig, evalBig, DefaultMaxPoints, 1, captureLatest(&esnap, 1)); err != nil {
+	if _, err := exhaustive.Run(sBig, evalBig, captureLatest(&esnap, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if esnap == nil || esnap.Step != 1 || esnap.Next != exhaustiveBatch {
@@ -357,7 +390,7 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 	bad = roundTrip(t, esnap)
 	bad.Next = 100
-	if _, err := ExhaustiveOpts(sBig, evalBig, DefaultMaxPoints, 1, Options{Resume: bad}); err == nil {
+	if _, err := exhaustive.Run(sBig, evalBig, Options{Resume: bad}); err == nil {
 		t.Error("exhaustive snapshot at step 1 with 100 points consumed accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
 )
 
@@ -52,80 +53,81 @@ func batches(n int) int {
 	return (n + exhaustiveBatch - 1) / exhaustiveBatch
 }
 
-// ExhaustiveOpts enumerates a space of at most maxPoints points (a guard
-// against accidental 10¹¹-point sweeps) in batches across the worker pool
-// (workers <= 0 selects GOMAXPROCS), with identical results at any worker
-// count. Each batch, the last partial one included, ends at a boundary
-// where Options hook in; snapshots record how far the enumeration got
-// (Snapshot.Next), so a resumed sweep skips exactly the consumed prefix.
-func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts Options) (*Result, error) {
+// runExhaustive enumerates a space of at most s.MaxPoints points (a guard
+// against accidental 10¹¹-point sweeps) in Space.Iterate's order.
+func runExhaustive(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+	maxPoints := cmp.Or(s.MaxPoints, DefaultMaxPoints)
 	if size := space.Size(); size > float64(maxPoints) {
 		return nil, fmt.Errorf("dse: space has %.3g points, exhaustive limit is %d", size, maxPoints)
 	}
-	total := int(space.Size())
-	rs, err := begin(Search{Algorithm: "exhaustive", MaxPoints: maxPoints}, space, eval, workers, batches(total), opts)
+	rs, err := begin(s, space, eval, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.pool.stop()
-	var arch Archive
-	// cursor is the next configuration in Space.Iterate's order, next its
-	// index.
-	cursor, next := make(Config, len(space.Params)), 0
+	// cursor is the next configuration to enumerate; a resumed sweep
+	// skips the prefix its snapshot consumed.
+	cursor := make(Config, len(space.Params))
 	if snap := opts.Resume; snap != nil {
-		rs.restore(&arch, snap.Archive)
-		for ; next < snap.Next; next++ {
+		for range snap.Next {
 			space.advance(cursor)
 		}
 	}
-	bufs := geneBuffers(min(total, exhaustiveBatch), len(space.Params))
-	var points []Point
-	return rs.loop(func(int) {
-		batch := bufs[:min(len(bufs), total-next)]
-		for _, c := range batch {
-			copy(c, cursor)
-			space.advance(cursor)
-		}
-		next += len(batch)
-		points = rs.evaluate(batch, points)
-		arch.AddBatch(points)
-	}, arch.Points, func(snap *Snapshot) { snap.Next, snap.Archive = next, snapPoints(arch.Points()) })
+	return runBatches(rs, space, int(space.Size()), func(c Config) {
+		copy(c, cursor)
+		space.advance(cursor)
+	}, nil)
 }
 
-// RandomSearchOpts evaluates `budget` uniform random configurations, the
-// reference any metaheuristic must beat, drawn from one seeded stream in
-// batches across the worker pool (workers <= 0 selects GOMAXPROCS), with
-// identical results at any worker count; revisits hit the memo cache, so
-// Evaluated counts distinct points. Options hook in at batch boundaries;
-// snapshots record the RNG state and draws consumed, so a resumed search
-// continues the identical draw stream.
-func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, workers int, opts Options) (*Result, error) {
-	if budget < 1 {
-		return nil, fmt.Errorf("dse: budget %d must be positive", budget)
-	}
-	rs, err := begin(Search{Algorithm: "random", Budget: budget}, space, eval, workers, batches(budget), opts)
+// runRandom evaluates s.Budget uniform random configurations, the
+// reference any metaheuristic must beat, drawn from one stream seeded
+// with s.Seed; revisits hit the memo cache, so Evaluated counts distinct
+// points.
+func runRandom(s Search, space *Space, eval Evaluator, opts Options) (*Result, error) {
+	rs, err := begin(s, space, eval, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer rs.pool.stop()
-	rng, src := newSearchRand(seed)
+	rng, src := newSearchRand(s.Seed)
+	return runBatches(rs, space, cmp.Or(s.Budget, DefaultBudget), func(c Config) {
+		space.RandomInto(rng, c)
+	}, src)
+}
+
+// runBatches is the loop exhaustive and random search share: it draws n
+// configurations in batches of exhaustiveBatch, draw writing each next
+// one into a gene buffer, and evaluates each batch on the run's pool,
+// with identical results at any worker count. Each batch, the last
+// partial one included, ends at a boundary where Options hook in.
+// Snapshots record how many configurations were drawn (Snapshot.Next)
+// and, when src is not nil, the state of the stream draw reads; a
+// resumed run restores both, so it continues the identical sequence.
+// The caller has moved draw past the drawn prefix.
+func runBatches(rs *runState, space *Space, n int, draw func(Config), src *splitMix64) (*Result, error) {
 	var arch Archive
 	drawn := 0
-	if snap := opts.Resume; snap != nil {
+	if snap := rs.opts.Resume; snap != nil {
 		rs.restore(&arch, snap.Archive)
-		drawn, src.state = snap.Next, snap.RNG
+		drawn = snap.Next
+		if src != nil {
+			src.state = snap.RNG
+		}
 	}
-	bufs := geneBuffers(min(budget, exhaustiveBatch), len(space.Params))
+	bufs := geneBuffers(min(n, exhaustiveBatch), len(space.Params))
 	var points []Point
 	return rs.loop(func(int) {
-		configs := bufs[:min(len(bufs), budget-drawn)]
-		for _, c := range configs {
-			space.RandomInto(rng, c)
+		batch := bufs[:min(len(bufs), n-drawn)]
+		for _, c := range batch {
+			draw(c)
 		}
-		drawn += len(configs)
-		points = rs.evaluate(configs, points)
+		drawn += len(batch)
+		points = rs.evaluate(batch, points)
 		arch.AddBatch(points)
 	}, arch.Points, func(snap *Snapshot) {
-		snap.RNG, snap.Next, snap.Archive = src.state, drawn, snapPoints(arch.Points())
+		snap.Next, snap.Archive = drawn, snapPoints(arch.Points())
+		if src != nil {
+			snap.RNG = src.state
+		}
 	})
 }

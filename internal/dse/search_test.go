@@ -168,7 +168,7 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 func TestExhaustiveFindsTrueFront(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
+	res, err := Search{Algorithm: "exhaustive", Workers: 1, MaxPoints: 1000}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 		}
 	}
 	// Refuses oversized spaces.
-	if _, err := ExhaustiveOpts(s, eval, 10, 1, Options{}); err == nil {
+	if _, err := (Search{Algorithm: "exhaustive", Workers: 1, MaxPoints: 10}).Run(s, eval, Options{}); err == nil {
 		t.Error("oversize exhaustive accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestExhaustiveSteadyStateAllocs(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m0 := ms.Mallocs
-	res, err := ExhaustiveOpts(s, &simplexEvaluator{space: s}, 1<<20, 1, Options{})
+	res, err := Search{Algorithm: "exhaustive", Workers: 1, MaxPoints: 1 << 20}.Run(s, &simplexEvaluator{space: s}, Options{})
 	runtime.ReadMemStats(&ms)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestExhaustiveSteadyStateAllocs(t *testing.T) {
 func TestRandomSearchAndMemo(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := RandomSearchOpts(s, eval, 500, 1, 1, Options{})
+	res, err := Search{Algorithm: "random", Seed: 1, Workers: 1, Budget: 500}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +225,16 @@ func TestRandomSearchAndMemo(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Error("empty front")
 	}
-	if _, err := RandomSearchOpts(s, eval, 0, 1, 1, Options{}); err == nil {
-		t.Error("zero budget accepted")
+	if _, err := (Search{Algorithm: "random", Seed: 1, Workers: 1, Budget: -1}).Run(s, eval, Options{}); err == nil {
+		t.Error("negative budget accepted")
 	}
 }
 
 func TestNSGA2FindsTrueFront(t *testing.T) {
 	s := testSpace(21, 4, 4)
 	eval := &convexEvaluator{space: s}
-	res, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 32, Generations: 40, Seed: 7})
+	res, err := Search{Algorithm: "nsga2", Seed: 7,
+		NSGA2: &NSGA2Config{PopulationSize: 32, Generations: 40}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +252,13 @@ func TestNSGA2FindsTrueFront(t *testing.T) {
 func TestNSGA2Deterministic(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	a, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 3})
+	a, err := Search{Algorithm: "nsga2", Seed: 3,
+		NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 10}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 3})
+	b, err := Search{Algorithm: "nsga2", Seed: 3,
+		NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 10}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +270,10 @@ func TestNSGA2Deterministic(t *testing.T) {
 func TestNSGA2ValidatesConfig(t *testing.T) {
 	s := testSpace(5)
 	eval := &convexEvaluator{space: s}
-	if _, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 3}); err == nil {
+	if _, err := (Search{Algorithm: "nsga2", NSGA2: &NSGA2Config{PopulationSize: 3}}).Run(s, eval, Options{}); err == nil {
 		t.Error("odd population accepted")
 	}
-	if _, err := NSGA2(&Space{}, eval, NSGA2Config{}); err == nil {
+	if _, err := (Search{Algorithm: "nsga2", NSGA2: &NSGA2Config{}}).Run(&Space{}, eval, Options{}); err == nil {
 		t.Error("empty space accepted")
 	}
 }
@@ -278,7 +281,8 @@ func TestNSGA2ValidatesConfig(t *testing.T) {
 func TestNSGA2HandlesInfeasible(t *testing.T) {
 	s := testSpace(12, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	res, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 16, Generations: 20, Seed: 5})
+	res, err := Search{Algorithm: "nsga2", Seed: 5,
+		NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 20}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +299,7 @@ func TestNSGA2HandlesInfeasible(t *testing.T) {
 func TestMOSAFindsFront(t *testing.T) {
 	s := testSpace(21, 4)
 	eval := &convexEvaluator{space: s}
-	res, err := MOSA(s, eval, MOSAConfig{Iterations: 4000, Seed: 11})
+	res, err := Search{Algorithm: "mosa", Seed: 11, MOSA: &MOSAConfig{Iterations: 4000}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +311,7 @@ func TestMOSAFindsFront(t *testing.T) {
 			t.Errorf("front contains dominated point %v", p.Config)
 		}
 	}
-	if _, err := MOSA(s, eval, MOSAConfig{Cooling: 1.5}); err == nil {
+	if _, err := (Search{Algorithm: "mosa", MOSA: &MOSAConfig{Cooling: 1.5}}).Run(s, eval, Options{}); err == nil {
 		t.Error("bad cooling accepted")
 	}
 }
@@ -317,11 +321,12 @@ func TestMOSAFindsFront(t *testing.T) {
 func TestNSGA2AndMOSAEquivalentQuality(t *testing.T) {
 	s := testSpace(21, 4, 3)
 	eval := &convexEvaluator{space: s}
-	ga, err := NSGA2(s, eval, NSGA2Config{PopulationSize: 32, Generations: 30, Seed: 1})
+	ga, err := Search{Algorithm: "nsga2", Seed: 1,
+		NSGA2: &NSGA2Config{PopulationSize: 32, Generations: 30}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := MOSA(s, eval, MOSAConfig{Iterations: 6000, Seed: 1})
+	sa, err := Search{Algorithm: "mosa", Seed: 1, MOSA: &MOSAConfig{Iterations: 6000}}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +337,7 @@ func TestNSGA2AndMOSAEquivalentQuality(t *testing.T) {
 		t.Errorf("GA and SA hypervolumes differ substantially: %g vs %g", hvGA, hvSA)
 	}
 	// And both beat random search at comparable budget.
-	rs, err := RandomSearchOpts(s, eval, ga.Evaluated, 1, 1, Options{})
+	rs, err := Search{Algorithm: "random", Seed: 1, Workers: 1, Budget: ga.Evaluated}.Run(s, eval, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

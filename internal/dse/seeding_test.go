@@ -68,8 +68,8 @@ func TestNSGA2SeedPointsFillInitialPopulation(t *testing.T) {
 	s := testSpace(16, 4)
 	rec := &recordingEvaluator{inner: &convexEvaluator{space: s}}
 	seeds := []Config{{15, 0}, {0, 0}, {7, 2}}
-	cfg := NSGA2Config{PopulationSize: 8, Generations: 2, Seed: 5, Workers: 1}
-	if _, err := NSGA2Opts(s, rec, cfg, Options{SeedPoints: seeds}); err != nil {
+	search := Search{Algorithm: "nsga2", Seed: 5, Workers: 1, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 2}}
+	if _, err := search.Run(s, rec, Options{SeedPoints: seeds}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.seen) < len(seeds) {
@@ -88,19 +88,16 @@ func TestNSGA2SeedPointsFillInitialPopulation(t *testing.T) {
 // and invalid seeds are skipped rather than failing the run.
 func TestNSGA2SeedPointsDeterminism(t *testing.T) {
 	s := testSpace(12, 5, 3)
-	cfg := NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 9, Workers: 2}
+	search := Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 6}}
 	run := func(opts Options) *Result {
 		t.Helper()
-		res, err := NSGA2Opts(s, &convexEvaluator{space: s}, cfg, opts)
+		res, err := search.Run(s, &convexEvaluator{space: s}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	plain, err := NSGA2(s, &convexEvaluator{space: s}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := run(Options{})
 	if noSeeds := run(Options{SeedPoints: []Config{}}); !reflect.DeepEqual(plain.Front, noSeeds.Front) {
 		t.Fatal("empty SeedPoints changed the run")
 	}
@@ -123,8 +120,8 @@ func TestMOSASeedPointsStartChains(t *testing.T) {
 	s := testSpace(16, 4)
 	rec := &recordingEvaluator{inner: &convexEvaluator{space: s}}
 	seeds := []Config{{15, 3}, {0, 0}}
-	cfg := MOSAConfig{Iterations: 64, Restarts: 2, Seed: 4, Workers: 1}
-	if _, err := MOSAOpts(s, rec, cfg, Options{SeedPoints: seeds}); err != nil {
+	search := Search{Algorithm: "mosa", Seed: 4, Workers: 1, MOSA: &MOSAConfig{Iterations: 64, Restarts: 2}}
+	if _, err := search.Run(s, rec, Options{SeedPoints: seeds}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.seen) == 0 || !rec.seen[0].Equal(seeds[0]) {
@@ -144,7 +141,7 @@ func TestMOSASeedPointsStartChains(t *testing.T) {
 	// Determinism and the empty-list no-op, as for NSGA-II.
 	run := func(opts Options) *Result {
 		t.Helper()
-		res, err := MOSAOpts(s, &convexEvaluator{space: s}, cfg, opts)
+		res, err := search.Run(s, &convexEvaluator{space: s}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,13 +113,13 @@ func TestNSGA2FastVsNaiveBitIdentical(t *testing.T) {
 	} {
 		m := eval.NumObjectives()
 		for _, seed := range []int64{1, 7, 42} {
-			cfg := NSGA2Config{PopulationSize: 20, Generations: 12, Seed: seed}
-			fast, err := NSGA2(s, eval, cfg)
+			search := Search{Algorithm: "nsga2", Seed: seed, NSGA2: &NSGA2Config{PopulationSize: 20, Generations: 12}}
+			fast, err := search.Run(s, eval, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			testNaiveRank = true
-			naive, err := NSGA2(s, eval, cfg)
+			naive, err := search.Run(s, eval, Options{})
 			testNaiveRank = false
 			if err != nil {
 				t.Fatal(err)
@@ -244,15 +244,15 @@ func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	s := testSpace(6, 3)
 	for _, workers := range []int{1, 2} {
 		for _, eval := range []Evaluator{&convexEvaluator{space: s}, &simplexEvaluator{space: s}} {
-			cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: workers}
-			cfg = cfg.withDefaults(len(s.Params))
-			rs, err := begin(Search{Algorithm: "nsga2", NSGA2: &cfg}, s, eval, workers, 1, Options{})
+			search := Search{Algorithm: "nsga2", Seed: 3, Workers: workers,
+				NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 1}}
+			rs, err := begin(search, s, eval, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var arch Archive
-			rng := rand.New(rand.NewSource(cfg.Seed))
-			r := newNSGA2Run(s, rs, cfg, &arch)
+			rng := rand.New(rand.NewSource(search.Seed))
+			r := newNSGA2Run(s, rs, search.nsga2().withDefaults(len(s.Params)), &arch)
 			r.seed(rng, nil)
 			for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
 				r.generation(rng)

@@ -20,14 +20,14 @@
 // park between jobs, so waking them costs no goroutine start. NSGA-II
 // publishes each offspring as variation writes it, and a pool goroutine
 // merges the offspring into the archive while the search goroutine ranks
-// and selects. MOSA runs its chains on ForEachWorker's goroutines, one
-// fan-out per chain segment. Results land in input order;
+// and selects. MOSA runs its chains on goroutines it starts for each
+// chain segment. Results land in input order;
 // each distinct configuration is evaluated exactly once no matter how
 // many workers race for it, so Result.Evaluated keeps meaning distinct
 // points. A panic on a worker goroutine is raised again on the search
 // goroutine as a *WorkerPanic once every worker goroutine has stopped.
 // EvaluateBatch, for callers outside a run, fans out over goroutines of
-// its own per call (ForEachWorker). A returned point carries
+// its own per call. A returned point carries
 // the caller's own configuration slice, so each search owns its gene
 // buffers and recycles them, and an Archive copies the genes of every
 // point it keeps; a Result's front is copied out of the archive and the
@@ -49,24 +49,23 @@
 // # Run options: cancellation, progress, checkpoint/resume
 //
 // One algorithm table (algorithm.go) holds nsga2, mosa, exhaustive and
-// random; front ends look a Search up in it instead of switching on
-// names. Search.Run calls the entry's Opts function (NSGA2Opts, MOSAOpts,
-// ExhaustiveOpts, RandomSearchOpts), and all four run on one harness
-// (run.go): each supplies only how to advance to its next boundary — a
-// generation (NSGA-II), a chain segment (MOSA) or an evaluation batch
+// random. A Search names its entry and carries every setting of the run;
+// Search.Run, the one way to run a search, validates it and calls the
+// entry's runner. All four runners share one harness (run.go): each
+// supplies only how to advance to its next boundary — a generation
+// (NSGA-II), a chain segment (MOSA) or an evaluation batch
 // (exhaustive/random, the last partial one included) — its live front
 // and its snapshot fields. The harness does the rest: resume checks, memo
 // priming, cumulative counts, and the Options hooks, which run at every
 // boundary from the resume step + 1 through the run's total and never
-// inside the allocation-free hot loops, so a zero Options run is
-// bit-identical to the plain entry point. Cancellation returns the
-// partial Result alongside ctx.Err(); StatsSink, the sink searches feed,
-// receives step counters, memo-cache hits and the live front (valid
-// during the call); CheckpointFunc receives self-contained,
-// JSON-serializable Snapshots. The search RNG draws from a SplitMix64
-// rand.Source64 so its complete state is a single uint64, which is what
-// makes a resumed run (Options.Resume) replay the uninterrupted
-// trajectory bit for bit.
+// inside the allocation-free hot loops, so a sink never changes a front.
+// Cancellation returns the partial Result alongside ctx.Err(); StatsSink,
+// the sink searches feed, receives step counters, memo-cache hits and the
+// live front (valid during the call); CheckpointFunc receives
+// self-contained, JSON-serializable Snapshots. The search RNG draws from
+// a SplitMix64 rand.Source64 so its complete state is a single uint64,
+// which is what makes a resumed run (Options.Resume) replay the
+// uninterrupted trajectory bit for bit.
 package dse
 
 import (

@@ -27,7 +27,8 @@ func TestStatsSinkAllAlgorithms(t *testing.T) {
 		space  *Space
 		eval   Evaluator
 	}{
-		{"nsga2", Search{Algorithm: "nsga2", Seed: 9, Workers: 2, NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
+		{"nsga2", Search{Algorithm: "nsga2", Seed: 9, Workers: 2,
+			NSGA2: &NSGA2Config{PopulationSize: 16, Generations: 12}}, s, eval},
 		{"mosa", Search{Algorithm: "mosa", Seed: 5, Workers: 2, MOSA: &MOSAConfig{Iterations: 4000, Restarts: 4}}, s, eval},
 		{"exhaustive", Search{Algorithm: "exhaustive", Workers: 2, MaxPoints: 1000000}, sBig, evalBig},
 		{"exhaustive-one-batch", Search{Algorithm: "exhaustive", Workers: 2}, sSmall, evalSmall},
@@ -106,7 +107,7 @@ func TestStatsSinkCacheHits(t *testing.T) {
 	s := testSpace(4, 3) // 12 configurations: a long run must revisit
 	eval := &convexEvaluator{space: s}
 	var last Stats
-	_, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 12, Generations: 10, Seed: 3}, Options{
+	_, err := Search{Algorithm: "nsga2", Seed: 3, NSGA2: &NSGA2Config{PopulationSize: 12, Generations: 10}}.Run(s, eval, Options{
 		Stats: func(st Stats) { last = st; last.Front = nil },
 	})
 	if err != nil {

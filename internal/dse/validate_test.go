@@ -38,7 +38,7 @@ func TestNSGA2ConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NSGA2(validateSpace(), sumEval{}, tc.cfg)
+			_, err := Search{Algorithm: "nsga2", NSGA2: &tc.cfg}.Run(validateSpace(), sumEval{}, Options{})
 			if err == nil {
 				t.Fatalf("config %+v accepted", tc.cfg)
 			}
@@ -51,7 +51,8 @@ func TestNSGA2ConfigValidation(t *testing.T) {
 		})
 	}
 	// Zero values still select the documented defaults.
-	if _, err := NSGA2(validateSpace(), sumEval{}, NSGA2Config{Generations: 1, PopulationSize: 4}); err != nil {
+	if _, err := (Search{Algorithm: "nsga2",
+		NSGA2: &NSGA2Config{Generations: 1, PopulationSize: 4}}).Run(validateSpace(), sumEval{}, Options{}); err != nil {
 		t.Errorf("minimal valid config rejected: %v", err)
 	}
 }
@@ -71,7 +72,7 @@ func TestMOSAConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := MOSA(validateSpace(), sumEval{}, tc.cfg)
+			_, err := Search{Algorithm: "mosa", MOSA: &tc.cfg}.Run(validateSpace(), sumEval{}, Options{})
 			if err == nil {
 				t.Fatalf("config %+v accepted", tc.cfg)
 			}
@@ -83,7 +84,8 @@ func TestMOSAConfigValidation(t *testing.T) {
 			}
 		})
 	}
-	if _, err := MOSA(validateSpace(), sumEval{}, MOSAConfig{Iterations: 8, Restarts: 2}); err != nil {
+	if _, err := (Search{Algorithm: "mosa",
+		MOSA: &MOSAConfig{Iterations: 8, Restarts: 2}}).Run(validateSpace(), sumEval{}, Options{}); err != nil {
 		t.Errorf("minimal valid config rejected: %v", err)
 	}
 }
@@ -92,15 +94,38 @@ func TestMOSAConfigValidation(t *testing.T) {
 // valid deterministic run, not a degenerate configuration.
 func TestSeedsAllValid(t *testing.T) {
 	for _, seed := range []int64{-9e18, -1, 0, 1, 9e18} {
-		if _, err := NSGA2(validateSpace(), sumEval{}, NSGA2Config{
-			PopulationSize: 4, Generations: 1, Seed: seed,
-		}); err != nil {
+		if _, err := (Search{Algorithm: "nsga2", Seed: seed,
+			NSGA2: &NSGA2Config{PopulationSize: 4, Generations: 1}}).Run(validateSpace(), sumEval{}, Options{}); err != nil {
 			t.Errorf("NSGA2 rejected seed %d: %v", seed, err)
 		}
-		if _, err := MOSA(validateSpace(), sumEval{}, MOSAConfig{
-			Iterations: 4, Restarts: 2, Seed: seed,
-		}); err != nil {
+		if _, err := (Search{Algorithm: "mosa", Seed: seed,
+			MOSA: &MOSAConfig{Iterations: 4, Restarts: 2}}).Run(validateSpace(), sumEval{}, Options{}); err != nil {
 			t.Errorf("MOSA rejected seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSearchRefusesNestedSeedAndWorkers checks that a seed or worker
+// count inside the NSGA2 or MOSA config, which no run reads, is an error
+// naming the field, from Validate and from Run, whatever the algorithm.
+func TestSearchRefusesNestedSeedAndWorkers(t *testing.T) {
+	cases := []struct {
+		search Search
+		want   string
+	}{
+		{Search{Algorithm: "nsga2", Seed: 3, NSGA2: &NSGA2Config{PopulationSize: 8, Seed: 7}}, "nsga2.seed"},
+		{Search{Algorithm: "nsga2", Workers: 1, NSGA2: &NSGA2Config{Workers: 9}}, "nsga2.workers"},
+		{Search{Algorithm: "mosa", MOSA: &MOSAConfig{Seed: -1}}, "mosa.seed"},
+		{Search{Algorithm: "mosa", MOSA: &MOSAConfig{Iterations: 8, Restarts: 2, Workers: 2}}, "mosa.workers"},
+		{Search{Algorithm: "random", NSGA2: &NSGA2Config{Seed: 1}}, "nsga2.seed"},
+	}
+	for _, tc := range cases {
+		err := tc.search.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Validate() = %v, want an error naming %s", tc.search, err, tc.want)
+		}
+		if _, runErr := tc.search.Run(validateSpace(), sumEval{}, Options{}); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%+v: Run returned %v, Validate %v", tc.search, runErr, err)
 		}
 	}
 }

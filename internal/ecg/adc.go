@@ -1,10 +1,6 @@
 package ecg
 
-import (
-	"fmt"
-
-	"wsndse/internal/numeric"
-)
+import "fmt"
 
 // ADC models the analog-to-digital conversion stage of the sensing chain.
 // The case study fixes a 12-bit converter (L_ADC = 12 bits, §4.3); full
@@ -79,10 +75,3 @@ func (a ADC) Validate() error {
 // φ_in = f_s · L_adc (§3.3). With the case-study defaults, 250 Hz × 1.5 B
 // = 375 B/s, matching the paper.
 func (a ADC) InputRate(fs float64) float64 { return fs * a.SampleBytes() }
-
-// QuantizationRMS estimates the RMS quantization error in millivolts for a
-// signal spanning the given range, useful in tests.
-func (a ADC) QuantizationRMS() float64 {
-	step := (a.Max - a.Min) / float64(a.Levels())
-	return step / numeric.Sqrt12
-}

@@ -62,14 +62,6 @@ func TestQuantizeRoundTripError(t *testing.T) {
 	}
 }
 
-func TestQuantizationRMS(t *testing.T) {
-	a := DefaultADC()
-	want := (a.Max - a.Min) / 4096 / math.Sqrt(12)
-	if got := a.QuantizationRMS(); math.Abs(got-want) > 1e-15 {
-		t.Errorf("QuantizationRMS = %g, want %g", got, want)
-	}
-}
-
 func TestDigitizePreservesECGShape(t *testing.T) {
 	g, _ := NewGenerator(DefaultConfig())
 	x := g.Generate(512)

@@ -72,12 +72,9 @@ func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		search, err := dse.NSGA2(problem.Space(), eval, dse.NSGA2Config{
-			PopulationSize: cfg.PopulationSize,
-			Generations:    cfg.Generations,
-			Seed:           cfg.Seed,
-			Workers:        cfg.Workers,
-		})
+		search, err := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
+			NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations},
+		}.Run(problem.Space(), eval, dse.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +202,7 @@ func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) 
 				return nil, err
 			}
 			simCfg.Arrival = arrival
-			simRes, err := runSim(simCfg)
+			simRes, err := sim.Run(simCfg)
 			if err != nil {
 				return nil, err
 			}

@@ -7,14 +7,10 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
-	"wsndse/internal/sim"
 )
 
 // writer is the rendering sink used by every experiment.
 type writer = io.Writer
-
-// runSim is a seam for the simulator call (overridable in tests).
-var runSim = sim.Run
 
 // wardProblem is the §4 case study under the calibration: sc (an ecg-ward
 // variant) with its genes in the axis-major order every seeded search and

@@ -7,6 +7,7 @@ import (
 	"wsndse/internal/casestudy"
 	"wsndse/internal/numeric"
 	"wsndse/internal/scenario"
+	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
@@ -90,7 +91,7 @@ func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		simRes, err := runSim(simCfg)
+		simRes, err := sim.Run(simCfg)
 		if err != nil {
 			return nil, err
 		}

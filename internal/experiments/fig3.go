@@ -27,6 +27,7 @@ import (
 	"wsndse/internal/core"
 	"wsndse/internal/numeric"
 	"wsndse/internal/scenario"
+	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
@@ -157,7 +158,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			simRes, err := runSim(simCfg)
+			simRes, err := sim.Run(simCfg)
 			if err != nil {
 				return nil, err
 			}

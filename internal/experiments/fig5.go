@@ -87,21 +87,13 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 		return nil, err
 	}
 
-	full, err := dse.NSGA2(problem.Space(), eval, dse.NSGA2Config{
-		PopulationSize: cfg.PopulationSize,
-		Generations:    cfg.Generations,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-	})
+	ga := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
+		NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations}}
+	full, err := ga.Run(problem.Space(), eval, dse.Options{})
 	if err != nil {
 		return nil, err
 	}
-	base, err := dse.NSGA2(problem.Space(), baseline.Project(eval, 0, 2), dse.NSGA2Config{
-		PopulationSize: cfg.PopulationSize,
-		Generations:    cfg.Generations,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-	})
+	base, err := ga.Run(problem.Space(), baseline.Project(eval, 0, 2), dse.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -123,11 +115,8 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	res.FullCoversBaseline = dse.Coverage(full.Front, lifted)
 
 	if cfg.RunMOSA {
-		sa, err := dse.MOSA(problem.Space(), eval, dse.MOSAConfig{
-			Iterations: cfg.PopulationSize * cfg.Generations,
-			Seed:       cfg.Seed,
-			Workers:    cfg.Workers,
-		})
+		sa, err := dse.Search{Algorithm: "mosa", Seed: cfg.Seed, Workers: cfg.Workers,
+			MOSA: &dse.MOSAConfig{Iterations: cfg.PopulationSize * cfg.Generations}}.Run(problem.Space(), eval, dse.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -189,12 +189,9 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 	if err != nil {
 		return nil, err
 	}
-	search, err := dse.NSGA2Opts(p.Space(), p.Evaluator(), dse.NSGA2Config{
-		PopulationSize: cfg.PopulationSize,
-		Generations:    cfg.Generations,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-	}, dse.Options{Context: ctx})
+	search, err := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
+		NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations},
+	}.Run(p.Space(), p.Evaluator(), dse.Options{Context: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +228,7 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 			row.BlockArrivals = true // a single bursty node breaks the Eq. 9 assumption too
 		}
 	}
-	simRes, err := runSim(simCfg)
+	simRes, err := sim.Run(simCfg)
 	if err != nil {
 		return nil, err
 	}

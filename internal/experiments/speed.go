@@ -101,7 +101,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 	if _, err := timeModel(eval, pool, poolSize); err != nil {
 		return nil, err
 	}
-	if _, err := runSim(sims[0]); err != nil {
+	if _, err := sim.Run(sims[0]); err != nil {
 		return nil, err
 	}
 
@@ -117,7 +117,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 		perEval = append(perEval, d/time.Duration(block))
 		for _, sc := range sims {
 			start := time.Now()
-			if _, err := runSim(sc); err != nil {
+			if _, err := sim.Run(sc); err != nil {
 				return nil, err
 			}
 			perRun = append(perRun, time.Since(start))

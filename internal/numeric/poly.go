@@ -10,7 +10,6 @@ package numeric
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Poly is a polynomial stored as coefficients in ascending-degree order:
@@ -24,22 +23,6 @@ func (p Poly) Eval(x float64) float64 {
 		y = y*x + p[i]
 	}
 	return y
-}
-
-// Degree returns the degree of the polynomial (len-1), or -1 for an empty
-// polynomial.
-func (p Poly) Degree() int { return len(p) - 1 }
-
-// Derivative returns the first derivative of p.
-func (p Poly) Derivative() Poly {
-	if len(p) <= 1 {
-		return Poly{0}
-	}
-	d := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		d[i-1] = float64(i) * p[i]
-	}
-	return d
 }
 
 // String renders the polynomial in human-readable ascending form.
@@ -105,18 +88,4 @@ func PolyFit(xs, ys []float64, degree int) (Poly, error) {
 		return nil, err
 	}
 	return Poly(coef), nil
-}
-
-// PolyFitResidual returns the root-mean-square residual of the fit p over
-// the points (xs, ys). Useful for reporting calibration quality.
-func PolyFitResidual(p Poly, xs, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for i := range xs {
-		d := ys[i] - p.Eval(xs[i])
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }

@@ -29,17 +29,6 @@ func TestPolyEvalEmpty(t *testing.T) {
 	}
 }
 
-func TestPolyDerivative(t *testing.T) {
-	p := Poly{5, 3, 2} // 5 + 3x + 2x² → 3 + 4x
-	d := p.Derivative()
-	if len(d) != 2 || d[0] != 3 || d[1] != 4 {
-		t.Errorf("Derivative = %v, want [3 4]", d)
-	}
-	if got := (Poly{7}).Derivative(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("constant derivative = %v, want [0]", got)
-	}
-}
-
 func TestPolyFitExact(t *testing.T) {
 	// Fitting points generated from a cubic with degree 3 must recover it.
 	want := Poly{0.5, -2, 0, 1.25}
@@ -115,8 +104,7 @@ func TestPolyFitErrors(t *testing.T) {
 }
 
 func TestPolyFitLeastSquaresResidual(t *testing.T) {
-	// Noisy line: the fit should pass near the data, and residual should
-	// be reported.
+	// Noisy line: the least-squares fit should pass near the data.
 	xs := Linspace(0, 1, 21)
 	ys := make([]float64, len(xs))
 	rng := rand.New(rand.NewSource(3))
@@ -129,13 +117,6 @@ func TestPolyFitLeastSquaresResidual(t *testing.T) {
 	}
 	if math.Abs(p[0]-2) > 0.05 || math.Abs(p[1]-3) > 0.05 {
 		t.Errorf("fit = %v, want near [2 3]", p)
-	}
-	res := PolyFitResidual(p, xs, ys)
-	if res < 0 || res > 1e-2 {
-		t.Errorf("residual = %g, want small positive", res)
-	}
-	if got := PolyFitResidual(p, nil, nil); got != 0 {
-		t.Errorf("empty residual = %g, want 0", got)
 	}
 }
 

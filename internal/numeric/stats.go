@@ -5,10 +5,6 @@ import (
 	"sort"
 )
 
-// Sqrt12 is √12, the divisor relating a uniform quantization step to its
-// RMS error (step/√12).
-const Sqrt12 = 3.4641016151377544
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -123,17 +119,6 @@ func RelErr(got, want float64) float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(got-want) / math.Abs(want) * 100
-}
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -130,18 +130,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp high = %g", got)
-	}
-	if got := Clamp(-2, 0, 3); got != 0 {
-		t.Errorf("Clamp low = %g", got)
-	}
-	if got := Clamp(1.5, 0, 3); got != 1.5 {
-		t.Errorf("Clamp inside = %g", got)
-	}
-}
-
 func TestLinspace(t *testing.T) {
 	xs := Linspace(0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}

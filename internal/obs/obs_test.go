@@ -252,23 +252,6 @@ func TestWriteSampleValidation(t *testing.T) {
 	}
 }
 
-func TestTail(t *testing.T) {
-	fields := []string{"x"}
-	in := make([]Sample, 10)
-	for i := range in {
-		in[i] = Sample{Fields: fields, Values: []int64{int64(i)}}
-	}
-	data := writeStream(t, in)
-	got, _, err := Tail(bytes.NewReader(data), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSamples(t, in[7:], got)
-	if _, _, err := Tail(bytes.NewReader(data), 0); err == nil {
-		t.Fatal("Tail(0) accepted")
-	}
-}
-
 // The steady-state write path (schema unchanged) must not allocate: it
 // runs at search boundaries inside the service's job loop, and the <2%
 // throughput budget is met by keeping the sample cost at one buffered

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 )
@@ -247,21 +246,4 @@ func ReadAll(r io.Reader) (samples []Sample, truncated bool, err error) {
 		}
 		samples = append(samples, s)
 	}
-}
-
-// Tail returns the last n samples of the stream (all of them when it
-// holds fewer), for recent-window endpoints that do not want to hold the
-// whole series.
-func Tail(r io.Reader, n int) (samples []Sample, truncated bool, err error) {
-	if n <= 0 {
-		return nil, false, fmt.Errorf("obs: tail window %d must be positive", n)
-	}
-	all, truncated, err := ReadAll(r)
-	if err != nil {
-		return nil, truncated, err
-	}
-	if len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all, truncated, nil
 }

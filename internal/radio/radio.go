@@ -187,13 +187,3 @@ func (c Chip) EnergyPerBitRx() units.Joules {
 func (c Chip) TxTime(bytes float64) units.Seconds {
 	return units.Seconds(bytes * 8 / float64(c.BitRate))
 }
-
-// TxEnergy is the energy to transmit `bytes` bytes (excluding ramp-up).
-func (c Chip) TxEnergy(bytes float64) units.Joules {
-	return units.Joules(float64(c.TxTime(bytes)) * float64(c.TxPower))
-}
-
-// RxEnergy is the energy to receive `bytes` bytes.
-func (c Chip) RxEnergy(bytes float64) units.Joules {
-	return units.Joules(bytes * 8 / float64(c.BitRate) * float64(c.RxPower))
-}

@@ -66,13 +66,6 @@ func TestTxTimeAndEnergy(t *testing.T) {
 	if got := float64(c.TxTime(125)); math.Abs(got-4e-3) > 1e-12 {
 		t.Errorf("TxTime(125) = %g, want 4ms", got)
 	}
-	wantE := 4e-3 * 52.2e-3
-	if got := float64(c.TxEnergy(125)); math.Abs(got-wantE) > 1e-12 {
-		t.Errorf("TxEnergy(125) = %g, want %g", got, wantE)
-	}
-	if got := float64(c.RxEnergy(125)); math.Abs(got-4e-3*56.4e-3) > 1e-12 {
-		t.Errorf("RxEnergy(125) = %g", got)
-	}
 }
 
 func TestValidateCatchesBadChips(t *testing.T) {

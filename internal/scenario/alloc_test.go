@@ -75,14 +75,14 @@ func TestInfeasibleEvalSteadyStateAllocs(t *testing.T) {
 // rung: a whole ward-explore search allocates at most one object per
 // infeasible evaluation (its error) plus 0.15 per distinct evaluation.
 // Heap objects per memo entry (entry, config clone, done channel,
-// objective slice) and a copied Progress front would cost about 5.4 per
+// objective slice) and a copied Stats front would cost about 5.4 per
 // evaluation.
 func TestWardSearchSteadyStateAllocs(t *testing.T) {
 	p, compiled := compiledWard(t)
 	for _, workers := range []int{1, 2} {
 		eval := compiled.Evaluator()
 		m0 := mallocs()
-		res, err := wardSearch(120, workers).Run(p.Space(), eval, dse.Options{Progress: func(dse.Progress) {}})
+		res, err := wardSearch(120, workers).Run(p.Space(), eval, dse.Options{Stats: func(dse.Stats) {}})
 		allocs := mallocs() - m0
 		if err != nil {
 			t.Fatal(err)

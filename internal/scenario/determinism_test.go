@@ -27,12 +27,9 @@ func TestScenarioDeterminism(t *testing.T) {
 			}
 
 			explore := func(workers int) *dse.Result {
-				res, err := dse.NSGA2(p.Space(), p.Evaluator(), dse.NSGA2Config{
-					PopulationSize: 16,
-					Generations:    4,
-					Seed:           29,
-					Workers:        workers,
-				})
+				res, err := dse.Search{Algorithm: "nsga2", Seed: 29, Workers: workers,
+					NSGA2: &dse.NSGA2Config{PopulationSize: 16, Generations: 4},
+				}.Run(p.Space(), p.Evaluator(), dse.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

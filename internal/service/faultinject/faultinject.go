@@ -299,10 +299,14 @@ func (p *FlakyProxy) Close() {
 	p.wg.Wait()
 }
 
-// track registers conn while open; the returned func deregisters it.
+// track registers conn while open; the returned func deregisters it. Close
+// sets closed before its sweep under liveMu, so a later conn is closed here.
 func (p *FlakyProxy) track(conn net.Conn) func() {
 	p.liveMu.Lock()
 	p.live[conn] = struct{}{}
+	if p.closed.Load() {
+		conn.Close()
+	}
 	p.liveMu.Unlock()
 	return func() {
 		p.liveMu.Lock()

@@ -87,6 +87,54 @@ func TestFlakyProxyCloseReapsGoroutines(t *testing.T) {
 		proxyGoroutines(), before)
 }
 
+// TestFlakyProxyCloseRacesRelayStart closes the proxy as soon as it has
+// counted its connections, while their relays may still be registering
+// them. A connection registered after Close swept the live set must be
+// closed too: its idle copiers would otherwise keep Close waiting.
+func TestFlakyProxyCloseRacesRelayStart(t *testing.T) {
+	backend, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	go func() {
+		for {
+			conn, err := backend.Accept()
+			if err != nil {
+				return
+			}
+			go func() { io.Copy(io.Discard, conn) }()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		p, err := NewFlakyProxy(backend.Addr().String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var conns []net.Conn
+		for range 4 {
+			conn, err := net.Dial("tcp", p.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+		}
+		for p.Conns() < 4 {
+			runtime.Gosched()
+		}
+		closed := make(chan struct{})
+		go func() { p.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("iteration %d: Close still waiting after 3s", i)
+		}
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
 func TestIslandHookPanicsOnTarget(t *testing.T) {
 	defer Reset()
 	PanicOnIslandAtStep(2, 3, 1)

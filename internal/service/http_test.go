@@ -316,6 +316,42 @@ func TestHTTPSubmitUnknownFieldRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitNestedSeedRejected: a job runs with the spec's own seed and
+// workers, so a seed or worker count inside the nsga2 block is a 400
+// invalid_spec over HTTP, naming the field, and an error from
+// Manager.Submit, not a value the job's spec echoes and the run ignores.
+func TestSubmitNestedSeedRejected(t *testing.T) {
+	c, m := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const body = `{"scenario":"ecg-ward","algorithm":"nsga2","seed":3,"nsga2":{"population_size":8,"generations":2,"seed":7,"workers":9}}`
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", json.RawMessage(body), nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != CodeInvalidSpec || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("nested seed and workers → %v", err)
+	}
+	if !strings.Contains(apiErr.Message, "nsga2.seed") {
+		t.Fatalf("error does not name nsga2.seed: %q", apiErr.Message)
+	}
+	for field, raw := range map[string]string{
+		"nsga2.seed":    body,
+		"nsga2.workers": `{"scenario":"ecg-ward","algorithm":"nsga2","nsga2":{"workers":2}}`,
+		"mosa.seed":     `{"scenario":"ecg-ward","algorithm":"mosa","mosa":{"seed":1}}`,
+	} {
+		var spec Spec
+		if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Submit(spec); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("Manager.Submit of %s → %v, want an error naming %s", raw, err, field)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(jobs))
+	}
+}
+
 // TestHTTPPagination drives the Page envelope over all three list
 // endpoints: window arithmetic, the limit clamp, and the page-draining
 // convenience methods.
@@ -551,6 +587,8 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":7,"workers":2,"checkpoint_every":100,"nsga2":{"population_size":16,"generations":1500}}`,
 		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":7,"workers":2,"islands":2,"migration_interval":6,"nsga2":{"population_size":16,"generations":12}}`,
 		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":21,"workers":2,"warm_start":"auto","nsga2":{"population_size":16,"generations":12}}`,
+		// A seed and worker count nested in the nsga2 block: refused.
+		`{"scenario":"ecg-ward","algorithm":"nsga2","seed":3,"nsga2":{"population_size":8,"generations":2,"seed":7,"workers":9}}`,
 	} {
 		f.Add([]byte(raw))
 	}
@@ -587,6 +625,11 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if spec.NSGA2 != nil && spec.NSGA2.PopulationSize > maxPopulation {
 			t.Fatalf("accepted population size %d above the cap %d", spec.NSGA2.PopulationSize, maxPopulation)
+		}
+		// Both fields are omitempty, so a nested seed or worker count
+		// shows in the configs' JSON exactly when it is not zero.
+		if nested, _ := json.Marshal([]any{spec.NSGA2, spec.MOSA}); bytes.Contains(nested, []byte(`"seed"`)) || bytes.Contains(nested, []byte(`"workers"`)) {
+			t.Fatalf("accepted a seed or worker count inside nsga2 or mosa: %s", nested)
 		}
 		if spec.MOSA != nil && spec.MOSA.Restarts > maxChains {
 			t.Fatalf("accepted %d MOSA chains above the cap %d", spec.MOSA.Restarts, maxChains)

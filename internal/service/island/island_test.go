@@ -116,9 +116,9 @@ func TestSingleIslandMatchesPlainRun(t *testing.T) {
 
 	got := runCoordinator(t, job, cfg)
 
-	plain, err := dse.NSGA2Opts(space, eval,
-		dse.NSGA2Config{PopulationSize: 16, Generations: 12, Seed: dse.ForkSeed(job.Seed, 0), Workers: 2},
-		dse.Options{})
+	plain, err := dse.Search{Algorithm: "nsga2", Seed: dse.ForkSeed(job.Seed, 0), Workers: 2,
+		NSGA2: &dse.NSGA2Config{PopulationSize: 16, Generations: 12},
+	}.Run(space, eval, dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ const (
 // Workers is the evaluation parallelism the scheduler budgets for
 // (default 1, so a loaded service degrades to fair round-robin instead of
 // thrashing; the per-job cap keeps one tenant from monopolizing the
-// machine). Seed/Workers fields inside NSGA2/MOSA are overridden.
+// machine). A seed or workers inside NSGA2/MOSA fails Validate.
 type Spec struct {
 	Scenario  string `json:"scenario"`
 	Algorithm string `json:"algorithm"`

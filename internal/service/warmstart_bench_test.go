@@ -61,9 +61,9 @@ func warmStartTrials(tb testing.TB) []warmStartTrial {
 			tb.Fatal(err)
 		}
 		m := &compiledMember{sc: sc, space: problem.Space(), eval: compiled.Evaluator()}
-		res, err := dse.NSGA2(m.space, m.eval, dse.NSGA2Config{
-			PopulationSize: warmStartPop, Generations: warmStartMaxGens, Seed: refSeed, Workers: 1,
-		})
+		res, err := dse.Search{Algorithm: "nsga2", Seed: refSeed, Workers: 1,
+			NSGA2: &dse.NSGA2Config{PopulationSize: warmStartPop, Generations: warmStartMaxGens},
+		}.Run(m.space, m.eval, dse.Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -139,16 +139,16 @@ func (tr warmStartTrial) gensToTarget(tb testing.TB, seeds []dse.Config) int {
 	opts := dse.Options{
 		Context:    ctx,
 		SeedPoints: seeds,
-		Progress: func(p dse.Progress) {
-			if p.Step < gens && dse.Hypervolume(p.Front, tr.ref) >= tr.target {
-				gens = p.Step
+		Stats: func(s dse.Stats) {
+			if s.Step < gens && dse.Hypervolume(s.Front, tr.ref) >= tr.target {
+				gens = s.Step
 				cancel()
 			}
 		},
 	}
-	_, err := dse.NSGA2Opts(tr.space, tr.eval, dse.NSGA2Config{
-		PopulationSize: warmStartPop, Generations: warmStartMaxGens, Seed: runSeed, Workers: 1,
-	}, opts)
+	_, err := dse.Search{Algorithm: "nsga2", Seed: runSeed, Workers: 1,
+		NSGA2: &dse.NSGA2Config{PopulationSize: warmStartPop, Generations: warmStartMaxGens},
+	}.Run(tr.space, tr.eval, opts)
 	if err != nil && ctx.Err() == nil {
 		tb.Fatal(err)
 	}

@@ -160,9 +160,6 @@ func (e *Engine) Run(until float64) {
 	}
 }
 
-// Pending returns the number of queued events, for tests.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // Dispatched returns how many events have been processed — the numerator
 // of the events-per-second throughput the CLIs report.
 func (e *Engine) Dispatched() int64 { return e.dispatched }

@@ -61,8 +61,8 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 	if len(e.got) != 0 {
 		t.Error("event beyond the horizon ran")
 	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Errorf("pending = %d, want 1", len(e.heap))
 	}
 	// Continuing past the horizon runs it.
 	e.Run(3)
