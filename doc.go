@@ -156,11 +156,13 @@
 // lifecycles, per-job event hubs streamed as server-sent events, durable
 // snapshot files, and a versioned store of finished fronts queryable by
 // scenario/algorithm. A finished job keeps its info, events, stats window
-// and one read-only front shared with the store; its checkpoint anchor
-// and warm-start seeds live only while it runs. One bound, the store's
-// MaxResults, also caps the finished job records the Manager keeps:
-// past it the record that finished first is dropped, so a server's
-// memory does not grow with the jobs it has served. Seeded jobs return
+// and one packed front (one byte per gene, the objectives in one slab)
+// shared with the store, and every read of the front builds the caller
+// a copy of its own; its checkpoint anchor and warm-start seeds live
+// only while it runs. One bound, the store's MaxResults, also caps the
+// finished job records the Manager keeps: past it the record that
+// finished first is dropped, so a server's memory does not grow with
+// the jobs it has served. Seeded jobs return
 // bit-identical fronts regardless of service concurrency — jobs share
 // nothing mutable but code paths already proven scheduling-independent.
 // cmd/wsn-serve serves the HTTP API; service.Client consumes it;

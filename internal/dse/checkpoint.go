@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // SnapshotVersion is the checkpoint format version. Snapshots carry it so
@@ -231,7 +232,8 @@ var ErrCorruptSnapshot = errors.New("dse: corrupt snapshot file")
 // checksum is what makes crash recovery *detectable* rather than
 // best-effort — a checkpoint file torn mid-write (truncated tail,
 // interleaved garbage) fails verification instead of resuming a run
-// from silently wrong state.
+// from silently wrong state. EncodeSnapshotFile writes its JSON form by
+// hand; DecodeSnapshotFile reads it through this type.
 type snapshotEnvelope struct {
 	Version  int             `json:"version"`
 	SHA256   string          `json:"sha256"`
@@ -239,18 +241,25 @@ type snapshotEnvelope struct {
 }
 
 // EncodeSnapshotFile serializes snap into its durable envelope form:
-// {"version":1,"sha256":"...","snapshot":{...}}.
+// {"version":1,"sha256":"...","snapshot":{...}}. It appends the header,
+// the checksum and the snapshot's bytes instead of marshalling a
+// snapshotEnvelope, which would scan and compact those bytes a second
+// time; json.Marshal's output is already compact and escaped, so the
+// bytes are the same.
 func EncodeSnapshotFile(snap *Snapshot) ([]byte, error) {
 	raw, err := json.Marshal(snap)
 	if err != nil {
 		return nil, err
 	}
 	sum := sha256.Sum256(raw)
-	return json.Marshal(snapshotEnvelope{
-		Version:  SnapshotVersion,
-		SHA256:   hex.EncodeToString(sum[:]),
-		Snapshot: raw,
-	})
+	out := make([]byte, 0, len(raw)+128) // 128 holds the rest of the envelope
+	out = append(out, `{"version":`...)
+	out = strconv.AppendInt(out, SnapshotVersion, 10)
+	out = append(out, `,"sha256":"`...)
+	out = hex.AppendEncode(out, sum[:])
+	out = append(out, `","snapshot":`...)
+	out = append(out, raw...)
+	return append(out, '}'), nil
 }
 
 // DecodeSnapshotFile parses an envelope produced by EncodeSnapshotFile,

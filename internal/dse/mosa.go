@@ -193,21 +193,17 @@ func newMOSAChain(space *Space, cfg MOSAConfig, seed int64) *mosaChain {
 	return c
 }
 
-// energy is the acceptance energy of a candidate: the fraction of the
-// chain's archive that dominates it (2 for infeasible points, worse than
-// any feasible energy).
+// energy adds p to the chain's archive and returns its acceptance energy:
+// the fraction of the archive that dominates it (2 for infeasible points,
+// worse than any feasible energy). One archive pass finds both; see
+// Archive.addCounting.
 func (c *mosaChain) energy(p Point) float64 {
 	if !p.Feasible {
 		return 2
 	}
-	if c.arch.Len() == 0 {
+	dominated := c.arch.addCounting(p)
+	if dominated == 0 {
 		return 0
-	}
-	dominated := 0
-	for _, q := range c.arch.Points() {
-		if Dominates(q.Objs, p.Objs) {
-			dominated++
-		}
 	}
 	return float64(dominated) / float64(c.arch.Len())
 }
@@ -226,14 +222,12 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 		}
 		c.cur = pe.evalFor(w, c.buf)
 		c.buf = make(Config, len(c.buf))
-		c.arch.Add(c.cur)
 		c.curE = c.energy(c.cur)
 		c.started = true
 	}
 	for ; c.iter < upTo; c.iter++ {
 		space.NeighborInto(c.rng, c.buf, c.cur.Config)
 		cand := pe.evalFor(w, c.buf)
-		c.arch.Add(cand)
 		candE := c.energy(cand)
 		if candE <= c.curE || c.rng.Float64() < math.Exp(-(candE-c.curE)/c.temp) {
 			c.buf, c.cur, c.curE = c.cur.Config, cand, candE

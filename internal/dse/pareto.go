@@ -134,29 +134,77 @@ func (a *Archive) Add(p Point) bool {
 	if !p.Feasible {
 		return false
 	}
-	n := len(a.points)
-	// First index whose objectives are lexicographically >= p's.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if lexLessObjs(a.points[mid].Objs, p.Objs) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	i := lo
-	if i < n && equalObjs(a.points[i].Objs, p.Objs) {
+	i, dup := a.search(p.Objs)
+	if dup {
 		return false
 	}
 	if len(p.Objs) == 2 {
 		// Mutual non-dominance plus lex order force the first objective
 		// strictly increasing and the second strictly decreasing, so the
-		// predecessor carries the minimum f2 left of p (O(1) dominance
-		// check) and p's victims are a contiguous run after it.
+		// predecessor carries the minimum f2 left of p: an O(1) dominance
+		// check.
 		if i > 0 && a.points[i-1].Objs[1] <= p.Objs[1] {
 			return false
 		}
+	} else {
+		// A lexicographic successor can never dominate p, so dominators
+		// live strictly left of i.
+		for k := 0; k < i; k++ {
+			if Dominates(a.points[k].Objs, p.Objs) {
+				return false
+			}
+		}
+	}
+	a.insertAt(i, p)
+	return true
+}
+
+// addCounting is Add for a feasible p whose caller also needs how many
+// archived points dominate p (MOSA's acceptance energy): it counts them
+// over p's lexicographic predecessors, the only points that can dominate
+// p, and inserts p only when the count is 0 and its objective vector is
+// new. The count is the one a scan of the archive after Add would find:
+// an inserted point, or one whose objective vector is already archived,
+// has no dominator, and a rejected one leaves the archive unchanged.
+func (a *Archive) addCounting(p Point) int {
+	i, dup := a.search(p.Objs)
+	if dup {
+		return 0
+	}
+	dominators := 0
+	for k := 0; k < i; k++ {
+		if Dominates(a.points[k].Objs, p.Objs) {
+			dominators++
+		}
+	}
+	if dominators == 0 {
+		a.insertAt(i, p)
+	}
+	return dominators
+}
+
+// search returns the first index whose objectives are lexicographically
+// >= objs, and whether the point there has objs exactly.
+func (a *Archive) search(objs Objectives) (int, bool) {
+	n := len(a.points)
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lexLessObjs(a.points[mid].Objs, objs) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < n && equalObjs(a.points[lo].Objs, objs)
+}
+
+// insertAt inserts p, which no archived point dominates, at its
+// lexicographic position i, evicting the points it dominates.
+func (a *Archive) insertAt(i int, p Point) {
+	n := len(a.points)
+	if len(p.Objs) == 2 {
+		// p's victims are a contiguous run after it (see Add).
 		j := i
 		for j < n && a.points[j].Objs[1] >= p.Objs[1] {
 			a.release(a.points[j])
@@ -170,16 +218,10 @@ func (a *Archive) Add(p Point) bool {
 			a.points = append(a.points[:i+1], a.points[j:]...)
 		}
 		a.points[i] = Point{Config: a.own(p.Config), Objs: p.Objs, Feasible: true}
-		return true
+		return
 	}
-	// M >= 3: a lexicographic successor can never dominate p and a
-	// predecessor can never be dominated by p, so dominators live strictly
-	// left of i and victims strictly right.
-	for k := 0; k < i; k++ {
-		if Dominates(a.points[k].Objs, p.Objs) {
-			return false
-		}
-	}
+	// M >= 3: a predecessor can never be dominated by p, so victims live
+	// strictly right of i.
 	w := i
 	for k := i; k < n; k++ {
 		if Dominates(p.Objs, a.points[k].Objs) {
@@ -192,7 +234,6 @@ func (a *Archive) Add(p Point) bool {
 	a.points = append(a.points[:w], Point{})
 	copy(a.points[i+1:], a.points[i:])
 	a.points[i] = Point{Config: a.own(p.Config), Objs: p.Objs, Feasible: true}
-	return true
 }
 
 // AddBatch adds ps with the result of len(ps) calls to Add in order:

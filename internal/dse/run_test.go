@@ -1,12 +1,19 @@
 package dse
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -401,14 +408,7 @@ func TestSnapshotResumeValidation(t *testing.T) {
 // resumes passes exactly the boundaries Step+1 through Search.Steps.
 // The seeds are real snapshots of all four algorithms.
 func FuzzResumeSnapshot(f *testing.F) {
-	space := testSpace(12, 12, 12) // 1,728 points: two exhaustive batches
-	eval := &constrainedEvaluator{inner: &simplexEvaluator{space: space}}
-	searches := []Search{
-		{Algorithm: "nsga2", Seed: 3, Workers: 1, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 4}},
-		{Algorithm: "mosa", Seed: 3, Workers: 1, MOSA: &MOSAConfig{Iterations: 1024, Restarts: 2}},
-		{Algorithm: "exhaustive", Workers: 1},
-		{Algorithm: "random", Seed: 3, Workers: 1, Budget: 2048},
-	}
+	space, eval, searches := resumeFuzzSearches()
 	for _, s := range searches {
 		var snap *Snapshot
 		if _, err := s.Run(space, eval, captureLatest(&snap, 1)); err != nil || snap == nil {
@@ -445,6 +445,78 @@ func FuzzResumeSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// resumeFuzzSearches is FuzzResumeSnapshot's space, evaluator and four
+// searches.
+func resumeFuzzSearches() (*Space, Evaluator, []Search) {
+	space := testSpace(12, 12, 12) // 1,728 points: two exhaustive batches
+	return space, &constrainedEvaluator{inner: &simplexEvaluator{space: space}}, []Search{
+		{Algorithm: "nsga2", Seed: 3, Workers: 1, NSGA2: &NSGA2Config{PopulationSize: 8, Generations: 4}},
+		{Algorithm: "mosa", Seed: 3, Workers: 1, MOSA: &MOSAConfig{Iterations: 1024, Restarts: 2}},
+		{Algorithm: "exhaustive", Workers: 1},
+		{Algorithm: "random", Seed: 3, Workers: 1, Budget: 2048},
+	}
+}
+
+// TestEncodeSnapshotFileMatchesMarshal: the envelope EncodeSnapshotFile
+// builds by hand equals json.Marshal of a snapshotEnvelope byte for byte,
+// for every snapshot of FuzzResumeSnapshot's four searches and for the
+// snapshots its committed corpus decodes to.
+func TestEncodeSnapshotFileMatchesMarshal(t *testing.T) {
+	check := func(label string, snap *Snapshot) {
+		t.Helper()
+		got, err := EncodeSnapshotFile(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		want, err := json.Marshal(snapshotEnvelope{Version: SnapshotVersion, SHA256: hex.EncodeToString(sum[:]), Snapshot: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: envelope\n%s\nwant\n%s", label, got, want)
+		}
+	}
+	space, eval, searches := resumeFuzzSearches()
+	for _, s := range searches {
+		n := 0
+		_, err := s.Run(space, eval, Options{CheckpointEvery: 1, Checkpoint: func(snap *Snapshot) error {
+			n++
+			check(fmt.Sprintf("%s step %d", s.Algorithm, snap.Step), snap)
+			return nil
+		}})
+		if err != nil || n == 0 {
+			t.Fatalf("%s: %d snapshots, err %v", s.Algorithm, n, err)
+		}
+	}
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzResumeSnapshot", "*"))
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no FuzzResumeSnapshot corpus: %v", err)
+	}
+	for _, path := range seeds {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus format: "go test fuzz v1", then []byte("<quoted>").
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(file)), "\n")
+		quoted, ok := strings.CutPrefix(lit, "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", path, err)
+		}
+		var snap Snapshot
+		if err := json.Unmarshal([]byte(data), &snap); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		check(path, &snap)
+	}
 }
 
 // TestInfFloatsRoundTrip pins the ±Inf JSON encoding crowding distances

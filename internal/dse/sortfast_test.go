@@ -3,6 +3,7 @@ package dse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -168,13 +169,17 @@ func (a *naiveArchive) Add(p Point) bool {
 // archive rewrite (up to the now-sorted presentation of Points). The same
 // sequence also goes through AddBatch in random-size chunks (empty and
 // all-infeasible ones included), which must hold exactly the Add
-// archive's points after every chunk.
+// archive's points after every chunk. Every feasible point also goes
+// through addCounting, MOSA's insert, on an archive of its own: its count
+// must equal a brute-force count of that archive's dominators of the
+// point, it must insert exactly when Add does, and it must hold exactly
+// the Add archive's points.
 func TestArchiveMatchesNaiveArchive(t *testing.T) {
 	for trial := 0; trial < 600; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
 		m := 2 + r.Intn(3)
 		n := 1 + r.Intn(120)
-		var fast, batched Archive
+		var fast, batched, counting Archive
 		var naive naiveArchive
 		for i := 0; i < n; {
 			size := r.Intn(12) // 0: an empty chunk
@@ -190,12 +195,31 @@ func TestArchiveMatchesNaiveArchive(t *testing.T) {
 				if got != want {
 					t.Fatalf("trial %d insert %d (%v): Add = %v, naive %v", trial, i, objs, got, want)
 				}
+				if p.Feasible {
+					dominators := 0
+					for _, q := range counting.Points() {
+						if Dominates(q.Objs, p.Objs) {
+							dominators++
+						}
+					}
+					if c := counting.addCounting(p); c != dominators {
+						t.Fatalf("trial %d insert %d (%v): addCounting = %d, brute force %d", trial, i, objs, c, dominators)
+					}
+					tag := p.Config[0]
+					if kept := slices.ContainsFunc(counting.Points(), func(q Point) bool { return q.Config[0] == tag }); kept != got {
+						t.Fatalf("trial %d insert %d (%v): addCounting kept it %v, Add %v", trial, i, objs, kept, got)
+					}
+				}
 				chunk = append(chunk, p)
 			}
 			batched.AddBatch(chunk)
 			if !sameArchive(batched.Points(), fast.Points()) {
 				t.Fatalf("trial %d after insert %d: AddBatch archive\n%v\nAdd archive\n%v",
 					trial, i, batched.Points(), fast.Points())
+			}
+			if !sameArchive(counting.Points(), fast.Points()) {
+				t.Fatalf("trial %d after insert %d: addCounting archive\n%v\nAdd archive\n%v",
+					trial, i, counting.Points(), fast.Points())
 			}
 		}
 		if fast.Len() != len(naive.points) {
@@ -272,28 +296,16 @@ func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 // TestMOSAChainSteadyStateZeroAllocs is the annealing twin: once every
 // configuration of a small space is memoized and the guiding archive has
 // converged, chain iterations (neighbour move, cached evaluation, archive
-// check, acceptance test) allocate nothing.
+// insert with its energy count, acceptance test) allocate nothing.
 func TestMOSAChainSteadyStateZeroAllocs(t *testing.T) {
 	s := testSpace(6, 3)
-	eval := &convexEvaluator{space: s}
-	pe := NewParallelEvaluator(eval, 1)
-	var arch Archive
-	rng := rand.New(rand.NewSource(9))
-	buf := make(Config, len(s.Params))
-	s.RandomInto(rng, buf)
-	cur := pe.evalFor(0, buf)
-	arch.Add(cur)
-	for i := 0; i < 500; i++ { // saturate cache and archive
-		s.NeighborInto(rng, buf, cur.Config)
-		cand := pe.evalFor(0, buf)
-		arch.Add(cand)
-		cur = cand
-	}
+	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 1)
+	c := newMOSAChain(s, MOSAConfig{}.withDefaults(), 9)
+	iter := 500
+	c.run(s, pe, 0, iter) // saturate cache and archive
 	allocs := testing.AllocsPerRun(200, func() {
-		s.NeighborInto(rng, buf, cur.Config)
-		cand := pe.evalFor(0, buf)
-		arch.Add(cand)
-		cur = cand
+		iter++
+		c.run(s, pe, 0, iter)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state chain iteration allocates %.1f objects, want 0", allocs)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -229,48 +230,11 @@ func runToDone(t *testing.T, m *Manager, spec Spec) (JobInfo, FrontResponse) {
 // snapshot of a checkpoint it returns must go through its algorithm's
 // Search.ValidateResume on the ecg-ward space without panicking.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seeds: the latest slots of short real nsga2, mosa and island jobs,
-	// as written and as the bare snapshot JSON inside their envelopes.
-	// The jobs are tiny because every new input the fuzzer keeps is
-	// minimized, at a few file writes per try.
-	plain := smallNSGA2("ecg-ward", 7)
-	plain.NSGA2 = &dse.NSGA2Config{PopulationSize: 4, Generations: 3}
-	mosa := chaosSpecs()["mosa"]
-	mosa.MOSA = &dse.MOSAConfig{Iterations: 512, Restarts: 1}
-	plain.CheckpointEvery, mosa.CheckpointEvery = 1, 1
-	isl := islandSpec(7)
-	isl.NSGA2, isl.MigrationInterval = &dse.NSGA2Config{PopulationSize: 4, Generations: 4}, 2
-	dir := f.TempDir()
-	m := newTestManager(f, Config{Workers: 1, CheckpointDir: dir})
-	for _, spec := range []Spec{plain, mosa, isl} {
-		info, err := m.Submit(spec)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if final := waitDone(f, m, info.ID); final.Status != StatusDone {
-			f.Fatalf("seed job ended %s: %s", final.Status, final.Error)
-		}
-		islands := max(spec.Islands, 1)
-		for i := range islands {
-			latest, _ := slotPaths(dir, info.ID, islands, i)
-			data, err := os.ReadFile(latest)
-			if err != nil {
-				f.Fatal(err)
-			}
-			var env struct{ Snapshot json.RawMessage }
-			if err := json.Unmarshal(data, &env); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
-			f.Add([]byte(env.Snapshot))
-		}
+	for _, seed := range checkpointSeeds(f) {
+		f.Add(seed)
 	}
-	m.Close()
-	f.Add([]byte(`{"version":1,"algorithm":"nsga2","step":-3,"population":[{"config":[-1]}]}`))
-	f.Add([]byte("null"))
-
 	space := wardSpace(f)
-	dir = f.TempDir() // every input overwrites every slot it loads
+	dir := f.TempDir() // every input overwrites every slot it loads
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sum := sha256.Sum256(data)
 		wrapped := fmt.Appendf(nil, `{"version":1,"sha256":%q,"snapshot":%s}`, hex.EncodeToString(sum[:]), data)
@@ -300,4 +264,95 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkpointSeeds are FuzzLoadCheckpoint's seeds: the latest slots of
+// short real nsga2, mosa and island jobs, as written and as the bare
+// snapshot JSON inside their envelopes, and two hand-written inputs. The
+// jobs are tiny because every new input the fuzzer keeps is minimized,
+// at a few file writes per try.
+func checkpointSeeds(tb testing.TB) (seeds [][]byte) {
+	plain := smallNSGA2("ecg-ward", 7)
+	plain.NSGA2 = &dse.NSGA2Config{PopulationSize: 4, Generations: 3}
+	mosa := chaosSpecs()["mosa"]
+	mosa.MOSA = &dse.MOSAConfig{Iterations: 512, Restarts: 1}
+	plain.CheckpointEvery, mosa.CheckpointEvery = 1, 1
+	isl := islandSpec(7)
+	isl.NSGA2, isl.MigrationInterval = &dse.NSGA2Config{PopulationSize: 4, Generations: 4}, 2
+	dir := tb.TempDir()
+	m := newTestManager(tb, Config{Workers: 1, CheckpointDir: dir})
+	defer m.Close()
+	for _, spec := range []Spec{plain, mosa, isl} {
+		info, err := m.Submit(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if final := waitDone(tb, m, info.ID); final.Status != StatusDone {
+			tb.Fatalf("seed job ended %s: %s", final.Status, final.Error)
+		}
+		islands := max(spec.Islands, 1)
+		for i := range islands {
+			latest, _ := slotPaths(dir, info.ID, islands, i)
+			data, err := os.ReadFile(latest)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var env struct{ Snapshot json.RawMessage }
+			if err := json.Unmarshal(data, &env); err != nil {
+				tb.Fatal(err)
+			}
+			seeds = append(seeds, data, []byte(env.Snapshot))
+		}
+	}
+	return append(seeds,
+		[]byte(`{"version":1,"algorithm":"nsga2","step":-3,"population":[{"config":[-1]}]}`),
+		[]byte("null"))
+}
+
+// TestCheckpointEnvelopeMatchesMarshal: every checkpoint file among
+// FuzzLoadCheckpoint's seeds is json.Marshal's form of its envelope, and
+// every snapshot a seed decodes to gets that form from
+// dse.EncodeSnapshotFile, byte for byte.
+func TestCheckpointEnvelopeMatchesMarshal(t *testing.T) {
+	type envelope struct {
+		Version  int             `json:"version"`
+		SHA256   string          `json:"sha256"`
+		Snapshot json.RawMessage `json:"snapshot"`
+	}
+	marshal := func(raw []byte) []byte {
+		sum := sha256.Sum256(raw)
+		out, err := json.Marshal(envelope{dse.SnapshotVersion, hex.EncodeToString(sum[:]), raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	files := 0
+	for i, seed := range checkpointSeeds(t) {
+		var env envelope
+		if json.Unmarshal(seed, &env) == nil && env.Snapshot != nil {
+			files++
+			if want := marshal(env.Snapshot); !bytes.Equal(seed, want) {
+				t.Fatalf("seed %d: checkpoint file\n%s\nwant\n%s", i, seed, want)
+			}
+		}
+		var snap dse.Snapshot
+		if err := json.Unmarshal(seed, &snap); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		raw, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dse.EncodeSnapshotFile(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := marshal(raw); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: envelope\n%s\nwant\n%s", i, got, want)
+		}
+	}
+	if files == 0 {
+		t.Fatal("no checkpoint file among the seeds")
+	}
 }

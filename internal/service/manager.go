@@ -133,9 +133,11 @@ type job struct {
 	sampler *jobSampler
 	met     *metrics
 	done    chan struct{}
-	// front is what Front serves, set once when the job ends with a
-	// front; its points are those of the job's StoredResult.
-	front *FrontResponse
+	// front and points are what Front serves, set once when the job ends
+	// with a front: the response with its Front nil, and the packed
+	// points, which the job's StoredResult shares.
+	front  *FrontResponse
+	points *packedFront
 }
 
 // run is the state of a job's attempt loop, owned by runJob. The dse
@@ -557,22 +559,26 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 // Front returns the job's Pareto front: the full result for done jobs,
 // the partial front for cancelled and timed-out ones. Queued/running/
 // failed jobs return ErrNotFinished (wrapped with the state, so callers
-// can distinguish not-yet from never). The front is shared with the
-// job's StoredResult and every caller: read it, never modify it. Once the
-// job's record is evicted (see Config.MaxResults) Front returns
-// ErrNotFound; a done job's front stays at its ResultVersion in the
-// store for as long as the store holds it.
+// can distinguish not-yet from never). Each call builds the front afresh
+// from the packed points the job keeps (and shares with its
+// StoredResult), so it is the caller's own to change. Once the job's
+// record is evicted (see Config.MaxResults) Front returns ErrNotFound; a
+// done job's front stays at its ResultVersion in the store for as long
+// as the store holds it.
 func (m *Manager) Front(id string) (FrontResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {
 		return FrontResponse{}, ErrNotFound
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.front == nil {
-		return FrontResponse{}, fmt.Errorf("%w (status %s)", ErrNotFinished, j.info.Status)
+	front, points, status := j.front, j.points, j.info.Status
+	j.mu.Unlock()
+	if front == nil {
+		return FrontResponse{}, fmt.Errorf("%w (status %s)", ErrNotFinished, status)
 	}
-	return *j.front, nil
+	out := *front
+	out.Front = points.points()
+	return out, nil
 }
 
 // SubscribeFrom attaches to the job's event stream: the retained history
@@ -639,7 +645,8 @@ func (m *Manager) runJob(j *job) {
 		res, err := m.runAttempt(r, sampler)
 		switch {
 		case err == nil:
-			m.archive(j, j.keepFront(StatusDone, res))
+			j.keepFront(StatusDone, res)
+			m.archive(j)
 			j.setStatus(StatusDone, "")
 			return
 		case errors.Is(err, context.DeadlineExceeded) || context.Cause(r.ctx) == errJobDeadline:
@@ -701,11 +708,13 @@ func (m *Manager) runAttempt(r *run, sampler *jobSampler) (res *dse.Result, err 
 }
 
 // keepFront makes res, the last attempt's result (nil: none), the front
-// Front serves once the job ends in status s. Its points alias res's.
-func (j *job) keepFront(s Status, res *dse.Result) *FrontResponse {
+// Front serves once the job ends in status s, packing its points.
+func (j *job) keepFront(s Status, res *dse.Result) {
 	if res == nil {
-		return nil
+		return
 	}
+	ps := res.Front
+	points := packFront(len(ps), func(i int) ([]int, []float64) { return ps[i].Config, ps[i].Objs })
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.front = &FrontResponse{
@@ -716,16 +725,19 @@ func (j *job) keepFront(s Status, res *dse.Result) *FrontResponse {
 		Seed:       j.spec.Seed,
 		Evaluated:  res.Evaluated,
 		Infeasible: res.Infeasible,
-		Front:      frontPoints(res.Front),
 	}
-	return j.front
+	j.points = points
 }
 
-// archive stores a finished job's front, sharing its points. Archiving
-// failures degrade gracefully: the job stays done (its front is readable
-// via /front) and the failure is logged — a full disk must cost
-// durability, not the exploration budget already spent.
-func (m *Manager) archive(j *job, front *FrontResponse) {
+// archive stores the front keepFront kept for a done job, sharing its
+// packed points. Archiving failures degrade gracefully: the job stays
+// done (its front is readable via /front) and the failure is logged — a
+// full disk must cost durability, not the exploration budget already
+// spent.
+func (m *Manager) archive(j *job) {
+	j.mu.Lock()
+	front, points := j.front, j.points
+	j.mu.Unlock()
 	stored := StoredResult{
 		JobID:       front.JobID,
 		Scenario:    front.Scenario,
@@ -734,13 +746,12 @@ func (m *Manager) archive(j *job, front *FrontResponse) {
 		Seed:        front.Seed,
 		Evaluated:   front.Evaluated,
 		Infeasible:  front.Infeasible,
-		Front:       front.Front,
 		CompletedAt: time.Now(),
 	}
 	if sc, ok := scenario.Lookup(front.Scenario); ok {
 		stored.Fingerprint = sc.Fingerprint()
 	}
-	version, err := m.store.Put(stored)
+	version, err := m.store.put(stored, points)
 	if err != nil {
 		m.cfg.Logf("service: job %s: archiving result failed (front still served from memory): %v", front.JobID, err)
 		return

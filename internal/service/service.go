@@ -463,16 +463,6 @@ type FrontPoint struct {
 	Objs   []float64 `json:"objs"`
 }
 
-// frontPoints converts a Result's front (feasible by construction) to
-// wire points sharing its storage, which is the front's own (dse.Result).
-func frontPoints(front []dse.Point) []FrontPoint {
-	out := make([]FrontPoint, len(front))
-	for i, p := range front {
-		out[i] = FrontPoint{Config: p.Config, Objs: p.Objs}
-	}
-	return out
-}
-
 // FrontResponse is the GET /v1/jobs/{id}/front payload: the front over
 // everything the job evaluated, with enough identity to reproduce it.
 type FrontResponse struct {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -609,24 +611,78 @@ func TestJobsOrderStable(t *testing.T) {
 	}
 }
 
-// TestDoneFrontSharedWithStore: a done job keeps one front, and Front
-// and the job's StoredResult serve the same points.
+// TestDoneFrontSharedWithStore: a done job keeps one packed front, which
+// its record and its StoredResult share. Front, Store.Get and Store.Query
+// serve equal fronts, and each front they return is the caller's own:
+// changing it does not change the next read.
 func TestDoneFrontSharedWithStore(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
 	defer m.Close()
 	info, front := runToDone(t, m, smallNSGA2("ecg-ward", 7))
-	stored, ok := m.Store().Get(info.ResultVersion)
-	if !ok || len(front.Front) == 0 {
-		t.Fatalf("stored result %d found %v, front of %d points", info.ResultVersion, ok, len(front.Front))
+	if len(front.Front) == 0 {
+		t.Fatal("done job has an empty front")
 	}
-	again, err := m.Front(info.ID)
+	j, _ := m.lookup(info.ID)
+	j.mu.Lock()
+	kept := j.points
+	j.mu.Unlock()
+	m.store.mu.RLock()
+	e := m.store.byVer[info.ResultVersion]
+	m.store.mu.RUnlock()
+	if kept == nil || e == nil || e.front != kept {
+		t.Fatalf("job record and store entry v%d hold different fronts, want one packed front", info.ResultVersion)
+	}
+	// The reference is the front's JSON, which no read can share.
+	want, err := json.Marshal(front.Front)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, other := range [][]FrontPoint{stored.Front, again.Front} {
-		a, b := front.Front[0], other[0]
-		if &front.Front[0] != &other[0] || &a.Config[0] != &b.Config[0] || &a.Objs[0] != &b.Objs[0] {
-			t.Fatal("the served front and the stored front are copies, want one shared front")
+	same := func(f []FrontPoint) bool {
+		b, err := json.Marshal(f)
+		return err == nil && bytes.Equal(b, want)
+	}
+	reads := []struct {
+		name string
+		read func() []FrontPoint
+	}{
+		{"Manager.Front", func() []FrontPoint {
+			f, err := m.Front(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.Front
+		}},
+		{"Store.Get", func() []FrontPoint {
+			r, ok := m.Store().Get(info.ResultVersion)
+			if !ok {
+				t.Fatalf("v%d not in the store", info.ResultVersion)
+			}
+			return r.Front
+		}},
+		{"Store.Query", func() []FrontPoint {
+			page, _ := m.Store().Query(ResultQuery{})
+			if len(page) != 1 {
+				t.Fatalf("Query returned %d results, want 1", len(page))
+			}
+			return page[0].Front
+		}},
+	}
+	for _, r := range reads {
+		got := r.read()
+		if !same(got) {
+			t.Fatalf("%s serves another front than the job's", r.name)
+		}
+		for _, p := range got {
+			for k := range p.Config {
+				p.Config[k] = -1
+			}
+			for k := range p.Objs {
+				p.Objs[k] = -1
+			}
+		}
+		got[0] = FrontPoint{}
+		if !same(r.read()) {
+			t.Fatalf("changing the front %s returned changed the next read", r.name)
 		}
 	}
 }
@@ -640,27 +696,29 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// compactSize is a front's size stored compactly: 48 B per point plus
-// 8 B per gene and per objective.
-func compactSize(front []FrontPoint) (n int64) {
+// packedSize is a front's packed size: 1 B per gene and 8 B per
+// objective.
+func packedSize(front []FrontPoint) (n int64) {
 	for _, p := range front {
-		n += 48 + 8*int64(len(p.Config)+len(p.Objs))
+		n += int64(len(p.Config) + 8*len(p.Objs))
 	}
 	return n
 }
 
 // TestFinishedJobRetainedHeap bounds what a finished job keeps: its
-// JobInfo, event history, stats window and one front shared with the
-// store. Its checkpoint anchor, warm-start seeds, search result and obs
-// writer queue must be garbage once it ends, so each finished job may
-// add to the live heap at most its front's compact size (48 B per point
-// plus 8 B per gene and per objective) plus 32 KiB. The jobs checkpoint,
-// archive to disk, write obs streams and, for MOSA, warm-start from the
-// store. A last phase bounds the server's memory: on a Manager with
-// MaxResults 4, 32 more NSGA-II jobs past the first 8 may add at most
-// 32 KiB in all, because each finished job drops the oldest record. The
-// retained fronts differ in size from seed to seed, so the difference
-// of their compact sizes is taken out.
+// JobInfo, event history, stats window and one packed front shared with
+// the store. Its checkpoint anchor, warm-start seeds, search result and
+// obs writer queue must be garbage once it ends, so each finished job
+// may add to the live heap at most its front's packed size (1 B per gene
+// and 8 B per objective) plus 32 KiB. The jobs checkpoint, archive to
+// disk, write obs streams and, for MOSA, warm-start from the store. The
+// pop-256 NSGA-II jobs keep fronts of over 600 points, so a cost per
+// point beyond the packed size exceeds the slack. A last phase bounds
+// the server's memory: on a Manager with MaxResults 4, 32 more NSGA-II
+// jobs past the first 8 may add at most 32 KiB in all, because each
+// finished job drops the oldest record. The retained fronts differ in
+// size from seed to seed, so the difference of their packed sizes is
+// taken out.
 func TestFinishedJobRetainedHeap(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -679,6 +737,8 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 			MOSA: &dse.MOSAConfig{Iterations: 4000}}},
 		{"nsga2", Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Workers: 2, CheckpointEvery: 5,
 			NSGA2: &dse.NSGA2Config{PopulationSize: 64, Generations: 20}}},
+		{"nsga2-large", Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Workers: 2, CheckpointEvery: 10,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 256, Generations: 40}}},
 	}
 	const jobs = 12
 	seed := int64(0)
@@ -690,19 +750,20 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 		runToDone(t, m, k.spec)
 		m.drainSamplers()
 		before := liveHeap()
-		var compact int64
+		var packed, points int64
 		for range jobs {
 			seed++
 			k.spec.Seed = seed
 			_, front := runToDone(t, m, k.spec)
-			compact += compactSize(front.Front)
+			packed += packedSize(front.Front)
+			points += int64(len(front.Front))
 		}
 		m.drainSamplers()
 		perJob := (liveHeap() - before) / jobs
-		over := perJob - compact/jobs
-		t.Logf("%s: %d B retained per finished job, %d B above its compact front", k.name, perJob, over)
+		over := perJob - packed/jobs
+		t.Logf("%s: %d B retained per finished job, %d B above its packed front of %d points", k.name, perJob, over, points/jobs)
 		if over > 32<<10 {
-			t.Errorf("%s: a finished job retains %d B above its compact front, want at most 32 KiB", k.name, over)
+			t.Errorf("%s: a finished job retains %d B above its packed front, want at most 32 KiB", k.name, over)
 		}
 	}
 	m.Close()
@@ -711,7 +772,7 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 	bounded := newTestManager(t, cfg)
 	defer bounded.Close()
 	spec := kinds[1].spec
-	// run finishes that many more jobs and returns the compact size of the
+	// run finishes that many more jobs and returns the packed size of the
 	// fronts the retained records then hold.
 	run := func(jobs int) (fronts int64) {
 		for range jobs {
@@ -726,7 +787,7 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fronts += compactSize(front.Front)
+			fronts += packedSize(front.Front)
 		}
 		return fronts
 	}

@@ -131,10 +131,20 @@ type StoreConfig struct {
 	MaxResults int
 }
 
-// storedEntry is one retained result plus its LRU list node.
+// storedEntry is one retained result plus its LRU list node. The
+// result's Front is nil: its points are in front, which a done job's
+// record shares.
 type storedEntry struct {
-	res  StoredResult
-	node *list.Element // element value is the version (int)
+	res   StoredResult
+	front *packedFront
+	node  *list.Element // element value is the version (int)
+}
+
+// result returns the entry's result with a fresh copy of its front.
+func (e *storedEntry) result() StoredResult {
+	r := e.res
+	r.Front = e.front.points()
+	return r
 }
 
 // indexRecord is one line of the on-disk append-only index: the write-
@@ -259,15 +269,16 @@ func (s *Store) replayIndex(index *os.File) error {
 			return fmt.Errorf("service: corrupt result file v%d.json: %w", v, err)
 		}
 		r.Version = v
-		s.insert(r)
+		s.insert(r, pack(r.Front))
 	}
 	return nil
 }
 
-// insert registers r (whose Version is already assigned) in the maps and
-// LRU as most-recently-used. Caller holds mu.
-func (s *Store) insert(r StoredResult) {
-	e := &storedEntry{res: r}
+// insert registers r (whose Version is already assigned) with front as
+// its points in the maps and LRU as most-recently-used. Caller holds mu.
+func (s *Store) insert(r StoredResult, front *packedFront) {
+	r.Front = nil
+	e := &storedEntry{res: r, front: front}
 	e.node = s.lru.PushFront(r.Version)
 	s.byVer[r.Version] = e
 	s.byKey[r.Key] = append(s.byKey[r.Key], r.Version)
@@ -280,8 +291,15 @@ var errVersionsExhausted = errors.New("service: result store has no version numb
 // order, continuing across restarts for persistent stores), computes its
 // content key when unset, persists it, and evicts beyond the size bound.
 // A persistence failure is returned to the caller — a store that cannot
-// keep its durability promise must not pretend it did.
+// keep its durability promise must not pretend it did. The store keeps a
+// packed copy of r.Front, so the caller's front stays the caller's.
 func (s *Store) Put(r StoredResult) (int, error) {
+	return s.put(r, pack(r.Front))
+}
+
+// put is Put with the result's points already packed in front; r.Front
+// is ignored. A done job's record and its store entry share front.
+func (s *Store) put(r StoredResult, front *packedFront) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r.Key == "" {
@@ -293,6 +311,7 @@ func (s *Store) Put(r StoredResult) (int, error) {
 	s.nextVer++
 	r.Version = s.nextVer
 	if s.index != nil {
+		r.Front = front.points()
 		data, err := json.Marshal(r)
 		if err != nil {
 			s.nextVer--
@@ -307,7 +326,7 @@ func (s *Store) Put(r StoredResult) (int, error) {
 			return 0, err
 		}
 	}
-	s.insert(r)
+	s.insert(r, front)
 	for s.lru.Len() > s.cfg.MaxResults {
 		s.evictOldest()
 	}
@@ -352,27 +371,31 @@ func (s *Store) appendIndex(rec indexRecord) error {
 	return err
 }
 
-// Get returns the result at an exact version and refreshes its recency;
-// its front is shared with the store and the job: read it, never modify
-// it. Evicted versions are gone: false, like versions never assigned.
+// Get returns the result at an exact version and refreshes its recency.
+// Its front is built afresh from the packed copy the store keeps, so it is
+// the caller's own to change. Evicted versions are gone: false, like
+// versions never assigned.
 func (s *Store) Get(version int) (StoredResult, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.byVer[version]
+	if ok {
+		s.lru.MoveToFront(e.node)
+	}
+	s.mu.Unlock()
 	if !ok {
 		return StoredResult{}, false
 	}
-	s.lru.MoveToFront(e.node)
-	return e.res, true
+	return e.result(), true // an entry never changes: no lock needed
 }
 
 // Query returns retained results matching the filters, newest first,
-// paginated by q.Limit/q.Offset; their fronts are shared, as in Get.
+// paginated by q.Limit/q.Offset; each front on the page is the caller's
+// own, as in Get.
 // total counts every match before pagination, so clients can page
 // through without a second endpoint.
 func (s *Store) Query(q ResultQuery) (page []StoredResult, total int) {
+	var hits []*storedEntry
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	vers := make([]int, 0, len(s.byVer))
 	if q.Key != "" {
 		vers = append(vers, s.byKey[q.Key]...)
@@ -387,10 +410,16 @@ func (s *Store) Query(q ResultQuery) (page []StoredResult, total int) {
 		if !q.matches(&e.res) {
 			continue
 		}
-		if total >= q.Offset && (q.Limit <= 0 || len(page) < q.Limit) {
-			page = append(page, e.res)
+		if total >= q.Offset && (q.Limit <= 0 || len(hits) < q.Limit) {
+			hits = append(hits, e)
 		}
 		total++
+	}
+	s.mu.RUnlock()
+	// Fronts are built after the lock is released: an entry never
+	// changes.
+	for _, e := range hits {
+		page = append(page, e.result())
 	}
 	return page, total
 }
