@@ -122,10 +122,12 @@
 // point it keeps into buffers it recycles on eviction, since the batch
 // runtime hands back the caller's own configurations; MOSA chains trade
 // two gene buffers with the candidates they accept. The sim engine's event core is typed: value-slot events in a
-// slab recycled through a free list, ordered by an index-addressed
-// min-heap and dispatched by (kind, node, arg) with no closure or
-// interface boxing. Property tests prove the fast sort produces exactly
-// the naive reference's ranks and bit-identical crowding on randomized
+// slab recycled through a free list, ordered by a min-heap of
+// (time, seq, slot) entries and dispatched by (kind, node, arg) with no
+// closure or interface boxing; radio transitions stay off the heap, on
+// per-node timelines applied lazily in the same (time, seq) order.
+// Property tests prove the fast sort produces exactly the naive
+// reference's ranks and bit-identical crowding on randomized
 // and front-shaped populations with two to four objectives, seeded
 // NSGA-II runs are bit-identical with either sort wired in, and the
 // archive, incremental or batched, retains exactly the naive archive's

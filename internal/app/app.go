@@ -102,7 +102,7 @@ type Compression struct {
 
 // NewCompression validates and builds a compression application.
 func NewCompression(p Profile, cr float64, qualityPoly numeric.Poly) (*Compression, error) {
-	if cr <= 0 || cr > 1 {
+	if !(cr > 0 && cr <= 1) { // NaN fails too
 		return nil, fmt.Errorf("app: %s compression ratio %g out of range (0,1]", p.Name, cr)
 	}
 	if p.CyclesPerSecond <= 0 {

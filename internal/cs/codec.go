@@ -114,7 +114,7 @@ func (c *Codec) Compress(block []float64, cr float64, sampleBits int) (*Block, e
 	if len(block) != c.N {
 		return nil, fmt.Errorf("cs: block has %d samples, codec expects %d", len(block), c.N)
 	}
-	if cr <= 0 || cr > 1 {
+	if !(cr > 0 && cr <= 1) { // NaN fails too
 		return nil, fmt.Errorf("cs: compression ratio %g out of range (0,1]", cr)
 	}
 	if sampleBits < 1 {

@@ -190,6 +190,9 @@ func TestCompressValidation(t *testing.T) {
 	if _, err := c.Compress(block, 2, 12); err == nil {
 		t.Error("cr>1: want error")
 	}
+	if _, err := c.Compress(block, math.NaN(), 12); err == nil {
+		t.Error("cr=NaN: want error")
+	}
 	if _, err := c.Compress(block, 0.3, 0); err == nil {
 		t.Error("sampleBits=0: want error")
 	}

@@ -68,7 +68,7 @@ func (c *Codec) Compress(block []float64, cr float64, sampleBits int) (*Block, e
 	if c.CoeffBits < 2 || c.CoeffBits > 16 {
 		return nil, fmt.Errorf("dwt: CoeffBits %d out of range [2,16]", c.CoeffBits)
 	}
-	if cr <= 0 || cr > 1 {
+	if !(cr > 0 && cr <= 1) { // NaN fails too
 		return nil, fmt.Errorf("dwt: compression ratio %g out of range (0,1]", cr)
 	}
 	if sampleBits < 1 {

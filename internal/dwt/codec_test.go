@@ -108,6 +108,9 @@ func TestCompressParameterErrors(t *testing.T) {
 	if _, err := c.Compress(block, 1.5, 12); err == nil {
 		t.Error("cr>1: want error")
 	}
+	if _, err := c.Compress(block, math.NaN(), 12); err == nil {
+		t.Error("cr=NaN: want error")
+	}
 	if _, err := c.Compress(block, 0.5, 0); err == nil {
 		t.Error("sampleBits=0: want error")
 	}

@@ -16,7 +16,12 @@ type writer = io.Writer
 // variant) with its genes in the axis-major order every seeded search and
 // random draw of the harness was recorded with.
 func wardProblem(sc scenario.Scenario, cal *casestudy.Calibration) (*scenario.Problem, dse.Evaluator, error) {
-	problem, err := scenario.NewAxisMajorProblem(sc, cal)
+	return compile(scenario.NewAxisMajorProblem(sc, cal))
+}
+
+// compile pairs a freshly built problem with its compiled evaluator, the
+// pipeline the service runs, bit-identical to problem.Evaluator().
+func compile(problem *scenario.Problem, err error) (*scenario.Problem, dse.Evaluator, error) {
 	if err != nil {
 		return nil, nil, err
 	}

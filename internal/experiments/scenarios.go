@@ -185,13 +185,13 @@ func ScenarioSweepContext(ctx context.Context, cfg ScenarioSweepConfig) (*Scenar
 // evalScenario explores one scenario and cross-checks the balanced pick.
 // The context cancels the search at generation boundaries.
 func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepConfig) (*ScenarioRow, error) {
-	p, err := scenario.NewProblem(sc, cfg.Cal)
+	p, eval, err := compile(scenario.NewProblem(sc, cfg.Cal))
 	if err != nil {
 		return nil, err
 	}
 	search, err := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
 		NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations},
-	}.Run(p.Space(), p.Evaluator(), dse.Options{Context: ctx})
+	}.Run(p.Space(), eval, dse.Options{Context: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -247,11 +247,10 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 func starveAt(n int, cfg ScenarioSweepConfig) (StarvationRow, error) {
 	sc := scenario.DenseGTS(n)
 	sc.Name = fmt.Sprintf("dense-gts-%d", n)
-	p, err := scenario.NewProblem(sc, cfg.Cal)
+	p, eval, err := compile(scenario.NewProblem(sc, cfg.Cal))
 	if err != nil {
 		return StarvationRow{}, err
 	}
-	eval := p.Evaluator()
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 	row := StarvationRow{Nodes: n, Sampled: cfg.StarvationSamples}
 	for i := 0; i < cfg.StarvationSamples; i++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"wsndse/internal/app"
 	ieee "wsndse/internal/ieee802154"
@@ -58,17 +59,18 @@ type LinkPhase struct {
 
 // ValidateLink checks a link schedule: phases strictly ascending in Start,
 // starts non-negative, PERs in [0,1). Scenario validation and the sim
-// share this so an invalid schedule can never reach the engine.
+// share this so an invalid schedule can never reach the engine. Each check
+// is written so that NaN fails it.
 func ValidateLink(phases []LinkPhase) error {
 	for i, ph := range phases {
-		if ph.Start < 0 {
-			return fmt.Errorf("link phase %d starts at negative time %v", i, ph.Start)
+		if !(ph.Start >= 0) {
+			return fmt.Errorf("link phase %d start %v is not a non-negative time", i, ph.Start)
 		}
-		if i > 0 && ph.Start <= phases[i-1].Start {
+		if i > 0 && !(ph.Start > phases[i-1].Start) {
 			return fmt.Errorf("link phase %d start %v not after phase %d start %v",
 				i, ph.Start, i-1, phases[i-1].Start)
 		}
-		if ph.PER < 0 || ph.PER >= 1 {
+		if !(ph.PER >= 0 && ph.PER < 1) {
 			return fmt.Errorf("link phase %d PER %g out of [0,1)", i, ph.PER)
 		}
 	}
@@ -183,7 +185,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration for consistency before a run.
+// positiveFinite reports whether x lies in (0, +Inf); NaN does not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// Validate checks the configuration for consistency before a run. Every
+// check is written so that NaN fails it, and the duration and frequencies
+// must be finite: a NaN or infinite duration never ends the run, an
+// infinite sample rate never advances it, and a NaN elsewhere silently
+// corrupts the results.
 func (c Config) Validate() error {
 	if err := c.Superframe.Validate(); err != nil {
 		return err
@@ -194,10 +203,10 @@ func (c Config) Validate() error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("sim: no nodes")
 	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("sim: duration %v must be positive", c.Duration)
+	if !positiveFinite(float64(c.Duration)) {
+		return fmt.Errorf("sim: duration %v must be positive and finite", c.Duration)
 	}
-	if c.PacketErrorRate < 0 || c.PacketErrorRate >= 1 {
+	if !(c.PacketErrorRate >= 0 && c.PacketErrorRate < 1) {
 		return fmt.Errorf("sim: packet error rate %g out of [0,1)", c.PacketErrorRate)
 	}
 	if c.Arrival != ArrivalDefault && c.Arrival != ArrivalUniform && c.Arrival != ArrivalBlock {
@@ -208,8 +217,9 @@ func (c Config) Validate() error {
 		if n.App == nil {
 			return fmt.Errorf("sim: node %d (%s) has no application", i, n.Name)
 		}
-		if n.SampleFreq <= 0 || n.MicroFreq <= 0 {
-			return fmt.Errorf("sim: node %d (%s) has non-positive frequencies", i, n.Name)
+		if !positiveFinite(float64(n.SampleFreq)) || !positiveFinite(float64(n.MicroFreq)) {
+			return fmt.Errorf("sim: node %d (%s) frequencies %v, %v must be positive and finite",
+				i, n.Name, n.SampleFreq, n.MicroFreq)
 		}
 		if n.Slots < 0 {
 			return fmt.Errorf("sim: node %d (%s) has negative slot count", i, n.Name)
@@ -291,8 +301,10 @@ type Result struct {
 	Duration    units.Seconds
 	Nodes       []NodeResult
 	BeaconsSent int
-	// Events counts the discrete events the engine dispatched during the
-	// run — the numerator of the events-per-second throughput figure.
+	// Events counts the discrete events of the run, the numerator of the
+	// events-per-second throughput figure: the events the engine
+	// dispatched plus the radio transitions the nodes' timelines applied,
+	// each at or before Duration.
 	Events int64
 	// Stable reports whether every node's queue drained periodically;
 	// false means the GTS allocation cannot carry the offered load and

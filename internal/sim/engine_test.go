@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -178,6 +179,46 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	e.ScheduleAfter(-0.1, 1, 0, 0)
+}
+
+// TestRadioTimeline checks a node's radio timeline against the engine's
+// (time, seq) order: a transition queued late but due early is applied
+// first, ties at one instant apply in stamp order, setRadio applies only
+// what precedes the event being dispatched, and a transition in the past
+// panics.
+func TestRadioTimeline(t *testing.T) {
+	s := &simulation{eng: NewEngine()}
+	n := &simNode{radio: newRadioAccount(testPlatform().Radio)}
+	s.eng.SetDispatcher(func(kind uint8, node int32, arg float64) {
+		switch kind {
+		case 1: // t = 1: queue out of order, with a tie at t = 3
+			s.radioAt(n, 3, StateRamp)
+			s.radioAt(n, 3, StateRx)
+			s.radioAt(n, 2, StateTx)
+			s.eng.Schedule(3, 2, 0, 0) // stamped after the t = 3 transitions
+			s.radioAt(n, 3, StateIdle) // stamped after the event
+		case 2: // t = 3: the two tied transitions precede this event
+			s.setRadio(n, StateSleep)
+		}
+	})
+	s.eng.Schedule(1, 1, 0, 0)
+	s.eng.Run(10)
+	if len(n.radioq) != 1 || s.transitions != 3 {
+		t.Fatalf("timeline holds %d, applied %d; want 1 and 3", len(n.radioq), s.transitions)
+	}
+	s.applyRadio(n, 10, math.MaxInt64)
+	n.radio.finish(10)
+	// sleep [0,2), tx [2,3), ramp, rx and sleep for no time at 3, idle [3,10).
+	if r := n.radio; r.stateTime[StateSleep] != 2 || r.stateTime[StateTx] != 1 || r.stateTime[StateIdle] != 7 ||
+		r.ramps != 1 || s.transitions != 4 {
+		t.Errorf("state times %v, %d ramps, %d transitions", r.stateTime, r.ramps, s.transitions)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a radio transition in the past should panic")
+		}
+	}()
+	s.radioAt(n, 9, StateRx)
 }
 
 func TestRadioAccountIntegration(t *testing.T) {

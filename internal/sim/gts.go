@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	ieee "wsndse/internal/ieee802154"
@@ -33,6 +34,9 @@ type simNode struct {
 
 	radio     *radioAccount
 	busyUntil float64 // last scheduled radio state change
+	// radioq is the node's radio timeline: transitions scheduled but not
+	// yet applied to radio, sorted by (time, seq).
+	radioq []transition
 
 	phiOut    float64      // B/s
 	payload   int          // effective frame payload (per-node override resolved)
@@ -68,6 +72,17 @@ type simNode struct {
 	queueSamples []int
 }
 
+// radioCap sizes each node's radio timeline.
+const radioCap = 8
+
+// transition is one radio state change on a node's timeline, keyed like an
+// engine event.
+type transition struct {
+	time  float64
+	seq   int64
+	state RadioState
+}
+
 func (n *simNode) queueLen() int { return len(n.queue) - n.qhead }
 
 func (n *simNode) queueHead() *packet { return &n.queue[n.qhead] }
@@ -92,6 +107,9 @@ type simulation struct {
 	rng     *rand.Rand
 	nodes   []*simNode
 	beacons int
+	// transitions counts the radio transitions applied, the events the
+	// radio timelines take off the engine's heap.
+	transitions int64
 
 	bi, slot  float64
 	guard     float64
@@ -100,10 +118,10 @@ type simulation struct {
 
 // Event kinds. Everything the simulation schedules is state
 // reconstructible from (kind, node, arg), so the hot loop allocates neither
-// closures nor boxed events.
+// closures nor boxed events. Radio transitions are not events: they go on
+// the node's own timeline (radioAt).
 const (
-	evRadio        uint8 = iota // arg: target RadioState
-	evBeaconEnd                 // beacon received: bookkeeping, then sleep
+	evBeaconEnd    uint8 = iota // beacon received: bookkeeping, then sleep
 	evTxWindow                  // GTS window (re)entry; arg: window end
 	evAckDone                   // ack wait finished; arg: window end
 	evBeaconTick                // coordinator beacon counter (node < 0)
@@ -119,8 +137,6 @@ func (s *simulation) dispatch(kind uint8, node int32, arg float64) {
 		n = s.nodes[node]
 	}
 	switch kind {
-	case evRadio:
-		s.setRadio(n, RadioState(int(arg)))
 	case evBeaconEnd:
 		n.extraCycles += s.cfg.BeaconProcCycles
 		n.queueSamples = append(n.queueSamples, n.queueLen())
@@ -173,6 +189,10 @@ func Run(cfg Config) (*Result, error) {
 	s.guard = float64(cfg.GuardTime)
 	s.beaconAir = float64(ieee.BeaconAirTime(gtsDescriptors(cfg)))
 
+	// The radio timelines share one backing array. A timeline holds at
+	// most a window's Tx and Rx ahead of the next superframe's wake-up,
+	// beacon listen and GTS ramp (BO = SO), so radioCap entries suffice.
+	radioqs := make([]transition, radioCap*len(cfg.Nodes))
 	// Build nodes and lay out the contention-free period: GTSs are
 	// allocated from the end of the active portion backwards, in node
 	// order, as the standard prescribes.
@@ -186,6 +206,7 @@ func Run(cfg Config) (*Result, error) {
 			payload: nc.payload(cfg.PayloadBytes),
 			arrival: nc.arrival(cfg.Arrival),
 			linkIdx: -1,
+			radioq:  radioqs[i*radioCap : i*radioCap : (i+1)*radioCap],
 		}
 		n.endSlot = nextEnd
 		n.startSlot = nextEnd - nc.Slots
@@ -248,9 +269,46 @@ func (n *simNode) enqueue(p packet) {
 	}
 }
 
-// setRadio transitions the node's radio, keeping per-node chronology.
+// radioAt queues a radio transition of node n at absolute time t on the
+// node's timeline. Like Engine.Schedule it panics on a time in the past and
+// stamps the transition with the engine's next schedule number. Insertion
+// scans from the back, keeping the timeline sorted by (time, seq): a
+// transition usually lands last, but with BO = SO txWindow's Tx and Rx
+// precede the next superframe's wake-up, which is queued already.
+func (s *simulation) radioAt(n *simNode, t float64, state RadioState) {
+	if now := s.eng.Now(); t < now {
+		panic(fmt.Sprintf("sim: radio transition at %.9f before now %.9f", t, now))
+	}
+	tr := transition{time: t, seq: s.eng.stamp(), state: state}
+	q := append(n.radioq, tr)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].time > t; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = tr
+	n.radioq = q
+}
+
+// applyRadio applies the node's queued transitions ordered before
+// (t, seq) and drops them from its timeline, in place.
+func (s *simulation) applyRadio(n *simNode, t float64, seq int64) {
+	q := n.radioq
+	k := 0
+	for ; k < len(q) && (q[k].time < t || (q[k].time == t && q[k].seq < seq)); k++ {
+		n.radio.setState(q[k].time, q[k].state)
+	}
+	if k > 0 {
+		n.radioq = q[:copy(q, q[k:])]
+		s.transitions += int64(k)
+	}
+}
+
+// setRadio switches the node's radio at the current event, after the
+// queued transitions the engine would have dispatched before it.
 func (s *simulation) setRadio(n *simNode, state RadioState) {
-	n.radio.setState(s.eng.Now(), state)
+	now, seq := s.eng.current()
+	s.applyRadio(n, now, seq)
+	n.radio.setState(now, state)
 }
 
 // scheduleSuperframe arms everything for superframe index sf and chains
@@ -271,11 +329,11 @@ func (s *simulation) scheduleSuperframe(sf int) {
 		beaconEnd := tb + s.beaconAir
 		ni := int32(n.idx)
 		if wake >= s.eng.Now() {
-			s.eng.Schedule(wake, evRadio, ni, float64(StateRamp))
-			s.eng.Schedule(rxAt, evRadio, ni, float64(StateRx))
+			s.radioAt(n, wake, StateRamp)
+			s.radioAt(n, rxAt, StateRx)
 		} else {
 			// First superframe: the radio starts cold at t=0.
-			s.eng.Schedule(tb, evRadio, ni, float64(StateRx))
+			s.radioAt(n, tb, StateRx)
 		}
 		s.eng.Schedule(beaconEnd, evBeaconEnd, ni, 0)
 		n.busyUntil = beaconEnd
@@ -287,7 +345,7 @@ func (s *simulation) scheduleSuperframe(sf int) {
 			if gtsWake < n.busyUntil {
 				gtsWake = n.busyUntil
 			}
-			s.eng.Schedule(gtsWake, evRadio, ni, float64(StateRamp))
+			s.radioAt(n, gtsWake, StateRamp)
 			s.eng.Schedule(wStart, evTxWindow, ni, wEnd)
 			n.busyUntil = wEnd
 		}
@@ -299,8 +357,9 @@ func (s *simulation) scheduleSuperframe(sf int) {
 
 // txWindow drains the node's queue inside its GTS [now, wEnd). The service
 // sequence — turnaround, transmit, listen for the acknowledgement, IFS —
-// is scheduled as typed events; the in-flight frame stays at the head of
-// the queue until its ack verdict, so evAckDone needs no captured state.
+// goes on the radio timeline and the engine's heap; the in-flight frame
+// stays at the head of the queue until its ack verdict, so evAckDone needs
+// no captured state.
 func (s *simulation) txWindow(n *simNode, wEnd float64) {
 	now := s.eng.Now()
 	if n.queueLen() == 0 {
@@ -319,10 +378,9 @@ func (s *simulation) txWindow(n *simNode, wEnd float64) {
 		return
 	}
 	s.setRadio(n, StateIdle)
-	ni := int32(n.idx)
-	s.eng.Schedule(now+turn, evRadio, ni, float64(StateTx))
-	s.eng.Schedule(now+turn+frame, evRadio, ni, float64(StateRx))
-	s.eng.Schedule(now+turn+frame+ack, evAckDone, ni, wEnd)
+	s.radioAt(n, now+turn, StateTx)
+	s.radioAt(n, now+turn+frame, StateRx)
+	s.eng.Schedule(now+turn+frame+ack, evAckDone, int32(n.idx), wEnd)
 }
 
 // ackDone settles the head frame's fate once its acknowledgement window
@@ -377,10 +435,12 @@ func (s *simulation) collect(dur float64) *Result {
 		Duration:    units.Seconds(dur),
 		Nodes:       make([]NodeResult, len(s.nodes)),
 		BeaconsSent: s.beacons,
-		Events:      s.eng.Dispatched(),
 		Stable:      true,
 	}
 	for i, n := range s.nodes {
+		// Run dispatched every event at or before dur; apply the
+		// transitions it would have dispatched too.
+		s.applyRadio(n, dur, math.MaxInt64)
 		n.radio.finish(dur)
 
 		// Microcontroller: application cycles (device-level, with CR
@@ -436,6 +496,7 @@ func (s *simulation) collect(dur float64) *Result {
 		}
 		res.Nodes[i] = nr
 	}
+	res.Events = s.eng.Dispatched() + s.transitions
 	return res
 }
 

@@ -90,6 +90,44 @@ func TestValidateConfig(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite feeds NaN and infinite inputs to every
+// range check a simulation input passes. A NaN duration or an infinite one
+// never ends a run, so the table only validates and never runs.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"duration NaN", func(c *Config) { c.Duration = units.Seconds(nan) }},
+		{"duration +Inf", func(c *Config) { c.Duration = units.Seconds(inf) }},
+		{"PER NaN", func(c *Config) { c.PacketErrorRate = nan }},
+		{"sample rate NaN", func(c *Config) { c.Nodes[0].SampleFreq = units.Hertz(nan) }},
+		{"sample rate +Inf", func(c *Config) { c.Nodes[0].SampleFreq = units.Hertz(inf) }},
+		{"µC frequency NaN", func(c *Config) { c.Nodes[1].MicroFreq = units.Hertz(nan) }},
+		{"µC frequency +Inf", func(c *Config) { c.Nodes[1].MicroFreq = units.Hertz(inf) }},
+		{"link start NaN", func(c *Config) { c.Nodes[0].Link = []LinkPhase{{Start: units.Seconds(nan)}} }},
+		{"link second start NaN", func(c *Config) {
+			c.Nodes[0].Link = []LinkPhase{{Start: 0}, {Start: units.Seconds(nan)}}
+		}},
+		{"link PER NaN", func(c *Config) { c.Nodes[0].Link = []LinkPhase{{Start: 0, PER: nan}} }},
+	}
+	for _, tc := range cases {
+		c := testConfig(t, 2, 0.23, 8e6, 3, 2)
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the configuration", tc.name)
+		}
+	}
+	for _, profile := range []app.Profile{app.DWTProfile(), app.CSProfile()} {
+		for _, cr := range []float64{nan, inf, math.Inf(-1)} {
+			if _, err := app.NewCompression(profile, cr, simTestPoly); err == nil {
+				t.Errorf("%s: NewCompression accepted CR %g", profile.Name, cr)
+			}
+		}
+	}
+}
+
 func TestRunBasicStability(t *testing.T) {
 	cfg := testConfig(t, 6, 0.23, 8e6, 3, 2)
 	res, err := Run(cfg)
