@@ -222,21 +222,11 @@ func BenchmarkDWTCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkCSDecodeOMP times compressed-sensing reconstruction (the
-// coordinator-side cost) with the greedy solver.
+// BenchmarkCSDecodeOMP times compressed-sensing reconstruction by
+// orthogonal matching pursuit, the coordinator-side cost.
 func BenchmarkCSDecodeOMP(b *testing.B) {
-	benchCSDecode(b, cs.AlgorithmOMP)
-}
-
-// BenchmarkCSDecodeBPDN times the ℓ1 solver.
-func BenchmarkCSDecodeBPDN(b *testing.B) {
-	benchCSDecode(b, cs.AlgorithmBPDN)
-}
-
-func benchCSDecode(b *testing.B, algo cs.Algorithm) {
 	block := benchECGBlock(b)
 	codec := cs.NewCodec(512, dwt.Daubechies4(), 5, 1)
-	codec.Algorithm = algo
 	z, err := codec.Compress(block, 0.23, 12)
 	if err != nil {
 		b.Fatal(err)
@@ -252,24 +242,8 @@ func benchCSDecode(b *testing.B, algo cs.Algorithm) {
 	}
 }
 
-// BenchmarkAssign times the Eq. 1–2 transmission-interval assignment.
-func BenchmarkAssign(b *testing.B) {
-	mac, err := core.NewGTSMac(ieee.SuperframeConfig{BeaconOrder: 3, SuperframeOrder: 2}, 48, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	phi := []units.BytesPerSecond{64, 86, 64, 120, 86, 143}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Assign(mac, phi); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAssignInto times the scratch-reuse form of the Eq. 1–2 solver —
-// the one on the compiled hot path (0 allocs/op).
+// BenchmarkAssignInto times the Eq. 1–2 transmission-interval assignment
+// into reused scratch, as the compiled hot path runs it (0 allocs/op).
 func BenchmarkAssignInto(b *testing.B) {
 	mac, err := core.NewGTSMac(ieee.SuperframeConfig{BeaconOrder: 3, SuperframeOrder: 2}, 48, 6)
 	if err != nil {

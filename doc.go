@@ -13,7 +13,7 @@
 //     front end, and signal-fidelity metrics (PRD);
 //   - internal/dwt, internal/cs — the two ECG compressors of the case
 //     study, implemented end to end (wavelet thresholding codec and a
-//     compressed-sensing codec with OMP/BPDN reconstruction);
+//     compressed-sensing codec with OMP reconstruction);
 //   - internal/ieee802154, internal/radio, internal/platform — the
 //     beacon-enabled MAC geometry, a CC2420-class transceiver model, and
 //     the Shimmer-class node hardware characterization;
@@ -60,12 +60,12 @@
 // The exploration stack runs on a concurrent batch-evaluation runtime
 // (dse.ParallelEvaluator): search algorithms produce candidate
 // configurations sequentially from their seeded RNGs and evaluate them
-// across a bounded set of worker goroutines (for NSGA-II, exhaustive and
-// random search one pool per run, whose goroutines live as long as the
-// run) backed by a sharded memo cache.
+// across a bounded set of worker goroutines (one evaluation pool per run,
+// whose goroutines live as long as the run, for all four algorithms)
+// backed by a sharded memo cache.
 // Fronts and evaluation counts are bit-identical at every worker count —
 // parallelism changes wall-clock, never results. The per-figure harnesses
-// in internal/experiments fan out the same way
+// in internal/experiments run as coarse jobs on dse.ForEach
 // (experiments.RunJobsContext), and internal/cs builds its per-rate
 // reconstruction dictionaries under a per-codec lock that never blocks
 // concurrent decoders. See the dse package documentation for the exact

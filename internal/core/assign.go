@@ -29,39 +29,26 @@ type Assignment struct {
 	Idle float64
 }
 
-// Assign solves Eq. 1 for every node with the minimal integer multiplier,
+// AssignHeteroInto solves Eq. 1 for every node with the minimal integer
+// multiplier,
 //
 //	Δ_tx^(n) = k^(n)·δ ≥ T_tx(φ_out^(n) + Ω(φ_out^(n))),
 //
 // then verifies the capacity constraint derived from Eq. 2. The φ_out
 // values are the nodes' application output rates in B/s.
 //
-// It returns an InfeasibleError when the demanded channel time exceeds the
-// MAC's capacity, so DSE can treat the configuration as constraint-
-// violating rather than erroring out.
-func Assign(mac MAC, phiOut []units.BytesPerSecond) (*Assignment, error) {
-	return AssignHetero(mac, nil, phiOut)
-}
-
-// AssignHetero solves Eq. 1 for a heterogeneous star: views[i], when
-// non-nil, is node i's own view of the shared MAC (e.g. a per-node payload
-// profile changing T_tx and the quanta floor), while the base MAC fixes
-// the channel geometry every node shares — the quantum δ, the assignable
-// capacity, and Δ_control. Views must agree with the base on the quantum,
-// since every Δ_tx is an integer multiple of the same slot. A nil views
-// slice (or nil entries) reduces to the homogeneous Assign.
-func AssignHetero(base MAC, views []MAC, phiOut []units.BytesPerSecond) (*Assignment, error) {
-	a := &Assignment{}
-	if err := AssignHeteroInto(a, base, views, phiOut); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// AssignHeteroInto is AssignHetero with caller-owned scratch: it solves the
-// assignment into a, reusing a's K and DeltaTx slices across calls so the
-// evaluation hot path allocates nothing. On error a's contents are
-// unspecified. The numbers are bit-identical to AssignHetero's.
+// views[i], when non-nil, is node i's own view of the shared MAC (e.g. a
+// per-node payload profile changing T_tx and the quanta floor), while the
+// base MAC fixes the channel geometry every node shares — the quantum δ,
+// the assignable capacity, and Δ_control. Views must agree with the base
+// on the quantum, since every Δ_tx is an integer multiple of the same
+// slot. A nil views slice (or nil entries) is a homogeneous star.
+//
+// It solves the assignment into a, reusing a's K and DeltaTx slices across
+// calls so the evaluation hot path allocates nothing; on error a's
+// contents are unspecified. It returns an InfeasibleError when the
+// demanded channel time exceeds the MAC's capacity, so DSE can treat the
+// configuration as constraint-violating rather than erroring out.
 func AssignHeteroInto(a *Assignment, base MAC, views []MAC, phiOut []units.BytesPerSecond) error {
 	if len(phiOut) == 0 {
 		return fmt.Errorf("core: Assign: no nodes")

@@ -81,8 +81,8 @@ type MAC interface {
 
 // QuantaFloor is implemented by MACs whose protocol imposes a minimum
 // interval size beyond the average-rate demand of Eq. 1 — for 802.15.4
-// GTSs, a window must fit at least one whole packet service. Assign
-// consults it when present.
+// GTSs, a window must fit at least one whole packet service.
+// AssignHeteroInto consults it when present.
 type QuantaFloor interface {
 	MinQuanta(phiOut units.BytesPerSecond) int
 }

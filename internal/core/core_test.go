@@ -105,8 +105,7 @@ func TestInfeasibleMessages(t *testing.T) {
 			return err
 		}, CodeGTSSlots, "8 nodes exceed the 7 guaranteed time slots per superframe"},
 		{"capacity", func() error {
-			_, err := Assign(testMAC(t, 6, 0, 32, 6), overloaded)
-			return err
+			return AssignHeteroInto(&Assignment{}, testMAC(t, 6, 0, 32, 6), nil, overloaded)
 		}, CodeCapacity, `transmission demand 0.205078 s/s exceeds MAC "ieee802.15.4-gts" capacity 0.006836 s/s (N=6 nodes)`},
 		{"duty cycle", func() error {
 			_, err := testNode(t, "ecg", "dwt", 0.23, 1e6).Energy(testMAC(t, 2, 2, 80, 1))
@@ -224,8 +223,8 @@ func TestEnergyMonotoneInMicroFreq(t *testing.T) {
 func TestAssignSatisfiesEquations(t *testing.T) {
 	mac := testMAC(t, 3, 2, 48, 6)
 	phi := []units.BytesPerSecond{64, 86, 64, 120, 86, 143}
-	a, err := Assign(mac, phi)
-	if err != nil {
+	var a Assignment
+	if err := AssignHeteroInto(&a, mac, nil, phi); err != nil {
 		t.Fatal(err)
 	}
 	delta := mac.Quantum()
@@ -260,7 +259,7 @@ func TestAssignInfeasibleWhenOverloaded(t *testing.T) {
 	for i := range phi {
 		phi[i] = 375 // uncompressed streams
 	}
-	_, err := Assign(mac, phi)
+	err := AssignHeteroInto(&Assignment{}, mac, nil, phi)
 	if !IsInfeasible(err) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
@@ -268,15 +267,15 @@ func TestAssignInfeasibleWhenOverloaded(t *testing.T) {
 
 func TestAssignEdgeCases(t *testing.T) {
 	mac := testMAC(t, 2, 2, 80, 2)
-	if _, err := Assign(mac, nil); err == nil {
+	if err := AssignHeteroInto(&Assignment{}, mac, nil, nil); err == nil {
 		t.Error("no nodes: want error")
 	}
-	if _, err := Assign(mac, []units.BytesPerSecond{-5}); err == nil {
+	if err := AssignHeteroInto(&Assignment{}, mac, nil, []units.BytesPerSecond{-5}); err == nil {
 		t.Error("negative rate: want error")
 	}
 	// A zero-rate node consumes no slots.
-	a, err := Assign(mac, []units.BytesPerSecond{0, 86})
-	if err != nil {
+	var a Assignment
+	if err := AssignHeteroInto(&a, mac, nil, []units.BytesPerSecond{0, 86}); err != nil {
 		t.Fatal(err)
 	}
 	if a.K[0] != 0 {
@@ -290,8 +289,8 @@ func TestAssignEdgeCases(t *testing.T) {
 func TestWorstCaseDelayProperties(t *testing.T) {
 	mac := testMAC(t, 3, 2, 48, 6)
 	phi := []units.BytesPerSecond{64, 86, 64, 120, 86, 143}
-	a, err := Assign(mac, phi)
-	if err != nil {
+	var a Assignment
+	if err := AssignHeteroInto(&a, mac, nil, phi); err != nil {
 		t.Fatal(err)
 	}
 	bi := float64(mac.Superframe.BeaconInterval())
@@ -321,12 +320,12 @@ func TestWorstCaseDelayScalesWithBeaconInterval(t *testing.T) {
 	phi := []units.BytesPerSecond{64, 86, 86}
 	short := testMAC(t, 4, 3, 102, 3)
 	long := testMAC(t, 6, 5, 102, 3)
-	as, err := Assign(short, phi)
-	if err != nil {
+	var as Assignment
+	if err := AssignHeteroInto(&as, short, nil, phi); err != nil {
 		t.Fatal(err)
 	}
-	al, err := Assign(long, phi)
-	if err != nil {
+	var al Assignment
+	if err := AssignHeteroInto(&al, long, nil, phi); err != nil {
 		t.Fatal(err)
 	}
 	ds := float64(short.WorstCaseDelay(as.DeltaTx, 0))

@@ -100,8 +100,8 @@ func TestCSMACapacityDecreasesWithNodes(t *testing.T) {
 func TestCSMAAssignAndEvaluate(t *testing.T) {
 	m := testCSMA(t, 3, 8)
 	phi := []units.BytesPerSecond{64, 86, 120}
-	a, err := Assign(m, phi)
-	if err != nil {
+	var a Assignment
+	if err := AssignHeteroInto(&a, m, nil, phi); err != nil {
 		t.Fatal(err)
 	}
 	if a.Used <= 0 || a.Used > a.Capacity {

@@ -27,12 +27,12 @@ func heteroNet(t *testing.T, nodePayload int) *Network {
 func TestAssignHeteroMatchesAssignWithoutViews(t *testing.T) {
 	mac := testMAC(t, 3, 2, 48, 3)
 	phi := []units.BytesPerSecond{64, 86, 120}
-	a, err := Assign(mac, phi)
-	if err != nil {
+	var a Assignment
+	if err := AssignHeteroInto(&a, mac, nil, phi); err != nil {
 		t.Fatal(err)
 	}
-	b, err := AssignHetero(mac, []MAC{nil, nil, nil}, phi)
-	if err != nil {
+	var b Assignment
+	if err := AssignHeteroInto(&b, mac, []MAC{nil, nil, nil}, phi); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.K {
@@ -52,12 +52,12 @@ func TestAssignHeteroPerNodePayload(t *testing.T) {
 	// payload bytes plus a per-packet service cost ~3× as often, so the
 	// short-frame view demands strictly more channel time.
 	phi := []units.BytesPerSecond{300, 300, 300}
-	hom, err := Assign(base, phi)
-	if err != nil {
+	var hom Assignment
+	if err := AssignHeteroInto(&hom, base, nil, phi); err != nil {
 		t.Fatal(err)
 	}
-	het, err := AssignHetero(base, []MAC{nil, nil, short}, phi)
-	if err != nil {
+	var het Assignment
+	if err := AssignHeteroInto(&het, base, []MAC{nil, nil, short}, phi); err != nil {
 		t.Fatal(err)
 	}
 	if het.K[2] <= hom.K[2] {
@@ -71,13 +71,13 @@ func TestAssignHeteroPerNodePayload(t *testing.T) {
 func TestAssignHeteroRejectsMismatchedViews(t *testing.T) {
 	base := testMAC(t, 3, 2, 48, 2)
 	phi := []units.BytesPerSecond{64, 64}
-	if _, err := AssignHetero(base, []MAC{nil}, phi); err == nil {
+	if err := AssignHeteroInto(&Assignment{}, base, []MAC{nil}, phi); err == nil {
 		t.Error("length-mismatched views accepted")
 	}
 	// A view with a different superframe has a different quantum δ —
 	// nodes would disagree about the channel they share.
 	other := testMAC(t, 4, 2, 48, 2)
-	if _, err := AssignHetero(base, []MAC{nil, other}, phi); err == nil {
+	if err := AssignHeteroInto(&Assignment{}, base, []MAC{nil, other}, phi); err == nil {
 		t.Error("view with mismatched quantum accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestHeteroCapacityStillEnforced(t *testing.T) {
 	// At SO = 0 a slot is 0.96 ms; short frames need multiple slots per
 	// service, so three heavy streams cannot fit 7 slots.
 	phi := []units.BytesPerSecond{300, 300, 300}
-	_, err := AssignHetero(base, []MAC{short, short, short}, phi)
+	err := AssignHeteroInto(&Assignment{}, base, []MAC{short, short, short}, phi)
 	if err == nil {
 		t.Fatal("over-capacity heterogeneous assignment accepted")
 	}

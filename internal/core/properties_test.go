@@ -116,8 +116,8 @@ func TestDelayBoundDominatesAcrossRandomAssignments(t *testing.T) {
 		for i := range phi {
 			phi[i] = units.BytesPerSecond(40 + r.Float64()*100)
 		}
-		a, err := Assign(mac, phi)
-		if err != nil {
+		var a Assignment
+		if err := AssignHeteroInto(&a, mac, nil, phi); err != nil {
 			return true // infeasible draw; skip
 		}
 		bi := float64(mac.Superframe.BeaconInterval())

@@ -26,45 +26,12 @@ type Codec struct {
 	Levels   int         // decomposition depth of the basis
 	MeasBits int         // quantizer resolution for measurements (12 = ADC width)
 
-	// Algorithm selects the reconstruction solver: AlgorithmOMP
-	// (default) is greedy orthogonal matching pursuit with the wavelet
-	// approximation band pre-selected and ridge-stabilized re-fitting —
-	// fast, and the better performer at the mid/high rates the case
-	// study mostly explores. AlgorithmBPDN is FISTA-based ℓ1
-	// minimization with least-squares debiasing; it wins at very low
-	// rates where greedy selection degrades.
-	Algorithm Algorithm
-	MaxIter   int     // solver iteration cap; 0 selects a per-algorithm default
-	Tol       float64 // OMP relative-residual stop; 0 selects 1e-3
-	LambdaRel float64 // BPDN regularization relative to ‖Aᵀy‖∞; 0 selects 0.02
-
 	// Per-m dictionary cache. dictMu guards only the map; dictionary
 	// builds happen outside the lock with an in-flight entry, so one
 	// codec can be shared by concurrent decoders (e.g. a coordinator
 	// draining several sensors) without serializing on the build.
 	dictMu sync.Mutex
 	dicts  map[int]*dictEntry
-}
-
-// Algorithm identifies a reconstruction solver.
-type Algorithm int
-
-// Supported reconstruction algorithms.
-const (
-	AlgorithmOMP  Algorithm = iota // orthogonal matching pursuit (default)
-	AlgorithmBPDN                  // ℓ1 minimization (FISTA) + debias
-)
-
-// String returns the solver name.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmBPDN:
-		return "bpdn"
-	case AlgorithmOMP:
-		return "omp"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
 }
 
 // NewCodec returns a codec for n-sample blocks with the given sparsity
@@ -167,8 +134,10 @@ func (c *Codec) Compress(block []float64, cr float64, sampleBits int) (*Block, e
 	return &Block{Payload: payload, Measurements: m, N: c.N}, nil
 }
 
-// Decompress reconstructs a block from its payload by sparse recovery in
-// the codec's wavelet basis using the configured Algorithm.
+// Decompress reconstructs a block from its payload by orthogonal matching
+// pursuit in the codec's wavelet basis: at most m/3 atoms (at least one)
+// beyond the pre-selected approximation band, stopping once the residual
+// falls to ompTol of the measurements' norm.
 func (c *Codec) Decompress(payload []byte) ([]float64, error) {
 	if len(payload) < headerSize {
 		return nil, fmt.Errorf("cs: payload too short (%d bytes)", len(payload))
@@ -200,46 +169,8 @@ func (c *Codec) Decompress(payload []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var alpha []float64
-	switch c.Algorithm {
-	case AlgorithmOMP:
-		alpha = dict.omp(y, c.maxIter(m), c.tol())
-	case AlgorithmBPDN:
-		alpha = dict.bpdn(y, c.bpdnIters(), c.lambdaRel())
-	default:
-		return nil, fmt.Errorf("cs: unknown reconstruction algorithm %v", c.Algorithm)
-	}
-	return dwt.Inverse(c.Wavelet, alpha, c.Levels)
+	return dwt.Inverse(c.Wavelet, dict.omp(y, max(m/3, 1), ompTol), c.Levels)
 }
 
-func (c *Codec) maxIter(m int) int {
-	if c.MaxIter > 0 {
-		return c.MaxIter
-	}
-	k := m / 3
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-func (c *Codec) bpdnIters() int {
-	if c.MaxIter > 0 {
-		return c.MaxIter
-	}
-	return 200
-}
-
-func (c *Codec) tol() float64 {
-	if c.Tol > 0 {
-		return c.Tol
-	}
-	return 1e-3
-}
-
-func (c *Codec) lambdaRel() float64 {
-	if c.LambdaRel > 0 {
-		return c.LambdaRel
-	}
-	return 0.02
-}
+// ompTol is OMP's relative-residual stop.
+const ompTol = 1e-3

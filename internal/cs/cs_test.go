@@ -304,63 +304,3 @@ func TestOMPZeroMeasurement(t *testing.T) {
 		t.Error("zero measurements should decode to zero coefficients")
 	}
 }
-
-func TestBPDNDecodes(t *testing.T) {
-	block := ecgBlocks(t, 1)[0]
-	c := newTestCodec()
-	c.Algorithm = AlgorithmBPDN
-	z, err := c.Compress(block, 0.38, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := c.Decompress(z.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prd, _ := quality.PRD(block, y)
-	if prd > 45 {
-		t.Errorf("BPDN PRD at CR=0.38 is %.1f%%, want < 45%%", prd)
-	}
-	// Unknown algorithm must be rejected.
-	c.Algorithm = Algorithm(99)
-	if _, err := c.Decompress(z.Payload); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if got := AlgorithmOMP.String(); got != "omp" {
-		t.Errorf("OMP name = %q", got)
-	}
-	if got := AlgorithmBPDN.String(); got != "bpdn" {
-		t.Errorf("BPDN name = %q", got)
-	}
-	if got := Algorithm(99).String(); got != "Algorithm(99)" {
-		t.Errorf("unknown name = %q", got)
-	}
-}
-
-func TestBPDNExactlySparse(t *testing.T) {
-	w := dwt.Daubechies4()
-	n, levels := 256, 4
-	coeffs := make([]float64, n)
-	for i, p := range []int{2, 20, 40, 77, 150, 200} {
-		coeffs[p] = 4 - float64(i)*0.3
-	}
-	x, err := dwt.Inverse(w, coeffs, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCodec(n, w, levels, 5)
-	c.Algorithm = AlgorithmBPDN
-	c.MeasBits = 16
-	z, err := c.Compress(x, 0.45, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := c.Decompress(z.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prd, _ := quality.PRD(x, y)
-	if prd > 5 {
-		t.Errorf("BPDN on exactly sparse signal: PRD %.2f%%, want < 5%%", prd)
-	}
-}

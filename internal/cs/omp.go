@@ -15,9 +15,8 @@ type dictionary struct {
 	norms []float64       // column 2-norms
 	// alen is the length of the approximation band (the first alen
 	// coefficients). ECG blocks always have significant approximation
-	// coefficients (DC level, baseline wander), so the solvers treat the
-	// band as unpenalized/pre-selected rather than asking sparsity
-	// machinery to discover it.
+	// coefficients (DC level, baseline wander), so OMP pre-selects the
+	// band rather than asking sparsity machinery to discover it.
 	alen int
 }
 

@@ -24,10 +24,11 @@ type Search struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Workers bounds the run's evaluation pool: the search goroutine plus
 	// Workers − 1 goroutines (<= 0 selects GOMAXPROCS, 1 starts none).
-	// NSGA-II evaluates each child on it as variation writes it, and
-	// merges the offspring into the archive there while the search
-	// goroutine ranks and selects; MOSA anneals up to Workers chains at
-	// once. Fronts and counts are bit-identical at any worker count.
+	// Every evaluation of the run happens on it. NSGA-II evaluates each
+	// child on it as variation writes it, and merges the offspring into
+	// the archive there while the search goroutine ranks and selects;
+	// MOSA anneals up to Workers chains at once, each segment one pool
+	// job. Fronts and counts are bit-identical at any worker count.
 	Workers int `json:"workers,omitempty"`
 	// NSGA2 and MOSA configure those algorithms; Validate refuses a Seed
 	// or Workers inside them.

@@ -93,9 +93,10 @@ const mosaSegment = 256
 // whose acceptance energy is the fraction of the chain's archive that
 // dominates the candidate, so the chain is always pulled toward (and
 // along) the front. The independent chains, each seeded from (s.Seed,
-// chain index), run concurrently on up to s.Workers goroutines, share the
-// memo cache (a configuration visited by two chains is evaluated once),
-// and their archives merge deterministically in chain order.
+// chain index), run concurrently on the run's evaluation pool of
+// s.Workers goroutines, share the memo cache (a configuration visited by
+// two chains is evaluated once), and their archives merge
+// deterministically in chain order.
 //
 // The paper reports that the model-driven DSE found fronts of equivalent
 // quality with genetic algorithms and simulated annealing (§5.2); MOSA is
@@ -144,18 +145,21 @@ func runMOSA(s Search, space *Space, eval Evaluator, opts Options) (*Result, err
 		}
 		return front.Points()
 	}
-	perChain := cfg.Iterations / cfg.Restarts
-	// The chains fan out on forEachWorker's goroutines, not on the run's
-	// pool: a segment is a few long items, so the search goroutine, as the
-	// pool's worker 0, would wait at every segment's end for the chain a
-	// late-woken pool goroutine started last. On a 2-vCPU machine that made
-	// a family-mosa service job ≈17% slower.
-	return rs.loop(func(seg int) {
-		upTo := min(seg*mosaSegment, perChain)
-		forEachWorker(cfg.Restarts, rs.pe.Workers(), func(w, ch int) {
-			chains[ch].run(space, rs.pe, w, upTo)
-		})
-	}, merged, func(snap *Snapshot) { snap.Chains = snapChains(chains) })
+	return rs.loop(mosaStep(rs, space, chains, cfg.Iterations/cfg.Restarts), merged,
+		func(snap *Snapshot) { snap.Chains = snapChains(chains) })
+}
+
+// mosaStep returns the run's step: segment seg advances every chain to
+// min(seg·mosaSegment, perChain) iterations, one chain per item of a job
+// on the run's pool. The chain function is bound here once, so a segment
+// allocates nothing.
+func mosaStep(rs *runState, space *Space, chains []*mosaChain, perChain int) func(seg int) {
+	upTo := 0
+	runChain := func(w, ch int) { chains[ch].run(space, rs.pe, w, upTo) }
+	return func(seg int) {
+		upTo = min(seg*mosaSegment, perChain)
+		rs.pool.run(len(chains), runChain)
+	}
 }
 
 // MOSAOpts runs a mosa Search whose Seed and Workers are cfg's.

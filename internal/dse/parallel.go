@@ -235,10 +235,10 @@ type Forkable interface {
 // ParallelEvaluator wraps an Evaluator with a sharded memo cache keyed on
 // the configurations' uint64 hash and per-worker evaluator instances for
 // at most workers concurrent evaluations. It is the batch-evaluation
-// runtime every search algorithm in this package runs on: NSGA-II,
+// runtime every search algorithm in this package runs on: NSGA-II, MOSA,
 // exhaustive and random search fan their evaluations out on the run's own
-// pool (evalPool), MOSA and EvaluateBatch on goroutines forEachWorker
-// starts per call, and the sequential path is simply workers = 1.
+// evaluation pool (evalPool), EvaluateBatch on a pool of its own for the
+// call, and the sequential path is simply workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
 // the configuration (every evaluator in this repository is). Under that
@@ -308,8 +308,7 @@ func (pe *ParallelEvaluator) NumObjectives() int { return pe.nobj }
 
 // evalFor evaluates c on worker w's private evaluator instance and
 // returns its point, whose Config is c itself. The caller must guarantee
-// at most one goroutine uses each w at a time (forEachWorker and a run's
-// pool do).
+// at most one goroutine uses each w at a time (an evalPool does).
 //
 // It runs the memo protocol: reserve c under its shard's lock, evaluate a
 // miss into the arena with the lock released, publish. The first
@@ -417,32 +416,23 @@ func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config, objs Objectives
 }
 
 // ForEach runs fn(i) for every i in [0,n) on at most workers goroutines
-// (workers <= 0 selects GOMAXPROCS; one worker runs inline). Workers claim
+// (workers <= 0 selects GOMAXPROCS; one worker runs inline), started for
+// the call; the caller parks until they have all exited. Goroutines claim
 // indices from an atomic counter, so scheduling affects only when each
-// index runs, never whether. It is the fan-out beneath bare EvaluateBatch
-// calls, MOSA's chains and the experiments job runner; NSGA-II, exhaustive
-// and random search fan out on their run's pool instead (see evalPool).
+// index runs, never whether. It is the fan-out for coarse jobs that run
+// for milliseconds each, the experiments job runner and xcheck.Sweep,
+// where a spinning wait would only burn a CPU; every configuration
+// evaluation runs on an evalPool instead. A panic in fn stops the other
+// goroutines claiming indices and, once all have stopped, is raised again
+// on the caller's goroutine as a *WorkerPanic.
 func ForEach(n, workers int, fn func(i int)) {
-	forEachWorker(n, workers, func(_, i int) { fn(i) })
-}
-
-// forEachWorker is ForEach with worker identity: fn(w, i) runs index i on
-// worker w, where w ranges over [0, min(workers, n)) and each w executes on
-// exactly one goroutine. Worker-indexed scratch therefore needs no
-// synchronization. It starts its goroutines for the call and returns once
-// they have all exited. A panic in fn stops the other workers claiming
-// indices and, once every worker has stopped, is raised again on the
-// caller's goroutine as a *WorkerPanic.
-func forEachWorker(n, workers int, fn func(worker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -453,8 +443,8 @@ func forEachWorker(n, workers int, fn func(worker, i int)) {
 		wg      sync.WaitGroup
 	}
 	fan.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
+	for range workers {
+		go func() {
 			defer fan.wg.Done()
 			defer func() {
 				if v := recover(); v != nil {
@@ -467,9 +457,9 @@ func forEachWorker(n, workers int, fn func(worker, i int)) {
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	fan.wg.Wait()
 	if wp := fan.failure.Load(); wp != nil {
@@ -477,8 +467,8 @@ func forEachWorker(n, workers int, fn func(worker, i int)) {
 	}
 }
 
-// WorkerPanic is what a panic on a worker goroutine (forEachWorker's, or a
-// search run's pool) becomes on the goroutine that started the work: the
+// WorkerPanic is what a panic on a worker goroutine (ForEach's, or an
+// evaluation pool's) becomes on the goroutine that started the work: the
 // recovered value and the stack of the goroutine that panicked, captured
 // where it panicked. It is raised only once every worker has stopped, so a
 // caller that recovers it can go on.
@@ -744,18 +734,18 @@ func (p *evalPool) stop() {
 	p.wg.Wait()
 }
 
-// EvaluateBatch evaluates every configuration, fanning the batch across
-// forEachWorker's goroutines (one worker runs it inline), and returns the
-// points in input order: out[i] is configs[i]'s evaluation, and
-// out[i].Config is configs[i] itself. Duplicate configurations (within the
-// batch or across batches) cost one evaluation and yield equal Points,
-// each carrying its own slice. A search run evaluates on its own pool
-// instead (runState.evaluate).
+// EvaluateBatch evaluates every configuration on an evaluation pool of
+// min(Workers, len(configs)) started for the call (one worker runs it
+// inline), and returns the points in input order: out[i] is configs[i]'s
+// evaluation, and out[i].Config is configs[i] itself. Duplicate
+// configurations (within the batch or across batches) cost one evaluation
+// and yield equal Points, each carrying its own slice. A search run
+// evaluates on its own pool instead (runState.evaluate).
 func (pe *ParallelEvaluator) EvaluateBatch(configs []Config) []Point {
 	out := make([]Point, len(configs))
-	forEachWorker(len(configs), pe.workers, func(w, i int) {
-		out[i] = pe.evalFor(w, configs[i])
-	})
+	p := evalPool{helpers: max(min(pe.workers, len(configs))-1, 0)}
+	defer p.stop()
+	p.run(len(configs), func(w, i int) { out[i] = pe.evalFor(w, configs[i]) })
 	return out
 }
 

@@ -153,13 +153,35 @@ func TestSearchWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerPanic checks that a panic on a forEachWorker goroutine
-// is raised on the caller as a *WorkerPanic once every worker has stopped,
+// TestEvaluateBatchPanic checks that EvaluateBatch's pool hands an
+// evaluator panic to the caller, as its own value or a *WorkerPanic, and
+// stops its goroutines, at every worker count.
+func TestEvaluateBatchPanic(t *testing.T) {
+	s := testSpace(12, 4, 3)
+	var all []Config
+	s.Iterate(func(c Config) bool {
+		all = append(all, c.Clone())
+		return true
+	})
+	for _, workers := range []int{1, 2, 4} {
+		pe := NewParallelEvaluator(&panicEvaluator{inner: &convexEvaluator{space: s}, bad: 5}, workers)
+		base := runtime.NumGoroutine()
+		v := recoverRun(func() { pe.EvaluateBatch(all) })
+		label := fmt.Sprintf("workers %d", workers)
+		checkEvaluatorPanic(t, label, v)
+		if n := goroutinesSettle(base); n > base {
+			t.Errorf("%s: %d goroutines after EvaluateBatch, %d before", label, n, base)
+		}
+	}
+}
+
+// TestForEachWorkerPanic checks that a panic on a ForEach goroutine is
+// raised on the caller as a *WorkerPanic once every worker has stopped,
 // and that the other workers stop claiming indices.
 func TestForEachWorkerPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	v := recoverRun(func() {
-		forEachWorker(1000, 4, func(_, i int) {
+		ForEach(1000, 4, func(i int) {
 			if i == 10 {
 				panic("boom")
 			}
@@ -170,7 +192,7 @@ func TestForEachWorkerPanic(t *testing.T) {
 		t.Fatalf("recovered %#v, want a *WorkerPanic of \"boom\" with the worker's stack", v)
 	}
 	if n := goroutinesSettle(base); n > base {
-		t.Errorf("%d goroutines after forEachWorker, %d before", n, base)
+		t.Errorf("%d goroutines after ForEach, %d before", n, base)
 	}
 }
 

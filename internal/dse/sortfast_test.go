@@ -312,6 +312,40 @@ func TestMOSAChainSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMOSASegmentSteadyStateZeroAllocs extends the chain gate to a whole
+// segment: once the memo has saturated, one segment of four chains on the
+// run's pool (the search's own step) allocates nothing, inline at one
+// worker and with a pool goroutine at two.
+func TestMOSASegmentSteadyStateZeroAllocs(t *testing.T) {
+	s := testSpace(6, 3)
+	for _, workers := range []int{1, 2} {
+		search := Search{Algorithm: "mosa", Seed: 9, Workers: workers, MOSA: &MOSAConfig{Restarts: 4}}
+		rs, err := begin(search, s, &convexEvaluator{space: s}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := search.mosa().withDefaults()
+		chains := make([]*mosaChain, cfg.Restarts)
+		for ch := range chains {
+			chains[ch] = newMOSAChain(s, cfg, chainSeed(search.Seed, ch))
+		}
+		step := mosaStep(rs, s, chains, 1<<30)
+		seg := 0
+		for seg < 4 { // saturate the 18-point memo and the chain archives
+			seg++
+			step(seg)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			seg++
+			step(seg)
+		})
+		rs.pool.stop()
+		if allocs != 0 {
+			t.Fatalf("workers %d: steady-state MOSA segment allocates %.1f objects, want 0", workers, allocs)
+		}
+	}
+}
+
 // TestTournamentTieBreakSymmetric checks the satellite fix: on exact
 // (rank, crowding) ties the winner no longer always comes from the first
 // draw. A replica rng recovers each tournament's draw pair (two Intn

@@ -14,20 +14,22 @@
 // Every search algorithm runs on ParallelEvaluator, a sharded memo cache
 // that keeps each configuration's genes packed, one byte per gene, beside
 // its objectives in flat arenas. Candidate configurations are produced
-// sequentially from the algorithm's seeded RNG. NSGA-II, exhaustive and
-// random search evaluate them on the run's evaluation pool: the search
-// goroutine plus Workers − 1 goroutines that live as long as the run and
-// park between jobs, so waking them costs no goroutine start. NSGA-II
-// publishes each offspring as variation writes it, and a pool goroutine
-// merges the offspring into the archive while the search goroutine ranks
-// and selects. MOSA runs its chains on goroutines it starts for each
-// chain segment. Results land in input order;
-// each distinct configuration is evaluated exactly once no matter how
-// many workers race for it, so Result.Evaluated keeps meaning distinct
-// points. A panic on a worker goroutine is raised again on the search
-// goroutine as a *WorkerPanic once every worker goroutine has stopped.
-// EvaluateBatch, for callers outside a run, fans out over goroutines of
-// its own per call. A returned point carries
+// sequentially from the algorithm's seeded RNG, and every search
+// evaluates them on the run's evaluation pool: the search goroutine plus
+// Workers − 1 goroutines that live as long as the run and park between
+// jobs, so waking them costs no goroutine start. NSGA-II publishes each
+// offspring as variation writes it, and a pool goroutine merges the
+// offspring into the archive while the search goroutine ranks and
+// selects; MOSA runs each chain segment as one job, a chain per item;
+// exhaustive and random search run each batch as one job. Results land
+// in input order; each distinct configuration is evaluated exactly once
+// no matter how many workers race for it, so Result.Evaluated keeps
+// meaning distinct points. A panic on a worker goroutine is raised again
+// on the search goroutine as a *WorkerPanic once every worker goroutine
+// has stopped. EvaluateBatch, for callers outside a run, evaluates on a
+// pool of its own for the call. ForEach is the fan-out for coarse jobs
+// that run for milliseconds each: it parks the caller instead of
+// spinning. A returned point carries
 // the caller's own configuration slice, so each search owns its gene
 // buffers and recycles them, and an Archive copies the genes of every
 // point it keeps; a Result's front is copied out of the archive and the

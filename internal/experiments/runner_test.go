@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"wsndse/internal/dse"
 )
 
 type stubReport struct{ id int }
@@ -76,31 +78,37 @@ func TestRunJobsDeterministicOrder(t *testing.T) {
 }
 
 // TestFig5WorkerInvariance checks the determinism guarantee end to end on
-// the real case study: the fronts Fig5 finds do not depend on the worker
-// count.
+// the real case study: the fronts Fig5 finds, its MOSA front included, do
+// not depend on the worker count.
 func TestFig5WorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case-study DSE in -short mode")
 	}
-	seq, err := Fig5(Fig5Config{PopulationSize: 16, Generations: 4, Workers: 1})
+	seq, err := Fig5(Fig5Config{PopulationSize: 16, Generations: 4, RunMOSA: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig5(Fig5Config{PopulationSize: 16, Generations: 4, Workers: 8})
+	par, err := Fig5(Fig5Config{PopulationSize: 16, Generations: 4, RunMOSA: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.FullFront) != len(par.FullFront) || seq.EvalsFull != par.EvalsFull ||
-		len(seq.BaselineFront) != len(par.BaselineFront) || seq.EvalsBaseline != par.EvalsBaseline {
-		t.Fatalf("worker count changed fig5: seq front %d/%d evals %d/%d, par front %d/%d evals %d/%d",
-			len(seq.FullFront), len(seq.BaselineFront), seq.EvalsFull, seq.EvalsBaseline,
-			len(par.FullFront), len(par.BaselineFront), par.EvalsFull, par.EvalsBaseline)
+		len(seq.BaselineFront) != len(par.BaselineFront) || seq.EvalsBaseline != par.EvalsBaseline ||
+		len(seq.MOSAFront) == 0 || len(seq.MOSAFront) != len(par.MOSAFront) {
+		t.Fatalf("worker count changed fig5: seq front %d/%d/%d evals %d/%d, par front %d/%d/%d evals %d/%d",
+			len(seq.FullFront), len(seq.BaselineFront), len(seq.MOSAFront), seq.EvalsFull, seq.EvalsBaseline,
+			len(par.FullFront), len(par.BaselineFront), len(par.MOSAFront), par.EvalsFull, par.EvalsBaseline)
 	}
-	for i := range seq.FullFront {
-		a, b := seq.FullFront[i], par.FullFront[i]
-		for j := range a.Objs {
-			if a.Objs[j] != b.Objs[j] {
-				t.Fatalf("full front point %d objective %d differs: %g vs %g", i, j, a.Objs[j], b.Objs[j])
+	for name, fronts := range map[string][2][]dse.Point{
+		"full": {seq.FullFront, par.FullFront},
+		"mosa": {seq.MOSAFront, par.MOSAFront},
+	} {
+		for i := range fronts[0] {
+			a, b := fronts[0][i], fronts[1][i]
+			for j := range a.Objs {
+				if a.Objs[j] != b.Objs[j] {
+					t.Fatalf("%s front point %d objective %d differs: %g vs %g", name, i, j, a.Objs[j], b.Objs[j])
+				}
 			}
 		}
 	}

@@ -134,36 +134,6 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// LeastSquares solves the overdetermined system m·x ≈ b (Rows ≥ Cols) by
-// the normal equations mᵀm x = mᵀb.
-func (m *Matrix) LeastSquares(b []float64) ([]float64, error) {
-	if len(b) != m.Rows {
-		return nil, fmt.Errorf("numeric: LeastSquares: len(b)=%d, want %d", len(b), m.Rows)
-	}
-	n := m.Cols
-	ata := NewMatrix(n, n)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := 0; j < n; j++ {
-			rj := row[j]
-			if rj == 0 {
-				continue
-			}
-			for k := j; k < n; k++ {
-				ata.data[j*n+k] += rj * row[k]
-			}
-		}
-	}
-	// Mirror the upper triangle.
-	for j := 0; j < n; j++ {
-		for k := j + 1; k < n; k++ {
-			ata.data[k*n+j] = ata.data[j*n+k]
-		}
-	}
-	atb := m.TMulVec(b)
-	return ata.Solve(atb)
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -114,30 +114,6 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// 20 noisy observations of y = 1 + 2a − b.
-	rng := rand.New(rand.NewSource(5))
-	m := NewMatrix(20, 3)
-	b := make([]float64, 20)
-	for i := 0; i < 20; i++ {
-		a1, a2 := rng.Float64(), rng.Float64()
-		m.Set(i, 0, 1)
-		m.Set(i, 1, a1)
-		m.Set(i, 2, a2)
-		b[i] = 1 + 2*a1 - a2 + (rng.Float64()-0.5)*1e-9
-	}
-	x, err := m.LeastSquares(b)
-	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
-	}
-	want := []float64{1, 2, -1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-6 {
-			t.Errorf("x[%d] = %g, want %g", i, x[i], want[i])
-		}
-	}
-}
-
 func TestSolveDimensionErrors(t *testing.T) {
 	m := NewMatrix(2, 3)
 	if _, err := m.Solve([]float64{1, 2}); err == nil {
@@ -146,9 +122,6 @@ func TestSolveDimensionErrors(t *testing.T) {
 	sq := NewMatrix(2, 2)
 	if _, err := sq.Solve([]float64{1}); err == nil {
 		t.Error("wrong b length: want error")
-	}
-	if _, err := sq.LeastSquares([]float64{1}); err == nil {
-		t.Error("wrong b length in LeastSquares: want error")
 	}
 }
 

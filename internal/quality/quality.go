@@ -31,80 +31,3 @@ func PRD(x, y []float64) (float64, error) {
 	}
 	return 100 * math.Sqrt(num/den), nil
 }
-
-// PRDN is the mean-normalized PRD: the reference energy is computed after
-// removing the mean of x, which makes the metric insensitive to DC offset.
-func PRDN(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("quality: PRDN: length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return 0, fmt.Errorf("quality: PRDN: empty signals")
-	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	var num, den float64
-	for i := range x {
-		d := x[i] - y[i]
-		num += d * d
-		c := x[i] - mean
-		den += c * c
-	}
-	if den == 0 {
-		return 0, fmt.Errorf("quality: PRDN: reference signal is constant")
-	}
-	return 100 * math.Sqrt(num/den), nil
-}
-
-// RMSE returns the root-mean-square error between x and y.
-func RMSE(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("quality: RMSE: length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return 0, nil
-	}
-	var ss float64
-	for i := range x {
-		d := x[i] - y[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(x))), nil
-}
-
-// SNR returns the reconstruction signal-to-noise ratio in decibels:
-// 10·log10(‖x‖² / ‖x−y‖²). A perfect reconstruction yields +Inf.
-func SNR(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("quality: SNR: length mismatch %d vs %d", len(x), len(y))
-	}
-	var sig, noise float64
-	for i := range x {
-		sig += x[i] * x[i]
-		d := x[i] - y[i]
-		noise += d * d
-	}
-	if sig == 0 {
-		return 0, fmt.Errorf("quality: SNR: reference signal has zero energy")
-	}
-	if noise == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(sig/noise), nil
-}
-
-// CompressionRatio returns out/in, the convention used throughout the
-// paper: CR = φ_out/φ_in, so smaller values mean stronger compression
-// (e.g. CR = 0.17 keeps 17 % of the data volume).
-func CompressionRatio(outBytes, inBytes float64) (float64, error) {
-	if inBytes <= 0 {
-		return 0, fmt.Errorf("quality: CompressionRatio: input size %g must be positive", inBytes)
-	}
-	if outBytes < 0 {
-		return 0, fmt.Errorf("quality: CompressionRatio: negative output size %g", outBytes)
-	}
-	return outBytes / inBytes, nil
-}

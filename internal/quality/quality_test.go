@@ -61,99 +61,3 @@ func TestPRDProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPRDN(t *testing.T) {
-	// A pure DC offset in the reference does not inflate PRDN's
-	// denominator: PRDN uses the AC energy.
-	x := []float64{10, 11, 10, 9, 10}
-	y := []float64{10, 10.5, 10, 9.5, 10}
-	prd, _ := PRD(x, y)
-	prdn, err := PRDN(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prdn <= prd {
-		t.Errorf("PRDN (%g) should exceed PRD (%g) for DC-dominated signals", prdn, prd)
-	}
-	if _, err := PRDN([]float64{5, 5}, []float64{5, 5}); err == nil {
-		t.Error("constant reference: want error")
-	}
-	if _, err := PRDN(nil, nil); err == nil {
-		t.Error("empty: want error")
-	}
-	if _, err := PRDN([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch: want error")
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	got, err := RMSE([]float64{0, 0}, []float64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(12.5)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("RMSE = %g, want %g", got, want)
-	}
-	if got, _ := RMSE(nil, nil); got != 0 {
-		t.Errorf("RMSE(nil) = %g", got)
-	}
-	if _, err := RMSE([]float64{1}, nil); err == nil {
-		t.Error("length mismatch: want error")
-	}
-}
-
-func TestSNR(t *testing.T) {
-	x := []float64{1, 1, 1, 1}
-	y := []float64{1.1, 0.9, 1.1, 0.9}
-	got, err := SNR(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 10 * math.Log10(4/0.04)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("SNR = %g dB, want %g", got, want)
-	}
-	if got, _ := SNR(x, x); !math.IsInf(got, 1) {
-		t.Errorf("perfect SNR = %g, want +Inf", got)
-	}
-	if _, err := SNR([]float64{0}, []float64{1}); err == nil {
-		t.Error("zero-energy reference: want error")
-	}
-	if _, err := SNR([]float64{1}, nil); err == nil {
-		t.Error("length mismatch: want error")
-	}
-}
-
-func TestSNRPRDConsistency(t *testing.T) {
-	// SNR = −20·log10(PRD/100) by definition; check on random data.
-	r := rand.New(rand.NewSource(4))
-	x := make([]float64, 128)
-	y := make([]float64, 128)
-	for i := range x {
-		x[i] = r.NormFloat64() + 2
-		y[i] = x[i] + r.NormFloat64()*0.05
-	}
-	prd, _ := PRD(x, y)
-	snr, _ := SNR(x, y)
-	want := -20 * math.Log10(prd/100)
-	if math.Abs(snr-want) > 1e-9 {
-		t.Errorf("SNR = %g, want %g from PRD", snr, want)
-	}
-}
-
-func TestCompressionRatio(t *testing.T) {
-	got, err := CompressionRatio(170, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.17 {
-		t.Errorf("CR = %g, want 0.17", got)
-	}
-	if _, err := CompressionRatio(1, 0); err == nil {
-		t.Error("zero input: want error")
-	}
-	if _, err := CompressionRatio(-1, 10); err == nil {
-		t.Error("negative output: want error")
-	}
-}

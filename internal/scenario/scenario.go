@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"wsndse/internal/casestudy"
 	ieee "wsndse/internal/ieee802154"
@@ -139,7 +140,11 @@ func (s Scenario) clone() Scenario {
 	return out
 }
 
-// Validate checks the scenario for structural consistency.
+// Validate checks the scenario for structural consistency. Every range
+// check is written so that NaN fails it, and the CRs, the sample and µC
+// frequencies, ϑ, the PER and the sim duration must be finite: a NaN or
+// infinite value would otherwise reach the model as NaN objectives with
+// no error.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: empty name")
@@ -165,16 +170,16 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: compression node %s has no CR values", s.Name, ns.Name)
 		}
 		for _, cr := range ns.CRs {
-			if cr <= 0 || cr > 1 {
+			if !(cr > 0 && cr <= 1) {
 				return fmt.Errorf("scenario %q: node %s CR %g out of (0,1]", s.Name, ns.Name, cr)
 			}
 		}
-		if ns.SampleFreq <= 0 {
-			return fmt.Errorf("scenario %q: node %s has non-positive sample rate %v", s.Name, ns.Name, ns.SampleFreq)
+		if !positiveFinite(float64(ns.SampleFreq)) {
+			return fmt.Errorf("scenario %q: node %s sample rate %v is not positive and finite", s.Name, ns.Name, ns.SampleFreq)
 		}
-		for _, f := range ns.MicroFreqs {
-			if f <= 0 {
-				return fmt.Errorf("scenario %q: node %s has non-positive µC frequency %v", s.Name, ns.Name, f)
+		for _, f := range ns.microFreqs() {
+			if !positiveFinite(float64(f)) {
+				return fmt.Errorf("scenario %q: node %s µC frequency %v is not positive and finite", s.Name, ns.Name, f)
 			}
 		}
 		if ns.PayloadBytes < 0 || ns.PayloadBytes > ieee.MaxDataPayload {
@@ -206,17 +211,20 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: payload %d out of [1,%d]", s.Name, p, ieee.MaxDataPayload)
 		}
 	}
-	if s.Theta < 0 {
-		return fmt.Errorf("scenario %q: negative balance weight ϑ=%g", s.Name, s.Theta)
+	if !(s.Theta >= 0 && !math.IsInf(s.Theta, 1)) {
+		return fmt.Errorf("scenario %q: balance weight ϑ=%g is not non-negative and finite", s.Name, s.Theta)
 	}
-	if per := s.Traffic.PacketErrorRate; per < 0 || per >= 1 {
+	if per := s.Traffic.PacketErrorRate; !(per >= 0 && per < 1) {
 		return fmt.Errorf("scenario %q: packet error rate %g out of [0,1)", s.Name, per)
 	}
 	if s.Traffic.BlockSamples < 0 {
 		return fmt.Errorf("scenario %q: negative block size %d", s.Name, s.Traffic.BlockSamples)
 	}
-	if s.SimDuration <= 0 {
-		return fmt.Errorf("scenario %q: non-positive sim duration %v", s.Name, s.SimDuration)
+	if !positiveFinite(float64(s.SimDuration)) {
+		return fmt.Errorf("scenario %q: sim duration %v is not positive and finite", s.Name, s.SimDuration)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x lies in (0, +Inf); NaN does not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -106,6 +107,33 @@ func TestValidateTable(t *testing.T) {
 	}
 	if err := MixedWard().Validate(); err != nil {
 		t.Errorf("pristine scenario invalid: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite checks copies of ecg-ward with one field
+// NaN or +Inf: each must fail Validate. A NaN ϑ used to validate, and the
+// reference evaluator then returned NaN objectives with no error.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		cases := []struct {
+			name string
+			set  func(*Scenario)
+		}{
+			{"CR", func(s *Scenario) { s.Nodes[0].CRs[0] = v }},
+			{"sample rate", func(s *Scenario) { s.Nodes[0].SampleFreq = units.Hertz(v) }},
+			{"platform µC frequency", func(s *Scenario) { s.Nodes[0].Platform.MicroFreqs[0] = units.Hertz(v) }},
+			{"node µC frequency", func(s *Scenario) { s.Nodes[0].MicroFreqs = []units.Hertz{units.Hertz(v)} }},
+			{"theta", func(s *Scenario) { s.Theta = v }},
+			{"PER", func(s *Scenario) { s.Traffic.PacketErrorRate = v }},
+			{"sim duration", func(s *Scenario) { s.SimDuration = units.Seconds(v) }},
+		}
+		for _, tc := range cases {
+			sc, _ := Lookup("ecg-ward")
+			tc.set(&sc)
+			if err := sc.Validate(); err == nil {
+				t.Errorf("ecg-ward with %s %g validated", tc.name, v)
+			}
+		}
 	}
 }
 

@@ -218,20 +218,15 @@ func CheckScenario(sc scenario.Scenario, cal *casestudy.Calibration, tol Toleran
 	return Check(p, cfg, tol)
 }
 
-// SweepConfig parameterizes a population sweep.
+// SweepConfig parameterizes a sweep of the registered scenarios.
 type SweepConfig struct {
-	// Names selects the scenarios; empty means every registered scenario.
-	Names []string
 	// Sample bounds how many scenarios are checked: a seeded uniform
-	// sample without replacement. 0 checks all of Names.
+	// sample without replacement. 0 checks them all.
 	Sample int
 	// Seed drives the sample selection (not the simulations, which use
 	// each scenario's own seed).
 	Seed int64
-	// Workers bounds the parallel checks; 0 means GOMAXPROCS.
-	Workers int
-	Cal     *casestudy.Calibration
-	Tol     Tolerance
+	Tol  Tolerance
 }
 
 // SweepResult aggregates a population sweep.
@@ -261,32 +256,22 @@ func (r *SweepResult) Err() error {
 		r.Failed, r.Checked, strings.Join(msgs, "\n"))
 }
 
-// Sweep cross-validates a (sampled) scenario population in parallel. The
-// sample is deterministic in cfg.Seed, and results are ordered by scenario
-// name regardless of worker interleaving.
+// Sweep cross-validates a (sampled) population of the registered
+// scenarios under the default calibration, on GOMAXPROCS goroutines. The
+// sample is deterministic in cfg.Seed, and results are ordered by
+// scenario name regardless of worker interleaving.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
-	names := cfg.Names
-	if len(names) == 0 {
-		for _, s := range scenario.List() {
-			names = append(names, s.Name)
-		}
-	} else {
-		names = append([]string(nil), names...)
-	}
-	sort.Strings(names)
+	names := scenario.Names()
 	if cfg.Sample > 0 && cfg.Sample < len(names) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
 		names = names[:cfg.Sample]
 		sort.Strings(names)
 	}
-	cal := cfg.Cal
-	if cal == nil {
-		cal = casestudy.DefaultCalibration()
-	}
+	cal := casestudy.DefaultCalibration()
 	reports := make([]*Report, len(names))
 	errs := make([]error, len(names))
-	dse.ForEach(len(names), cfg.Workers, func(i int) {
+	dse.ForEach(len(names), 0, func(i int) {
 		sc, ok := scenario.Lookup(names[i])
 		if !ok {
 			errs[i] = fmt.Errorf("scenario %q not registered", names[i])

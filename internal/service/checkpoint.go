@@ -35,15 +35,12 @@ func slotPaths(dir, id string, islands, i int) (latest, prev string) {
 }
 
 // writeSlot rotates the latest file into the prev slot and writes snap's
-// envelope atomically in its place. The faultinject hook sits between the
-// encoded bytes and the disk, so chaos tests can tear or fail exactly
-// this write.
+// envelope atomically in its place, in the directory New created. The
+// faultinject hook sits between the encoded bytes and the disk, so chaos
+// tests can tear or fail exactly this write.
 func writeSlot(latest, prev string, snap *dse.Snapshot) error {
 	data, err := dse.EncodeSnapshotFile(snap)
 	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(latest), 0o755); err != nil {
 		return err
 	}
 	if data, err = faultinject.CheckpointWrite(latest, data); err != nil {

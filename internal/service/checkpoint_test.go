@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wsndse/internal/casestudy"
@@ -123,6 +125,32 @@ func TestRotationAndFallback(t *testing.T) {
 				t.Fatalf("both corrupt: err = %v, want a wrap of dse.ErrCorruptSnapshot", err)
 			}
 		})
+	}
+}
+
+// TestNewCreatesCheckpointDir checks that New creates a missing
+// checkpoint directory, as it does the obs directory, so a checkpoint
+// write creates none; and that a directory New cannot create fails New.
+func TestNewCreatesCheckpointDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "var", "ckpt")
+	m := newTestManager(t, Config{Workers: 1, CheckpointDir: dir})
+	defer m.Close()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("checkpoint dir after New: %v", err)
+	}
+	m.checkpoint(&run{job: &job{info: JobInfo{ID: "j1"}}}, cut(1, 1))
+	if got, err := LoadCheckpoint(dir, "j1", 1); err != nil || got[0].Step != 1 {
+		t.Fatalf("first checkpoint: %+v, %v", got, err)
+	}
+
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Workers: 1, CheckpointDir: filepath.Join(file, "ckpt")})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint dir") {
+		t.Fatalf("New with a checkpoint dir under a file: %v, want a checkpoint dir error", err)
 	}
 }
 

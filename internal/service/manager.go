@@ -36,7 +36,8 @@ type Config struct {
 	// <dir>/<jobID>.snapshot.json (island jobs: one
 	// <jobID>.island<i>.snapshot.json per island), atomically and with a
 	// two-slot rotation, so checkpoints survive the process;
-	// Spec.ResumeJob resumes from these files (see LoadCheckpoint).
+	// Spec.ResumeJob resumes from these files (see LoadCheckpoint). New
+	// creates the directory.
 	CheckpointDir string
 	// ResultDir, when set, makes the result store durable: finished
 	// fronts are written there (atomic files plus an append-only index)
@@ -237,8 +238,14 @@ type Manager struct {
 // overwrites an earlier process's checkpoints or telemetry.
 func New(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	// The obs directory is created once here, not per job: a sampler's
-	// lazy file open must be the only per-job filesystem cost.
+	// The checkpoint and obs directories are created once here, not per
+	// job or per checkpoint: a checkpoint write and a sampler's lazy file
+	// open must be the only filesystem costs a job pays.
+	if cfg.CheckpointDir != "" {
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			return nil, fmt.Errorf("service: checkpoint dir: %w", err)
+		}
+	}
 	if cfg.ObsDir != "" {
 		if err := os.MkdirAll(cfg.ObsDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: obs dir: %w", err)

@@ -135,29 +135,28 @@ type Config struct {
 	BlockSamples int
 
 	// PacketErrorRate is the i.i.d. frame loss probability on the
-	// channel; lost frames are retransmitted up to MaxRetries times.
+	// channel; lost frames are retransmitted up to maxRetries (3) times.
 	// The case study operates at 0 (§4.3).
 	PacketErrorRate float64
-	// MaxRetries bounds retransmissions per frame (default 3).
-	MaxRetries int
-
-	// GuardTime is the early-wakeup margin before each beacon. Real
-	// firmware derives it from crystal drift over one beacon interval;
-	// when zero it defaults to ClockDriftPPM·BI + 32 µs.
-	GuardTime units.Seconds
-	// ClockDriftPPM is the crystal tolerance used for the default
-	// guard time (default 40 ppm).
-	ClockDriftPPM float64
-
-	// Firmware processing overheads charged to the microcontroller on
-	// top of the application's cycle budget. Defaults: 600 cycles per
-	// beacon, 350 per transmitted packet.
-	BeaconProcCycles float64
-	PacketProcCycles float64
 
 	// Seed drives the channel's loss process.
 	Seed int64
 }
+
+// The firmware of every simulated node.
+const (
+	// maxRetries bounds retransmissions per frame.
+	maxRetries = 3
+	// clockDriftPPM is the crystal tolerance the guard time, the
+	// early-wakeup margin before each beacon, is derived from: the
+	// drift over one beacon interval plus 32 µs.
+	clockDriftPPM = 40
+	// beaconProcCycles and packetProcCycles are the processing overheads
+	// charged to the microcontroller per beacon and per transmitted
+	// packet, on top of the application's cycle budget.
+	beaconProcCycles = 600
+	packetProcCycles = 350
+)
 
 // withDefaults fills zero values.
 func (c Config) withDefaults() Config {
@@ -166,21 +165,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockSamples == 0 {
 		c.BlockSamples = 512
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.ClockDriftPPM == 0 {
-		c.ClockDriftPPM = 40
-	}
-	if c.GuardTime == 0 {
-		c.GuardTime = units.Seconds(c.ClockDriftPPM*1e-6*float64(c.Superframe.BeaconInterval()) + 32e-6)
-	}
-	if c.BeaconProcCycles == 0 {
-		c.BeaconProcCycles = 600
-	}
-	if c.PacketProcCycles == 0 {
-		c.PacketProcCycles = 350
 	}
 	return c
 }
@@ -289,7 +273,7 @@ type NodeResult struct {
 	Delay          DelayStats
 	PacketsSent    int // distinct frames delivered
 	Retries        int // extra transmission attempts
-	PacketsDropped int // frames abandoned after MaxRetries
+	PacketsDropped int // frames abandoned after maxRetries (3) retransmissions
 	BytesDelivered int
 	QueuePeak      int // packets
 	RadioStateTime map[RadioState]units.Seconds

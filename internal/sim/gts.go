@@ -138,7 +138,7 @@ func (s *simulation) dispatch(kind uint8, node int32, arg float64) {
 	}
 	switch kind {
 	case evBeaconEnd:
-		n.extraCycles += s.cfg.BeaconProcCycles
+		n.extraCycles += beaconProcCycles
 		n.queueSamples = append(n.queueSamples, n.queueLen())
 		s.setRadio(n, StateSleep)
 	case evTxWindow:
@@ -186,7 +186,11 @@ func Run(cfg Config) (*Result, error) {
 	s.eng.SetDispatcher(s.dispatch)
 	s.bi = float64(cfg.Superframe.BeaconInterval())
 	s.slot = float64(cfg.Superframe.SlotDuration())
-	s.guard = float64(cfg.GuardTime)
+	// drift is a variable, not part of a constant expression: the
+	// guard time must round as the float64 product 40 × 1e-6 does, one
+	// ulp below the exact constant 4e-5.
+	drift := float64(clockDriftPPM)
+	s.guard = drift*1e-6*s.bi + 32e-6
 	s.beaconAir = float64(ieee.BeaconAirTime(gtsDescriptors(cfg)))
 
 	// The radio timelines share one backing array. A timeline holds at
@@ -388,7 +392,7 @@ func (s *simulation) txWindow(n *simNode, wEnd float64) {
 func (s *simulation) ackDone(n *simNode, wEnd float64) {
 	p := n.queueHead()
 	payload := p.payloadBytes
-	n.extraCycles += s.cfg.PacketProcCycles
+	n.extraCycles += packetProcCycles
 	delivered := s.rng.Float64() >= s.perAt(n)
 	if delivered {
 		n.delays = append(n.delays, s.eng.Now()-p.created)
@@ -397,7 +401,7 @@ func (s *simulation) ackDone(n *simNode, wEnd float64) {
 		n.popQueue()
 	} else {
 		p.attempts++
-		if p.attempts > s.cfg.MaxRetries {
+		if p.attempts > maxRetries {
 			n.dropped++
 			n.popQueue()
 		} else {
