@@ -2,9 +2,10 @@ package wsndse
 
 // One benchmark per evaluation artifact of the paper's §5 (the harnesses
 // of internal/experiments) plus micro-benchmarks of the hot paths. The
-// experiment benchmarks run reduced-but-representative workloads per
-// iteration and attach the headline quantities as custom metrics, so
-// `go test -bench` both times the harness and regenerates the numbers.
+// experiment benchmarks run the configurations wsn-experiments runs, the
+// delay validation and Figure 5 at reduced budgets, and attach the
+// headline quantities as custom metrics, so `go test -bench` both times
+// the harness and regenerates the numbers.
 
 import (
 	"math/rand"
@@ -119,7 +120,7 @@ func BenchmarkFig3EnergyModel(b *testing.B) {
 	var res *experiments.Fig3Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.Fig3(experiments.Fig3Config{SimDuration: 20})
+		res, err = experiments.Fig3(experiments.Fig3Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func BenchmarkFig4PRDEstimation(b *testing.B) {
 // eight rates.
 func BenchmarkFig4Calibration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := casestudy.Calibrate(casestudy.CalibrationConfig{Blocks: 4}); err != nil {
+		if _, err := casestudy.Calibrate(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,9 +385,7 @@ func BenchmarkAblationTheta(b *testing.B) {
 	var res *experiments.ThetaAblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.ThetaAblation(experiments.ThetaAblationConfig{
-			PopulationSize: 32, Generations: 12,
-		})
+		res, err = experiments.ThetaAblation(experiments.ThetaAblationConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -404,9 +403,7 @@ func BenchmarkAblationArrival(b *testing.B) {
 	var res *experiments.ArrivalAblationResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.ArrivalAblation(experiments.ArrivalAblationConfig{
-			Runs: 10, SimDuration: 20,
-		})
+		res, err = experiments.ArrivalAblation(experiments.ArrivalAblationConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func main() {
 	}
 
 	if selected["calibrate"] {
-		cal, err := casestudy.Calibrate(casestudy.CalibrationConfig{})
+		cal, err := casestudy.Calibrate()
 		if err != nil {
 			fatalf("calibrate: %v", err)
 		}
@@ -110,7 +110,7 @@ func main() {
 		})
 	})
 	add("speed", "speed", func(context.Context) (experiments.Report, error) {
-		return experiments.Speed(experiments.SpeedConfig{})
+		return experiments.Speed()
 	})
 	add("fig5", "fig5", func(context.Context) (experiments.Report, error) {
 		return experiments.Fig5(experiments.Fig5Config{

@@ -25,8 +25,10 @@
 //     device-level energy accounting (the measurement/Castalia stand-in);
 //   - internal/dse, internal/baseline, internal/casestudy,
 //     internal/experiments — the exploration framework, the energy/delay
-//     comparator, what only the §4 case study owns (codec calibration and
-//     the application kinds), and one harness per figure/table;
+//     comparator, what only the §4 case study owns (the one codec
+//     calibration behind the shipped quality polynomials, and the
+//     application kinds), and one harness per figure/table, each running
+//     the paper's one configuration of it;
 //   - internal/scenario — the scenario engine: declarative heterogeneous
 //     workloads, their design-space formulation and evaluators, plus the
 //     process-wide registry the CLIs, experiments and examples select
@@ -174,6 +176,9 @@
 // The benchmarks in bench_test.go regenerate every evaluation artifact
 // (including parallel-vs-sequential exploration pairs and the
 // reference-vs-compiled evaluator twins, with allocs/op reported);
-// cmd/wsn-experiments prints them as tables, and both it and
-// cmd/wsn-explore take -workers N plus -cpuprofile/-memprofile for pprof.
+// cmd/wsn-experiments prints them as tables. Its flags size only the
+// delay validation (-delay-runs, -sim-duration) and Figure 5's searches
+// (-pop, -gen); every other grid, budget and seed is fixed in the
+// harness. Both it and cmd/wsn-explore take -workers N plus
+// -cpuprofile/-memprofile for pprof.
 package wsndse

@@ -30,33 +30,14 @@ func CRGrid() []float64 {
 	return []float64{0.17, 0.20, 0.23, 0.26, 0.29, 0.32, 0.35, 0.38}
 }
 
-// CalibrationConfig parameterizes a calibration run.
-type CalibrationConfig struct {
-	Blocks       int       // ECG corpus size in blocks (default 8)
-	BlockSamples int       // samples per block (default 512)
-	Seed         int64     // ECG generator / CS matrix seed (default 1)
-	CRs          []float64 // CR grid (default CRGrid())
-	PolyDegree   int       // fit degree (default 5, per the paper)
-}
-
-func (c CalibrationConfig) withDefaults() CalibrationConfig {
-	if c.Blocks == 0 {
-		c.Blocks = 8
-	}
-	if c.BlockSamples == 0 {
-		c.BlockSamples = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.CRs == nil {
-		c.CRs = CRGrid()
-	}
-	if c.PolyDegree == 0 {
-		c.PolyDegree = 5
-	}
-	return c
-}
+// The calibration run: the corpus size and seed, and the degree of the
+// fits (fifth order, per the paper). The CRs are CRGrid().
+const (
+	calibrationBlocks       = 8   // ECG corpus size in blocks
+	calibrationBlockSamples = 512 // samples per block
+	calibrationSeed         = 1   // ECG generator / CS matrix seed
+	calibrationPolyDegree   = 5
+)
 
 // Calibration holds the fitted quality estimators together with the
 // measurements they were fit from, so estimation errors (Fig. 4) can be
@@ -77,35 +58,30 @@ type Calibration struct {
 
 // Calibrate runs both codecs over a synthetic ECG corpus and fits the
 // quality polynomials.
-func Calibrate(cfg CalibrationConfig) (*Calibration, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.CRs) <= cfg.PolyDegree {
-		return nil, fmt.Errorf("casestudy: %d CR points cannot support a degree-%d fit",
-			len(cfg.CRs), cfg.PolyDegree)
-	}
+func Calibrate() (*Calibration, error) { return calibrate(calibrationSeed) }
+
+// calibrate is Calibrate on the corpus and CS matrix of another seed.
+func calibrate(seed int64) (*Calibration, error) {
 	gcfg := ecg.DefaultConfig()
-	gcfg.Seed = cfg.Seed
+	gcfg.Seed = seed
 	gen, err := ecg.NewGenerator(gcfg)
 	if err != nil {
 		return nil, err
 	}
 	adc := ecg.DefaultADC()
-	corpus := gen.Corpus(cfg.Blocks, cfg.BlockSamples)
+	corpus := gen.Corpus(calibrationBlocks, calibrationBlockSamples)
 	// Digitize: the node compresses what the ADC saw.
 	for i := range corpus {
 		corpus[i] = adc.Digitize(corpus[i])
 	}
 
 	wavelet := dwt.Daubechies4()
-	levels := 5
-	if ml := wavelet.MaxLevels(cfg.BlockSamples); levels > ml {
-		levels = ml
-	}
+	levels := min(5, wavelet.MaxLevels(calibrationBlockSamples))
 	dwtCodec := dwt.NewCodec(wavelet, levels)
-	csCodec := cs.NewCodec(cfg.BlockSamples, wavelet, levels, cfg.Seed)
+	csCodec := cs.NewCodec(calibrationBlockSamples, wavelet, levels, seed)
 
-	cal := &Calibration{CRs: append([]float64(nil), cfg.CRs...)}
-	for _, cr := range cfg.CRs {
+	cal := &Calibration{CRs: CRGrid()}
+	for _, cr := range cal.CRs {
 		var dwtSum, csSum float64
 		for _, block := range corpus {
 			z, err := dwtCodec.Compress(block, cr, adc.Bits)
@@ -140,11 +116,11 @@ func Calibrate(cfg CalibrationConfig) (*Calibration, error) {
 		cal.CSMeasured = append(cal.CSMeasured, csSum/float64(len(corpus)))
 	}
 
-	cal.DWTPoly, err = numeric.PolyFit(cal.CRs, cal.DWTMeasured, cfg.PolyDegree)
+	cal.DWTPoly, err = numeric.PolyFit(cal.CRs, cal.DWTMeasured, calibrationPolyDegree)
 	if err != nil {
 		return nil, fmt.Errorf("casestudy: DWT fit: %w", err)
 	}
-	cal.CSPoly, err = numeric.PolyFit(cal.CRs, cal.CSMeasured, cfg.PolyDegree)
+	cal.CSPoly, err = numeric.PolyFit(cal.CRs, cal.CSMeasured, calibrationPolyDegree)
 	if err != nil {
 		return nil, fmt.Errorf("casestudy: CS fit: %w", err)
 	}

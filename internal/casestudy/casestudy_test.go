@@ -2,11 +2,18 @@ package casestudy
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
+// shippedRun is one Calibrate() run, shared by the tests that inspect it.
+// Those tests and TestFig4FreshCorpus run in parallel, so the two
+// calibrations, the package's slowest work, overlap.
+var shippedRun = sync.OnceValues(Calibrate)
+
 func TestCalibrateProducesSaneCurves(t *testing.T) {
-	cal, err := Calibrate(CalibrationConfig{Blocks: 4})
+	t.Parallel()
+	cal, err := shippedRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +58,8 @@ func TestDefaultCalibrationMatchesFreshRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("codec calibration is slow")
 	}
-	fresh, err := Calibrate(CalibrationConfig{})
+	t.Parallel()
+	fresh, err := shippedRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +74,29 @@ func TestDefaultCalibrationMatchesFreshRun(t *testing.T) {
 	}
 }
 
-func TestCalibrateValidation(t *testing.T) {
-	if _, err := Calibrate(CalibrationConfig{CRs: []float64{0.2, 0.3}, PolyDegree: 5}); err == nil {
-		t.Error("too few CR points for degree: want error")
+// TestFig4FreshCorpus validates the shipped estimator against ECG data it
+// was not fitted on, a stronger check than the paper's Figure 4, which
+// compares against the fitting data: the errors grow but stay within a
+// few PRD points.
+func TestFig4FreshCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("codec calibration is slow")
 	}
+	t.Parallel()
+	fresh, err := calibrate(77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped := DefaultCalibration()
+	fresh.DWTPoly, fresh.CSPoly = shipped.DWTPoly, shipped.CSPoly
+	dwtErr, csErr := fresh.EstimationErrors()
+	if dwtErr > 3 {
+		t.Errorf("DWT generalization error %.2f PRD points", dwtErr)
+	}
+	if csErr > 12 {
+		t.Errorf("CS generalization error %.2f PRD points", csErr)
+	}
+	t.Logf("fresh-corpus estimation errors: DWT %.3f, CS %.3f PRD points", dwtErr, csErr)
 }
 
 func TestKindString(t *testing.T) {

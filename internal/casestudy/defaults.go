@@ -3,10 +3,10 @@ package casestudy
 import "wsndse/internal/numeric"
 
 // DefaultCalibration returns the calibration shipped with the library: the
-// output of Calibrate(CalibrationConfig{}) — 8 blocks of 512 samples,
-// seed 1, degree-5 fits — baked in so that model users need not re-run the
-// codecs. Regenerate with `wsn-experiments -run calibrate` after touching
-// the ECG generator or either codec.
+// output of Calibrate() — 8 blocks of 512 samples, seed 1, degree-5 fits —
+// baked in so that model users need not re-run the codecs. Regenerate with
+// `wsn-experiments -run calibrate` after touching the ECG generator or
+// either codec.
 //
 // The measured points exhibit the Figure 4 structure: both PRDs decrease
 // monotonically with CR, and compressed sensing pays a substantially

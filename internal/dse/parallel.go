@@ -248,7 +248,9 @@ type Forkable interface {
 //
 // The wrapped Evaluator is called from multiple goroutines concurrently;
 // stateless evaluators need no synchronization of their own, and Forkable
-// evaluators get one private instance per worker.
+// evaluators get one private instance per worker. Overlapping
+// EvaluateBatch calls run one after another, since each call's pool uses
+// the instances of workers 0…k.
 //
 // The memo keeps each configuration's genes packed, one byte per gene,
 // not the caller's slice. A returned Point carries the caller's own
@@ -261,6 +263,7 @@ type Forkable interface {
 // (see detach).
 type ParallelEvaluator struct {
 	perWorker  []Evaluator // perWorker[w] is used only by worker w
+	batch      sync.Mutex  // held by EvaluateBatch for the call
 	workers    int
 	nobj       int
 	shards     [memoShards]atomic.Pointer[memoShard]
@@ -739,9 +742,12 @@ func (p *evalPool) stop() {
 // inline), and returns the points in input order: out[i] is configs[i]'s
 // evaluation, and out[i].Config is configs[i] itself. Duplicate
 // configurations (within the batch or across batches) cost one evaluation
-// and yield equal Points, each carrying its own slice. A search run
-// evaluates on its own pool instead (runState.evaluate).
+// and yield equal Points, each carrying its own slice. Concurrent calls
+// are serialized. A search run evaluates on its own pool instead
+// (runState.evaluate).
 func (pe *ParallelEvaluator) EvaluateBatch(configs []Config) []Point {
+	pe.batch.Lock()
+	defer pe.batch.Unlock()
 	out := make([]Point, len(configs))
 	p := evalPool{helpers: max(min(pe.workers, len(configs))-1, 0)}
 	defer p.stop()

@@ -67,29 +67,60 @@ func TestEvaluateBatchOrderAndDedup(t *testing.T) {
 
 // TestParallelEvaluatorConcurrentBatches hammers one shared evaluator from
 // many goroutines over an overlapping key set — the -race exercise of the
-// sharded cache.
+// sharded cache and of the per-worker instances: the evaluator is
+// Forkable, and each instance evaluates through scratch of its own, so two
+// batches on one worker's instance at once are a data race.
 func TestParallelEvaluatorConcurrentBatches(t *testing.T) {
-	s := testSpace(7, 5, 3)
-	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 4)
+	s := testSpace(16, 16, 16)
+	pe := NewParallelEvaluator(&scratchEvaluator{convexEvaluator{space: s}}, 4)
 	var all []Config
 	s.Iterate(func(c Config) bool {
 		all = append(all, c.Clone())
 		return true
 	})
+	ref := NewParallelEvaluator(&convexEvaluator{space: s}, 1).EvaluateBatch(all)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			// Each goroutine submits a rotated view of the same keys.
-			batch := append(append([]Config{}, all[g*10:]...), all[:g*10]...)
-			pe.EvaluateBatch(batch)
+			k := g * len(all) / 8
+			batch := append(append([]Config{}, all[k:]...), all[:k]...)
+			for i, p := range pe.EvaluateBatch(batch) {
+				if want := ref[(i+k)%len(all)]; !reflect.DeepEqual(p.Objs, want.Objs) {
+					t.Errorf("goroutine %d: point %v = %v, want %v", g, p.Config, p.Objs, want.Objs)
+					return
+				}
+			}
 		}(g)
 	}
 	wg.Wait()
 	if evaluated, _ := pe.Stats(); evaluated != len(all) {
 		t.Errorf("evaluated %d distinct configs, want %d", evaluated, len(all))
 	}
+}
+
+// scratchEvaluator is a Forkable convexEvaluator whose instances, like the
+// compiled pipeline's, evaluate through scratch of their own.
+type scratchEvaluator struct{ convexEvaluator }
+
+func (e *scratchEvaluator) Fork() Evaluator {
+	return &scratchInstance{convexEvaluator: e.convexEvaluator}
+}
+
+type scratchInstance struct {
+	convexEvaluator
+	scratch Objectives
+}
+
+func (si *scratchInstance) Evaluate(c Config) (Objectives, error) {
+	objs, err := si.convexEvaluator.Evaluate(c)
+	if err != nil {
+		return nil, err
+	}
+	si.scratch = append(si.scratch[:0], objs...)
+	return si.scratch, nil
 }
 
 // TestConfigHashEqual checks the memo-key pair: equal configs hash and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/numeric"
 	"wsndse/internal/scenario"
@@ -14,34 +13,20 @@ import (
 
 // ThetaAblationConfig parameterizes the balance-weight ablation.
 type ThetaAblationConfig struct {
-	Cal            *casestudy.Calibration
-	Thetas         []float64
-	PopulationSize int
-	Generations    int
-	Seed           int64
 	// Workers bounds the evaluation pool of the per-ϑ searches; <= 0
 	// selects GOMAXPROCS. Fronts are identical at any worker count.
 	Workers int
 }
 
-func (c ThetaAblationConfig) withDefaults() ThetaAblationConfig {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
-	if c.Thetas == nil {
-		c.Thetas = []float64{0, 0.5, 1.5}
-	}
-	if c.PopulationSize == 0 {
-		c.PopulationSize = 48
-	}
-	if c.Generations == 0 {
-		c.Generations = 25
-	}
-	if c.Seed == 0 {
-		c.Seed = 23
-	}
-	return c
-}
+// The ϑ ablation runs one seeded NSGA-II search of thetaPopulation ×
+// thetaGenerations per balance weight in thetaWeights.
+var thetaWeights = []float64{0, 0.5, 1.5}
+
+const (
+	thetaPopulation  = 48
+	thetaGenerations = 25
+	thetaSeed        = 23
+)
 
 // ThetaAblationRow is one ϑ setting's outcome.
 type ThetaAblationRow struct {
@@ -63,17 +48,16 @@ type ThetaAblationResult struct {
 // NSGA-II budget at several ϑ and measures the energy imbalance of the
 // resulting fronts.
 func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
-	cfg = cfg.withDefaults()
 	res := &ThetaAblationResult{}
-	for _, theta := range cfg.Thetas {
+	for _, theta := range thetaWeights {
 		sc := scenario.ECGWard()
 		sc.Theta = theta
-		problem, eval, err := wardProblem(sc, cfg.Cal)
+		problem, eval, err := wardProblem(sc)
 		if err != nil {
 			return nil, err
 		}
-		search, err := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
-			NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations},
+		search, err := dse.Search{Algorithm: "nsga2", Seed: thetaSeed, Workers: cfg.Workers,
+			NSGA2: &dse.NSGA2Config{PopulationSize: thetaPopulation, Generations: thetaGenerations},
 		}.Run(problem.Space(), eval, dse.Options{})
 		if err != nil {
 			return nil, err
@@ -134,29 +118,17 @@ func (r *ThetaAblationResult) Check() error {
 	return nil
 }
 
-// ArrivalAblationConfig parameterizes the Eq. 9 assumption ablation.
-type ArrivalAblationConfig struct {
-	Cal         *casestudy.Calibration
-	Runs        int
-	SimDuration units.Seconds
-	Seed        int64
-}
+// ArrivalAblationConfig selects the Eq. 9 assumption ablation. It has no
+// settings.
+type ArrivalAblationConfig struct{}
 
-func (c ArrivalAblationConfig) withDefaults() ArrivalAblationConfig {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
-	if c.Runs == 0 {
-		c.Runs = 20
-	}
-	if c.SimDuration == 0 {
-		c.SimDuration = 30
-	}
-	if c.Seed == 0 {
-		c.Seed = 31
-	}
-	return c
-}
+// The arrival ablation simulates arrivalRuns random feasible
+// configurations for arrivalSimDuration under each traffic model.
+const (
+	arrivalRuns                      = 20
+	arrivalSimDuration units.Seconds = 30
+	arrivalSeed                      = 31
+)
 
 // ArrivalAblationResult compares the delay bound's validity under the two
 // traffic models.
@@ -174,16 +146,15 @@ type ArrivalAblationResult struct {
 // "uniform output rate" property of the compressors (§4.2): the identical
 // bound that holds under uniform arrivals is violated when blocks arrive
 // as bursts.
-func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) {
-	cfg = cfg.withDefaults()
-	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+func ArrivalAblation(ArrivalAblationConfig) (*ArrivalAblationResult, error) {
+	problem, eval, err := wardProblem(scenario.ECGWard())
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(arrivalSeed))
 	res := &ArrivalAblationResult{}
 
-	for run := 0; run < cfg.Runs; run++ {
+	for run := 0; run < arrivalRuns; run++ {
 		_, params, err := drawFeasible(problem, eval, rng)
 		if err != nil {
 			return nil, err
@@ -197,7 +168,7 @@ func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) 
 			return nil, err
 		}
 		for _, arrival := range []sim.ArrivalModel{sim.ArrivalUniform, sim.ArrivalBlock} {
-			simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
+			simCfg, err := problem.SimConfig(params, arrivalSimDuration, arrivalSeed+int64(run))
 			if err != nil {
 				return nil, err
 			}

@@ -12,11 +12,11 @@ import (
 // writer is the rendering sink used by every experiment.
 type writer = io.Writer
 
-// wardProblem is the §4 case study under the calibration: sc (an ecg-ward
-// variant) with its genes in the axis-major order every seeded search and
-// random draw of the harness was recorded with.
-func wardProblem(sc scenario.Scenario, cal *casestudy.Calibration) (*scenario.Problem, dse.Evaluator, error) {
-	return compile(scenario.NewAxisMajorProblem(sc, cal))
+// wardProblem is the §4 case study under the shipped calibration: sc (an
+// ecg-ward variant) with its genes in the axis-major order every seeded
+// search and random draw of the harness was recorded with.
+func wardProblem(sc scenario.Scenario) (*scenario.Problem, dse.Evaluator, error) {
+	return compile(scenario.NewAxisMajorProblem(sc, casestudy.DefaultCalibration()))
 }
 
 // compile pairs a freshly built problem with its compiled evaluator, the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/numeric"
 	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
@@ -14,24 +13,20 @@ import (
 // DelayValConfig parameterizes the Eq. 9 validation (§5.1: 130 simulations
 // with realistic φ_out's and χ_mac's).
 type DelayValConfig struct {
-	Cal         *casestudy.Calibration
-	Runs        int // feasible configurations to simulate (default 130)
-	SimDuration units.Seconds
-	Seed        int64
+	Runs        int           // feasible configurations to simulate (default 130)
+	SimDuration units.Seconds // simulated time per configuration (default 30 s)
 }
 
+// delaySeed seeds the configuration draws; run i simulates at seed
+// delaySeed+i.
+const delaySeed = 42
+
 func (c DelayValConfig) withDefaults() DelayValConfig {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
 	if c.Runs == 0 {
 		c.Runs = 130
 	}
 	if c.SimDuration == 0 {
 		c.SimDuration = 30
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	return c
 }
@@ -66,11 +61,11 @@ type DelayValResult struct {
 // compares the bound against the largest measured delay.
 func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 	cfg = cfg.withDefaults()
-	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	problem, eval, err := wardProblem(scenario.ECGWard())
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(delaySeed))
 	res := &DelayValResult{}
 
 	var overs []float64
@@ -87,7 +82,7 @@ func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
+		simCfg, err := problem.SimConfig(params, cfg.SimDuration, delaySeed+int64(run))
 		if err != nil {
 			return nil, err
 		}

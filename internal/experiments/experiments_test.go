@@ -9,7 +9,7 @@ import (
 )
 
 func TestFig3(t *testing.T) {
-	res, err := Fig3(Fig3Config{SimDuration: 20})
+	res, err := Fig3(Fig3Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,36 +53,18 @@ func TestFig4(t *testing.T) {
 	}
 }
 
-func TestFig4FreshCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fresh-corpus validation is slow")
-	}
-	// Validate the estimator against ECG data it was not fitted on: the
-	// errors grow but stay within a few PRD points.
-	res, err := Fig4(Fig4Config{FreshSeed: 77, Blocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgErrDWT > 3 {
-		t.Errorf("DWT generalization error %.2f PRD points", res.AvgErrDWT)
-	}
-	if res.AvgErrCS > 12 {
-		t.Errorf("CS generalization error %.2f PRD points", res.AvgErrCS)
-	}
-}
-
 func TestDelayVal(t *testing.T) {
-	res, err := DelayVal(DelayValConfig{Runs: 10, SimDuration: 15})
+	res, err := DelayVal(DelayValConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if res.RunsUsed != 10 {
-		t.Errorf("used %d runs, want 10", res.RunsUsed)
+	if res.RunsUsed != 130 {
+		t.Errorf("used %d runs, want 130", res.RunsUsed)
 	}
-	if len(res.Samples) < 10*casestudy.DefaultNodes/2 {
+	if len(res.Samples) < 130*casestudy.DefaultNodes/2 {
 		t.Errorf("only %d samples", len(res.Samples))
 	}
 	var buf bytes.Buffer
@@ -93,7 +75,7 @@ func TestDelayVal(t *testing.T) {
 }
 
 func TestSpeed(t *testing.T) {
-	res, err := Speed(SpeedConfig{ModelEvals: 2000, SimRuns: 1, SimDuration: 20})
+	res, err := Speed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +90,7 @@ func TestSpeed(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	res, err := Fig5(Fig5Config{PopulationSize: 48, Generations: 25, RunMOSA: true})
+	res, err := Fig5(Fig5Config{RunMOSA: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +116,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestThetaAblation(t *testing.T) {
-	res, err := ThetaAblation(ThetaAblationConfig{PopulationSize: 32, Generations: 12})
+	res, err := ThetaAblation(ThetaAblationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +131,7 @@ func TestThetaAblation(t *testing.T) {
 }
 
 func TestArrivalAblation(t *testing.T) {
-	res, err := ArrivalAblation(ArrivalAblationConfig{Runs: 8, SimDuration: 20})
+	res, err := ArrivalAblation(ArrivalAblationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +146,7 @@ func TestArrivalAblation(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	f3, err := Fig3(Fig3Config{SimDuration: 10})
+	f3, err := Fig3(Fig3Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +154,11 @@ func TestCSVWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := DelayVal(DelayValConfig{Runs: 3, SimDuration: 10})
+	dv, err := DelayVal(DelayValConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f5, err := Fig5(Fig5Config{PopulationSize: 24, Generations: 8})
+	f5, err := Fig5(Fig5Config{RunMOSA: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +194,7 @@ func TestCSVWriters(t *testing.T) {
 // profile holds on 2- and 4-node networks too.
 func TestFig3DifferentNetworkSizes(t *testing.T) {
 	for _, n := range []int{2, 4} {
-		res, err := Fig3(Fig3Config{SimDuration: 20, Nodes: n})
+		res, err := fig3(n)
 		if err != nil {
 			t.Fatalf("N=%d: %v", n, err)
 		}

@@ -5,18 +5,23 @@
 // comparison, and Figure 5 (the three-metric Pareto fronts against the
 // energy/delay-only baseline).
 //
-// Each experiment is a pure function from a config to a result struct with
-// deterministic seeding, plus text/CSV renderers, so the paper's artifacts
-// regenerate identically from `wsn-experiments` or the benchmark harness.
+// Each experiment runs one fixed configuration, the one the paper's
+// evaluation uses, with fixed seeds, and returns a result struct with
+// text/CSV renderers, so the paper's artifacts regenerate identically from
+// `wsn-experiments` or the benchmark harness. An experiment's config holds
+// only what a caller sets: the delay validation's run count and simulated
+// time, Figure 5's search budget and MOSA cross-check, the scenario
+// sweep's scenario names, and evaluation worker counts.
 //
-// Because the harnesses are pure and independent, they fan out across
-// goroutines: RunJobsContext executes any subset of them on a bounded
-// worker pool and returns outcomes in job order, so `wsn-experiments
-// -workers N` regenerates the full evaluation concurrently with
-// byte-identical, deterministically ordered output. The searches inside Fig5 and the
-// ablations additionally parallelize their own evaluation batches through
-// dse.ParallelEvaluator, whose worker count never changes results (see the
-// dse package documentation for the determinism guarantees).
+// Because the harnesses are deterministic and independent, they fan out
+// across goroutines: RunJobsContext executes any subset of them on a
+// bounded worker pool and returns outcomes in job order, so
+// `wsn-experiments -workers N` regenerates the full evaluation
+// concurrently with byte-identical, deterministically ordered output. The
+// searches inside Fig5, the ϑ ablation and the scenario sweep additionally
+// parallelize their own evaluation batches through dse.ParallelEvaluator,
+// whose worker count never changes results (see the dse package
+// documentation for the determinism guarantees).
 package experiments
 
 import (
@@ -31,58 +36,26 @@ import (
 	"wsndse/internal/units"
 )
 
-// Fig3Config parameterizes the energy-accuracy experiment.
-type Fig3Config struct {
-	Cal *casestudy.Calibration
+// Fig3Config selects the energy-accuracy experiment. It has no settings:
+// the experiment always runs the paper's grid.
+type Fig3Config struct{}
 
-	// Grid: the paper evaluates f_µC ∈ {1, 8} MHz × CR ∈ {0.17, 0.23,
-	// 0.32, 0.38} for both applications.
-	MicroFreqs []units.Hertz
-	CRs        []float64
+// The Figure 3 grid: the paper evaluates f_µC ∈ {1, 8} MHz × CR ∈ {0.17,
+// 0.23, 0.32, 0.38} for both applications, at one MAC operating point.
+// Each cell's network is simulated for fig3SimDuration.
+var (
+	fig3MicroFreqs = []units.Hertz{1e6, 8e6}
+	fig3CRs        = []float64{0.17, 0.23, 0.32, 0.38}
+)
 
-	// MAC operating point shared by all grid cells.
-	BeaconOrder     int
-	SuperframeOrder int
-	PayloadBytes    int
+const (
+	fig3BeaconOrder     = 3
+	fig3SuperframeOrder = 2
+	fig3PayloadBytes    = 48
 
-	SimDuration units.Seconds
-	Seed        int64
-
-	// Nodes sizes the network (default: the case study's 6). The paper
-	// notes "tests on different networks show a similar accuracy".
-	Nodes int
-}
-
-func (c Fig3Config) withDefaults() Fig3Config {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
-	if c.MicroFreqs == nil {
-		c.MicroFreqs = []units.Hertz{1e6, 8e6}
-	}
-	if c.CRs == nil {
-		c.CRs = []float64{0.17, 0.23, 0.32, 0.38}
-	}
-	if c.BeaconOrder == 0 {
-		c.BeaconOrder = 3
-	}
-	if c.SuperframeOrder == 0 {
-		c.SuperframeOrder = 2
-	}
-	if c.PayloadBytes == 0 {
-		c.PayloadBytes = 48
-	}
-	if c.SimDuration == 0 {
-		c.SimDuration = 60
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	if c.Nodes == 0 {
-		c.Nodes = casestudy.DefaultNodes
-	}
-	return c
-}
+	fig3SimDuration units.Seconds = 60
+	fig3Seed                      = 7
+)
 
 // Fig3Row is one bar pair of Figure 3.
 type Fig3Row struct {
@@ -107,27 +80,30 @@ type Fig3Result struct {
 // Fig3 runs the experiment: for every grid cell, evaluate the analytical
 // node model and measure the same node in a full six-node packet-level
 // simulation of the case-study network.
-func Fig3(cfg Fig3Config) (*Fig3Result, error) {
-	cfg = cfg.withDefaults()
-	problem, err := scenario.NewProblem(scenario.ECGWardN(cfg.Nodes), cfg.Cal)
+func Fig3(Fig3Config) (*Fig3Result, error) { return fig3(casestudy.DefaultNodes) }
+
+// fig3 runs the grid on a network of the given size. The paper notes
+// that "tests on different networks show a similar accuracy".
+func fig3(nodes int) (*Fig3Result, error) {
+	problem, err := scenario.NewProblem(scenario.ECGWardN(nodes), casestudy.DefaultCalibration())
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig3Result{}
 	var dwtErrs, csErrs []float64
 
-	for _, fuc := range cfg.MicroFreqs {
-		for _, cr := range cfg.CRs {
+	for _, fuc := range fig3MicroFreqs {
+		for _, cr := range fig3CRs {
 			// One network per cell: every node at (cr, fuc) when
 			// feasible; applications that cannot run at fuc fall
 			// back to 8 MHz so the rest of the network still
 			// operates (their rows are reported infeasible).
 			params := scenario.Params{
-				BeaconOrder:     cfg.BeaconOrder,
-				SuperframeOrder: cfg.SuperframeOrder,
-				PayloadBytes:    cfg.PayloadBytes,
-				CR:              make([]float64, cfg.Nodes),
-				MicroFreq:       make([]units.Hertz, cfg.Nodes),
+				BeaconOrder:     fig3BeaconOrder,
+				SuperframeOrder: fig3SuperframeOrder,
+				PayloadBytes:    fig3PayloadBytes,
+				CR:              make([]float64, nodes),
+				MicroFreq:       make([]units.Hertz, nodes),
 			}
 			for i := range params.CR {
 				params.CR[i] = cr
@@ -154,7 +130,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 				}
 			}
 
-			simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed)
+			simCfg, err := problem.SimConfig(params, fig3SimDuration, fig3Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -7,17 +7,10 @@ import (
 	"wsndse/internal/numeric"
 )
 
-// Fig4Config parameterizes the PRD-accuracy experiment.
-type Fig4Config struct {
-	// Cal is the shipped calibration whose polynomials act as the
-	// model's quality estimator. When nil, the default is used.
-	Cal *casestudy.Calibration
-	// FreshSeed, when nonzero, validates the estimator against a corpus
-	// it was NOT fitted on (a stronger check than the paper's, which
-	// compares against the fitting data).
-	FreshSeed int64
-	Blocks    int
-}
+// Fig4Config selects the PRD-accuracy experiment. It has no settings:
+// the experiment compares the shipped calibration's polynomials with the
+// measurements they were fitted to, as the paper does.
+type Fig4Config struct{}
 
 // Fig4Row is one point of Figure 4.
 type Fig4Row struct {
@@ -37,37 +30,23 @@ type Fig4Result struct {
 
 // Fig4 compares the polynomial quality estimator against measured codec
 // PRDs across the CR grid.
-func Fig4(cfg Fig4Config) (*Fig4Result, error) {
-	if cfg.Cal == nil {
-		cfg.Cal = casestudy.DefaultCalibration()
-	}
-	measured := cfg.Cal
-	if cfg.FreshSeed != 0 {
-		var err error
-		measured, err = casestudy.Calibrate(casestudy.CalibrationConfig{
-			Seed:   cfg.FreshSeed,
-			Blocks: cfg.Blocks,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
+func Fig4(Fig4Config) (*Fig4Result, error) {
+	cal := casestudy.DefaultCalibration()
 	res := &Fig4Result{}
 	var dwtErrs, csErrs []float64
-	for i, cr := range measured.CRs {
+	for i, cr := range cal.CRs {
 		dwtRow := Fig4Row{
 			Kind:      casestudy.KindDWT,
 			CR:        cr,
-			Measured:  measured.DWTMeasured[i],
-			Estimated: cfg.Cal.DWTPoly.Eval(cr),
+			Measured:  cal.DWTMeasured[i],
+			Estimated: cal.DWTPoly.Eval(cr),
 		}
 		dwtRow.AbsErr = abs(dwtRow.Estimated - dwtRow.Measured)
 		csRow := Fig4Row{
 			Kind:      casestudy.KindCS,
 			CR:        cr,
-			Measured:  measured.CSMeasured[i],
-			Estimated: cfg.Cal.CSPoly.Eval(cr),
+			Measured:  cal.CSMeasured[i],
+			Estimated: cal.CSPoly.Eval(cr),
 		}
 		csRow.AbsErr = abs(csRow.Estimated - csRow.Measured)
 		res.Rows = append(res.Rows, dwtRow, csRow)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wsndse/internal/baseline"
-	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
 )
@@ -13,12 +12,9 @@ import (
 // Figure 5): DSE with the proposed three-metric model against DSE with a
 // state-of-the-art energy/delay model.
 type Fig5Config struct {
-	Cal *casestudy.Calibration
-
-	// Search budget, shared by both sides.
+	// Search budget, shared by both sides (default 96 × 60).
 	PopulationSize int
 	Generations    int
-	Seed           int64
 
 	// RunMOSA additionally runs simulated annealing with the full model
 	// to check the paper's GA-vs-SA equivalence observation.
@@ -29,18 +25,15 @@ type Fig5Config struct {
 	Workers int
 }
 
+// fig5Seed seeds every search of the experiment.
+const fig5Seed = 17
+
 func (c Fig5Config) withDefaults() Fig5Config {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
 	if c.PopulationSize == 0 {
 		c.PopulationSize = 96
 	}
 	if c.Generations == 0 {
 		c.Generations = 60
-	}
-	if c.Seed == 0 {
-		c.Seed = 17
 	}
 	return c
 }
@@ -82,12 +75,12 @@ type Fig5Result struct {
 // Fig5 runs both searches and compares the detected tradeoffs.
 func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
-	problem, eval, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+	problem, eval, err := wardProblem(scenario.ECGWard())
 	if err != nil {
 		return nil, err
 	}
 
-	ga := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
+	ga := dse.Search{Algorithm: "nsga2", Seed: fig5Seed, Workers: cfg.Workers,
 		NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations}}
 	full, err := ga.Run(problem.Space(), eval, dse.Options{})
 	if err != nil {
@@ -115,7 +108,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	res.FullCoversBaseline = dse.Coverage(full.Front, lifted)
 
 	if cfg.RunMOSA {
-		sa, err := dse.Search{Algorithm: "mosa", Seed: cfg.Seed, Workers: cfg.Workers,
+		sa, err := dse.Search{Algorithm: "mosa", Seed: fig5Seed, Workers: cfg.Workers,
 			MOSA: &dse.MOSAConfig{Iterations: cfg.PopulationSize * cfg.Generations}}.Run(problem.Space(), eval, dse.Options{})
 		if err != nil {
 			return nil, err

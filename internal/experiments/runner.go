@@ -16,8 +16,8 @@ type Report interface {
 
 // Job is one experiment harness, deferred so the runner controls when (and
 // on which goroutine) it executes. Run must be self-contained: the
-// harnesses in this package are pure functions of their configs, so any
-// subset can execute concurrently. The context is the runner's
+// harnesses in this package share no mutable state, so any subset can
+// execute concurrently. The context is the runner's
 // cancellation signal; harnesses that drive long searches should thread it
 // into dse.Options, and short harnesses may ignore it (the runner then
 // cancels at job granularity: started jobs finish, unstarted jobs are

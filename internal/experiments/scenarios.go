@@ -22,24 +22,8 @@ import (
 // GTS-starvation node-count sweep walking the dense workload over the
 // 7-slot cliff.
 type ScenarioSweepConfig struct {
-	Cal *casestudy.Calibration
-
 	// Names selects scenarios; nil sweeps every registered one.
 	Names []string
-
-	// Search budget per scenario.
-	PopulationSize int // default 32
-	Generations    int // default 12
-	Seed           int64
-
-	// SimDuration overrides each scenario's default verification run
-	// length (0 keeps the scenario's own).
-	SimDuration units.Seconds
-
-	// Starvation sweep: node counts to walk (default 4…9) and the number
-	// of seeded random configurations sampled per count (default 200).
-	StarvationNodes   []int
-	StarvationSamples int
 
 	// Workers bounds both the concurrent scenario jobs and each search's
 	// evaluation pool; <= 0 selects GOMAXPROCS. Results are identical at
@@ -47,30 +31,18 @@ type ScenarioSweepConfig struct {
 	Workers int
 }
 
-func (c ScenarioSweepConfig) withDefaults() ScenarioSweepConfig {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
-	if c.Names == nil {
-		c.Names = scenario.Names()
-	}
-	if c.PopulationSize == 0 {
-		c.PopulationSize = 32
-	}
-	if c.Generations == 0 {
-		c.Generations = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.StarvationNodes == nil {
-		c.StarvationNodes = []int{4, 5, 6, 7, 8, 9}
-	}
-	if c.StarvationSamples == 0 {
-		c.StarvationSamples = 200
-	}
-	return c
-}
+// The sweep's sizes: each scenario's search budget, and the node counts
+// of the starvation sweep with the seeded random configurations it
+// samples per count. Each cross-check simulates for the scenario's own
+// SimDuration.
+var sweepStarvationNodes = []int{4, 5, 6, 7, 8, 9}
+
+const (
+	sweepPopulation        = 32
+	sweepGenerations       = 12
+	sweepSeed              = 11
+	sweepStarvationSamples = 200
+)
 
 // ScenarioRow is one scenario's outcome: the exploration bookkeeping and
 // the model-vs-simulator cross-check at the balanced front pick.
@@ -151,17 +123,19 @@ type ScenarioSweepResult struct {
 // into each scenario's NSGA-II generation loop — SIGINT in
 // wsn-experiments stops the sweep within one generation.
 func ScenarioSweepContext(ctx context.Context, cfg ScenarioSweepConfig) (*ScenarioSweepResult, error) {
-	cfg = cfg.withDefaults()
-
-	jobs := make([]Job, len(cfg.Names))
-	for i, name := range cfg.Names {
+	names := cfg.Names
+	if names == nil {
+		names = scenario.Names()
+	}
+	jobs := make([]Job, len(names))
+	for i, name := range names {
 		name := name
 		jobs[i] = Job{Name: name, Run: func(ctx context.Context) (Report, error) {
 			sc, ok := scenario.Lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("scenario %q not registered", name)
 			}
-			return evalScenario(ctx, sc, cfg)
+			return evalScenario(ctx, sc, cfg.Workers)
 		}}
 	}
 	res := &ScenarioSweepResult{}
@@ -172,8 +146,8 @@ func ScenarioSweepContext(ctx context.Context, cfg ScenarioSweepConfig) (*Scenar
 		res.Rows = append(res.Rows, out.Report.(*ScenarioRow))
 	}
 
-	for _, n := range cfg.StarvationNodes {
-		row, err := starveAt(n, cfg)
+	for _, n := range sweepStarvationNodes {
+		row, err := starveAt(n)
 		if err != nil {
 			return nil, err
 		}
@@ -184,13 +158,13 @@ func ScenarioSweepContext(ctx context.Context, cfg ScenarioSweepConfig) (*Scenar
 
 // evalScenario explores one scenario and cross-checks the balanced pick.
 // The context cancels the search at generation boundaries.
-func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepConfig) (*ScenarioRow, error) {
-	p, eval, err := compile(scenario.NewProblem(sc, cfg.Cal))
+func evalScenario(ctx context.Context, sc scenario.Scenario, workers int) (*ScenarioRow, error) {
+	p, eval, err := compile(scenario.NewProblem(sc, casestudy.DefaultCalibration()))
 	if err != nil {
 		return nil, err
 	}
-	search, err := dse.Search{Algorithm: "nsga2", Seed: cfg.Seed, Workers: cfg.Workers,
-		NSGA2: &dse.NSGA2Config{PopulationSize: cfg.PopulationSize, Generations: cfg.Generations},
+	search, err := dse.Search{Algorithm: "nsga2", Seed: sweepSeed, Workers: workers,
+		NSGA2: &dse.NSGA2Config{PopulationSize: sweepPopulation, Generations: sweepGenerations},
 	}.Run(p.Space(), eval, dse.Options{Context: ctx})
 	if err != nil {
 		return nil, err
@@ -214,11 +188,7 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 	}
 	row.ModelEnergy = units.Watts(row.Balanced.Objs[0])
 
-	dur := cfg.SimDuration
-	if dur == 0 {
-		dur = sc.SimDuration
-	}
-	simCfg, err := p.SimConfig(row.BalancedParams, dur, sc.SimSeed)
+	simCfg, err := p.SimConfig(row.BalancedParams, sc.SimDuration, sc.SimSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -244,16 +214,16 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 
 // starveAt samples the dense workload at one node count and counts the
 // model-feasible share.
-func starveAt(n int, cfg ScenarioSweepConfig) (StarvationRow, error) {
+func starveAt(n int) (StarvationRow, error) {
 	sc := scenario.DenseGTS(n)
 	sc.Name = fmt.Sprintf("dense-gts-%d", n)
-	p, eval, err := compile(scenario.NewProblem(sc, cfg.Cal))
+	p, eval, err := compile(scenario.NewProblem(sc, casestudy.DefaultCalibration()))
 	if err != nil {
 		return StarvationRow{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
-	row := StarvationRow{Nodes: n, Sampled: cfg.StarvationSamples}
-	for i := 0; i < cfg.StarvationSamples; i++ {
+	rng := rand.New(rand.NewSource(sweepSeed + int64(n)))
+	row := StarvationRow{Nodes: n, Sampled: sweepStarvationSamples}
+	for i := 0; i < sweepStarvationSamples; i++ {
 		if _, err := eval.Evaluate(p.Space().Random(rng)); err == nil {
 			row.Feasible++
 		}

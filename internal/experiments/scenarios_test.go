@@ -8,21 +8,8 @@ import (
 	"testing"
 )
 
-// sweepTestConfig keeps the harness fast enough for -race CI runs.
-func sweepTestConfig(workers int) ScenarioSweepConfig {
-	return ScenarioSweepConfig{
-		PopulationSize:    16,
-		Generations:       4,
-		Seed:              11,
-		SimDuration:       8,
-		StarvationNodes:   []int{6, 7, 8},
-		StarvationSamples: 50,
-		Workers:           workers,
-	}
-}
-
 func TestScenarioSweep(t *testing.T) {
-	res, err := ScenarioSweepContext(context.Background(), sweepTestConfig(0))
+	res, err := ScenarioSweepContext(context.Background(), ScenarioSweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +54,11 @@ func TestScenarioSweep(t *testing.T) {
 // at different worker counts — the PR-1 determinism contract extended to
 // the scenario harness.
 func TestScenarioSweepWorkerInvariance(t *testing.T) {
-	seq, err := ScenarioSweepContext(context.Background(), sweepTestConfig(1))
+	seq, err := ScenarioSweepContext(context.Background(), ScenarioSweepConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ScenarioSweepContext(context.Background(), sweepTestConfig(4))
+	par, err := ScenarioSweepContext(context.Background(), ScenarioSweepConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +68,14 @@ func TestScenarioSweepWorkerInvariance(t *testing.T) {
 }
 
 func TestScenarioSweepUnknownScenario(t *testing.T) {
-	cfg := sweepTestConfig(1)
-	cfg.Names = []string{"no-such-scenario"}
+	cfg := ScenarioSweepConfig{Names: []string{"no-such-scenario"}, Workers: 1}
 	if _, err := ScenarioSweepContext(context.Background(), cfg); err == nil {
 		t.Error("unknown scenario name accepted")
 	}
 }
 
 func TestStarvationCliff(t *testing.T) {
-	res, err := ScenarioSweepContext(context.Background(), sweepTestConfig(0))
+	res, err := ScenarioSweepContext(context.Background(), ScenarioSweepConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,45 +7,23 @@ import (
 	"slices"
 	"time"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
-// SpeedConfig parameterizes the evaluation-throughput comparison (§5.2).
-type SpeedConfig struct {
-	Cal *casestudy.Calibration
-	// ModelEvals is the number of model evaluations to time (default
-	// 20000), spread evenly over the speedRounds rounds.
-	ModelEvals int
-	// SimRuns and SimDuration define the simulation side: SimRuns
-	// configurations, each simulated for SimDuration once per round. The
-	// paper's Castalia runs took 5–10 minutes per configuration.
-	SimRuns     int
-	SimDuration units.Seconds
-	Seed        int64
-}
-
-func (c SpeedConfig) withDefaults() SpeedConfig {
-	if c.Cal == nil {
-		c.Cal = casestudy.DefaultCalibration()
-	}
-	if c.ModelEvals == 0 {
-		c.ModelEvals = 20000
-	}
-	if c.SimRuns == 0 {
-		c.SimRuns = 3
-	}
-	if c.SimDuration == 0 {
-		c.SimDuration = 60
-	}
-	if c.Seed == 0 {
-		c.Seed = 3
-	}
-	return c
-}
+// The evaluation-throughput comparison (§5.2): speedModelEvals model
+// evaluations, spread evenly over the speedRounds rounds, against
+// speedSimRuns configurations, each simulated for speedSimDuration once
+// per round. The paper's Castalia runs took 5–10 minutes per
+// configuration.
+const (
+	speedModelEvals                = 20000
+	speedSimRuns                   = 3
+	speedSimDuration units.Seconds = 60
+	speedSeed                      = 3
+)
 
 // SpeedResult reports both sides and the resulting ratio.
 type SpeedResult struct {
@@ -66,13 +44,12 @@ type SpeedResult struct {
 // After one untimed pass over each side it alternates the two timings in
 // speedRounds rounds and reports each side's median round, so the ratio
 // holds up when other work shares the machine.
-func Speed(cfg SpeedConfig) (*SpeedResult, error) {
-	cfg = cfg.withDefaults()
-	problem, compiled, err := wardProblem(scenario.ECGWard(), cfg.Cal)
+func Speed() (*SpeedResult, error) {
+	problem, compiled, err := wardProblem(scenario.ECGWard())
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(speedSeed))
 
 	// Pre-draw feasible configurations so the timed loop measures only
 	// evaluation.
@@ -90,9 +67,9 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 	// The timed loop runs the reference evaluator: the model rebuilding
 	// the network per call, without the compiled lookup tables.
 	eval := problem.Evaluator()
-	sims := make([]sim.Config, cfg.SimRuns)
+	sims := make([]sim.Config, speedSimRuns)
 	for i := range sims {
-		if sims[i], err = problem.SimConfig(params[i%poolSize], cfg.SimDuration, cfg.Seed+int64(i)); err != nil {
+		if sims[i], err = problem.SimConfig(params[i%poolSize], speedSimDuration, speedSeed+int64(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -107,7 +84,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 
 	// The two sides alternate, round by round, so a phase of load on the
 	// machine slows both, and each side reports its median round.
-	block := max(cfg.ModelEvals/speedRounds, 1)
+	const block = speedModelEvals / speedRounds
 	var perEval, perRun []time.Duration
 	for round := 0; round < speedRounds; round++ {
 		d, err := timeModel(eval, pool, block)
@@ -127,7 +104,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 	res := &SpeedResult{
 		ModelEvalMean: medianDuration(perEval),
 		SimWallPerRun: medianDuration(perRun),
-		SimDuration:   cfg.SimDuration,
+		SimDuration:   speedSimDuration,
 	}
 	if res.ModelEvalMean > 0 {
 		res.ModelEvalsPerSecond = float64(time.Second) / float64(res.ModelEvalMean)
@@ -142,9 +119,10 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 // speedRounds is how many alternating model and simulation rounds Speed
 // times. Short rounds keep each model block next to a simulation run in
 // time, and the median of many rounds shrugs off bursts of load: beside a
-// concurrent ward search on a 2-vCPU machine, 120 TestSpeed-sized calls
-// read at least 1.62 orders of magnitude with 15 rounds, against 1.42 when
-// one long model block was timed before the simulation.
+// concurrent ward search on a 2-vCPU machine, 120 calls of 2,000
+// evaluations and one 20 s simulation read at least 1.62 orders of
+// magnitude with 15 rounds, against 1.42 when one long model block was
+// timed before the simulation.
 const speedRounds = 15
 
 // timeModel times n evaluations of eval, cycling through pool.

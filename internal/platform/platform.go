@@ -284,20 +284,22 @@ func (p Platform) Validate() error {
 	if p.ADCBits < 1 || p.ADCBits > 24 {
 		return fmt.Errorf("platform: %s: ADC bits %d out of range", p.Name, p.ADCBits)
 	}
-	if p.Sensor.TransducerPower < 0 || p.Sensor.Alpha1 < 0 || p.Sensor.Alpha0 < 0 {
-		return fmt.Errorf("platform: %s: negative sensor coefficients", p.Name)
+	// Every comparison is written so that NaN fails it.
+	if !(p.Sensor.TransducerPower >= 0 && p.Sensor.Alpha1 >= 0 && p.Sensor.Alpha0 >= 0 &&
+		p.Micro.Alpha0 >= 0 && p.Memory.AccessPower >= 0 && p.Memory.BitIdlePower >= 0) {
+		return fmt.Errorf("platform: %s: sensor, µC overhead and memory coefficients must be non-negative", p.Name)
 	}
-	if p.Micro.Alpha1 <= 0 {
+	if !(p.Micro.Alpha1 > 0) {
 		return fmt.Errorf("platform: %s: µC per-cycle energy must be positive", p.Name)
 	}
-	if p.Memory.SizeBytes <= 0 || p.Memory.AccessTime <= 0 {
+	if p.Memory.SizeBytes <= 0 || !(p.Memory.AccessTime > 0) {
 		return fmt.Errorf("platform: %s: memory model incomplete", p.Name)
 	}
 	if len(p.MicroFreqs) == 0 {
 		return fmt.Errorf("platform: %s: no microcontroller frequencies", p.Name)
 	}
 	for _, f := range p.MicroFreqs {
-		if f <= 0 {
+		if !(f > 0) {
 			return fmt.Errorf("platform: %s: non-positive µC frequency %v", p.Name, f)
 		}
 	}

@@ -156,16 +156,17 @@ func DefaultAT86RF230() Chip {
 
 // Validate reports whether the chip parameters are physically sensible.
 func (c Chip) Validate() error {
-	if c.BitRate <= 0 {
+	// Every comparison is written so that NaN fails it.
+	if !(c.BitRate > 0) {
 		return fmt.Errorf("radio: %s: bit rate %v must be positive", c.Name, c.BitRate)
 	}
-	if c.TxPower <= 0 || c.RxPower <= 0 {
+	if !(c.TxPower > 0 && c.RxPower > 0) {
 		return fmt.Errorf("radio: %s: TX/RX powers must be positive", c.Name)
 	}
-	if c.SleepPower < 0 || c.IdlePower < 0 || c.RampUpTime < 0 || c.TurnaroundTime < 0 {
-		return fmt.Errorf("radio: %s: negative transition parameters", c.Name)
+	if !(c.SleepPower >= 0 && c.IdlePower >= 0 && c.RampUpTime >= 0 && c.RampUpEnergy >= 0 && c.TurnaroundTime >= 0) {
+		return fmt.Errorf("radio: %s: sleep/idle powers and transition costs must be non-negative", c.Name)
 	}
-	if c.SleepPower > c.IdlePower || c.IdlePower > c.RxPower {
+	if !(c.SleepPower <= c.IdlePower && c.IdlePower <= c.RxPower) {
 		return fmt.Errorf("radio: %s: expected sleep ≤ idle ≤ rx power ordering", c.Name)
 	}
 	return nil

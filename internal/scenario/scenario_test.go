@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wsndse/internal/casestudy"
+	"wsndse/internal/platform"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
@@ -133,6 +134,43 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 			if err := sc.Validate(); err == nil {
 				t.Errorf("ecg-ward with %s %g validated", tc.name, v)
 			}
+		}
+	}
+}
+
+// TestValidateRejectsNaNHardware sets one platform or radio coefficient of
+// an ecg-ward copy to NaN, one case per check of platform.Platform.Validate
+// and radio.Chip.Validate. Each copy must fail validation: a NaN
+// coefficient that validates makes the model return a NaN energy.
+func TestValidateRejectsNaNHardware(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		set  func(*platform.Platform)
+	}{
+		{"sensor transducer power", func(p *platform.Platform) { p.Sensor.TransducerPower = units.Watts(nan) }},
+		{"sensor α1", func(p *platform.Platform) { p.Sensor.Alpha1 = units.Joules(nan) }},
+		{"sensor α0", func(p *platform.Platform) { p.Sensor.Alpha0 = units.Watts(nan) }},
+		{"µC α1", func(p *platform.Platform) { p.Micro.Alpha1 = units.Joules(nan) }},
+		{"µC α0", func(p *platform.Platform) { p.Micro.Alpha0 = units.Watts(nan) }},
+		{"memory access time", func(p *platform.Platform) { p.Memory.AccessTime = units.Seconds(nan) }},
+		{"memory access power", func(p *platform.Platform) { p.Memory.AccessPower = units.Watts(nan) }},
+		{"memory bit idle power", func(p *platform.Platform) { p.Memory.BitIdlePower = units.Watts(nan) }},
+		{"µC frequency", func(p *platform.Platform) { p.MicroFreqs[0] = units.Hertz(nan) }},
+		{"radio bit rate", func(p *platform.Platform) { p.Radio.BitRate = units.BitsPerSecond(nan) }},
+		{"radio TX power", func(p *platform.Platform) { p.Radio.TxPower = units.Watts(nan) }},
+		{"radio RX power", func(p *platform.Platform) { p.Radio.RxPower = units.Watts(nan) }},
+		{"radio sleep power", func(p *platform.Platform) { p.Radio.SleepPower = units.Watts(nan) }},
+		{"radio idle power", func(p *platform.Platform) { p.Radio.IdlePower = units.Watts(nan) }},
+		{"radio ramp-up time", func(p *platform.Platform) { p.Radio.RampUpTime = units.Seconds(nan) }},
+		{"radio ramp-up energy", func(p *platform.Platform) { p.Radio.RampUpEnergy = units.Joules(nan) }},
+		{"radio turnaround time", func(p *platform.Platform) { p.Radio.TurnaroundTime = units.Seconds(nan) }},
+	}
+	for _, tc := range cases {
+		sc, _ := Lookup("ecg-ward")
+		tc.set(&sc.Nodes[0].Platform)
+		if err := sc.Validate(); err == nil {
+			t.Errorf("ecg-ward with NaN %s validated", tc.name)
 		}
 	}
 }
