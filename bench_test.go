@@ -243,8 +243,8 @@ func BenchmarkCSDecodeOMP(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignInto times the Eq. 1–2 transmission-interval assignment
-// into reused scratch, as the compiled hot path runs it (0 allocs/op).
+// BenchmarkAssignInto times the reference evaluator's Eq. 1–2
+// transmission-interval assignment into reused scratch (0 allocs/op).
 func BenchmarkAssignInto(b *testing.B) {
 	mac, err := core.NewGTSMac(ieee.SuperframeConfig{BeaconOrder: 3, SuperframeOrder: 2}, 48, 6)
 	if err != nil {

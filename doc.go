@@ -77,23 +77,29 @@
 //
 // The analytical model's reason to exist is being orders of magnitude
 // faster than simulation, so the evaluation hot path is engineered to be
-// allocation-free. scenario.Problem.Compile() pre-builds lookup tables
-// over the whole design space — the full
-// (BO × SFO gap × payload) MAC grid, per-node application instances per
-// CR grid index, per-node MAC views for payload-override nodes, and the
-// per (application, sample-rate) output rates and quality values — so
-// each evaluation reduces to table lookups plus the Eq. 1–9 arithmetic.
-// The arithmetic itself runs on scratch-reuse APIs in core
-// (Network.EvaluateInto, Network.EvaluateWithRatesInto, AssignHeteroInto,
-// Node.EnergyWithRates, and the per-worker core.Workspace), and the batch
-// runtime's memo cache keys on a uint64 hash of the gene indices and
-// keeps each configuration packed, one byte per gene, so steady-state
+// allocation-free. Only Eq. 1's capacity sum, Eq. 9's cross-node sums
+// and Eq. 8's combines depend on more than one node, so
+// scenario.Problem.Compile() tabulates every other term once per
+// problem: per (BO × SFO gap × payload) grid point the MAC errors and the
+// Eq. 9 2·T_svc; per (BO, SFO gap) superframe the quantum, capacity,
+// Δ_control and Eq. 9 constants; per distinct node model (ecg-ward has
+// two, DWT and CS) the Eq. 1 slot multiplier k per (BO, SFO gap, payload,
+// CR), the Eq. 6 radio power per (BO, payload, CR) and the Eq. 3–5
+// sensor + µC + memory power per (CR, f_µC). An evaluation is table
+// lookups, Σ k·δ with the capacity check, Eq. 9 for every node in one
+// O(n) pass and the three Eq. 8 combines. Every entry comes from the core
+// helpers the reference Network.EvaluateInto calls (Node.LocalEnergy,
+// Node.RadioPower, Slots, Interval, Budget, GTSMac.DelayTerms), so the
+// two evaluators agree bit for bit by construction, errors included. The
+// batch runtime's memo cache keys on a uint64 hash of the gene indices
+// and keeps each configuration packed, one byte per gene, so steady-state
 // evaluation performs zero heap allocations and the memo holds about a
 // hundred bytes per distinct configuration. Equivalence
-// tests assert the compiled evaluators return bit-identical objectives to
-// the reference evaluators for every registered scenario at worker counts
-// 1 and 8, and testing.AllocsPerRun regression tests pin the hot path at
-// 0 allocs/op.
+// tests assert the compiled evaluator returns bit-identical objectives and
+// identical errors to the reference evaluator for every registered
+// scenario and a sample of both families, at worker counts 1 and 8, and
+// at every table entry of ecg-ward, mixed-ward and dense-gts;
+// testing.AllocsPerRun regression tests pin the hot path at 0 allocs/op.
 //
 // The pipeline relies on the evaluator determinism/purity contract: an
 // evaluator must be a pure function of the configuration (no hidden

@@ -169,31 +169,59 @@ func (m *GTSMac) WorstCaseDelay(deltaTx []float64, n int) units.Seconds {
 	if n < 0 || n >= len(deltaTx) {
 		return units.Seconds(math.NaN())
 	}
-	slot := float64(m.Superframe.SlotDuration())
-	perSecond := m.Superframe.SlotPerSecond()
-	bi := float64(m.Superframe.BeaconInterval())
-
-	// Allocated slots per superframe, in wall-clock seconds.
+	d := m.DelayTerms()
 	var totalTx, ownTx float64
-	for i, d := range deltaTx {
-		slots := math.Round(d/perSecond) * slot
+	for i, dtx := range deltaTx {
+		slots := d.SlotTime(dtx)
 		totalTx += slots
 		if i == n {
 			ownTx = slots
 		}
 	}
+	return units.Seconds(d.Bound(totalTx, ownTx))
+}
+
+// DelayTerms holds what Eq. 9 reads of a MAC view: its superframe's slot
+// length SD/16, quantum δ and beacon interval BI, and the view's own
+// 2·T_svc term, all in seconds. Every view of one superframe shares the
+// first three. WorstCaseDelay is SlotTime over every node's interval,
+// then Bound; a compiled evaluator keeps the terms of each superframe and
+// runs the same two steps for every node in one pass.
+type DelayTerms struct {
+	Slot, Quantum, BI, Service2 float64
+}
+
+// DelayTerms returns m's Eq. 9 constants.
+func (m *GTSMac) DelayTerms() DelayTerms {
+	return DelayTerms{
+		Slot:     float64(m.Superframe.SlotDuration()),
+		Quantum:  m.Superframe.SlotPerSecond(),
+		BI:       float64(m.Superframe.BeaconInterval()),
+		Service2: 2 * float64(ieee.PacketService(m.PayloadBytes)),
+	}
+}
+
+// SlotTime is the wall-clock time per superframe of the slots an interval
+// Δ_tx (per-second normalized) allocates. The conversion rounds it before
+// a sum takes it in.
+func (d DelayTerms) SlotTime(deltaTx float64) float64 {
+	return float64(math.Round(deltaTx/d.Quantum) * d.Slot)
+}
+
+// Bound is Eq. 9 for a node whose slots take ownTx of the totalTx seconds
+// that every node's slots take per superframe.
+func (d DelayTerms) Bound(totalTx, ownTx float64) float64 {
 	othersTx := totalTx - ownTx
-	cfp := float64(ieee.MaxGTS) * slot
+	cfp := float64(ieee.MaxGTS) * d.Slot
 	frames := math.Ceil(othersTx / cfp)
 	if frames < 1 {
 		frames = 1
 	}
-	controlPerSF := bi - totalTx
+	controlPerSF := d.BI - totalTx
 	if controlPerSF < 0 {
 		controlPerSF = 0
 	}
-	service := float64(ieee.PacketService(m.PayloadBytes))
-	return units.Seconds(othersTx + frames*controlPerSF + ownTx + 2*service)
+	return othersTx + frames*controlPerSF + ownTx + d.Service2
 }
 
 // String renders the full χ_mac.

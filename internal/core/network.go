@@ -56,11 +56,10 @@ type Evaluation struct {
 	Quality float64
 	Delay   units.Seconds
 
-	// Reused intermediates: the per-node application-layer quantities and
-	// the per-node totals handed to the Eq. 8 combinator.
+	// Reused intermediates: the per-node streams and the per-node totals
+	// handed to the Eq. 8 combinator.
 	phiIn    []units.BytesPerSecond
 	phiOut   []units.BytesPerSecond
-	quality  []float64
 	energies []float64
 }
 
@@ -71,8 +70,17 @@ type Evaluation struct {
 // from the fused single-pass numeric.MeanStdDev.
 func Combine(values []float64, theta float64) float64 {
 	mean, sd := numeric.MeanStdDev(values)
-	return mean + theta*sd
+	return combine(mean, sd, theta)
 }
+
+// CombineMoments is Combine over the values added to a, in the order
+// they were added.
+func CombineMoments(a numeric.Moments, theta float64) float64 {
+	mean, sd := a.MeanStdDev()
+	return combine(mean, sd, theta)
+}
+
+func combine(mean, sd, theta float64) float64 { return mean + theta*sd }
 
 // scratch returns s resized to n elements, reusing its backing array when
 // the capacity suffices. Retained elements are stale; callers overwrite
@@ -116,9 +124,9 @@ func (net *Network) validateShape() error {
 
 // EvaluateInto is Evaluate with caller-owned scratch: it writes the result
 // into ev, reusing ev's slices (and its Assignment) across calls, so a
-// steady-state evaluation loop — the DSE hot path — performs zero heap
-// allocations after the first call. On error ev's contents are
-// unspecified. The numbers are bit-identical to Evaluate's.
+// steady-state evaluation loop performs zero heap allocations after the
+// first call. On error ev's contents are unspecified. The numbers are
+// bit-identical to Evaluate's.
 func (net *Network) EvaluateInto(ev *Evaluation) error {
 	if err := net.validateShape(); err != nil {
 		return err
@@ -126,51 +134,30 @@ func (net *Network) EvaluateInto(ev *Evaluation) error {
 	n := len(net.Nodes)
 	ev.phiIn = scratch(ev.phiIn, n)
 	ev.phiOut = scratch(ev.phiOut, n)
-	ev.quality = scratch(ev.quality, n)
-	for i, node := range net.Nodes {
-		phiIn := node.InputRate()
-		ev.phiIn[i] = phiIn
-		ev.phiOut[i] = node.App.OutputRate(phiIn)
-		ev.quality[i] = node.App.Quality(phiIn)
-	}
-	return net.EvaluateWithRatesInto(ev, ev.phiIn, ev.phiOut, ev.quality)
-}
-
-// EvaluateWithRatesInto is EvaluateInto with the application-layer
-// quantities supplied by the caller: phiIn[i], phiOut[i] and quality[i]
-// must equal node i's InputRate, OutputRate and App.Quality(InputRate).
-// Compiled evaluators hold those three per (application, sample-rate) pair
-// in precomputed tables, which turns the per-configuration work into table
-// lookups plus the Eq. 1–9 arithmetic below. The result is bit-identical
-// to Evaluate's.
-func (net *Network) EvaluateWithRatesInto(ev *Evaluation, phiIn, phiOut []units.BytesPerSecond, quality []float64) error {
-	if err := net.validateShape(); err != nil {
-		return err
-	}
-	n := len(net.Nodes)
-	if len(phiIn) != n || len(phiOut) != n || len(quality) != n {
-		return fmt.Errorf("core: Evaluate: rates cover %d/%d/%d of %d nodes",
-			len(phiIn), len(phiOut), len(quality), n)
-	}
-	if ev.Assignment == nil {
-		ev.Assignment = &Assignment{}
-	}
-	if err := AssignHeteroInto(ev.Assignment, net.MAC, net.NodeMACs, phiOut); err != nil {
-		return err
-	}
-
 	ev.PerNode = scratch(ev.PerNode, n)
 	ev.PerNodeQuality = scratch(ev.PerNodeQuality, n)
 	ev.PerNodeDelay = scratch(ev.PerNodeDelay, n)
 	ev.energies = scratch(ev.energies, n)
 	for i, node := range net.Nodes {
-		eb, err := node.EnergyWithRates(net.macFor(i), phiIn[i], phiOut[i])
+		phiIn := node.InputRate()
+		ev.phiIn[i] = phiIn
+		ev.phiOut[i] = node.App.OutputRate(phiIn)
+		ev.PerNodeQuality[i] = node.App.Quality(phiIn)
+	}
+	if ev.Assignment == nil {
+		ev.Assignment = &Assignment{}
+	}
+	if err := AssignHeteroInto(ev.Assignment, net.MAC, net.NodeMACs, ev.phiOut); err != nil {
+		return err
+	}
+
+	for i, node := range net.Nodes {
+		eb, err := node.energy(net.macFor(i), ev.phiIn[i], ev.phiOut[i])
 		if err != nil {
 			return err
 		}
 		ev.PerNode[i] = eb
 		ev.energies[i] = float64(eb.Total)
-		ev.PerNodeQuality[i] = quality[i]
 	}
 
 	// Each node's bound comes from its own MAC view (a per-node payload

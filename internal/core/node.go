@@ -60,16 +60,29 @@ type EnergyBreakdown struct {
 // the platform memory.
 func (n *Node) Energy(mac MAC) (EnergyBreakdown, error) {
 	phiIn := n.InputRate()
-	return n.EnergyWithRates(mac, phiIn, n.App.OutputRate(phiIn))
+	return n.energy(mac, phiIn, n.App.OutputRate(phiIn))
 }
 
-// EnergyWithRates is Energy with the node's streams supplied by the
-// caller: phiIn must equal n.InputRate() and phiOut n.OutputRate(). It
-// exists for compiled evaluators that hold both rates in precomputed
-// tables — the values (and therefore the result, bit for bit) are the same
-// as Energy's, but the per-call h(φ_in) recomputation disappears from the
-// hot path.
-func (n *Node) EnergyWithRates(mac MAC, phiIn, phiOut units.BytesPerSecond) (EnergyBreakdown, error) {
+// energy is Energy with the node's streams supplied by the caller: phiIn
+// must equal n.InputRate() and phiOut n.OutputRate().
+func (n *Node) energy(mac MAC, phiIn, phiOut units.BytesPerSecond) (EnergyBreakdown, error) {
+	eb, err := n.LocalEnergy(phiIn)
+	if err != nil {
+		return eb, err
+	}
+	eb.Radio = n.RadioPower(mac, phiOut)
+	// Eq. 7: LocalEnergy's Total already holds the first three terms.
+	eb.Total += eb.Radio
+	return eb, nil
+}
+
+// LocalEnergy is the part of the node model the MAC does not touch: the
+// §3.3 constraints on the application's usage, then Eqs. 3–5 at the
+// node's application and µC frequency, with Total their sum and Radio
+// zero. Energy adds Eq. 6 to it. A compiled evaluator tabulates it per
+// (application, f_µC) point; a table shared by several nodes keeps only
+// whether it failed, because the error names the node.
+func (n *Node) LocalEnergy(phiIn units.BytesPerSecond) (EnergyBreakdown, error) {
 	var eb EnergyBreakdown
 	usage := n.App.Usage(phiIn, n.MicroFreq)
 	if usage.Duty > 1 {
@@ -88,9 +101,15 @@ func (n *Node) EnergyWithRates(mac MAC, phiIn, phiOut units.BytesPerSecond) (Ene
 	eb.Micro = n.Platform.Micro.Power(usage.Duty, n.MicroFreq)
 	// Eq. 5: memory.
 	eb.Memory = n.Platform.Memory.Power(usage.AccessesPerSecond, usage.MemoryBytes)
-	// Eq. 6: radio. The MAC-level terms follow the equation exactly;
-	// the AirOverhead terms account for PHY encapsulation, which the
-	// paper absorbs into its calibrated per-bit energies.
+	eb.Total = eb.Sensor + eb.Micro + eb.Memory
+	return eb, nil
+}
+
+// RadioPower is Eq. 6, the node's radio power for a φ_out B/s stream
+// under mac. The MAC-level terms follow the equation exactly; the
+// AirOverhead terms account for PHY encapsulation, which the paper
+// absorbs into its calibrated per-bit energies.
+func (n *Node) RadioPower(mac MAC, phiOut units.BytesPerSecond) units.Watts {
 	etx := float64(n.Platform.Radio.EnergyPerBitTx())
 	erx := float64(n.Platform.Radio.EnergyPerBitRx())
 	up := float64(phiOut) + float64(mac.DataOverhead(phiOut)) + float64(mac.ControlUp(phiOut)) +
@@ -104,9 +123,5 @@ func (n *Node) EnergyWithRates(mac MAC, phiIn, phiOut units.BytesPerSecond) (Ene
 	// unmodeled, and are a deliberate source of the model-vs-device
 	// estimation error the paper reports.
 	standby := float64(n.Platform.Radio.SleepPower)
-	eb.Radio = units.Watts(8*up*etx + 8*down*erx + standby)
-
-	// Eq. 7.
-	eb.Total = eb.Sensor + eb.Micro + eb.Memory + eb.Radio
-	return eb, nil
+	return units.Watts(8*up*etx + 8*down*erx + standby)
 }

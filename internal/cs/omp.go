@@ -96,15 +96,17 @@ func (d *dictionary) omp(y []float64, maxIter int, tol float64) []float64 {
 
 	support := make([]int, 0, d.alen+maxIter)
 	inSupport := make([]bool, d.n)
+	ne := d.newNormal(y, cap(support))
 	for j := 0; j < d.alen && len(support) < d.m/2; j++ {
 		support = append(support, j)
 		inSupport[j] = true
+		ne.add(j)
 	}
 	var coef []float64
 	if len(support) > 0 {
-		if c := d.lsFit(y, support); c != nil {
+		if c := ne.solve(); c != nil {
 			coef = c
-			d.residualUpdate(y, support, coef, residual)
+			ne.residual(coef, residual)
 		}
 	}
 
@@ -129,8 +131,9 @@ func (d *dictionary) omp(y []float64, maxIter int, tol float64) []float64 {
 		}
 		support = append(support, best)
 		inSupport[best] = true
+		ne.add(best)
 
-		c := d.lsFit(y, support)
+		c := ne.solve()
 		if c == nil {
 			// Numerically degenerate support (nearly parallel
 			// atoms); drop the newest atom and stop refining.
@@ -138,7 +141,7 @@ func (d *dictionary) omp(y []float64, maxIter int, tol float64) []float64 {
 			break
 		}
 		coef = c
-		d.residualUpdate(y, support, coef, residual)
+		ne.residual(coef, residual)
 		if numeric.Norm2(residual) <= stop {
 			break
 		}
@@ -151,55 +154,90 @@ func (d *dictionary) omp(y []float64, maxIter int, tol float64) []float64 {
 	return alpha
 }
 
-// lsFit solves min ‖y − A_S·c‖₂ + ε‖c‖₂ on the given support via normal
+// normal is the least-squares system of one OMP call's support, which
+// grows by one atom per iteration: the support's atoms as contiguous
+// columns, their Gram matrix without the ridge (row-major with stride
+// size) and its running trace, and the right-hand side A_Sᵀy. Entries
+// of atoms already in the support do not change, so each atom costs one
+// Gram row and column, and every entry is summed in the order a rebuild
+// of the whole matrix would sum it.
+type normal struct {
+	d       *dictionary
+	y       []float64
+	k, size int
+	cols    []float64 // atom a of the support at cols[a*m : (a+1)*m]
+	gram    []float64 // entry (a, b) at gram[a*size+b]
+	rhs     []float64
+	trace   float64 // Σ of the Gram diagonal, in support order
+}
+
+// newNormal returns the empty system for fitting y with at most size
+// atoms.
+func (d *dictionary) newNormal(y []float64, size int) *normal {
+	return &normal{
+		d:    d,
+		y:    y,
+		size: size,
+		cols: make([]float64, size*d.m),
+		gram: make([]float64, size*size),
+		rhs:  make([]float64, size),
+	}
+}
+
+// add appends atom j to the support.
+func (ne *normal) add(j int) {
+	m, k := ne.d.m, ne.k
+	col := ne.cols[k*m : (k+1)*m]
+	for i := range col {
+		col[i] = ne.d.atoms.At(i, j)
+	}
+	for a := 0; a <= k; a++ {
+		ca := ne.cols[a*m : (a+1)*m]
+		var s float64
+		for i := 0; i < m; i++ {
+			s += ca[i] * col[i]
+		}
+		ne.gram[a*ne.size+k] = s
+		ne.gram[k*ne.size+a] = s
+	}
+	ne.trace += ne.gram[k*ne.size+k]
+	var s float64
+	for i := 0; i < m; i++ {
+		s += col[i] * ne.y[i]
+	}
+	ne.rhs[k] = s
+	ne.k++
+}
+
+// solve solves min ‖y − A_S·c‖₂ + ε‖c‖₂ on the support via the normal
 // equations. The small ridge term (ε = 10⁻⁴ of the mean Gram diagonal)
 // keeps the estimate bounded when the support approaches the measurement
-// dimension, where unmodeled-tail energy would otherwise be amplified by an
-// ill-conditioned Gram matrix. It returns nil when the system is singular
-// even with the ridge.
-func (d *dictionary) lsFit(y []float64, support []int) []float64 {
-	k := len(support)
+// dimension, where unmodeled-tail energy would otherwise be amplified by
+// an ill-conditioned Gram matrix. It adds the ridge to a copy, and returns
+// nil when the system is singular even with the ridge.
+func (ne *normal) solve() []float64 {
+	k := ne.k
 	gram := numeric.NewMatrix(k, k)
-	rhs := make([]float64, k)
-	var trace float64
+	ridge := 1e-4 * ne.trace / float64(k)
 	for a := 0; a < k; a++ {
-		ja := support[a]
-		for b := a; b < k; b++ {
-			jb := support[b]
-			var s float64
-			for i := 0; i < d.m; i++ {
-				s += d.atoms.At(i, ja) * d.atoms.At(i, jb)
-			}
-			gram.Set(a, b, s)
-			gram.Set(b, a, s)
-			if a == b {
-				trace += s
-			}
-		}
-		var s float64
-		for i := 0; i < d.m; i++ {
-			s += d.atoms.At(i, ja) * y[i]
-		}
-		rhs[a] = s
-	}
-	ridge := 1e-4 * trace / float64(k)
-	for a := 0; a < k; a++ {
+		copy(gram.Row(a), ne.gram[a*ne.size:a*ne.size+k])
 		gram.Set(a, a, gram.At(a, a)+ridge)
 	}
-	coef, err := gram.Solve(rhs)
+	coef, err := gram.Solve(ne.rhs[:k])
 	if err != nil {
 		return nil
 	}
 	return coef
 }
 
-// residualUpdate computes r = y − A_S·coef into residual.
-func (d *dictionary) residualUpdate(y []float64, support []int, coef, residual []float64) {
-	copy(residual, y)
-	for a, j := range support {
-		ca := coef[a]
-		for i := 0; i < d.m; i++ {
-			residual[i] -= ca * d.atoms.At(i, j)
+// residual computes r = y − A_S·coef into r.
+func (ne *normal) residual(coef, r []float64) {
+	m := ne.d.m
+	copy(r, ne.y)
+	for a, ca := range coef {
+		col := ne.cols[a*m : (a+1)*m]
+		for i := range r {
+			r[i] -= ca * col[i]
 		}
 	}
 }

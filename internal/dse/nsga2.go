@@ -154,7 +154,7 @@ type nsga2Run struct {
 	rs    *runState
 	cfg   NSGA2Config
 	arch  *Archive
-	merge func() // adds the offspring to arch; a pool job's tail
+	merge func() // adds the sorted offspring to arch; a pool job's tail
 
 	pop       []Point   // current population
 	ranks     []int     // pop's ranks, carried from the union ranking
@@ -162,7 +162,7 @@ type nsga2Run struct {
 	popOrder  []int     // pop's feasible indices in lexicographic order
 	children  []Config  // gene buffers of the next offspring
 	offspring []Point   // offspring evaluation results
-	offOrder  []int     // offspring's feasible union indices, lex-sorted
+	offOrder  []int     // offspring's feasible indices, lex-sorted
 	union     []Point   // pop ∪ offspring
 	kept      []int     // union index → survivor position, −1 if discarded
 	ws        sortWorkspace
@@ -185,7 +185,7 @@ func newNSGA2Run(space *Space, rs *runState, cfg NSGA2Config, arch *Archive) *ns
 		union:     make([]Point, 0, 2*n),
 		kept:      make([]int, 2*n),
 	}
-	r.merge = func() { r.arch.AddBatch(r.offspring) }
+	r.merge = func() { r.arch.addSorted(r.offspring, r.offOrder) }
 	return r
 }
 
@@ -231,8 +231,10 @@ func (r *nsga2Run) orderPop() {
 // The generation is one job on the run's pool: each child is published
 // as soon as variation has written it, and the offspring's archive merge
 // is the job's tail, which a pool goroutine runs while this one selects.
-// The job is closed — the merge done — before the generation returns, so
-// the boundary hooks read a whole archive, and the next variation may
+// This goroutine sorts the offspring once, before it offers the tail:
+// the merge and the union ranking both read that order. The job is
+// closed — the merge done — before the generation returns, so the
+// boundary hooks read a whole archive, and the next variation may
 // overwrite the genes of the discarded offspring the merge copies.
 func (r *nsga2Run) generation(rng *rand.Rand) {
 	n := r.cfg.PopulationSize
@@ -252,6 +254,8 @@ func (r *nsga2Run) generation(rng *rand.Rand) {
 		pool.publish(i + 1)
 	}
 	pool.finish()
+	r.sortOffspring()
+	pool.offerTail()
 	r.selectSurvivors()
 	pool.close()
 }
@@ -300,29 +304,40 @@ func (r *nsga2Run) selectSurvivors() {
 	r.carryOrder()
 }
 
-// unionOrder puts the union's feasible indices into ws.order as lexOrder
-// would, sorting only the offspring: the population's order is carried
-// over from the last selection, and the two are merged, the population
-// first among equal vectors, since its indices are the lower ones.
-func (r *nsga2Run) unionOrder() {
-	n := len(r.pop)
+// sortOffspring puts the offspring's feasible indices into offOrder in
+// lexicographic order, ties by index.
+func (r *nsga2Run) sortOffspring() {
 	off := r.offOrder[:0]
 	for i := range r.offspring {
 		if r.offspring[i].Feasible {
-			off = append(off, n+i)
+			off = append(off, i)
 		}
 	}
-	sortLex(r.union, off)
+	sortLex(r.offspring, off)
 	r.offOrder = off
-	out, pop := r.ws.order[:0], r.popOrder
+}
+
+// unionOrder puts the union's feasible indices into ws.order as lexOrder
+// would: the population's order is carried over from the last selection,
+// the offspring's is offOrder shifted past the population, and the two
+// are merged, the population first among equal vectors, since its
+// indices are the lower ones. offOrder is only read: the merge tail may
+// be reading it too.
+func (r *nsga2Run) unionOrder() {
+	n := len(r.pop)
+	out, pop, off := r.ws.order[:0], r.popOrder, r.offOrder
 	for len(pop) > 0 && len(off) > 0 {
-		if lexLessObjs(r.union[off[0]].Objs, r.union[pop[0]].Objs) {
-			out, off = append(out, off[0]), off[1:]
+		if lexLessObjs(r.offspring[off[0]].Objs, r.union[pop[0]].Objs) {
+			out, off = append(out, n+off[0]), off[1:]
 		} else {
 			out, pop = append(out, pop[0]), pop[1:]
 		}
 	}
-	r.ws.order = append(append(out, pop...), off...)
+	out = append(out, pop...)
+	for _, i := range off {
+		out = append(out, n+i)
+	}
+	r.ws.order = out
 }
 
 // carryOrder sets popOrder to the survivors' lexicographic order, read

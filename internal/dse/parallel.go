@@ -507,15 +507,17 @@ func (p *WorkerPanic) Error() string {
 // holds, so a helper that wakes late costs some lost help, never a stall.
 // Items may be published while the job is open (publish), so a helper can
 // evaluate a generation's first offspring while variation still writes
-// the rest, and a joined helper takes the tail while the run's goroutine
-// goes on (NSGA-II merges its archive there while it ranks and selects).
+// the rest, and once the run's goroutine offers the tail (offerTail), a
+// joined helper takes it while the run's goroutine goes on (NSGA-II
+// merges its archive there while it ranks and selects).
 // Results land by index, so they never depend on which goroutine ran an
 // item.
 //
-// Only two waits spin, and both yield with runtime.Gosched: a helper that
-// has claimed the item variation is about to publish, and a wait for the
-// one item or tail a joined goroutine is running. With one worker the pool
-// starts no goroutine and every job runs inline.
+// Only three waits spin, and each yields with runtime.Gosched: a helper
+// that has claimed the item variation is about to publish, a helper
+// waiting for the tail to be offered, and a wait for the one item or tail
+// a joined goroutine is running. With one worker the pool starts no
+// goroutine and every job runs inline.
 //
 // A panic on a helper aborts the job and is raised again on the run's
 // goroutine as a *WorkerPanic once every joined helper has left it; a
@@ -538,6 +540,7 @@ type evalPool struct {
 	published paddedCount // items [0, published) are ready
 	claimed   paddedCount // next item to claim
 	done      paddedCount // items finished
+	tailReady atomic.Bool // offerTail has run
 	tailTaken atomic.Bool
 	aborted   atomic.Bool
 	failure   atomic.Pointer[WorkerPanic]
@@ -590,8 +593,9 @@ func (p *evalPool) join() bool {
 	}
 }
 
-// work is a joined helper's share of the job: claimed items, then the
-// tail if no one has taken it. A panic aborts the job.
+// work is a joined helper's share of the job: claimed items, then, once
+// the tail is offered, the tail if no one has taken it. A panic aborts
+// the job.
 func (p *evalPool) work(w int) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -620,7 +624,7 @@ func (p *evalPool) work(w int) {
 	if p.tail == nil {
 		return
 	}
-	for p.done.Load() < n {
+	for !p.tailReady.Load() && !p.tailTaken.Load() {
 		if p.aborted.Load() {
 			return
 		}
@@ -644,6 +648,7 @@ func (p *evalPool) open(n int, fn func(w, i int), tail func()) {
 	p.published.Store(0)
 	p.claimed.Store(0)
 	p.done.Store(0)
+	p.tailReady.Store(false)
 	p.tailTaken.Store(false)
 	p.state.Add(1)
 	for _, ch := range p.wake {
@@ -685,6 +690,12 @@ func (p *evalPool) finish() {
 	if p.aborted.Load() {
 		p.close()
 	}
+}
+
+// offerTail lets a joined helper take the tail. The run's goroutine calls
+// it after finish, once whatever the tail reads is ready.
+func (p *evalPool) offerTail() {
+	p.tailReady.Store(true)
 }
 
 // close runs the tail unless a helper has taken it, closes the epoch and

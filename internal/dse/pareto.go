@@ -239,13 +239,8 @@ func (a *Archive) insertAt(i int, p Point) {
 // AddBatch adds ps with the result of len(ps) calls to Add in order:
 // the same points, keeping the first occurrence of each objective vector,
 // in lexicographic order. It lex-sorts the feasible points of the batch
-// (ties by batch position), merges them with the archive (archived
-// points first among equal vectors) and keeps each merged point that no
-// kept point dominates or equals — one staircase query over (f2, f3).
-// That is exact because the archive is the first-occurrence non-dominated
-// set of everything fed to it and dominance is transitive. Vectors of
-// four or more objectives are added one by one. As with Add, the genes of
-// every batch point kept are copied.
+// (ties by batch position) and folds them in with addSorted. As with Add,
+// the genes of every batch point kept are copied.
 func (a *Archive) AddBatch(ps []Point) {
 	a.order = a.order[:0]
 	for i := range ps {
@@ -253,20 +248,37 @@ func (a *Archive) AddBatch(ps []Point) {
 			a.order = append(a.order, i)
 		}
 	}
-	if len(a.order) == 0 {
+	if len(a.order) > 0 && len(ps[a.order[0]].Objs) <= 3 {
+		sortLex(ps, a.order)
+	}
+	a.addSorted(ps, a.order)
+}
+
+// addSorted is AddBatch for a caller that has sorted the batch already:
+// order holds the indices of ps's feasible points in lexicographic order,
+// ties by index, as sortLex leaves them. It merges them with the archive
+// (archived points first among equal vectors) and keeps each merged point
+// that no kept point dominates or equals — one staircase query over
+// (f2, f3). That is exact because the archive is the first-occurrence
+// non-dominated set of everything fed to it and dominance is transitive.
+// Vectors of four or more objectives are added one by one, in batch
+// order. addSorted only reads order and ps.
+func (a *Archive) addSorted(ps []Point, order []int) {
+	if len(order) == 0 {
 		return
 	}
-	if len(ps[a.order[0]].Objs) > 3 {
-		for _, i := range a.order {
-			a.Add(ps[i])
+	if len(ps[order[0]].Objs) > 3 {
+		for i := range ps {
+			if ps[i].Feasible {
+				a.Add(ps[i])
+			}
 		}
 		return
 	}
-	sortLex(ps, a.order)
 
 	out := a.spare[:0]
 	a.stair = a.stair[:0]
-	arch, batch := a.points, a.order
+	arch, batch := a.points, order
 	for len(arch) > 0 || len(batch) > 0 {
 		var p Point
 		archived := len(batch) == 0 || len(arch) > 0 && !lexLessObjs(ps[batch[0]].Objs, arch[0].Objs)

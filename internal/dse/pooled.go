@@ -12,8 +12,8 @@ type EvalInto func(c Config, objs Objectives) error
 // IntoEvaluator (scratch-objective evaluation) and Forkable (a private
 // context per batch-runtime worker); ad-hoc concurrent callers are served
 // from a sync.Pool of contexts, so steady-state evaluation stays
-// allocation-free on every path. It is the shared concurrency front of
-// the casestudy and scenario compiled pipelines.
+// allocation-free on every path. It is the concurrency front of the
+// scenario package's compiled pipeline.
 func NewPooledForkable(numObjectives int, fresh func() EvalInto) Evaluator {
 	return &pooledForkable{nobj: numObjectives, fresh: fresh}
 }

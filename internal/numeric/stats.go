@@ -44,25 +44,48 @@ func SampleStdDev(xs []float64) float64 {
 // standard deviation, and an empty slice a zero mean, matching the two-pass
 // helpers.
 func MeanStdDev(xs []float64) (mean, sd float64) {
-	n := len(xs)
-	if n == 0 {
+	var a Moments
+	for _, x := range xs {
+		a = a.Add(x)
+	}
+	return a.MeanStdDev()
+}
+
+// Moments is MeanStdDev's single pass taken one value at a time, for a
+// caller that produces the values itself: several Moments fed in one
+// loop run their passes side by side. The zero value holds no values.
+// Its methods take and return it by value, so a local Moments can live in
+// registers.
+type Moments struct {
+	n          int
+	sum, m, m2 float64
+}
+
+// Add returns a with the next value x taken in.
+func (a Moments) Add(x float64) Moments {
+	a.n++
+	a.sum += x
+	d := x - a.m
+	a.m += d / float64(a.n)
+	a.m2 += d * (x - a.m)
+	return a
+}
+
+// MeanStdDev returns what MeanStdDev returns for the values added so far,
+// in the order they were added.
+func (a Moments) MeanStdDev() (mean, sd float64) {
+	if a.n == 0 {
 		return 0, 0
 	}
-	var sum, m, m2 float64
-	for i, x := range xs {
-		sum += x
-		d := x - m
-		m += d / float64(i+1)
-		m2 += d * (x - m)
-	}
-	mean = sum / float64(n)
-	if n < 2 {
+	mean = a.sum / float64(a.n)
+	if a.n < 2 {
 		return mean, 0
 	}
+	m2 := a.m2
 	if m2 < 0 {
 		m2 = 0 // rounding can drive the accumulator epsilon-negative
 	}
-	return mean, math.Sqrt(m2 / float64(n-1))
+	return mean, math.Sqrt(m2 / float64(a.n-1))
 }
 
 // MinMax returns the smallest and largest elements of xs. It panics on an

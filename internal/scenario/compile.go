@@ -2,109 +2,286 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
+	ieee "wsndse/internal/ieee802154"
+	"wsndse/internal/numeric"
 	"wsndse/internal/units"
 )
 
-// Compiled is the compiled evaluation pipeline of a scenario: the full
-// (BO × SFO gap × payload) MAC grid, the per-node MAC views of
-// payload-override nodes over the (BO × SFO gap) grid, per-node
-// application instances per CR grid index, and the per (application,
-// sample-rate) output rates and quality values — all pre-built once, so
-// evaluation reduces to table lookups plus the Eq. 1–9 arithmetic of
-// core.EvaluateWithRatesInto and steady-state evaluation performs zero
-// heap allocations.
+// Compiled is the compiled evaluation pipeline of a scenario. Only Eq. 1's
+// capacity sum, Eq. 9's cross-node sums and Eq. 8's combines depend on
+// more than one node, so Compile evaluates everything else once, into
+// tables:
 //
-// The compiled evaluator is guaranteed bit-identical to
-// Problem.Evaluator(): the tables hold exactly the objects and values the
-// reference path would rebuild per call, and the arithmetic is the same
-// core code.
+//   - per (BO × SFO gap × payload) grid point: the first error the
+//     reference evaluator meets before Eq. 1's per-node step (base MAC,
+//     node views, quantum) and the Eq. 9 2·T_svc term of the payload;
+//   - per (BO, SFO gap) superframe, which every payload shares: the
+//     quantum δ, capacity and Δ_control of Eqs. 1–2, and the Eq. 9
+//     constants, with the slot time of each k a feasible node can have;
+//   - per distinct node model — a node spec up to its name and its
+//     simulator-only fields; ecg-ward has two, DWT and CS — the Eq. 1
+//     slot multiplier k per (BO, SFO gap, payload, CR), the Eq. 6 radio
+//     power per (BO, payload, CR), which the SFO gap does not change, the
+//     Eq. 3–5 sensor + µC + memory power per (CR, f_µC) with whether the
+//     §3.3 constraints reject it, and the quality per CR. A node with its
+//     own payload has no payload axis.
+//
+// An evaluation is then table lookups, Σ k·δ with the capacity check,
+// Eq. 9 for every node in one pass over the shared slot sum, and the
+// three Eq. 8 combines. Every entry and every per-evaluation term comes
+// from the core helpers the reference core.Network.EvaluateInto calls
+// (Node.LocalEnergy, Node.RadioPower, Quantum, Slots, Interval, Budget,
+// GTSMac.DelayTerms), so the compiled evaluator is bit-identical to
+// Problem.Evaluator() by construction, errors included: a table entry
+// records only that a helper failed, and the error path calls the helper
+// again for the node at hand. The tables are written only by Compile, so
+// any number of evaluators may read them at once.
 type Compiled struct {
-	problem *Problem
-	n       int
-	theta   float64
+	space      *dse.Space
+	name       string
+	theta      float64
+	nGap, nPay int
 
-	// base is the flattened (BO × SFO gap × payload) grid of shared MACs;
-	// views[i] is nil for nodes following the network payload gene, else
-	// the (BO × SFO gap) grid of node i's payload-override view.
-	base            []core.GTSMacEntry
-	views           [][]core.GTSMacEntry
-	nBO, nGap, nPay int
-
-	// Per-node χ_node tables. Nodes without a CR gene (raw streamers)
-	// hold single-entry tables at their fixed CR of 1.
-	apps    [][]app.Application
-	phiIn   []units.BytesPerSecond
-	phiOut  [][]units.BytesPerSecond
-	quality [][]float64
-	freqs   [][]units.Hertz // freqs[node][fIdx], the node's explorable grid
+	frames []superframe // per (BO, SFO gap)
+	grid   []gridPoint  // per (BO, SFO gap, payload)
+	nodes  []compiledNode
+	specs  []NodeSpec // the scenario's nodes, for the error paths
 }
 
-// Compile pre-builds the lookup tables of the compiled evaluation
-// pipeline. It fails fast on grid values the reference evaluator would
-// reject for every configuration; χ_mac points whose MAC construction
-// fails are recorded and reported per evaluation instead.
+// gridPoint is one χ_mac point of the network grid.
+type gridPoint struct {
+	mac      *core.GTSMac
+	err      error
+	service2 float64
+}
+
+// superframe is what Eqs. 1, 2 and 9 read of a (BO, SFO gap) point. A
+// GTS MAC's quantum, capacity, Δ_control, slot and beacon interval depend
+// on its superframe alone, so the first payload's MAC gives them.
+type superframe struct {
+	delta, capacity, control float64
+	terms                    core.DelayTerms // Service2 is set per node
+	// ownTx[k] is the Eq. 9 slot time of a node with k slots: within the
+	// GTS budget every node has at most ieee.MaxGTS.
+	ownTx [ieee.MaxGTS + 1]float64
+}
+
+// compiledNode is one node's place in the configuration and its model.
+type compiledNode struct {
+	model  *nodeModel
+	crGene int // −1: the node forwards at CR 1
+	fGene  int
+}
+
+// nodeModel holds the tables of one distinct node model.
+type nodeModel struct {
+	view    bool // the node has its own payload: k and radio drop the payload axis
+	nCR, nF int
+	k       []int32      // per (BO, gap, payload, CR); −1 where core.Slots fails
+	radio   []float64    // per (BO, payload, CR)
+	local   []localTerms // per (CR, f_µC)
+	quality []float64    // per CR
+
+	// service2 is a view's own 2·T_svc; views is its (BO × SFO gap) MAC
+	// grid, which the error path of a failed k entry reads.
+	service2 float64
+	views    []core.GTSMacEntry
+
+	// The inputs the error paths call the core helpers with again.
+	apps   []app.Application // per CR
+	phiIn  units.BytesPerSecond
+	phiOut []units.BytesPerSecond // per CR
+	freqs  []units.Hertz          // per f_µC index
+}
+
+// localTerms is one (CR, f_µC) entry: Node.LocalEnergy's Total, or that it
+// failed.
+type localTerms struct {
+	power float64
+	fails bool
+}
+
+// Compile builds the tables of the compiled evaluation pipeline. It fails
+// when an application cannot be built for a grid CR, or when a node needs
+// more GTS slots than an int32 holds, which no superframe could serve;
+// χ_mac points whose MAC construction fails are recorded and reported per
+// evaluation.
 func (p *Problem) Compile() (*Compiled, error) {
 	sc := p.Scenario
 	n := len(sc.Nodes)
 	t := &Compiled{
-		problem: p,
-		n:       n,
-		theta:   sc.Theta,
-		nBO:     len(sc.BeaconOrders),
-		nGap:    len(sc.SFOGaps),
-		nPay:    len(sc.Payloads),
-		views:   make([][]core.GTSMacEntry, n),
-		apps:    make([][]app.Application, n),
-		phiIn:   make([]units.BytesPerSecond, n),
-		phiOut:  make([][]units.BytesPerSecond, n),
-		quality: make([][]float64, n),
-		freqs:   make([][]units.Hertz, n),
+		space: p.space,
+		name:  sc.Name,
+		theta: sc.Theta,
+		nGap:  len(sc.SFOGaps),
+		nPay:  len(sc.Payloads),
+		nodes: make([]compiledNode, n),
+		specs: sc.Nodes,
 	}
+	base := core.BuildGTSMacGrid(sc.BeaconOrders, sc.SFOGaps, sc.Payloads, n)
 
-	t.base = core.BuildGTSMacGrid(sc.BeaconOrders, sc.SFOGaps, sc.Payloads, n)
+	var keys []NodeSpec
+	var models []*nodeModel
 	for i, ns := range sc.Nodes {
-		if ns.PayloadBytes > 0 {
-			// The (BO × SFO gap) view grid of a payload-override node:
-			// the payload axis collapses to the node's fixed frame size.
-			t.views[i] = core.BuildGTSMacGrid(sc.BeaconOrders, sc.SFOGaps, []int{ns.PayloadBytes}, n)
-		}
-	}
-
-	for i, ns := range sc.Nodes {
-		phiIn := ns.Platform.InputRate(ns.SampleFreq)
-		t.phiIn[i] = phiIn
-		crs := []float64{1} // nodes without a CR gene forward unmodified
-		if g := p.crGene[i]; g >= 0 {
-			crs = p.space.Params[g].Values
-		}
-		apps := make([]app.Application, len(crs))
-		rates := make([]units.BytesPerSecond, len(crs))
-		quals := make([]float64, len(crs))
-		for j, cr := range crs {
-			a, err := casestudy.AppFor(p.Cal, ns.Kind, cr)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: Compile: node %s, CR %g: %w", sc.Name, ns.Name, cr, err)
+		key := ns
+		key.Name, key.Arrival, key.Link = "", 0, nil
+		var m *nodeModel
+		for j := range keys {
+			if reflect.DeepEqual(keys[j], key) {
+				m = models[j]
+				break
 			}
-			apps[j] = a
-			rates[j] = a.OutputRate(phiIn)
-			quals[j] = a.Quality(phiIn)
 		}
-		t.apps[i] = apps
-		t.phiOut[i] = rates
-		t.quality[i] = quals
-		fVals := p.space.Params[p.fGene[i]].Values
-		freqs := make([]units.Hertz, len(fVals))
-		for j, f := range fVals {
-			freqs[j] = units.Hertz(f)
+		if m == nil {
+			var err error
+			if m, err = p.compileModel(i, base); err != nil {
+				return nil, err
+			}
+			keys, models = append(keys, key), append(models, m)
 		}
-		t.freqs[i] = freqs
+		t.nodes[i] = compiledNode{model: m, crGene: p.crGene[i], fGene: p.fGene[i]}
+	}
+
+	t.grid = make([]gridPoint, len(base))
+	for gi, e := range base {
+		gp := &t.grid[gi]
+		gp.mac, gp.err = e.MAC, e.Err
+		for _, nd := range t.nodes {
+			if gp.err == nil && nd.model.view {
+				gp.err = nd.model.views[gi/t.nPay].Err
+			}
+		}
+		if gp.err == nil {
+			_, gp.err = core.Quantum(e.MAC)
+		}
+		if gp.err == nil {
+			gp.service2 = e.MAC.DelayTerms().Service2
+		}
+	}
+	t.frames = make([]superframe, len(base)/t.nPay)
+	for vi := range t.frames {
+		bm := firstMAC(base[vi*t.nPay : (vi+1)*t.nPay])
+		if bm == nil {
+			continue
+		}
+		f := &t.frames[vi]
+		f.delta, _ = core.Quantum(bm) // a failure marks every payload's grid point
+		f.capacity, f.control = bm.Capacity(), bm.ControlTime()
+		f.terms = bm.DelayTerms()
+		for k := range f.ownTx {
+			f.ownTx[k] = f.terms.SlotTime(core.Interval(k, f.delta))
+		}
 	}
 	return t, nil
+}
+
+// compileModel builds the tables of node i's model over the network MAC
+// grid base.
+func (p *Problem) compileModel(i int, base []core.GTSMacEntry) (*nodeModel, error) {
+	sc := p.Scenario
+	ns := sc.Nodes[i]
+	shell := core.Node{Name: ns.Name, Platform: ns.Platform, SampleFreq: ns.SampleFreq}
+	crs := []float64{1} // nodes without a CR gene forward unmodified
+	if g := p.crGene[i]; g >= 0 {
+		crs = p.space.Params[g].Values
+	}
+	fVals := p.space.Params[p.fGene[i]].Values
+	m := &nodeModel{
+		view:    ns.PayloadBytes > 0,
+		nCR:     len(crs),
+		nF:      len(fVals),
+		quality: make([]float64, len(crs)),
+		local:   make([]localTerms, len(crs)*len(fVals)),
+		apps:    make([]app.Application, len(crs)),
+		phiIn:   shell.InputRate(),
+		phiOut:  make([]units.BytesPerSecond, len(crs)),
+		freqs:   make([]units.Hertz, len(fVals)),
+	}
+	for j, f := range fVals {
+		m.freqs[j] = units.Hertz(f)
+	}
+	for j, cr := range crs {
+		a, err := casestudy.AppFor(p.Cal, ns.Kind, cr)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: Compile: node %s, CR %g: %w", sc.Name, ns.Name, cr, err)
+		}
+		m.apps[j] = a
+		m.phiOut[j] = a.OutputRate(m.phiIn)
+		m.quality[j] = a.Quality(m.phiIn)
+		shell.App = a
+		for fi, f := range m.freqs {
+			shell.MicroFreq = f
+			eb, err := shell.LocalEnergy(m.phiIn)
+			m.local[j*m.nF+fi] = localTerms{power: float64(eb.Total), fails: err != nil}
+		}
+	}
+
+	nBO, nGap, nPay := len(sc.BeaconOrders), len(sc.SFOGaps), len(sc.Payloads)
+	macs := base
+	if m.view {
+		// The payload axis collapses to the node's own frame size.
+		m.views = core.BuildGTSMacGrid(sc.BeaconOrders, sc.SFOGaps, []int{ns.PayloadBytes}, len(sc.Nodes))
+		macs, nPay = m.views, 1
+	}
+	m.k = make([]int32, len(macs)*m.nCR)
+	m.radio = make([]float64, nBO*nPay*m.nCR)
+	radioDone := make([]bool, nBO*nPay) // per (BO, payload)
+	for gi, e := range macs {
+		if e.Err != nil {
+			continue
+		}
+		// Slots checks the view against a base MAC of the same
+		// superframe; every payload of it has the same quantum.
+		bm := e.MAC
+		if m.view {
+			bm = firstMAC(base[gi*len(sc.Payloads) : (gi+1)*len(sc.Payloads)])
+			m.service2 = e.MAC.DelayTerms().Service2
+		}
+		if bm == nil {
+			continue
+		}
+		delta, err := core.Quantum(bm)
+		if err != nil {
+			continue
+		}
+		for j, phi := range m.phiOut {
+			k, err := core.Slots(bm, e.MAC, delta, phi, i)
+			switch {
+			case err != nil:
+				k = -1
+			case k < 0 || k > math.MaxInt32:
+				return nil, fmt.Errorf("scenario %q: Compile: node %s needs %d slots of %v at CR %g",
+					sc.Name, ns.Name, k, e.MAC, crs[j])
+			}
+			m.k[gi*m.nCR+j] = int32(k)
+		}
+		// Eq. 6 does not depend on the SFO gap: the first gap of a BO
+		// whose MAC was built writes the row.
+		if r := gi/(nGap*nPay)*nPay + gi%nPay; !radioDone[r] {
+			for j, phi := range m.phiOut {
+				m.radio[r*m.nCR+j] = float64(shell.RadioPower(e.MAC, phi))
+			}
+			radioDone[r] = true
+		}
+	}
+	return m, nil
+}
+
+// firstMAC returns the first MAC of a grid row that was built, or nil.
+func firstMAC(row []core.GTSMacEntry) *core.GTSMac {
+	for _, e := range row {
+		if e.Err == nil {
+			return e.MAC
+		}
+	}
+	return nil
 }
 
 // Evaluator returns the compiled three-objective evaluator: minimize
@@ -116,66 +293,120 @@ func (t *Compiled) Evaluator() dse.Evaluator {
 	return dse.NewPooledForkable(3, func() dse.EvalInto { return newCompiledEval(t).EvaluateInto })
 }
 
-// compiledEval is one evaluation context: the shared immutable tables plus
-// a private core.Workspace. Not safe for concurrent use.
+// compiledEval is one evaluation context: the shared tables plus private
+// per-node scratch for the energies, qualities and Eq. 9 slot times the
+// last pass reads. Not safe for concurrent use.
 type compiledEval struct {
-	t  *Compiled
-	ws *core.Workspace
+	t                      *Compiled
+	energy, quality, ownTx []float64
 }
 
 func newCompiledEval(t *Compiled) *compiledEval {
-	ws := core.NewWorkspace(t.n)
-	hasViews := false
-	for i, ns := range t.problem.Scenario.Nodes {
-		ws.Nodes[i].Name = ns.Name
-		ws.Nodes[i].Platform = ns.Platform
-		ws.Nodes[i].SampleFreq = ns.SampleFreq
-		if t.views[i] != nil {
-			hasViews = true
-		}
-	}
-	if hasViews {
-		ws.Net.NodeMACs = make([]core.MAC, t.n)
-	}
-	ws.Net.Theta = t.theta
-	copy(ws.PhiIn, t.phiIn)
-	return &compiledEval{t: t, ws: ws}
+	n := len(t.nodes)
+	buf := make([]float64, 3*n)
+	return &compiledEval{t: t, energy: buf[:n:n], quality: buf[n : 2*n : 2*n], ownTx: buf[2*n:]}
 }
 
-// EvaluateInto is the dse.EvalInto context surface: table lookups re-point the
-// workspace at the configuration's pre-built MAC, views and applications,
-// then the shared core arithmetic runs on reused scratch. Error order
-// matches the reference evaluator: base MAC first, then per-node checks in
-// node order.
+// EvaluateInto is the dse.EvalInto context surface. Errors come in the
+// reference evaluator's order: the grid point's MAC and quantum errors,
+// then Eq. 1's per-node step in node order, the capacity and accounting
+// checks, and last the first node whose local terms fail.
 func (e *compiledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
 	t := e.t
-	p := t.problem
-	if !p.space.Valid(c) {
-		return fmt.Errorf("scenario %q: invalid config %v", p.Scenario.Name, c)
+	if !t.space.Valid(c) {
+		return fmt.Errorf("scenario %q: invalid config %v", t.name, c)
 	}
-	mb := t.base[(c[0]*t.nGap+c[1])*t.nPay+c[2]]
-	if mb.Err != nil {
-		return mb.Err
+	b := c[0]
+	vi := b*t.nGap + c[1] // view grid index: the payload axis collapsed
+	gi := vi*t.nPay + c[2]
+	gp := &t.grid[gi]
+	if gp.err != nil {
+		return gp.err
 	}
-	vi := c[0]*t.nGap + c[1] // view grid index (payload axis collapsed)
-	ws := e.ws
-	for i := 0; i < t.n; i++ {
+	sf := &t.frames[vi]
+
+	var used, totalTx float64
+	failed := -1 // first node whose local terms fail
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		m := nd.model
 		cr := 0
-		if g := p.crGene[i]; g >= 0 {
-			cr = c[g]
+		if nd.crGene >= 0 {
+			cr = c[nd.crGene]
 		}
-		ws.Nodes[i].App = t.apps[i][cr]
-		ws.Nodes[i].MicroFreq = t.freqs[i][c[p.fGene[i]]]
-		ws.PhiOut[i] = t.phiOut[i][cr]
-		ws.Quality[i] = t.quality[i][cr]
-		if t.views[i] != nil {
-			mv := t.views[i][vi]
-			if mv.Err != nil {
-				return mv.Err
-			}
-			ws.Net.NodeMACs[i] = mv.MAC
+		kRow, rRow := gi, b*t.nPay+c[2]
+		if m.view {
+			kRow, rRow = vi, b
 		}
+		k := m.k[kRow*m.nCR+cr]
+		if k < 0 {
+			return t.slotsError(gp.mac, sf.delta, vi, i, cr)
+		}
+		dtx := core.Interval(int(k), sf.delta)
+		used += dtx
+		var own float64
+		if int(k) < len(sf.ownTx) {
+			own = sf.ownTx[k]
+		} else {
+			own = sf.terms.SlotTime(dtx)
+		}
+		totalTx += own
+		e.ownTx[i] = own
+		lt := m.local[cr*m.nF+c[nd.fGene]]
+		if lt.fails && failed < 0 {
+			failed = i
+		}
+		// Eq. 7: the local terms' sum plus Eq. 6.
+		e.energy[i] = lt.power + m.radio[rRow*m.nCR+cr]
+		e.quality[i] = m.quality[cr]
 	}
-	ws.Net.MAC = mb.MAC
-	return ws.Evaluate(objs)
+	if _, err := core.Budget(gp.mac, len(t.nodes), used, sf.capacity, sf.control); err != nil {
+		return err
+	}
+	if failed >= 0 {
+		return t.localError(c, failed)
+	}
+	// Eq. 9 for every node, and the three Eq. 8 combines side by side.
+	var energy, quality, delay numeric.Moments
+	for i := range t.nodes {
+		d := sf.terms
+		d.Service2 = gp.service2
+		if m := t.nodes[i].model; m.view {
+			d.Service2 = m.service2
+		}
+		energy = energy.Add(e.energy[i])
+		quality = quality.Add(e.quality[i])
+		delay = delay.Add(d.Bound(totalTx, e.ownTx[i]))
+	}
+	objs[0] = core.CombineMoments(energy, t.theta)
+	objs[1] = core.CombineMoments(quality, t.theta)
+	objs[2] = core.CombineMoments(delay, t.theta)
+	return nil
+}
+
+// slotsError is the error core.Slots reports for node i, whose k entry
+// marks a failure.
+func (t *Compiled) slotsError(base *core.GTSMac, delta float64, vi, i, cr int) error {
+	m := t.nodes[i].model
+	var mac core.MAC = base
+	if m.view {
+		mac = m.views[vi].MAC
+	}
+	_, err := core.Slots(base, mac, delta, m.phiOut[cr], i)
+	return err
+}
+
+// localError is the error core.Node.LocalEnergy reports for node i, whose
+// local entry marks a failure.
+func (t *Compiled) localError(c dse.Config, i int) error {
+	nd := &t.nodes[i]
+	cr := 0
+	if nd.crGene >= 0 {
+		cr = c[nd.crGene]
+	}
+	ns := &t.specs[i]
+	node := core.Node{Name: ns.Name, Platform: ns.Platform, App: nd.model.apps[cr],
+		SampleFreq: ns.SampleFreq, MicroFreq: nd.model.freqs[c[nd.fGene]]}
+	_, err := node.LocalEnergy(nd.model.phiIn)
+	return err
 }

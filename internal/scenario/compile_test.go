@@ -3,113 +3,12 @@ package scenario
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wsndse/internal/casestudy"
-	"wsndse/internal/core"
 	"wsndse/internal/dse"
 )
-
-// TestCompiledMatchesReferenceAllScenarios is the tentpole equivalence
-// guarantee: for every registered scenario, and for ecg-ward in the
-// axis-major gene layout, the compiled evaluator returns bit-identical
-// objectives and identical feasibility (including the infeasibility class)
-// to the reference evaluator, both directly and through the batch runtime
-// at worker counts 1 and 8.
-func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
-	type input struct {
-		name  string
-		sc    Scenario
-		build func(Scenario, *casestudy.Calibration) (*Problem, error)
-	}
-	var inputs []input
-	for _, sc := range List() {
-		inputs = append(inputs, input{sc.Name, sc, NewProblem})
-	}
-	inputs = append(inputs, input{"ecg-ward-axis-major", ECGWard(), NewAxisMajorProblem})
-	for _, in := range inputs {
-		sc := in.sc
-		t.Run(in.name, func(t *testing.T) {
-			problem, err := in.build(sc, casestudy.DefaultCalibration())
-			if err != nil {
-				t.Fatal(err)
-			}
-			compiled, err := problem.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := problem.Evaluator()
-			fast := compiled.Evaluator()
-
-			rng := rand.New(rand.NewSource(int64(len(sc.Name)) * 1237))
-			configs := make([]dse.Config, 0, 260)
-			for i := 0; i < 250; i++ {
-				configs = append(configs, problem.Space().Random(rng))
-			}
-			lo := make(dse.Config, len(problem.Space().Params))
-			hi := make(dse.Config, len(problem.Space().Params))
-			for i, p := range problem.Space().Params {
-				hi[i] = len(p.Values) - 1
-			}
-			configs = append(configs, lo, hi, problem.NominalConfig())
-
-			feasible := 0
-			for _, c := range configs {
-				want, werr := ref.Evaluate(c)
-				got, gerr := fast.Evaluate(c)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("config %v: reference err %v, compiled err %v", c, werr, gerr)
-				}
-				if werr != nil {
-					if core.IsInfeasible(werr) != core.IsInfeasible(gerr) {
-						t.Fatalf("config %v: infeasibility class differs: %v vs %v", c, werr, gerr)
-					}
-					continue
-				}
-				feasible++
-				for k := range want {
-					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-						t.Fatalf("config %v objective %d: %v, want %v (bitwise)", c, k, got[k], want[k])
-					}
-				}
-			}
-			if feasible == 0 {
-				t.Logf("scenario %s: no feasible configuration in the sample (infeasibility-stress scenario)", sc.Name)
-			}
-
-			// Invalid configurations must be rejected, not evaluated.
-			outOfRange := lo.Clone()
-			outOfRange[0] = len(sc.BeaconOrders)
-			for _, c := range []dse.Config{nil, {0}, append(hi.Clone(), 0), outOfRange} {
-				if _, err := fast.Evaluate(c); err == nil {
-					t.Fatalf("compiled evaluator accepted invalid config %v", c)
-				}
-			}
-
-			// Batch runtime at worker counts 1 and 8 against the
-			// sequential reference.
-			want := dse.NewParallelEvaluator(ref, 1).EvaluateBatch(configs)
-			for _, workers := range []int{1, 8} {
-				got := dse.NewParallelEvaluator(compiled.Evaluator(), workers).EvaluateBatch(configs)
-				for i := range want {
-					if got[i].Feasible != want[i].Feasible {
-						t.Fatalf("workers=%d: config %v feasibility %v, want %v",
-							workers, configs[i], got[i].Feasible, want[i].Feasible)
-					}
-					if !want[i].Feasible {
-						continue
-					}
-					for k := range want[i].Objs {
-						if math.Float64bits(got[i].Objs[k]) != math.Float64bits(want[i].Objs[k]) {
-							t.Fatalf("workers=%d: config %v objective %d: %v, want %v (bitwise)",
-								workers, configs[i], k, got[i].Objs[k], want[i].Objs[k])
-						}
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestCompiledZeroAllocsScenario pins the allocation guarantee on the
 // case-study ward and on a scenario with per-node MAC views (mixed-ward has
@@ -222,5 +121,20 @@ func TestAxisMajorMatchesNodeMajor(t *testing.T) {
 	}
 	if feasible == 0 || feasible == 5000 {
 		t.Fatalf("%d/5000 feasible: the sample must cover both classes", feasible)
+	}
+}
+
+// TestCompileRejectsUnservableStream: a node whose stream needs more GTS
+// slots than the k table holds fails Compile with an error naming it,
+// rather than storing a truncated k.
+func TestCompileRejectsUnservableStream(t *testing.T) {
+	sc := ECGWard()
+	sc.Nodes[4].SampleFreq = 1e13 // about 3·10⁹ slots at SFO gap 0
+	problem, err := NewProblem(sc, casestudy.DefaultCalibration())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := problem.Compile(); err == nil || !strings.Contains(err.Error(), sc.Nodes[4].Name) {
+		t.Fatalf("Compile = %v, want an error naming node %s", err, sc.Nodes[4].Name)
 	}
 }
