@@ -104,8 +104,9 @@
 // The pipeline relies on the evaluator determinism/purity contract: an
 // evaluator must be a pure function of the configuration (no hidden
 // state, no randomness, no clock), which is what lets tables be built
-// once, results be memoized process-wide, scratch be reused per worker
-// (dse.Forkable), and fronts stay bit-identical at every worker count.
+// once, results be memoized process-wide, one stateless compiled
+// evaluator serve every worker, and fronts stay bit-identical at every
+// worker count.
 //
 // # Search-layer performance
 //

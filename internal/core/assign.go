@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"wsndse/internal/numeric"
 	"wsndse/internal/units"
 )
 
@@ -114,7 +115,7 @@ func Slots(base, mac MAC, delta float64, phi units.BytesPerSecond, i int) (int, 
 	if need < 0 {
 		return 0, fmt.Errorf("core: Assign: MAC %q returned negative TxTime for %v", mac.Name(), phi)
 	}
-	k := int(math.Ceil(need/delta - 1e-12)) // tolerate exact multiples
+	k := numeric.CeilCount(need/delta - 1e-12) // tolerate exact multiples
 	if k == 0 && phi > 0 {
 		k = 1 // a nonzero stream always needs at least one quantum
 	}

@@ -49,7 +49,7 @@ type algorithm struct {
 	steps    func(s Search, space *Space) int
 	resume   func(s Search, space *Space, snap *Snapshot) error
 	front    func(*Snapshot) []Point
-	inject   func(out *Snapshot, accepted []SnapPoint) error
+	inject   func(out *Snapshot, accepted []Point) error
 }
 
 // algorithms is the table. It is filled in init because the resume
@@ -235,10 +235,10 @@ func (s Search) mosa() (c MOSAConfig) {
 
 // archivePoints restores each set of snapshot points into one Archive,
 // in order, and returns its front.
-func archivePoints(sets ...[]SnapPoint) []Point {
+func archivePoints(sets ...[]Point) []Point {
 	var arch Archive
-	for _, sps := range sets {
-		restoreArchive(&arch, sps)
+	for _, ps := range sets {
+		restoreArchive(&arch, ps)
 	}
 	return arch.Points()
 }

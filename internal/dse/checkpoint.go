@@ -14,52 +14,16 @@ import (
 // a service can refuse to resume from a format it no longer writes.
 const SnapshotVersion = 1
 
-// SnapPoint is one evaluated point in snapshot form. Objs is empty for
-// infeasible points (matching the in-memory representation, where
-// constraint violations carry no objective vector).
-type SnapPoint struct {
-	Config   Config     `json:"config"`
-	Objs     Objectives `json:"objs,omitempty"`
-	Feasible bool       `json:"feasible"`
-}
-
-// snapPoint deep-copies a run-owned point into snapshot form, so the
-// snapshot stays valid while the run keeps mutating its buffers.
-func snapPoint(p Point) SnapPoint {
-	return SnapPoint{Config: p.Config.Clone(), Objs: append(Objectives(nil), p.Objs...), Feasible: p.Feasible}
-}
-
-// point rehydrates the snapshot point with fresh backing storage.
-func (sp SnapPoint) point() Point {
-	return Point{Config: sp.Config.Clone(), Objs: append(Objectives(nil), sp.Objs...), Feasible: sp.Feasible}
-}
-
-func snapPoints(ps []Point) []SnapPoint {
-	out := make([]SnapPoint, len(ps))
-	for i, p := range ps {
-		out[i] = snapPoint(p)
-	}
-	return out
-}
-
-func restorePoints(sps []SnapPoint) []Point {
-	out := make([]Point, len(sps))
-	for i, sp := range sps {
-		out[i] = sp.point()
-	}
-	return out
-}
-
 // ChainSnap is the complete state of one MOSA annealing chain at a segment
 // boundary: its private RNG, current point and energy, temperature,
 // iterations completed, and guiding archive.
 type ChainSnap struct {
-	RNG     uint64      `json:"rng"`
-	Cur     SnapPoint   `json:"cur"`
-	CurE    float64     `json:"cur_e"`
-	Temp    float64     `json:"temp"`
-	Iter    int         `json:"iter"`
-	Archive []SnapPoint `json:"archive,omitempty"`
+	RNG     uint64  `json:"rng"`
+	Cur     Point   `json:"cur"`
+	CurE    float64 `json:"cur_e"`
+	Temp    float64 `json:"temp"`
+	Iter    int     `json:"iter"`
+	Archive []Point `json:"archive,omitempty"`
 }
 
 // InfFloats is a []float64 whose JSON form round-trips IEEE infinities
@@ -135,10 +99,10 @@ type Snapshot struct {
 	Algorithm  string      `json:"algorithm"`
 	Step       int         `json:"step"`
 	RNG        uint64      `json:"rng,omitempty"`
-	Population []SnapPoint `json:"population,omitempty"`
+	Population []Point     `json:"population,omitempty"`
 	Ranks      []int       `json:"ranks,omitempty"`
 	Crowd      InfFloats   `json:"crowd,omitempty"`
-	Archive    []SnapPoint `json:"archive,omitempty"`
+	Archive    []Point     `json:"archive,omitempty"`
 	Chains     []ChainSnap `json:"chains,omitempty"`
 	Next       int         `json:"next,omitempty"`
 	Evaluated  int         `json:"evaluated"`
@@ -149,7 +113,7 @@ type Snapshot struct {
 // with the checks that need no run configuration: no cursor (Step, Next,
 // a chain's Iter) may be negative, or the run would overrun its budget;
 // Ranks and Crowd must cover the population; and every point must pass
-// SnapPoint.Validate with objs, the evaluator's objective count (0 skips
+// Point.Validate with objs, the evaluator's objective count (0 skips
 // the count). Search.ValidateResume adds the checks against the
 // configuration (population size, chain count, the batch cursor).
 func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
@@ -168,7 +132,7 @@ func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 	if len(s.Ranks) != len(s.Population) || len(s.Crowd) != len(s.Population) {
 		return fmt.Errorf("dse: snapshot ranking covers %d/%d points", min(len(s.Ranks), len(s.Crowd)), len(s.Population))
 	}
-	check := func(kind string, sp SnapPoint) error {
+	check := func(kind string, sp Point) error {
 		if err := sp.Validate(space, objs); err != nil {
 			return fmt.Errorf("dse: snapshot %s %w", kind, err)
 		}
@@ -205,18 +169,18 @@ func (s *Snapshot) Validate(algo string, space *Space, objs int) error {
 // is feasible, that it carries objs objectives (the evaluator's count),
 // since the front machinery reads objectives by index. The error starts
 // with "point", for the caller to prefix with where the point came from.
-func (sp SnapPoint) Validate(space *Space, objs int) error {
-	if genes := len(space.Params); len(sp.Config) != genes {
-		return fmt.Errorf("point has %d genes, space has %d", len(sp.Config), genes)
+func (p Point) Validate(space *Space, objs int) error {
+	if genes := len(space.Params); len(p.Config) != genes {
+		return fmt.Errorf("point has %d genes, space has %d", len(p.Config), genes)
 	}
-	if !space.Valid(sp.Config) {
-		return fmt.Errorf("point %v does not index the space", sp.Config)
+	if !space.Valid(p.Config) {
+		return fmt.Errorf("point %v does not index the space", p.Config)
 	}
-	if !sp.Feasible && len(sp.Objs) > 0 {
-		return fmt.Errorf("point is infeasible but carries %d objectives", len(sp.Objs))
+	if !p.Feasible && len(p.Objs) > 0 {
+		return fmt.Errorf("point is infeasible but carries %d objectives", len(p.Objs))
 	}
-	if objs > 0 && sp.Feasible && len(sp.Objs) != objs {
-		return fmt.Errorf("point has %d objectives, evaluator has %d", len(sp.Objs), objs)
+	if objs > 0 && p.Feasible && len(p.Objs) != objs {
+		return fmt.Errorf("point has %d objectives, evaluator has %d", len(p.Objs), objs)
 	}
 	return nil
 }
@@ -285,10 +249,10 @@ func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// restoreArchive adds snapshot points to arch as one batch. Restoring a
-// snapshot's archive into an empty Archive rebuilds it bit-identically:
-// the stored set is mutually non-dominated and insertion order never
-// changes the archived set.
-func restoreArchive(arch *Archive, sps []SnapPoint) {
-	arch.AddBatch(restorePoints(sps))
+// restoreArchive adds copies of snapshot points to arch as one batch.
+// Restoring a snapshot's archive into an empty Archive rebuilds it
+// bit-identically: the stored set is mutually non-dominated and insertion
+// order never changes the archived set.
+func restoreArchive(arch *Archive, ps []Point) {
+	arch.AddBatch(clonePoints(ps))
 }

@@ -7,17 +7,17 @@ import (
 
 // This file holds the dse-level primitives of island-model search: seed
 // forking and migrant selection/injection on snapshots. The coordinator
-// that schedules islands, supervises their executors and drives the
-// migration ring lives in internal/service/island, and an island run's
-// checkpoint is one Snapshot per island; everything here is pure state
-// manipulation, deterministic by construction, so the coordinator's
-// bit-identity guarantees reduce to the resume guarantees already proven
-// for Snapshot.
+// that runs and supervises islands and drives the migration ring lives
+// in internal/service/island, and an island run's checkpoint is one
+// Snapshot per island; everything here is pure state manipulation,
+// deterministic by construction, so the coordinator's bit-identity
+// guarantees reduce to the resume guarantees already proven for
+// Snapshot.
 
 // ForkSeed derives island i's search seed from the job seed with a
 // SplitMix64-style mix, so islands walk decorrelated streams and the
 // derivation is a pure function of (seed, island) — independent of how
-// many islands run concurrently or which executor hosts them. The
+// many islands run concurrently or where an island runs. The
 // increment constant differs from the one chainSeed uses, so island 0's
 // NSGA-II stream is not correlated with chain 0 of a MOSA run on the
 // same seed.
@@ -26,19 +26,6 @@ func ForkSeed(seed int64, island int) int64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
-}
-
-// cloneSnapPoints deep-copies snapshot points (Config and Objs storage
-// included), so mutating the copy never aliases the original snapshot.
-func cloneSnapPoints(sps []SnapPoint) []SnapPoint {
-	if sps == nil {
-		return nil
-	}
-	out := make([]SnapPoint, len(sps))
-	for i, sp := range sps {
-		out[i] = SnapPoint{Config: sp.Config.Clone(), Objs: append(Objectives(nil), sp.Objs...), Feasible: sp.Feasible}
-	}
-	return out
 }
 
 // Clone deep-copies the snapshot. The island coordinator mutates cloned
@@ -50,20 +37,20 @@ func (s *Snapshot) Clone() *Snapshot {
 		return nil
 	}
 	out := *s
-	out.Population = cloneSnapPoints(s.Population)
+	out.Population = clonePoints(s.Population)
 	out.Ranks = append([]int(nil), s.Ranks...)
 	out.Crowd = append(InfFloats(nil), s.Crowd...)
-	out.Archive = cloneSnapPoints(s.Archive)
+	out.Archive = clonePoints(s.Archive)
 	if s.Chains != nil {
 		out.Chains = make([]ChainSnap, len(s.Chains))
 		for i, ch := range s.Chains {
 			out.Chains[i] = ChainSnap{
 				RNG:     ch.RNG,
-				Cur:     SnapPoint{Config: ch.Cur.Config.Clone(), Objs: append(Objectives(nil), ch.Cur.Objs...), Feasible: ch.Cur.Feasible},
+				Cur:     ch.Cur.clone(),
 				CurE:    ch.CurE,
 				Temp:    ch.Temp,
 				Iter:    ch.Iter,
-				Archive: cloneSnapPoints(ch.Archive),
+				Archive: clonePoints(ch.Archive),
 			}
 		}
 	}
@@ -75,10 +62,10 @@ func (s *Snapshot) Clone() *Snapshot {
 // Options.validSeeds uses, and for the same reason: a front is ordered
 // along the tradeoff curve, and a prefix would export only one end of
 // it). The result deep-copies the snapshot's storage and is a pure
-// function of (snap, k), so every executor arrangement exports the same
-// migrants. Snapshots of algorithms that take no injected points (or an
+// function of (snap, k), so an island exports the same migrants wherever
+// it ran. Snapshots of algorithms that take no injected points (or an
 // empty front, or k <= 0) yield nil.
-func MigrantsOut(snap *Snapshot, k int) []SnapPoint {
+func MigrantsOut(snap *Snapshot, k int) []Point {
 	if snap == nil || k <= 0 {
 		return nil
 	}
@@ -91,9 +78,9 @@ func MigrantsOut(snap *Snapshot, k int) []SnapPoint {
 		return nil
 	}
 	k = min(k, len(front))
-	out := make([]SnapPoint, k)
+	out := make([]Point, k)
 	for i := range out {
-		out[i] = snapPoint(front[i*len(front)/k])
+		out[i] = front[i*len(front)/k].clone()
 	}
 	return out
 }
@@ -105,7 +92,7 @@ func MigrantsOut(snap *Snapshot, k int) []SnapPoint {
 // error: islands exploring the same region mostly exchange duplicates.
 // Injection draws no randomness, so the result is a pure function of
 // (snap, migrants, space).
-func InjectMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) (*Snapshot, error) {
+func InjectMigrants(space *Space, snap *Snapshot, migrants []Point) (*Snapshot, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("dse: inject migrants into nil snapshot")
 	}
@@ -128,31 +115,30 @@ func InjectMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) (*Snapsh
 // population members (the inverse of environmental selection's order),
 // at most half the population so immigration never displaces the whole
 // gene pool; the population is re-ranked and migrants join the archive.
-func injectPopulation(out *Snapshot, accepted []SnapPoint) error {
+// out is a deep copy the caller owns, and accepted holds fresh copies.
+func injectPopulation(out *Snapshot, accepted []Point) error {
 	n := len(out.Population)
 	if n == 0 {
 		return fmt.Errorf("dse: nsga2 snapshot has no population to inject into")
 	}
 	accepted = accepted[:min(len(accepted), n/2)]
-	pop := restorePoints(out.Population)
 	worst := worstIndices(out.Ranks, out.Crowd)
 	for i, m := range accepted {
-		pop[worst[i]] = m.point()
+		out.Population[worst[i]] = m
 	}
 	var ws sortWorkspace
-	ranks, crowd := ws.rankAndCrowd(pop)
-	out.Population = snapPoints(pop)
+	ranks, crowd := ws.rankAndCrowd(out.Population)
 	out.Ranks = append([]int(nil), ranks...)
 	out.Crowd = append(InfFloats(nil), crowd...)
-	out.Archive = snapPoints(archivePoints(out.Archive, accepted))
+	out.Archive = archivePoints(out.Archive, accepted)
 	return nil
 }
 
 // injectChains is MOSA's injection: migrants join every chain's guiding
 // archive; chain positions, temperatures and RNG states are untouched.
-func injectChains(out *Snapshot, accepted []SnapPoint) error {
+func injectChains(out *Snapshot, accepted []Point) error {
 	for i := range out.Chains {
-		out.Chains[i].Archive = snapPoints(archivePoints(out.Chains[i].Archive, accepted))
+		out.Chains[i].Archive = archivePoints(out.Chains[i].Archive, accepted)
 	}
 	return nil
 }
@@ -161,7 +147,7 @@ func injectChains(out *Snapshot, accepted []SnapPoint) error {
 // with as many objectives as the snapshot's front (front is the table
 // entry's), dropping duplicates of the snapshot's population (NSGA-II)
 // and among the migrants themselves, preserving first-seen order.
-func acceptMigrants(space *Space, snap *Snapshot, front func(*Snapshot) []Point, migrants []SnapPoint) []SnapPoint {
+func acceptMigrants(space *Space, snap *Snapshot, front func(*Snapshot) []Point, migrants []Point) []Point {
 	if len(migrants) == 0 {
 		return nil
 	}
@@ -173,7 +159,7 @@ func acceptMigrants(space *Space, snap *Snapshot, front func(*Snapshot) []Point,
 	if f := front(snap); len(f) > 0 {
 		objs = len(f[0].Objs)
 	}
-	out := make([]SnapPoint, 0, len(migrants))
+	out := make([]Point, 0, len(migrants))
 	for _, m := range migrants {
 		if !m.Feasible || len(m.Objs) == 0 || !space.Valid(m.Config) {
 			continue
@@ -186,7 +172,7 @@ func acceptMigrants(space *Space, snap *Snapshot, front func(*Snapshot) []Point,
 			continue
 		}
 		seen[k] = true
-		out = append(out, SnapPoint{Config: m.Config.Clone(), Objs: append(Objectives(nil), m.Objs...), Feasible: true})
+		out = append(out, m.clone())
 	}
 	return out
 }

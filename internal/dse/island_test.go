@@ -252,7 +252,7 @@ func TestInjectMigrantsResumes(t *testing.T) {
 // no-op clone.
 func TestInjectMigrantsFiltersGarbage(t *testing.T) {
 	s, nsga2Snap, _ := islandSnapshotPair(t)
-	garbage := []SnapPoint{
+	garbage := []Point{
 		{Config: Config{99, 99, 99}, Objs: Objectives{1, 2}, Feasible: true},             // out of range
 		{Config: Config{1, 1}, Objs: Objectives{1, 2}, Feasible: true},                   // wrong gene count
 		{Config: Config{1, 1, 1}, Feasible: false},                                       // infeasible

@@ -119,7 +119,7 @@ func runMOSA(s Search, space *Space, eval Evaluator, opts Options) (*Result, err
 		// Restore every chain and prime the memo cache with its points.
 		for i, cs := range opts.Resume.Chains {
 			c := newMOSAChain(space, cfg, chainSeed(s.Seed, i))
-			c.src.state, c.cur, c.curE = cs.RNG, cs.Cur.point(), cs.CurE
+			c.src.state, c.cur, c.curE = cs.RNG, cs.Cur.clone(), cs.CurE
 			c.temp, c.iter, c.started = cs.Temp, cs.Iter, true
 			rs.pe.prime(c.cur)
 			rs.restore(&c.arch, cs.Archive)
@@ -246,11 +246,11 @@ func snapChains(chains []*mosaChain) []ChainSnap {
 	for i, c := range chains {
 		out[i] = ChainSnap{
 			RNG:     c.src.state,
-			Cur:     snapPoint(c.cur),
+			Cur:     c.cur.clone(),
 			CurE:    c.curE,
 			Temp:    c.temp,
 			Iter:    c.iter,
-			Archive: snapPoints(c.arch.Points()),
+			Archive: clonePoints(c.arch.Points()),
 		}
 	}
 	return out

@@ -119,10 +119,10 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 func (r *nsga2Run) fill(snap *Snapshot, src *splitMix64) {
 	n := r.cfg.PopulationSize
 	snap.RNG = src.state
-	snap.Population = snapPoints(r.pop)
+	snap.Population = clonePoints(r.pop)
 	snap.Ranks = append([]int(nil), r.ranks[:n]...)
 	snap.Crowd = append(InfFloats(nil), r.crowd[:n]...)
-	snap.Archive = snapPoints(r.arch.Points())
+	snap.Archive = clonePoints(r.arch.Points())
 }
 
 // restore rebuilds the run from a validated snapshot: population,
@@ -130,7 +130,7 @@ func (r *nsga2Run) fill(snap *Snapshot, src *splitMix64) {
 // snapshot's points prime the memo cache so re-visited configurations are
 // cache hits rather than re-evaluations.
 func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64) {
-	r.pop = append(r.pop[:0], restorePoints(snap.Population)...)
+	r.pop = append(r.pop[:0], clonePoints(snap.Population)...)
 	copy(r.ranks, snap.Ranks)
 	copy(r.crowd, snap.Crowd)
 	for _, p := range r.pop {

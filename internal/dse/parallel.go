@@ -215,9 +215,9 @@ func (sh *memoShard) grow() {
 
 // IntoEvaluator is an Evaluator that can additionally write its objectives
 // into a caller-provided buffer of length NumObjectives(), avoiding the
-// per-call Objectives allocation. Compiled evaluators (casestudy and
-// scenario Compile) implement it; the batch runtime evaluates each miss
-// straight into the memo's objective arena through it.
+// per-call Objectives allocation. The compiled scenario evaluator
+// (scenario.Compiled) implements it; the batch runtime evaluates each
+// miss straight into the memo's objective arena through it.
 type IntoEvaluator interface {
 	Evaluator
 	EvaluateInto(c Config, objs Objectives) error

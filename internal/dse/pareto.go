@@ -17,11 +17,31 @@ type Evaluator interface {
 	NumObjectives() int
 }
 
-// Point is an evaluated design point.
+// Point is an evaluated design point. Objs is empty for an infeasible
+// point: constraint violations carry no objective vector. Snapshots,
+// migrants and island fronts carry points in this JSON form.
 type Point struct {
-	Config   Config
-	Objs     Objectives
-	Feasible bool
+	Config   Config     `json:"config"`
+	Objs     Objectives `json:"objs,omitempty"`
+	Feasible bool       `json:"feasible"`
+}
+
+// clone deep-copies the point's Config and Objs storage, so the copy
+// stays valid while its source keeps reusing its buffers.
+func (p Point) clone() Point {
+	return Point{Config: p.Config.Clone(), Objs: append(Objectives(nil), p.Objs...), Feasible: p.Feasible}
+}
+
+// clonePoints deep-copies points; nil stays nil.
+func clonePoints(ps []Point) []Point {
+	if ps == nil {
+		return nil
+	}
+	out := make([]Point, len(ps))
+	for i, p := range ps {
+		out[i] = p.clone()
+	}
+	return out
 }
 
 // Dominates reports whether a Pareto-dominates b: no worse in every

@@ -206,8 +206,8 @@ func (r *runState) evaluate(configs []Config, out []Point) []Point {
 // restore rebuilds a snapshot archive into arch and primes the memo with
 // its points, so re-visited configurations are cache hits rather than
 // re-evaluations.
-func (r *runState) restore(arch *Archive, sps []SnapPoint) {
-	restoreArchive(arch, sps)
+func (r *runState) restore(arch *Archive, ps []Point) {
+	restoreArchive(arch, ps)
 	for _, p := range arch.Points() {
 		r.pe.prime(p)
 	}

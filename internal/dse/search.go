@@ -125,7 +125,7 @@ func runBatches(rs *runState, space *Space, n int, draw func(Config), src *split
 		points = rs.evaluate(batch, points)
 		arch.AddBatch(points)
 	}, arch.Points, func(snap *Snapshot) {
-		snap.Next, snap.Archive = drawn, snapPoints(arch.Points())
+		snap.Next, snap.Archive = drawn, clonePoints(arch.Points())
 		if src != nil {
 			snap.RNG = src.state
 		}

@@ -11,8 +11,8 @@ package ieee802154
 
 import (
 	"fmt"
-	"math"
 
+	"wsndse/internal/numeric"
 	"wsndse/internal/units"
 )
 
@@ -231,18 +231,18 @@ func GTSSlotsFor(sf SuperframeConfig, payloadBytes int, phiOut float64) int {
 		return 0
 	}
 	slotPS := sf.SlotPerSecond()
-	k := int(math.Ceil(GTSDemandPerSecond(payloadBytes, phiOut)/slotPS - 1e-12))
+	k := numeric.CeilCount(GTSDemandPerSecond(payloadBytes, phiOut)/slotPS - 1e-12)
 	if k < 1 {
 		k = 1
 	}
 	service := float64(PacketService(payloadBytes))
 	slotLen := float64(sf.SlotDuration())
 	packetsPerSF := phiOut * float64(sf.BeaconInterval()) / float64(payloadBytes)
-	req := int(math.Ceil(packetsPerSF - 1e-9))
+	req := numeric.CeilCount(packetsPerSF - 1e-9)
 	if req < 1 {
 		req = 1
 	}
-	if minK := int(math.Ceil(float64(req)*service/slotLen - 1e-12)); k < minK {
+	if minK := numeric.CeilCount(float64(req)*service/slotLen - 1e-12); k < minK {
 		k = minK
 	}
 	return k

@@ -144,6 +144,20 @@ func RelErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want) * 100
 }
 
+// maxCount is 2^53, the largest count below which a float64 holds every
+// integer.
+const maxCount = 1 << 53
+
+// CeilCount returns ⌈x⌉ as an int, saturated at 2^53 (NaN included): a
+// count too large to serve stays too large, where converting it straight
+// to int would wrap around.
+func CeilCount(x float64) int {
+	if c := math.Ceil(x); c < maxCount {
+		return int(c)
+	}
+	return maxCount
+}
+
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 // n must be at least 2.
 func Linspace(lo, hi float64, n int) []float64 {

@@ -284,35 +284,34 @@ func firstMAC(row []core.GTSMacEntry) *core.GTSMac {
 	return nil
 }
 
-// Evaluator returns the compiled three-objective evaluator: minimize
+// Evaluator returns t, the compiled three-objective evaluator: minimize
 // (E_net [W], quality loss, delay_net [s]), bit-identical to
-// Problem.Evaluator() but allocation-free in steady state. It is safe for
-// concurrent use and implements dse.IntoEvaluator and dse.Forkable, so
-// the batch runtime gives each worker a private scratch instance.
-func (t *Compiled) Evaluator() dse.Evaluator {
-	return dse.NewPooledForkable(3, func() dse.EvalInto { return newCompiledEval(t).EvaluateInto })
+// Problem.Evaluator() but allocation-free in steady state through
+// EvaluateInto. An evaluation writes nothing but its own stack and objs,
+// so t is safe for concurrent use.
+func (t *Compiled) Evaluator() dse.Evaluator { return t }
+
+// NumObjectives implements dse.Evaluator.
+func (t *Compiled) NumObjectives() int { return 3 }
+
+// Evaluate implements dse.Evaluator.
+func (t *Compiled) Evaluate(c dse.Config) (dse.Objectives, error) {
+	objs := make(dse.Objectives, 3)
+	if err := t.EvaluateInto(c, objs); err != nil {
+		return nil, err
+	}
+	return objs, nil
 }
 
-// compiledEval is one evaluation context: the shared tables plus private
-// per-node scratch for the energies, qualities and Eq. 9 slot times the
-// last pass reads. Not safe for concurrent use.
-type compiledEval struct {
-	t                      *Compiled
-	energy, quality, ownTx []float64
-}
+// Fork implements dse.Forkable: t keeps no scratch, so every batch
+// worker shares it.
+func (t *Compiled) Fork() dse.Evaluator { return t }
 
-func newCompiledEval(t *Compiled) *compiledEval {
-	n := len(t.nodes)
-	buf := make([]float64, 3*n)
-	return &compiledEval{t: t, energy: buf[:n:n], quality: buf[n : 2*n : 2*n], ownTx: buf[2*n:]}
-}
-
-// EvaluateInto is the dse.EvalInto context surface. Errors come in the
+// EvaluateInto implements dse.IntoEvaluator. Errors come in the
 // reference evaluator's order: the grid point's MAC and quantum errors,
 // then Eq. 1's per-node step in node order, the capacity and accounting
 // checks, and last the first node whose local terms fail.
-func (e *compiledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
-	t := e.t
+func (t *Compiled) EvaluateInto(c dse.Config, objs dse.Objectives) error {
 	if !t.space.Valid(c) {
 		return fmt.Errorf("scenario %q: invalid config %v", t.name, c)
 	}
@@ -325,6 +324,10 @@ func (e *compiledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
 	}
 	sf := &t.frames[vi]
 
+	// The energies, qualities and Eq. 9 slot times the last pass reads. A
+	// network of more than ieee.MaxGTS nodes has no GTS MAC, so its grid
+	// point's error returned above.
+	var nodeEnergy, nodeQuality, ownTx [ieee.MaxGTS]float64
 	var used, totalTx float64
 	failed := -1 // first node whose local terms fail
 	for i := range t.nodes {
@@ -351,14 +354,14 @@ func (e *compiledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
 			own = sf.terms.SlotTime(dtx)
 		}
 		totalTx += own
-		e.ownTx[i] = own
+		ownTx[i] = own
 		lt := m.local[cr*m.nF+c[nd.fGene]]
 		if lt.fails && failed < 0 {
 			failed = i
 		}
 		// Eq. 7: the local terms' sum plus Eq. 6.
-		e.energy[i] = lt.power + m.radio[rRow*m.nCR+cr]
-		e.quality[i] = m.quality[cr]
+		nodeEnergy[i] = lt.power + m.radio[rRow*m.nCR+cr]
+		nodeQuality[i] = m.quality[cr]
 	}
 	if _, err := core.Budget(gp.mac, len(t.nodes), used, sf.capacity, sf.control); err != nil {
 		return err
@@ -374,9 +377,9 @@ func (e *compiledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
 		if m := t.nodes[i].model; m.view {
 			d.Service2 = m.service2
 		}
-		energy = energy.Add(e.energy[i])
-		quality = quality.Add(e.quality[i])
-		delay = delay.Add(d.Bound(totalTx, e.ownTx[i]))
+		energy = energy.Add(nodeEnergy[i])
+		quality = quality.Add(nodeQuality[i])
+		delay = delay.Add(d.Bound(totalTx, ownTx[i]))
 	}
 	objs[0] = core.CombineMoments(energy, t.theta)
 	objs[1] = core.CombineMoments(quality, t.theta)

@@ -1,13 +1,16 @@
 package scenario
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"wsndse/internal/casestudy"
+	"wsndse/internal/core"
 	"wsndse/internal/dse"
+	"wsndse/internal/units"
 )
 
 // TestCompiledZeroAllocsScenario pins the allocation guarantee on the
@@ -126,15 +129,24 @@ func TestAxisMajorMatchesNodeMajor(t *testing.T) {
 
 // TestCompileRejectsUnservableStream: a node whose stream needs more GTS
 // slots than the k table holds fails Compile with an error naming it,
-// rather than storing a truncated k.
+// rather than storing a truncated k, and the reference evaluator rejects
+// the nominal point on Eq. 2's capacity.
 func TestCompileRejectsUnservableStream(t *testing.T) {
-	sc := ECGWard()
-	sc.Nodes[4].SampleFreq = 1e13 // about 3·10⁹ slots at SFO gap 0
-	problem, err := NewProblem(sc, casestudy.DefaultCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := problem.Compile(); err == nil || !strings.Contains(err.Error(), sc.Nodes[4].Name) {
-		t.Fatalf("Compile = %v, want an error naming node %s", err, sc.Nodes[4].Name)
+	// 1e13 Hz needs about 3·10⁹ slots at SFO gap 0; at 1e300 Hz the slot
+	// count saturates at 2^53 rather than wrapping around to one slot.
+	for _, fs := range []units.Hertz{1e13, 1e18, 1e300} {
+		sc := ECGWard()
+		sc.Nodes[4].SampleFreq = fs
+		problem, err := NewProblem(sc, casestudy.DefaultCalibration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := problem.Compile(); err == nil || !strings.Contains(err.Error(), sc.Nodes[4].Name) {
+			t.Fatalf("%g Hz: Compile = %v, want an error naming node %s", fs, err, sc.Nodes[4].Name)
+		}
+		var ie *core.InfeasibleError
+		if _, err := problem.Evaluator().Evaluate(problem.NominalConfig()); !errors.As(err, &ie) || ie.Code != core.CodeCapacity {
+			t.Fatalf("%g Hz: reference evaluation of the nominal point = %v, want a capacity error", fs, err)
+		}
 	}
 }

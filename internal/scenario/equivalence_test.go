@@ -64,11 +64,12 @@ func familySample(t *testing.T) []scenario.Scenario {
 }
 
 // TestCompiledMatchesReferenceAllScenarios is the equivalence guarantee:
-// for every registered scenario, a sample of both scenario families and
-// ecg-ward in the axis-major gene layout, the compiled evaluator returns
-// bit-identical objectives and the same errors (message and infeasibility
-// code) as the reference evaluator, both directly and through the batch
-// runtime at worker counts 1 and 8.
+// for every registered scenario, a sample of both scenario families,
+// ecg-ward in the axis-major gene layout and an eight-node dense-gts (one
+// node more than the compiled evaluator's per-node scratch holds), the
+// compiled evaluator returns bit-identical objectives and the same errors
+// (message and infeasibility code) as the reference evaluator, both
+// directly and through the batch runtime at worker counts 1 and 8.
 func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 	type input struct {
 		name  string
@@ -79,7 +80,8 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 	for _, sc := range scenario.List() {
 		inputs = append(inputs, input{sc.Name, sc, scenario.NewProblem})
 	}
-	inputs = append(inputs, input{"ecg-ward-axis-major", scenario.ECGWard(), scenario.NewAxisMajorProblem})
+	inputs = append(inputs, input{"ecg-ward-axis-major", scenario.ECGWard(), scenario.NewAxisMajorProblem},
+		input{"dense-gts-8", scenario.DenseGTS(8), scenario.NewProblem})
 	for _, sc := range familySample(t) {
 		inputs = append(inputs, input{sc.Name, sc, scenario.NewProblem})
 	}

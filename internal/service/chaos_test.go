@@ -794,22 +794,21 @@ func TestHTTPRobustnessSurface(t *testing.T) {
 }
 
 // TestChaosBoundaryHookSeesEveryJob: plain jobs and island rounds reach
-// the one faultinject boundary point. A plain job reports island 0 on
-// executor -1, and each island of an island job reports its steps on the
-// executor running it; either way every island passes steps 1…N once,
-// in order, and a plain job's progress ends at N of N. The exhaustive
-// job sweeps raw-stream, fewer points than one batch: its one boundary
-// is its last.
+// the one faultinject boundary point. A plain job reports island 0, and
+// each island of an island job reports its own steps; either way every
+// island passes steps 1…N once, in order, and a plain job's progress
+// ends at N of N. The exhaustive job sweeps raw-stream, fewer points than
+// one batch: its one boundary is its last.
 func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
-	type call struct{ island, executor, step int }
+	type call struct{ island, step int }
 	var (
 		mu    sync.Mutex
 		calls []call
 	)
 	defer faultinject.Reset()
-	faultinject.SetBoundaryHook(func(_ string, island, executor, step int) {
+	faultinject.SetBoundaryHook(func(_ string, island, step int) {
 		mu.Lock()
-		calls = append(calls, call{island, executor, step})
+		calls = append(calls, call{island, step})
 		mu.Unlock()
 	})
 	cases := map[string]struct {
@@ -836,13 +835,9 @@ func TestChaosBoundaryHookSeesEveryJob(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			islands := max(spec.Islands, 1)
-			validExec := func(e int) bool { return e >= 0 }
-			if spec.Islands < 2 {
-				validExec = func(e int) bool { return e == -1 }
-			}
 			steps := make([][]int, islands)
 			for _, c := range calls {
-				if c.island < 0 || c.island >= islands || !validExec(c.executor) {
+				if c.island < 0 || c.island >= islands {
 					t.Fatalf("boundary call %+v of a %s job", c, name)
 				}
 				steps[c.island] = append(steps[c.island], c.step)

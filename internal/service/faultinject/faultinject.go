@@ -6,10 +6,9 @@
 // a full disk, a torn (partially written) checkpoint.
 //
 // Every search boundary, of a plain job or of an island round, reaches
-// the one Boundary point with the job ID, the island, the executor
-// running it and the step. A plain job is the one-island run the
-// checkpoint store already treats it as: it reports island 0 on
-// executor -1.
+// the one Boundary point with the job ID, the island and the step. A
+// plain job is the one-island run the checkpoint store already treats it
+// as: it reports island 0.
 //
 // All hooks default to disabled and the disabled fast path is a single
 // atomic load, so shipping the hook points in production builds costs
@@ -36,7 +35,7 @@ var armed atomic.Bool
 
 var (
 	mu             sync.Mutex
-	boundaryHook   func(jobID string, island, executor, step int)
+	boundaryHook   func(jobID string, island, step int)
 	checkpointHook func(path string, data []byte) ([]byte, error)
 	storeHook      func(path string) error
 	migrationHook  func(jobID string, round, from, to int) error
@@ -55,18 +54,15 @@ func (p InjectedPanic) String() string {
 }
 
 // InjectedIslandPanic is the value injected island-boundary panics
-// carry: which island (and which executor was running it) crashed at
-// which search step.
+// carry: which island crashed at which search step.
 type InjectedIslandPanic struct {
-	JobID    string
-	Island   int
-	Executor int
-	Step     int
+	JobID  string
+	Island int
+	Step   int
 }
 
 func (p InjectedIslandPanic) String() string {
-	return fmt.Sprintf("faultinject: injected panic in job %s island %d (executor %d) at step %d",
-		p.JobID, p.Island, p.Executor, p.Step)
+	return fmt.Sprintf("faultinject: injected panic in job %s island %d at step %d", p.JobID, p.Island, p.Step)
 }
 
 // rearm recomputes the fast-path gate. Caller holds mu.
@@ -88,7 +84,7 @@ func Reset() {
 // or inside the worker process), between generations/segments, and may
 // panic to simulate an evaluator or island crash at an exact,
 // reproducible step. nil disarms.
-func SetBoundaryHook(fn func(jobID string, island, executor, step int)) {
+func SetBoundaryHook(fn func(jobID string, island, step int)) {
 	mu.Lock()
 	defer mu.Unlock()
 	boundaryHook = fn
@@ -121,7 +117,7 @@ func SetStoreWriteHook(fn func(path string) error) {
 func PanicOnceAtStep(step, times int) {
 	var remaining atomic.Int64
 	remaining.Store(int64(times))
-	SetBoundaryHook(func(jobID string, _, _, s int) {
+	SetBoundaryHook(func(jobID string, _, s int) {
 		if s == step && remaining.Add(-1) >= 0 {
 			panic(InjectedPanic{JobID: jobID, Step: s})
 		}
@@ -145,24 +141,9 @@ func SetMigrationHook(fn func(jobID string, round, from, to int) error) {
 func PanicOnIslandAtStep(island, step, times int) {
 	var remaining atomic.Int64
 	remaining.Store(int64(times))
-	SetBoundaryHook(func(jobID string, isl, executor, s int) {
+	SetBoundaryHook(func(jobID string, isl, s int) {
 		if isl == island && s == step && remaining.Add(-1) >= 0 {
-			panic(InjectedIslandPanic{JobID: jobID, Island: isl, Executor: executor, Step: s})
-		}
-	})
-}
-
-// PanicOnExecutorAtStep arms the boundary hook to panic every time any
-// island running on executor `executor` reaches step `step`, up to
-// `times` total panics. With times > the executor's restart budget this
-// simulates a persistently broken worker: the coordinator must declare
-// the executor lost and redistribute its islands.
-func PanicOnExecutorAtStep(executor, step, times int) {
-	var remaining atomic.Int64
-	remaining.Store(int64(times))
-	SetBoundaryHook(func(jobID string, isl, exec, s int) {
-		if exec == executor && s == step && remaining.Add(-1) >= 0 {
-			panic(InjectedIslandPanic{JobID: jobID, Island: isl, Executor: exec, Step: s})
+			panic(InjectedIslandPanic{JobID: jobID, Island: isl, Step: s})
 		}
 	})
 }
@@ -183,10 +164,9 @@ func DropMigrations(times int) {
 }
 
 // Boundary is the hook point every search calls at every boundary: the
-// service's plain-job sink with island 0 on executor -1, and the island
-// runner with the island and the executor running it. Disabled: one
-// atomic load.
-func Boundary(jobID string, island, executor, step int) {
+// service's plain-job sink with island 0, and the island runner with its
+// island. Disabled: one atomic load.
+func Boundary(jobID string, island, step int) {
 	if !armed.Load() {
 		return
 	}
@@ -194,7 +174,7 @@ func Boundary(jobID string, island, executor, step int) {
 	fn := boundaryHook
 	mu.Unlock()
 	if fn != nil {
-		fn(jobID, island, executor, step)
+		fn(jobID, island, step)
 	}
 }
 

@@ -139,41 +139,22 @@ func TestIslandHookPanicsOnTarget(t *testing.T) {
 	defer Reset()
 	PanicOnIslandAtStep(2, 3, 1)
 
-	Boundary("j1", 1, 0, 3) // wrong island: no panic
-	Boundary("j1", 2, 0, 2) // wrong step: no panic
+	Boundary("j1", 1, 3) // wrong island: no panic
+	Boundary("j1", 2, 2) // wrong step: no panic
 
 	caught := func() (p any) {
 		defer func() { p = recover() }()
-		Boundary("j1", 2, 5, 3)
+		Boundary("j1", 2, 3)
 		return nil
 	}()
 	ip, ok := caught.(InjectedIslandPanic)
 	if !ok {
 		t.Fatalf("recovered %v, want InjectedIslandPanic", caught)
 	}
-	if ip.Island != 2 || ip.Step != 3 || ip.Executor != 5 || ip.JobID != "j1" {
+	if ip.Island != 2 || ip.Step != 3 || ip.JobID != "j1" {
 		t.Fatalf("panic payload %+v", ip)
 	}
-	Boundary("j1", 2, 5, 3) // budget spent: no panic
-}
-
-func TestPanicOnExecutorAtStep(t *testing.T) {
-	defer Reset()
-	PanicOnExecutorAtStep(1, 4, 2)
-	hits := 0
-	for _, isl := range []int{0, 3, 6} { // different islands, same executor
-		func() {
-			defer func() {
-				if recover() != nil {
-					hits++
-				}
-			}()
-			Boundary("j1", isl, 1, 4)
-		}()
-	}
-	if hits != 2 {
-		t.Fatalf("executor hook fired %d times, want 2", hits)
-	}
+	Boundary("j1", 2, 3) // budget spent: no panic
 }
 
 func TestDropMigrations(t *testing.T) {
@@ -194,7 +175,7 @@ func TestResetDisarmsIslandHooks(t *testing.T) {
 	PanicOnIslandAtStep(0, 1, 100)
 	DropMigrations(100)
 	Reset()
-	Boundary("j1", 0, 0, 1) // must not panic
+	Boundary("j1", 0, 1) // must not panic
 	if err := Migration("j1", 0, 0, 1); err != nil {
 		t.Fatalf("Migration after Reset: %v", err)
 	}

@@ -41,7 +41,7 @@ func BenchmarkDistributedThroughput(b *testing.B) {
 				Seed:      11,
 				Workers:   1,
 			}}
-			cfg := Config{Islands: islands, Interval: 5, Migrants: 4, Executors: islands}
+			cfg := Config{Islands: islands, Interval: 5, Migrants: 4}
 			totalEvals := 0
 			b.ResetTimer()
 			start := time.Now()

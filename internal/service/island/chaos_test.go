@@ -3,6 +3,7 @@ package island
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -53,45 +54,49 @@ func TestIslandPanicFailover(t *testing.T) {
 	}
 }
 
-// TestExecutorLostRedistribution: an executor that panics every time it
-// reaches a step exhausts its restart budget, is declared lost, and its
-// islands complete on the survivors — with a bit-identical front.
-func TestExecutorLostRedistribution(t *testing.T) {
-	job, cfg := testJob("nsga2")
-	golden := runCoordinator(t, job, cfg)
-
-	defer faultinject.Reset()
-	cfg.Executors = 2
-	faultinject.PanicOnExecutorAtStep(1, 5, 1000) // persistent: every attempt on executor 1 dies
-	events := collectEvents(&cfg)
-	disturbed := runCoordinator(t, job, cfg)
-	sameResult(t, golden, disturbed, "lost executor vs golden")
-	if events(EventExecutorLost) != 1 {
-		t.Errorf("executor_lost events = %d, want 1", events(EventExecutorLost))
-	}
-	if events(EventCrash) != 3 { // budget 2 + the final fatal attempt
-		t.Errorf("crash events = %d, want 3", events(EventCrash))
-	}
+// brokenRunner fails every attempt of one island, as a worker that
+// crashes on that island's input would, and runs the others through
+// inner.
+type brokenRunner struct {
+	inner  Runner
+	island int
 }
 
-// TestAllExecutorsLostFallback: when every executor is persistently
-// broken the coordinator finishes the job inline — slower, never wrong.
-func TestAllExecutorsLostFallback(t *testing.T) {
+func (b *brokenRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
+	if req.Island == b.island {
+		return nil, fmt.Errorf("island %d: worker crashed", req.Island)
+	}
+	return b.inner.RunRound(ctx, req, beat)
+}
+
+// TestIslandFallsBackInline: an island whose every attempt on the runner
+// fails exhausts its runner budget in the first round, runs in-process
+// from then on, and the job finishes with the golden front — slower,
+// never wrong. No other island falls back.
+func TestIslandFallsBackInline(t *testing.T) {
 	job, cfg := testJob("nsga2")
 	golden := runCoordinator(t, job, cfg)
 
-	defer faultinject.Reset()
-	cfg.Executors = 2
-	faultinject.SetBoundaryHook(func(jobID string, island, executor, step int) {
-		if executor >= 0 && step == 5 {
-			panic(faultinject.InjectedIslandPanic{JobID: jobID, Island: island, Executor: executor, Step: step})
-		}
-	})
+	space := testSpace(12, 4, 3)
+	cfg.Runner = &brokenRunner{inner: &GoRunner{Space: space, Eval: &testEval{space: space}}, island: 1}
 	events := collectEvents(&cfg)
-	disturbed := runCoordinator(t, job, cfg)
-	sameResult(t, golden, disturbed, "all executors lost vs golden")
-	if events(EventExecutorLost) != 2 || events(EventFallback) != 1 {
-		t.Errorf("executor_lost=%d fallback=%d, want 2/1", events(EventExecutorLost), events(EventFallback))
+	c, err := New(cfg, job, space, &testEval{space: space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disturbed, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, golden, disturbed, "inline fallback vs golden")
+	if events(EventCrash) != maxRestarts+1 || events(EventFallback) != 1 || events(EventRestart) != maxRestarts+1 {
+		t.Errorf("crash=%d fallback=%d restart=%d events, want %d/1/%d",
+			events(EventCrash), events(EventFallback), events(EventRestart), maxRestarts+1, maxRestarts+1)
+	}
+	for _, st := range c.Status() {
+		if st.Inline != (st.Island == 1) {
+			t.Errorf("island %d: inline=%v", st.Island, st.Inline)
+		}
 	}
 }
 
@@ -100,10 +105,9 @@ func TestAllExecutorsLostFallback(t *testing.T) {
 func TestFallbackExhaustedFailsCleanly(t *testing.T) {
 	job, cfg := testJob("nsga2")
 	defer faultinject.Reset()
-	cfg.Executors = 2
-	faultinject.SetBoundaryHook(func(jobID string, island, executor, step int) {
+	faultinject.SetBoundaryHook(func(jobID string, island, step int) {
 		if step == 5 {
-			panic(faultinject.InjectedIslandPanic{JobID: jobID, Island: island, Executor: executor, Step: step})
+			panic(faultinject.InjectedIslandPanic{JobID: jobID, Island: island, Step: step})
 		}
 	})
 	space := testSpace(12, 4, 3)
@@ -112,8 +116,8 @@ func TestFallbackExhaustedFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = c.Run(context.Background())
-	if !errors.Is(err, errNoExecutors) {
-		t.Fatalf("err = %v, want errNoExecutors", err)
+	if !errors.Is(err, errExhausted) {
+		t.Fatalf("err = %v, want errExhausted", err)
 	}
 }
 

@@ -6,9 +6,9 @@
 //
 // The design premise is that the merged front is a pure function of
 // (job, islands, migration interval, migrant count) and nothing else —
-// not of how many executors ran the islands, not of which executor ran
-// which island, and not of whether any executor crashed, hung, or was
-// killed mid-round. The coordinator runs islands in lock-step rounds:
+// not of where an island ran, not of how often it was retried, and not
+// of whether an attempt crashed, hung, or was killed mid-round. The
+// coordinator runs islands in lock-step rounds:
 // every island advances from its checkpoint to the next migration
 // boundary (dse.Options.StopAfter), the coordinator exchanges migrants
 // on the ring and injects them deterministically (dse.InjectMigrants),
@@ -20,19 +20,19 @@
 // death, is the caller's business (the service writes every island's
 // checkpoint files at each migration boundary).
 //
-// Supervision is budgeted per executor: an executor whose attempts keep
-// failing exhausts its restart budget and is declared lost, and its
-// islands are redistributed round-robin over the survivors. When every
-// executor is lost the coordinator falls back to running islands inline
-// (with a final budget of its own), so the job degrades to slower — not
-// wrong, and not dead — until genuinely nothing can run.
+// Supervision is per island: every island runs its rounds on a goroutine
+// of its own, and a failed attempt is retried from the island's unchanged
+// snapshot. An island's failures count over the whole job. After more
+// than maxRestarts of them on the Runner the island runs in-process from
+// then on (the inline fallback), and after more than maxRestarts further
+// failures it fails the round, so the job degrades to slower — not wrong,
+// and not dead — until genuinely nothing can run.
 package island
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,30 +48,28 @@ const (
 	EventMigrationDrop = "migration_drop" // a ring transfer was dropped (will be retried)
 	EventCrash         = "crash"          // an island attempt failed
 	EventRestart       = "restart"        // the island will be retried from its checkpoint
-	EventExecutorLost  = "executor_lost"  // an executor exhausted its restart budget
-	EventFallback      = "fallback"       // coordinator switched to inline execution
+	EventFallback      = "fallback"       // the island switched to in-process execution
 )
 
 // Event is one coordinator observation, published to Config.OnEvent as
-// it happens (from coordinator and executor goroutines — the callback
-// must be safe for concurrent use and should not block).
+// it happens (from the coordinator's and the islands' goroutines — the
+// callback must be safe for concurrent use and should not block).
 type Event struct {
-	Kind     string `json:"kind"`
-	Island   int    `json:"island"`
-	Executor int    `json:"executor"` // -1: the coordinator-inline fallback
-	Round    int    `json:"round"`
-	Step     int    `json:"step"`
-	Error    string `json:"error,omitempty"`
+	Kind   string `json:"kind"`
+	Island int    `json:"island"`
+	Round  int    `json:"round"`
+	Step   int    `json:"step"`
+	Error  string `json:"error,omitempty"`
 }
 
 // Status is one island's supervision state, embedded in the service's
 // JobInfo so /v1/jobs reports per-island attempts and restarts.
 type Status struct {
-	Island   int `json:"island"`
-	Executor int `json:"executor"` // executor that last ran the island; -1: fallback
-	Step     int `json:"step"`     // latest boundary the island has passed
-	Attempts int `json:"attempts"` // round attempts started
-	Restarts int `json:"restarts"` // of those, how many failed and were retried
+	Island   int  `json:"island"`
+	Inline   bool `json:"inline"`   // the island fell back to in-process execution
+	Step     int  `json:"step"`     // latest boundary the island has passed
+	Attempts int  `json:"attempts"` // round attempts started
+	Restarts int  `json:"restarts"` // of those, how many failed
 }
 
 // Config tunes one coordinator. The zero value of every field has a
@@ -92,14 +90,9 @@ type Config struct {
 	// successor at every boundary. Default 4.
 	Migrants int
 
-	// Executors is how many islands run concurrently — pure parallelism,
-	// with no effect on results. Defaults to Islands; clamped to
-	// [1, Islands].
-	Executors int
-
 	// StallTimeout arms the heartbeat watchdog: an island attempt that
 	// passes no search boundary for this long is cancelled and retried
-	// (counting against its executor's budget). 0 disables the watchdog.
+	// (counting against the island's budget). 0 disables the watchdog.
 	StallTimeout time.Duration
 
 	// Resume restarts the whole coordinator from a checkpoint previously
@@ -126,23 +119,24 @@ type Config struct {
 	// Stats receives every island's per-boundary search telemetry
 	// (tagged with the island index) when rounds run on the default
 	// in-process runner or the inline fallback. It is called from
-	// executor goroutines concurrently. A custom Runner that wants stats
+	// island goroutines concurrently. A custom Runner that wants stats
 	// must wire its own sink (GoRunner.Stats); ProcRunner rounds carry
 	// none — see GoRunner's doc for why. May be nil.
 	Stats func(island int, s dse.Stats)
 }
 
-// maxRestarts is each executor's restart budget (and, separately, the
-// inline fallback's): an executor whose attempts fail more than
-// maxRestarts times is lost and its islands are redistributed.
+// maxRestarts bounds an island's failed attempts over the whole job:
+// after more than maxRestarts on the Runner the island falls back to
+// in-process execution, and after more than maxRestarts further ones it
+// fails the round with errExhausted.
 const maxRestarts = 2
 
 // errStalled is the cancellation cause of an island attempt that stopped
-// heartbeating; errNoExecutors fails the job when every executor and the
-// inline fallback have exhausted their budgets.
+// heartbeating; errExhausted fails the round of an island that exhausted
+// its budget on the Runner and then on the inline fallback.
 var (
-	errStalled     = errors.New("island: attempt stalled (no heartbeat within StallTimeout)")
-	errNoExecutors = errors.New("island: all executors and the inline fallback exhausted their restart budgets")
+	errStalled   = errors.New("island: attempt stalled (no heartbeat within StallTimeout)")
+	errExhausted = errors.New("island: the runner and the inline fallback exhausted the restart budget")
 )
 
 // Coordinator drives one island-model job. Create with New, run with
@@ -155,12 +149,8 @@ type Coordinator struct {
 	runner   Runner
 	fallback Runner
 
-	mu           sync.Mutex
-	status       []Status
-	execRestarts []int
-	execLost     []bool
-	fbRestarts   int
-	fbAnnounced  bool
+	mu     sync.Mutex
+	status []Status
 }
 
 // New validates the job and configuration and builds a coordinator.
@@ -177,25 +167,20 @@ func New(cfg Config, job Job, space *dse.Space, eval dse.Evaluator) (*Coordinato
 	if cfg.Migrants <= 0 {
 		cfg.Migrants = 4
 	}
-	if cfg.Executors <= 0 || cfg.Executors > cfg.Islands {
-		cfg.Executors = cfg.Islands
-	}
 	c := &Coordinator{
-		cfg:          cfg,
-		job:          job,
-		space:        space,
-		eval:         eval,
-		runner:       cfg.Runner,
-		fallback:     &GoRunner{Space: space, Eval: eval, Stats: cfg.Stats},
-		status:       make([]Status, cfg.Islands),
-		execRestarts: make([]int, cfg.Executors),
-		execLost:     make([]bool, cfg.Executors),
+		cfg:      cfg,
+		job:      job,
+		space:    space,
+		eval:     eval,
+		runner:   cfg.Runner,
+		fallback: &GoRunner{Space: space, Eval: eval, Stats: cfg.Stats},
+		status:   make([]Status, cfg.Islands),
 	}
 	if c.runner == nil {
 		c.runner = c.fallback
 	}
 	for i := range c.status {
-		c.status[i] = Status{Island: i, Executor: -1}
+		c.status[i].Island = i
 	}
 	if cfg.Resume != nil {
 		if err := c.checkResume(cfg.Resume); err != nil {
@@ -240,9 +225,9 @@ func (c *Coordinator) emit(e Event) {
 }
 
 // Run executes the job to completion and returns the merged front. The
-// result is bit-identical across executor counts, island crashes,
-// executor loss, and coordinator restarts from checkpoints — anything
-// short of changing (job, Islands, Interval, Migrants).
+// result is bit-identical across island crashes, retries and fallbacks,
+// and coordinator restarts from checkpoints — anything short of changing
+// (job, Islands, Interval, Migrants).
 func (c *Coordinator) Run(ctx context.Context) (*dse.Result, error) {
 	total := c.job.Steps(c.space)
 	if total <= 0 {
@@ -301,9 +286,7 @@ func mergeResults(resps []*Response) *dse.Result {
 	for _, r := range resps {
 		out.Evaluated += r.Result.Evaluated
 		out.Infeasible += r.Result.Infeasible
-		for _, sp := range r.Result.Front {
-			all = append(all, dse.Point{Config: sp.Config, Objs: sp.Objs, Feasible: sp.Feasible})
-		}
+		all = append(all, r.Result.Front...)
 	}
 	var arch dse.Archive
 	arch.AddBatch(all)
@@ -311,119 +294,71 @@ func mergeResults(resps []*Response) *dse.Result {
 	return out
 }
 
-// wave runs every island from its current snapshot to stopAfter (0: to
-// completion), supervising executors and redistributing islands as
-// executors die, and returns all island responses. It is the round
-// barrier: no island starts round r+1 until every island finished r.
+// wave runs every island from its snapshot to stopAfter (0: to
+// completion), each under supervise on a goroutine of its own, and
+// returns all island responses. It is the round barrier: no island starts
+// round r+1 until every island finished r. An island that fails the
+// round cancels the others' attempts.
 func (c *Coordinator) wave(ctx context.Context, round, stopAfter int, snaps []*dse.Snapshot) ([]*Response, error) {
-	out := make([]*Response, c.cfg.Islands)
-	pending := make([]int, c.cfg.Islands)
-	for i := range pending {
-		pending[i] = i
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	out := make([]*Response, len(snaps))
+	var wg sync.WaitGroup
+	for isl, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := c.supervise(ctx, round, isl, stopAfter, snap)
+			if err != nil {
+				cancel(err)
+			}
+			out[isl] = resp
+		}()
 	}
-	for len(pending) > 0 {
-		execs, runner := c.aliveExecutors()
-		if execs == nil {
-			return nil, errNoExecutors
-		}
-		assign := make(map[int][]int, len(execs))
-		for n, isl := range pending {
-			e := execs[n%len(execs)]
-			assign[e] = append(assign[e], isl)
-		}
-		var (
-			wg      sync.WaitGroup
-			mu      sync.Mutex
-			requeue []int
-			fatal   error
-		)
-		for e, islands := range assign {
-			wg.Add(1)
-			go func(e int, islands []int) {
-				defer wg.Done()
-				for n, isl := range islands {
-					for {
-						resp, err := c.attempt(ctx, runner, isl, e, stopAfter, snaps[isl])
-						if err == nil {
-							mu.Lock()
-							out[isl] = resp
-							mu.Unlock()
-							c.emit(Event{Kind: EventRound, Island: isl, Executor: e, Round: round, Step: c.islandStep(isl)})
-							break
-						}
-						if ctx.Err() != nil {
-							mu.Lock()
-							fatal = context.Cause(ctx)
-							mu.Unlock()
-							return
-						}
-						c.emit(Event{Kind: EventCrash, Island: isl, Executor: e, Round: round, Error: err.Error()})
-						if c.noteCrash(e, isl) {
-							c.emit(Event{Kind: EventExecutorLost, Island: isl, Executor: e, Round: round, Error: err.Error()})
-							mu.Lock()
-							requeue = append(requeue, islands[n:]...)
-							mu.Unlock()
-							return
-						}
-						c.emit(Event{Kind: EventRestart, Island: isl, Executor: e, Round: round})
-					}
-				}
-			}(e, islands)
-		}
-		wg.Wait()
-		if fatal != nil {
-			return nil, fatal
-		}
-		sort.Ints(requeue)
-		pending = requeue
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// aliveExecutors returns the executors still within budget and the
-// runner to use on them; when all are lost it switches to the inline
-// fallback (executor -1), and when that too is exhausted returns nil.
-func (c *Coordinator) aliveExecutors() ([]int, Runner) {
-	c.mu.Lock()
-	var alive []int
-	for e, lost := range c.execLost {
-		if !lost {
-			alive = append(alive, e)
+// supervise retries one island's round from its unchanged snapshot until
+// an attempt succeeds, charging each failure to the island's budget.
+func (c *Coordinator) supervise(ctx context.Context, round, island, stopAfter int, snap *dse.Snapshot) (*Response, error) {
+	for {
+		resp, err := c.attempt(ctx, island, stopAfter, snap)
+		if err == nil {
+			c.emit(Event{Kind: EventRound, Island: island, Round: round, Step: c.islandStep(island)})
+			return resp, nil
 		}
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		c.emit(Event{Kind: EventCrash, Island: island, Round: round, Error: err.Error()})
+		fallback, exhausted := c.noteCrash(island)
+		if exhausted {
+			return nil, fmt.Errorf("island %d: %w (last failure: %v)", island, errExhausted, err)
+		}
+		if fallback {
+			c.emit(Event{Kind: EventFallback, Island: island, Round: round, Error: err.Error()})
+		}
+		c.emit(Event{Kind: EventRestart, Island: island, Round: round})
 	}
-	if len(alive) > 0 {
-		c.mu.Unlock()
-		return alive, c.runner
-	}
-	exhausted := c.fbRestarts > maxRestarts
-	announce := !c.fbAnnounced && !exhausted
-	c.fbAnnounced = true
-	c.mu.Unlock()
-	if exhausted {
-		return nil, nil
-	}
-	if announce {
-		c.emit(Event{Kind: EventFallback, Island: -1, Executor: -1})
-	}
-	return []int{-1}, c.fallback
 }
 
-// noteCrash charges one failed attempt to the executor's budget and
-// reports whether the executor is now lost.
-func (c *Coordinator) noteCrash(exec, island int) (lost bool) {
+// noteCrash charges one failed attempt to the island's job-wide budget
+// and reports whether that failure moves the island to the inline
+// fallback or exhausts it.
+func (c *Coordinator) noteCrash(island int) (fallback, exhausted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.status[island].Restarts++
-	if exec < 0 {
-		c.fbRestarts++
-		return c.fbRestarts > maxRestarts
+	st := &c.status[island]
+	st.Restarts++
+	if !st.Inline && st.Restarts > maxRestarts {
+		st.Inline = true
+		return true, false
 	}
-	c.execRestarts[exec]++
-	if c.execRestarts[exec] > maxRestarts {
-		c.execLost[exec] = true
-		return true
-	}
-	return false
+	return false, st.Restarts > 2*maxRestarts+1
 }
 
 func (c *Coordinator) islandStep(island int) int {
@@ -432,15 +367,19 @@ func (c *Coordinator) islandStep(island int) int {
 	return c.status[island].Step
 }
 
-// attempt runs one island round on one executor, guarded by the
-// heartbeat watchdog. A stalled attempt is cancelled and — if the runner
-// does not honor cancellation promptly (a truly hung in-process
-// evaluator cannot be preempted) — abandoned: its eventual result is
-// discarded, and the island is retried from its unchanged snapshot.
-func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, stopAfter int, resume *dse.Snapshot) (*Response, error) {
+// attempt runs one island round, on the Runner or, once the island has
+// fallen back, in-process, guarded by the heartbeat watchdog. A stalled
+// attempt is cancelled and — if the runner does not honor cancellation
+// promptly (a truly hung in-process evaluator cannot be preempted) —
+// abandoned: its eventual result is discarded, and the island is retried
+// from its unchanged snapshot.
+func (c *Coordinator) attempt(ctx context.Context, island, stopAfter int, resume *dse.Snapshot) (*Response, error) {
 	c.mu.Lock()
 	c.status[island].Attempts++
-	c.status[island].Executor = exec
+	runner := c.runner
+	if c.status[island].Inline {
+		runner = c.fallback
+	}
 	c.mu.Unlock()
 
 	actx, cancel := context.WithCancelCause(ctx)
@@ -448,7 +387,6 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 	req := Request{
 		Job:       c.job,
 		Island:    island,
-		Executor:  exec,
 		Seed:      dse.ForkSeed(c.job.Seed, island),
 		StopAfter: stopAfter,
 		Resume:    resume,
@@ -469,7 +407,7 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				rerr = fmt.Errorf("island %d on executor %d: panic: %v", island, exec, p)
+				rerr = fmt.Errorf("island %d: panic: %v", island, p)
 			}
 			close(done)
 		}()
@@ -502,7 +440,7 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 					case <-time.After(tick):
 						// Abandoned: resp/rerr are written before
 						// close(done) and we return without reading them.
-						return nil, fmt.Errorf("island %d on executor %d: %w", island, exec, errStalled)
+						return nil, fmt.Errorf("island %d: %w", island, errStalled)
 					}
 				}
 			}
@@ -523,7 +461,7 @@ func (c *Coordinator) attempt(ctx context.Context, runner Runner, island, exec, 
 // check vets a round's response before the coordinator uses it, since a
 // worker process's response is outside input. A paused snapshot must
 // pass the job's Search.ValidateResume (as the next round will) and each
-// final front point SnapPoint.Validate, both with the evaluator's
+// final front point Point.Validate, both with the evaluator's
 // objective count. A failed check fails the attempt, and the island is
 // retried from its unchanged snapshot.
 func (c *Coordinator) check(island, stopAfter int, resp *Response) error {
@@ -557,7 +495,7 @@ func (c *Coordinator) migrate(ctx context.Context, round int, snaps []*dse.Snaps
 	if n < 2 {
 		return nil
 	}
-	outs := make([][]dse.SnapPoint, n)
+	outs := make([][]dse.Point, n)
 	for i, snap := range snaps {
 		outs[i] = dse.MigrantsOut(snap, c.cfg.Migrants)
 	}
@@ -571,7 +509,7 @@ func (c *Coordinator) migrate(ctx context.Context, round int, snaps []*dse.Snaps
 			if err == nil {
 				break
 			}
-			c.emit(Event{Kind: EventMigrationDrop, Island: to, Executor: -1, Round: round, Error: err.Error()})
+			c.emit(Event{Kind: EventMigrationDrop, Island: to, Round: round, Error: err.Error()})
 			time.Sleep(time.Millisecond)
 		}
 		inj, err := dse.InjectMigrants(c.space, snaps[to], outs[from])
@@ -579,7 +517,7 @@ func (c *Coordinator) migrate(ctx context.Context, round int, snaps []*dse.Snaps
 			return err
 		}
 		snaps[to] = inj
-		c.emit(Event{Kind: EventMigration, Island: to, Executor: -1, Round: round, Step: snaps[to].Step})
+		c.emit(Event{Kind: EventMigration, Island: to, Round: round, Step: snaps[to].Step})
 	}
 	return nil
 }

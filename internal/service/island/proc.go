@@ -26,7 +26,7 @@ type ProcRunner struct {
 
 	// OnSpawn, when non-nil, observes every worker process right after
 	// start — chaos tests use the pid to SIGKILL a worker mid-round.
-	OnSpawn func(island, executor, pid int)
+	OnSpawn func(island, pid int)
 }
 
 const (
@@ -56,7 +56,7 @@ func (p *ProcRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) 
 		return nil, fmt.Errorf("island %d: start worker: %w", req.Island, err)
 	}
 	if p.OnSpawn != nil {
-		p.OnSpawn(req.Island, req.Executor, cmd.Process.Pid)
+		p.OnSpawn(req.Island, cmd.Process.Pid)
 	}
 
 	resp, err := readRound(stdout, req.Island, beat)

@@ -62,10 +62,9 @@ func procJob() (Job, Config) {
 				Workers:   2,
 			},
 		}, Config{
-			Islands:   2,
-			Interval:  6, // one migration at generation 6
-			Migrants:  3,
-			Executors: 2,
+			Islands:  2,
+			Interval: 6, // one migration at generation 6
+			Migrants: 3,
 		}
 }
 
@@ -158,7 +157,7 @@ func TestProcWorkerSigkillFailover(t *testing.T) {
 	var killed atomic.Bool
 	cfg.Runner = &ProcRunner{
 		Bin: bin,
-		OnSpawn: func(isl, exec, pid int) {
+		OnSpawn: func(isl, pid int) {
 			if isl == 1 && !killed.Swap(true) {
 				syscall.Kill(pid, syscall.SIGKILL)
 			}
@@ -175,13 +174,43 @@ func TestProcWorkerSigkillFailover(t *testing.T) {
 	}
 }
 
+// TestProcRunnerMissingBinaryFallsBack: when no worker process can start
+// at all, every island exhausts its runner budget in the first round,
+// runs in-process from then on, and the job returns the in-process
+// front. The budget counts over the whole job, so no later round fails.
+func TestProcRunnerMissingBinaryFallsBack(t *testing.T) {
+	job, cfg := procJob()
+	golden := runProcCoordinator(t, job, cfg)
+
+	cfg.Runner = &ProcRunner{Bin: filepath.Join(t.TempDir(), "no-such-wsn-island")}
+	events := collectEvents(&cfg)
+	space, eval := compileScenario(t, job.Scenario)
+	c, err := New(cfg, job, space, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, golden, res, "missing worker binary vs in-process")
+	if n := events(EventFallback); n != cfg.Islands {
+		t.Errorf("%d fallback events, want one per island (%d)", n, cfg.Islands)
+	}
+	for _, st := range c.Status() {
+		if !st.Inline || st.Restarts != maxRestarts+1 {
+			t.Errorf("island %d: inline=%v restarts=%d, want inline after %d", st.Island, st.Inline, st.Restarts, maxRestarts+1)
+		}
+	}
+}
+
 // TestRequestWireFormat pins the line protocol wsn-island reads on stdin:
 // a request written before Job embedded dse.Search decodes into the same
 // Job, and the Job re-encodes under the same keys.
 func TestRequestWireFormat(t *testing.T) {
 	const line = `{"job":{"job_id":"j3","scenario":"ecg-ward","algorithm":"nsga2",` +
 		`"nsga2":{"population_size":16,"generations":12},"seed":7,"workers":2},` +
-		`"island":1,"executor":0,"seed":-4242,"stop_after":6}`
+		`"island":1,"seed":-4242,"stop_after":6}`
 	dec := json.NewDecoder(strings.NewReader(line))
 	dec.DisallowUnknownFields()
 	var req Request

@@ -22,13 +22,10 @@ type Job struct {
 
 // Request asks a Runner to advance one island by one round: run from
 // Resume (nil: a fresh start) to the StopAfter boundary (0: to
-// completion). Seed is the island's forked seed; Executor identifies the
-// supervision slot running the request, threaded through so injected
-// faults can target an executor rather than an island.
+// completion). Seed is the island's forked seed.
 type Request struct {
 	Job       Job           `json:"job"`
 	Island    int           `json:"island"`
-	Executor  int           `json:"executor"`
 	Seed      int64         `json:"seed"`
 	StopAfter int           `json:"stop_after,omitempty"`
 	Resume    *dse.Snapshot `json:"resume,omitempty"`
@@ -36,9 +33,9 @@ type Request struct {
 
 // Result is the wire form of a finished island's dse.Result.
 type Result struct {
-	Front      []dse.SnapPoint `json:"front"`
-	Evaluated  int             `json:"evaluated"`
-	Infeasible int             `json:"infeasible"`
+	Front      []dse.Point `json:"front"`
+	Evaluated  int         `json:"evaluated"`
+	Infeasible int         `json:"infeasible"`
 }
 
 // Response is one round's outcome: a paused round carries the boundary
@@ -62,15 +59,15 @@ type Runner interface {
 }
 
 // GoRunner runs island rounds in-process against a pre-built space and
-// evaluator. The evaluator must be safe for concurrent use when the
-// coordinator runs islands on more than one executor (the compiled
-// scenario evaluator is; see scenario.Compiled.Evaluator).
+// evaluator. The coordinator runs every island on a goroutine of its own,
+// so the evaluator must be safe for concurrent use (the compiled scenario
+// evaluator is; see scenario.Compiled.Evaluator).
 //
 // A round attaches one boundary sink, dse.Options.Stats. At every
 // boundary it fires the faultinject boundary point, then the heartbeat,
 // then Stats when it is non-nil. Stats receives every island's
 // per-boundary dse.Stats tagged with the island index — the hook the
-// service's telemetry sampler attaches to. It is called from executor
+// service's telemetry sampler attaches to. It is called from island
 // goroutines concurrently, so the sink must be safe for concurrent use.
 // ProcRunner intentionally does not forward stats: a worker process's
 // value is crash containment, and widening its line protocol with
@@ -88,7 +85,7 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 		Context:   ctx,
 		StopAfter: req.StopAfter,
 		Stats: func(s dse.Stats) {
-			faultinject.Boundary(req.Job.JobID, req.Island, req.Executor, s.Step)
+			faultinject.Boundary(req.Job.JobID, req.Island, s.Step)
 			if beat != nil {
 				beat(s.Step)
 			}
@@ -112,22 +109,9 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 	case err != nil:
 		return nil, err
 	default:
-		return &Response{Result: &Result{
-			Front:      frontToWire(res.Front),
-			Evaluated:  res.Evaluated,
-			Infeasible: res.Infeasible,
-		}}, nil
+		// A Result's front is storage of its own, so the wire form shares it.
+		return &Response{Result: &Result{Front: res.Front, Evaluated: res.Evaluated, Infeasible: res.Infeasible}}, nil
 	}
-}
-
-// frontToWire converts a Result's front, which is storage of its own, to
-// snapshot points sharing it.
-func frontToWire(front []dse.Point) []dse.SnapPoint {
-	out := make([]dse.SnapPoint, len(front))
-	for i, p := range front {
-		out[i] = dse.SnapPoint{Config: p.Config, Objs: p.Objs, Feasible: p.Feasible}
-	}
-	return out
 }
 
 // ProcLine is one newline-delimited JSON message on a worker process's

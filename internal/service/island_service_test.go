@@ -112,17 +112,18 @@ func TestIslandJobFailoverBitIdentical(t *testing.T) {
 }
 
 // TestIslandJobRetryResumesFromComposite: when the island supervisor
-// itself gives up (every executor and the inline fallback exhausted),
-// the job walks the manager's retry edge and the next attempt resumes
-// from the coordinator's composite checkpoint — still bit-identical.
+// itself gives up (an island exhausted its budget on the runner and then
+// inline), the job walks the manager's retry edge and the next attempt
+// resumes from the coordinator's composite checkpoint — still
+// bit-identical.
 func TestIslandJobRetryResumesFromComposite(t *testing.T) {
 	_, golden := runIslandJob(t, Config{Workers: 1}, islandSpec(7))
 
 	defer faultinject.Reset()
 	// Step 7 sits just past the migration boundary at 6, so attempt one
-	// has checkpointed before the faults drain every budget: 2 executors
-	// x 3 crashes + the inline fallback x 3 = 9 failed island attempts.
-	faultinject.PanicOnIslandAtStep(0, 7, 9)
+	// has checkpointed before the faults drain island 0's budget: 3
+	// crashes on the runner + 3 inline = 6 failed island attempts.
+	faultinject.PanicOnIslandAtStep(0, 7, 6)
 	spec := islandSpec(7)
 	spec.MaxRetries = 1
 	info, front := runIslandJob(t, Config{Workers: 1, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond}, spec)

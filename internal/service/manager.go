@@ -802,7 +802,7 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 	opts := dse.Options{
 		Context: r.ctx,
 		Stats: func(st dse.Stats) {
-			faultinject.Boundary(j.info.ID, 0, -1, st.Step)
+			faultinject.Boundary(j.info.ID, 0, st.Step)
 			elapsed := time.Since(start).Seconds()
 			info := ProgressInfo{
 				Step:       st.Step,
@@ -886,8 +886,8 @@ func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, 
 
 	// syncIslands reads the coordinator's supervision state once into
 	// JobInfo.Islands and the sampler's round/restarts stamp. OnEvent
-	// fires from coordinator and executor goroutines, all spawned inside
-	// Run — strictly after coord is assigned below.
+	// fires from the coordinator's and the islands' goroutines, all
+	// spawned inside Run — strictly after coord is assigned below.
 	var coord *island.Coordinator
 	syncIslands := func(round int) {
 		sts := coord.Status()

@@ -69,9 +69,10 @@
 // islands (internal/service/island): lock-step rounds with deterministic
 // ring migration, per-island checkpoints at every migration boundary,
 // and failover by replay — an island panic, a killed worker process
-// (Config.IslandExec), a lost executor or a stalled round
-// (Config.IslandStallTimeout) costs at most one round, and the merged
-// front stays bit-identical to an undisturbed run. Island jobs publish
+// (Config.IslandExec) or a stalled round (Config.IslandStallTimeout)
+// costs at most one round, and the merged front stays bit-identical to
+// an undisturbed run. An island that keeps failing on its worker
+// processes runs in-process from then on. Island jobs publish
 // "island" events instead of "progress", surface per-island supervision
 // state in JobInfo.Islands, and checkpoint per island — the coordinator
 // hands each checkpoint to the manager, which does all the file I/O;
@@ -234,9 +235,9 @@ type Spec struct {
 	// selects the plain single-search path, 2..16 the island coordinator.
 	// nsga2 and mosa only. The merged front is a pure function of
 	// (spec, islands, migration_interval, migrants) — island crashes,
-	// executor loss and coordinator restarts never change it. Island jobs
-	// checkpoint at every migration boundary (checkpoint_every must stay
-	// 0), publish "island" events instead of "progress", and report
+	// retries, fallbacks and coordinator restarts never change it. Island
+	// jobs checkpoint at every migration boundary (checkpoint_every must
+	// stay 0), publish "island" events instead of "progress", and report
 	// per-island supervision state in JobInfo.Islands.
 	Islands int `json:"islands,omitempty"`
 	// MigrationInterval is the migration period in search boundaries
@@ -447,9 +448,9 @@ type JobInfo struct {
 	FinishedAt  *time.Time    `json:"finished_at,omitempty"`
 	Progress    *ProgressInfo `json:"progress,omitempty"`
 	// Islands is the per-island supervision state of an island job
-	// (Spec.Islands >= 2): which executor last ran each island, the latest
-	// boundary it passed, and its attempt/restart counts. Nil for
-	// single-search jobs.
+	// (Spec.Islands >= 2): whether each island fell back to in-process
+	// execution, the latest boundary it passed, and its attempt/restart
+	// counts. Nil for single-search jobs.
 	Islands       []island.Status `json:"islands,omitempty"`
 	ResultVersion int             `json:"result_version,omitempty"`
 	// WarmStart reports how the initial population was seeded; nil for

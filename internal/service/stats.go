@@ -71,7 +71,7 @@ type StatsResponse struct {
 // (backing the live stats endpoint) and, when the manager has an obs
 // directory, the same row appended to <obs-dir>/<jobID>.obs. All methods
 // are safe for concurrent use — island jobs observe from several
-// executor goroutines at once.
+// island goroutines at once.
 //
 // The steady-state cost at a search boundary is one mutex acquisition
 // and a clock read when the sample is rate-limited away, and a
