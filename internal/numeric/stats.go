@@ -145,12 +145,12 @@ func RelErr(got, want float64) float64 {
 }
 
 // maxCount is 2^53, the largest count below which a float64 holds every
-// integer.
-const maxCount = 1 << 53
+// integer, or int's maximum where that is smaller.
+const maxCount = min(1<<53, math.MaxInt)
 
-// CeilCount returns ⌈x⌉ as an int, saturated at 2^53 (NaN included): a
-// count too large to serve stays too large, where converting it straight
-// to int would wrap around.
+// CeilCount returns ⌈x⌉ as an int, saturated at maxCount (NaN included):
+// a count too large to serve stays too large, where converting it
+// straight to int would wrap around.
 func CeilCount(x float64) int {
 	if c := math.Ceil(x); c < maxCount {
 		return int(c)
