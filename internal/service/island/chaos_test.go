@@ -54,16 +54,16 @@ func TestIslandPanicFailover(t *testing.T) {
 	}
 }
 
-// brokenRunner fails every attempt of one island, as a worker that
-// crashes on that island's input would, and runs the others through
-// inner.
+// brokenRunner fails every attempt of one island (-1: of every island),
+// as a worker that crashes on that island's input would, and runs the
+// others through inner.
 type brokenRunner struct {
 	inner  Runner
 	island int
 }
 
 func (b *brokenRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
-	if req.Island == b.island {
+	if b.island < 0 || req.Island == b.island {
 		return nil, fmt.Errorf("island %d: worker crashed", req.Island)
 	}
 	return b.inner.RunRound(ctx, req, beat)
@@ -96,6 +96,112 @@ func TestIslandFallsBackInline(t *testing.T) {
 	for _, st := range c.Status() {
 		if st.Inline != (st.Island == 1) {
 			t.Errorf("island %d: inline=%v", st.Island, st.Inline)
+		}
+	}
+}
+
+// flakyRunner fails the first attempt of each round of one island and
+// runs every other attempt through inner: a worker that dies once per
+// round, never often enough within one round to exhaust a budget that
+// was reset each round.
+type flakyRunner struct {
+	inner  Runner
+	island int
+
+	mu     sync.Mutex
+	failed map[int]bool // by Request.StopAfter, one per round
+}
+
+func (f *flakyRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*Response, error) {
+	if req.Island == f.island {
+		f.mu.Lock()
+		first := !f.failed[req.StopAfter]
+		f.failed[req.StopAfter] = true
+		f.mu.Unlock()
+		if first {
+			return nil, fmt.Errorf("island %d: worker crashed", req.Island)
+		}
+	}
+	return f.inner.RunRound(ctx, req, beat)
+}
+
+// TestExecutorLostRedistribution: an island's runner failures count over
+// the whole job, so one failure in each of rounds 1, 2 and 3 loses the
+// island its runner in round 3, and its remaining work moves in-process.
+// The merged front is the undisturbed run's.
+func TestExecutorLostRedistribution(t *testing.T) {
+	job, cfg := testJob("nsga2") // rounds end at generations 3, 6, 9 and 12
+	golden := runCoordinator(t, job, cfg)
+
+	space := testSpace(12, 4, 3)
+	cfg.Runner = &flakyRunner{inner: &GoRunner{Space: space, Eval: &testEval{space: space}}, island: 1, failed: map[int]bool{}}
+	var mu sync.Mutex
+	var crashRounds, fallbackRounds []int
+	cfg.OnEvent = func(e Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch e.Kind {
+		case EventCrash:
+			crashRounds = append(crashRounds, e.Round)
+		case EventFallback:
+			fallbackRounds = append(fallbackRounds, e.Round)
+		}
+	}
+	c, err := New(cfg, job, space, &testEval{space: space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disturbed, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, golden, disturbed, "runner lost over rounds vs golden")
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{1, 2, 3}; !reflect.DeepEqual(crashRounds, want) {
+		t.Errorf("crashes in rounds %v, want %v on island 1 only", crashRounds, want)
+	}
+	if want := []int{3}; !reflect.DeepEqual(fallbackRounds, want) {
+		t.Errorf("fallbacks in rounds %v, want %v on island 1 only", fallbackRounds, want)
+	}
+	for _, st := range c.Status() {
+		restarts := 0
+		if st.Island == 1 {
+			restarts = maxRestarts + 1
+		}
+		if st.Inline != (st.Island == 1) || st.Restarts != restarts {
+			t.Errorf("island %d: inline=%v restarts=%d, want restarts %d", st.Island, st.Inline, st.Restarts, restarts)
+		}
+	}
+}
+
+// TestAllExecutorsLostFallback: when the runner fails every attempt of
+// every island, each island falls back in-process in the first round and
+// the coordinator finishes the job inline — slower, never wrong.
+func TestAllExecutorsLostFallback(t *testing.T) {
+	job, cfg := testJob("nsga2")
+	golden := runCoordinator(t, job, cfg)
+
+	space := testSpace(12, 4, 3)
+	cfg.Runner = &brokenRunner{inner: &GoRunner{Space: space, Eval: &testEval{space: space}}, island: -1}
+	events := collectEvents(&cfg)
+	c, err := New(cfg, job, space, &testEval{space: space})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disturbed, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, golden, disturbed, "every runner lost vs golden")
+	n := cfg.Islands
+	if events(EventCrash) != n*(maxRestarts+1) || events(EventFallback) != n || events(EventRestart) != n*(maxRestarts+1) {
+		t.Errorf("crash=%d fallback=%d restart=%d events, want %d/%d/%d",
+			events(EventCrash), events(EventFallback), events(EventRestart), n*(maxRestarts+1), n, n*(maxRestarts+1))
+	}
+	for _, st := range c.Status() {
+		if !st.Inline {
+			t.Errorf("island %d did not fall back in-process", st.Island)
 		}
 	}
 }
