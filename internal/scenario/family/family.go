@@ -307,10 +307,10 @@ func Enable(name string) (int, error) {
 		if err != nil {
 			return added, err
 		}
-		if existing, ok := scenario.Lookup(s.Name); ok {
+		if fp, ok := scenario.FingerprintOf(s.Name); ok {
 			// A test (or a previous partial Enable) registered this member
 			// already; the fingerprint tells identity from collision.
-			if existing.Fingerprint() != s.Fingerprint() {
+			if fp != s.Fingerprint() {
 				return added, fmt.Errorf("family %q: member %s already registered with different content", name, s.Name)
 			}
 			continue

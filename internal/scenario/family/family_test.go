@@ -57,6 +57,55 @@ func TestEnableAllRegistersPopulation(t *testing.T) {
 	}
 }
 
+// TestRegisteredFingerprints: the fingerprint the registry keeps for
+// every builtin and family scenario is the Fingerprint of its Lookup
+// copy, and an unregistered name has none.
+func TestRegisteredFingerprints(t *testing.T) {
+	if _, err := EnableAll(); err != nil {
+		t.Fatal(err)
+	}
+	names := scenario.Names()
+	if len(names) < 200 {
+		t.Fatalf("%d scenarios registered, want ≥ 200", len(names))
+	}
+	for _, name := range names {
+		sc, ok := scenario.Lookup(name)
+		fp, found := scenario.FingerprintOf(name)
+		if !ok || !found || fp != sc.Fingerprint() {
+			t.Fatalf("%s: registry fingerprint %q (found %v), Lookup copy hashes to %q", name, fp, found, sc.Fingerprint())
+		}
+	}
+	if fp, ok := scenario.FingerprintOf("no-such-scenario"); ok {
+		t.Fatalf("unregistered scenario has fingerprint %q", fp)
+	}
+}
+
+// TestSummariesMatchProblems: with both families enabled, the listing
+// row the registry computed at Register for every scenario equals the
+// one its NewProblem gives: nodes, genes, and the space size bit for bit.
+func TestSummariesMatchProblems(t *testing.T) {
+	if _, err := EnableAll(); err != nil {
+		t.Fatal(err)
+	}
+	cal := casestudy.DefaultCalibration()
+	rows := scenario.Summaries()
+	scs := scenario.List()
+	if len(rows) != len(scs) || len(rows) < 200 {
+		t.Fatalf("%d rows for %d scenarios, want ≥ 200 of each", len(rows), len(scs))
+	}
+	for i, sc := range scs {
+		p, err := scenario.NewProblem(sc, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := scenario.Summary{Name: sc.Name, Description: sc.Description, Stress: sc.Stress,
+			Nodes: len(sc.Nodes), Genes: len(p.Space().Params), SpaceSize: p.Space().Size()}
+		if rows[i] != want {
+			t.Fatalf("row %d: %+v, NewProblem gives %+v", i, rows[i], want)
+		}
+	}
+}
+
 // TestMemberEnumeration pins the deterministic enumeration contract:
 // Members walks the cartesian product row-major (last axis fastest), twice
 // in a row identically, with unique canonical names.

@@ -11,8 +11,57 @@ import (
 // their own.
 var registry = struct {
 	mu     sync.RWMutex
-	byName map[string]Scenario
-}{byName: map[string]Scenario{}}
+	byName map[string]*registered
+}{byName: map[string]*registered{}}
+
+// registered is one registry entry. s is the registry's private copy and
+// never changes, so its fingerprint, hashed at the first FingerprintOf,
+// holds for the life of the process.
+type registered struct {
+	s       Scenario
+	summary Summary
+	fpOnce  sync.Once
+	fp      string
+}
+
+func (r *registered) fingerprint() string {
+	r.fpOnce.Do(func() { r.fp = r.s.Fingerprint() })
+	return r.fp
+}
+
+// Summary is a registered scenario's listing row: its labels and the
+// shape of the design space NewProblem builds for it, computed once at
+// Register.
+type Summary struct {
+	Name        string
+	Description string
+	Stress      string
+	Nodes       int
+	Genes       int     // len(Problem.Space().Params)
+	SpaceSize   float64 // Problem.Space().Size(), bit for bit
+}
+
+// summarize computes s's row without building its Problem: the genes
+// newProblem lays out (BO, SFO gap, payload, then each node's CR gene if
+// it has one and its frequency gene), with the value counts multiplied
+// in Space.Size's order, so the float matches it bit for bit.
+func summarize(s Scenario) Summary {
+	sum := Summary{Name: s.Name, Description: s.Description, Stress: s.Stress, Nodes: len(s.Nodes), Genes: 3}
+	size := 1.0
+	size *= float64(len(s.BeaconOrders))
+	size *= float64(len(s.SFOGaps))
+	size *= float64(len(s.Payloads))
+	for _, ns := range s.Nodes {
+		if ns.explorableCR() {
+			sum.Genes++
+			size *= float64(len(ns.CRs))
+		}
+		sum.Genes++
+		size *= float64(len(ns.microFreqs()))
+	}
+	sum.SpaceSize = size
+	return sum
+}
 
 // Register validates s and adds it to the registry. Duplicate names are an
 // error: a scenario is an identity, not a setting to silently overwrite.
@@ -25,7 +74,8 @@ func Register(s Scenario) error {
 	if _, dup := registry.byName[s.Name]; dup {
 		return fmt.Errorf("scenario: %q already registered", s.Name)
 	}
-	registry.byName[s.Name] = s.clone()
+	c := s.clone()
+	registry.byName[s.Name] = &registered{s: c, summary: summarize(c)}
 	return nil
 }
 
@@ -41,11 +91,24 @@ func MustRegister(s Scenario) {
 func Lookup(name string) (Scenario, bool) {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
-	s, ok := registry.byName[name]
+	r, ok := registry.byName[name]
 	if !ok {
 		return Scenario{}, false
 	}
-	return s.clone(), true
+	return r.s.clone(), true
+}
+
+// FingerprintOf returns the named scenario's Fingerprint and whether it
+// is registered, without copying the scenario. The registry hashes each
+// scenario once, at the first call for it.
+func FingerprintOf(name string) (string, bool) {
+	registry.mu.RLock()
+	r, ok := registry.byName[name]
+	registry.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	return r.fingerprint(), true
 }
 
 // List returns every registered scenario sorted by name, so listings and
@@ -54,9 +117,22 @@ func List() []Scenario {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	out := make([]Scenario, 0, len(registry.byName))
-	for _, s := range registry.byName {
-		out = append(out, s.clone())
+	for _, r := range registry.byName {
+		out = append(out, r.s.clone())
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// Summaries returns every registered scenario's listing row sorted by
+// name, as List orders the scenarios.
+func Summaries() []Summary {
+	registry.mu.RLock()
+	out := make([]Summary, 0, len(registry.byName))
+	for _, r := range registry.byName {
+		out = append(out, r.summary)
+	}
+	registry.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

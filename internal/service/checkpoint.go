@@ -161,7 +161,7 @@ func (m *Manager) checkpoint(r *run, ckpt []*dse.Snapshot) {
 // from the returned point is deterministic, so the job's final front
 // matches an uninterrupted run bit for bit.
 func (m *Manager) resumePoint(r *run) ([]*dse.Snapshot, error) {
-	spec := r.job.spec
+	spec := &r.job.info.Spec
 	if r.ckpt == nil && spec.ResumeJob != "" {
 		loaded, err := LoadCheckpoint(m.cfg.CheckpointDir, spec.ResumeJob, max(spec.Islands, 1))
 		if err != nil {

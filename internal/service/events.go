@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,11 +35,13 @@ const subBuffer = 256
 // every lifecycle transition plus the latest progress and island events —
 // so a subscriber attaching mid-run (or after completion) immediately
 // learns the job's story without the service buffering thousands of
-// generation snapshots.
+// generation snapshots. Once the job's worker is done with it the
+// history is final: compact folds it into status at its exact length, in
+// Seq order, so a finished job's hub keeps only what replay serves.
 type hub struct {
 	mu           sync.Mutex
 	seq          int
-	status       []Event // lifecycle transitions, a handful at most
+	status       []Event // lifecycle transitions, a handful at most; once compacted, the whole history
 	lastProgress *Event
 	lastIsland   *Event
 	subs         map[chan Event]struct{}
@@ -108,6 +111,22 @@ func (h *hub) close() {
 	h.subs = nil
 }
 
+// compact folds the closed hub's history into status at its exact
+// length, dropping the spare capacity publish grew it with.
+func (h *hub) compact() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.status = slices.Clone(h.replayLocked())
+	h.lastProgress, h.lastIsland = nil, nil
+}
+
+// closedEvents is the live channel every subscriber of a closed hub gets.
+var closedEvents = func() chan Event {
+	c := make(chan Event)
+	close(c)
+	return c
+}()
+
 // subscribeFrom returns the replay history after sequence number
 // afterSeq (lifecycle events plus the latest progress/island snapshots,
 // in Seq order; 0 keeps all of it, a reconnect's Last-Event-ID skips
@@ -126,11 +145,10 @@ func (h *hub) subscribeFrom(afterSeq int) (replay []Event, ch <-chan Event, canc
 		}
 		replay = kept
 	}
-	c := make(chan Event, subBuffer)
 	if h.closed {
-		close(c)
-		return replay, c, func() {}
+		return replay, closedEvents, func() {}
 	}
+	c := make(chan Event, subBuffer)
 	h.subs[c] = struct{}{}
 	if h.subGauge != nil {
 		h.subGauge.Add(1)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/scenario"
 )
 
@@ -364,25 +363,21 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// listScenarios builds the scenario listing from the registry, compiling
-// each problem once for its space size.
+// listScenarios builds the scenario listing from the rows the registry
+// computed when each scenario registered.
 func listScenarios() []ScenarioInfo {
-	cal := casestudy.DefaultCalibration()
-	scs := scenario.List()
-	out := make([]ScenarioInfo, 0, len(scs))
-	for _, sc := range scs {
-		info := ScenarioInfo{
-			Name:        sc.Name,
-			Description: sc.Description,
-			Stress:      sc.Stress,
-			Nodes:       len(sc.Nodes),
+	rows := scenario.Summaries()
+	out := make([]ScenarioInfo, len(rows))
+	for i, r := range rows {
+		out[i] = ScenarioInfo{
+			Name:        r.Name,
+			Description: r.Description,
+			Stress:      r.Stress,
+			Nodes:       r.Nodes,
+			Genes:       r.Genes,
+			SpaceSize:   r.SpaceSize,
 			Objectives:  3,
 		}
-		if p, err := scenario.NewProblem(sc, cal); err == nil {
-			info.Genes = len(p.Space().Params)
-			info.SpaceSize = p.Space().Size()
-		}
-		out = append(out, info)
 	}
 	return out
 }

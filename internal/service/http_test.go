@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
 )
@@ -30,6 +31,47 @@ func newTestServer(t *testing.T, cfg Config) (*Client, *Manager) {
 		m.Close()
 	})
 	return NewClient(srv.URL), m
+}
+
+// TestScenarioListingMatchesProblems: GET /v1/scenarios serves the rows
+// the registry computed when each scenario registered. Every row must
+// equal the one built from the scenario's NewProblem, its space size bit
+// for bit. (TestSummariesMatchProblems in internal/scenario/family covers
+// both families; enabling them here would make every test that walks
+// the registry after this one walk 213 scenarios.)
+func TestScenarioListingMatchesProblems(t *testing.T) {
+	c, _ := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := c.Scenarios(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := casestudy.DefaultCalibration()
+	var want []ScenarioInfo
+	for _, sc := range scenario.List() {
+		p, err := scenario.NewProblem(sc, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, ScenarioInfo{
+			Name:        sc.Name,
+			Description: sc.Description,
+			Stress:      sc.Stress,
+			Nodes:       len(sc.Nodes),
+			Genes:       len(p.Space().Params),
+			SpaceSize:   p.Space().Size(),
+			Objectives:  3,
+		})
+	}
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("row %d: listed %+v, NewProblem gives %+v", i, got[i], want[i])
+			}
+		}
+		t.Fatalf("%d rows listed, %d scenarios registered", len(got), len(want))
+	}
 }
 
 func TestHTTPSubmitWaitFront(t *testing.T) {

@@ -115,31 +115,55 @@ var (
 	ErrNotFinished = errors.New("service: job has no front yet")
 )
 
-// job is the record readers of a job need; what only the attempt loop
-// needs lives in its run. mu guards info, sampler and front; the
-// lifecycle is single-writer (the manager worker running the job) but
-// many-reader.
+// job is one submitted job. While it is queued or running, live holds
+// what its worker needs beside the record: its context, its telemetry
+// sampler and its done channel. Once the worker is done with it, retire
+// releases live and the record keeps only what the job's endpoints
+// serve: its JobInfo (Get, Jobs), its closed hub's replay history
+// (SubscribeFrom), its stats window in one flat slab (JobStats), and its
+// packed front with the two counts Front builds its response from.
+// info.Spec never changes after Submit, so the worker reads it without
+// mu; mu guards the rest of info and every other field Submit does not
+// fix. The lifecycle is single-writer (the manager worker running the
+// job) but many-reader.
 type job struct {
-	seq    int // submission order, set before the job is published
-	mu     sync.Mutex
-	info   JobInfo
-	spec   Spec            // normalized
+	seq  int // submission order, set before the job is published
+	mu   sync.Mutex
+	info JobInfo
+	hub  *hub
+	live *liveJob // nil once retired
+	// stats is the telemetry window retire froze from the sampler, and
+	// obsFlush the job's obs writer, which retire waits for before the
+	// job's ID may be reused (nil without an obs file).
+	stats    statsWindow
+	obsFlush *sync.WaitGroup
+	// points, evaluated and infeasible are the front Front serves, set
+	// when the job ends with one. A done job's store entry shares points.
+	points                *packedFront
+	evaluated, infeasible int
+}
+
+// liveJob is what a queued or running job needs beyond its record.
+type liveJob struct {
 	ctx    context.Context // derived from the manager root; Cancel fires it
 	cancel context.CancelFunc
-	hub    *hub
+	// met is the manager's registry, threaded in so setStatus can move
+	// the lifecycle gauges without a back-pointer to the Manager.
+	met *metrics
 	// sampler collects the job's telemetry (ring + optional obs file);
-	// created by runJob, nil while the job is still queued. met is the
-	// manager's registry, threaded in so setStatus can move the
-	// lifecycle gauges without a back-pointer to the Manager.
+	// created by runJob, nil while the job is still queued.
 	sampler *jobSampler
-	met     *metrics
-	done    chan struct{}
-	// front and points are what Front serves, set once when the job ends
-	// with a front: the response with its Front nil, and the packed
-	// points, which the job's StoredResult shares.
-	front  *FrontResponse
-	points *packedFront
+	// done is closed when the job reaches a terminal state; a retired
+	// job's is closedDone.
+	done chan struct{}
 }
+
+// closedDone is the done channel of every retired job.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // run is the state of a job's attempt loop, owned by runJob. The dse
 // boundary hooks and the coordinator's OnCheckpoint run on its
@@ -158,7 +182,8 @@ type run struct {
 }
 
 // setStatus transitions the lifecycle under the job lock and publishes
-// the matching event. It refuses to leave a terminal state.
+// the matching event. It refuses to leave a terminal state, so it never
+// runs on a retired job.
 func (j *job) setStatus(s Status, errMsg string) bool {
 	j.mu.Lock()
 	if j.info.Status.Terminal() {
@@ -176,33 +201,49 @@ func (j *job) setStatus(s Status, errMsg string) bool {
 		j.info.FinishedAt = &now
 		j.info.NextRetryAt = nil
 	}
-	attempt := j.info.Attempts
+	attempt, live := j.info.Attempts, j.live
 	j.mu.Unlock()
 	// Lifecycle gauges move on the transition edges; the terminal
 	// counters fire exactly once per job because terminal states are
 	// absorbing (the guard above).
-	if j.met != nil {
-		if prior == StatusQueued {
-			j.met.jobsQueued.Add(-1)
-		}
-		if prior == StatusRunning {
-			j.met.jobsRunning.Add(-1)
-		}
-		switch {
-		case s == StatusRunning:
-			j.met.jobsRunning.Add(1)
-		case s == StatusQueued:
-			j.met.jobsQueued.Add(1)
-		case s.Terminal():
-			j.met.completed(s)
-		}
+	met := live.met
+	if prior == StatusQueued {
+		met.jobsQueued.Add(-1)
+	}
+	if prior == StatusRunning {
+		met.jobsRunning.Add(-1)
+	}
+	switch {
+	case s == StatusRunning:
+		met.jobsRunning.Add(1)
+	case s == StatusQueued:
+		met.jobsQueued.Add(1)
+	case s.Terminal():
+		met.completed(s)
 	}
 	j.hub.publish(Event{Type: "status", Status: s, Error: errMsg, Attempt: attempt})
 	if s.Terminal() {
 		j.hub.close()
-		close(j.done)
+		close(live.done)
 	}
 	return true
+}
+
+// compact releases what only the worker needed once it is done with the
+// job, keeping the record described on job: live goes, the sampler's
+// window frozen into stats and its obs writer kept as obsFlush, and the
+// hub's history folded to its exact length. It waits for the terminal
+// transition to finish first: a Cancel that made the job terminal may
+// still be publishing its event.
+func (j *job) compact() {
+	<-j.live.done
+	j.hub.compact()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if s := j.live.sampler; s != nil {
+		j.stats, j.obsFlush = s.freeze()
+	}
+	j.live = nil
 }
 
 // Manager is the job scheduler: a bounded queue feeding a fixed pool of
@@ -318,14 +359,15 @@ func (m *Manager) allJobs() []*job {
 	return jobs
 }
 
-// retire counts j, which a worker has just finished with, toward the
-// cfg.MaxResults bound on finished records, and evicts the record that
-// finished first beyond it. Every job that was ever queued passes here
-// once: run to its end, cancelled while queued, or cancelled by Close.
-// The evicted job's obs file is flushed before its ID leaves m.jobs, so
-// a resume_job that continues that ID never appends behind a writer
-// that still holds the file.
+// retire compacts j, which a worker has just finished with, counts it
+// toward the cfg.MaxResults bound on finished records, and evicts the
+// record that finished first beyond it. Every job that was ever queued
+// passes here once: run to its end, cancelled while queued, or cancelled
+// by Close. The evicted job's obs file is flushed before its ID leaves
+// m.jobs, so a resume_job that continues that ID never appends behind a
+// writer that still holds the file.
 func (m *Manager) retire(j *job) {
+	j.compact()
 	m.mu.Lock()
 	m.finished = append(m.finished, j)
 	if len(m.finished) <= m.cfg.MaxResults {
@@ -337,16 +379,29 @@ func (m *Manager) retire(j *job) {
 	m.finished = m.finished[1:]
 	m.mu.Unlock()
 
-	old.mu.Lock()
-	sampler := old.sampler
-	old.mu.Unlock()
-	if sampler != nil {
-		sampler.drain()
-	}
+	old.flushObs()
 	m.mu.Lock()
 	delete(m.jobs, old.info.ID)
 	m.mu.Unlock()
 	m.met.jobsEvicted.Add(1)
+}
+
+// flushObs waits for the job's obs writer to flush and close its file:
+// the writer of a retired job, or of a job whose worker has returned.
+func (j *job) flushObs() {
+	j.mu.Lock()
+	flush := j.obsFlush
+	var sampler *jobSampler
+	if j.live != nil {
+		sampler = j.live.sampler
+	}
+	j.mu.Unlock()
+	switch {
+	case sampler != nil:
+		sampler.drain()
+	case flush != nil:
+		flush.Wait()
+	}
 }
 
 // Close cancels every job, stops accepting submissions, and waits for the
@@ -372,12 +427,7 @@ func (m *Manager) Close() {
 // exit.
 func (m *Manager) drainSamplers() {
 	for _, j := range m.allJobs() {
-		j.mu.Lock()
-		s := j.sampler
-		j.mu.Unlock()
-		if s != nil {
-			s.drain()
-		}
+		j.flushObs()
 	}
 }
 
@@ -402,7 +452,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 	for _, j := range jobs {
 		select {
-		case <-j.done:
+		case <-j.doneChan():
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -454,13 +504,9 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	}
 	ctx, cancel := context.WithCancel(m.root)
 	j := &job{
-		info:   JobInfo{ID: id, Spec: spec, Status: StatusQueued, CreatedAt: time.Now()},
-		spec:   spec,
-		ctx:    ctx,
-		cancel: cancel,
-		hub:    newHub(&m.met.sseSubscribers),
-		met:    m.met,
-		done:   make(chan struct{}),
+		info: JobInfo{ID: id, Spec: spec, Status: StatusQueued, CreatedAt: time.Now()},
+		hub:  newHub(&m.met.sseSubscribers),
+		live: &liveJob{ctx: ctx, cancel: cancel, met: m.met, done: make(chan struct{})},
 	}
 	// The queue send stays inside the critical section: it is non-blocking,
 	// and m.mu is what orders it against Close's close(m.queue) — a send
@@ -538,15 +584,28 @@ func (m *Manager) Cancel(id string) error {
 
 // stop cancels the job: a running one stops at its next search boundary,
 // and a queued one (never started, or waiting out a retry) is marked
-// cancelled with reason at once, without waiting for a worker.
+// cancelled with reason at once, without waiting for a worker. A retired
+// job has nothing left to cancel.
 func (j *job) stop(reason string) {
-	j.cancel()
 	j.mu.Lock()
+	if j.live != nil {
+		j.live.cancel()
+	}
 	queued := j.info.Status == StatusQueued
 	j.mu.Unlock()
 	if queued {
 		j.setStatus(StatusCancelled, reason)
 	}
+}
+
+// doneChan returns the channel closed once the job is terminal.
+func (j *job) doneChan() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.live == nil {
+		return closedDone
+	}
+	return j.live.done
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
@@ -556,7 +615,7 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 		return JobInfo{}, ErrNotFound
 	}
 	select {
-	case <-j.done:
+	case <-j.doneChan():
 		return j.snapshotInfo(), nil
 	case <-ctx.Done():
 		return j.snapshotInfo(), ctx.Err()
@@ -566,24 +625,34 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 // Front returns the job's Pareto front: the full result for done jobs,
 // the partial front for cancelled and timed-out ones. Queued/running/
 // failed jobs return ErrNotFinished (wrapped with the state, so callers
-// can distinguish not-yet from never). Each call builds the front afresh
-// from the packed points the job keeps (and shares with its
-// StoredResult), so it is the caller's own to change. Once the job's
-// record is evicted (see Config.MaxResults) Front returns ErrNotFound; a
-// done job's front stays at its ResultVersion in the store for as long
-// as the store holds it.
+// can distinguish not-yet from never). Each call builds the response
+// afresh from the job's JobInfo and the packed points it keeps (and
+// shares with its StoredResult), so it is the caller's own to change.
+// Once the job's record is evicted (see Config.MaxResults) Front returns
+// ErrNotFound; a done job's front stays at its ResultVersion in the store
+// for as long as the store holds it.
 func (m *Manager) Front(id string) (FrontResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {
 		return FrontResponse{}, ErrNotFound
 	}
 	j.mu.Lock()
-	front, points, status := j.front, j.points, j.info.Status
-	j.mu.Unlock()
-	if front == nil {
-		return FrontResponse{}, fmt.Errorf("%w (status %s)", ErrNotFinished, status)
+	points, info := j.points, &j.info
+	out := FrontResponse{
+		JobID:      info.ID,
+		Status:     info.Status,
+		Scenario:   info.Spec.Scenario,
+		Algorithm:  info.Spec.Algorithm,
+		Seed:       info.Spec.Seed,
+		Evaluated:  j.evaluated,
+		Infeasible: j.infeasible,
 	}
-	out := *front
+	j.mu.Unlock()
+	// keepFront runs just before the terminal transition: the front is
+	// served from that transition on.
+	if points == nil || !out.Status.Terminal() {
+		return FrontResponse{}, fmt.Errorf("%w (status %s)", ErrNotFinished, out.Status)
+	}
 	out.Front = points.points()
 	return out, nil
 }
@@ -607,14 +676,16 @@ func (m *Manager) SubscribeFrom(id string, afterSeq int) (replay []Event, ch <-c
 // failure), and walks the retry edge — backoff, then re-run from the
 // latest checkpoint — until the job reaches a terminal state.
 func (m *Manager) runJob(j *job) {
+	// j.live is the worker's own until retire releases it.
+	live, spec := j.live, &j.info.Spec
 	// Release the job's cancel context once the job is over: a child of
 	// the manager root stays registered with its parent until cancelled,
 	// so skipping this would leak one context node per job for the life
 	// of the process.
-	defer j.cancel()
+	defer live.cancel()
 	// A job cancelled while queued has a dead context; setStatus keeps
 	// the terminal state it may already be in.
-	if err := j.ctx.Err(); err != nil {
+	if err := live.ctx.Err(); err != nil {
 		j.setStatus(StatusCancelled, err.Error())
 		return
 	}
@@ -623,22 +694,22 @@ func (m *Manager) runJob(j *job) {
 	// The telemetry sampler spans every attempt: the ring and obs file
 	// carry one continuous series with the attempt column distinguishing
 	// retries.
-	sampler := newJobSampler(m.met, id, j.spec.Scenario, j.spec.Islands >= 2,
+	sampler := newJobSampler(m.met, id, spec.Scenario, spec.Islands >= 2,
 		m.cfg.ObsDir, m.cfg.ObsSampleInterval, m.cfg.Logf)
 	j.mu.Lock()
-	j.sampler = sampler
+	live.sampler = sampler
 	j.mu.Unlock()
 	defer sampler.close()
 
 	// The deadline clock starts when the job first runs (queue wait is
 	// the scheduler's fault, not the job's) and spans every retry.
-	r := &run{job: j, ctx: j.ctx}
-	if d, _ := j.spec.deadline(); d > 0 { // Validate rejected any error
+	r := &run{job: j, ctx: live.ctx}
+	if d, _ := spec.deadline(); d > 0 { // Validate rejected any error
 		var cancel context.CancelFunc
-		r.ctx, cancel = context.WithTimeoutCause(j.ctx, d, errJobDeadline)
+		r.ctx, cancel = context.WithTimeoutCause(live.ctx, d, errJobDeadline)
 		defer cancel()
 	}
-	timedOut := fmt.Sprintf("deadline of %gs exceeded", j.spec.DeadlineSeconds)
+	timedOut := fmt.Sprintf("deadline of %gs exceeded", spec.DeadlineSeconds)
 
 	for attempt := 1; ; attempt++ {
 		j.mu.Lock()
@@ -652,23 +723,23 @@ func (m *Manager) runJob(j *job) {
 		res, err := m.runAttempt(r, sampler)
 		switch {
 		case err == nil:
-			j.keepFront(StatusDone, res)
+			j.keepFront(res)
 			m.archive(j)
 			j.setStatus(StatusDone, "")
 			return
 		case errors.Is(err, context.DeadlineExceeded) || context.Cause(r.ctx) == errJobDeadline:
-			j.keepFront(StatusTimedOut, res) // partial front, like a cancelled run
+			j.keepFront(res) // partial front, like a cancelled run
 			j.setStatus(StatusTimedOut, timedOut)
 			return
 		case errors.Is(err, context.Canceled):
-			j.keepFront(StatusCancelled, res)
+			j.keepFront(res)
 			j.setStatus(StatusCancelled, context.Canceled.Error())
 			return
 		}
 
 		// Attempt failed (error or recovered panic). Out of retries →
 		// failed; otherwise walk the retry edge back to queued.
-		if attempt > j.spec.MaxRetries {
+		if attempt > spec.MaxRetries {
 			j.setStatus(StatusFailed, err.Error())
 			return
 		}
@@ -682,7 +753,7 @@ func (m *Manager) runJob(j *job) {
 		}
 		m.met.retries.Add(1)
 		m.cfg.Logf("service: job %s attempt %d/%d failed, retrying in %s: %v",
-			id, attempt, j.spec.MaxRetries+1, delay.Round(time.Millisecond), err)
+			id, attempt, spec.MaxRetries+1, delay.Round(time.Millisecond), err)
 		select {
 		case <-r.ctx.Done():
 			if context.Cause(r.ctx) == errJobDeadline {
@@ -715,8 +786,8 @@ func (m *Manager) runAttempt(r *run, sampler *jobSampler) (res *dse.Result, err 
 }
 
 // keepFront makes res, the last attempt's result (nil: none), the front
-// Front serves once the job ends in status s, packing its points.
-func (j *job) keepFront(s Status, res *dse.Result) {
+// Front serves once the job ends, packing its points.
+func (j *job) keepFront(res *dse.Result) {
 	if res == nil {
 		return
 	}
@@ -724,43 +795,32 @@ func (j *job) keepFront(s Status, res *dse.Result) {
 	points := packFront(len(ps), func(i int) ([]int, []float64) { return ps[i].Config, ps[i].Objs })
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.front = &FrontResponse{
-		JobID:      j.info.ID,
-		Status:     s,
-		Scenario:   j.spec.Scenario,
-		Algorithm:  j.spec.Algorithm,
-		Seed:       j.spec.Seed,
-		Evaluated:  res.Evaluated,
-		Infeasible: res.Infeasible,
-	}
-	j.points = points
+	j.points, j.evaluated, j.infeasible = points, res.Evaluated, res.Infeasible
 }
 
 // archive stores the front keepFront kept for a done job, sharing its
-// packed points. Archiving failures degrade gracefully: the job stays
-// done (its front is readable via /front) and the failure is logged — a
-// full disk must cost durability, not the exploration budget already
-// spent.
+// packed points and its scenario's registered fingerprint. Archiving
+// failures degrade gracefully: the job stays done (its front is readable
+// via /front) and the failure is logged — a full disk must cost
+// durability, not the exploration budget already spent.
 func (m *Manager) archive(j *job) {
 	j.mu.Lock()
-	front, points := j.front, j.points
-	j.mu.Unlock()
 	stored := StoredResult{
-		JobID:       front.JobID,
-		Scenario:    front.Scenario,
-		Algorithm:   front.Algorithm,
+		JobID:       j.info.ID,
+		Scenario:    j.info.Spec.Scenario,
+		Algorithm:   j.info.Spec.Algorithm,
 		Objectives:  ObjectivesFull,
-		Seed:        front.Seed,
-		Evaluated:   front.Evaluated,
-		Infeasible:  front.Infeasible,
+		Seed:        j.info.Spec.Seed,
+		Evaluated:   j.evaluated,
+		Infeasible:  j.infeasible,
 		CompletedAt: time.Now(),
 	}
-	if sc, ok := scenario.Lookup(front.Scenario); ok {
-		stored.Fingerprint = sc.Fingerprint()
-	}
+	points := j.points
+	j.mu.Unlock()
+	stored.Fingerprint, _ = scenario.FingerprintOf(stored.Scenario)
 	version, err := m.store.put(stored, points)
 	if err != nil {
-		m.cfg.Logf("service: job %s: archiving result failed (front still served from memory): %v", front.JobID, err)
+		m.cfg.Logf("service: job %s: archiving result failed (front still served from memory): %v", stored.JobID, err)
 		return
 	}
 	j.mu.Lock()
@@ -774,7 +834,7 @@ func (m *Manager) archive(j *job) {
 // telemetry and checkpoint hooks attached.
 func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 	j := r.job
-	spec := j.spec
+	spec := &j.info.Spec
 	search := spec.search()
 	sc, ok := scenario.Lookup(spec.Scenario)
 	if !ok {
@@ -837,8 +897,9 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 	// seeds.
 	if search.Injectable() {
 		if !r.resolved {
+			fingerprint, _ := scenario.FingerprintOf(spec.Scenario)
 			seeds, wsInfo, err := ResolveWarmStart(m.store, spec.WarmStart,
-				sc.Fingerprint(), ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
+				fingerprint, ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
 			if err != nil {
 				return nil, err
 			}
@@ -869,7 +930,7 @@ func (m *Manager) execute(r *run, sampler *jobSampler) (*dse.Result, error) {
 // Manager.checkpoint.
 func (m *Manager) executeIslands(r *run, sampler *jobSampler, space *dse.Space, eval dse.Evaluator, resume []*dse.Snapshot) (*dse.Result, error) {
 	j := r.job
-	spec := j.spec
+	spec := &j.info.Spec
 	ijob := island.Job{JobID: j.info.ID, Scenario: spec.Scenario, Search: spec.search()}
 	cfg := island.Config{
 		Islands:      spec.Islands,

@@ -305,7 +305,7 @@ func (s Spec) Validate() error {
 	if s.Scenario == "" {
 		return fmt.Errorf("service: spec has no scenario")
 	}
-	if _, ok := scenario.Lookup(s.Scenario); !ok {
+	if _, ok := scenario.FingerprintOf(s.Scenario); !ok {
 		return fmt.Errorf("service: unknown scenario %q", s.Scenario)
 	}
 	search := s.search()

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
+	"wsndse/internal/service/faultinject"
 )
 
 // smallNSGA2 is the cheap job every test reaches for.
@@ -799,4 +801,197 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 	if growth > 32<<10 {
 		t.Errorf("bounded: 32 jobs past the record bound of %d add %d B, want at most 32 KiB", cfg.MaxResults, growth)
 	}
+}
+
+// waitRetired polls until m's workers have retired n jobs, which is when
+// a finished job's record is compacted. m must not have evicted any.
+func waitRetired(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m.mu.Lock()
+		retired := len(m.finished)
+		m.mu.Unlock()
+		if retired >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("workers retired %d jobs, want %d", retired, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTinyJobRetainedHeap bounds what the server keeps of each job in a
+// stream of tiny explorations, the wsn-serve load the record bound
+// (Config.MaxResults) exists for: pop-8 × 4 ecg-ward NSGA-II jobs at
+// workers 1, seeds 1–64 in turn, on a Manager with 2 workers and no
+// directories. After 100 warm-up jobs, each of 1,000 more finished jobs
+// may add at most 2 KiB of live heap, its JobInfo, event history, stats
+// window, packed front and store entry included.
+func TestTinyJobRetainedHeap(t *testing.T) {
+	const warmup, jobs, maxPerJob = 100, 1000, 2048
+	m := newTestManager(t, Config{Workers: 2, MaxResults: 2 * (warmup + jobs)})
+	defer m.Close()
+	next := 0
+	run := func(n int) {
+		for range n {
+			spec := Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Seed: int64(next%64 + 1), Workers: 1,
+				NSGA2: &dse.NSGA2Config{PopulationSize: 8, Generations: 4}}
+			next++
+			runToDone(t, m, spec)
+		}
+		waitRetired(t, m, next)
+	}
+	run(warmup)
+	before := liveHeap()
+	run(jobs)
+	perJob := (liveHeap() - before) / jobs
+	t.Logf("a finished tiny job retains %d B", perJob)
+	if perJob > maxPerJob {
+		t.Errorf("a finished tiny job retains %d B, want at most %d B", perJob, maxPerJob)
+	}
+}
+
+// TestJobRecordCompaction: retiring a finished job must not change what
+// its endpoints serve. Each job runs on the test goroutine through the
+// worker's own runJob and retire while the manager's one worker is held
+// in a blocker job, so the first reads happen when Wait returns, before
+// the record is compacted, and the second after. Get, Front, JobStats at
+// several n and SubscribeFrom at every afterSeq must read the same JSON,
+// for a plain job whose stats ring wrapped, an island job and a job with
+// an obs file.
+func TestJobRecordCompaction(t *testing.T) {
+	cases := []struct {
+		name string
+		obs  bool
+		spec Spec
+	}{
+		{"plain", false, Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2, Seed: 3,
+			NSGA2: &dse.NSGA2Config{PopulationSize: 8, Generations: statsRingCap + 40}}},
+		{"island", false, islandSpec(5)},
+		{"obs", true, smallNSGA2("ecg-ward", 9)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 1, ObsSampleInterval: time.Nanosecond}
+			if tc.obs {
+				cfg.ObsDir = t.TempDir()
+			}
+			m := newTestManager(t, cfg)
+			defer m.Close()
+			defer holdWorker(t, m)()
+
+			info, err := m.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := <-m.queue // the worker is busy: the job is the test's to run
+			if j.info.ID != info.ID {
+				t.Fatalf("dequeued %s, want %s", j.info.ID, info.ID)
+			}
+			m.runJob(j)
+			final := waitDone(t, m, info.ID)
+			if final.Status != StatusDone {
+				t.Fatalf("job ended %s: %s", final.Status, final.Error)
+			}
+			before := endpointReads(t, m, info.ID)
+			m.retire(j)
+			j.mu.Lock()
+			retired := j.live == nil
+			j.mu.Unlock()
+			if !retired {
+				t.Fatal("retire left the job's live state")
+			}
+			after := endpointReads(t, m, info.ID)
+			for k, want := range before {
+				if after[k] != want {
+					t.Errorf("%s changed when the job was retired:\nbefore %s\nafter  %s", k, want, after[k])
+				}
+			}
+			st, _ := m.JobStats(info.ID, 0)
+			if tc.name == "plain" && st.Samples <= statsRingCap {
+				t.Fatalf("%d samples did not wrap the %d-row ring", st.Samples, statsRingCap)
+			}
+		})
+	}
+}
+
+// holdWorker occupies m's one worker with a job held at its first search
+// boundary, and returns the func that lets it go and cancels it. m must
+// be fresh, so the blocker is its job j1.
+func holdWorker(t *testing.T, m *Manager) (release func()) {
+	t.Helper()
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	faultinject.SetBoundaryHook(func(jobID string, _, _ int) {
+		if jobID == "j1" {
+			once.Do(func() { close(entered) })
+			<-unblock
+		}
+	})
+	info, err := m.Submit(Spec{Scenario: "ecg-ward", Algorithm: AlgoNSGA2,
+		NSGA2: &dse.NSGA2Config{PopulationSize: 8, Generations: 1000}})
+	if err != nil || info.ID != "j1" {
+		faultinject.Reset()
+		t.Fatalf("blocker job %q: %v", info.ID, err)
+	}
+	<-entered
+	return func() {
+		faultinject.Reset()
+		close(unblock)
+		_ = m.Cancel(info.ID)
+	}
+}
+
+// endpointReads returns the JSON of everything a finished job's
+// endpoints serve, keyed by endpoint: Get, Front, JobStats at n from 0 to
+// past the ring, and SubscribeFrom's replay at every afterSeq from 0 to
+// the last sequence number, whose live channel must already be closed.
+func endpointReads(t *testing.T, m *Manager, id string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	put := func(key string, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[key] = string(b)
+	}
+	info, ok := m.Get(id)
+	if !ok {
+		t.Fatalf("Get(%s): not found", id)
+	}
+	put("Get", info)
+	front, err := m.Front(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put("Front", front)
+	for _, n := range []int{0, 1, 2, statsRingCap - 1, statsRingCap, statsRingCap + 1} {
+		st, err := m.JobStats(id, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(fmt.Sprintf("JobStats n=%d", n), st)
+	}
+	last := -1
+	for after := 0; after <= last || last < 0; after++ {
+		replay, ch, cancel, err := m.SubscribeFrom(id, after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, open := <-ch; open {
+			t.Fatalf("SubscribeFrom(%d): a finished job's stream delivered a live event", after)
+		}
+		cancel()
+		if after == 0 {
+			if len(replay) == 0 {
+				t.Fatal("finished job replays no events")
+			}
+			last = replay[len(replay)-1].Seq
+		}
+		put(fmt.Sprintf("SubscribeFrom after=%d", after), replay)
+	}
+	return out
 }

@@ -80,6 +80,11 @@ type StatsResponse struct {
 // costs more than a whole benchmark-sized job on some filesystems —
 // happens on a dedicated writer goroutine fed through a bounded
 // channel, never on the search's boundary path.
+//
+// A sampler lives only as long as its job runs: once the worker is done
+// with the job, freeze hands the job's record the ring's rows and the
+// writer's flush handle, and the rest of the sampler is garbage as soon
+// as its writer goroutine exits.
 type jobSampler struct {
 	met         *metrics
 	evalsCell   *atomic.Int64 // metrics evals_total{scenario} cell, resolved once
@@ -89,11 +94,9 @@ type jobSampler struct {
 
 	mu      sync.Mutex
 	path    string // obs file destination; "" keeps telemetry in memory
-	fields  []string
+	win     statsWindow
+	head    int // ring row the next sample lands in, the oldest once full
 	vals    []int64
-	ring    [][]int64
-	head    int   // ring slot the next sample lands in
-	count   int64 // samples recorded over the job's life
 	last    time.Time
 	start   time.Time
 	attempt int64
@@ -103,14 +106,47 @@ type jobSampler struct {
 	// ops feeds filled rows to writeLoop; free recycles their storage
 	// back so the steady state allocates nothing. Both are nil until the
 	// first recorded sample of a job with an obs directory, and closed.
-	ops  chan []int64
-	free chan []int64
-	wg   sync.WaitGroup
+	// flush is done once writeLoop has closed the file.
+	ops   chan []int64
+	free  chan []int64
+	flush *sync.WaitGroup
 
 	prevEval map[int]int // per-island evaluated watermark for metrics deltas
 	nadir    []float64   // running per-objective maxima, the HV reference base
 	round    int64       // island jobs: latest coordinator round
 	restarts int64       // island jobs: restarts so far
+}
+
+// statsWindow is a job's recent telemetry window: up to statsRingCap
+// rows of len(fields) values in one flat ring, and the samples recorded
+// over the job's life. A finished job's record keeps its window frozen
+// in order, in a slab of exactly its rows.
+type statsWindow struct {
+	fields []string
+	ring   []int64
+	total  int64
+}
+
+// rows returns the most recent min(n, retained) rows, oldest first (n
+// <= 0: all of them), as copies safe to hand to the HTTP layer; the
+// oldest row is row head of the ring.
+func (w *statsWindow) rows(n, head int) [][]int64 {
+	width := len(w.fields)
+	have := 0
+	if width > 0 {
+		have = len(w.ring) / width
+	}
+	if n <= 0 || n > have {
+		n = have
+	}
+	out := make([][]int64, n)
+	slab := make([]int64, n*width)
+	for i := range out {
+		k := (head + have - n + i) % have * width
+		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		copy(out[i], w.ring[k:])
+	}
+	return out
 }
 
 // newJobSampler builds the sampler for one job. dir == "" keeps the
@@ -133,7 +169,7 @@ func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir stri
 		jobID:       jobID,
 		minInterval: interval,
 		logf:        logf,
-		fields:      fields,
+		win:         statsWindow{fields: fields},
 		vals:        make([]int64, len(fields)),
 		start:       now,
 		// The rate-limit clock starts at job start, not at zero, so a
@@ -162,8 +198,8 @@ const obsQueueCap = statsRingCap
 // appends every row of ops, and closes the file when close() shuts ops.
 // Row storage goes back through free for reuse. Open or write failures
 // are logged once and degrade the job to ring-only telemetry.
-func (s *jobSampler) writeLoop(ops <-chan []int64, free chan<- []int64) {
-	defer s.wg.Done()
+func (s *jobSampler) writeLoop(ops <-chan []int64, free chan<- []int64, flush *sync.WaitGroup) {
+	defer flush.Done()
 	var (
 		f      *os.File
 		w      *obs.Writer
@@ -179,7 +215,7 @@ func (s *jobSampler) writeLoop(ops <-chan []int64, free chan<- []int64) {
 		}
 		if w != nil {
 			before := w.Bytes()
-			if err := w.WriteSample(s.fields, row); err != nil {
+			if err := w.WriteSample(s.win.fields, row); err != nil {
 				failed = true
 				s.logf("service: job %s: obs write: %v (file abandoned, ring continues)", s.jobID, err)
 				_ = f.Close()
@@ -274,7 +310,7 @@ func (s *jobSampler) observe(island int, st dse.Stats) {
 	// A job that writes an obs file records its first boundary too, so
 	// its stream holds the start of the search beside its end even when
 	// every boundary falls within one interval.
-	first := s.count == 0 && s.path != ""
+	first := s.win.total == 0 && s.path != ""
 	if !final && !first && now.Sub(s.last) < s.minInterval {
 		return
 	}
@@ -341,13 +377,14 @@ func processMemStats(now time.Time) (heapAlloc, gcPauseNs int64) {
 // record appends one filled row to the ring and hands a copy to the
 // writer goroutine. Caller holds mu.
 func (s *jobSampler) record(v []int64) {
-	if len(s.ring) < statsRingCap {
-		s.ring = append(s.ring, append([]int64(nil), v...))
+	r := &s.win
+	if len(r.ring) < statsRingCap*len(v) {
+		r.ring = append(r.ring, v...)
 	} else {
-		copy(s.ring[s.head], v)
+		copy(r.ring[s.head*len(v):], v)
 	}
 	s.head = (s.head + 1) % statsRingCap
-	s.count++
+	r.total++
 	s.met.obsSamples.Add(1)
 	if s.path == "" || s.closed {
 		return
@@ -355,8 +392,9 @@ func (s *jobSampler) record(v []int64) {
 	if s.ops == nil {
 		s.ops = make(chan []int64, obsQueueCap)
 		s.free = make(chan []int64, 4)
-		s.wg.Add(1)
-		go s.writeLoop(s.ops, s.free)
+		s.flush = new(sync.WaitGroup)
+		s.flush.Add(1)
+		go s.writeLoop(s.ops, s.free, s.flush)
 	}
 	var row []int64
 	select {
@@ -412,29 +450,24 @@ func (s *jobSampler) hypervolume(front []dse.Point) float64 {
 func (s *jobSampler) window(n int) (fields []string, rows [][]int64, total int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	have := len(s.ring)
-	if n <= 0 || n > have {
-		n = have
+	return s.win.fields, s.win.rows(n, s.oldest()), s.win.total
+}
+
+// oldest returns the ring row of the oldest sample: s.head once the ring
+// is full, 0 before, when the ring is [0, head) in order. Caller holds mu.
+func (s *jobSampler) oldest() int {
+	if len(s.win.ring) < statsRingCap*len(s.win.fields) {
+		return 0
 	}
-	rows = make([][]int64, 0, n)
-	// s.head is the oldest slot once the ring wrapped; before that the
-	// ring is [0, head) in order.
-	start := 0
-	if have == statsRingCap {
-		start = s.head
-	}
-	for i := have - n; i < have; i++ {
-		slot := s.ring[(start+i)%have]
-		rows = append(rows, append([]int64(nil), slot...))
-	}
-	return s.fields, rows, s.count
+	return s.head
 }
 
 // close stops accepting file rows and lets the writer goroutine finish
 // the queue and close the file in the background. It does not wait —
 // the worker moves to its next job while the tail flushes; drain is the
-// blocking variant for shutdown and tests. The sampler drops the
-// queue, so a finished job does not keep it.
+// blocking variant for shutdown and tests. runJob closes the sampler
+// when the job's last attempt ends; retire then freezes what the job's
+// record keeps of it and drops the rest.
 func (s *jobSampler) close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -447,24 +480,48 @@ func (s *jobSampler) close() {
 // drain blocks until the writer goroutine has flushed every queued row
 // and closed the obs file. Call after close.
 func (s *jobSampler) drain() {
-	s.wg.Wait()
+	s.mu.Lock()
+	flush := s.flush
+	s.mu.Unlock()
+	if flush != nil {
+		flush.Wait()
+	}
+}
+
+// freeze returns what a finished job's record keeps of its closed
+// sampler: the window in order, in a slab of exactly its rows, and the
+// writer's flush handle.
+func (s *jobSampler) freeze() (statsWindow, *sync.WaitGroup) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.win
+	start := s.oldest() * len(r.fields)
+	ordered := make([]int64, 0, len(r.ring))
+	ordered = append(append(ordered, r.ring[start:]...), r.ring[:start]...)
+	return statsWindow{fields: r.fields, ring: ordered, total: r.total}, s.flush
 }
 
 // JobStats returns the job's recent telemetry window (up to n samples;
-// n <= 0 selects the whole retained ring). Jobs that have not sampled
-// yet return an empty window, not an error — a queued job legitimately
-// has no telemetry.
+// n <= 0 selects the whole retained ring): the live sampler's while the
+// job runs, the window retire froze once it is over. Jobs that have not
+// sampled yet return an empty window, not an error — a queued job
+// legitimately has no telemetry.
 func (m *Manager) JobStats(id string, n int) (StatsResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {
 		return StatsResponse{}, ErrNotFound
 	}
-	resp := StatsResponse{JobID: id, Rows: [][]int64{}}
 	j.mu.Lock()
-	sampler := j.sampler
+	w := j.stats
+	var sampler *jobSampler
+	if j.live != nil {
+		sampler = j.live.sampler
+	}
 	j.mu.Unlock()
 	if sampler != nil {
-		resp.Fields, resp.Rows, resp.Samples = sampler.window(n)
+		fields, rows, total := sampler.window(n)
+		return StatsResponse{JobID: id, Fields: fields, Rows: rows, Samples: total}, nil
 	}
-	return resp, nil
+	// A frozen window never changes: no lock needed.
+	return StatsResponse{JobID: id, Fields: w.fields, Rows: w.rows(n, 0), Samples: w.total}, nil
 }

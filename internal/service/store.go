@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -131,13 +131,21 @@ type StoreConfig struct {
 	MaxResults int
 }
 
-// storedEntry is one retained result plus its LRU list node. The
-// result's Front is nil: its points are in front, which a done job's
-// record shares.
+// storedEntry is one retained result, linked into the store's recency
+// list. The result's Front is nil: its points are in front, which a done
+// job's record shares. Its Key is its keyed group's string and a job's
+// Fingerprint the registry's, so entries of one content key share both.
 type storedEntry struct {
-	res   StoredResult
-	front *packedFront
-	node  *list.Element // element value is the version (int)
+	res        StoredResult
+	front      *packedFront
+	prev, next *storedEntry // next is the less recently used
+}
+
+// keyed is the versions of one content key, ascending, and the key
+// string every entry of the group shares.
+type keyed struct {
+	key      string
+	versions []int
 }
 
 // result returns the entry's result with a fresh copy of its front.
@@ -166,8 +174,8 @@ type Store struct {
 	mu        sync.RWMutex
 	cfg       StoreConfig
 	byVer     map[int]*storedEntry // O(1) version lookup
-	byKey     map[string][]int     // content key → versions, ascending
-	lru       *list.List           // front = most recently used
+	byKey     map[string]*keyed    // content key → its versions
+	lru       storedEntry          // recency list root: next is the most recently used, prev the least
 	nextVer   int
 	index     *os.File     // nil for in-memory stores
 	evictions atomic.Int64 // lifetime LRU evictions, for /metrics
@@ -185,9 +193,9 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	s := &Store{
 		cfg:   cfg,
 		byVer: make(map[int]*storedEntry),
-		byKey: make(map[string][]int),
-		lru:   list.New(),
+		byKey: make(map[string]*keyed),
 	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	if cfg.Dir == "" {
 		return s, nil
 	}
@@ -205,7 +213,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	s.index = f
 	// A store reopened with a smaller bound trims immediately (recorded
 	// in the index like any other eviction).
-	for s.lru.Len() > s.cfg.MaxResults {
+	for len(s.byVer) > s.cfg.MaxResults {
 		s.evictOldest()
 	}
 	return s, nil
@@ -277,11 +285,29 @@ func (s *Store) replayIndex(index *os.File) error {
 // insert registers r (whose Version is already assigned) with front as
 // its points in the maps and LRU as most-recently-used. Caller holds mu.
 func (s *Store) insert(r StoredResult, front *packedFront) {
-	r.Front = nil
+	k := s.byKey[r.Key]
+	if k == nil {
+		k = &keyed{key: r.Key}
+		s.byKey[r.Key] = k
+	}
+	k.versions = append(k.versions, r.Version)
+	r.Front, r.Key = nil, k.key
 	e := &storedEntry{res: r, front: front}
-	e.node = s.lru.PushFront(r.Version)
+	s.pushFront(e)
 	s.byVer[r.Version] = e
-	s.byKey[r.Key] = append(s.byKey[r.Key], r.Version)
+}
+
+// pushFront links e into the recency list as the most recently used.
+// Caller holds mu.
+func (s *Store) pushFront(e *storedEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the recency list. Caller holds mu.
+func (s *Store) unlink(e *storedEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // errVersionsExhausted fails a Put after a damaged index's largest int.
@@ -327,7 +353,7 @@ func (s *Store) put(r StoredResult, front *packedFront) (int, error) {
 		}
 	}
 	s.insert(r, front)
-	for s.lru.Len() > s.cfg.MaxResults {
+	for len(s.byVer) > s.cfg.MaxResults {
 		s.evictOldest()
 	}
 	return r.Version, nil
@@ -335,23 +361,19 @@ func (s *Store) put(r StoredResult, front *packedFront) (int, error) {
 
 // evictOldest drops the least-recently-used result. Caller holds mu.
 func (s *Store) evictOldest() {
-	back := s.lru.Back()
-	if back == nil {
+	e := s.lru.prev
+	if e == &s.lru {
 		return
 	}
 	s.evictions.Add(1)
-	v := back.Value.(int)
-	e := s.byVer[v]
-	s.lru.Remove(back)
+	v := e.res.Version
+	s.unlink(e)
 	delete(s.byVer, v)
-	vers := s.byKey[e.res.Key]
-	for i, kv := range vers {
-		if kv == v {
-			s.byKey[e.res.Key] = append(vers[:i], vers[i+1:]...)
-			break
-		}
+	k := s.byKey[e.res.Key]
+	if i := slices.Index(k.versions, v); i >= 0 {
+		k.versions = slices.Delete(k.versions, i, i+1)
 	}
-	if len(s.byKey[e.res.Key]) == 0 {
+	if len(k.versions) == 0 {
 		delete(s.byKey, e.res.Key)
 	}
 	if s.index != nil {
@@ -379,7 +401,8 @@ func (s *Store) Get(version int) (StoredResult, bool) {
 	s.mu.Lock()
 	e, ok := s.byVer[version]
 	if ok {
-		s.lru.MoveToFront(e.node)
+		s.unlink(e)
+		s.pushFront(e)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -398,7 +421,9 @@ func (s *Store) Query(q ResultQuery) (page []StoredResult, total int) {
 	s.mu.RLock()
 	vers := make([]int, 0, len(s.byVer))
 	if q.Key != "" {
-		vers = append(vers, s.byKey[q.Key]...)
+		if k := s.byKey[q.Key]; k != nil {
+			vers = append(vers, k.versions...)
+		}
 	} else {
 		for v := range s.byVer {
 			vers = append(vers, v)
