@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,22 +173,20 @@ func BenchmarkSamplerBoundary(b *testing.B) {
 	b.Run("sampled", func(b *testing.B) { run(b, time.Nanosecond) })
 }
 
-// BenchmarkSSEFanout measures the event hub broadcasting one progress
-// event to N subscribers — the per-generation cost a popular job pays
-// with many SSE watchers attached.
+// BenchmarkSSEFanout measures the event hub publishing one progress event
+// with N followers reading its history — the per-generation cost a
+// popular job pays with many SSE watchers attached.
 func BenchmarkSSEFanout(b *testing.B) {
 	for _, subs := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("subs%d", subs), func(b *testing.B) {
-			h := newHub(nil)
-			done := make(chan struct{})
+			var h hub
+			var wg sync.WaitGroup
+			wg.Add(subs)
 			for s := 0; s < subs; s++ {
-				_, ch, cancel := h.subscribeFrom(0)
-				defer cancel()
-				go func(ch <-chan Event) {
-					for range ch { // drain
-					}
-					done <- struct{}{}
-				}(ch)
+				go func() {
+					defer wg.Done()
+					_ = h.follow(context.Background(), 0, func(Event) bool { return true })
+				}()
 			}
 			p := &ProgressInfo{Step: 1, TotalSteps: 100, Evaluated: 512, FrontSize: 32}
 			b.ResetTimer()
@@ -196,9 +195,7 @@ func BenchmarkSSEFanout(b *testing.B) {
 			}
 			b.StopTimer()
 			h.close()
-			for s := 0; s < subs; s++ {
-				<-done
-			}
+			wg.Wait()
 		})
 	}
 }

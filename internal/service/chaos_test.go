@@ -209,21 +209,15 @@ func TestChaosRetryEventsCarryAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, ch, cancel, err := m.SubscribeFrom(info.ID, 0)
+	var statuses []Event
+	err = m.Events(context.Background(), info.ID, 0, func(e Event) bool {
+		if e.Type == "status" {
+			statuses = append(statuses, e)
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer cancel()
-	var statuses []Event
-	for _, e := range replay {
-		if e.Type == "status" {
-			statuses = append(statuses, e)
-		}
-	}
-	for e := range ch {
-		if e.Type == "status" {
-			statuses = append(statuses, e)
-		}
 	}
 	var trace []string
 	for _, e := range statuses {
@@ -695,30 +689,51 @@ func newLocalListenerAt(t *testing.T, addr string) net.Listener {
 	}
 }
 
-// TestHubSubscribeFrom pins the server half of Last-Event-ID resume:
-// replay is filtered to events after the given sequence number.
+// TestHubSubscribeFrom pins the server half of Last-Event-ID resume: a
+// follower reads only the events after the given sequence number, and
+// one past the latest event still receives the events that follow.
 func TestHubSubscribeFrom(t *testing.T) {
-	h := newHub(nil)
+	var h hub
 	for i := 0; i < 3; i++ {
 		h.publish(Event{Type: "status", Status: StatusQueued})
 	}
 	h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 9}})
 
-	replay, _, cancel := h.subscribeFrom(2)
-	defer cancel()
+	replay := history(&h, 2)
 	for _, e := range replay {
 		if e.Seq <= 2 {
-			t.Fatalf("subscribeFrom(2) replayed seq %d", e.Seq)
+			t.Fatalf("follow from 2 read seq %d", e.Seq)
 		}
 	}
 	if len(replay) != 2 { // status seq 3 + progress seq 4
 		t.Fatalf("replay %+v, want 2 events", replay)
 	}
-
-	all, _, cancelAll := h.subscribeFrom(0)
-	defer cancelAll()
-	if len(all) != 4 {
+	if all := history(&h, 0); len(all) != 4 {
 		t.Fatalf("full replay has %d events, want 4", len(all))
+	}
+
+	// A Last-Event-ID from the future counts as the latest event.
+	var live hub
+	live.publish(Event{Type: "status", Status: StatusQueued})
+	live.publish(Event{Type: "status", Status: StatusRunning})
+	got := make(chan []Event)
+	go func() {
+		var seen []Event
+		if err := live.follow(context.Background(), 1000, func(e Event) bool {
+			seen = append(seen, e)
+			return true
+		}); err != nil {
+			t.Error(err)
+		}
+		got <- seen
+	}()
+	awaitReader(&live)
+	live.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 1}})
+	live.publish(Event{Type: "status", Status: StatusDone})
+	live.close()
+	seen := <-got
+	if len(seen) != 2 || seen[0].Seq != 3 || seen[1].Seq != 4 || seen[1].Status != StatusDone {
+		t.Fatalf("follower from seq 1000 read %+v, want seq 3 and the done status at seq 4", seen)
 	}
 }
 

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"context"
+	"math"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"wsndse/internal/service/island"
 )
@@ -14,8 +14,10 @@ import (
 // events carry the island coordinator's observations (rounds, migrations,
 // crashes, failovers) for island jobs. Seq is monotonically increasing
 // per job — it doubles as the SSE event id, so a reconnecting consumer
-// resumes exactly where its stream died (Last-Event-ID → SubscribeFrom)
-// instead of replaying or skipping.
+// resumes exactly where its stream died (Last-Event-ID → Manager.Events)
+// instead of replaying or skipping. A reader that keeps up sees every
+// event; one that falls behind skips only progress and island events a
+// later one of their kind superseded (see hub), never a status event.
 type Event struct {
 	Seq      int           `json:"seq"`
 	Type     string        `json:"type"` // "status" | "progress" | "island"
@@ -26,158 +28,124 @@ type Event struct {
 	Island   *island.Event `json:"island,omitempty"`
 }
 
-// subBuffer is each subscriber's channel depth. Slow consumers lose
-// intermediate progress events (drop-oldest), never the ordering of what
-// they do see; lifecycle events survive in the replay history regardless.
-const subBuffer = 256
+// supersedes reports whether e replaces old in a job's history: a
+// progress event replaces the previous progress event, and an island
+// event the previous island event of its kind. Status events stay.
+func (e Event) supersedes(old Event) bool {
+	switch e.Type {
+	case "progress":
+		return old.Type == "progress"
+	case "island":
+		return old.Type == "island" && old.Island.Kind == e.Island.Kind
+	}
+	return false
+}
 
-// hub is a per-job event broadcaster. It keeps a bounded replay history —
-// every lifecycle transition plus the latest progress and island events —
-// so a subscriber attaching mid-run (or after completion) immediately
-// learns the job's story without the service buffering thousands of
-// generation snapshots. Once the job's worker is done with it the
-// history is final: compact folds it into status at its exact length, in
-// Seq order, so a finished job's hub keeps only what replay serves.
+// hub is a job's event history, in Seq order, which every reader follows
+// by sequence number: every status event, the latest progress event and
+// the latest island event of each kind. A reader attaching mid-run (or
+// after completion) thus learns the job's story at once, and the service
+// buffers no stream of generation snapshots. A reader with nothing left
+// to read waits on wake, which the hub makes only when a reader waits and
+// which publish and close close. Once closed the history is final, folded
+// to its exact length. The zero hub is open and empty.
 type hub struct {
-	mu           sync.Mutex
-	seq          int
-	status       []Event // lifecycle transitions, a handful at most; once compacted, the whole history
-	lastProgress *Event
-	lastIsland   *Event
-	subs         map[chan Event]struct{}
-	closed       bool
-	// subGauge, when non-nil, tracks live subscriber count across every
-	// hub sharing it — the wsndse_sse_subscribers metric.
-	subGauge *atomic.Int64
+	mu     sync.Mutex
+	events []Event
+	wake   chan struct{}
+	closed bool
 }
 
-func newHub(subGauge *atomic.Int64) *hub {
-	return &hub{subs: make(map[chan Event]struct{}), subGauge: subGauge}
-}
-
-// publish assigns the next sequence number and fans the event out to every
-// subscriber. Sends never block the publishing (search) goroutine: a full
-// subscriber drops its oldest buffered event instead.
+// publish gives e the next sequence number, appends it to the history in
+// place of the event it supersedes, and wakes the waiting readers. It
+// never blocks the publishing (search) goroutine on a reader.
 func (h *hub) publish(e Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	h.seq++
-	e.Seq = h.seq
-	switch e.Type {
-	case "progress":
-		cp := e
-		h.lastProgress = &cp
-	case "island":
-		cp := e
-		h.lastIsland = &cp
-	default:
-		h.status = append(h.status, e)
+	e.Seq = h.lastLocked() + 1
+	if i := slices.IndexFunc(h.events, e.supersedes); i >= 0 {
+		h.events = slices.Delete(h.events, i, i+1)
 	}
-	for ch := range h.subs {
-		select {
-		case ch <- e:
-		default:
-			select { // drop-oldest; h.mu serializes all sends
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- e:
-			default:
-			}
-		}
-	}
+	h.events = append(h.events, e)
+	h.wakeLocked()
 }
 
-// close ends the stream: every subscriber's channel is closed after the
-// events already buffered, and future subscribers get replay + an
-// immediately closed channel.
+// close ends the stream: the history is final, and every reader returns
+// once it has read it. A job's hub closes once, at its terminal status.
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
 	h.closed = true
-	if h.subGauge != nil {
-		h.subGauge.Add(-int64(len(h.subs)))
-	}
-	for ch := range h.subs {
-		close(ch)
-	}
-	h.subs = nil
+	h.events = slices.Clone(h.events)
+	h.wakeLocked()
 }
 
-// compact folds the closed hub's history into status at its exact
-// length, dropping the spare capacity publish grew it with.
-func (h *hub) compact() {
+// lastLocked is the latest event's sequence number, 0 before the first.
+func (h *hub) lastLocked() int {
+	if len(h.events) == 0 {
+		return 0
+	}
+	return h.events[len(h.events)-1].Seq
+}
+
+// wakeLocked wakes every reader waiting on h.
+func (h *hub) wakeLocked() {
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
+	}
+}
+
+// next returns the first event after sequence number seq. When there is
+// none it returns ok false and a channel closed at the next publish or
+// close, or a nil channel once the hub is closed.
+func (h *hub) next(seq int) (e Event, ok bool, wake <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.status = slices.Clone(h.replayLocked())
-	h.lastProgress, h.lastIsland = nil, nil
+	for _, e := range h.events {
+		if e.Seq > seq {
+			return e, true, nil
+		}
+	}
+	if h.wake == nil && !h.closed {
+		h.wake = make(chan struct{})
+	}
+	return Event{}, false, h.wake
 }
 
-// closedEvents is the live channel every subscriber of a closed hub gets.
-var closedEvents = func() chan Event {
-	c := make(chan Event)
-	close(c)
-	return c
-}()
-
-// subscribeFrom returns the replay history after sequence number
-// afterSeq (lifecycle events plus the latest progress/island snapshots,
-// in Seq order; 0 keeps all of it, a reconnect's Last-Event-ID skips
-// what it saw), a live channel, and a cancel func. After the hub closes
-// the channel is closed; cancel is idempotent and safe after close.
-func (h *hub) subscribeFrom(afterSeq int) (replay []Event, ch <-chan Event, cancel func()) {
+// follow calls fn with each event after sequence number afterSeq, in Seq
+// order, until fn returns false or the hub closes (nil), or ctx expires
+// while it waits (ctx.Err()). An afterSeq past the latest event counts as
+// the latest, so a Last-Event-ID the hub never assigned still receives what
+// comes next.
+func (h *hub) follow(ctx context.Context, afterSeq int, fn func(Event) bool) error {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	replay = h.replayLocked()
-	if afterSeq > 0 {
-		kept := replay[:0]
-		for _, e := range replay {
-			if e.Seq > afterSeq {
-				kept = append(kept, e)
+	seq := min(afterSeq, h.lastLocked())
+	h.mu.Unlock()
+	for {
+		e, ok, wake := h.next(seq)
+		switch {
+		case ok:
+			if !fn(e) {
+				return nil
 			}
-		}
-		replay = kept
-	}
-	if h.closed {
-		return replay, closedEvents, func() {}
-	}
-	c := make(chan Event, subBuffer)
-	h.subs[c] = struct{}{}
-	if h.subGauge != nil {
-		h.subGauge.Add(1)
-	}
-	cancel = func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[c]; ok {
-			delete(h.subs, c)
-			close(c)
-			if h.subGauge != nil {
-				h.subGauge.Add(-1)
+			seq = e.Seq
+		case wake == nil:
+			return nil
+		default:
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
 		}
 	}
-	return replay, c, cancel
 }
 
-// replayLocked merges status history with the latest progress and island
-// events by Seq.
-func (h *hub) replayLocked() []Event {
-	out := make([]Event, 0, len(h.status)+2)
-	out = append(out, h.status...)
-	if h.lastProgress != nil {
-		out = append(out, *h.lastProgress)
-	}
-	if h.lastIsland != nil {
-		out = append(out, *h.lastIsland)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+// wait blocks until the hub closes or ctx expires.
+func (h *hub) wait(ctx context.Context) error {
+	return h.follow(ctx, math.MaxInt, func(Event) bool { return true })
 }

@@ -152,10 +152,13 @@ func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (spec Spec, err error
 // /v1/jobs neither lists nor counts it; its front stays at
 // /v1/results/{version} while the store holds it.
 //
-// The events stream honors the SSE Last-Event-ID request header: each
-// event's id is its per-job sequence number, and a reconnect carrying the
-// last id seen resumes after it instead of replaying history. Request
-// bodies are capped at MaxBodyBytes.
+// The events stream delivers every status event, plus the latest progress
+// event and the latest island event of each kind: a client that falls
+// behind skips only superseded events (see Manager.Events). It honors the
+// SSE Last-Event-ID request header: each event's id is its per-job
+// sequence number, and a reconnect carrying the last id seen resumes
+// after it instead of replaying history. Request bodies are capped at
+// MaxBodyBytes.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -297,11 +300,11 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
-// serveEvents streams the job's event feed as server-sent events: replayed
-// history first, then live events until the job terminates or the client
-// disconnects. Each event is `id: <seq>\nevent: <type>\ndata: <json>`; the
-// id line makes the Seq the SSE event id, so a reconnecting client's
-// Last-Event-ID header resumes the stream after the last event it saw.
+// serveEvents streams the job's events (Manager.Events) as server-sent
+// events until the job terminates or the client disconnects. Each event
+// is `id: <seq>\nevent: <type>\ndata: <json>`; the id line makes the Seq
+// the SSE event id, so a reconnecting client's Last-Event-ID header
+// resumes the stream after the last event it saw.
 func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -318,12 +321,13 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 		}
 		afterSeq = n
 	}
-	replay, ch, cancel, err := m.SubscribeFrom(r.PathValue("id"), afterSeq)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
+	id := r.PathValue("id")
+	if _, ok := m.lookup(id); !ok {
+		writeError(w, http.StatusNotFound, CodeNotFound, ErrNotFound)
 		return
 	}
-	defer cancel()
+	m.met.sseSubscribers.Add(1)
+	defer m.met.sseSubscribers.Add(-1)
 	// A long-lived stream must outlive the server's WriteTimeout (which
 	// exists to bound ordinary request handlers): clear the connection's
 	// write deadline for this response only. Failure is fine — a server
@@ -332,7 +336,9 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	write := func(e Event) bool {
+	// The stream ends after the terminal status event, when a write fails,
+	// or when the client goes away; there is no one left to tell why.
+	_ = m.Events(r.Context(), id, afterSeq, func(e Event) bool {
 		data, err := json.Marshal(e)
 		if err != nil {
 			return false
@@ -342,25 +348,7 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 		}
 		flusher.Flush()
 		return true
-	}
-	for _, e := range replay {
-		if !write(e) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case e, ok := <-ch:
-			if !ok {
-				return // job terminated; the terminal status event preceded the close
-			}
-			if !write(e) {
-				return
-			}
-		}
-	}
+	})
 }
 
 // listScenarios builds the scenario listing from the rows the registry

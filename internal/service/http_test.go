@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -580,6 +582,84 @@ func TestSSEWireFormat(t *testing.T) {
 				t.Fatalf("unparseable data line %q: %v", line, err)
 			}
 		}
+	}
+}
+
+// TestSSESubscribersGauge: wsndse_sse_subscribers counts open /events
+// streams. Two streams on a held job read 2, one client hanging up leaves
+// 1, and the job's end, which ends the other stream, leaves 0.
+func TestSSESubscribersGauge(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	release := sync.OnceFunc(holdWorker(t, m))
+	defer release()
+
+	gauge := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "wsndse_sse_subscribers "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no wsndse_sse_subscribers sample in /metrics:\n%s", body)
+		return ""
+	}
+	// open starts a stream on the held job j1 and reads its first line,
+	// which the server writes once it counts the stream.
+	open := func() (*bufio.Reader, context.CancelFunc) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/j1/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		body := bufio.NewReader(resp.Body)
+		if _, err := body.ReadString('\n'); err != nil {
+			t.Fatal(err)
+		}
+		return body, cancel
+	}
+
+	_, hangUp := open()
+	stays, stop := open()
+	defer stop()
+	if got := gauge(); got != "2" {
+		t.Fatalf("wsndse_sse_subscribers %s with two streams open, want 2", got)
+	}
+	hangUp()
+	deadline := time.Now().Add(10 * time.Second)
+	for got := gauge(); got != "1"; got = gauge() {
+		if time.Now().After(deadline) {
+			t.Fatalf("wsndse_sse_subscribers %s after one client hung up, want 1", got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	rest, err := io.ReadAll(stays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(rest), `"status":"cancelled"`) {
+		t.Fatalf("stream ended without the terminal status event:\n%s", rest)
+	}
+	if got := gauge(); got != "0" {
+		t.Fatalf("wsndse_sse_subscribers %s after the job ended, want 0", got)
 	}
 }
 

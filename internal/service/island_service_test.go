@@ -52,19 +52,18 @@ func TestIslandJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ch, cancel, err := m.SubscribeFrom(info.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
 	islandEvents := 0
-	for e := range ch {
+	err = m.Events(context.Background(), info.ID, 0, func(e Event) bool {
 		if e.Type == "island" {
 			if e.Island == nil {
 				t.Fatal("island event without payload")
 			}
 			islandEvents++
 		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if islandEvents == 0 {
 		t.Error("no island events on the job stream")

@@ -116,11 +116,12 @@ var (
 )
 
 // job is one submitted job. While it is queued or running, live holds
-// what its worker needs beside the record: its context, its telemetry
-// sampler and its done channel. Once the worker is done with it, retire
-// releases live and the record keeps only what the job's endpoints
-// serve: its JobInfo (Get, Jobs), its closed hub's replay history
-// (SubscribeFrom), its stats window in one flat slab (JobStats), and its
+// what its worker needs beside the record: its context and its telemetry
+// sampler. Its hub is its event history and its only terminal signal:
+// Events, Wait and Drain follow it until it closes. Once the worker is
+// done with it, retire releases live and the record keeps only what the
+// job's endpoints serve: its JobInfo (Get, Jobs), its closed hub's
+// history (Events), its stats window in one flat slab (JobStats), and its
 // packed front with the two counts Front builds its response from.
 // info.Spec never changes after Submit, so the worker reads it without
 // mu; mu guards the rest of info and every other field Submit does not
@@ -130,7 +131,7 @@ type job struct {
 	seq  int // submission order, set before the job is published
 	mu   sync.Mutex
 	info JobInfo
-	hub  *hub
+	hub  hub
 	live *liveJob // nil once retired
 	// stats is the telemetry window retire froze from the sampler, and
 	// obsFlush the job's obs writer, which retire waits for before the
@@ -153,17 +154,7 @@ type liveJob struct {
 	// sampler collects the job's telemetry (ring + optional obs file);
 	// created by runJob, nil while the job is still queued.
 	sampler *jobSampler
-	// done is closed when the job reaches a terminal state; a retired
-	// job's is closedDone.
-	done chan struct{}
 }
-
-// closedDone is the done channel of every retired job.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
 
 // run is the state of a job's attempt loop, owned by runJob. The dse
 // boundary hooks and the coordinator's OnCheckpoint run on its
@@ -224,20 +215,15 @@ func (j *job) setStatus(s Status, errMsg string) bool {
 	j.hub.publish(Event{Type: "status", Status: s, Error: errMsg, Attempt: attempt})
 	if s.Terminal() {
 		j.hub.close()
-		close(live.done)
 	}
 	return true
 }
 
 // compact releases what only the worker needed once it is done with the
-// job, keeping the record described on job: live goes, the sampler's
-// window frozen into stats and its obs writer kept as obsFlush, and the
-// hub's history folded to its exact length. It waits for the terminal
-// transition to finish first: a Cancel that made the job terminal may
-// still be publishing its event.
+// job, keeping the record described on job: live goes, and the sampler's
+// window is frozen into stats and its obs writer kept as obsFlush. The
+// hub folded its own history when it closed.
 func (j *job) compact() {
-	<-j.live.done
-	j.hub.compact()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if s := j.live.sampler; s != nil {
@@ -451,10 +437,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 		j.stop("manager draining")
 	}
 	for _, j := range jobs {
-		select {
-		case <-j.doneChan():
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := j.hub.wait(ctx); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -505,8 +489,7 @@ func (m *Manager) Submit(spec Spec) (JobInfo, error) {
 	ctx, cancel := context.WithCancel(m.root)
 	j := &job{
 		info: JobInfo{ID: id, Spec: spec, Status: StatusQueued, CreatedAt: time.Now()},
-		hub:  newHub(&m.met.sseSubscribers),
-		live: &liveJob{ctx: ctx, cancel: cancel, met: m.met, done: make(chan struct{})},
+		live: &liveJob{ctx: ctx, cancel: cancel, met: m.met},
 	}
 	// The queue send stays inside the critical section: it is non-blocking,
 	// and m.mu is what orders it against Close's close(m.queue) — a send
@@ -598,28 +581,14 @@ func (j *job) stop(reason string) {
 	}
 }
 
-// doneChan returns the channel closed once the job is terminal.
-func (j *job) doneChan() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.live == nil {
-		return closedDone
-	}
-	return j.live.done
-}
-
 // Wait blocks until the job reaches a terminal state or ctx expires.
 func (m *Manager) Wait(ctx context.Context, id string) (JobInfo, error) {
 	j, ok := m.lookup(id)
 	if !ok {
 		return JobInfo{}, ErrNotFound
 	}
-	select {
-	case <-j.doneChan():
-		return j.snapshotInfo(), nil
-	case <-ctx.Done():
-		return j.snapshotInfo(), ctx.Err()
-	}
+	err := j.hub.wait(ctx)
+	return j.snapshotInfo(), err
 }
 
 // Front returns the job's Pareto front: the full result for done jobs,
@@ -657,18 +626,22 @@ func (m *Manager) Front(id string) (FrontResponse, error) {
 	return out, nil
 }
 
-// SubscribeFrom attaches to the job's event stream: the retained history
-// after sequence number afterSeq (0 replays everything retained) plus a
-// live channel, closed when the job terminates; cancel detaches early.
-// afterSeq is the server side of SSE resume via Last-Event-ID, so a
-// reconnecting consumer never re-reads history it already processed.
-func (m *Manager) SubscribeFrom(id string, afterSeq int) (replay []Event, ch <-chan Event, cancel func(), err error) {
+// Events calls fn with each event of the job's stream after sequence
+// number afterSeq, in order, until fn returns false or the stream ends
+// after the job's terminal status event; it returns ctx.Err() if ctx
+// expires while it waits for the next event. It reads the job's history
+// first and then follows it live: every status event, plus the latest
+// progress event and the latest island event of each kind, so a reader
+// that falls behind skips only superseded events. afterSeq 0 reads the
+// whole history; a reconnecting SSE consumer's Last-Event-ID skips what
+// it saw, and one past the latest event counts as the latest. It is the
+// in-process twin of Client.Events.
+func (m *Manager) Events(ctx context.Context, id string, afterSeq int, fn func(Event) bool) error {
 	j, ok := m.lookup(id)
 	if !ok {
-		return nil, nil, nil, ErrNotFound
+		return ErrNotFound
 	}
-	replay, ch, cancel = j.hub.subscribeFrom(afterSeq)
-	return replay, ch, cancel, nil
+	return j.hub.follow(ctx, afterSeq, fn)
 }
 
 // runJob supervises one job on a manager worker: it runs attempts under

@@ -15,6 +15,7 @@ import (
 	"wsndse/internal/dse"
 	"wsndse/internal/scenario"
 	"wsndse/internal/service/faultinject"
+	"wsndse/internal/service/island"
 )
 
 // smallNSGA2 is the cheap job every test reaches for.
@@ -238,27 +239,17 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replay, ch, cancelSub, err := m.SubscribeFrom(victim.ID, 0)
+			// A job that finishes before we could kill it is still a
+			// valid resume source.
+			err = m.Events(context.Background(), victim.ID, 0, func(e Event) bool {
+				if e.Type == "progress" && e.Progress.Step >= 3 {
+					m.Cancel(victim.ID)
+					return false
+				}
+				return true
+			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			defer cancelSub()
-			killed := false
-			for _, e := range replay {
-				if e.Type == "progress" && e.Progress.Step >= 3 {
-					m.Cancel(victim.ID)
-					killed = true
-				}
-			}
-			for !killed {
-				e, ok := <-ch
-				if !ok {
-					break // job finished before we could kill it: still a valid resume source
-				}
-				if e.Type == "progress" && e.Progress.Step >= 3 {
-					m.Cancel(victim.ID)
-					killed = true
-				}
 			}
 			stopped := waitDone(t, m, victim.ID)
 			// The durable checkpoint resume_job reads is the victim's
@@ -329,16 +320,15 @@ func TestMOSACheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ch, cancelSub, err := m.SubscribeFrom(victim.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancelSub()
-	for e := range ch {
+	err = m.Events(context.Background(), victim.ID, 0, func(e Event) bool {
 		if e.Type == "progress" && e.Progress.Step >= 1 {
 			m.Cancel(victim.ID)
-			break
+			return false
 		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	waitDone(t, m, victim.ID)
 	resumeSpec := spec
@@ -387,15 +377,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// Let the first job make observable progress before killing it, so the
 	// cancel lands mid-run and the partial front survives.
-	_, ch, cancelSub, err := m.SubscribeFrom(first.ID, 0)
+	err = m.Events(context.Background(), first.ID, 0, func(e Event) bool {
+		return e.Type != "progress"
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer cancelSub()
-	for e := range ch {
-		if e.Type == "progress" {
-			break
-		}
 	}
 	if err := m.Cancel(first.ID); err != nil {
 		t.Fatal(err)
@@ -498,42 +484,154 @@ func TestStoreVersioning(t *testing.T) {
 	}
 }
 
-func TestHubReplayAndDropOldest(t *testing.T) {
-	h := newHub(nil)
+// history returns the events h holds after afterSeq, without waiting for
+// more.
+func history(h *hub, afterSeq int) []Event {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out []Event
+	_ = h.follow(ctx, afterSeq, func(e Event) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
+// awaitReader returns once a reader waits on h for its next event; no
+// other reader may have waited on h since its last publish.
+func awaitReader(h *hub) {
+	for {
+		h.mu.Lock()
+		waiting := h.wake != nil
+		h.mu.Unlock()
+		if waiting {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestHubReplayAndLaggingFollower: a job's history keeps every status
+// event, the latest progress event and the latest island event of each
+// kind, so a follower that reads late skips only superseded events.
+func TestHubReplayAndLaggingFollower(t *testing.T) {
+	var h hub
 	h.publish(Event{Type: "status", Status: StatusQueued})
 	for i := 0; i < 5; i++ {
 		h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: i + 1}})
 	}
-	replay, ch, cancel := h.subscribeFrom(0)
-	defer cancel()
 	// Replay keeps the lifecycle event and only the latest progress.
+	replay := history(&h, 0)
 	if len(replay) != 2 || replay[0].Status != StatusQueued || replay[1].Progress.Step != 5 {
 		t.Fatalf("replay %+v", replay)
 	}
-	// Overflow the subscriber: newest events win.
-	for i := 0; i < subBuffer+10; i++ {
-		h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 100 + i}})
-	}
 	h.publish(Event{Type: "status", Status: StatusDone})
 	h.close()
-	var last Event
-	n := 0
-	for e := range ch {
-		last = e
-		n++
+	// Following a closed hub reads its history and returns.
+	after := history(&h, 0)
+	if len(after) != 3 || after[2].Status != StatusDone {
+		t.Fatalf("post-close replay %+v", after)
 	}
-	if n == 0 || last.Type != "status" || last.Status != StatusDone {
-		t.Fatalf("after overflow got %d events, last %+v", n, last)
+	if err := h.follow(context.Background(), after[2].Seq, func(Event) bool { return true }); err != nil {
+		t.Fatalf("following a closed hub past its end: %v", err)
 	}
 
-	// Subscribing after close replays and returns a closed channel.
-	replay2, ch2, cancel2 := h.subscribeFrom(0)
-	defer cancel2()
-	if len(replay2) == 0 {
-		t.Fatal("post-close replay empty")
+	// retried publishes the rest of a job whose first attempt failed after
+	// 300 boundaries, and ends its stream.
+	retried := func(h *hub) {
+		h.publish(Event{Type: "status", Status: StatusRunning, Attempt: 1})
+		for i := 0; i < 300; i++ {
+			h.publish(Event{Type: "progress", Attempt: 1, Progress: &ProgressInfo{Step: i + 1}})
+		}
+		h.publish(Event{Type: "status", Status: StatusQueued, Attempt: 1, Error: "injected panic"})
+		h.publish(Event{Type: "status", Status: StatusRunning, Attempt: 2})
+		h.publish(Event{Type: "status", Status: StatusDone, Attempt: 2})
+		h.close()
 	}
-	if _, ok := <-ch2; ok {
-		t.Fatal("post-close channel delivered an event")
+	statusTrace := func(events []Event) (trace []string) {
+		for _, e := range events {
+			if e.Type == "status" {
+				trace = append(trace, fmt.Sprintf("%s@%d", e.Status, e.Attempt))
+			}
+		}
+		return trace
+	}
+	want := []string{"queued@0", "running@1", "queued@1", "running@2", "done@2"}
+
+	// A follower that starts after queued@0 (seq 1) and reads only once
+	// the job has ended gets every later status event, in order.
+	var lagging hub
+	lagging.publish(Event{Type: "status", Status: StatusQueued})
+	retried(&lagging)
+	if got := statusTrace(history(&lagging, 1)); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("lagging follower read status trace %v, want %v", got, want[1:])
+	}
+
+	// So do followers that read while the job runs, in Seq order.
+	var racing hub
+	racing.publish(Event{Type: "status", Status: StatusQueued})
+	traces := make([][]Event, 4)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = racing.follow(context.Background(), 0, func(e Event) bool {
+				traces[i] = append(traces[i], e)
+				return true
+			})
+		}()
+	}
+	retried(&racing)
+	wg.Wait()
+	for i, trace := range traces {
+		if got := statusTrace(trace); !reflect.DeepEqual(got, want) {
+			t.Errorf("follower %d read status trace %v, want %v", i, got, want)
+		}
+		for k := 1; k < len(trace); k++ {
+			if trace[k].Seq <= trace[k-1].Seq {
+				t.Errorf("follower %d read seq %d after %d", i, trace[k].Seq, trace[k-1].Seq)
+			}
+		}
+	}
+
+	// Island events published back to back all reach a follower that
+	// reads afterwards; a round replaces only the previous round.
+	var isl hub
+	kinds := []string{island.EventRound, island.EventCrash, island.EventFallback, island.EventRestart, island.EventRound}
+	for i, kind := range kinds {
+		isl.publish(Event{Type: "island", Island: &island.Event{Kind: kind, Island: 1, Round: i}})
+	}
+	var got []string
+	for _, e := range history(&isl, 0) {
+		got = append(got, e.Island.Kind)
+	}
+	if want := kinds[1:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("late follower read island events %v, want %v", got, want)
+	}
+}
+
+// TestHubFollowZeroAllocs: following a job's history allocates nothing,
+// so an SSE stream, a Wait or a Drain costs no buffer of its own.
+func TestHubFollowZeroAllocs(t *testing.T) {
+	var h hub
+	h.publish(Event{Type: "status", Status: StatusQueued})
+	h.publish(Event{Type: "status", Status: StatusRunning, Attempt: 1})
+	h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 1}})
+	ctx := context.Background()
+	read := 0
+	untilProgress := func(e Event) bool {
+		read++
+		return e.Type != "progress"
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		read = 0
+		if err := h.follow(ctx, 0, untilProgress); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || read != 3 {
+		t.Fatalf("following an open hub's history read %d events with %v allocations, want 3 with 0", read, allocs)
 	}
 }
 
@@ -858,7 +956,7 @@ func TestTinyJobRetainedHeap(t *testing.T) {
 // worker's own runJob and retire while the manager's one worker is held
 // in a blocker job, so the first reads happen when Wait returns, before
 // the record is compacted, and the second after. Get, Front, JobStats at
-// several n and SubscribeFrom at every afterSeq must read the same JSON,
+// several n and Events at every afterSeq must read the same JSON,
 // for a plain job whose stats ring wrapped, an island job and a job with
 // an obs file.
 func TestJobRecordCompaction(t *testing.T) {
@@ -946,8 +1044,8 @@ func holdWorker(t *testing.T, m *Manager) (release func()) {
 
 // endpointReads returns the JSON of everything a finished job's
 // endpoints serve, keyed by endpoint: Get, Front, JobStats at n from 0 to
-// past the ring, and SubscribeFrom's replay at every afterSeq from 0 to
-// the last sequence number, whose live channel must already be closed.
+// past the ring, and Events at every afterSeq from 0 to the last sequence
+// number, which must return without waiting for a live event.
 func endpointReads(t *testing.T, m *Manager, id string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -975,23 +1073,26 @@ func endpointReads(t *testing.T, m *Manager, id string) map[string]string {
 		}
 		put(fmt.Sprintf("JobStats n=%d", n), st)
 	}
+	// A cancelled context: Events returns its error only if it waits.
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
 	last := -1
 	for after := 0; after <= last || last < 0; after++ {
-		replay, ch, cancel, err := m.SubscribeFrom(id, after)
+		var replay []Event
+		err := m.Events(ended, id, after, func(e Event) bool {
+			replay = append(replay, e)
+			return true
+		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Events(%d): a finished job's stream waited for a live event: %v", after, err)
 		}
-		if _, open := <-ch; open {
-			t.Fatalf("SubscribeFrom(%d): a finished job's stream delivered a live event", after)
-		}
-		cancel()
 		if after == 0 {
 			if len(replay) == 0 {
 				t.Fatal("finished job replays no events")
 			}
 			last = replay[len(replay)-1].Seq
 		}
-		put(fmt.Sprintf("SubscribeFrom after=%d", after), replay)
+		put(fmt.Sprintf("Events after=%d", after), replay)
 	}
 	return out
 }
