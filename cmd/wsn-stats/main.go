@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -109,21 +110,6 @@ type emitter interface {
 	flush()
 }
 
-// sameSchema reports whether two field lists are the identical schema.
-// Decoded samples under one schema share the Fields slice, so the
-// common case is a pointer-equal fast path.
-func sameSchema(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // tableEmitter prints fixed-width columns sized to the field names —
 // telemetry values (timestamps, counters) fit the same widths in
 // practice, and alignment beats perfection for eyeballing a stream.
@@ -134,7 +120,7 @@ type tableEmitter struct {
 }
 
 func (t *tableEmitter) sample(s obs.Sample) {
-	if !sameSchema(t.fields, s.Fields) {
+	if !slices.Equal(t.fields, s.Fields) {
 		t.fields = s.Fields
 		t.widths = make([]int, len(s.Fields))
 		var b strings.Builder
@@ -169,7 +155,7 @@ type csvEmitter struct {
 }
 
 func (c *csvEmitter) sample(s obs.Sample) {
-	if !sameSchema(c.fields, s.Fields) {
+	if !slices.Equal(c.fields, s.Fields) {
 		c.fields = s.Fields
 		_ = c.w.Write(s.Fields)
 		c.row = make([]string, len(s.Fields))

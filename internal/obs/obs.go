@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Magic opens every stream. The trailing newline makes `head -c8` output
@@ -121,7 +122,7 @@ func (w *Writer) WriteSample(names []string, values []int64) error {
 		w.buf = append(w.buf, Magic...)
 		w.started = true
 	}
-	if !sameSchema(w.schema, names) {
+	if !slices.Equal(w.schema, names) {
 		for _, n := range names {
 			if n == "" || len(n) > maxFieldName {
 				return fmt.Errorf("obs: field name %q out of bounds (1..%d bytes)", n, maxFieldName)
@@ -144,21 +145,6 @@ func (w *Writer) WriteSample(names []string, values []int64) error {
 	}
 	w.samples++
 	return nil
-}
-
-// sameSchema reports whether the active schema equals names. The common
-// case — the caller passes the identical slice every boundary — is one
-// pointer comparison per field, since the strings share backing data.
-func sameSchema(schema, names []string) bool {
-	if len(schema) != len(names) {
-		return false
-	}
-	for i := range schema {
-		if schema[i] != names[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // appendSchemaRecord encodes a schema record onto buf.

@@ -99,17 +99,19 @@ func BenchmarkSupervisedJobOverhead(b *testing.B) {
 
 // BenchmarkServiceThroughputObs is BenchmarkServiceThroughput/jobs1's
 // workload plus an obs file per job. Sampling itself — the StatsSink on
-// every boundary, the rate-limited sampler, the live ring — is always
+// every boundary, the rate-limited sampler, the live window — is always
 // on and already inside the jobs1 baseline; its per-boundary cost is
 // measured by BenchmarkSamplerBoundary and gated by
-// TestSamplerBoundaryZeroAlloc. What this benchmark adds is only the
+// TestSamplerBoundaryZeroAllocs. What this benchmark adds is only the
 // per-job telemetry file, so its delta against jobs1 measures the host
 // filesystem's file-create cost, not sampling: the writer goroutine
-// keeps that I/O off the boundary path, overlapping it with the next
-// job's search whenever a spare CPU exists. (On this benchmark's
-// sub-millisecond jobs a container overlay filesystem can spend more
-// kernel CPU creating the file than the whole search costs; a real
-// deployment's jobs run seconds to hours against one file open.)
+// keeps that I/O off the boundary path and overlaps it with the job's
+// own search, but the worker waits for the file's last write and close
+// before it publishes the job's terminal status, so that tail is not
+// overlapped. (On this benchmark's sub-millisecond jobs a container
+// overlay filesystem can spend more kernel CPU creating the file than
+// the whole search costs; a real deployment's jobs run seconds to hours
+// against one file open.)
 func BenchmarkServiceThroughputObs(b *testing.B) {
 	m := newTestManager(b, Config{Workers: 1, QueueLimit: 4, ObsDir: b.TempDir()})
 	defer m.Close()
@@ -144,7 +146,7 @@ func BenchmarkServiceThroughputObs(b *testing.B) {
 // job pays. "limited" is the steady state between samples (the rate
 // limiter turns the boundary away: one mutex, one map watermark, one
 // clock read — and zero allocations, gated by
-// TestSamplerBoundaryZeroAlloc); "sampled" records a row (hypervolume,
+// TestSamplerBoundaryZeroAllocs); "sampled" records a row (hypervolume,
 // cached memstats, ring append) and is bounded by the sample interval
 // to at most ~4/s per job in production.
 func BenchmarkSamplerBoundary(b *testing.B) {
@@ -155,7 +157,7 @@ func BenchmarkSamplerBoundary(b *testing.B) {
 		{Objs: dse.Objectives{4, 1}},
 	}
 	run := func(b *testing.B, interval time.Duration) {
-		s := newJobSampler(newMetrics(), "bench", "ecg-ward", false, "", interval, func(string, ...any) {})
+		s := newJobSampler(newMetrics(), new(statsWindow), "bench", "ecg-ward", false, "", interval, func(string, ...any) {})
 		// One warmup boundary so the per-island watermark entry exists:
 		// even a -benchtime 1x run must report the steady state the
 		// zero-alloc gate enforces, not the first call's map insert.

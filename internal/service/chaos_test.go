@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -230,6 +231,54 @@ func TestChaosRetryEventsCarryAttempt(t *testing.T) {
 	// The retry's queued event must carry the failure that caused it.
 	if statuses[2].Error == "" || !strings.Contains(statuses[2].Error, "injected panic") {
 		t.Fatalf("retry transition lost its error: %+v", statuses[2])
+	}
+}
+
+// TestChaosCancelDuringRetryWait: a job cancelled while it waits out a
+// retry's backoff ends at once as cancelled, and its worker publishes
+// that status after closing the job's telemetry, so the obs file then
+// holds every sample the window counted.
+func TestChaosCancelDuringRetryWait(t *testing.T) {
+	defer faultinject.Reset()
+	faultinject.PanicOnceAtStep(2, 1)
+
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Workers: 1, ObsDir: dir, ObsSampleInterval: time.Nanosecond,
+		RetryBaseDelay: time.Hour, RetryMaxDelay: time.Hour})
+	defer m.Close()
+	spec := chaosSpecs()["nsga2"]
+	spec.MaxRetries = 1
+	info, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var trace []string
+	err = m.Events(ctx, info.ID, 0, func(e Event) bool {
+		if e.Type != "status" {
+			return true
+		}
+		trace = append(trace, fmt.Sprintf("%s@%d", e.Status, e.Attempt))
+		if e.Status == StatusQueued && e.Attempt == 1 {
+			if err := m.Cancel(info.ID); err != nil {
+				t.Error(err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"queued@0", "running@1", "queued@1", "cancelled@1"}; !reflect.DeepEqual(trace, want) {
+		t.Fatalf("status trace %v, want %v", trace, want)
+	}
+	st, err := m.JobStats(info.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples := readObsFile(t, filepath.Join(dir, info.ID+".obs")); st.Samples == 0 || int64(len(samples)) != st.Samples {
+		t.Fatalf("obs file holds %d samples once the job is cancelled, its window counted %d", len(samples), st.Samples)
 	}
 }
 
@@ -717,9 +766,10 @@ func TestHubSubscribeFrom(t *testing.T) {
 	live.publish(Event{Type: "status", Status: StatusQueued})
 	live.publish(Event{Type: "status", Status: StatusRunning})
 	got := make(chan []Event)
+	ctx := newReaderCtx()
 	go func() {
 		var seen []Event
-		if err := live.follow(context.Background(), 1000, func(e Event) bool {
+		if err := live.follow(ctx, 1000, func(e Event) bool {
 			seen = append(seen, e)
 			return true
 		}); err != nil {
@@ -727,7 +777,7 @@ func TestHubSubscribeFrom(t *testing.T) {
 		}
 		got <- seen
 	}()
-	awaitReader(&live)
+	ctx.awaitReader()
 	live.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 1}})
 	live.publish(Event{Type: "status", Status: StatusDone})
 	live.close()

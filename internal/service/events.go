@@ -46,13 +46,13 @@ func (e Event) supersedes(old Event) bool {
 // the latest island event of each kind. A reader attaching mid-run (or
 // after completion) thus learns the job's story at once, and the service
 // buffers no stream of generation snapshots. A reader with nothing left
-// to read waits on wake, which the hub makes only when a reader waits and
-// which publish and close close. Once closed the history is final, folded
-// to its exact length. The zero hub is open and empty.
+// to read waits on cond, made when a reader first waits, which publish
+// and close broadcast. Once closed the history is final, folded to its
+// exact length, and cond is dropped. The zero hub is open and empty.
 type hub struct {
 	mu     sync.Mutex
 	events []Event
-	wake   chan struct{}
+	cond   *sync.Cond // on mu
 	closed bool
 }
 
@@ -81,6 +81,7 @@ func (h *hub) close() {
 	h.closed = true
 	h.events = slices.Clone(h.events)
 	h.wakeLocked()
+	h.cond = nil
 }
 
 // lastLocked is the latest event's sequence number, 0 before the first.
@@ -93,55 +94,69 @@ func (h *hub) lastLocked() int {
 
 // wakeLocked wakes every reader waiting on h.
 func (h *hub) wakeLocked() {
-	if h.wake != nil {
-		close(h.wake)
-		h.wake = nil
+	if h.cond != nil {
+		h.cond.Broadcast()
 	}
 }
 
-// next returns the first event after sequence number seq. When there is
-// none it returns ok false and a channel closed at the next publish or
-// close, or a nil channel once the hub is closed.
-func (h *hub) next(seq int) (e Event, ok bool, wake <-chan struct{}) {
+// wake wakes every reader waiting on h, so that one whose ctx ended
+// returns.
+func (h *hub) wake() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.wakeLocked()
+}
+
+// nextLocked returns the first event after sequence number seq.
+func (h *hub) nextLocked(seq int) (Event, bool) {
 	for _, e := range h.events {
 		if e.Seq > seq {
-			return e, true, nil
+			return e, true
 		}
 	}
-	if h.wake == nil && !h.closed {
-		h.wake = make(chan struct{})
-	}
-	return Event{}, false, h.wake
+	return Event{}, false
 }
 
 // follow calls fn with each event after sequence number afterSeq, in Seq
 // order, until fn returns false or the hub closes (nil), or ctx expires
 // while it waits (ctx.Err()). An afterSeq past the latest event counts as
 // the latest, so a Last-Event-ID the hub never assigned still receives what
-// comes next.
+// comes next. A follow that waits registers one wake-up on ctx, and
+// waiting allocates nothing.
 func (h *hub) follow(ctx context.Context, afterSeq int, fn func(Event) bool) error {
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
 	h.mu.Lock()
 	seq := min(afterSeq, h.lastLocked())
-	h.mu.Unlock()
 	for {
-		e, ok, wake := h.next(seq)
-		switch {
-		case ok:
+		if e, ok := h.nextLocked(seq); ok {
+			h.mu.Unlock()
 			if !fn(e) {
 				return nil
 			}
 			seq = e.Seq
-		case wake == nil:
-			return nil
-		default:
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+			h.mu.Lock()
+			continue
 		}
+		if h.closed {
+			h.mu.Unlock()
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			h.mu.Unlock()
+			return err
+		}
+		if stop == nil {
+			stop = context.AfterFunc(ctx, h.wake)
+		}
+		if h.cond == nil {
+			h.cond = sync.NewCond(&h.mu)
+		}
+		h.cond.Wait()
 	}
 }
 

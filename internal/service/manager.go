@@ -116,13 +116,13 @@ var (
 )
 
 // job is one submitted job. While it is queued or running, live holds
-// what its worker needs beside the record: its context and its telemetry
-// sampler. Its hub is its event history and its only terminal signal:
-// Events, Wait and Drain follow it until it closes. Once the worker is
-// done with it, retire releases live and the record keeps only what the
-// job's endpoints serve: its JobInfo (Get, Jobs), its closed hub's
-// history (Events), its stats window in one flat slab (JobStats), and its
-// packed front with the two counts Front builds its response from.
+// what its worker needs beside the record: its context. Its hub is its
+// event history and its only terminal signal: Events, Wait and Drain
+// follow it until it closes. Once the worker is done with it, retire
+// releases live and the record keeps only what the job's endpoints serve:
+// its JobInfo (Get, Jobs), its closed hub's history (Events), its stats
+// window (JobStats), and its packed front with the two counts Front
+// builds its response from.
 // info.Spec never changes after Submit, so the worker reads it without
 // mu; mu guards the rest of info and every other field Submit does not
 // fix. The lifecycle is single-writer (the manager worker running the
@@ -133,11 +133,9 @@ type job struct {
 	info JobInfo
 	hub  hub
 	live *liveJob // nil once retired
-	// stats is the telemetry window retire froze from the sampler, and
-	// obsFlush the job's obs writer, which retire waits for before the
-	// job's ID may be reused (nil without an obs file).
-	stats    statsWindow
-	obsFlush *sync.WaitGroup
+	// stats is the job's telemetry window, which its sampler fills while
+	// the job runs.
+	stats statsWindow
 	// points, evaluated and infeasible are the front Front serves, set
 	// when the job ends with one. A done job's store entry shares points.
 	points                *packedFront
@@ -151,12 +149,9 @@ type liveJob struct {
 	// met is the manager's registry, threaded in so setStatus can move
 	// the lifecycle gauges without a back-pointer to the Manager.
 	met *metrics
-	// sampler collects the job's telemetry (ring + optional obs file);
-	// created by runJob, nil while the job is still queued.
-	sampler *jobSampler
 }
 
-// run is the state of a job's attempt loop, owned by runJob. The dse
+// run is the state of a job's attempt loop, owned by attempts. The dse
 // boundary hooks and the coordinator's OnCheckpoint run on its
 // goroutine, so it needs no lock.
 type run struct {
@@ -220,16 +215,14 @@ func (j *job) setStatus(s Status, errMsg string) bool {
 }
 
 // compact releases what only the worker needed once it is done with the
-// job, keeping the record described on job: live goes, and the sampler's
-// window is frozen into stats and its obs writer kept as obsFlush. The
-// hub folded its own history when it closed.
+// job, keeping the record described on job: live goes, and the stats
+// window drops its spare capacity. The hub folded its own history when
+// it closed.
 func (j *job) compact() {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if s := j.live.sampler; s != nil {
-		j.stats, j.obsFlush = s.freeze()
-	}
 	j.live = nil
+	j.mu.Unlock()
+	j.stats.trim()
 }
 
 // Manager is the job scheduler: a bounded queue feeding a fixed pool of
@@ -349,51 +342,28 @@ func (m *Manager) allJobs() []*job {
 // toward the cfg.MaxResults bound on finished records, and evicts the
 // record that finished first beyond it. Every job that was ever queued
 // passes here once: run to its end, cancelled while queued, or cancelled
-// by Close. The evicted job's obs file is flushed before its ID leaves
-// m.jobs, so a resume_job that continues that ID never appends behind a
+// by Close. A job's obs file was closed before its terminal status, so
+// an evicted ID that a resume_job continues never appends behind a
 // writer that still holds the file.
 func (m *Manager) retire(j *job) {
 	j.compact()
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.finished = append(m.finished, j)
 	if len(m.finished) <= m.cfg.MaxResults {
-		m.mu.Unlock()
 		return
 	}
 	old := m.finished[0]
 	m.finished[0] = nil
 	m.finished = m.finished[1:]
-	m.mu.Unlock()
-
-	old.flushObs()
-	m.mu.Lock()
 	delete(m.jobs, old.info.ID)
-	m.mu.Unlock()
 	m.met.jobsEvicted.Add(1)
 }
 
-// flushObs waits for the job's obs writer to flush and close its file:
-// the writer of a retired job, or of a job whose worker has returned.
-func (j *job) flushObs() {
-	j.mu.Lock()
-	flush := j.obsFlush
-	var sampler *jobSampler
-	if j.live != nil {
-		sampler = j.live.sampler
-	}
-	j.mu.Unlock()
-	switch {
-	case sampler != nil:
-		sampler.drain()
-	case flush != nil:
-		flush.Wait()
-	}
-}
-
 // Close cancels every job, stops accepting submissions, and waits for the
-// workers to drain the queue, which marks every queued job cancelled.
-// Obs writer goroutines are drained too, so every job's telemetry file is
-// complete on disk when Close returns.
+// workers to drain the queue, which marks every queued job cancelled. A
+// job's obs file is complete on disk once the job is terminal, so every
+// one is when Close returns.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if !m.closed {
@@ -403,18 +373,7 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.stop()
 	m.wg.Wait()
-	m.drainSamplers()
 	m.store.Close()
-}
-
-// drainSamplers waits for every retained job's obs writer goroutine to
-// finish flushing; retire drained the evicted ones. Workers must be
-// drained first: runJob's deferred sampler.close is what lets a writer
-// exit.
-func (m *Manager) drainSamplers() {
-	for _, j := range m.allJobs() {
-		j.flushObs()
-	}
 }
 
 // Drain begins a graceful shutdown: new submissions are rejected with
@@ -566,15 +525,16 @@ func (m *Manager) Cancel(id string) error {
 }
 
 // stop cancels the job: a running one stops at its next search boundary,
-// and a queued one (never started, or waiting out a retry) is marked
-// cancelled with reason at once, without waiting for a worker. A retired
-// job has nothing left to cancel.
+// and a queued one that never ran is marked cancelled with reason at
+// once, without waiting for a worker. One waiting out a retry has a
+// telemetry sampler, so its worker ends it, at once, after closing the
+// sampler. A retired job has nothing left to cancel.
 func (j *job) stop(reason string) {
 	j.mu.Lock()
 	if j.live != nil {
 		j.live.cancel()
 	}
-	queued := j.info.Status == StatusQueued
+	queued := j.info.Status == StatusQueued && j.info.Attempts == 0
 	j.mu.Unlock()
 	if queued {
 		j.setStatus(StatusCancelled, reason)
@@ -644,10 +604,10 @@ func (m *Manager) Events(ctx context.Context, id string, afterSeq int, fn func(E
 	return j.hub.follow(ctx, afterSeq, fn)
 }
 
-// runJob supervises one job on a manager worker: it runs attempts under
-// panic recovery, classifies each outcome (success, cancelled, deadline,
-// failure), and walks the retry edge — backoff, then re-run from the
-// latest checkpoint — until the job reaches a terminal state.
+// runJob supervises one job on a manager worker: it runs the job's
+// attempts, then closes its telemetry sampler, which returns once the
+// obs file is complete, and only then publishes the terminal status, so
+// a reader that sees it reads the whole file.
 func (m *Manager) runJob(j *job) {
 	// j.live is the worker's own until retire releases it.
 	live, spec := j.live, &j.info.Spec
@@ -662,18 +622,23 @@ func (m *Manager) runJob(j *job) {
 		j.setStatus(StatusCancelled, err.Error())
 		return
 	}
-	id := j.info.ID
-
-	// The telemetry sampler spans every attempt: the ring and obs file
+	// The telemetry sampler spans every attempt: the window and obs file
 	// carry one continuous series with the attempt column distinguishing
 	// retries.
-	sampler := newJobSampler(m.met, id, spec.Scenario, spec.Islands >= 2,
+	sampler := newJobSampler(m.met, &j.stats, j.info.ID, spec.Scenario, spec.Islands >= 2,
 		m.cfg.ObsDir, m.cfg.ObsSampleInterval, m.cfg.Logf)
-	j.mu.Lock()
-	live.sampler = sampler
-	j.mu.Unlock()
-	defer sampler.close()
+	status, msg := m.attempts(j, sampler)
+	sampler.close()
+	j.setStatus(status, msg)
+}
 
+// attempts runs the job's attempts under panic recovery, classifies each
+// outcome (success, cancelled, deadline, failure), and walks the retry
+// edge — backoff, then re-run from the latest checkpoint — until an
+// outcome ends the job. It returns the job's terminal status and message
+// for runJob to publish.
+func (m *Manager) attempts(j *job, sampler *jobSampler) (Status, string) {
+	live, spec, id := j.live, &j.info.Spec, j.info.ID
 	// The deadline clock starts when the job first runs (queue wait is
 	// the scheduler's fault, not the job's) and spans every retry.
 	r := &run{job: j, ctx: live.ctx}
@@ -683,6 +648,7 @@ func (m *Manager) runJob(j *job) {
 		defer cancel()
 	}
 	timedOut := fmt.Sprintf("deadline of %gs exceeded", spec.DeadlineSeconds)
+	cancelled := context.Canceled.Error()
 
 	for attempt := 1; ; attempt++ {
 		j.mu.Lock()
@@ -691,50 +657,44 @@ func (m *Manager) runJob(j *job) {
 		j.mu.Unlock()
 		sampler.setAttempt(attempt)
 		if !j.setStatus(StatusRunning, "") {
-			return // cancelled during the retry wait, status already set
+			// Cancelled before it first ran; runJob's setStatus keeps
+			// that status.
+			return StatusCancelled, cancelled
 		}
 		res, err := m.runAttempt(r, sampler)
 		switch {
 		case err == nil:
 			j.keepFront(res)
 			m.archive(j)
-			j.setStatus(StatusDone, "")
-			return
+			return StatusDone, ""
 		case errors.Is(err, context.DeadlineExceeded) || context.Cause(r.ctx) == errJobDeadline:
 			j.keepFront(res) // partial front, like a cancelled run
-			j.setStatus(StatusTimedOut, timedOut)
-			return
+			return StatusTimedOut, timedOut
 		case errors.Is(err, context.Canceled):
 			j.keepFront(res)
-			j.setStatus(StatusCancelled, context.Canceled.Error())
-			return
+			return StatusCancelled, cancelled
 		}
 
 		// Attempt failed (error or recovered panic). Out of retries →
 		// failed; otherwise walk the retry edge back to queued.
 		if attempt > spec.MaxRetries {
-			j.setStatus(StatusFailed, err.Error())
-			return
+			return StatusFailed, err.Error()
 		}
 		delay := retryDelay(attempt, m.cfg.RetryBaseDelay, m.cfg.RetryMaxDelay)
 		next := time.Now().Add(delay)
 		j.mu.Lock()
 		j.info.NextRetryAt = &next
 		j.mu.Unlock()
-		if !j.setStatus(StatusQueued, err.Error()) {
-			return
-		}
+		j.setStatus(StatusQueued, err.Error())
 		m.met.retries.Add(1)
 		m.cfg.Logf("service: job %s attempt %d/%d failed, retrying in %s: %v",
 			id, attempt, spec.MaxRetries+1, delay.Round(time.Millisecond), err)
 		select {
 		case <-r.ctx.Done():
 			if context.Cause(r.ctx) == errJobDeadline {
-				j.setStatus(StatusTimedOut, timedOut)
-			} else {
-				j.setStatus(StatusCancelled, context.Canceled.Error())
+				return StatusTimedOut, timedOut
 			}
-			return
+			return StatusCancelled, cancelled
 		case <-time.After(delay):
 		}
 	}

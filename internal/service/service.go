@@ -117,23 +117,28 @@
 // most one sample per Config.ObsSampleInterval (default 250ms) — plus
 // the final boundary, always, so even a sub-interval job leaves one
 // complete sample — and the turned-away common case costs one mutex and
-// a clock read, zero allocations (pinned by TestSamplerBoundaryZeroAlloc).
+// a clock read, zero allocations (pinned by TestSamplerBoundaryZeroAllocs).
 // Each sample captures search health (step, evaluations, rate, front
 // size, hypervolume against a running-nadir reference, memo-cache
 // hits/lookups, attempt, island round/restarts) plus process runtime
 // stats, as int64 columns.
 //
-// Samples land in a per-job in-memory ring (the recent window behind
-// Manager.JobStats and GET /v1/jobs/{id}/stats) and, when Config.ObsDir
-// is set, in an append-only binary stream <obs-dir>/<jobID>.obs in the
-// internal/obs format, decodable live or post-mortem with cmd/wsn-stats.
-// File I/O runs on a per-job writer goroutine behind a bounded queue —
-// an obs file that cannot be opened, written, or kept up with degrades
-// that job to ring-only telemetry with one log line, never failing or
-// slowing the search. Manager.WriteMetrics aggregates process-wide
-// counters (job lifecycle, queue depth, per-scenario evaluations, store
-// size/evictions, SSE subscribers, island rounds/restarts, obs volume)
-// in Prometheus text form, served at GET /metrics by wsn-serve.
+// Samples land in the job's in-memory window, a ring in its record (the
+// recent window behind Manager.JobStats and GET /v1/jobs/{id}/stats),
+// and, when Config.ObsDir is set, in an append-only binary stream
+// <obs-dir>/<jobID>.obs in the internal/obs format, decodable live or
+// post-mortem with cmd/wsn-stats. File I/O runs on a per-job writer
+// goroutine that follows the window by sample number. An obs file that
+// cannot be opened or written degrades that job to window-only
+// telemetry with one log line, and a writer that falls a whole window
+// behind skips the samples it missed; neither fails or slows the
+// search. The worker closes the writer before it publishes the job's
+// terminal status, so the file is complete once the job is.
+//
+// Manager.WriteMetrics aggregates process-wide counters (job lifecycle,
+// queue depth, per-scenario evaluations, store size/evictions, SSE
+// subscribers, island rounds/restarts, obs volume) in Prometheus text
+// form, served at GET /metrics by wsn-serve.
 //
 // # HTTP surface
 //
@@ -285,8 +290,8 @@ func (s Spec) search() dse.Search {
 		NSGA2: s.NSGA2, MOSA: s.MOSA, Budget: s.Budget, MaxPoints: s.MaxPoints}
 }
 
-// deadline converts DeadlineSeconds into the timeout runJob arms (0: no
-// deadline). Validate and runJob both use it.
+// deadline converts DeadlineSeconds into the timeout attempts arms (0: no
+// deadline). Validate and attempts both use it.
 func (s Spec) deadline() (time.Duration, error) {
 	d, ns := s.DeadlineSeconds, s.DeadlineSeconds*float64(time.Second)
 	switch {

@@ -497,19 +497,29 @@ func history(h *hub, afterSeq int) []Event {
 	return out
 }
 
-// awaitReader returns once a reader waits on h for its next event; no
-// other reader may have waited on h since its last publish.
-func awaitReader(h *hub) {
-	for {
-		h.mu.Lock()
-		waiting := h.wake != nil
-		h.mu.Unlock()
-		if waiting {
-			return
-		}
-		runtime.Gosched()
-	}
+// readerCtx is a context that never ends and notes each time a hub
+// follower checks it, which follow does under the hub's lock just before
+// it waits.
+type readerCtx struct {
+	context.Context
+	checked chan struct{}
 }
+
+func newReaderCtx() readerCtx {
+	return readerCtx{context.Background(), make(chan struct{}, 1)}
+}
+
+func (c readerCtx) Err() error {
+	select {
+	case c.checked <- struct{}{}:
+	default:
+	}
+	return nil
+}
+
+// awaitReader returns once the reader following with c waits for its
+// next event, so that the next publish wakes it.
+func (c readerCtx) awaitReader() { <-c.checked }
 
 // TestHubReplayAndLaggingFollower: a job's history keeps every status
 // event, the latest progress event and the latest island event of each
@@ -632,6 +642,47 @@ func TestHubFollowZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 || read != 3 {
 		t.Fatalf("following an open hub's history read %d events with %v allocations, want 3 with 0", read, allocs)
+	}
+}
+
+// TestHubKeptUpFollowerZeroAllocs: a reader that keeps up with a job
+// waits before each event, and waiting allocates nothing. One follower
+// that has waited once (registering its wake-up on ctx) reads 4,000 more
+// progress events, each published while it waits.
+func TestHubKeptUpFollowerZeroAllocs(t *testing.T) {
+	const events = 4000
+	// As in testing.AllocsPerRun: at one P the runtime starts no threads
+	// for idle Ps, whose allocations would count too.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var h hub
+	h.publish(Event{Type: "status", Status: StatusRunning})
+	h.publish(Event{Type: "progress", Progress: &ProgressInfo{Step: 0}})
+	progress := Event{Type: "progress", Progress: &ProgressInfo{Step: 1}}
+	ctx := newReaderCtx()
+	read := 0
+	done := make(chan error)
+	go func() {
+		done <- h.follow(ctx, 0, func(Event) bool {
+			read++
+			return true
+		})
+	}()
+	ctx.awaitReader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range events {
+		h.publish(progress)
+		ctx.awaitReader()
+	}
+	runtime.ReadMemStats(&after)
+	h.close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d events read as they were published: %d allocations, %d B", events, mallocs, after.TotalAlloc-before.TotalAlloc)
+	if read != 2+events || mallocs > 0 {
+		t.Fatalf("a kept-up follower read %d events with %d allocations, want %d with 0", read, mallocs, 2+events)
 	}
 }
 
@@ -848,7 +899,6 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 		seed++
 		k.spec.Seed = seed
 		runToDone(t, m, k.spec)
-		m.drainSamplers()
 		before := liveHeap()
 		var packed, points int64
 		for range jobs {
@@ -858,7 +908,6 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 			packed += packedSize(front.Front)
 			points += int64(len(front.Front))
 		}
-		m.drainSamplers()
 		perJob := (liveHeap() - before) / jobs
 		over := perJob - packed/jobs
 		t.Logf("%s: %d B retained per finished job, %d B above its packed front of %d points", k.name, perJob, over, points/jobs)
@@ -881,7 +930,6 @@ func TestFinishedJobRetainedHeap(t *testing.T) {
 			runToDone(t, bounded, spec)
 		}
 		waitRetained(t, bounded, cfg.MaxResults)
-		bounded.drainSamplers()
 		for _, info := range bounded.Jobs() {
 			front, err := bounded.Front(info.ID)
 			if err != nil {

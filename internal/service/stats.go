@@ -67,49 +67,44 @@ type StatsResponse struct {
 }
 
 // jobSampler turns a job's per-boundary dse.Stats callbacks into
-// rate-limited telemetry samples: one row into the in-memory ring
+// rate-limited telemetry samples, appended to the job's stats window
 // (backing the live stats endpoint) and, when the manager has an obs
-// directory, the same row appended to <obs-dir>/<jobID>.obs. All methods
+// directory, written from there to <obs-dir>/<jobID>.obs. All methods
 // are safe for concurrent use — island jobs observe from several
 // island goroutines at once.
 //
 // The steady-state cost at a search boundary is one mutex acquisition
 // and a clock read when the sample is rate-limited away, and a
-// zero-allocation row copy when it is due; the ring reuses its row
-// storage once full. File I/O — including the per-job open, which
-// costs more than a whole benchmark-sized job on some filesystems —
-// happens on a dedicated writer goroutine fed through a bounded
-// channel, never on the search's boundary path.
+// zero-allocation row copy into the window when it is due; the window
+// reuses its row storage once full. File I/O — including the per-job
+// open, which costs more than a whole benchmark-sized job on some
+// filesystems — happens on a writer goroutine that follows the window
+// by sample number, never on the search's boundary path.
 //
-// A sampler lives only as long as its job runs: once the worker is done
-// with the job, freeze hands the job's record the ring's rows and the
-// writer's flush handle, and the rest of the sampler is garbage as soon
-// as its writer goroutine exits.
+// A sampler lives only as long as its job runs: close ends it before the
+// job's terminal status, once its writer has written every sample and
+// closed the file, and the window is all the job's record keeps.
 type jobSampler struct {
 	met         *metrics
 	evalsCell   *atomic.Int64 // metrics evals_total{scenario} cell, resolved once
 	jobID       string
 	minInterval time.Duration
 	logf        func(format string, args ...any)
+	win         *statsWindow // the job's, in its record
+	path        string       // obs file destination; "" keeps telemetry in memory
 
 	mu      sync.Mutex
-	path    string // obs file destination; "" keeps telemetry in memory
-	win     statsWindow
-	head    int // ring row the next sample lands in, the oldest once full
 	vals    []int64
 	last    time.Time
 	start   time.Time
 	attempt int64
-	warned  bool // one drop warning per job
-	closed  bool // ops closed; no more file rows
+	closed  bool // close has run: no more samples
 
-	// ops feeds filled rows to writeLoop; free recycles their storage
-	// back so the steady state allocates nothing. Both are nil until the
-	// first recorded sample of a job with an obs directory, and closed.
-	// flush is done once writeLoop has closed the file.
-	ops   chan []int64
-	free  chan []int64
-	flush *sync.WaitGroup
+	// wake tells writeLoop that the window grew, and done is closed once
+	// writeLoop has closed the file. Both are nil until the first sample
+	// of a job with an obs directory starts the writer.
+	wake chan struct{}
+	done chan struct{}
 
 	prevEval map[int]int // per-island evaluated watermark for metrics deltas
 	nadir    []float64   // running per-objective maxima, the HV reference base
@@ -117,20 +112,34 @@ type jobSampler struct {
 	restarts int64       // island jobs: restarts so far
 }
 
-// statsWindow is a job's recent telemetry window: up to statsRingCap
-// rows of len(fields) values in one flat ring, and the samples recorded
-// over the job's life. A finished job's record keeps its window frozen
-// in order, in a slab of exactly its rows.
+// statsWindow is a job's recent telemetry window, in the job's record
+// from submission on: up to statsRingCap rows of len(fields) values in
+// one flat ring, sample k in row k % statsRingCap, and the samples
+// recorded over the job's life. Only the job's sampler adds to it, under
+// the sampler's mu too, so the sampler reads total without mu.
 type statsWindow struct {
+	mu     sync.Mutex
 	fields []string
 	ring   []int64
 	total  int64
 }
 
+// add records v as the window's next sample.
+func (w *statsWindow) add(v []int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.ring) < statsRingCap*len(v) {
+		w.ring = append(w.ring, v...)
+	} else {
+		copy(w.ring[w.total%statsRingCap*int64(len(v)):], v)
+	}
+	w.total++
+}
+
 // rows returns the most recent min(n, retained) rows, oldest first (n
-// <= 0: all of them), as copies safe to hand to the HTTP layer; the
-// oldest row is row head of the ring.
-func (w *statsWindow) rows(n, head int) [][]int64 {
+// <= 0: all of them), as copies safe to hand to the HTTP layer. Caller
+// holds mu.
+func (w *statsWindow) rows(n int) [][]int64 {
 	width := len(w.fields)
 	have := 0
 	if width > 0 {
@@ -142,19 +151,43 @@ func (w *statsWindow) rows(n, head int) [][]int64 {
 	out := make([][]int64, n)
 	slab := make([]int64, n*width)
 	for i := range out {
-		k := (head + have - n + i) % have * width
+		k := int((w.total-int64(n-i))%statsRingCap) * width
 		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
 		copy(out[i], w.ring[k:])
 	}
 	return out
 }
 
-// newJobSampler builds the sampler for one job. dir == "" keeps the
-// telemetry in memory only (the ring still serves the stats endpoint).
-// The obs file is created by the writer goroutine, started lazily at
-// the first recorded sample, and a file that cannot be created degrades
-// to ring-only, logged once: observability must never fail a job.
-func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir string, interval time.Duration, logf func(string, ...any)) *jobSampler {
+// sample copies sample k into row, or the oldest sample the window still
+// holds if k was overwritten, and returns the number of the sample it
+// copied; ok is false while the window has no sample k.
+func (w *statsWindow) sample(k int64, row []int64) (copied int64, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if k >= w.total {
+		return k, false
+	}
+	k = max(k, w.total-statsRingCap)
+	copy(row, w.ring[k%statsRingCap*int64(len(row)):])
+	return k, true
+}
+
+// trim drops the ring's spare capacity once the job is over.
+func (w *statsWindow) trim() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if cap(w.ring) > len(w.ring) {
+		w.ring = append(make([]int64, 0, len(w.ring)), w.ring...)
+	}
+}
+
+// newJobSampler builds the sampler for one job, which samples into win.
+// dir == "" keeps the telemetry in memory only (the window still serves
+// the stats endpoint). The obs file is created by the writer goroutine,
+// started lazily at the first recorded sample, and a file that cannot
+// be created degrades to window-only, logged once: observability must
+// never fail a job.
+func newJobSampler(met *metrics, win *statsWindow, jobID, scenario string, isIsland bool, dir string, interval time.Duration, logf func(string, ...any)) *jobSampler {
 	if interval <= 0 {
 		interval = DefaultObsSampleInterval
 	}
@@ -162,6 +195,9 @@ func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir stri
 	if isIsland {
 		fields = islandStatsFields
 	}
+	win.mu.Lock()
+	win.fields = fields
+	win.mu.Unlock()
 	now := time.Now()
 	s := &jobSampler{
 		met:         met,
@@ -169,11 +205,11 @@ func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir stri
 		jobID:       jobID,
 		minInterval: interval,
 		logf:        logf,
-		win:         statsWindow{fields: fields},
+		win:         win,
 		vals:        make([]int64, len(fields)),
 		start:       now,
 		// The rate-limit clock starts at job start, not at zero, so a
-		// ring-only job shorter than the interval records its final
+		// window-only job shorter than the interval records its final
 		// boundary alone; a job with an obs file records its first
 		// boundary regardless (observe).
 		last:     now,
@@ -186,52 +222,55 @@ func newJobSampler(met *metrics, jobID, scenario string, isIsland bool, dir stri
 	return s
 }
 
-// obsQueueCap bounds how many rows can wait for the writer goroutine.
-// It matches the ring so the file can hold everything the live window
-// does even if the writer stalls; past that, rows are dropped with one
-// log line — file telemetry lags before it blocks a search.
-const obsQueueCap = statsRingCap
+// writeLoop owns the job's obs file. It starts at the job's first
+// sample and opens the file there (an open syscall can cost more than a
+// benchmark-sized job, so it runs here, overlapped with the search, not
+// on the boundary path), writes the window's samples to it, and closes
+// it. Open or write failures are logged once and end the file; the
+// window continues.
+func (s *jobSampler) writeLoop(wake <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	f, w, err := openObs(s.path)
+	if err != nil {
+		s.logf("service: job %s: obs file: %v (telemetry stays in memory)", s.jobID, err)
+		return
+	}
+	if err := s.writeSamples(wake, w); err != nil {
+		s.logf("service: job %s: obs write: %v (file abandoned, ring continues)", s.jobID, err)
+	}
+	if err := f.Close(); err != nil {
+		s.logf("service: job %s: obs file: %v", s.jobID, err)
+	}
+}
 
-// writeLoop owns the job's obs file: it opens the file at the first
-// row (an open syscall can cost more than a benchmark-sized job, so it
-// runs here, overlapped with the search, not on the boundary path),
-// appends every row of ops, and closes the file when close() shuts ops.
-// Row storage goes back through free for reuse. Open or write failures
-// are logged once and degrade the job to ring-only telemetry.
-func (s *jobSampler) writeLoop(ops <-chan []int64, free chan<- []int64, flush *sync.WaitGroup) {
-	defer flush.Done()
-	var (
-		f      *os.File
-		w      *obs.Writer
-		failed bool
-	)
-	for row := range ops {
-		if f == nil && !failed {
-			var err error
-			if f, w, err = openObs(s.path); err != nil {
-				failed = true
-				s.logf("service: job %s: obs file: %v (telemetry stays in memory)", s.jobID, err)
+// writeSamples follows the window by sample number, woken by wake, and
+// writes each sample to w in turn, until close has shut wake and the
+// last sample is written. A writer more than statsRingCap samples behind
+// skips the ones the window overwrote, logged once.
+func (s *jobSampler) writeSamples(wake <-chan struct{}, w *obs.Writer) error {
+	row := make([]int64, len(s.win.fields))
+	var next int64
+	skipped := false
+	for open := true; open; {
+		_, open = <-wake
+		for {
+			k, ok := s.win.sample(next, row)
+			if !ok {
+				break
 			}
-		}
-		if w != nil {
+			if k > next && !skipped {
+				skipped = true
+				s.logf("service: job %s: obs writer backlogged, dropping file samples (ring continues)", s.jobID)
+			}
+			next = k + 1
 			before := w.Bytes()
 			if err := w.WriteSample(s.win.fields, row); err != nil {
-				failed = true
-				s.logf("service: job %s: obs write: %v (file abandoned, ring continues)", s.jobID, err)
-				_ = f.Close()
-				w = nil
-			} else {
-				s.met.obsBytes.Add(w.Bytes() - before)
+				return err
 			}
-		}
-		select {
-		case free <- row:
-		default:
+			s.met.obsBytes.Add(w.Bytes() - before)
 		}
 	}
-	if f != nil && w != nil {
-		_ = f.Close()
-	}
+	return nil
 }
 
 // openObs opens a job's obs stream for appending. A job continued after a
@@ -295,6 +334,9 @@ func (s *jobSampler) observeIsland(island int, st dse.Stats) { s.observe(island,
 func (s *jobSampler) observe(island int, st dse.Stats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 
 	// Per-scenario evaluation totals advance on every boundary, sampled
 	// or not: the watermark delta keeps the counter monotone across
@@ -374,44 +416,21 @@ func processMemStats(now time.Time) (heapAlloc, gcPauseNs int64) {
 	return c.heap, c.pauseNs
 }
 
-// record appends one filled row to the ring and hands a copy to the
-// writer goroutine. Caller holds mu.
+// record appends one filled row to the window and wakes the writer,
+// starting it at the job's first sample. Caller holds mu.
 func (s *jobSampler) record(v []int64) {
-	r := &s.win
-	if len(r.ring) < statsRingCap*len(v) {
-		r.ring = append(r.ring, v...)
-	} else {
-		copy(r.ring[s.head*len(v):], v)
-	}
-	s.head = (s.head + 1) % statsRingCap
-	r.total++
+	s.win.add(v)
 	s.met.obsSamples.Add(1)
-	if s.path == "" || s.closed {
+	if s.path == "" {
 		return
 	}
-	if s.ops == nil {
-		s.ops = make(chan []int64, obsQueueCap)
-		s.free = make(chan []int64, 4)
-		s.flush = new(sync.WaitGroup)
-		s.flush.Add(1)
-		go s.writeLoop(s.ops, s.free, s.flush)
+	if s.wake == nil {
+		s.wake, s.done = make(chan struct{}, 1), make(chan struct{})
+		go s.writeLoop(s.wake, s.done)
 	}
-	var row []int64
 	select {
-	case row = <-s.free:
-	default:
-		row = make([]int64, len(v))
-	}
-	copy(row, v)
-	select {
-	case s.ops <- row:
-	default:
-		// Writer is obsQueueCap rows behind; keep the search moving and
-		// let the file miss samples the ring still holds.
-		if !s.warned {
-			s.warned = true
-			s.logf("service: job %s: obs writer backlogged, dropping file samples (ring continues)", s.jobID)
-		}
+	case s.wake <- struct{}{}:
+	default: // a wake-up is already pending
 	}
 }
 
@@ -445,83 +464,32 @@ func (s *jobSampler) hypervolume(front []dse.Point) float64 {
 	return dse.Hypervolume(front, ref)
 }
 
-// window returns the most recent min(n, retained) rows, oldest first,
-// as copies safe to hand to the HTTP layer.
-func (s *jobSampler) window(n int) (fields []string, rows [][]int64, total int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.win.fields, s.win.rows(n, s.oldest()), s.win.total
-}
-
-// oldest returns the ring row of the oldest sample: s.head once the ring
-// is full, 0 before, when the ring is [0, head) in order. Caller holds mu.
-func (s *jobSampler) oldest() int {
-	if len(s.win.ring) < statsRingCap*len(s.win.fields) {
-		return 0
-	}
-	return s.head
-}
-
-// close stops accepting file rows and lets the writer goroutine finish
-// the queue and close the file in the background. It does not wait —
-// the worker moves to its next job while the tail flushes; drain is the
-// blocking variant for shutdown and tests. runJob closes the sampler
-// when the job's last attempt ends; retire then freezes what the job's
-// record keeps of it and drops the rest.
+// close ends the job's telemetry, before its terminal status: the
+// sampler records nothing more, not even from an island attempt the
+// stall watchdog abandoned, and close returns once the writer has
+// written every sample and closed the obs file.
 func (s *jobSampler) close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ops != nil {
-		close(s.ops)
-	}
-	s.ops, s.free, s.closed = nil, nil, true
-}
-
-// drain blocks until the writer goroutine has flushed every queued row
-// and closed the obs file. Call after close.
-func (s *jobSampler) drain() {
-	s.mu.Lock()
-	flush := s.flush
+	s.closed = true
+	wake, done := s.wake, s.done
 	s.mu.Unlock()
-	if flush != nil {
-		flush.Wait()
+	if wake != nil {
+		close(wake)
+		<-done
 	}
-}
-
-// freeze returns what a finished job's record keeps of its closed
-// sampler: the window in order, in a slab of exactly its rows, and the
-// writer's flush handle.
-func (s *jobSampler) freeze() (statsWindow, *sync.WaitGroup) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.win
-	start := s.oldest() * len(r.fields)
-	ordered := make([]int64, 0, len(r.ring))
-	ordered = append(append(ordered, r.ring[start:]...), r.ring[:start]...)
-	return statsWindow{fields: r.fields, ring: ordered, total: r.total}, s.flush
 }
 
 // JobStats returns the job's recent telemetry window (up to n samples;
-// n <= 0 selects the whole retained ring): the live sampler's while the
-// job runs, the window retire froze once it is over. Jobs that have not
-// sampled yet return an empty window, not an error — a queued job
-// legitimately has no telemetry.
+// n <= 0 selects the whole retained ring), the same window whether the
+// job runs or has ended. A job that has not sampled yet returns an empty
+// window, not an error — a queued job legitimately has no telemetry.
 func (m *Manager) JobStats(id string, n int) (StatsResponse, error) {
 	j, ok := m.lookup(id)
 	if !ok {
 		return StatsResponse{}, ErrNotFound
 	}
-	j.mu.Lock()
-	w := j.stats
-	var sampler *jobSampler
-	if j.live != nil {
-		sampler = j.live.sampler
-	}
-	j.mu.Unlock()
-	if sampler != nil {
-		fields, rows, total := sampler.window(n)
-		return StatsResponse{JobID: id, Fields: fields, Rows: rows, Samples: total}, nil
-	}
-	// A frozen window never changes: no lock needed.
-	return StatsResponse{JobID: id, Fields: w.fields, Rows: w.rows(n, 0), Samples: w.total}, nil
+	w := &j.stats
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return StatsResponse{JobID: id, Fields: w.fields, Rows: w.rows(n), Samples: w.total}, nil
 }

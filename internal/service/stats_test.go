@@ -109,9 +109,10 @@ func TestOpenObsTrimsTornTail(t *testing.T) {
 }
 
 // TestJobTelemetryEndToEnd runs a job with an obs directory and a
-// sample-every-boundary interval, then checks the live window and the
-// on-disk stream agree and carry monotone search-health counters, and
-// that every telemetry view ends where JobInfo says the job ended.
+// sample-every-boundary interval, then checks the window and the on-disk
+// stream agree once the job is done and carry monotone search-health
+// counters, and that every telemetry view ends where JobInfo says the job
+// ended.
 func TestJobTelemetryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Config{Workers: 1, ObsDir: dir, ObsSampleInterval: time.Nanosecond})
@@ -163,9 +164,6 @@ func TestJobTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// The obs file is the same series, torn-tail tolerant and decodable.
-	// Closing the manager first drains the background obs writer, so the
-	// file is complete on disk.
-	m.Close()
 	samples := readObsFile(t, filepath.Join(dir, info.ID+".obs"))
 	if len(samples) != len(resp.Rows) {
 		t.Fatalf("obs file has %d samples, live window %d", len(samples), len(resp.Rows))
@@ -350,13 +348,13 @@ func TestHTTPRequestMethodsBounded(t *testing.T) {
 	}
 }
 
-// TestSamplerBoundaryZeroAlloc is the alloc-regression gate on the
+// TestSamplerBoundaryZeroAllocs is the alloc-regression gate on the
 // sampler's hot path: a search boundary the rate limiter turns away —
 // the overwhelmingly common case, every generation of every job — must
 // not allocate. (A recorded sample may allocate modestly; the sample
 // interval bounds those to ~4/s per job.)
-func TestSamplerBoundaryZeroAlloc(t *testing.T) {
-	s := newJobSampler(newMetrics(), "gate", "ecg-ward", false, "", time.Hour, func(string, ...any) {})
+func TestSamplerBoundaryZeroAllocs(t *testing.T) {
+	s := newJobSampler(newMetrics(), new(statsWindow), "gate", "ecg-ward", false, "", time.Hour, func(string, ...any) {})
 	front := []dse.Point{{Objs: dse.Objectives{1, 2}}, {Objs: dse.Objectives{2, 1}}}
 	st := dse.Stats{Step: 1, TotalSteps: 1 << 30, Front: front}
 	s.observeSearch(st) // warm the per-island watermark entry
@@ -380,20 +378,19 @@ func TestSamplerFirstBoundary(t *testing.T) {
 		dir   string
 		steps []int64
 	}{{dir, []int64{1, 12}}, {"", []int64{12}}} {
-		s := newJobSampler(newMetrics(), "j1", "ecg-ward", false, tc.dir, time.Hour, t.Logf)
+		var win statsWindow
+		s := newJobSampler(newMetrics(), &win, "j1", "ecg-ward", false, tc.dir, time.Hour, t.Logf)
 		for step := 1; step <= 12; step++ {
 			s.observeSearch(dse.Stats{Step: step, TotalSteps: 12, Evaluated: 10 * step})
 		}
 		s.close()
-		s.drain()
-		fields, rows, total := s.window(0)
-		col := fieldIndex(t, fields, "step")
+		col := fieldIndex(t, win.fields, "step")
 		var steps []int64
-		for _, r := range rows {
+		for _, r := range win.rows(0) {
 			steps = append(steps, r[col])
 		}
-		if fmt.Sprint(steps) != fmt.Sprint(tc.steps) || total != int64(len(tc.steps)) {
-			t.Errorf("obs dir %q: sampled steps %v (%d samples), want %v", tc.dir, steps, total, tc.steps)
+		if fmt.Sprint(steps) != fmt.Sprint(tc.steps) || win.total != int64(len(tc.steps)) {
+			t.Errorf("obs dir %q: sampled steps %v (%d samples), want %v", tc.dir, steps, win.total, tc.steps)
 		}
 		if tc.dir == "" {
 			continue
@@ -405,6 +402,66 @@ func TestSamplerFirstBoundary(t *testing.T) {
 		}
 		if fmt.Sprint(steps) != fmt.Sprint(tc.steps) {
 			t.Errorf("obs file holds steps %v, want %v", steps, tc.steps)
+		}
+	}
+}
+
+// TestSamplerClosedRecordsNothing: once its job has ended, a sampler
+// records nothing, so a boundary that arrives after close — from an
+// island attempt the stall watchdog abandoned — changes neither the
+// window, nor the obs file, nor the evaluation counter.
+func TestSamplerClosedRecordsNothing(t *testing.T) {
+	dir := t.TempDir()
+	var win statsWindow
+	s := newJobSampler(newMetrics(), &win, "j1", "ecg-ward", true, dir, time.Nanosecond, t.Logf)
+	for step := 1; step <= 3; step++ {
+		s.observeIsland(0, dse.Stats{Step: step, TotalSteps: 3, Evaluated: 10 * step})
+	}
+	s.close()
+	state := func() string {
+		file, err := os.ReadFile(filepath.Join(dir, "j1.obs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(win.rows(0), win.total, s.evalsCell.Load(), file)
+	}
+	before := state()
+	s.observeSearch(dse.Stats{Step: 4, TotalSteps: 4, Evaluated: 50})
+	s.observeIsland(1, dse.Stats{Step: 4, TotalSteps: 4, Evaluated: 60})
+	if after := state(); after != before {
+		t.Fatalf("boundaries after close changed the job's telemetry:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestObsCompleteAtTerminal: a job's obs file is complete once the job
+// is terminal. 200 small jobs sample every boundary on 2 workers, two
+// at a time, and each job's file must hold every sample its window
+// counted as soon as Wait returns.
+func TestObsCompleteAtTerminal(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Workers: 2, ObsDir: dir, ObsSampleInterval: time.Nanosecond})
+	defer m.Close()
+	for pair := int64(0); pair < 100; pair++ {
+		var ids []string
+		for _, seed := range []int64{2*pair + 1, 2*pair + 2} {
+			info, err := m.Submit(smallNSGA2("ecg-ward", seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, info.ID)
+		}
+		for _, id := range ids {
+			if final := waitDone(t, m, id); final.Status != StatusDone {
+				t.Fatalf("job %s ended %s: %s", id, final.Status, final.Error)
+			}
+			samples := readObsFile(t, filepath.Join(dir, id+".obs"))
+			st, err := m.JobStats(id, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(samples)) != st.Samples {
+				t.Fatalf("job %s: obs file holds %d samples when the job is done, its window counted %d", id, len(samples), st.Samples)
+			}
 		}
 	}
 }

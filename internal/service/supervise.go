@@ -54,5 +54,5 @@ func retryDelay(retry int, base, max time.Duration) time.Duration {
 }
 
 // errJobDeadline is the cancellation cause of a job whose
-// deadline_seconds elapsed; runJob maps it to StatusTimedOut.
+// deadline_seconds elapsed; attempts maps it to StatusTimedOut.
 var errJobDeadline = errors.New("service: job deadline exceeded")

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"wsndse/internal/dse"
@@ -167,7 +168,7 @@ func ResolveWarmStart(src ResultLookup, warmStart, fingerprint string, objective
 			// One source per distinct sibling content, the freshest; the
 			// exact key (and re-runs of this very scenario) are covered
 			// above.
-			if r.Key == key || seenFp[r.Fingerprint] || !sameObjectives(r.Objectives, objectives) {
+			if r.Key == key || seenFp[r.Fingerprint] || !slices.Equal(r.Objectives, objectives) {
 				continue
 			}
 			seenFp[r.Fingerprint] = true
@@ -204,17 +205,4 @@ func appendFrontConfigs(dst []dse.Config, r StoredResult, space *dse.Space, seen
 		}
 	}
 	return dst
-}
-
-// sameObjectives reports element-wise equality of objective name lists.
-func sameObjectives(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
