@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -140,7 +141,7 @@ func main() {
 		if !search.Injectable() {
 			fmt.Fprintf(os.Stderr, "wsn-explore: -warm-start is ignored for %s, which takes no seed points\n", *algo)
 		} else {
-			src, closeSrc, err := openWarmStartSource(*warmStart)
+			src, err := openWarmStartSource(*warmStart)
 			if err != nil {
 				fail(err)
 			}
@@ -150,7 +151,6 @@ func main() {
 			}
 			seeds, info, err := service.ResolveWarmStart(src, service.WarmStartAuto,
 				sc.Fingerprint(), objNames, *algo, sc.Name, problem.Space())
-			closeSrc()
 			if err != nil {
 				fail(err)
 			}
@@ -213,26 +213,28 @@ func main() {
 
 // openWarmStartSource resolves the -warm-start flag into a prior-front
 // lookup: an http(s) URL means a running wsn-serve instance, anything
-// else a result directory previously written with `wsn-serve -results-dir`.
-func openWarmStartSource(loc string) (service.ResultLookup, func(), error) {
+// else an existing result directory written with `wsn-serve -results-dir`.
+// The directory is only read: a missing one is an error, not created,
+// and the store opened on it is unbounded, so it evicts none of the
+// results a server with a larger -max-results keeps there.
+func openWarmStartSource(loc string) (service.ResultLookup, error) {
 	if strings.HasPrefix(loc, "http://") || strings.HasPrefix(loc, "https://") {
-		return service.NewClient(loc), func() {}, nil
+		return service.NewClient(loc), nil
 	}
-	s, err := service.NewStore(service.StoreConfig{Dir: loc})
+	if _, err := os.Stat(loc); err != nil {
+		return nil, fmt.Errorf("-warm-start: %w", err)
+	}
+	s, err := service.NewStore(service.StoreConfig{Dir: loc, MaxResults: math.MaxInt})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, func() { s.Close() }, nil
+	return s, nil
 }
 
 func listScenarios() {
 	fmt.Printf("%-44s %-6s %-10s %s\n", "name", "nodes", "space", "description")
-	for _, sc := range scenario.List() {
-		size := "?"
-		if p, err := scenario.NewProblem(sc, casestudy.DefaultCalibration()); err == nil {
-			size = fmt.Sprintf("%.3g", p.Space().Size())
-		}
-		fmt.Printf("%-44s %-6d %-10s %s\n", sc.Name, len(sc.Nodes), size, sc.Description)
+	for _, sc := range scenario.Summaries() {
+		fmt.Printf("%-44s %-6d %-10.3g %s\n", sc.Name, sc.Nodes, sc.SpaceSize, sc.Description)
 		fmt.Printf("%-44s %-6s %-10s stress: %s\n", "", "", "", sc.Stress)
 	}
 }

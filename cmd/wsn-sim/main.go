@@ -54,8 +54,8 @@ func main() {
 		fail(err)
 	}
 	if *list {
-		for _, sc := range scenario.List() {
-			fmt.Printf("%-44s %d nodes — %s\n", sc.Name, len(sc.Nodes), sc.Description)
+		for _, sc := range scenario.Summaries() {
+			fmt.Printf("%-44s %d nodes — %s\n", sc.Name, sc.Nodes, sc.Description)
 		}
 		return
 	}

@@ -30,13 +30,12 @@
 //
 // # Torn tails
 //
-// The stream is append-only and crash-tolerant the same way the result
-// store's index.jsonl is: a process killed mid-write leaves a truncated
-// or checksum-failing final record, and the reader treats the first
-// malformed record as end of stream — every intact sample before it
-// decodes normally, and Reader.Truncated reports that a tail was
-// dropped. Nothing before the tear is ever lost, because records hit the
-// file in one Write each.
+// The stream is append-only and crash-tolerant: a process killed
+// mid-write leaves a truncated or checksum-failing final record, and the
+// reader treats the first malformed record as end of stream — every
+// intact sample before it decodes normally, and Reader.Truncated reports
+// that a tail was dropped. Nothing before the tear is ever lost, because
+// records hit the file in one Write each.
 package obs
 
 import (

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -139,10 +141,7 @@ func Summaries() []Summary {
 
 // Names returns the sorted registered names.
 func Names() []string {
-	scs := List()
-	names := make([]string, len(scs))
-	for i, s := range scs {
-		names[i] = s.Name
-	}
-	return names
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	return slices.Sorted(maps.Keys(registry.byName))
 }

@@ -738,10 +738,10 @@ func newLocalListenerAt(t *testing.T, addr string) net.Listener {
 	}
 }
 
-// TestHubSubscribeFrom pins the server half of Last-Event-ID resume: a
+// TestHubFollowAfterSeq pins the server half of Last-Event-ID resume: a
 // follower reads only the events after the given sequence number, and
 // one past the latest event still receives the events that follow.
-func TestHubSubscribeFrom(t *testing.T) {
+func TestHubFollowAfterSeq(t *testing.T) {
 	var h hub
 	for i := 0; i < 3; i++ {
 		h.publish(Event{Type: "status", Status: StatusQueued})

@@ -40,9 +40,9 @@ type Config struct {
 	// creates the directory.
 	CheckpointDir string
 	// ResultDir, when set, makes the result store durable: finished
-	// fronts are written there (atomic files plus an append-only index)
-	// and a restarted Manager serves — and warm-starts from — the
-	// previous process's results.
+	// fronts are written there, one atomic file per result, and a
+	// restarted Manager serves — and warm-starts from — the previous
+	// process's results.
 	ResultDir string
 	// MaxResults bounds both the result store and the finished job
 	// records the manager holds (<= 0 selects DefaultMaxResults). Beyond

@@ -98,8 +98,8 @@
 // Every finished job's front is archived in the Store under a content
 // key — ResultKey hashes (scenario fingerprint, objective set,
 // algorithm) — with an LRU bound and, when Config.ResultDir is set,
-// durable persistence across process restarts (append-only index plus
-// atomic per-result files). A Spec with WarmStart "auto" seeds its
+// durable persistence across process restarts (one atomic file per
+// result, loaded again on reopen). A Spec with WarmStart "auto" seeds its
 // search from the archive: the exact content match if one exists,
 // otherwise fronts of same-family sibling scenarios (transfer seeding);
 // an explicit version ("v17") pins the source. Seeds reach the
@@ -379,21 +379,24 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// maxJobNumber caps the number of a job ID. Fresh IDs count up from the
-// largest number a manager has seen, and a resume_job may name any ID;
-// without a cap far below math.MaxInt one resume_job near the top
-// would wrap every later ID negative.
+// maxJobNumber caps the number of a job ID and the version in a result
+// file's name. Fresh IDs count up from the largest number a manager has
+// seen, and a resume_job may name any ID; without a cap far below
+// math.MaxInt one resume_job near the top would wrap every later ID
+// negative.
 const maxJobNumber = 1 << 53
 
 // jobNumber parses a server-assigned job ID — "j" and a decimal in
 // [1, maxJobNumber] without leading zeros — into its number.
-func jobNumber(id string) (int, bool) {
-	digits, ok := strings.CutPrefix(id, "j")
-	if !ok {
-		return 0, false
-	}
+func jobNumber(id string) (int, bool) { return serial(id, "j", "") }
+
+// serial parses name — prefix, a decimal in [1, maxJobNumber] without
+// leading zeros, then suffix — into the decimal.
+func serial(name, prefix, suffix string) (int, bool) {
+	digits, hasPrefix := strings.CutPrefix(name, prefix)
+	digits, hasSuffix := strings.CutSuffix(digits, suffix)
 	n, err := strconv.Atoi(digits)
-	if err != nil || n < 1 || int64(n) > maxJobNumber || strconv.Itoa(n) != digits {
+	if !hasPrefix || !hasSuffix || err != nil || n < 1 || int64(n) > maxJobNumber || strconv.Itoa(n) != digits {
 		return 0, false
 	}
 	return n, true

@@ -1,15 +1,11 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -118,11 +114,14 @@ const DefaultMaxResults = 1024
 // StoreConfig parameterizes a Store. The zero value is a purely
 // in-memory store bounded at DefaultMaxResults.
 type StoreConfig struct {
-	// Dir, when set, persists every result to <Dir>/v<version>.json
-	// (atomic tmp+rename, like the checkpoint path) and records puts and
-	// evictions in an append-only <Dir>/index.jsonl. A Store reopened on
-	// the same directory serves the surviving results with the version
-	// counter continuing monotonically.
+	// Dir, when set, keeps every retained result in <Dir>/v<version>.json
+	// (atomic tmp+rename, like the checkpoint path), and those files are
+	// the whole durable store: eviction removes a result's file, and a
+	// Store reopened on the same directory serves the files it finds
+	// with the version counter continuing after the largest. A file
+	// deleted by hand is forgotten, so if it held the newest version
+	// that number is given out again; a file whose eviction could not
+	// remove it is served again after a restart.
 	Dir string
 	// MaxResults bounds how many results are retained (<= 0 selects
 	// DefaultMaxResults). Beyond it the least-recently-used result is
@@ -155,21 +154,11 @@ func (e *storedEntry) result() StoredResult {
 	return r
 }
 
-// indexRecord is one line of the on-disk append-only index: the write-
-// ahead history of puts and evictions. Replaying the file rebuilds the
-// retained set exactly; Key rides along so the index alone answers
-// "which versions held which content" without opening result files.
-type indexRecord struct {
-	Op      string `json:"op"` // "put" | "evict"
-	Version int    `json:"version"`
-	Key     string `json:"key,omitempty"`
-}
-
 // Store is the content-addressed result archive: every successfully
 // finished job's front, keyed by version and by ResultKey, LRU-bounded,
-// and (when configured with a directory) durable across process death.
-// Results are immutable once stored — superseded by newer versions,
-// never overwritten. All methods are safe for concurrent use.
+// and (with StoreConfig.Dir) kept as one file per result, durable across
+// process death. Results are immutable once stored — superseded by newer
+// versions, never overwritten. All methods are safe for concurrent use.
 type Store struct {
 	mu        sync.RWMutex
 	cfg       StoreConfig
@@ -177,15 +166,12 @@ type Store struct {
 	byKey     map[string]*keyed    // content key → its versions
 	lru       storedEntry          // recency list root: next is the most recently used, prev the least
 	nextVer   int
-	index     *os.File     // nil for in-memory stores
 	evictions atomic.Int64 // lifetime LRU evictions, for /metrics
 }
 
-// NewStore opens a store. With cfg.Dir set it creates the directory,
-// replays the append-only index, loads every surviving result file and
-// reopens the index for appending, so the returned store carries the
-// previous process's results, and cuts a tail a crash tore off the index
-// before it appends (see replayIndex).
+// NewStore opens a store. With cfg.Dir set it creates the directory and
+// loads the result files in it (see load), so the returned store carries
+// the previous process's results.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = DefaultMaxResults
@@ -202,17 +188,11 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: result store dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(cfg.Dir, "index.jsonl"), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: result store index: %w", err)
-	}
-	if err := s.replayIndex(f); err != nil {
-		f.Close()
+	if err := s.load(); err != nil {
 		return nil, err
 	}
-	s.index = f
-	// A store reopened with a smaller bound trims immediately (recorded
-	// in the index like any other eviction).
+	// A store reopened with a smaller bound trims immediately, oldest
+	// version first.
 	for len(s.byVer) > s.cfg.MaxResults {
 		s.evictOldest()
 	}
@@ -223,54 +203,35 @@ func (s *Store) resultPath(version int) string {
 	return filepath.Join(s.cfg.Dir, fmt.Sprintf("v%d.json", version))
 }
 
-// replayIndex rebuilds the retained set from the on-disk history: puts
-// minus evictions, in recorded order (which is also recency order, so
-// the rebuilt LRU treats older surviving versions as colder). A result
-// file that disappeared out from under the index is treated as evicted
-// rather than failing the whole store open. The first record that does
-// not decode, or lacks its newline, ends the usable history (a crash
-// mid-append tears the final record), and replayIndex cuts the index
-// there, through the newline of the last record that decodes.
-func (s *Store) replayIndex(index *os.File) error {
-	var intact int64
-	live := []int{}
-	liveSet := map[int]bool{}
-	br := bufio.NewReader(index)
-	for {
-		line, err := br.ReadBytes('\n')
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("service: result store index: %w", err)
-		}
-		var rec indexRecord // a blank line leaves it zero: no op
-		if len(bytes.TrimSpace(line)) > 0 && json.Unmarshal(line, &rec) != nil {
-			break
-		}
-		switch rec.Op {
-		case "put":
-			if !liveSet[rec.Version] {
-				liveSet[rec.Version] = true
-				live = append(live, rec.Version)
-			}
-			s.nextVer = max(s.nextVer, rec.Version)
-		case "evict":
-			delete(liveSet, rec.Version)
-		}
-		intact += int64(len(line))
+// load inserts every result file in the store's directory in version
+// order, which is also recency order: the rebuilt LRU treats older
+// versions as colder. A result file is named v<N>.json with N read as
+// jobNumber reads a job's number, so a crash's v<N>.json.tmp, v01.json
+// or v0.json is not one. New versions count up from the largest N: the
+// store never evicts its newest result (a put's own entry is the most
+// recent, and a reopen trims oldest first), so that file is only gone
+// if removed by hand. A file removed after the listing (another
+// process's eviction) is skipped.
+func (s *Store) load() error {
+	entries, err := os.ReadDir(s.cfg.Dir)
+	if err != nil {
+		return fmt.Errorf("service: result store dir: %w", err)
 	}
-	if err := index.Truncate(intact); err != nil {
-		return fmt.Errorf("service: result store index: %w", err)
+	var versions []int
+	for _, e := range entries {
+		if v, ok := serial(e.Name(), "v", ".json"); ok {
+			versions = append(versions, v)
+		}
 	}
-	for _, v := range live {
-		if !liveSet[v] {
+	slices.Sort(versions)
+	for _, v := range versions {
+		s.nextVer = v
+		data, err := os.ReadFile(s.resultPath(v))
+		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
-		delete(liveSet, v) // a damaged index may put a version twice
-		data, err := os.ReadFile(s.resultPath(v))
 		if err != nil {
-			continue // evicted behind the index's back; drop it
+			return fmt.Errorf("service: result store: %w", err)
 		}
 		var r StoredResult
 		if err := json.Unmarshal(data, &r); err != nil {
@@ -310,7 +271,9 @@ func (s *Store) unlink(e *storedEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// errVersionsExhausted fails a Put after a damaged index's largest int.
+// errVersionsExhausted fails a Put after a result file named with the
+// largest version a file name can carry: a later version's file would
+// not be read back.
 var errVersionsExhausted = errors.New("service: result store has no version numbers left")
 
 // Put archives a result, assigns its version (monotonic in completion
@@ -331,27 +294,21 @@ func (s *Store) put(r StoredResult, front *packedFront) (int, error) {
 	if r.Key == "" {
 		r.Key = ResultKey(r.Fingerprint, r.Objectives, r.Algorithm)
 	}
-	if s.nextVer == math.MaxInt {
+	if s.nextVer >= maxJobNumber {
 		return 0, errVersionsExhausted
 	}
-	s.nextVer++
-	r.Version = s.nextVer
-	if s.index != nil {
+	r.Version = s.nextVer + 1
+	if s.cfg.Dir != "" {
 		r.Front = front.points()
 		data, err := json.Marshal(r)
 		if err != nil {
-			s.nextVer--
 			return 0, err
 		}
 		if err := writeFileAtomic(s.resultPath(r.Version), data); err != nil {
-			s.nextVer--
-			return 0, err
-		}
-		if err := s.appendIndex(indexRecord{Op: "put", Version: r.Version, Key: r.Key}); err != nil {
-			s.nextVer--
 			return 0, err
 		}
 	}
+	s.nextVer = r.Version
 	s.insert(r, front)
 	for len(s.byVer) > s.cfg.MaxResults {
 		s.evictOldest()
@@ -376,21 +333,11 @@ func (s *Store) evictOldest() {
 	if len(k.versions) == 0 {
 		delete(s.byKey, e.res.Key)
 	}
-	if s.index != nil {
+	if s.cfg.Dir != "" {
+		// Best-effort: a file left behind is served again after a
+		// restart.
 		os.Remove(s.resultPath(v))
-		// Best-effort: a lost evict record re-surfaces the (deleted)
-		// result at next open, where the missing file drops it again.
-		_ = s.appendIndex(indexRecord{Op: "evict", Version: v})
 	}
-}
-
-func (s *Store) appendIndex(rec indexRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.index.Write(append(data, '\n'))
-	return err
 }
 
 // Get returns the result at an exact version and refreshes its recency.
@@ -460,17 +407,9 @@ func (s *Store) Len() int {
 	return len(s.byVer)
 }
 
-// Close flushes and closes the on-disk index. In-memory stores no-op.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.index == nil {
-		return nil
-	}
-	err := s.index.Close()
-	s.index = nil
-	return err
-}
+// Close releases nothing: a store holds no open file between calls. It
+// remains so that callers can close a store whatever backs it.
+func (s *Store) Close() error { return nil }
 
 // writeFileAtomic writes data via a temp file and rename, so a crash
 // mid-write never leaves a truncated result on disk.

@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wsndse/internal/scenario"
 )
@@ -146,7 +150,7 @@ func TestStoreConcurrentPutQuery(t *testing.T) {
 
 // TestStorePersistenceRoundTrip kills and recreates the Store on the
 // same directory: surviving results, the continuing version counter, and
-// recorded evictions must all round-trip through the on-disk index.
+// evictions must all round-trip through the result files.
 func TestStorePersistenceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(StoreConfig{Dir: dir, MaxResults: 8})
@@ -204,37 +208,38 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("store after trimmed restart holds %d, want 1", s4.Len())
 	}
 
-	// Crash tolerance: a torn final index line (no trailing newline, half
-	// a record) must not prevent reopening, and everything before the
-	// tear survives.
+	// Crash tolerance: a put the crash tore mid-write (half a result in
+	// v2.json.tmp) must not prevent reopening, everything before it
+	// survives, and the next put takes the torn put's version.
 	tornDir := t.TempDir()
 	s5, err := NewStore(StoreConfig{Dir: tornDir, MaxResults: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPut(t, s5, storeRes("a", "nsga2", "fpA"))
+	v1 := mustPut(t, s5, storeRes("a", "nsga2", "fpA"))
 	s5.Close()
-	f, err := os.OpenFile(filepath.Join(tornDir, "index.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(tornDir, "v2.json.tmp"), []byte(`{"version":2,"ke`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"op":"put","ver`)
-	f.Close()
 	s6, err := NewStore(StoreConfig{Dir: tornDir, MaxResults: 8})
 	if err != nil {
-		t.Fatalf("torn index line broke reopen: %v", err)
+		t.Fatalf("torn temporary file broke reopen: %v", err)
 	}
 	defer s6.Close()
 	if s6.Len() != 1 {
-		t.Fatalf("store after torn line holds %d, want 1", s6.Len())
+		t.Fatalf("store after torn put holds %d, want 1", s6.Len())
+	}
+	if v := mustPut(t, s6, storeRes("b", "nsga2", "fpB")); v != v1+1 {
+		t.Fatalf("put after the torn one got version %d, want %d", v, v1+1)
 	}
 }
 
-// TestStoreTornIndexTail: a record a crash tore off the end of the
-// index is cut before the next append, so the records put after one
-// restart survive the next, and their versions are never given out
-// again.
-func TestStoreTornIndexTail(t *testing.T) {
+// TestStoreCrashLeftovers: files a crash or a hand leaves in the result
+// directory that are not canonical result names (a torn temporary file,
+// a zero-padded or zero version, an index from an older store) are
+// never served and never break a reopen, and versions continue after
+// the largest result file across two restarts.
+func TestStoreCrashLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Store {
 		t.Helper()
@@ -245,77 +250,130 @@ func TestStoreTornIndexTail(t *testing.T) {
 		return s
 	}
 	s := open()
-	v1 := mustPut(t, s, storeRes("a", "nsga2", "fpA"))
+	for _, name := range []string{"a", "b", "c"} {
+		mustPut(t, s, storeRes(name, "nsga2", "fp"+name))
+	}
 	s.Close()
-	f, err := os.OpenFile(filepath.Join(dir, "index.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	stray, err := json.Marshal(storeRes("stray", "nsga2", "fpstray"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"put","vers`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s = open()
-	v2 := mustPut(t, s, storeRes("b", "nsga2", "fpB"))
-	v3 := mustPut(t, s, storeRes("c", "nsga2", "fpC"))
-	s.Close()
-	s = open()
-	defer s.Close()
-	for v, name := range map[int]string{v1: "a", v2: "b", v3: "c"} {
-		if r, ok := s.Get(v); !ok || r.Scenario != name {
-			t.Errorf("after the second restart v%d holds %q (found %v), want %q", v, r.Scenario, ok, name)
+	for name, data := range map[string][]byte{
+		"v4.json.tmp": stray[:len(stray)/2],
+		"v04.json":    stray,
+		"v0.json":     stray,
+		"index.jsonl": []byte(`{"op":"put","version":9,"key":"k"}` + "\n" + `{"op":"evict","version":1}` + "\n"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if v4 := mustPut(t, s, storeRes("d", "nsga2", "fpD")); v4 != v3+1 {
-		t.Fatalf("next version %d, want %d", v4, v3+1)
+
+	want := []string{"a", "b", "c"}
+	for restart := 1; restart <= 2; restart++ {
+		s = open()
+		page, total := s.Query(ResultQuery{})
+		if total != len(want) {
+			t.Fatalf("restart %d serves %d results, want %d", restart, total, len(want))
+		}
+		for i, r := range page {
+			v := len(want) - i // newest first
+			if r.Version != v || r.Scenario != want[v-1] {
+				t.Fatalf("restart %d: result %d is v%d %q, want v%d %q", restart, i, r.Version, r.Scenario, v, want[v-1])
+			}
+		}
+		name := fmt.Sprintf("after-restart-%d", restart)
+		if v := mustPut(t, s, storeRes(name, "nsga2", "fp"+name)); v != len(want)+1 {
+			t.Fatalf("restart %d: next version %d, want %d", restart, v, len(want)+1)
+		}
+		want = append(want, name)
+		s.Close()
 	}
 }
 
-// FuzzStoreIndex feeds arbitrary bytes to the result store as its
-// index.jsonl, beside one valid result file (v1.json). NewStore must
-// return a store or an error, never panic. A store it returns must keep
-// a Put across Close and reopen, and give a later Put a larger version
-// (unless a damaged index used up every version, which Put reports).
-func FuzzStoreIndex(f *testing.F) {
-	// Seed: a real index with puts and evictions, whole and torn.
-	seedDir := f.TempDir()
-	s, err := NewStore(StoreConfig{Dir: seedDir, MaxResults: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, name := range []string{"a", "b", "c"} {
-		if _, err := s.Put(storeRes(name, "nsga2", "fp"+name)); err != nil {
-			f.Fatal(err)
+// TestStoreOpensIndexedDir opens a result directory laid out as a store
+// that also kept an index.jsonl of its puts and evictions leaves it:
+// puts of versions 1–3 and an evict of 1 in the index, and the files
+// v2.json and v3.json. The store serves versions 2 and 3 with their
+// fronts, numbers the next result 4, and leaves the index as it was.
+func TestStoreOpensIndexedDir(t *testing.T) {
+	dir := t.TempDir()
+	results := map[int]StoredResult{}
+	var index []byte
+	for v := 1; v <= 3; v++ {
+		r := storeRes(fmt.Sprintf("s%d", v), "nsga2", fmt.Sprintf("fp%d", v))
+		r.Version = v
+		r.Key = ResultKey(r.Fingerprint, r.Objectives, r.Algorithm)
+		r.Front = []FrontPoint{{Config: []int{v, 2 * v}, Objs: []float64{float64(v) / 3, 0.5, 1e-3 * float64(v)}}}
+		index = fmt.Appendf(index, `{"op":"put","version":%d,"key":%q}`+"\n", v, r.Key)
+		if v == 1 {
+			continue // evicted below: its file is gone
 		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("v%d.json", v)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		results[v] = r
 	}
-	s.Close()
-	index, err := os.ReadFile(filepath.Join(seedDir, "index.jsonl"))
-	if err != nil {
-		f.Fatal(err)
+	index = append(index, `{"op":"evict","version":1}`+"\n"...)
+	indexPath := filepath.Join(dir, "index.jsonl")
+	if err := os.WriteFile(indexPath, index, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	result, err := os.ReadFile(filepath.Join(seedDir, "v3.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(index)
-	f.Add(index[:len(index)-9])
-	f.Add([]byte{})
-	// A damaged index that puts one version three times.
-	f.Add([]byte(`{"op":"put","version":1}
-{"op":"evict","version":1}
-{"op":"put","version":1}
-{"op":"evict","version":1}
-{"op":"put","version":1}
-`))
 
-	f.Fuzz(func(t *testing.T, index []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "v1.json"), result, 0o644); err != nil {
-			t.Fatal(err)
+	s, err := NewStore(StoreConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != 2 {
+		t.Fatalf("store holds %d results, want 2", s.Len())
+	}
+	if _, ok := s.Get(1); ok {
+		t.Fatal("the evicted v1 is served")
+	}
+	for v, want := range results {
+		got, ok := s.Get(v)
+		if !ok {
+			t.Fatalf("v%d missing", v)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), index, 0o644); err != nil {
-			t.Fatal(err)
+		got.CompletedAt, want.CompletedAt = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("v%d = %+v, want %+v", v, got, want)
+		}
+	}
+	if v := mustPut(t, s, storeRes("d", "nsga2", "fpd")); v != 4 {
+		t.Fatalf("next version %d, want 4", v)
+	}
+	if got, err := os.ReadFile(indexPath); err != nil || !bytes.Equal(got, index) {
+		t.Fatalf("index.jsonl changed: %q, %v", got, err)
+	}
+}
+
+// FuzzStoreDir opens the result store on a directory whose files have
+// arbitrary names ('/'-separated in the input), each holding a valid
+// result. NewStore must return a store or an error, never panic. A store
+// it returns must keep a Put across Close and reopen, and give a later
+// Put a larger version (unless a file name carried the largest version,
+// which Put reports).
+func FuzzStoreDir(f *testing.F) {
+	r := storeRes("a", "nsga2", "fpa")
+	r.Key = ResultKey(r.Fingerprint, r.Objectives, r.Algorithm)
+	result, err := json.Marshal(r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, names string) {
+		dir := t.TempDir()
+		for _, name := range strings.Split(names, "/") {
+			if name == "" || name == "." || name == ".." {
+				continue
+			}
+			// A name the file system refuses is no file in the directory.
+			_ = os.WriteFile(filepath.Join(dir, name), result, 0o644)
 		}
 		cfg := StoreConfig{Dir: dir, MaxResults: 2}
 		s, err := NewStore(cfg)
@@ -351,9 +409,8 @@ func FuzzStoreIndex(f *testing.F) {
 	})
 }
 
-// FuzzStoreResult feeds arbitrary bytes to the result store as v1.json,
-// beside an index.jsonl that puts v1. NewStore must return a store or an
-// error, never panic. With a store, Get, Query, the JSON encoding of what
+// FuzzStoreResult feeds arbitrary bytes to the result store as v1.json.
+// NewStore must return a store or an error, never panic. With a store, Get, Query, the JSON encoding of what
 // they return, and warm-start resolution of "v1" and "auto" over
 // ecg-ward's space must not panic, and every resolved seed must index
 // that space.
@@ -387,14 +444,10 @@ func FuzzStoreResult(f *testing.F) {
 	f.Add([]byte("null"))
 	f.Add(nullConfig)
 
-	index := []byte(`{"op":"put","version":1,"key":"` + r.Key + `"}` + "\n")
 	sc, _ := scenario.Lookup("ecg-ward")
 	space := wardSpace(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "index.jsonl"), index, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(filepath.Join(dir, "v1.json"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
